@@ -17,9 +17,8 @@ Hard assertions:
   at least 2.5x the 1-worker baseline.  Boxes with fewer cores cannot scale
   a CPU-bound phase by adding processes, so there the assertion is skipped
   and the row's ``cpu_count`` column documents why;
-* the scale-out rows (one cross-shard warm start per arena mode) both replay
-  warm, and the shm row's inline migration payload is strictly smaller than
-  the local row's — the arena columns stayed in shared memory.
+* the single scale-out row (one cross-shard warm start) migrates the parked
+  session to the new shard and resumes it warm.
 """
 
 from __future__ import annotations
@@ -80,21 +79,13 @@ def test_latency_percentiles_are_well_formed(scaling_result):
         assert p50 <= p95 <= p99
 
 
-def test_scale_out_rows_compare_arena_migration_payloads(scaling_result):
-    rows = {
-        row["arena"]: row
-        for row in scaling_result.rows
-        if row["phase"] == "scale-out"
-    }
-    assert set(rows) == {"local", "shm"}
-    for row in rows.values():
-        assert row["cache_warm"] == 1, f"{row['arena']} resubmit was not a warm start"
-        assert row["migrations"] == 1
-    # The shm session pickle carries segment names, not arena columns, so
-    # its inline migration payload must be strictly smaller than local's.
-    assert (
-        rows["shm"]["migrated_inline_bytes"] < rows["local"]["migrated_inline_bytes"]
-    )
+def test_scale_out_row_migrates_and_warm_starts(scaling_result):
+    rows = scaling_result.filtered(phase="scale-out")
+    assert len(rows) == 1
+    row = rows[0]
+    assert row["cache_warm"] == 1, "scale-out resubmit was not a warm start"
+    assert row["migrations"] == 1
+    assert row["migrated_inline_bytes"] > 0
 
 
 @pytest.mark.skipif(

@@ -2,11 +2,10 @@
 
 The stacked optimizations (kernel backends — numpy and the native C tier —
 block costing, bounds bucket, witness cache, Δ-sets, incremental Pareto
-fronts, frontier cache, scheduler policy, shared-memory arenas) each kept a
-slower reference path alive, and the SQL workload frontend keeps the
-hand-coded TPC-H stubs alive next to the parser; this module turns those
-seams into a registry of named features and measures what each one
-contributes.
+fronts, frontier cache, scheduler policy) each kept a slower reference path
+alive, and the SQL workload frontend keeps the hand-coded TPC-H stubs alive
+next to the parser; this module turns those seams into a registry of named
+features and measures what each one contributes.
 
 * :class:`Feature` / :class:`FeatureRegistry` declare every toggleable
   optimization together with the lowering the codebase already understands
@@ -230,18 +229,6 @@ FEATURES.register(
         layer="service",
         description="alpha-greedy invocation timeslicing vs plain fair round-robin",
         lowering='PlanningService(policy="fair")',
-        gate_floor=None,
-    )
-)
-FEATURES.register(
-    Feature(
-        name="shm_arena",
-        layer="service",
-        description="shared-memory plan arenas: zero-copy session migration between shards",
-        lowering='REPRO_ARENA_MODE=local / PlanningService arena_mode="local"',
-        # A copy-avoidance seam, not single-process speed: the in-process
-        # trace certifies bit-identity; the migration benchmark measures
-        # the moved bytes.
         gate_floor=None,
     )
 )
@@ -541,13 +528,11 @@ def _service_run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
     import time
 
     from repro.api import OptimizeRequest
-    from repro.plans.arena import use_arena_mode
     from repro.service import PlanningService
 
     feature_name = ablated_feature(cell["config"])
     policy = "fair" if feature_name == "scheduler_policy" else "alpha_greedy"
     cache = False if feature_name == "frontier_cache" else None
-    arena_mode = "local" if feature_name == "shm_arena" else "shm"
     specs = _service_request_specs(cell, config)
     requests = [
         OptimizeRequest(
@@ -561,7 +546,6 @@ def _service_run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
     started = time.perf_counter()
     with ExitStack() as stack:
         _apply_configuration(stack, BASELINE_CONFIG, cell["backend"])
-        stack.enter_context(use_arena_mode(arena_mode))
         service = stack.enter_context(
             PlanningService(policy=policy, workers=0, cache=cache)
         )

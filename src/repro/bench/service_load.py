@@ -247,23 +247,18 @@ def _reassigning_request(levels: int, scale: str) -> OptimizeRequest:
     raise AssertionError("no reassigning seed in range; ring changed?")
 
 
-def _scale_out_row(
-    arena_mode: str, levels: int, scale: str, cpus: int
-) -> Dict[str, object]:
+def _scale_out_row(levels: int, scale: str, cpus: int) -> Dict[str, object]:
     """One cross-shard warm start: park on shard-0, add a shard, resubmit.
 
     The parked session's owner changes when the ring grows, so the warm
-    resubmit forces a session migration.  Under ``arena_mode="local"`` the
-    migration pickle carries every arena column inline; under ``"shm"`` it
-    carries segment *names* and the columns stay in shared memory — the
-    ``migrated_inline_bytes`` gap between the two rows is exactly the arena
-    payload that never crossed the pipe.
+    resubmit forces a session migration: the session pickle, arena columns
+    included, crosses the pipe to the new owner.
     """
     from repro.api import Budget
 
     request = _reassigning_request(levels, scale)
     capped = request.with_overrides(budget=Budget(max_invocations=1))
-    with WorkerPoolService(workers=1, arena_mode=arena_mode) as pool:
+    with WorkerPoolService(workers=1) as pool:
         pool.result(pool.submit(capped), timeout=120.0)
         pool.add_shard()
         before = _pool_invocations(pool)
@@ -277,7 +272,6 @@ def _scale_out_row(
             "workers": 2,
             "phase": "scale-out",
             "cpu_count": cpus,
-            "arena": arena_mode,
             "jobs": 1,
             "cache_warm": 1 if status == CACHE_WARM else 0,
             "invocations_run": _pool_invocations(pool) - before,
@@ -296,7 +290,6 @@ def run_service_scaling(
     levels: int = 3,
     tables: int = 4,
     arrival_interval: float = 0.002,
-    arena_modes: Sequence[str] = ("local", "shm"),
 ) -> ExperimentResult:
     """Sweep the sharded worker pool over ``workers_list``.
 
@@ -314,12 +307,10 @@ def run_service_scaling(
     recorded per row: on a box with fewer cores than workers the cold phase
     cannot scale, and the row says so instead of lying about linearity.
 
-    After the sweep, one ``scale-out`` row per arena mode in ``arena_modes``
-    measures a cross-shard warm start: a session parks on shard-0, the ring
-    grows, and the resubmit lands on shard-1, migrating the parked session.
-    The ``migrated_inline_bytes`` gap between the ``local`` and ``shm`` rows
-    is the arena payload that stayed in shared memory instead of crossing
-    the pipe.
+    After the sweep, one ``scale-out`` row measures a cross-shard warm
+    start: a session parks on shard-0, the ring grows, and the resubmit
+    lands on shard-1, migrating the parked session.  Its
+    ``migrated_inline_bytes`` is the session pickle that crossed the pipe.
     """
     config = config or config_from_environment()
     specs = generated_request_specs(jobs, tables=tables)
@@ -366,8 +357,7 @@ def run_service_scaling(
                     / baseline["throughput_jobs_per_s"],
                     3,
                 )
-    for arena_mode in arena_modes:
-        rows.append(_scale_out_row(arena_mode, levels, config.name, cpus))
+    rows.append(_scale_out_row(levels, config.name, cpus))
     return ExperimentResult(
         name="service_scaling",
         description=(
@@ -381,11 +371,10 @@ def run_service_scaling(
             "replay across the pool with zero optimizer invocations.  "
             "speedup_vs_first compares cold throughput against the smallest "
             "swept worker count; near-linear scaling requires at least as "
-            "many CPU cores as workers.  scale-out rows measure one "
-            "cross-shard warm start per arena mode (park on shard-0, grow "
-            "the ring, resubmit to shard-1): migrated_inline_bytes is the "
-            "session-pickle payload that crossed the pipe — under shm "
-            "arenas the pickle carries segment names, not arena columns."
+            "many CPU cores as workers.  The scale-out row measures one "
+            "cross-shard warm start (park on shard-0, grow the ring, "
+            "resubmit to shard-1): migrated_inline_bytes is the "
+            "session-pickle payload that crossed the pipe."
         ),
         rows=rows,
     )
@@ -412,12 +401,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--max-sessions", type=int, default=8)
     parser.add_argument("--arrival-interval", type=float, default=0.002)
     parser.add_argument(
-        "--arena-modes",
-        default="local,shm",
-        help="comma-separated arena modes for the scale-out rows "
-        "(default: local,shm; empty skips them)",
-    )
-    parser.add_argument(
         "--output-dir",
         default=None,
         help="write results/<name>.txt here (default: print only)",
@@ -428,9 +411,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if not workers_list or any(count < 1 for count in workers_list):
         parser.error("--workers-sweep needs positive integers, e.g. 1,2,4")
-    arena_modes = tuple(
-        token.strip() for token in args.arena_modes.split(",") if token.strip()
-    )
     result = run_service_scaling(
         workers_list=workers_list,
         policy=args.policy,
@@ -439,7 +419,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
         levels=args.levels,
         tables=args.tables,
         arrival_interval=args.arrival_interval,
-        arena_modes=arena_modes,
     )
     print(result.description)
     print()

@@ -41,7 +41,7 @@ _SERVICE_MARKERS = ("service", "trace", "pool", "shard")
 
 #: Row keys treated as context (encoded into the metric prefix) rather than
 #: as measured values, even though they are numeric.
-CONTEXT_KEYS = ("size", "workers", "phase", "topology", "tables", "policy", "arena")
+CONTEXT_KEYS = ("size", "workers", "phase", "topology", "tables", "policy")
 
 
 def trajectory_dir() -> Path:

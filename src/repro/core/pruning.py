@@ -30,8 +30,8 @@ plan when it provides at least the same ordering guarantee.
 Since the arena refactor the decision logic operates on arena primitives (plan
 ids, raw cost rows, interned order ids); :func:`prune_all_ids` is the
 optimizer's batched entry point (one kernel gather + scale per block), while
-:func:`prune` / :func:`prune_all` keep the object-level API over the same
-core, so both paths produce identical outcome sequences by construction.
+:func:`prune` keeps the object-level API over the same core, so both paths
+produce identical outcome sequences by construction.
 """
 
 from __future__ import annotations
@@ -152,41 +152,6 @@ def prune(
         plan.plan_id,
         cost_row,
         scaled_row,
-        respect_orders,
-        witnesses,
-    )
-
-
-def prune_all(
-    result_index: PlanIndex,
-    candidate_index: PlanIndex,
-    bounds: CostVector,
-    resolution: int,
-    alpha: float,
-    max_resolution: int,
-    plans: Sequence[Plan],
-    respect_orders: bool = True,
-    witnesses: Optional[Dict[int, Plan]] = None,
-) -> List[PruneOutcome]:
-    """Apply procedure ``Prune`` to a block of plan handles of one table set.
-
-    The plans are processed strictly in order, so the outcome sequence is
-    identical to calling :func:`prune` once per plan -- a plan inserted early
-    in the block can approximate (and thereby defer) a later one.  All plans
-    must belong to the same table set as the given result and candidate
-    indexes and to one arena; returns one :class:`PruneOutcome` per plan.
-    """
-    if not plans:
-        return []
-    return prune_all_ids(
-        result_index,
-        candidate_index,
-        bounds,
-        resolution,
-        alpha,
-        max_resolution,
-        plans[0].arena,
-        [plan.plan_id for plan in plans],
         respect_orders,
         witnesses,
     )

@@ -39,39 +39,18 @@ class CostMatrix:
     dimensions:
         Number of cost metrics ``l``; every appended row must have exactly
         this many components.
-    storage:
-        Optional column factory with a ``vector(typecode, values=())``
-        method (e.g. :class:`repro.shmem.ShmStorage`).  ``None`` keeps the
-        default process-private ``array`` columns.  The kernel backends
-        accept either: storage columns expose the same element surface plus
-        the ``buffer_info()``/``memory()`` duck-typing hooks.
     """
 
-    __slots__ = ("_dims", "_columns", "_alive", "_live", "_dead", "_storage")
+    __slots__ = ("_dims", "_columns", "_alive", "_live", "_dead")
 
-    def __init__(self, dimensions: int, storage=None):
+    def __init__(self, dimensions: int):
         if dimensions < 1:
             raise ValueError("a cost matrix needs at least one metric column")
         self._dims = dimensions
-        self._storage = storage
-        self._columns: List[array] = [
-            self._new_column("d") for _ in range(dimensions)
-        ]
-        self._alive = self._new_column("b")
+        self._columns: List[array] = [array("d") for _ in range(dimensions)]
+        self._alive = array("b")
         self._live = 0
         self._dead = 0
-
-    def _new_column(self, typecode: str, values=()):
-        if self._storage is None:
-            return array(typecode, values)
-        return self._storage.vector(typecode, values)
-
-    @staticmethod
-    def _discard_column(column) -> None:
-        """Free a replaced column's backing store, if it has one to free."""
-        release = getattr(column, "release", None)
-        if release is not None:
-            release()
 
     @classmethod
     def from_vectors(
@@ -212,33 +191,17 @@ class CostMatrix:
         to the matrix must re-index them with the returned slot list.
         """
         kept = self.alive_slots()
-        fresh = [
-            self._new_column("d", (col[i] for i in kept))
-            for col in self._columns
-        ]
-        for old in (*self._columns, self._alive):
-            self._discard_column(old)
-        self._columns = fresh
-        self._alive = self._new_column("b", [1] * len(kept))
+        self._columns = [array("d", (col[i] for i in kept)) for col in self._columns]
+        self._alive = array("b", [1] * len(kept))
         self._dead = 0
         return kept
 
     def clear(self) -> None:
         """Remove every row."""
-        for old in (*self._columns, self._alive):
-            self._discard_column(old)
-        self._columns = [self._new_column("d") for _ in range(self._dims)]
-        self._alive = self._new_column("b")
+        self._columns = [array("d") for _ in range(self._dims)]
+        self._alive = array("b")
         self._live = 0
         self._dead = 0
-
-    def buffers(self) -> Tuple:
-        """Every backing column including the liveness bitmap.
-
-        Owners that manage column storage lifetimes (the shared-memory
-        arena) iterate these to account, disown or release segments.
-        """
-        return (*self._columns, self._alive)
 
     # ------------------------------------------------------------------
     # Batched dominance operations (kernel-backed)

@@ -27,9 +27,8 @@ Importing this module on a box without a usable C compiler raises
 ("native")`` therefore fails loudly, ``auto`` keeps selecting numpy/python,
 and benchmarks record the skip instead of faking native numbers.
 
-Column duck-typing: columns are ``array('d')`` (or any object exposing the
-same ``buffer_info() -> (address, length)`` contract, e.g. the shared-memory
-vectors of :mod:`repro.shmem`), the liveness bitmap is ``array('b')``-shaped.
+Columns are ``array('d')`` and the liveness bitmap is ``array('b')``; the
+C kernels read them in place through ``buffer_info() -> (address, length)``.
 Blocks below :data:`SMALL_BLOCK` rows are delegated to the pure-Python loops,
 where the ``ctypes`` call overhead would dominate.
 """
@@ -508,7 +507,7 @@ COMPILER_VERSION = _compiler_version(COMPILER)
 # by locals for the duration of the call, so the addresses remain valid.
 # ----------------------------------------------------------------------
 def _addr(col) -> int:
-    """Buffer address of a column (array('d') or any buffer_info() provider)."""
+    """Buffer address of an ``array`` column."""
     return col.buffer_info()[0]
 
 

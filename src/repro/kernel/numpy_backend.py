@@ -36,20 +36,11 @@ Columns = Sequence[array]
 Vector = Sequence[float]
 
 
-def _column_view(col) -> np.ndarray:
-    # Shared-memory columns (repro.shmem.ShmVector) cannot implement the C
-    # buffer protocol from pure Python; they expose the used prefix of their
-    # segment as a memoryview instead.
-    memory = getattr(col, "memory", None)
-    if memory is not None:
-        return np.frombuffer(memory(), dtype=np.float64)
+def _column_view(col: array) -> np.ndarray:
     return np.frombuffer(col, dtype=np.float64)
 
 
-def _alive_view(alive) -> np.ndarray:
-    memory = getattr(alive, "memory", None)
-    if memory is not None:
-        return np.frombuffer(memory(), dtype=np.bool_)
+def _alive_view(alive: array) -> np.ndarray:
     return np.frombuffer(alive, dtype=np.bool_)
 
 

@@ -44,63 +44,6 @@ from repro.costs.vector import CostVector
 #: Child id of scan plans ("no sub-plan").
 NO_CHILD = 0
 
-#: Environment lowering of the process default arena mode.
-ARENA_MODE_ENV_VAR = "REPRO_ARENA_MODE"
-
-#: Recognized arena storage modes: process-private ``array`` columns, or
-#: named shared-memory segments (:mod:`repro.shmem`) that other processes
-#: attach to by name (zero-copy session migration between worker shards).
-ARENA_MODES = ("local", "shm")
-
-
-def _initial_arena_mode() -> str:
-    import os
-
-    raw = (os.environ.get(ARENA_MODE_ENV_VAR) or "").strip().lower()
-    if not raw:
-        return "local"
-    if raw not in ARENA_MODES:
-        raise ValueError(
-            f"{ARENA_MODE_ENV_VAR}: unknown arena mode {raw!r}; "
-            f"expected one of {ARENA_MODES}"
-        )
-    return raw
-
-
-_arena_mode = _initial_arena_mode()
-
-
-def arena_mode() -> str:
-    """The process default storage mode for newly created arenas."""
-    return _arena_mode
-
-
-def set_arena_mode(mode: str) -> str:
-    """Set the process default arena mode; returns the previous one."""
-    global _arena_mode
-    if mode not in ARENA_MODES:
-        raise ValueError(
-            f"unknown arena mode {mode!r}; expected one of {ARENA_MODES}"
-        )
-    previous = _arena_mode
-    _arena_mode = mode
-    return previous
-
-
-class use_arena_mode:
-    """Scoped arena-mode override: ``with use_arena_mode("shm"): ...``"""
-
-    def __init__(self, mode: str):
-        self._mode = mode
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "use_arena_mode":
-        self._previous = set_arena_mode(self._mode)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        set_arena_mode(self._previous)
-
 #: Operator id of plans allocated without a physical operator (the bare
 #: ``Plan`` base class used by a few tests and by generic tree nodes).
 NO_OPERATOR = -1
@@ -127,15 +70,8 @@ class ArenaStats:
     operators_interned: int
     #: Distinct interesting orders interned (excluding "no order").
     orders_interned: int
-    #: Bytes held by the arena columns (cost rows + id columns).  An
-    #: estimate for local arenas; *exact* allocated segment bytes for
-    #: shared-memory arenas (the frontier cache charges parked sessions by
-    #: this number, so the shm live tier is byte-accurate).
+    #: Estimated bytes held by the arena columns (cost rows + id columns).
     approx_bytes: int
-    #: Storage mode of the arena ("local" or "shm").
-    arena_mode: str = "local"
-    #: Exact bytes of the backing shared-memory segments (0 when local).
-    shared_bytes: int = 0
 
 
 class PlanArena:
@@ -166,15 +102,9 @@ class PlanArena:
         "_cost_cache",
         "_tombstoned",
         "_weak",
-        "_mode",
     )
 
-    def __init__(
-        self,
-        dimensions: int,
-        weak_handles: bool = False,
-        mode: Optional[str] = None,
-    ):
+    def __init__(self, dimensions: int, weak_handles: bool = False):
         if dimensions < 1:
             raise ValueError("a plan arena needs at least one cost metric")
         self._dims = dimensions
@@ -183,33 +113,14 @@ class PlanArena:
         #: constructed plans stay garbage-collectable like before the arena
         #: refactor (only their ~100-byte column rows remain resident).
         self._weak = weak_handles
-        if mode is None:
-            # Default arenas are process-global and never migrate; pinning
-            # them local keeps direct plan construction free of segment
-            # lifecycle concerns regardless of the service's mode.
-            mode = "local" if weak_handles else arena_mode()
-        if mode not in ARENA_MODES:
-            raise ValueError(
-                f"unknown arena mode {mode!r}; expected one of {ARENA_MODES}"
-            )
-        self._mode = mode
-        storage = None
-        if mode == "shm":
-            from repro.shmem import ShmStorage
-
-            storage = ShmStorage()
-
-        def _column(typecode: str):
-            return array(typecode) if storage is None else storage.vector(typecode)
-
         #: One cost row per plan; slot ``plan_id - 1``.
-        self.costs = CostMatrix(dimensions, storage=storage)
-        self._kind = _column("b")
-        self._left = _column("q")
-        self._right = _column("q")
-        self._operator = _column("q")
-        self._tables = _column("q")
-        self._order = _column("q")
+        self.costs = CostMatrix(dimensions)
+        self._kind = array("b")
+        self._left = array("q")
+        self._right = array("q")
+        self._operator = array("q")
+        self._tables = array("q")
+        self._order = array("q")
         # Interning tables.  Table subsets and orders are immutable values;
         # operators are frozen dataclasses -- all hashable.
         self._tableset_ids: Dict[FrozenSet[str], int] = {}
@@ -243,19 +154,11 @@ class PlanArena:
     def stats(self) -> ArenaStats:
         """Occupancy statistics (live/tombstoned plans, bytes estimate)."""
         total = len(self._kind)
-        shared_bytes = 0
-        if self._mode == "shm":
-            # Exact: every backing segment's allocated size.
-            shared_bytes = sum(
-                column.allocated_bytes for column in self._all_columns()
-            )
-            approx_bytes = shared_bytes
-        else:
-            id_columns = (self._kind, self._left, self._right, self._operator,
-                          self._tables, self._order)
-            approx_bytes = self._dims * 8 * total + total  # cost rows + liveness
-            for column in id_columns:
-                approx_bytes += column.itemsize * len(column)
+        id_columns = (self._kind, self._left, self._right, self._operator,
+                      self._tables, self._order)
+        approx_bytes = self._dims * 8 * total + total  # cost rows + liveness
+        for column in id_columns:
+            approx_bytes += column.itemsize * len(column)
         return ArenaStats(
             plans_total=total,
             plans_live=total - self._tombstoned,
@@ -264,66 +167,7 @@ class PlanArena:
             operators_interned=len(self._operators),
             orders_interned=len(self._orders) - 1,
             approx_bytes=approx_bytes,
-            arena_mode=self._mode,
-            shared_bytes=shared_bytes,
         )
-
-    # ------------------------------------------------------------------
-    # Shared-memory lifecycle
-    # ------------------------------------------------------------------
-    def _all_columns(self) -> Tuple:
-        """Every backing column vector (cost columns, liveness, id columns)."""
-        return (
-            *self.costs.buffers(),
-            self._kind,
-            self._left,
-            self._right,
-            self._operator,
-            self._tables,
-            self._order,
-        )
-
-    @property
-    def is_shared(self) -> bool:
-        """Whether the arena columns live in named shared-memory segments."""
-        return self._mode == "shm"
-
-    def segment_names(self) -> Tuple[str, ...]:
-        """Names of the backing segments (empty for local arenas)."""
-        if self._mode != "shm":
-            return ()
-        return tuple(column.name for column in self._all_columns())
-
-    def release_shared(self) -> None:
-        """Close and unlink every owned segment.  No-op for local arenas.
-
-        Terminal: the arena is unusable afterwards.  The frontier cache
-        calls this when a parked shm session is evicted or its service shuts
-        down, so segments never outlive the session they back.
-        """
-        if self._mode != "shm":
-            return
-        for column in self._all_columns():
-            column.release()
-
-    def disown_shared(self) -> None:
-        """Hand segment ownership to the process that next attaches.
-
-        The exporting half of a cross-shard migration: after disowning, this
-        process will neither unlink the segments at GC nor at exit — the
-        importer's :meth:`adopt_shared` takes over unlink responsibility.
-        """
-        if self._mode != "shm":
-            return
-        for column in self._all_columns():
-            column.disown()
-
-    def adopt_shared(self) -> None:
-        """Take segment ownership after attaching (import half of a move)."""
-        if self._mode != "shm":
-            return
-        for column in self._all_columns():
-            column.adopt()
 
     # ------------------------------------------------------------------
     # Interning

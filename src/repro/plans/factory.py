@@ -85,9 +85,7 @@ class PlanFactory:
         self._operators = operators
         # Built on first use: a resolved request may never plan at all (the
         # serving tier resolves before its cache decision, and a replay or
-        # warm start serves the request from cached state), and in shm mode
-        # an arena is ten kernel-backed segments — too expensive to allocate
-        # speculatively on the submit hot path.
+        # warm start serves the request from cached state).
         self._arena: Optional[PlanArena] = None
         self.counters = PlanFactoryCounters()
 
@@ -115,19 +113,6 @@ class PlanFactory:
         if self._arena is None:
             self._arena = PlanArena(self._cost_model.metric_set.dimensions)
         return self._arena
-
-    def discard_arena(self) -> None:
-        """Release the arena's shared segments, if any were ever built.
-
-        Shared-memory arenas are kernel objects, not Python memory: when no
-        cache parked the session for warm starts, someone must unlink the
-        segments deterministically — a worker process exits through
-        ``os._exit`` where garbage-collector finalizers never run.  No-op
-        for local and never-built arenas.
-        """
-        arena = self._arena
-        if arena is not None and getattr(arena, "is_shared", False):
-            arena.release_shared()
 
     # ------------------------------------------------------------------
     # Scans

@@ -241,27 +241,6 @@ def _session_bytes(session: Optional[PlannerSession]) -> int:
         return 0
 
 
-def _release_parked(session: Optional[PlannerSession]) -> None:
-    """Free a cache-owned parked session's shared-memory segments.
-
-    The cache owns every session parked in an entry: once the entry drops it
-    (eviction, replacement by a longer trace, service shutdown) nobody can
-    warm-start from it again, so an shm arena's segments must be unlinked
-    *now* — ``/dev/shm`` space is a machine-wide resource and must not wait
-    for garbage collection.  Local arenas are plain process memory and are
-    left to the collector.  Popped sessions (``Decision.session``) are
-    caller-owned and are never released here.
-    """
-    if session is None:
-        return
-    try:
-        arena = session.driver.factory.arena
-    except Exception:  # pragma: no cover - defensive: session shape varies
-        return
-    if getattr(arena, "is_shared", False):
-        arena.release_shared()
-
-
 # ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
@@ -589,7 +568,6 @@ class FrontierCache:
         if entry is None:
             return
         self._bytes -= entry.charged_bytes
-        _release_parked(entry.session)
         entry.session = None
         if count_eviction:
             self._evictions_counter.inc()
@@ -598,8 +576,7 @@ class FrontierCache:
         """Detach and return the parked session for ``key`` (``None`` if none).
 
         The export half of a cross-shard migration: the caller takes
-        ownership (for shm arenas, including unlink responsibility once it
-        disowns/hands them over); the replayable trace stays resident.
+        ownership; the replayable trace stays resident.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -629,40 +606,6 @@ class FrontierCache:
             self._entries.move_to_end(key)
             self._evict_locked()
             return True
-
-    def owns_session(self, session: PlannerSession) -> bool:
-        """Whether this exact session object is parked in some entry.
-
-        The planning service asks before reclaiming a terminal job's
-        shared-memory arena: a parked session's segments belong to the cache
-        (released on eviction, replacement or shutdown), an unparked one's
-        must be released with the job.
-        """
-        with self._lock:
-            return any(
-                entry.session is session for entry in self._entries.values()
-            )
-
-    def release_sessions(self) -> int:
-        """Drop (and for shm arenas, unlink) every parked session.
-
-        Called by the planning service on shutdown: parked sessions are only
-        reachable through this cache, so closing the service orphans them —
-        their shared-memory segments must not outlive it.  The replayable
-        traces stay resident; only the live tier is cleared.  Returns the
-        number of sessions released.
-        """
-        with self._lock:
-            released = 0
-            for entry in self._entries.values():
-                if entry.session is None:
-                    continue
-                _release_parked(entry.session)
-                entry.session = None
-                self._bytes -= entry.arena_bytes
-                entry.arena_bytes = 0
-                released += 1
-            return released
 
     def flush(self) -> int:
         """Persist every resident trace to the disk tier; returns the count.

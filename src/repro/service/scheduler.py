@@ -183,7 +183,6 @@ class Scheduler:
         workers: int = 1,
         clock: Callable[[], float] = time.monotonic,
         on_finish: Optional[Callable[[Job], None]] = None,
-        on_release: Optional[Callable[[Job], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if policy not in POLICIES:
@@ -202,7 +201,6 @@ class Scheduler:
         self.workers = workers
         self.clock = clock
         self.on_finish = on_finish
-        self.on_release = on_release
         #: One condition guards all scheduling state; the planning service
         #: shares it to stream updates without a second lock hierarchy.
         self.condition = threading.Condition()
@@ -509,23 +507,16 @@ class Scheduler:
         if self.on_finish is not None:
             self.on_finish(job)
 
-    def _release(self, job: Job) -> None:
+    @staticmethod
+    def _release(job: Job) -> None:
         """Drop the job's session reference once it is terminal.
 
         A retained :class:`Job` only serves poll/stream/result from its
         recorded payloads; holding the live session (and its plan arena)
         beyond the terminal transition would pin per-query optimizer state
         for as long as the job record lives.  The frontier cache adopted the
-        session in the finish hook if it was worth parking; the
-        ``on_release`` hook fires just before the reference drops so the
-        owner can reclaim non-garbage-collected resources (shared-memory
-        arena segments) of sessions nobody adopted.  Dropping the reference
-        alone is not enough for those: the session graph is cyclic, and
-        worker shards exit through ``os._exit`` where the cycle collector
-        and its finalizers never run.
+        session in the finish hook if it was worth parking.
         """
-        if self.on_release is not None:
-            self.on_release(job)
         job.session = None
 
     def _pick_locked(self) -> Optional[Job]:

@@ -111,10 +111,9 @@ class PlanningService:
         #: One registry per service: scheduler and (owned) cache instruments
         #: register here, and ``render_metrics`` serves it as ``/metrics``.
         self.metrics = MetricsRegistry()
-        self._owns_cache = cache is None or cache is True
         if cache is False:
             self._cache: Optional[FrontierCache] = None
-        elif self._owns_cache:
+        elif cache is None or cache is True:
             self._cache = FrontierCache(
                 max_bytes=cache_bytes, persist_dir=cache_dir, metrics=self.metrics
             )
@@ -128,7 +127,6 @@ class PlanningService:
             workers=workers,
             clock=clock,
             on_finish=self._on_job_finish,
-            on_release=self._reclaim_job_arena,
             metrics=self.metrics,
         )
         self._submits_total = self.metrics.counter(
@@ -158,27 +156,15 @@ class PlanningService:
         With ``drain_seconds`` the service first stops admitting (submits
         raise :class:`AdmissionError`, i.e. HTTP 503), waits up to that long
         for every admitted job to reach a terminal state, then closes.  The
-        persistent cache tier is always flushed before the scheduler stops,
-        and — when the service built its own cache — every parked session is
-        released, so shared-memory arenas never outlive the service that
-        parked them.  (An externally supplied cache keeps its sessions: its
-        owner may still be serving warm starts through another service.)
+        persistent cache tier is always flushed before the scheduler stops.
         """
         self._draining = True
         if drain_seconds is not None and drain_seconds > 0:
             self._scheduler.wait_idle(timeout=drain_seconds)
         if self._cache is not None:
             self._cache.flush()
-            if self._owns_cache:
-                self._cache.release_sessions()
         self._closed = True
         self._scheduler.close()
-        # Jobs that never reached a terminal state (backlogged, or in flight
-        # when the workers wound down) still hold their sessions; reclaim
-        # any shared-memory arenas the cache does not own before the process
-        # can exit without running finalizers.
-        for job in list(self._jobs.values()):
-            self._reclaim_job_arena(job)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Wait for every admitted job to finish; True when fully drained."""
@@ -312,7 +298,6 @@ class PlanningService:
             self._jobs.pop(ticket, None)
             if decision is not None and decision.status == CACHE_WARM:
                 self._repark(job)
-            self._reclaim_job_arena(job)
             raise
         return ticket
 
@@ -499,23 +484,6 @@ class PlanningService:
         ):
             return
         self._record_job(job, session)
-
-    def _reclaim_job_arena(self, job: Job) -> None:
-        """Release a terminal job's shm arena unless the cache parked it.
-
-        Fires from the scheduler's release hook (and from the admission
-        bounce and shutdown paths) right before the job drops its session
-        reference.  Shared-memory segments are kernel objects: a steered,
-        failed or exhausted session that nobody parked would otherwise keep
-        its segments pinned until a garbage-collection pass that worker
-        shards — which exit through ``os._exit`` — may never run.
-        """
-        session = job.session
-        if session is None:
-            return
-        if self._cache is not None and self._cache.owns_session(session):
-            return
-        session.driver.factory.discard_arena()
 
     def _repark(self, job: Job) -> None:
         if self._cache is None or job.cache_key is None or job.session is None:

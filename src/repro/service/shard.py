@@ -55,7 +55,6 @@ from repro.api.request import OptimizeRequest, resolve_request
 from repro.api.schema import OptimizationResult, SchemaError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, render_snapshots
-from repro.plans.arena import ARENA_MODES, set_arena_mode
 from repro.service.frontier_cache import request_fingerprint
 from repro.service.protocol import (
     HEALTH_DEGRADED,
@@ -104,7 +103,6 @@ def shard_main(
     cache_bytes: int = 64 << 20,
     cache_dir: Optional[str] = None,
     heartbeat_interval: float = HEARTBEAT_INTERVAL,
-    arena_mode: Optional[str] = None,
 ) -> None:
     """Entry point of one worker process.
 
@@ -114,15 +112,8 @@ def shard_main(
     The parent coordinates shutdown over the pipe, so terminal signals are
     left to it (Ctrl-C in a terminal reaches the whole process group; the
     shard must not tear down mid-drain).
-
-    ``arena_mode="shm"`` makes every session's plan arena live in named
-    shared-memory segments (:mod:`repro.shmem`), which turns parked-session
-    migration between shards into a segment-name handoff instead of a bulk
-    copy — see :meth:`WorkerPoolService.migrate_session`.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if arena_mode is not None:
-        set_arena_mode(arena_mode)
     service = PlanningService(
         policy=policy,
         workers=0,
@@ -276,13 +267,7 @@ def _serve_request(
 def _export_session(service: PlanningService, key: str) -> dict:
     """Detach, serialize and hand over the parked session for ``key``.
 
-    For a local arena the pickle carries every column — the bulk of the
-    session.  For an shm arena the columns pickle as ``(segment name,
-    typecode, length)`` stubs, so ``inline_bytes`` collapses to the
-    interning tables and bookkeeping; the exporting shard *disowns* the
-    segments after pickling so the importer's adopt completes the ownership
-    handoff (between the two, the segments are briefly unowned — the
-    resource tracker's exit sweep covers an importer that dies mid-move).
+    The pickle carries every arena column, the bulk of the session.
     """
     session = (
         service.cache.pop_session(key) if service.cache is not None else None
@@ -290,27 +275,15 @@ def _export_session(service: PlanningService, key: str) -> dict:
     if session is None:
         return {"found": False}
     blob = pickle.dumps(session)
-    arena = session.driver.factory.arena
-    shared = bool(getattr(arena, "is_shared", False))
-    if shared:
-        arena.disown_shared()
-    return {"found": True, "blob": blob, "shared": shared, "inline_bytes": len(blob)}
+    return {"found": True, "blob": blob, "inline_bytes": len(blob)}
 
 
 def _import_session(service: PlanningService, key: str, blob: bytes) -> dict:
     """Attach a migrated session and park it against the persisted trace."""
     session = pickle.loads(blob)
-    arena = session.driver.factory.arena
-    shared = bool(getattr(arena, "is_shared", False))
-    if shared:
-        arena.adopt_shared()
     parked = service.cache is not None and service.cache.park_session(
         key, session
     )
-    if not parked and shared:
-        # No trace to park against (e.g. the persistent tier lost it): the
-        # session is unusable here, so free its segments immediately.
-        arena.release_shared()
     return {"parked": bool(parked)}
 
 
@@ -416,20 +389,14 @@ class WorkerPoolService:
         max_retained_jobs: int = 1024,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         start_method: str = "fork",
-        arena_mode: Optional[str] = None,
     ):
         if workers < 1:
             raise ValueError("worker pool needs at least one worker process")
-        if arena_mode is not None and arena_mode not in ARENA_MODES:
-            raise ValueError(
-                f"unknown arena mode {arena_mode!r}; expected one of {ARENA_MODES}"
-            )
         self._registry = registry if registry is not None else planner_registry()
         self._policy = policy
         self._max_sessions = max_sessions
         self._max_queue = max_queue
         self._cache_bytes = cache_bytes
-        self._arena_mode = arena_mode
         self._heartbeat_interval = heartbeat_interval
         self._tmpdir: Optional[TemporaryDirectory] = None
         if cache_dir is None:
@@ -521,7 +488,6 @@ class WorkerPoolService:
                 cache_bytes=self._cache_bytes,
                 cache_dir=str(self._cache_dir),
                 heartbeat_interval=self._heartbeat_interval,
-                arena_mode=self._arena_mode,
             ),
             daemon=True,
         )
@@ -894,10 +860,8 @@ class WorkerPoolService:
 
         Best-effort: returns ``True`` only when the source held a parked
         session *and* the target parked it against the shared persistent
-        trace.  With shm arenas the session's columns cross the pipe as
-        segment-name stubs (the ``inline_bytes`` gauge records exactly how
-        many bytes did travel); with local arenas the full column data is
-        serialized — the before/after the scaling benchmark measures.
+        trace.  The session travels as one pickle over the pipe; the
+        ``migrated_inline_bytes`` gauge records its size.
         """
         try:
             exported = self._rpc(handle=source, message={"op": "export_session", "key": key})
@@ -1085,7 +1049,6 @@ class WorkerPoolService:
             "workers": len(shards),
             "max_sessions": self._max_sessions * max(len(shards), 1),
             "max_queue": self._max_queue * max(len(shards), 1),
-            "arena_mode": self._arena_mode or "local",
         }
         for gauge in (
             "live_sessions",

@@ -1,0 +1,64 @@
+"""A budget-parked session survives a pickle round trip.
+
+Cross-shard migration in the worker pool is this round trip: the exporting
+shard pickles the parked session and the importing shard unpickles it and
+later resumes it under a bigger budget.  The resumed copy must finish
+bit-identical to one uninterrupted serial session, and the exporter's
+original must be left as it was.
+"""
+
+import pickle
+
+import pytest
+
+from repro.api import Budget, OptimizeRequest, open_session
+from repro.api.schema import FINISH_INVOCATION_CAP
+
+TINY = dict(levels=3, scale="tiny")
+
+
+def _frontier_costs(result):
+    return [tuple(summary.cost) for summary in result.frontier]
+
+
+def _parked(request):
+    """The session of ``request`` stopped by a one-invocation cap."""
+    session = open_session(request.with_overrides(budget=Budget(max_invocations=1)))
+    session.run()
+    assert session.resumable
+    return session
+
+
+@pytest.mark.parametrize("topology", ("chain", "star", "cycle", "clique"))
+def test_resumed_copy_matches_the_serial_run(topology):
+    request = OptimizeRequest(workload=f"gen:{topology}:4:0", **TINY)
+    clone = pickle.loads(pickle.dumps(_parked(request)))
+    clone.resume(Budget())
+    resumed = clone.run()
+    serial = open_session(request).run()
+    assert _frontier_costs(resumed) == _frontier_costs(serial)
+    assert resumed.finish_reason == serial.finish_reason
+    assert resumed.plans_generated == serial.plans_generated
+    assert len(resumed.invocations) == len(serial.invocations)
+
+
+def test_the_copy_reports_the_parked_state():
+    session = _parked(OptimizeRequest(workload="gen:star:4:1", **TINY))
+    clone = pickle.loads(pickle.dumps(session))
+    assert clone.finish_reason == FINISH_INVOCATION_CAP
+    assert clone.resumable
+    assert clone.iteration == session.iteration
+    assert _frontier_costs(clone.result()) == _frontier_costs(session.result())
+    assert clone.driver.factory.arena.stats() == session.driver.factory.arena.stats()
+
+
+def test_resuming_the_copy_leaves_the_original_parked():
+    session = _parked(OptimizeRequest(workload="gen:clique:4:1", **TINY))
+    before = session.driver.factory.arena.stats()
+    clone = pickle.loads(pickle.dumps(session))
+    clone.resume(Budget())
+    clone.run()
+    assert clone.driver.factory.arena is not session.driver.factory.arena
+    assert clone.driver.factory.arena.stats().plans_total > before.plans_total
+    assert session.resumable
+    assert session.driver.factory.arena.stats() == before

@@ -52,7 +52,6 @@ class TestFeatureRegistry:
             "incremental_pareto",
             "frontier_cache",
             "scheduler_policy",
-            "shm_arena",
             "sql_frontend",
             "tracing",
         }

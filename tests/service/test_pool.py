@@ -169,7 +169,7 @@ class TestDifferentialGuarantee:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory arenas and cross-shard session migration
+# Cross-shard session migration
 # ----------------------------------------------------------------------
 def _reassigning_workload(shape):
     """A workload whose fingerprint moves to shard-1 once it joins the ring.
@@ -194,14 +194,14 @@ def _reassigning_workload(shape):
     raise AssertionError("no reassigning seed in range; ring changed?")
 
 
-class TestShmMigration:
+class TestMigration:
     SHAPE = dict(levels=4, scale="tiny")
 
-    def _scale_out(self, arena_mode):
-        """Park on shard-0, add shard-1, resubmit; returns (result, stats)."""
+    def test_scale_out_migrates_the_parked_session(self):
+        """A parked session follows its key to a new shard and resumes warm."""
         request = _reassigning_workload(self.SHAPE)
         capped = request.with_overrides(budget=Budget(max_invocations=1))
-        with WorkerPoolService(workers=1, arena_mode=arena_mode) as pool:
+        with WorkerPoolService(workers=1) as pool:
             first = pool.submit(capped)
             pool.result(first, timeout=60.0)
             assert pool.shard_of(first) == "shard-0"
@@ -211,47 +211,11 @@ class TestShmMigration:
             result = pool.result(ticket, timeout=60.0)
             assert pool.shard_of(ticket) == "shard-1"
             assert pool.poll(ticket)["cache_status"] == CACHE_WARM
-            return request, result, pool.stats()["cache"]
-
-    def test_scale_out_migrates_the_parked_session(self):
-        request, result, cache = self._scale_out("shm")
+            cache = pool.stats()["cache"]
         serial = open_session(request).run()
         assert _frontier_costs(result) == _frontier_costs(serial)
         assert cache["migrations"] == 1
         assert cache["migrated_inline_bytes"] > 0
-
-    def test_shm_migration_moves_no_arena_columns(self):
-        """The shm session pickle carries segment names, not column data."""
-        _, local_result, local_cache = self._scale_out("local")
-        _, shm_result, shm_cache = self._scale_out("shm")
-        assert _frontier_costs(local_result) == _frontier_costs(shm_result)
-        assert shm_cache["migrations"] == local_cache["migrations"] == 1
-        # The inline-bytes gap is exactly the arena columns that stayed in
-        # shared memory instead of crossing the pipe.
-        assert shm_cache["migrated_inline_bytes"] < local_cache["migrated_inline_bytes"]
-
-    def test_pool_close_unlinks_every_segment(self):
-        from repro.shmem import active_segments
-
-        request = _reassigning_workload(self.SHAPE)
-        capped = request.with_overrides(budget=Budget(max_invocations=1))
-        with WorkerPoolService(workers=2, arena_mode="shm") as pool:
-            pool.result(pool.submit(capped), timeout=60.0)
-            pool.result(pool.submit(request), timeout=60.0)
-        deadline = time.monotonic() + 5.0
-        while active_segments() and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert active_segments() == ()
-
-    def test_shm_pool_frontiers_match_serial(self, serial_runs):
-        """The sharded differential guarantee holds with shm arenas."""
-        with WorkerPoolService(workers=2, arena_mode="shm") as pool:
-            for request in _requests()[:4]:
-                result = pool.result(pool.submit(request), timeout=120.0)
-                assert (
-                    _frontier_costs(result)
-                    == serial_runs[request.workload]["frontier"]
-                ), f"{request.workload} diverged under shm arenas"
 
 
 # ----------------------------------------------------------------------
