@@ -186,7 +186,10 @@ FEATURES.register(
     Feature(
         name="bounds_bucket",
         layer="core",
-        description="bounds row log-bucketed once per prune block vs per plan",
+        description=(
+            "bounds row log-bucketed once per prune block vs per plan; "
+            "matters only for plans without a valid cached witness"
+        ),
         lowering="REPRO_FEATURE_BOUNDS_BUCKET=0",
     )
 )
@@ -194,7 +197,10 @@ FEATURES.register(
     Feature(
         name="witness_cache",
         layer="core",
-        description="remembered dominating witness re-checked first on re-pruning",
+        description=(
+            "remembered witnesses checked once per prune block decide which "
+            "plans skip the per-plan witness search"
+        ),
         lowering="REPRO_FEATURE_WITNESS_CACHE=0",
     )
 )

@@ -26,9 +26,9 @@ each bucket is a :class:`~repro.costs.matrix.CostBlock` whose payloads are
 plain integers, and the arena reference (captured from the first inserted
 plan) turns ids back into canonical handles only at the object-API boundary
 (:meth:`retrieve`, :meth:`find_dominating`).  The id-level methods
-(:meth:`retrieve_ids`, :meth:`insert_id`, :meth:`find_dominating_id`) are the
-optimizer's hot path -- no handle materialization, interesting-order filters
-as integer comparisons.
+(:meth:`retrieve_ids`, :meth:`insert_id`, :meth:`find_dominating_id` and the
+bulk :meth:`drain_ids` / :meth:`insert_ids`) are the optimizer's hot path --
+no handle materialization, interesting-order filters as integer comparisons.
 
 Each bucket stores its plans alongside a
 :class:`~repro.costs.matrix.CostMatrix` of their cost vectors, so the
@@ -40,7 +40,13 @@ implementation did, which keeps frontiers byte-identical.
 
 The index never stores duplicate plan ids and supports removal, which the
 candidate set needs (every retrieved candidate is deleted and re-pruned,
-Algorithm 2 lines 8-11).
+Algorithm 2 lines 8-11).  The optimizer moves candidates in bulk:
+:meth:`drain_ids` removes exactly what :meth:`retrieve_ids` returns, one
+tombstone pass and at most one compaction per bucket, and :meth:`insert_ids`
+registers a block with the outcome of an :meth:`insert_id` loop (bucket
+creation order, slot order, Pareto-front folding).  Only the object API
+(:meth:`remove`, :meth:`discard`) still removes one plan at a time through
+:meth:`remove_id`.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import flags
 from repro.costs.matrix import CostBlock
@@ -139,9 +146,9 @@ class _Bucket(CostBlock[int]):
         front.append(row, plan_id)
         self.front_ids.add(plan_id)
 
-    def front_note_remove(self, plan_id: int) -> None:
+    def front_note_remove(self, plan_ids: Iterable[int]) -> None:
         """Invalidate the front when one of its members is removed."""
-        if self.front_ids is not None and plan_id in self.front_ids:
+        if self.front_ids is not None and not self.front_ids.isdisjoint(plan_ids):
             self.front = None
             self.front_ids = None
 
@@ -180,6 +187,14 @@ class PlanIndex:
         if math.isinf(first):
             return INFINITE_BUCKET
         return int(math.log(first + 1.0) / self._log_base)
+
+    def _buckets_of_firsts(self, firsts: Iterable[float]) -> List[_BucketId]:
+        """:meth:`_bucket_of_first` of every value, in one pass."""
+        log, isinf, log_base = math.log, math.isinf, self._log_base
+        return [
+            INFINITE_BUCKET if isinf(first) else int(log(first + 1.0) / log_base)
+            for first in firsts
+        ]
 
     def _bucket_of(self, cost: Sequence[float]) -> _BucketId:
         return self._bucket_of_first(cost[0])
@@ -243,6 +258,82 @@ class PlanIndex:
         bucket.front_note_insert(cost_row, plan_id)
         self._locations[plan_id] = (resolution, bucket_id, slot)
 
+    def insert_ids(
+        self,
+        plan_ids: Sequence[int],
+        resolution: int,
+        arena: Optional[PlanArena] = None,
+        cost_columns: Optional[Sequence[Sequence[float]]] = None,
+    ) -> None:
+        """Register a block of plan ids, all at the same resolution level.
+
+        Ends in the state of calling :meth:`insert_id` for each id in order:
+        buckets are created in the order their first plan appears, each
+        bucket's new slots follow block order, and a materialized Pareto
+        front folds the new rows in that order.  ``cost_columns`` may carry
+        the block's cost rows column-wise, parallel to ``plan_ids``.  The
+        checks of :meth:`insert_id` run for the whole block before anything
+        is registered.
+        """
+        if not plan_ids:
+            return
+        if resolution < 0:
+            raise ValueError("resolution must be non-negative")
+        if arena is not None:
+            self._adopt_arena(arena)
+        owner = self._require_arena()
+        locations = self._locations
+        block = set(plan_ids)
+        if len(block) != len(plan_ids) or not locations.keys().isdisjoint(block):
+            seen = set(locations)
+            for plan_id in plan_ids:
+                if plan_id in seen:
+                    raise ValueError(
+                        f"plan {plan_id} is already registered in this index"
+                    )
+                seen.add(plan_id)
+        if cost_columns is None:
+            cost_columns = [
+                [column[plan_id - 1] for plan_id in plan_ids]
+                for column in owner.costs.columns
+            ]
+        # Group block positions by bucket, in order of first appearance.
+        groups: Dict[_BucketId, List[int]] = {}
+        for position, bucket_id in enumerate(
+            self._buckets_of_firsts(cost_columns[0])
+        ):
+            group = groups.get(bucket_id)
+            if group is None:
+                groups[bucket_id] = [position]
+            else:
+                group.append(position)
+        level = self._levels.setdefault(resolution, {})
+        for bucket_id, positions in groups.items():
+            bucket = level.get(bucket_id)
+            if bucket is None:
+                bucket = _Bucket(owner.dimensions)
+                level[bucket_id] = bucket
+                insort(self._sorted_ids.setdefault(resolution, []), bucket_id)
+            ids = [plan_ids[position] for position in positions]
+            rows = [
+                [column[position] for position in positions]
+                for column in cost_columns
+            ]
+            slot = bucket.extend(rows, ids)
+            if bucket.front is not None:
+                for row, plan_id in zip(zip(*rows), ids):
+                    bucket.front_note_insert(row, plan_id)
+            locations.update(
+                zip(
+                    ids,
+                    zip(
+                        repeat(resolution),
+                        repeat(bucket_id),
+                        range(slot, slot + len(ids)),
+                    ),
+                )
+            )
+
     def remove(self, plan: Plan) -> None:
         """Remove a previously registered plan."""
         if plan.arena is not self._arena:
@@ -257,19 +348,68 @@ class PlanIndex:
         if location is None:
             raise KeyError(f"plan {plan_id} is not registered in this index")
         resolution, bucket_id, slot = location
-        level = self._levels[resolution]
-        bucket = level[bucket_id]
+        bucket = self._levels[resolution][bucket_id]
         bucket.kill(slot)
-        bucket.front_note_remove(plan_id)
+        bucket.front_note_remove((plan_id,))
         if bucket.matrix.live_count == 0:
-            del level[bucket_id]
-            self._sorted_ids[resolution].remove(bucket_id)
-            if not level:
-                del self._levels[resolution]
-                del self._sorted_ids[resolution]
-        elif bucket.compact_if_needed() is not None:
+            self._drop_bucket(resolution, bucket_id)
+        else:
+            self._compact_bucket(resolution, bucket_id, bucket)
+
+    def _drop_bucket(self, resolution: int, bucket_id: _BucketId) -> None:
+        """Delete an emptied bucket, and its level once that is empty too."""
+        level = self._levels[resolution]
+        del level[bucket_id]
+        self._sorted_ids[resolution].remove(bucket_id)
+        if not level:
+            del self._levels[resolution]
+            del self._sorted_ids[resolution]
+
+    def _compact_bucket(
+        self, resolution: int, bucket_id: _BucketId, bucket: _Bucket
+    ) -> None:
+        """Compact a bucket if due and re-point its survivors' locations."""
+        if bucket.compact_if_needed() is not None:
+            locations = self._locations
             for new_slot, survivor in enumerate(bucket.items):
-                self._locations[survivor] = (resolution, bucket_id, new_slot)
+                locations[survivor] = (resolution, bucket_id, new_slot)
+
+    def drain_ids(self, bounds: Sequence[float], max_resolution: int) -> List[int]:
+        """Remove and return the plans ``retrieve_ids(bounds, max_resolution)``
+        returns, in the same order.
+
+        The bulk move of candidate reconsideration (Algorithm 2, lines 8-11:
+        every retrieved candidate leaves the set and is re-pruned).  Each
+        bucket is tombstoned in one pass and compacted at most once; a bucket
+        drained completely is deleted outright, and emptied buckets and
+        levels disappear exactly as :meth:`remove_id` would delete them, so
+        the index ends in the state of a ``remove_id`` loop.
+        """
+        bound_bucket = self._bucket_of(bounds)
+        locations = self._locations
+        result: List[int] = []
+        for resolution in range(0, max_resolution + 1):
+            buckets = self._levels.get(resolution)
+            if not buckets:
+                continue
+            for bucket_id, bucket in list(buckets.items()):
+                if bucket_id > bound_bucket:
+                    continue
+                slots = bucket.matrix.dominated_slots(bounds)
+                if not slots:
+                    continue
+                items = bucket.items
+                drained = [items[slot] for slot in slots]
+                result.extend(drained)
+                for plan_id in drained:
+                    del locations[plan_id]
+                if len(slots) == bucket.matrix.live_count:
+                    self._drop_bucket(resolution, bucket_id)
+                    continue
+                bucket.kill_slots(slots)
+                bucket.front_note_remove(drained)
+                self._compact_bucket(resolution, bucket_id, bucket)
+        return result
 
     def discard(self, plan: Plan) -> bool:
         """Remove the plan if present; return whether it was present."""
@@ -297,6 +437,15 @@ class PlanIndex:
 
     def contains_id(self, plan_id: int) -> bool:
         return plan_id in self._locations
+
+    def registered_within(
+        self, plan_ids: Iterable[int], max_resolution: int
+    ) -> List[bool]:
+        """Per id, whether it is registered at a resolution ``<= max_resolution``."""
+        return [
+            location is not None and location[0] <= max_resolution
+            for location in map(self._locations.get, plan_ids)
+        ]
 
     def resolution_of(self, plan: Plan) -> int:
         """The resolution level the plan is registered for."""

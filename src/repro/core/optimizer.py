@@ -8,7 +8,10 @@ subset ``q`` (Theorems 1 and 2).  The two phases are:
 1. **Candidate reconsideration** (lines 6-12): every candidate plan registered
    for the current bounds and a resolution at most ``r`` is removed from the
    candidate set and re-pruned; pruning may promote it to the result set,
-   re-park it as a candidate for a higher resolution, or discard it.
+   re-park it as a candidate for a higher resolution, or discard it.  Each
+   candidate set is drained with one bulk move
+   (:meth:`~repro.core.index.PlanIndex.drain_ids`) and re-pruned as one block,
+   whose re-parked plans return with one bulk insertion per level.
 2. **Fresh plan generation** (lines 13-22): for every table subset of
    increasing cardinality and every split into two parts, fresh combinations
    of result sub-plans are generated (one per applicable join operator,
@@ -354,7 +357,16 @@ class IncrementalOptimizer:
         for table in sorted(self._query.tables):
             block.extend(self._factory.scan_block(table))
         self._state.counters.scan_plans_generated += len(block)
-        self._prune_block(block, bounds, resolution, alpha, max_resolution, inserted_now)
+        # The only block that mixes table sets: group it per table set,
+        # preserving order, before pruning.
+        arena = self._factory.arena
+        groups: Dict[TableSet, List[int]] = {}
+        for plan_id in block:
+            groups.setdefault(arena.tables_of(plan_id), []).append(plan_id)
+        for tables, group in groups.items():
+            self._prune_block(
+                tables, group, bounds, resolution, alpha, max_resolution, inserted_now
+            )
         self._state.seeded = True
 
     def _reconsider_candidates(
@@ -369,12 +381,16 @@ class IncrementalOptimizer:
         for tables, candidate_index in list(
             self._state.populated_candidate_sets().items()
         ):
-            retrievable = candidate_index.retrieve_ids(bounds, resolution)
-            for plan_id in retrievable:
-                candidate_index.remove_id(plan_id)
+            retrievable = candidate_index.drain_ids(bounds, resolution)
             counters.candidate_retrievals += len(retrievable)
             self._prune_block(
-                retrievable, bounds, resolution, alpha, max_resolution, inserted_now
+                tables,
+                retrievable,
+                bounds,
+                resolution,
+                alpha,
+                max_resolution,
+                inserted_now,
             )
 
     def _generate_fresh_plans(
@@ -443,11 +459,12 @@ class IncrementalOptimizer:
                     )
             counters.join_plans_generated += len(block)
             self._prune_block(
-                block, bounds, resolution, alpha, max_resolution, inserted_now
+                subset, block, bounds, resolution, alpha, max_resolution, inserted_now
             )
 
     def _prune_block(
         self,
+        tables: TableSet,
         plan_ids: List[int],
         bounds: CostVector,
         resolution: int,
@@ -455,38 +472,39 @@ class IncrementalOptimizer:
         max_resolution: int,
         inserted_now: Dict[TableSet, List[int]],
     ) -> None:
-        """Prune a block of plan ids, grouped per table set, preserving order."""
+        """Prune a block of plan ids, all of table set ``tables``, in order."""
         if not plan_ids:
             return
         arena = self._factory.arena
         counters = self._state.counters
-        groups: Dict[TableSet, List[int]] = {}
-        for plan_id in plan_ids:
-            groups.setdefault(arena.tables_of(plan_id), []).append(plan_id)
-        for tables, group in groups.items():
-            outcomes = prune_all_ids(
-                result_index=self._state.result_set(tables),
-                candidate_index=self._state.candidate_set(tables),
-                bounds=bounds,
-                resolution=resolution,
-                alpha=alpha,
-                max_resolution=max_resolution,
-                arena=arena,
-                plan_ids=group,
-                respect_orders=self._respect_orders,
-                witnesses=self._witnesses,
-            )
-            for plan_id, outcome in zip(group, outcomes):
-                if outcome is PruneOutcome.INSERTED:
-                    counters.plans_inserted += 1
-                    inserted_now.setdefault(tables, []).append(plan_id)
-                elif outcome is PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION:
-                    counters.plans_deferred += 1
-                elif outcome is PruneOutcome.OUT_OF_BOUNDS:
-                    counters.plans_out_of_bounds += 1
-                else:
-                    counters.plans_discarded += 1
-                    arena.tombstone(plan_id)
+        outcomes = prune_all_ids(
+            result_index=self._state.result_set(tables),
+            candidate_index=self._state.candidate_set(tables),
+            bounds=bounds,
+            resolution=resolution,
+            alpha=alpha,
+            max_resolution=max_resolution,
+            arena=arena,
+            plan_ids=plan_ids,
+            respect_orders=self._respect_orders,
+            witnesses=self._witnesses,
+        )
+        inserted = [
+            plan_id
+            for plan_id, outcome in zip(plan_ids, outcomes)
+            if outcome is PruneOutcome.INSERTED
+        ]
+        if inserted:
+            counters.plans_inserted += len(inserted)
+            inserted_now.setdefault(tables, []).extend(inserted)
+        counters.plans_deferred += outcomes.count(
+            PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
+        )
+        counters.plans_out_of_bounds += outcomes.count(PruneOutcome.OUT_OF_BOUNDS)
+        for plan_id, outcome in zip(plan_ids, outcomes):
+            if outcome is PruneOutcome.DISCARDED:
+                counters.plans_discarded += 1
+                arena.tombstone(plan_id)
 
 
 @dataclass(frozen=True)

@@ -27,17 +27,34 @@ Following Section 4.3, the cost comparison is restricted to plans producing a
 compatible interesting tuple order: a result plan can only approximate the new
 plan when it provides at least the same ordering guarantee.
 
-Since the arena refactor the decision logic operates on arena primitives (plan
-ids, raw cost rows, interned order ids); :func:`prune_all_ids` is the
-optimizer's batched entry point (one kernel gather + scale per block), while
-:func:`prune` keeps the object-level API over the same core, so both paths
-produce identical outcome sequences by construction.
+The decision logic operates on arena primitives (plan ids, raw cost rows,
+interned order ids) and always runs on a *block* of plans of one table set:
+:func:`prune_all_ids` is the optimizer's entry point, and :func:`prune` is a
+one-plan block of it.  A block is decided in three steps, and the outcomes,
+witnesses and index states equal those of pruning each plan in block order:
+
+1. **Cached witnesses, once per block.**  A plan whose cached witness is
+   registered in the result set at resolution ``<= r``, has a compatible
+   order, and costs at most the bounds and ``alpha_r * c(p)`` is
+   approximated; one kernel call (``rowwise_leq``) compares the whole block's
+   witness costs.  Checking at block start is exact: result plans are never
+   removed, so membership and resolution cannot change during the block, and
+   a plan's cache entry is written only by that plan's own pruning.
+2. **Search the rest, in block order.**  Plans without a valid witness run
+   the witness search against the live result set, and insertions into the
+   result set happen immediately -- a plan inserted earlier in the block can
+   approximate a later one, exactly as in the per-plan procedure.
+3. **Register candidates at block end.**  Deferred plans (at ``r + 1``) and
+   out-of-bounds plans (at ``r``) enter the candidate set with one
+   :meth:`~repro.core.index.PlanIndex.insert_ids` call per level, in block
+   order.  Delaying them is exact because pruning never reads the candidate
+   set.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import flags, kernel
 from repro.costs.vector import CostVector
@@ -104,7 +121,7 @@ def prune(
     respect_orders: bool = True,
     witnesses: Optional[Dict[int, Plan]] = None,
 ) -> PruneOutcome:
-    """Apply procedure ``Prune`` to a single plan.
+    """Apply procedure ``Prune`` to a single plan (a one-plan block).
 
     Parameters
     ----------
@@ -137,24 +154,18 @@ def prune(
     PruneOutcome
         What happened to the plan.
     """
-    if alpha < 1.0:
-        raise ValueError("the precision factor alpha_r must be >= 1")
-    arena = plan.arena
-    cost_row = arena.cost_row(plan.plan_id)
-    scaled_row = tuple(value * alpha for value in cost_row)
-    return _prune_core(
+    return prune_all_ids(
         result_index,
         candidate_index,
-        tuple(bounds),
+        bounds,
         resolution,
+        alpha,
         max_resolution,
-        arena,
-        plan.plan_id,
-        cost_row,
-        scaled_row,
+        plan.arena,
+        [plan.plan_id],
         respect_orders,
         witnesses,
-    )
+    )[0]
 
 
 def prune_all_ids(
@@ -169,149 +180,173 @@ def prune_all_ids(
     respect_orders: bool = True,
     witnesses: Optional[Dict[int, Plan]] = None,
 ) -> List[PruneOutcome]:
-    """Apply procedure ``Prune`` to a block of arena plan ids.
+    """Apply procedure ``Prune`` to a block of arena plan ids of one table set.
 
-    The batch entry point of the optimizer (seeding, candidate
-    reconsideration and fresh-plan generation in :mod:`repro.core.optimizer`):
-    the block's cost rows are gathered from the arena matrix and scaled by
-    ``alpha_r`` with one kernel call each, then every plan's witness search
-    runs through the batched kernel of the result index.  Outcomes are
-    identical to pruning each plan the moment it was produced.
+    The entry point of the optimizer (seeding, candidate reconsideration and
+    fresh-plan generation in :mod:`repro.core.optimizer`).  The block's cost
+    rows are gathered from the arena matrix and scaled by ``alpha_r`` with
+    one kernel call each; the three steps of the module docstring then
+    decide every plan.  Outcomes are identical to pruning each plan the
+    moment it was produced.
     """
     if alpha < 1.0:
         raise ValueError("the precision factor alpha_r must be >= 1")
     if not plan_ids:
         return []
-    return _prune_all_ids_traced(
-        result_index,
-        candidate_index,
-        bounds,
-        resolution,
-        alpha,
-        max_resolution,
-        arena,
-        plan_ids,
-        respect_orders,
-        witnesses,
-    )
-
-
-def _prune_all_ids_traced(
-    result_index: PlanIndex,
-    candidate_index: PlanIndex,
-    bounds: CostVector,
-    resolution: int,
-    alpha: float,
-    max_resolution: int,
-    arena: PlanArena,
-    plan_ids: Sequence[int],
-    respect_orders: bool = True,
-    witnesses: Optional[Dict[int, Plan]] = None,
-) -> List[PruneOutcome]:
     with obs_trace.span(
         "pruning.prune_block", block_size=len(plan_ids), resolution=resolution
-    ):
+    ) as block_span:
         with obs_trace.span(
             "kernel.block",
             op="take+scale_columns",
             backend=kernel.backend_name(),
             block_size=len(plan_ids),
         ):
-            slots = [plan_id - 1 for plan_id in plan_ids]
-            columns = kernel.ops.take(arena.costs.columns, slots)
+            columns = kernel.ops.take(
+                arena.costs.columns, [plan_id - 1 for plan_id in plan_ids]
+            )
             scaled_columns = kernel.ops.scale_columns(columns, alpha)
-        cost_rows = list(zip(*columns))
-        scaled_rows = list(zip(*scaled_columns))
         bounds_row = tuple(bounds)
-        # The whole block shares one bound vector; bucket it once for the
-        # witness searches of every plan in the block.  With the
-        # ``bounds_bucket`` feature ablated, None makes every retrieval
-        # re-bucket per plan.
+
+        # Step 1: every plan whose cached witness still approximates it.
+        settled = (
+            _cached_witness_positions(
+                result_index,
+                arena,
+                plan_ids,
+                scaled_columns,
+                bounds_row,
+                resolution,
+                respect_orders,
+                witnesses,
+            )
+            if witnesses is not None
+            else set()
+        )
+        block_span.set(cached=len(settled), searched=len(plan_ids) - len(settled))
+
+        # Step 2: search the rest in block order.  Result inserts are
+        # immediate: a plan inserted earlier in the block can approximate a
+        # later one.
+        approximated = (
+            PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
+            if resolution < max_resolution
+            else PruneOutcome.DISCARDED
+        )
+        outcomes = [approximated] * len(plan_ids)
+        # The whole block shares one bound vector; bucket it once for every
+        # witness search.  With the ``bounds_bucket`` feature ablated, None
+        # makes every search re-bucket the bounds.
         bounds_bucket = (
             result_index.bucket_of(bounds_row)
             if flags.enabled("bounds_bucket")
             else None
         )
-        outcomes: List[PruneOutcome] = []
         for position, plan_id in enumerate(plan_ids):
-            outcomes.append(
-                _prune_core(
-                    result_index,
-                    candidate_index,
-                    bounds_row,
-                    resolution,
-                    max_resolution,
-                    arena,
-                    plan_id,
-                    cost_rows[position],
-                    scaled_rows[position],
-                    respect_orders,
-                    witnesses,
-                    bounds_bucket,
-                )
+            if position in settled:
+                continue
+            order_id = arena.order_id_of(plan_id)
+            # Only plans producing the same tuple order may approximate a
+            # plan with an interesting order; any plan covers one without.
+            witness_id = result_index.find_dominating_id(
+                tuple(column[position] for column in scaled_columns),
+                bounds_row,
+                resolution,
+                order_id if respect_orders and order_id != 0 else None,
+                bounds_bucket,
             )
+            if witness_id:
+                if witnesses is not None:
+                    witnesses[plan_id] = arena.plan(witness_id)
+                continue
+            cost_row = tuple(column[position] for column in columns)
+            if not _row_leq(cost_row, bounds_row):
+                outcomes[position] = PruneOutcome.OUT_OF_BOUNDS
+                continue
+            result_index.insert_id(plan_id, resolution, arena, cost_row)
+            if witnesses is not None:
+                witnesses.pop(plan_id, None)
+            outcomes[position] = PruneOutcome.INSERTED
+        if approximated is PruneOutcome.DISCARDED and witnesses is not None:
+            for plan_id, outcome in zip(plan_ids, outcomes):
+                if outcome is PruneOutcome.DISCARDED:
+                    witnesses.pop(plan_id, None)
+
+        # Step 3: register the candidates in block order, one call per level;
+        # the level whose first plan comes first is created first.
+        registrations = [
+            (
+                [
+                    position
+                    for position, outcome in enumerate(outcomes)
+                    if outcome is kind
+                ],
+                level,
+            )
+            for kind, level in (
+                (PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION, resolution + 1),
+                (PruneOutcome.OUT_OF_BOUNDS, resolution),
+            )
+        ]
+        registrations.sort(key=lambda item: item[0][0] if item[0] else len(outcomes))
+        for positions, level in registrations:
+            if positions:
+                candidate_index.insert_ids(
+                    [plan_ids[position] for position in positions],
+                    level,
+                    arena,
+                    kernel.ops.take(columns, positions),
+                )
         return outcomes
 
 
-def _prune_core(
+def _cached_witness_positions(
     result_index: PlanIndex,
-    candidate_index: PlanIndex,
+    arena: PlanArena,
+    plan_ids: Sequence[int],
+    scaled_columns: Sequence[Sequence[float]],
     bounds_row: Tuple[float, ...],
     resolution: int,
-    max_resolution: int,
-    arena: PlanArena,
-    plan_id: int,
-    cost_row: Tuple[float, ...],
-    scaled_row: Tuple[float, ...],
     respect_orders: bool,
-    witnesses: Optional[Dict[int, Plan]],
-    bounds_bucket: Optional[float] = None,
-) -> PruneOutcome:
-    """Prune one plan given its raw and ``alpha_r``-scaled cost rows."""
-    order_id = arena.order_id_of(plan_id)
-    witness_id = 0
-    if witnesses is not None:
-        cached = witnesses.get(plan_id)
-        if cached is not None:
-            cached_id = cached.plan_id
-            if (
-                result_index.contains_id(cached_id)
-                and result_index.resolution_of_id(cached_id) <= resolution
-                and (
-                    not respect_orders
-                    or order_id == 0
-                    or arena.order_id_of(cached_id) == order_id
-                )
-            ):
-                cached_row = arena.cost_row(cached_id)
-                if _row_leq(cached_row, bounds_row) and _row_leq(
-                    cached_row, scaled_row
-                ):
-                    witness_id = cached_id
-    if witness_id == 0:
-        if respect_orders and order_id != 0:
-            # Only plans producing the same tuple order may approximate this one.
-            witness_id = result_index.find_dominating_id(
-                scaled_row, bounds_row, resolution, order_id, bounds_bucket
+    witnesses: Dict[int, Plan],
+) -> Set[int]:
+    """Block positions whose cached witness approximates the plan (step 1).
+
+    The witness must be a result plan registered at resolution ``<= r``,
+    offer the plan's interesting order (when orders are respected), and cost
+    at most the bounds and the plan's scaled cost (Algorithm 3 line 7).
+    """
+    cached_ids = [
+        0 if witness is None else witness.plan_id
+        for witness in map(witnesses.get, plan_ids)
+    ]
+    positions = [
+        position
+        for position, registered in enumerate(
+            result_index.registered_within(cached_ids, resolution)
+        )
+        if registered
+    ]
+    if respect_orders and positions:
+        # A plan with an interesting order needs a witness with that order.
+        order_ids = arena.order_ids(plan_ids[position] for position in positions)
+        witness_order_ids = arena.order_ids(
+            cached_ids[position] for position in positions
+        )
+        positions = [
+            position
+            for position, order_id, witness_order_id in zip(
+                positions, order_ids, witness_order_ids
             )
-        else:
-            # A plan without ordering requirements is coverable by any plan.
-            witness_id = result_index.find_dominating_id(
-                scaled_row, bounds_row, resolution, None, bounds_bucket
-            )
-    if witness_id:
-        if witnesses is not None:
-            witnesses[plan_id] = arena.plan(witness_id)
-        if resolution < max_resolution:
-            candidate_index.insert_id(plan_id, resolution + 1, arena, cost_row)
-            return PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
-        if witnesses is not None:
-            witnesses.pop(plan_id, None)
-        return PruneOutcome.DISCARDED
-    if not _row_leq(cost_row, bounds_row):
-        candidate_index.insert_id(plan_id, resolution, arena, cost_row)
-        return PruneOutcome.OUT_OF_BOUNDS
-    result_index.insert_id(plan_id, resolution, arena, cost_row)
-    if witnesses is not None:
-        witnesses.pop(plan_id, None)
-    return PruneOutcome.INSERTED
+            if order_id == 0 or order_id == witness_order_id
+        ]
+    if not positions:
+        return set()
+    hits = kernel.ops.rowwise_leq(
+        kernel.ops.take(
+            arena.costs.columns, [cached_ids[position] - 1 for position in positions]
+        ),
+        kernel.ops.take(scaled_columns, positions),
+        bounds_row,
+    )
+    return {positions[hit] for hit in hits}

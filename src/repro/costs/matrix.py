@@ -183,6 +183,16 @@ class CostMatrix:
         self._live -= 1
         self._dead += 1
 
+    def kill_slots(self, slots: Sequence[int]) -> None:
+        """Tombstone several rows in one pass (see :meth:`kill`)."""
+        alive = self._alive
+        for slot in slots:
+            if not alive[slot]:
+                raise KeyError(f"slot {slot} is already dead")
+            alive[slot] = 0
+        self._live -= len(slots)
+        self._dead += len(slots)
+
     def compact(self) -> List[int]:
         """Drop tombstoned rows; returns the old slots that were kept.
 
@@ -321,10 +331,24 @@ class CostBlock(Generic[T]):
         self.items.append(item)
         return slot
 
+    def extend(self, columns: Sequence[Sequence[float]], items: Sequence[T]) -> int:
+        """Append live rows given column-wise, with their payloads; returns
+        the first new slot."""
+        slot = self.matrix.extend_columns(columns, len(items))
+        self.items.extend(items)
+        return slot
+
     def kill(self, slot: int) -> None:
         """Tombstone a slot; call :meth:`compact_if_needed` after a batch."""
         self.matrix.kill(slot)
         self.items[slot] = None
+
+    def kill_slots(self, slots: Sequence[int]) -> None:
+        """Tombstone several slots in one pass."""
+        self.matrix.kill_slots(slots)
+        items = self.items
+        for slot in slots:
+            items[slot] = None
 
     def compact_if_needed(self) -> Optional[List[int]]:
         """Compact once tombstones outnumber live entries.

@@ -13,11 +13,15 @@ in isolation and attribute the speedup honestly:
     call per combination) — same costs, same arena ids, same order.
 ``bounds_bucket``
     :func:`repro.core.pruning.prune_all_ids` pre-computes the log-bucket of
-    the bounds row once per block.  Off: every retrieval re-buckets per plan.
+    the bounds row once per block.  Off: every witness search re-buckets per
+    plan.  Only plans without a valid cached witness search, so the bucket
+    matters only for them.
 ``witness_cache``
     The incremental optimizer remembers, per deferred plan, the result plan
-    that approximated it last time (re-checked first on re-pruning).  Off:
-    every re-pruning starts from scratch.
+    that approximated it last time.  The cache decides which plans of a
+    block skip the per-plan witness search: one pass at block start settles
+    every plan whose witness still approximates it.  Off: every re-pruning
+    searches from scratch.
 ``delta_sets``
     Section 4.2's Δ-set optimization: under unchanged bounds, only newly
     inserted partial plans are joined.  Off: every invocation re-enumerates

@@ -608,6 +608,12 @@ def any_leq(columns: Columns, alive: array, vector: Vector) -> bool:
     return first_leq(columns, alive, vector) != -1
 
 
+#: The cached-witness check has no C loop: it delegates to pure Python until
+#: the fresh-plan witness searches are batched too and decide whether the
+#: native tier pays at all.
+rowwise_leq = _py.rowwise_leq
+
+
 def _fresh_column(size: int) -> array:
     return array("d", bytes(8 * size))
 

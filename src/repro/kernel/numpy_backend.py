@@ -87,6 +87,20 @@ def any_leq(columns: Columns, alive: array, vector: Vector) -> bool:
     return bool(_leq_mask(columns, alive, vector).any())
 
 
+def rowwise_leq(columns: Columns, others: Columns, vector: Vector) -> List[int]:
+    """Positions ``i`` where row ``i`` is ``<=`` row ``i`` of ``others`` and
+    ``<= vector``, component-wise (both blocks dense and equally long)."""
+    n = len(columns[0])
+    if n < SMALL_BLOCK:
+        return _py.rowwise_leq(columns, others, vector)
+    mask = np.ones(n, dtype=np.bool_)
+    for col, other, bound in zip(columns, others, vector):
+        view = _column_view(col)
+        np.logical_and(mask, view <= _column_view(other), out=mask)
+        np.logical_and(mask, view <= bound, out=mask)
+    return np.nonzero(mask)[0].tolist()
+
+
 def scale_columns(columns: Columns, factor: float) -> List[array]:
     """Multiply every column by a non-negative scalar; returns new columns."""
     scaled: List[array] = []

@@ -126,6 +126,48 @@ def any_leq(columns: Columns, alive: array, vector: Vector) -> bool:
     return first_leq(columns, alive, vector) != -1
 
 
+def rowwise_leq(columns: Columns, others: Columns, vector: Vector) -> List[int]:
+    """Positions ``i`` where row ``i`` is ``<=`` row ``i`` of ``others`` and
+    ``<= vector``, component-wise.
+
+    Both blocks are dense (no liveness bitmap) and equally long.  The pruning
+    layer checks a block's cached witnesses with it: row ``i`` of
+    ``columns`` is the witness cost of plan ``i``, row ``i`` of ``others``
+    its ``alpha_r``-scaled cost, and ``vector`` the cost bounds.
+    """
+    dims = len(columns)
+    if dims == 1:
+        (c0,), (o0,), (b0,) = columns, others, vector
+        return [i for i in range(len(c0)) if c0[i] <= o0[i] and c0[i] <= b0]
+    if dims == 2:
+        (c0, c1), (o0, o1), (b0, b1) = columns, others, vector
+        return [
+            i
+            for i in range(len(c0))
+            if c0[i] <= o0[i] and c0[i] <= b0 and c1[i] <= o1[i] and c1[i] <= b1
+        ]
+    if dims == 3:
+        (c0, c1, c2), (o0, o1, o2), (b0, b1, b2) = columns, others, vector
+        return [
+            i
+            for i in range(len(c0))
+            if c0[i] <= o0[i]
+            and c0[i] <= b0
+            and c1[i] <= o1[i]
+            and c1[i] <= b1
+            and c2[i] <= o2[i]
+            and c2[i] <= b2
+        ]
+    out: List[int] = []
+    for i in range(len(columns[0])):
+        for col, other, bound in zip(columns, others, vector):
+            if col[i] > other[i] or col[i] > bound:
+                break
+        else:
+            out.append(i)
+    return out
+
+
 def scale_columns(columns: Columns, factor: float) -> List[array]:
     """Multiply every column by a non-negative scalar; returns new columns."""
     return [array("d", (value * factor for value in col)) for col in columns]

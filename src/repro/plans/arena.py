@@ -362,6 +362,11 @@ class PlanArena:
     def order_id_of(self, plan_id: int) -> int:
         return self._order[plan_id - 1]
 
+    def order_ids(self, plan_ids: Iterable[int]) -> List[int]:
+        """Interned order ids of a sequence of plans, in order."""
+        order = self._order
+        return [order[plan_id - 1] for plan_id in plan_ids]
+
     def order_of(self, plan_id: int) -> Optional[str]:
         return self._orders[self._order[plan_id - 1]]
 

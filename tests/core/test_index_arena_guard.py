@@ -51,3 +51,22 @@ class TestForeignArenaHandles:
     def test_insert_rejects_foreign_handle(self):
         with pytest.raises(ValueError, match="different arenas"):
             self.index.insert(self.plan_b, 0)
+
+    def test_insert_ids_rejects_foreign_arena(self):
+        with pytest.raises(ValueError, match="different arenas"):
+            self.index.insert_ids([self.plan_b.plan_id], 0, self.arena_b)
+        assert len(self.index) == 1
+
+    def test_insert_ids_rejects_registered_id(self):
+        fresh = make_plan(self.arena_a, cost=(2.0, 2.0))
+        with pytest.raises(ValueError, match="already registered"):
+            self.index.insert_ids([fresh.plan_id, self.plan_a.plan_id], 1, self.arena_a)
+        # The block is checked before anything is registered.
+        assert fresh not in self.index
+        assert self.index.resolution_of(self.plan_a) == 0
+
+    def test_insert_ids_rejects_an_id_twice_in_one_block(self):
+        fresh = make_plan(self.arena_a, cost=(2.0, 2.0))
+        with pytest.raises(ValueError, match="already registered"):
+            self.index.insert_ids([fresh.plan_id, fresh.plan_id], 0, self.arena_a)
+        assert fresh not in self.index

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.index import PlanIndex
 from repro.costs.dominance import dominates
 from repro.costs.vector import CostVector
+from repro.plans.arena import PlanArena
 from repro.plans.operators import ScanOperator
 from repro.plans.plan import ScanPlan
 
@@ -95,3 +96,141 @@ class TestRetrievalMatchesBruteForce:
         index.remove(victim)
         remaining = {p.plan_id for p, _ in plans} - {victim.plan_id}
         assert {p.plan_id for p in index.all_plans()} == remaining
+
+
+# ----------------------------------------------------------------------
+# Bulk moves: drain_ids / insert_ids against the one-plan operations
+# ----------------------------------------------------------------------
+INF = float("inf")
+#: Few distinct values, so buckets hold several plans and ties occur.
+bulk_values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 6.0, 100.0, INF])
+bulk_costs = st.tuples(bulk_values, bulk_values)
+bulk_entries = st.lists(
+    st.tuples(bulk_costs, st.integers(min_value=0, max_value=3)), max_size=40
+)
+bulk_bounds = st.one_of(st.just((INF, INF)), bulk_costs)
+
+
+def arena_with(costs):
+    arena = PlanArena(2)
+    ids = [arena.allocate_scan("t", ScanOperator("seq_scan"), cost) for cost in costs]
+    return arena, ids
+
+
+def materialize_fronts(index):
+    """Build the Pareto front of every bucket (a search nothing satisfies)."""
+    assert index.find_dominating_id((INF, -1.0), (INF, INF), 10) == 0
+
+
+def bucket_fronts(index):
+    return {
+        (level, bucket_id): (
+            None if bucket.front is None else list(bucket.front.live_items())
+        )
+        for level, buckets in index._levels.items()
+        for bucket_id, bucket in buckets.items()
+    }
+
+
+def assert_same_index(actual, expected, ids):
+    assert len(actual) == len(expected)
+    assert actual.all_entries() == expected.all_entries()
+    assert bucket_fronts(actual) == bucket_fronts(expected)
+    for plan_id in ids:
+        assert actual.contains_id(plan_id) == expected.contains_id(plan_id)
+        if expected.contains_id(plan_id):
+            assert actual.resolution_of_id(plan_id) == expected.resolution_of_id(
+                plan_id
+            )
+    for bounds in ((INF, INF), (3.0, 3.0), (1.0, 100.0)):
+        for level in range(5):
+            assert actual.retrieve_ids(bounds, level) == expected.retrieve_ids(
+                bounds, level
+            )
+
+
+def twin_indexes(arena, ids, levels, fronts):
+    twins = []
+    for _ in range(2):
+        index = PlanIndex()
+        for plan_id, level in zip(ids, levels):
+            index.insert_id(plan_id, level, arena)
+        if fronts:
+            materialize_fronts(index)
+        twins.append(index)
+    return twins
+
+
+class TestBulkMovesMatchOnePlanOperations:
+    @settings(max_examples=150)
+    @given(bulk_entries, bulk_bounds, st.integers(min_value=0, max_value=3), st.booleans())
+    def test_drain_equals_retrieve_then_remove(
+        self, entry_list, bounds, max_resolution, fronts
+    ):
+        arena, ids = arena_with([cost for cost, _ in entry_list])
+        bulk, loop = twin_indexes(arena, ids, [level for _, level in entry_list], fronts)
+        expected = loop.retrieve_ids(bounds, max_resolution)
+        for plan_id in expected:
+            loop.remove_id(plan_id)
+        assert bulk.drain_ids(bounds, max_resolution) == expected
+        assert_same_index(bulk, loop, ids)
+
+    @settings(max_examples=150)
+    @given(
+        bulk_entries,
+        st.lists(bulk_costs, max_size=30),
+        st.integers(min_value=0, max_value=4),
+        st.booleans(),
+    )
+    def test_insert_ids_equals_insert_id_loop(self, entry_list, block, level, fronts):
+        arena, ids = arena_with([cost for cost, _ in entry_list] + block)
+        seeded, fresh = ids[: len(entry_list)], ids[len(entry_list) :]
+        bulk, loop = twin_indexes(
+            arena, seeded, [level for _, level in entry_list], fronts
+        )
+        for plan_id in fresh:
+            loop.insert_id(plan_id, level, arena)
+        bulk.insert_ids(fresh, level, arena, [list(col) for col in zip(*block)] or None)
+        assert_same_index(bulk, loop, ids)
+
+
+class TestBulkMoveCases:
+    def test_insert_ids_folds_into_a_materialized_front(self):
+        arena, ids = arena_with([(2.0, 2.0), (2.5, 1.0), (2.1, 0.5), (2.2, 2.2), (2.3, 0.1)])
+        bulk, loop = twin_indexes(arena, ids[:2], [0, 0], fronts=True)
+        assert bucket_fronts(bulk)[(0, 1)] == [ids[0], ids[1]]
+        for plan_id in ids[2:]:
+            loop.insert_id(plan_id, 0, arena)
+        bulk.insert_ids(ids[2:], 0, arena)
+        assert bucket_fronts(bulk)[(0, 1)] == [ids[0], ids[2], ids[4]]
+        assert_same_index(bulk, loop, ids)
+
+    def test_drain_empties_a_bucket_and_a_whole_level(self):
+        arena, ids = arena_with([(1.0, 1.0), (1.2, 1.0), (50.0, 1.0), (1.0, 1.0)])
+        bulk, loop = twin_indexes(arena, ids, [0, 0, 0, 1], fronts=False)
+        bounds = (10.0, 10.0)
+        expected = loop.retrieve_ids(bounds, 1)
+        assert expected == [ids[0], ids[1], ids[3]]
+        for plan_id in expected:
+            loop.remove_id(plan_id)
+        assert bulk.drain_ids(bounds, 1) == expected
+        assert list(bulk._levels) == [0]
+        assert list(bulk._levels[0]) == [bulk.bucket_of((50.0, 1.0))]
+        assert_same_index(bulk, loop, ids)
+
+    def test_drain_triggers_one_compaction(self):
+        costs = [(1.0, float(k)) for k in range(10)]
+        arena, ids = arena_with(costs)
+        bulk, loop = twin_indexes(arena, ids, [0] * 10, fronts=True)
+        bounds = (INF, 5.0)
+        expected = loop.retrieve_ids(bounds, 0)
+        for plan_id in expected:
+            loop.remove_id(plan_id)
+        assert bulk.drain_ids(bounds, 0) == expected == ids[:6]
+        (bucket,) = bulk._levels[0].values()
+        # Six tombstones outnumber four survivors: compacted once, in order.
+        assert bucket.matrix.dead_count == 0
+        assert bucket.items == ids[6:]
+        assert bucket.front is None  # the removed champion invalidated it
+        assert_same_index(bulk, loop, ids)
+        assert [bulk._locations[plan_id][2] for plan_id in ids[6:]] == [0, 1, 2, 3]

@@ -3,7 +3,8 @@
 Every backend (pure Python, numpy, and the compiled native tier when a C
 compiler is available) must implement the full kernel op surface --
 ``leq_slots`` / ``geq_slots`` / ``first_leq`` / ``any_leq`` /
-``scale_columns`` / ``take`` / ``combine_columns`` / ``pareto_mask`` --
+``rowwise_leq`` / ``scale_columns`` / ``take`` / ``combine_columns`` /
+``pareto_mask`` --
 bit-identically.  This module pins that contract once, parametrized over the
 backends that can load on this machine, instead of the per-backend test
 copies it replaced: brute-force oracles over row tuples define "correct"
@@ -126,6 +127,27 @@ def oracle_pareto(rows, alive):
     return [not dominated(i) for i in live]
 
 
+@st.composite
+def row_pairs(draw, max_rows=60):
+    """Two equally long dense blocks plus a bound vector, with ties."""
+    dims = draw(st.integers(min_value=1, max_value=4))
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), finite_or_inf)
+    row = st.tuples(*([value] * dims))
+    pairs = draw(st.lists(st.tuples(row, row), max_size=max_rows))
+    vector = draw(row)
+    left = [array("d", (pair[0][k] for pair in pairs)) for k in range(dims)]
+    right = [array("d", (pair[1][k] for pair in pairs)) for k in range(dims)]
+    return left, right, vector, pairs
+
+
+def oracle_rowwise_leq(pairs, vector):
+    return [
+        i
+        for i, (row, other) in enumerate(pairs)
+        if all(x <= y and x <= v for x, y, v in zip(row, other, vector))
+    ]
+
+
 def make_column(size, seed, with_inf=False, upper=100.0):
     rng = random.Random(seed)
     values = [rng.uniform(0.0, upper) for _ in range(size)]
@@ -167,6 +189,33 @@ class TestDominanceOps:
             with kernel.use_backend(backend):
                 assert kernel.ops.first_leq(columns, alive_flags, vector) == expected_first
                 assert kernel.ops.any_leq(columns, alive_flags, vector) == bool(hits)
+
+    @settings(max_examples=200)
+    @given(row_pairs())
+    def test_rowwise_leq_matches_oracle_on_every_backend(self, case):
+        left, right, vector, pairs = case
+        expected = oracle_rowwise_leq(pairs, vector)
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                assert kernel.ops.rowwise_leq(left, right, vector) == expected
+
+    @pytest.mark.parametrize("size", [0, 5, 300])  # empty, small, vectorised
+    def test_rowwise_leq_ties_and_inf_on_every_backend(self, size):
+        rng = random.Random(size)
+        choices = [0.0, 1.0, 2.0, math.inf]
+        pairs = [
+            tuple(tuple(rng.choice(choices) for _ in range(3)) for _ in range(2))
+            for _ in range(size)
+        ]
+        left = [array("d", (pair[0][k] for pair in pairs)) for k in range(3)]
+        right = [array("d", (pair[1][k] for pair in pairs)) for k in range(3)]
+        for vector in ((2.0, 2.0, 2.0), (math.inf,) * 3):
+            expected = oracle_rowwise_leq(pairs, vector)
+            if size:
+                assert expected  # ties and +inf rows do pass
+            for backend in BACKENDS:
+                with kernel.use_backend(backend):
+                    assert kernel.ops.rowwise_leq(left, right, vector) == expected
 
     @settings(max_examples=200)
     @given(matrices())
