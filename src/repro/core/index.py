@@ -43,10 +43,12 @@ candidate set needs (every retrieved candidate is deleted and re-pruned,
 Algorithm 2 lines 8-11).  The optimizer moves candidates in bulk:
 :meth:`drain_ids` removes exactly what :meth:`retrieve_ids` returns, one
 tombstone pass and at most one compaction per bucket, and :meth:`insert_ids`
-registers a block with the outcome of an :meth:`insert_id` loop (bucket
-creation order, slot order, Pareto-front folding).  Only the object API
-(:meth:`remove`, :meth:`discard`) still removes one plan at a time through
-:meth:`remove_id`.
+registers a block with the outcome of registering its plans one at a time
+(bucket creation order, slot order, Pareto-front folding).  Each direction
+has one path: :meth:`insert_id` is a one-plan :meth:`insert_ids`, and
+:meth:`remove_id` -- used only by the object API (:meth:`remove`,
+:meth:`discard`) -- removes a one-slot batch the way :meth:`drain_ids`
+removes each bucket's batch.
 """
 
 from __future__ import annotations
@@ -188,14 +190,6 @@ class PlanIndex:
             return INFINITE_BUCKET
         return int(math.log(first + 1.0) / self._log_base)
 
-    def _buckets_of_firsts(self, firsts: Iterable[float]) -> List[_BucketId]:
-        """:meth:`_bucket_of_first` of every value, in one pass."""
-        log, isinf, log_base = math.log, math.isinf, self._log_base
-        return [
-            INFINITE_BUCKET if isinf(first) else int(log(first + 1.0) / log_base)
-            for first in firsts
-        ]
-
     def _bucket_of(self, cost: Sequence[float]) -> _BucketId:
         return self._bucket_of_first(cost[0])
 
@@ -231,32 +225,18 @@ class PlanIndex:
         arena: Optional[PlanArena] = None,
         cost_row: Optional[Sequence[float]] = None,
     ) -> None:
-        """Register the plan with the given arena id.
+        """Register the plan with the given arena id (a one-plan
+        :meth:`insert_ids`).
 
         ``cost_row`` may carry the plan's already-gathered cost row (the
         batched pruning path has it at hand), saving one arena read.
         """
-        if resolution < 0:
-            raise ValueError("resolution must be non-negative")
-        if arena is not None:
-            self._adopt_arena(arena)
-        owner = self._require_arena()
-        if plan_id in self._locations:
-            raise ValueError(
-                f"plan {plan_id} is already registered in this index"
-            )
-        if cost_row is None:
-            cost_row = owner.cost_row(plan_id)
-        bucket_id = self._bucket_of(cost_row)
-        level = self._levels.setdefault(resolution, {})
-        bucket = level.get(bucket_id)
-        if bucket is None:
-            bucket = _Bucket(owner.dimensions)
-            level[bucket_id] = bucket
-            insort(self._sorted_ids.setdefault(resolution, []), bucket_id)
-        slot = bucket.append(cost_row, plan_id)
-        bucket.front_note_insert(cost_row, plan_id)
-        self._locations[plan_id] = (resolution, bucket_id, slot)
+        self.insert_ids(
+            (plan_id,),
+            resolution,
+            arena,
+            None if cost_row is None else [[value] for value in cost_row],
+        )
 
     def insert_ids(
         self,
@@ -267,13 +247,13 @@ class PlanIndex:
     ) -> None:
         """Register a block of plan ids, all at the same resolution level.
 
-        Ends in the state of calling :meth:`insert_id` for each id in order:
-        buckets are created in the order their first plan appears, each
-        bucket's new slots follow block order, and a materialized Pareto
+        Ends in the state of registering the ids one at a time in block
+        order: buckets are created in the order their first plan appears,
+        each bucket's new slots follow block order, and a materialized Pareto
         front folds the new rows in that order.  ``cost_columns`` may carry
         the block's cost rows column-wise, parallel to ``plan_ids``.  The
-        checks of :meth:`insert_id` run for the whole block before anything
-        is registered.
+        arena and duplicate-id checks run for the whole block before
+        anything is registered.
         """
         if not plan_ids:
             return
@@ -298,10 +278,10 @@ class PlanIndex:
                 for column in owner.costs.columns
             ]
         # Group block positions by bucket, in order of first appearance.
+        bucket_of_first = self._bucket_of_first
         groups: Dict[_BucketId, List[int]] = {}
-        for position, bucket_id in enumerate(
-            self._buckets_of_firsts(cost_columns[0])
-        ):
+        for position, first in enumerate(cost_columns[0]):
+            bucket_id = bucket_of_first(first)
             group = groups.get(bucket_id)
             if group is None:
                 groups[bucket_id] = [position]
@@ -344,35 +324,11 @@ class PlanIndex:
 
     def remove_id(self, plan_id: int) -> None:
         """Remove the plan with the given arena id."""
-        location = self._locations.pop(plan_id, None)
+        location = self._locations.get(plan_id)
         if location is None:
             raise KeyError(f"plan {plan_id} is not registered in this index")
         resolution, bucket_id, slot = location
-        bucket = self._levels[resolution][bucket_id]
-        bucket.kill(slot)
-        bucket.front_note_remove((plan_id,))
-        if bucket.matrix.live_count == 0:
-            self._drop_bucket(resolution, bucket_id)
-        else:
-            self._compact_bucket(resolution, bucket_id, bucket)
-
-    def _drop_bucket(self, resolution: int, bucket_id: _BucketId) -> None:
-        """Delete an emptied bucket, and its level once that is empty too."""
-        level = self._levels[resolution]
-        del level[bucket_id]
-        self._sorted_ids[resolution].remove(bucket_id)
-        if not level:
-            del self._levels[resolution]
-            del self._sorted_ids[resolution]
-
-    def _compact_bucket(
-        self, resolution: int, bucket_id: _BucketId, bucket: _Bucket
-    ) -> None:
-        """Compact a bucket if due and re-point its survivors' locations."""
-        if bucket.compact_if_needed() is not None:
-            locations = self._locations
-            for new_slot, survivor in enumerate(bucket.items):
-                locations[survivor] = (resolution, bucket_id, new_slot)
+        self._remove_slots(resolution, bucket_id, [slot])
 
     def drain_ids(self, bounds: Sequence[float], max_resolution: int) -> List[int]:
         """Remove and return the plans ``retrieve_ids(bounds, max_resolution)``
@@ -380,13 +336,10 @@ class PlanIndex:
 
         The bulk move of candidate reconsideration (Algorithm 2, lines 8-11:
         every retrieved candidate leaves the set and is re-pruned).  Each
-        bucket is tombstoned in one pass and compacted at most once; a bucket
-        drained completely is deleted outright, and emptied buckets and
-        levels disappear exactly as :meth:`remove_id` would delete them, so
-        the index ends in the state of a ``remove_id`` loop.
+        bucket loses its drained slots in one :meth:`_remove_slots` pass, so
+        the index ends in the state of a :meth:`remove_id` loop.
         """
         bound_bucket = self._bucket_of(bounds)
-        locations = self._locations
         result: List[int] = []
         for resolution in range(0, max_resolution + 1):
             buckets = self._levels.get(resolution)
@@ -396,20 +349,39 @@ class PlanIndex:
                 if bucket_id > bound_bucket:
                     continue
                 slots = bucket.matrix.dominated_slots(bounds)
-                if not slots:
-                    continue
-                items = bucket.items
-                drained = [items[slot] for slot in slots]
-                result.extend(drained)
-                for plan_id in drained:
-                    del locations[plan_id]
-                if len(slots) == bucket.matrix.live_count:
-                    self._drop_bucket(resolution, bucket_id)
-                    continue
-                bucket.kill_slots(slots)
-                bucket.front_note_remove(drained)
-                self._compact_bucket(resolution, bucket_id, bucket)
+                if slots:
+                    result.extend(self._remove_slots(resolution, bucket_id, slots))
         return result
+
+    def _remove_slots(
+        self, resolution: int, bucket_id: _BucketId, slots: Sequence[int]
+    ) -> List[int]:
+        """Remove the plans at ``slots`` of one bucket; returns their ids.
+
+        The slots are tombstoned in one pass and the bucket is compacted at
+        most once.  A bucket left empty is deleted, and so is its level once
+        that is empty too.
+        """
+        level = self._levels[resolution]
+        bucket = level[bucket_id]
+        items = bucket.items
+        removed = [items[slot] for slot in slots]
+        locations = self._locations
+        for plan_id in removed:
+            del locations[plan_id]
+        if len(slots) == bucket.matrix.live_count:
+            del level[bucket_id]
+            self._sorted_ids[resolution].remove(bucket_id)
+            if not level:
+                del self._levels[resolution]
+                del self._sorted_ids[resolution]
+            return removed
+        bucket.kill_slots(slots)
+        bucket.front_note_remove(removed)
+        if bucket.compact_if_needed() is not None:
+            for new_slot, survivor in enumerate(bucket.items):
+                locations[survivor] = (resolution, bucket_id, new_slot)
+        return removed
 
     def discard(self, plan: Plan) -> bool:
         """Remove the plan if present; return whether it was present."""

@@ -272,24 +272,16 @@ def prune_all_ids(
                 if outcome is PruneOutcome.DISCARDED:
                     witnesses.pop(plan_id, None)
 
-        # Step 3: register the candidates in block order, one call per level;
-        # the level whose first plan comes first is created first.
-        registrations = [
-            (
-                [
-                    position
-                    for position, outcome in enumerate(outcomes)
-                    if outcome is kind
-                ],
-                level,
-            )
-            for kind, level in (
-                (PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION, resolution + 1),
-                (PruneOutcome.OUT_OF_BOUNDS, resolution),
-            )
-        ]
-        registrations.sort(key=lambda item: item[0][0] if item[0] else len(outcomes))
-        for positions, level in registrations:
+        # Step 3: register the candidates in block order, one call per level.
+        for kind, level in (
+            (PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION, resolution + 1),
+            (PruneOutcome.OUT_OF_BOUNDS, resolution),
+        ):
+            positions = [
+                position
+                for position, outcome in enumerate(outcomes)
+                if outcome is kind
+            ]
             if positions:
                 candidate_index.insert_ids(
                     [plan_ids[position] for position in positions],

@@ -177,14 +177,10 @@ class CostMatrix:
 
     def kill(self, slot: int) -> None:
         """Tombstone the row at ``slot`` (it stops matching every query)."""
-        if not self._alive[slot]:
-            raise KeyError(f"slot {slot} is already dead")
-        self._alive[slot] = 0
-        self._live -= 1
-        self._dead += 1
+        self.kill_slots((slot,))
 
     def kill_slots(self, slots: Sequence[int]) -> None:
-        """Tombstone several rows in one pass (see :meth:`kill`)."""
+        """Tombstone several rows in one pass."""
         alive = self._alive
         for slot in slots:
             if not alive[slot]:
@@ -340,8 +336,7 @@ class CostBlock(Generic[T]):
 
     def kill(self, slot: int) -> None:
         """Tombstone a slot; call :meth:`compact_if_needed` after a batch."""
-        self.matrix.kill(slot)
-        self.items[slot] = None
+        self.kill_slots((slot,))
 
     def kill_slots(self, slots: Sequence[int]) -> None:
         """Tombstone several slots in one pass."""

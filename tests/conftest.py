@@ -90,6 +90,18 @@ def build_factory(
     return PlanFactory(estimator, cost_model, registry)
 
 
+def entries_by_level(index):
+    """Registered plan ids per resolution level, in registration order.
+
+    The order in which levels were created is not compared: nothing reads
+    it, while the optimizer reads every level in ascending order.
+    """
+    levels = {}
+    for entry in index.all_entries():
+        levels.setdefault(entry.resolution, []).append(entry.plan.plan_id)
+    return levels
+
+
 # ----------------------------------------------------------------------
 # Fixtures
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ from repro.plans.arena import PlanArena
 from repro.plans.operators import ScanOperator
 from repro.plans.plan import ScanPlan
 
+from tests.conftest import entries_by_level
+
 costs = st.tuples(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -134,7 +136,7 @@ def bucket_fronts(index):
 
 def assert_same_index(actual, expected, ids):
     assert len(actual) == len(expected)
-    assert actual.all_entries() == expected.all_entries()
+    assert entries_by_level(actual) == entries_by_level(expected)
     assert bucket_fronts(actual) == bucket_fronts(expected)
     for plan_id in ids:
         assert actual.contains_id(plan_id) == expected.contains_id(plan_id)

@@ -20,6 +20,8 @@ from repro.core.pruning import PruneOutcome, prune_all_ids
 from repro.plans.arena import PlanArena
 from repro.plans.operators import ScanOperator
 
+from tests.conftest import entries_by_level
+
 INF = math.inf
 SCAN = ScanOperator("seq_scan")
 
@@ -244,7 +246,7 @@ def run(prune, arena, block, setup, scenario) -> List[PruneOutcome]:
 
 def assert_same_state(scenario, expected_setup, actual_setup):
     for expected_index, actual_index in zip(expected_setup[:2], actual_setup[:2]):
-        assert actual_index.all_entries() == expected_index.all_entries()
+        assert entries_by_level(actual_index) == entries_by_level(expected_index)
         assert len(actual_index) == len(expected_index)
         top = scenario["max_resolution"] + 1
         for bounds in (scenario["bounds"], (INF,) * scenario["dims"]):
