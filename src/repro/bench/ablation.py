@@ -1,11 +1,11 @@
 """First-class ablation harness: per-feature speedup attribution with gates.
 
-The stacked optimizations (kernel backends — numpy and the native C tier —
-block costing, bounds bucket, witness cache, Δ-sets, incremental Pareto
-fronts, frontier cache, scheduler policy) each kept a slower reference path
-alive, and the SQL workload frontend keeps the hand-coded TPC-H stubs alive
-next to the parser; this module turns those seams into a registry of named
-features and measures what each one contributes.
+The stacked optimizations (the numpy kernel backend, block costing, witness
+cache, Δ-sets, incremental Pareto fronts, frontier cache, scheduler policy)
+each kept a slower reference path alive, and the SQL workload frontend keeps
+the hand-coded TPC-H stubs alive next to the parser; this module turns those
+seams into a registry of named features and measures what each one
+contributes.
 
 * :class:`Feature` / :class:`FeatureRegistry` declare every toggleable
   optimization together with the lowering the codebase already understands
@@ -168,29 +168,10 @@ FEATURES.register(
 )
 FEATURES.register(
     Feature(
-        name="native_kernel",
-        layer="kernel",
-        description="in-tree C dominance kernels (ctypes) vs the numpy fast path",
-        lowering='REPRO_KERNEL_BACKEND=numpy / kernel.use_backend("numpy")',
-    )
-)
-FEATURES.register(
-    Feature(
         name="block_costing",
         layer="core",
         description="one kernel call per (operator, metric) block vs per-plan combine()",
         lowering="REPRO_FEATURE_BLOCK_COSTING=0",
-    )
-)
-FEATURES.register(
-    Feature(
-        name="bounds_bucket",
-        layer="core",
-        description=(
-            "bounds row log-bucketed once per prune block vs per plan; "
-            "matters only for plans without a valid cached witness"
-        ),
-        lowering="REPRO_FEATURE_BOUNDS_BUCKET=0",
     )
 )
 FEATURES.register(
@@ -324,34 +305,15 @@ def _scale_name(config: ExperimentConfig) -> str:
     return "tiny"
 
 
-def _reference_backend() -> str:
-    """The fastest portable (non-native) backend in this environment."""
-    try:
-        kernel._resolve("numpy")
-    except ImportError:
-        return "python"
-    return "numpy"
-
-
-def _baseline_backend() -> str:
-    """The fast-path kernel backend the all-on baseline runs.
-
-    The native tier is opt-in everywhere else (``auto`` never picks it), but
-    the ablation baseline is exactly the place to opt in: the grid certifies
-    bit-identity against the portable backends and attributes the speedup.
-    Falls back to numpy (then python) where no C toolchain is available.
-    """
-    if kernel.native_available():
-        return "native"
-    return _reference_backend()
+def _auto_backend() -> str:
+    """The backend ``auto`` selects here: the one the all-on baseline runs."""
+    return kernel._auto().NAME
 
 
 def _backend_for(config_name: str) -> str:
     if config_name == "no_numpy_kernel":
         return "python"
-    if config_name == "no_native_kernel":
-        return _reference_backend()
-    return _baseline_backend()
+    return _auto_backend()
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +371,7 @@ def _service_cells(config: ExperimentConfig, grid: AblationConfig) -> List[Cell]
             resolution_levels=int(levels),
             repeats=2,
             scale=_scale_name(config),
-            backend=_baseline_backend(),
+            backend=_auto_backend(),
         )
         for config_name in service_configs
     ]
@@ -437,7 +399,7 @@ def _workload_cells(config: ExperimentConfig, grid: AblationConfig) -> List[Cell
             block=block,
             resolution_levels=int(levels),
             scale=_scale_name(config),
-            backend=_baseline_backend(),
+            backend=_auto_backend(),
         )
         for config_name in workload_configs
         for block in WORKLOAD_BLOCKS
@@ -754,9 +716,7 @@ def _merge(config: ExperimentConfig, outcomes: CellOutcomes) -> "ExperimentResul
             digest_match = ablated["digest"] == baseline["digest"]
             active = True
             if feature.name == "numpy_kernel":
-                active = _reference_backend() == "numpy"
-            elif feature.name == "native_kernel":
-                active = kernel.native_available()
+                active = _auto_backend() == "numpy"
             invariant_ok = True
             if feature.name == "delta_sets":
                 invariant_ok = (

@@ -338,7 +338,7 @@ def replay_open_loop(
 # The registered experiment
 # ----------------------------------------------------------------------
 def _cells(config: ExperimentConfig) -> List[Cell]:
-    from repro.bench.ablation import _baseline_backend, _scale_name
+    from repro.bench.ablation import _auto_backend, _scale_name
 
     levels = max(config.resolution_level_settings)
     seed = int(config.synthetic_seeds[0])
@@ -349,7 +349,7 @@ def _cells(config: ExperimentConfig) -> List[Cell]:
             seed=seed,
             resolution_levels=int(levels),
             scale=_scale_name(config),
-            backend=_baseline_backend(),
+            backend=_auto_backend(),
         )
         for shape in SHAPES
     ]

@@ -9,7 +9,7 @@ human-oriented ``results/*.txt`` tables.
 Each entry is a flat dict::
 
     {"experiment": "kernel_dominance",
-     "backend":    "native",
+     "backend":    "numpy",
      "metric":     "size=4096:pareto_seconds",
      "value":      0.000333,
      "cpu_count":  8}

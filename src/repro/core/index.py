@@ -57,7 +57,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import flags
 from repro.costs.matrix import CostBlock
@@ -607,51 +607,13 @@ class PlanIndex:
         target: CostVector,
         bounds: CostVector,
         max_resolution: int,
-        order_filter: Optional[Callable[[Plan], bool]] = None,
     ) -> Optional[Plan]:
         """Return some in-range plan whose cost dominates ``target``, if any.
 
-        Object-level wrapper over :meth:`find_dominating_id` for callers that
-        filter with a plan predicate.  The returned plan is a *witness* of
-        the approximation; the pruning layer caches it so that re-checking a
-        deferred candidate at the next resolution level is usually a single
-        dominance test.
+        Object-level wrapper over :meth:`find_dominating_id`.  The returned
+        plan is a *witness* of the approximation; the pruning layer caches it
+        so that re-checking a deferred candidate at the next resolution level
+        is usually a single dominance test.
         """
-        if len(target) != len(bounds):
-            raise ValueError(
-                "cannot compare cost vectors of different dimensionality"
-            )
-        arena = self._arena
-        if arena is None:
-            return None
-        if order_filter is None:
-            plan_id = self.find_dominating_id(target, bounds, max_resolution)
-            return arena.plan(plan_id) if plan_id else None
-        bucket_limit = min(self._bucket_of(bounds), self._bucket_of(target))
-        combined = tuple(min(b, t) for b, t in zip(bounds, target))
-        for resolution in range(0, max_resolution + 1):
-            buckets = self._levels.get(resolution)
-            if not buckets:
-                continue
-            for bucket_id in self._sorted_ids[resolution]:
-                if bucket_id > bucket_limit:
-                    break
-                bucket = buckets[bucket_id]
-                for slot in bucket.matrix.dominated_slots(combined):
-                    plan = arena.plan(bucket.items[slot])
-                    if order_filter(plan):
-                        return plan
-        return None
-
-    def any_dominating(
-        self,
-        target: CostVector,
-        bounds: CostVector,
-        max_resolution: int,
-        order_filter: Optional[Callable[[Plan], bool]] = None,
-    ) -> bool:
-        """Whether some in-range plan's cost dominates ``target``."""
-        return (
-            self.find_dominating(target, bounds, max_resolution, order_filter)
-            is not None
-        )
+        plan_id = self.find_dominating_id(target, bounds, max_resolution)
+        return self._arena.plan(plan_id) if plan_id else None

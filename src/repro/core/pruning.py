@@ -56,7 +56,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import flags, kernel
+from repro import kernel
 from repro.costs.vector import CostVector
 from repro.core.index import PlanIndex
 from repro.obs import trace as obs_trace
@@ -235,13 +235,8 @@ def prune_all_ids(
         )
         outcomes = [approximated] * len(plan_ids)
         # The whole block shares one bound vector; bucket it once for every
-        # witness search.  With the ``bounds_bucket`` feature ablated, None
-        # makes every search re-bucket the bounds.
-        bounds_bucket = (
-            result_index.bucket_of(bounds_row)
-            if flags.enabled("bounds_bucket")
-            else None
-        )
+        # witness search.
+        bounds_bucket = result_index.bucket_of(bounds_row)
         for position, plan_id in enumerate(plan_ids):
             if position in settled:
                 continue

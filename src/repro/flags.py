@@ -11,11 +11,6 @@ in isolation and attribute the speedup honestly:
     of join combinations with one kernel call per (operator, metric).  Off:
     the per-plan scalar fallback (one :meth:`MultiObjectiveCostModel.combine`
     call per combination) — same costs, same arena ids, same order.
-``bounds_bucket``
-    :func:`repro.core.pruning.prune_all_ids` pre-computes the log-bucket of
-    the bounds row once per block.  Off: every witness search re-buckets per
-    plan.  Only plans without a valid cached witness search, so the bucket
-    matters only for them.
 ``witness_cache``
     The incremental optimizer remembers, per deferred plan, the result plan
     that approximated it last time.  The cache decides which plans of a
@@ -80,7 +75,6 @@ FEATURE_ENV_PREFIX = "REPRO_FEATURE_"
 #: nothing unless asked for), so its ablation cell turns it *on*.
 KNOWN_FLAGS: Dict[str, bool] = {
     "block_costing": True,
-    "bounds_bucket": True,
     "witness_cache": True,
     "delta_sets": True,
     "incremental_pareto": True,

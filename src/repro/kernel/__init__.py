@@ -15,23 +15,19 @@ loop of per-pair :func:`repro.costs.dominance.dominates` calls.
 Backend selection
 -----------------
 
-Three interchangeable backends implement the kernel operations:
+Two interchangeable backends implement the kernel operations:
 
 * ``python`` -- pure-Python loops over the column arrays, specialised for the
-  small metric counts (1-3) the paper uses.  Always available.
+  small metric counts (1-3) the paper uses.  Always available, and the
+  reference the backend conformance suite compares against.
 * ``numpy`` -- vectorised comparisons over zero-copy ``numpy.frombuffer``
   views of the same column arrays.  Used automatically when numpy is
   importable; falls back to the pure-Python loops for very small blocks where
   ufunc dispatch overhead would dominate.
-* ``native`` -- in-tree C source compiled on demand with the system compiler
-  (``ctypes``, content-addressed build cache keyed by source hash + compiler
-  version).  Never auto-selected: requesting it on a box without a C compiler
-  raises a clear error instead of silently downgrading, so benchmark rows
-  record the skip honestly.
 
 The backend is auto-selected at import time: ``numpy`` when importable,
 ``python`` otherwise.  Set the environment variable ``REPRO_KERNEL_BACKEND``
-to ``python``, ``numpy``, ``native`` or ``auto`` to force a choice, or call
+to ``python``, ``numpy`` or ``auto`` to force a choice, or call
 :func:`set_backend` / use the :func:`use_backend` context manager at runtime
 (the test suite uses the latter to assert that all backends produce
 bit-identical results).
@@ -50,7 +46,7 @@ from typing import Iterator
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Names accepted by :func:`set_backend` and the environment variable.
-BACKEND_NAMES = ("auto", "python", "numpy", "native")
+BACKEND_NAMES = ("auto", "python", "numpy")
 
 
 def _normalize(name: str) -> str:
@@ -84,25 +80,13 @@ def _resolve(name: str) -> ModuleType:
         from repro.kernel import numpy_backend
 
         return numpy_backend
-    if name == "native":
-        # Importing compiles (or loads the cached build); without a usable C
-        # compiler this raises NativeBackendUnavailable (an ImportError) --
-        # an explicit request must fail loudly, never silently downgrade.
-        from repro.kernel import native_backend
-
-        return native_backend
     raise ValueError(
         f"unknown kernel backend {name!r}; expected one of {BACKEND_NAMES}"
     )
 
 
 def _auto() -> ModuleType:
-    """Prefer the numpy backend, fall back to pure Python.
-
-    ``native`` is deliberately excluded from auto-selection: compiling at
-    import time is a side effect nobody asked for, and a broken toolchain
-    must not take down every default import.
-    """
+    """Prefer the numpy backend, fall back to pure Python."""
     try:
         return _resolve("numpy")
     except ImportError:
@@ -131,17 +115,8 @@ ops: ModuleType = _initial_backend()
 
 
 def backend_name() -> str:
-    """Name of the active backend (``"python"``, ``"numpy"`` or ``"native"``)."""
+    """Name of the active backend (``"python"`` or ``"numpy"``)."""
     return ops.NAME
-
-
-def native_available() -> bool:
-    """Whether the native backend can be built/loaded on this machine."""
-    try:
-        _resolve("native")
-    except ImportError:
-        return False
-    return True
 
 
 def set_backend(name: str) -> str:
@@ -173,7 +148,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ops",
     "backend_name",
-    "native_available",
     "set_backend",
     "use_backend",
 ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,9 +45,7 @@ class TestFeatureRegistry:
     def test_expected_features_are_registered(self):
         assert set(FEATURES.names()) == {
             "numpy_kernel",
-            "native_kernel",
             "block_costing",
-            "bounds_bucket",
             "witness_cache",
             "delta_sets",
             "incremental_pareto",
@@ -55,6 +54,13 @@ class TestFeatureRegistry:
             "sql_frontend",
             "tracing",
         }
+
+    def test_readme_feature_table_lists_exactly_the_registry(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        section = readme.split("\n## Ablation & feature flags\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        listed = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        assert tuple(listed) == FEATURES.names()
 
     def test_duplicate_registration_raises(self):
         registry = FeatureRegistry()

@@ -155,18 +155,11 @@ class TestFindDominating:
     def test_order_filter_is_applied(self, index):
         ordered = make_plan([1, 1], order="sorted:a")
         index.insert(ordered, 0)
-        found = index.find_dominating(
-            CostVector([2, 2]),
-            CostVector.infinite(2),
-            0,
-            order_filter=lambda plan: plan.interesting_order is None,
+        # Order id 0 is "no interesting order": the ordered plan must not count.
+        found = index.find_dominating_id(
+            CostVector([2, 2]), CostVector.infinite(2), 0, order_id=0
         )
-        assert found is None
-
-    def test_any_dominating_wrapper(self, index):
-        index.insert(make_plan([1, 1]), 0)
-        assert index.any_dominating(CostVector([2, 2]), CostVector.infinite(2), 0)
-        assert not index.any_dominating(CostVector([0.5, 0.5]), CostVector.infinite(2), 0)
+        assert found == 0
 
     def test_bucket_pruning_does_not_miss_witnesses(self, index):
         # Plans with very different first-component magnitudes end up in

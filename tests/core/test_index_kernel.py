@@ -2,9 +2,10 @@
 
 Covers the satellite checklist items of the batched-kernel refactor: removal
 of the last plan in a bucket, retrieval with infinite bounds, the
-``order_filter`` of ``find_dominating``, the infinite-first-component bucket
-sentinel, and property-based equivalence of the kernel-backed retrieval
-against a scalar brute-force oracle on every available backend.
+interesting-order restriction of ``find_dominating_id``, the
+infinite-first-component bucket sentinel, and property-based equivalence of
+the kernel-backed retrieval against a scalar brute-force oracle on every
+available backend.
 """
 
 import math
@@ -96,18 +97,22 @@ class TestBucketEdgeCases:
         index.insert(unordered_pricier, 0)
         target = CostVector([3.0, 3.0])
         unbounded = CostVector.infinite(2)
-        # Without a filter the cheapest dominating plan wins.
+        # Without an order the cheapest dominating plan wins.
         assert index.find_dominating(target, unbounded, 0) is ordered_cheap
-        # The filter must skip the ordered plan but still find the other one.
-        witness = index.find_dominating(
-            target, unbounded, 0, order_filter=lambda p: p.interesting_order is None
-        )
-        assert witness is unordered_pricier
-        # A filter rejecting everything yields no witness.
+        # Order id 0 (no order) must skip the ordered plan but still find the
+        # other one; the ordered plan's own order finds it.
         assert (
-            index.find_dominating(target, unbounded, 0, order_filter=lambda p: False)
-            is None
+            index.find_dominating_id(target, unbounded, 0, order_id=0)
+            == unordered_pricier.plan_id
         )
+        sorted_a = index._arena.order_id_of(ordered_cheap.plan_id)
+        assert (
+            index.find_dominating_id(target, unbounded, 0, order_id=sorted_a)
+            == ordered_cheap.plan_id
+        )
+        # An order no plan provides yields no witness.
+        missing = index._arena.intern_order("sorted:b")
+        assert index.find_dominating_id(target, unbounded, 0, order_id=missing) == 0
 
 
 class TestInfiniteCostSentinel:

@@ -45,7 +45,6 @@ def oracle_prune_one(
     scaled_row,
     respect_orders,
     witnesses,
-    bounds_bucket,
 ):
     order_id = arena.order_id_of(plan_id)
     witness_id = 0
@@ -73,7 +72,6 @@ def oracle_prune_one(
             bounds_row,
             resolution,
             order_id if respect_orders and order_id != 0 else None,
-            bounds_bucket,
         )
     if witness_id:
         if witnesses is not None:
@@ -106,11 +104,6 @@ def oracle_prune_block(
     witnesses,
 ):
     bounds_row = tuple(bounds)
-    bounds_bucket = (
-        result_index.bucket_of(bounds_row)
-        if flags.enabled("bounds_bucket")
-        else None
-    )
     outcomes = []
     for plan_id in plan_ids:
         cost_row = arena.cost_row(plan_id)
@@ -128,7 +121,6 @@ def oracle_prune_block(
                 scaled_row,
                 respect_orders,
                 witnesses,
-                bounds_bucket,
             )
         )
     return outcomes
@@ -279,7 +271,7 @@ class TestBlockMatchesPerPlanOracle:
     @settings(max_examples=60, deadline=None)
     @given(scenarios())
     def test_block_equals_per_plan_loop_with_features_off(self, scenario):
-        with flags.overrides(bounds_bucket=False, incremental_pareto=False):
+        with flags.overrides(incremental_pareto=False):
             arena, block, (expected_setup, actual_setup) = build(scenario)
             expected = run(oracle_prune_block, arena, block, expected_setup, scenario)
             actual = run(prune_all_ids, arena, block, actual_setup, scenario)

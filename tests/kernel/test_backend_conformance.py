@@ -1,7 +1,7 @@
 """One conformance suite for every kernel backend, from one source of truth.
 
-Every backend (pure Python, numpy, and the compiled native tier when a C
-compiler is available) must implement the full kernel op surface --
+Every backend (pure Python, and numpy where it is installed) must
+implement the full kernel op surface --
 ``leq_slots`` / ``geq_slots`` / ``first_leq`` / ``any_leq`` /
 ``rowwise_leq`` / ``scale_columns`` / ``take`` / ``combine_columns`` /
 ``pareto_mask`` --
@@ -37,15 +37,9 @@ try:
 except ImportError:  # pragma: no cover - depends on environment
     HAVE_NUMPY = False
 
-HAVE_NATIVE = kernel.native_available()
-
 #: Every backend importable on this machine; the suite runs the identical
 #: assertions against each one.
-BACKENDS = (
-    ("python",)
-    + (("numpy",) if HAVE_NUMPY else ())
-    + (("native",) if HAVE_NATIVE else ())
-)
+BACKENDS = ("python",) + (("numpy",) if HAVE_NUMPY else ())
 
 AGGREGATIONS = [
     agg.SumAggregation(),

@@ -2,10 +2,8 @@
 
 Op-level parity across backends lives in ``test_backend_conformance.py``
 (one parametrized property net over every available backend); this module
-covers the selection machinery only: runtime switching, name normalization,
-the ``REPRO_KERNEL_BACKEND`` environment lowering, and the native tier's
-honest-failure contract (an explicit request without a C compiler must raise,
-never silently downgrade).
+covers the selection machinery only: runtime switching, name normalization
+and the ``REPRO_KERNEL_BACKEND`` environment lowering.
 """
 
 import pytest
@@ -19,12 +17,10 @@ try:
 except ImportError:  # pragma: no cover - depends on environment
     HAVE_NUMPY = False
 
-HAVE_NATIVE = kernel.native_available()
-
 
 class TestBackendSelection:
     def test_active_backend_has_a_known_name(self):
-        assert kernel.backend_name() in ("python", "numpy", "native")
+        assert kernel.backend_name() in ("python", "numpy")
 
     def test_use_backend_switches_and_restores(self):
         original = kernel.backend_name()
@@ -38,7 +34,7 @@ class TestBackendSelection:
 
     def test_rejection_lists_the_valid_names_and_keeps_the_backend(self):
         original = kernel.backend_name()
-        with pytest.raises(ValueError, match=r"auto.*python.*numpy.*native"):
+        with pytest.raises(ValueError, match=r"\('auto', 'python', 'numpy'\)"):
             kernel.set_backend("fortran")
         assert kernel.backend_name() == original
 
@@ -56,30 +52,10 @@ class TestBackendSelection:
         finally:
             kernel.set_backend(original)
 
-    def test_auto_prefers_numpy_and_never_native(self):
-        # native is excluded from auto-selection even when it would build:
-        # compiling at import time must stay opt-in.
+    def test_auto_prefers_numpy(self):
         with kernel.use_backend("auto"):
             expected = "numpy" if HAVE_NUMPY else "python"
             assert kernel.backend_name() == expected
-
-    def test_native_request_is_honest(self):
-        """Either the native tier loads, or the request fails loudly."""
-        if HAVE_NATIVE:
-            with kernel.use_backend("native"):
-                assert kernel.backend_name() == "native"
-        else:  # pragma: no cover - depends on environment
-            with pytest.raises(ImportError, match="compiler"):
-                kernel.set_backend("native")
-            # The failed request must not have clobbered the active backend.
-            assert kernel.backend_name() in ("python", "numpy")
-
-    def test_native_available_matches_resolution(self):
-        if HAVE_NATIVE:
-            from repro.kernel import native_backend
-
-            assert native_backend.NAME == "native"
-            assert native_backend.COMPILER
 
 
 class TestEnvironmentResolution:
@@ -91,7 +67,7 @@ class TestEnvironmentResolution:
         monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "bogus")
         with pytest.raises(ValueError, match=kernel.BACKEND_ENV_VAR):
             kernel._initial_backend()
-        with pytest.raises(ValueError, match=r"auto.*python.*numpy.*native"):
+        with pytest.raises(ValueError, match=r"\('auto', 'python', 'numpy'\)"):
             kernel._initial_backend()
 
     def test_case_and_whitespace_are_normalized(self, monkeypatch):
@@ -102,12 +78,6 @@ class TestEnvironmentResolution:
         monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "   ")
         expected = "numpy" if HAVE_NUMPY else "python"
         assert kernel._initial_backend().NAME == expected
-
-    def test_native_value_resolves_when_available(self, monkeypatch):
-        if not HAVE_NATIVE:
-            pytest.skip("no C compiler on this machine")
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "native")
-        assert kernel._initial_backend().NAME == "native"
 
     def test_unknown_value_fails_at_import_time(self):
         import subprocess
@@ -125,3 +95,4 @@ class TestEnvironmentResolution:
         assert completed.returncode != 0
         assert kernel.BACKEND_ENV_VAR in completed.stderr
         assert "fortran" in completed.stderr
+        assert f"expected one of {kernel.BACKEND_NAMES}" in completed.stderr

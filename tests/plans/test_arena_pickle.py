@@ -26,8 +26,6 @@ try:
     BACKENDS = ("python", "numpy")
 except ImportError:  # pragma: no cover - depends on environment
     BACKENDS = ("python",)
-if kernel.native_available():
-    BACKENDS += ("native",)
 
 
 def _populated_arena():
