@@ -27,6 +27,7 @@ generation counters do not leak between algorithms.
 from __future__ import annotations
 
 import enum
+import gc
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -173,13 +174,22 @@ def run_series(
     The series is a planner session drained without user interaction: the
     anytime algorithms climb the full resolution ladder (one invocation per
     level), the single-invocation algorithms finish after one invocation.
+    The cyclic garbage collector is paused while the session runs, as
+    :mod:`timeit` does, so a collection triggered by earlier work does not
+    land inside a timed invocation.
     """
     factory = build_factory(query, config, statistics=statistics)
     schedule = build_schedule(levels, precision)
     session = _planner_registry().open(
         algorithm.value, query=query, factory=factory, schedule=schedule
     )
-    result = session.run()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result = session.run()
+    finally:
+        if collecting:
+            gc.enable()
     return InvocationSeries(
         algorithm=algorithm,
         query_name=query.name,

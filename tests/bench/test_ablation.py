@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import flags
+from repro import flags, kernel
 from repro.bench.ablation import (
     BASELINE_CONFIG,
     FEATURES,
@@ -18,6 +19,7 @@ from repro.bench.ablation import (
     Feature,
     FeatureRegistry,
     SPEC,
+    _backend_for,
     ablated_feature,
     ablation_json_payload,
     check_gate,
@@ -28,6 +30,7 @@ from repro.bench.cache import ResultCache, cell_key
 from repro.bench.config import tiny_config
 from repro.bench.registry import get_spec, registered_names
 from repro.bench.scheduler import run_experiment
+from repro.service import PlanningService
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -61,6 +64,32 @@ class TestFeatureRegistry:
         section = section.split("\n## ", 1)[0]
         listed = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
         assert tuple(listed) == FEATURES.names()
+
+    @pytest.mark.parametrize("name", FEATURES.names())
+    def test_lowering_spells_a_live_knob(self, name):
+        # The lowering is what a user types to turn the feature off: it must
+        # name a knob that exists and the value that flips the default.
+        feature = FEATURES.get(name)
+        if feature.layer in ("core", "workload"):
+            flipped = int(not flags.KNOWN_FLAGS[name])
+            assert feature.lowering == (
+                f"{flags.FEATURE_ENV_PREFIX}{name.upper()}={flipped}"
+            )
+        elif feature.layer == "kernel":
+            match = re.match(rf"{kernel.BACKEND_ENV_VAR}=(\w+)\b", feature.lowering)
+            assert match is not None, feature.lowering
+            assert match.group(1) in kernel.BACKEND_NAMES
+            assert match.group(1) == _backend_for(f"no_{name}")
+        else:
+            match = re.fullmatch(r"PlanningService\((\w+)=.+\)", feature.lowering)
+            assert match is not None, feature.lowering
+            assert match.group(1) in inspect.signature(PlanningService).parameters
+
+    def test_only_the_numpy_kernel_ablation_leaves_the_auto_backend(self):
+        auto = kernel._auto().NAME
+        for config_name in AblationConfig().config_names():
+            expected = "python" if config_name == "no_numpy_kernel" else auto
+            assert _backend_for(config_name) == expected, config_name
 
     def test_duplicate_registration_raises(self):
         registry = FeatureRegistry()
@@ -111,11 +140,12 @@ class TestFlags:
                 raise RuntimeError("boom")
         assert flags.enabled("delta_sets")
 
-    def test_unknown_flag_raises(self):
+    @pytest.mark.parametrize("name", ["warp_drive", "bounds_bucket"])
+    def test_unknown_flag_raises(self, name):
         with pytest.raises(KeyError, match="unknown feature flag"):
-            flags.enabled("warp_drive")
+            flags.enabled(name)
         with pytest.raises(KeyError):
-            flags.set_flag("warp_drive", True)
+            flags.set_flag(name, True)
 
     def test_environment_lowering(self):
         code = (

@@ -1,7 +1,10 @@
 """Unit tests for :mod:`repro.bench.runner`."""
 
+import gc
+
 import pytest
 
+from repro.api.session import PlannerSession
 from repro.bench.config import MODERATE_PRECISION, ExperimentConfig
 from repro.bench.runner import (
     AlgorithmName,
@@ -91,3 +94,59 @@ class TestRunSeries:
             AlgorithmName.MEMORYLESS, two_table_block, tiny_config, 2, MODERATE_PRECISION
         )
         assert memoryless.plans_generated > incremental.plans_generated
+
+
+class TestCollectorPause:
+    """A series runs with the cyclic collector paused, as :mod:`timeit` does,
+    and leaves the collector as it found it."""
+
+    @pytest.fixture
+    def collector_states(self, monkeypatch):
+        states = []
+        original = PlannerSession.run
+
+        def run(session, *args, **kwargs):
+            states.append(gc.isenabled())
+            return original(session, *args, **kwargs)
+
+        monkeypatch.setattr(PlannerSession, "run", run)
+        return states
+
+    def test_collector_is_paused_during_the_series_and_restored(
+        self, tiny_config, two_table_block, collector_states
+    ):
+        assert gc.isenabled()
+        run_series(
+            AlgorithmName.INCREMENTAL_ANYTIME, two_table_block, tiny_config, 2, MODERATE_PRECISION
+        )
+        assert collector_states
+        assert not any(collector_states)
+        assert gc.isenabled()
+
+    def test_collector_paused_by_the_caller_stays_paused(
+        self, tiny_config, two_table_block, collector_states
+    ):
+        gc.disable()
+        try:
+            run_series(
+                AlgorithmName.MEMORYLESS, two_table_block, tiny_config, 2, MODERATE_PRECISION
+            )
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert collector_states
+        assert not any(collector_states)
+
+    def test_collector_is_restored_when_the_series_raises(
+        self, tiny_config, two_table_block, monkeypatch
+    ):
+        def fail(session, *args, **kwargs):
+            raise RuntimeError("planner failed")
+
+        monkeypatch.setattr(PlannerSession, "run", fail)
+        with pytest.raises(RuntimeError, match="planner failed"):
+            run_series(
+                AlgorithmName.ONE_SHOT, two_table_block, tiny_config, 2, MODERATE_PRECISION
+            )
+        assert gc.isenabled()
+

@@ -338,3 +338,44 @@ class TestCachedWitnessConditions:
             target, {target: self.arena.plan(witness)}, bounds=(10.0, 4.0)
         ) == [PruneOutcome.OUT_OF_BOUNDS]
         assert self.candidates.resolution_of_id(target) == 1
+
+
+class TestBoundsBucket:
+    """The block buckets its shared bound vector once, and every witness
+    search of the block reuses that bucket instead of re-bucketing."""
+
+    def test_bounds_are_bucketed_once_per_block(self, monkeypatch):
+        arena = PlanArena(2)
+        results, candidates = PlanIndex(), PlanIndex()
+        witness = arena.allocate_scan("t", SCAN, (1.0, 1.0))
+        results.insert_id(witness, 0, arena)
+        block = [
+            arena.allocate_scan("t", SCAN, (float(i), float(9 - i)))
+            for i in range(8)
+        ]
+        bounds = (50.0, 50.0)
+        expected_bucket = results.bucket_of(bounds)
+        bucketed, searched = [], []
+        bucket_of = PlanIndex.bucket_of
+        find_dominating_id = PlanIndex.find_dominating_id
+
+        def spy_bucket_of(index, cost):
+            bucketed.append(tuple(cost))
+            return bucket_of(index, cost)
+
+        def spy_find(index, target, bounds_row, max_resolution, *rest):
+            searched.append(rest[1] if len(rest) > 1 else None)
+            return find_dominating_id(index, target, bounds_row, max_resolution, *rest)
+
+        monkeypatch.setattr(PlanIndex, "bucket_of", spy_bucket_of)
+        monkeypatch.setattr(PlanIndex, "find_dominating_id", spy_find)
+        outcomes = prune_all_ids(
+            results, candidates, bounds, 0, 1.0, 2, arena, block, True, None
+        )
+        assert bucketed == [bounds]
+        assert searched == [expected_bucket] * len(block)
+        # Dominated plans defer, the rest enter the result set.
+        assert set(outcomes) == {
+            PruneOutcome.INSERTED,
+            PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION,
+        }

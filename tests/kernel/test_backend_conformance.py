@@ -41,6 +41,11 @@ except ImportError:  # pragma: no cover - depends on environment
 #: assertions against each one.
 BACKENDS = ("python",) + (("numpy",) if HAVE_NUMPY else ())
 
+if HAVE_NUMPY:
+    from repro.kernel.numpy_backend import SMALL_BLOCK
+else:  # pragma: no cover - depends on environment
+    SMALL_BLOCK = 16
+
 AGGREGATIONS = [
     agg.SumAggregation(),
     agg.MaxAggregation(),
@@ -151,6 +156,46 @@ def make_column(size, seed, with_inf=False, upper=100.0):
     return array("d", values)
 
 
+#: Row counts on both sides of the numpy backend's hand-off to the Python
+#: loops (blocks below ``SMALL_BLOCK`` rows), plus the empty and one-row
+#: blocks and one block well inside the vectorised path.
+CUTOFF_SIZES = (0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 4 * SMALL_BLOCK)
+
+#: Metric counts: the Python loops specialise one to three metrics and fall
+#: back to a generic loop for more.
+CUTOFF_DIMS = (1, 2, 3, 4)
+
+
+def cutoff_blocks():
+    """Deterministic blocks for every (metric count, row count) pair.
+
+    Values come from a handful of levels plus +inf, so ties and exact
+    dominance occur; the last row duplicates the first, and every fifth row
+    is a tombstone.
+    """
+    for dims in CUTOFF_DIMS:
+        for size in CUTOFF_SIZES:
+            rng = random.Random(1000 * dims + size)
+            levels = [0.0, 1.0, 2.0, 3.0, math.inf]
+            rows = [tuple(rng.choice(levels) for _ in range(dims)) for _ in range(size)]
+            if size >= 2:
+                rows[-1] = rows[0]
+            alive = [i % 5 != 3 for i in range(size)]
+            columns = [array("d", (row[k] for row in rows)) for k in range(dims)]
+            alive_flags = array("b", (1 if flag else 0 for flag in alive))
+            yield columns, alive_flags, rows, alive
+
+
+def cutoff_vectors(dims):
+    """Bound vectors from the tightest (all zeros) to the loosest (all +inf)."""
+    return [
+        (0.0,) * dims,
+        (2.0,) * dims,
+        tuple(float(k % 4) for k in range(dims)),
+        (math.inf,) * dims,
+    ]
+
+
 # ----------------------------------------------------------------------
 # Dominance-op conformance (property net, all backends)
 # ----------------------------------------------------------------------
@@ -245,6 +290,116 @@ class TestDominanceOps:
         for backend in BACKENDS:
             with kernel.use_backend(backend):
                 assert kernel.ops.leq_slots(columns, alive, (3.0, 2.0)) == expected
+
+
+# ----------------------------------------------------------------------
+# Every op on both sides of the small-block cutoff (all backends)
+# ----------------------------------------------------------------------
+class TestCutoffBoundaries:
+    """Each op, on deterministic blocks just below, at and just above
+    ``SMALL_BLOCK`` rows for every metric count the Python loops specialise,
+    against the brute-force oracles.  The property net above may or may not
+    draw these exact shapes; here every branch of every backend runs on
+    every pass."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_leq_slots(self, backend):
+        with kernel.use_backend(backend):
+            for columns, alive_flags, rows, alive in cutoff_blocks():
+                for vector in cutoff_vectors(len(columns)):
+                    assert kernel.ops.leq_slots(columns, alive_flags, vector) == (
+                        oracle_leq(rows, alive, vector)
+                    ), (len(columns), len(rows), vector)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_geq_slots(self, backend):
+        with kernel.use_backend(backend):
+            for columns, alive_flags, rows, alive in cutoff_blocks():
+                for vector in cutoff_vectors(len(columns)):
+                    assert kernel.ops.geq_slots(columns, alive_flags, vector) == (
+                        oracle_geq(rows, alive, vector)
+                    ), (len(columns), len(rows), vector)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_leq(self, backend):
+        with kernel.use_backend(backend):
+            for columns, alive_flags, rows, alive in cutoff_blocks():
+                for vector in cutoff_vectors(len(columns)):
+                    hits = oracle_leq(rows, alive, vector)
+                    assert kernel.ops.first_leq(columns, alive_flags, vector) == (
+                        hits[0] if hits else -1
+                    ), (len(columns), len(rows), vector)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_any_leq(self, backend):
+        with kernel.use_backend(backend):
+            for columns, alive_flags, rows, alive in cutoff_blocks():
+                for vector in cutoff_vectors(len(columns)):
+                    assert kernel.ops.any_leq(columns, alive_flags, vector) == bool(
+                        oracle_leq(rows, alive, vector)
+                    ), (len(columns), len(rows), vector)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rowwise_leq(self, backend):
+        with kernel.use_backend(backend):
+            for columns, _, rows, _ in cutoff_blocks():
+                # Pair every row with its successor: ties, dominance both
+                # ways and incomparable pairs all occur.
+                others_rows = rows[1:] + rows[:1]
+                others = [
+                    array("d", (row[k] for row in others_rows))
+                    for k in range(len(columns))
+                ]
+                pairs = list(zip(rows, others_rows))
+                for vector in cutoff_vectors(len(columns)):
+                    assert kernel.ops.rowwise_leq(columns, others, vector) == (
+                        oracle_rowwise_leq(pairs, vector)
+                    ), (len(columns), len(rows), vector)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pareto_mask(self, backend):
+        with kernel.use_backend(backend):
+            for columns, alive_flags, rows, alive in cutoff_blocks():
+                assert kernel.ops.pareto_mask(columns, alive_flags) == (
+                    oracle_pareto(rows, alive)
+                ), (len(columns), len(rows))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_scale_columns(self, backend):
+        with kernel.use_backend(backend):
+            for columns, _, _, _ in cutoff_blocks():
+                for factor in (1.0, 1.05, 2.5):
+                    scaled = kernel.ops.scale_columns(columns, factor)
+                    assert [col.tobytes() for col in scaled] == [
+                        array("d", (value * factor for value in col)).tobytes()
+                        for col in columns
+                    ], (len(columns), len(columns[0]), factor)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_take(self, backend):
+        with kernel.use_backend(backend):
+            for columns, _, rows, _ in cutoff_blocks():
+                # As many indices as rows, out of order and with repeats.
+                indices = [(7 * i) % len(rows) for i in range(len(rows))]
+                gathered = kernel.ops.take(columns, indices)
+                assert [list(col) for col in gathered] == [
+                    [col[i] for i in indices] for col in columns
+                ], (len(columns), len(rows))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_combine_columns(self, backend):
+        with kernel.use_backend(backend):
+            for size in CUTOFF_SIZES:
+                for aggregation in AGGREGATIONS:
+                    bounded = isinstance(aggregation, agg.PrecisionLossAggregation)
+                    upper = 2.0 if bounded else 100.0
+                    left = make_column(size, 7, with_inf=not bounded, upper=upper)
+                    right = make_column(size, 8, with_inf=not bounded, upper=upper)
+                    spec = aggregation_spec(aggregation)
+                    result = kernel.ops.combine_columns(spec, left, right, 0.25)
+                    assert list(result) == [
+                        aggregation.combine(l, r, 0.25) for l, r in zip(left, right)
+                    ], (aggregation.name, size)
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,13 @@ class TestBackendSelection:
             expected = "numpy" if HAVE_NUMPY else "python"
             assert kernel.backend_name() == expected
 
+    def test_use_backend_restores_when_the_body_raises(self):
+        original = kernel.backend_name()
+        with pytest.raises(RuntimeError, match="body failed"):
+            with kernel.use_backend("python"):
+                raise RuntimeError("body failed")
+        assert kernel.backend_name() == original
+
 
 class TestEnvironmentResolution:
     """The ``REPRO_KERNEL_BACKEND`` resolution path must never fall through
