@@ -20,7 +20,6 @@ from typing import Dict
 
 import pytest
 
-from repro.bench import trajectory
 from repro.bench.config import ExperimentConfig, config_from_environment
 from repro.bench.experiments import ExperimentResult
 from repro.bench.export import write_text_report
@@ -62,7 +61,4 @@ def persist_result(
             format_grouped_times(result, "max_invocation_seconds"),
             *sections,
         ]
-    # Every persisted experiment also appends its numbers to the
-    # machine-readable trajectory (BENCH_kernel.json / BENCH_service.json).
-    trajectory.append_rows(result.name, result.rows)
     return write_text_report(result, RESULTS_DIR, extra_sections=tuple(sections))

@@ -17,8 +17,7 @@ Three layers are measured:
 
 All paths must return identical results.  Acceptance bar at the largest
 block (4096 plans): the numpy filter stays >= 3x over the scalar loop.
-Results are persisted to ``results/kernel_dominance.txt`` and appended to
-the machine-readable trajectory (``BENCH_kernel.json``).
+Results are persisted to ``results/kernel_dominance.txt``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from pathlib import Path
 import pytest
 
 from repro import kernel
-from repro.bench import trajectory
 from repro.core.index import PlanIndex
 from repro.costs.dominance import dominates
 from repro.costs.matrix import CostMatrix
@@ -194,10 +192,6 @@ def test_kernel_dominance_speedup():
     RESULTS_PATH.write_text("\n".join(sections) + "\n")
     print("\n".join(sections))
     print(f"[kernel_dominance] rows written to {RESULTS_PATH}")
-
-    trajectory.append_rows("kernel_dominance_filter", block_rows)
-    trajectory.append_rows("kernel_dominance_pareto", pareto_rows)
-    trajectory.append_rows("kernel_dominance_retrieve", index_rows)
 
     largest = block_rows[-1]
     if HAVE_NUMPY:

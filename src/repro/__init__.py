@@ -36,7 +36,6 @@ from repro.costs import (
     MetricSet,
     MultiObjectiveCostModel,
     CostModelConfig,
-    ParetoSet,
     approximation_error,
     default_metric_set,
     paper_metric_set,
@@ -111,7 +110,6 @@ __all__ = [
     "MetricSet",
     "MultiObjectiveCostModel",
     "CostModelConfig",
-    "ParetoSet",
     "approximation_error",
     "default_metric_set",
     "paper_metric_set",

@@ -16,7 +16,7 @@ in these layers:
   and makes runs resumable,
 * :mod:`repro.bench.experiments` -- the registered experiment definitions
   (Figures 3, 4 and 5, the Figure 1/2 illustrations, the headline speedup
-  claims, the ablations listed in DESIGN.md, and the synthetic sweeps),
+  claims, the ablations, and the synthetic sweeps),
 * :mod:`repro.bench.reporting` -- plain-text tables in the shape of the
   paper's figures.
 """

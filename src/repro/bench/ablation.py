@@ -2,17 +2,16 @@
 
 The stacked optimizations (the numpy kernel backend, block costing, witness
 cache, Δ-sets, incremental Pareto fronts, frontier cache, scheduler policy)
-each kept a slower reference path alive, and the SQL workload frontend keeps
-the hand-coded TPC-H stubs alive next to the parser; this module turns those
-seams into a registry of named features and measures what each one
-contributes.
+each kept a slower reference path alive; this module turns those seams into
+a registry of named features and measures what each one contributes.
 
 * :class:`Feature` / :class:`FeatureRegistry` declare every toggleable
   optimization together with the lowering the codebase already understands
   (a :mod:`repro.flags` flag, the :mod:`repro.kernel` backend switch, or a
   :class:`~repro.service.PlanningService` constructor argument).
-* :class:`AblationConfig` names a grid: the all-on baseline plus one
-  ``no_<feature>`` configuration per feature.
+* :func:`config_names` names the grid: the all-on baseline plus one
+  ``no_<feature>`` configuration per registered feature.  The grid is always
+  the whole registry.
 * The registered ``ablation_features`` experiment runs that grid through the
   PR-2 cell scheduler (content-addressed cache, ``--jobs N``, resume) and
   merges per-feature attribution rows.
@@ -20,10 +19,11 @@ contributes.
   machine-readable artifact ``results/ablation_features.json``; the artifact
   is a pure function of the merged rows, so warm-cache reruns are
   byte-identical.
-* :func:`check_gate` is the CI gate: it fails on frontier-digest divergence
-  (the bit-identity invariant), on violated per-feature work invariants
-  (deterministic counters), and on a feature whose measured contribution
-  regressed beyond tolerance.  ``python -m repro.bench.ablation --check
+* :func:`check_gate` is the CI gate: it fails when the artifact's features
+  differ from the registry, on frontier-digest divergence (the bit-identity
+  invariant), on violated per-feature work invariants (deterministic
+  counters), and on a feature whose measured contribution regressed beyond
+  tolerance.  ``python -m repro.bench.ablation --check
   results/ablation_features.json`` runs it from the command line.
 
 The core invariant asserted everywhere: every flag combination produces a
@@ -38,7 +38,7 @@ import hashlib
 import json
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -87,9 +87,8 @@ class Feature:
     name:
         Registry key; the ablated configuration is named ``no_<name>``.
     layer:
-        ``kernel`` (backend switch), ``core`` (a :mod:`repro.flags` flag),
-        ``service`` (a :class:`PlanningService` constructor argument) or
-        ``workload`` (a flag routing workload-spec resolution).
+        ``kernel`` (backend switch), ``core`` (a :mod:`repro.flags` flag) or
+        ``service`` (a :class:`PlanningService` constructor argument).
     description:
         What the optimization does (one line, for the flag table).
     lowering:
@@ -121,17 +120,13 @@ class FeatureRegistry:
     def register(self, feature: Feature) -> Feature:
         if feature.name in self._features:
             raise ValueError(f"feature {feature.name!r} is already registered")
-        if feature.layer not in ("kernel", "core", "service", "workload"):
+        if feature.layer not in ("kernel", "core", "service"):
             raise ValueError(
                 f"feature {feature.name!r}: unknown layer {feature.layer!r}"
             )
-        if (
-            feature.layer in ("core", "workload")
-            and feature.name not in flags.KNOWN_FLAGS
-        ):
+        if feature.layer == "core" and feature.name not in flags.KNOWN_FLAGS:
             raise ValueError(
-                f"{feature.layer} feature {feature.name!r} has no "
-                "repro.flags flag"
+                f"core feature {feature.name!r} has no repro.flags flag"
             )
         self._features[feature.name] = feature
         return feature
@@ -221,17 +216,6 @@ FEATURES.register(
 )
 FEATURES.register(
     Feature(
-        name="sql_frontend",
-        layer="workload",
-        description="TPC-H specs parsed from shipped SQL text vs hand-coded stubs",
-        lowering="REPRO_FEATURE_SQL_FRONTEND=0",
-        # An ingestion seam, not an optimization: the two resolution paths
-        # must be bit-identical, so only the digest gate applies.
-        gate_floor=None,
-    )
-)
-FEATURES.register(
-    Feature(
         name="tracing",
         layer="core",
         description="span tracer at the optimizer/service seams (default off)",
@@ -254,27 +238,9 @@ FEATURES.register(
 BASELINE_CONFIG = "all_on"
 
 
-@dataclass(frozen=True)
-class AblationConfig:
-    """The grid the runner executes: baseline + one-feature-off configs.
-
-    ``features`` defaults to every registered feature; restrict it to iterate
-    on a single feature cheaply (the cell cache keys on the configuration
-    name, so partial grids share cells with full ones).
-    """
-
-    features: Tuple[str, ...] = ()
-    registry: FeatureRegistry = field(default=FEATURES, compare=False)
-
-    def feature_list(self) -> Tuple[Feature, ...]:
-        if not self.features:
-            return self.registry.all()
-        return tuple(self.registry.get(name) for name in self.features)
-
-    def config_names(self) -> Tuple[str, ...]:
-        return (BASELINE_CONFIG,) + tuple(
-            f"no_{feature.name}" for feature in self.feature_list()
-        )
+def config_names() -> Tuple[str, ...]:
+    """The grid the runner executes: baseline + one config per feature."""
+    return (BASELINE_CONFIG,) + tuple(f"no_{name}" for name in FEATURES.names())
 
 
 def ablated_feature(config_name: str) -> Optional[str]:
@@ -319,7 +285,7 @@ def _backend_for(config_name: str) -> str:
 # ----------------------------------------------------------------------
 # Cells
 # ----------------------------------------------------------------------
-def _series_cells(config: ExperimentConfig, grid: AblationConfig) -> List[Cell]:
+def _series_cells(config: ExperimentConfig) -> List[Cell]:
     """Core/kernel grid: one cell per (configuration, topology).
 
     One table count (the largest configured) and one seed keep the grid
@@ -330,9 +296,7 @@ def _series_cells(config: ExperimentConfig, grid: AblationConfig) -> List[Cell]:
     tables = max(config.synthetic_table_counts)
     seed = config.synthetic_seeds[0]
     core_configs = [BASELINE_CONFIG] + [
-        f"no_{feature.name}"
-        for feature in grid.feature_list()
-        if feature.layer in ("kernel", "core")
+        f"no_{feature.name}" for feature in FEATURES.by_layer("kernel", "core")
     ]
     cells: List[Cell] = []
     for config_name in core_configs:
@@ -352,14 +316,12 @@ def _series_cells(config: ExperimentConfig, grid: AblationConfig) -> List[Cell]:
     return cells
 
 
-def _service_cells(config: ExperimentConfig, grid: AblationConfig) -> List[Cell]:
+def _service_cells(config: ExperimentConfig) -> List[Cell]:
     """Service grid: one cell per configuration (baseline + service ablations)."""
     tables = min(config.synthetic_table_counts)
     levels = max(config.resolution_level_settings)
     service_configs = [BASELINE_CONFIG] + [
-        f"no_{feature.name}"
-        for feature in grid.feature_list()
-        if feature.layer == "service"
+        f"no_{feature.name}" for feature in FEATURES.by_layer("service")
     ]
     return [
         Cell.make(
@@ -377,42 +339,8 @@ def _service_cells(config: ExperimentConfig, grid: AblationConfig) -> List[Cell]
     ]
 
 
-#: TPC-H blocks the workload-layer cells certify the SQL frontend on (one
-#: small and one mid-size block keep the grid cheap; the full 22-block
-#: differential lives in the test suite).
-WORKLOAD_BLOCKS = ("q03", "q14")
-
-
-def _workload_cells(config: ExperimentConfig, grid: AblationConfig) -> List[Cell]:
-    """Workload grid: baseline + workload ablations, per certified block."""
-    levels = max(config.resolution_level_settings)
-    workload_configs = [BASELINE_CONFIG] + [
-        f"no_{feature.name}"
-        for feature in grid.feature_list()
-        if feature.layer == "workload"
-    ]
-    return [
-        Cell.make(
-            EXPERIMENT_NAME,
-            kind="workload",
-            config=config_name,
-            block=block,
-            resolution_levels=int(levels),
-            scale=_scale_name(config),
-            backend=_auto_backend(),
-        )
-        for config_name in workload_configs
-        for block in WORKLOAD_BLOCKS
-    ]
-
-
 def _cells(config: ExperimentConfig) -> List[Cell]:
-    grid = AblationConfig()
-    return (
-        _series_cells(config, grid)
-        + _service_cells(config, grid)
-        + _workload_cells(config, grid)
-    )
+    return _series_cells(config) + _service_cells(config)
 
 
 # ----------------------------------------------------------------------
@@ -552,44 +480,11 @@ def _service_run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
     }
 
 
-def _workload_run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
-    """Optimize one TPC-H block end-to-end through the spec resolver.
-
-    Under ``all_on`` the block is produced by parsing the shipped SQL text;
-    under ``no_sql_frontend`` by the hand-coded stub.  The merged feature row
-    asserts the two frontier digests are identical.
-    """
-    import time
-
-    from repro.api import OptimizeRequest, open_session
-
-    request = OptimizeRequest(
-        workload=f"tpch:{cell['block']}",
-        algorithm="iama",
-        scale=cell["scale"],
-        levels=cell["resolution_levels"],
-    )
-    started = time.perf_counter()
-    with ExitStack() as stack:
-        _apply_configuration(stack, cell["config"], cell["backend"])
-        result = open_session(request).run()
-    seconds = time.perf_counter() - started
-    return {
-        "seconds": seconds,
-        "invocations": len(result.invocations),
-        "plans_generated": result.plans_generated,
-        "frontier_size": result.frontier_size,
-        "frontier_digest": digest_of(frontier_hex_rows(result)),
-    }
-
-
 def _run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
     if cell["kind"] == "series":
         return _series_run_cell(cell, config)
     if cell["kind"] == "service":
         return _service_run_cell(cell, config)
-    if cell["kind"] == "workload":
-        return _workload_run_cell(cell, config)
     raise ValueError(f"unknown ablation cell kind {cell['kind']!r}")
 
 
@@ -599,7 +494,6 @@ def _run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
 def _merge(config: ExperimentConfig, outcomes: CellOutcomes) -> "ExperimentResult":
     from repro.bench.experiments import ExperimentResult
 
-    grid = AblationConfig()
     by_cell = {cell: payload for cell, payload in outcomes}
 
     series_cells = sorted(
@@ -609,10 +503,6 @@ def _merge(config: ExperimentConfig, outcomes: CellOutcomes) -> "ExperimentResul
     service_cells = sorted(
         (cell for cell in by_cell if cell["kind"] == "service"),
         key=lambda cell: cell["config"],
-    )
-    workload_cells = sorted(
-        (cell for cell in by_cell if cell["kind"] == "workload"),
-        key=lambda cell: (cell["config"], cell["block"]),
     )
 
     rows: List[Dict[str, object]] = []
@@ -651,26 +541,9 @@ def _merge(config: ExperimentConfig, outcomes: CellOutcomes) -> "ExperimentResul
                 "frontier_digest": payload["frontier_digest"],
             }
         )
-    for cell in workload_cells:
-        payload = by_cell[cell]
-        rows.append(
-            {
-                "row": "cell",
-                "kind": "workload",
-                "config": cell["config"],
-                "workload": f"tpch:{cell['block']}",
-                "backend": cell["backend"],
-                "seconds": float(payload["seconds"]),
-                "plans_generated": int(payload["plans_generated"]),
-                "frontier_digest": payload["frontier_digest"],
-            }
-        )
-
-    def series_group(config_name: str) -> List[Cell]:
-        return [c for c in series_cells if c["config"] == config_name]
 
     def series_summary(config_name: str) -> Dict[str, object]:
-        cells = series_group(config_name)
+        cells = [c for c in series_cells if c["config"] == config_name]
         return {
             "seconds": sum(float(by_cell[c]["seconds"]) for c in cells),
             "pairs_enumerated": sum(
@@ -681,48 +554,42 @@ def _merge(config: ExperimentConfig, outcomes: CellOutcomes) -> "ExperimentResul
             ),
         }
 
-    def service_summary(config_name: str) -> Optional[Dict[str, object]]:
-        cells = [c for c in service_cells if c["config"] == config_name]
-        if not cells:
-            return None
-        payload = by_cell[cells[0]]
+    def service_summary(config_name: str) -> Dict[str, object]:
+        (cell,) = [c for c in service_cells if c["config"] == config_name]
+        payload = by_cell[cell]
         return {
             "seconds": float(payload["seconds"]),
-            "cold_slices": int(payload["cold_slices"]),
             "warm_slices": int(payload["warm_slices"]),
             "digest": payload["frontier_digest"],
         }
 
-    def workload_summary(config_name: str) -> Optional[Dict[str, object]]:
-        cells = [c for c in workload_cells if c["config"] == config_name]
-        if not cells:
-            return None
-        return {
-            "seconds": sum(float(by_cell[c]["seconds"]) for c in cells),
-            "digest": digest_of([by_cell[c]["frontier_digest"] for c in cells]),
-        }
-
     core_baseline = series_summary(BASELINE_CONFIG)
     service_baseline = service_summary(BASELINE_CONFIG)
-    workload_baseline = workload_summary(BASELINE_CONFIG)
 
-    for feature in grid.feature_list():
+    for feature in FEATURES.all():
         config_name = f"no_{feature.name}"
-        if feature.layer in ("kernel", "core"):
-            if not series_group(config_name):
-                continue
-            ablated = series_summary(config_name)
+        active = True
+        invariant_ok = True
+        if feature.layer == "service":
+            baseline = service_baseline
+            ablated = service_summary(config_name)
+            if feature.name == "frontier_cache":
+                # With the cache on, the warm phase replays (zero slices);
+                # without it, every repeat recomputes.
+                invariant_ok = (
+                    baseline["warm_slices"] == 0 and ablated["warm_slices"] > 0
+                )
+        else:
             baseline = core_baseline
-            digest_match = ablated["digest"] == baseline["digest"]
-            active = True
+            ablated = series_summary(config_name)
             if feature.name == "numpy_kernel":
                 active = _auto_backend() == "numpy"
-            invariant_ok = True
             if feature.name == "delta_sets":
                 invariant_ok = (
                     ablated["pairs_enumerated"] > baseline["pairs_enumerated"]
                 )
-            row = {
+        rows.append(
+            {
                 "row": "feature",
                 "feature": feature.name,
                 "layer": feature.layer,
@@ -735,68 +602,12 @@ def _merge(config: ExperimentConfig, outcomes: CellOutcomes) -> "ExperimentResul
                     if baseline["seconds"] > 0
                     else 1.0
                 ),
-                "digest_match": digest_match,
-                "work_invariant_ok": invariant_ok,
-                "gate_floor": feature.gate_floor,
-                "lowering": feature.lowering,
-            }
-        elif feature.layer == "workload":
-            ablated = workload_summary(config_name)
-            baseline = workload_baseline
-            if ablated is None or baseline is None:
-                continue
-            row = {
-                "row": "feature",
-                "feature": feature.name,
-                "layer": feature.layer,
-                "active": True,
-                "timed": baseline["seconds"] >= MIN_TIMED_SECONDS,
-                "baseline_seconds": baseline["seconds"],
-                "ablated_seconds": ablated["seconds"],
-                "speedup": (
-                    ablated["seconds"] / baseline["seconds"]
-                    if baseline["seconds"] > 0
-                    else 1.0
-                ),
-                # The whole point of the seam: SQL-parsed and hand-coded
-                # blocks must optimize to bit-identical frontiers.
                 "digest_match": ablated["digest"] == baseline["digest"],
-                "work_invariant_ok": True,
-                "gate_floor": feature.gate_floor,
-                "lowering": feature.lowering,
-            }
-        else:
-            ablated = service_summary(config_name)
-            baseline = service_baseline
-            if ablated is None or baseline is None:
-                continue
-            digest_match = ablated["digest"] == baseline["digest"]
-            invariant_ok = True
-            if feature.name == "frontier_cache":
-                # With the cache on, the warm phase replays (zero slices);
-                # without it, every repeat recomputes.
-                invariant_ok = (
-                    baseline["warm_slices"] == 0 and ablated["warm_slices"] > 0
-                )
-            row = {
-                "row": "feature",
-                "feature": feature.name,
-                "layer": feature.layer,
-                "active": True,
-                "timed": baseline["seconds"] >= MIN_TIMED_SECONDS,
-                "baseline_seconds": baseline["seconds"],
-                "ablated_seconds": ablated["seconds"],
-                "speedup": (
-                    ablated["seconds"] / baseline["seconds"]
-                    if baseline["seconds"] > 0
-                    else 1.0
-                ),
-                "digest_match": digest_match,
                 "work_invariant_ok": invariant_ok,
                 "gate_floor": feature.gate_floor,
                 "lowering": feature.lowering,
             }
-        rows.append(row)
+        )
 
     return ExperimentResult(
         name=EXPERIMENT_NAME,
@@ -875,14 +686,16 @@ def write_ablation_json(result, directory) -> Path:
 def check_gate(payload: Mapping) -> List[str]:
     """Validate an ``ablation_features.json`` payload; returns violations.
 
-    Three checks, strongest first:
+    Four checks, strongest first:
 
-    1. **Bit-identity** (hard): every configuration's frontier digest equals
+    1. **Coverage** (hard): the payload lists exactly the registered
+       features -- none missing, none retired or unknown.
+    2. **Bit-identity** (hard): every configuration's frontier digest equals
        the all-on baseline's.
-    2. **Work invariants** (hard): deterministic counters that prove a
+    3. **Work invariants** (hard): deterministic counters that prove a
        feature actually did something (Δ-sets enumerate fewer pairs, the
        frontier cache replays the warm phase with zero slices).
-    3. **Timing** (tolerance): an ablated configuration must not run more
+    4. **Timing** (tolerance): an ablated configuration must not run more
        than ``1 - gate_floor`` faster than the baseline (default 20%) —
        a feature that *slows things down* that much has regressed.  Skipped
        for inactive features (e.g. ``numpy_kernel`` without numpy) and for
@@ -892,6 +705,13 @@ def check_gate(payload: Mapping) -> List[str]:
     features = payload.get("features", [])
     if not features:
         return ["no feature rows found in payload"]
+    listed = [row.get("feature", "<unnamed>") for row in features]
+    for name in FEATURES.names():
+        if name not in listed:
+            violations.append(f"{name}: registered feature missing from the payload")
+    for name in listed:
+        if name not in FEATURES.names():
+            violations.append(f"{name}: payload lists a feature that is not registered")
     for row in features:
         name = row.get("feature", "<unnamed>")
         if not row.get("digest_match", False):

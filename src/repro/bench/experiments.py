@@ -10,9 +10,8 @@ enumeration order, and therefore produce exactly what the serial harness
 always produced.
 
 Every function returns an :class:`ExperimentResult` holding plain-dict rows so
-that benchmark targets, tests and the EXPERIMENTS.md generator can consume the
-same data.  See DESIGN.md for the experiment index (which paper artifact each
-function reproduces).
+that benchmark targets, tests and the exporters (:mod:`repro.bench.export`)
+can consume the same data.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ module converts :class:`~repro.bench.experiments.ExperimentResult` rows into
 
 * CSV (one row per measurement, columns = union of row keys),
 * JSON (name, description, rows),
-* Markdown tables (for inclusion in reports such as EXPERIMENTS.md).
+* Markdown tables (for inclusion in reports).
 
 All writers are pure functions from results to strings plus thin ``write_*``
 helpers; nothing here imports the optimizer, so exporting never perturbs

@@ -24,7 +24,6 @@ from repro.costs.dominance import (
     exceeds_bounds,
 )
 from repro.costs.pareto import (
-    ParetoSet,
     pareto_filter,
     is_pareto_optimal,
     approximation_error,
@@ -63,7 +62,6 @@ __all__ = [
     "approximately_dominates",
     "within_bounds",
     "exceeds_bounds",
-    "ParetoSet",
     "pareto_filter",
     "is_pareto_optimal",
     "approximation_error",

@@ -12,112 +12,24 @@ Section 3 of the paper defines:
 * With cost bounds ``b``, an *alpha-approximate b-bounded Pareto plan set* only
   needs to cover plans with ``alpha * c(p) <= b``.
 
-This module provides a generic :class:`ParetoSet` container over arbitrary
-items keyed by their cost vectors (used by the exhaustive baseline and by the
-test suite as ground truth) together with free functions for filtering and for
-checking coverage guarantees.
+This module provides free functions over plain cost-vector collections:
+Pareto filtering (the test suite's ground truth) and checks of the coverage
+guarantees.  IAMA's own result sets are maintained by
+:mod:`repro.core.pruning` and :mod:`repro.core.index`; the exhaustive
+baseline keeps its minimal frontiers in :mod:`repro.baselines.common`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.costs.dominance import (
     approximately_dominates,
-    dominates,
     strictly_dominates,
     within_bounds,
 )
-from repro.costs.matrix import CostBlock, CostMatrix
+from repro.costs.matrix import CostMatrix
 from repro.costs.vector import CostVector
-
-T = TypeVar("T")
-
-
-class ParetoSet(Generic[T]):
-    """A set of items maintained so that no item strictly dominates another.
-
-    Items are arbitrary objects (typically query plans); their cost is obtained
-    through the ``cost_of`` callable supplied at construction time.  Inserting
-    an item removes all items that it strictly dominates; the insertion is
-    rejected when an existing item dominates the new one.
-
-    The item costs are mirrored in a :class:`~repro.costs.matrix.CostMatrix`,
-    so the dominance test of every insertion and coverage query is one batched
-    kernel call over the whole frontier instead of a per-item Python loop.
-
-    Note that this is the *non-approximate, minimal* frontier semantics used by
-    the exhaustive baseline (Ganguly-style full Pareto DP).  IAMA's result sets
-    deliberately do **not** behave like this: IAMA never discards previously
-    inserted result plans (Section 4.2) and prunes approximately.  That logic
-    lives in :mod:`repro.core.pruning`.
-    """
-
-    def __init__(self, cost_of: Callable[[T], CostVector]):
-        self._cost_of = cost_of
-        # Created on first insert, when the dimensionality becomes known.
-        self._block: Optional[CostBlock[T]] = None
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return 0 if self._block is None else len(self._block)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self.items())
-
-    def items(self) -> List[T]:
-        """Return the current frontier items (a copy)."""
-        return [] if self._block is None else self._block.live_items()
-
-    def costs(self) -> List[CostVector]:
-        """Return the cost vectors of the current frontier items."""
-        return [self._cost_of(item) for item in self.items()]
-
-    # ------------------------------------------------------------------
-    def insert(self, item: T) -> bool:
-        """Insert ``item`` unless it is dominated; evict items it dominates.
-
-        Returns ``True`` when the item was inserted.  An item whose cost equals
-        the cost of an existing item is *not* inserted (the existing
-        representative suffices), matching the convention that ties are broken
-        in favour of the incumbent.
-        """
-        cost = self._cost_of(item)
-        if self._block is None:
-            self._block = CostBlock(len(cost))
-        block = self._block
-        if block.matrix.any_dominating(cost):
-            # Some incumbent is at least as good on every metric: reject.
-            return False
-        # No incumbent dominates the new cost, so every incumbent the new cost
-        # dominates is strictly worse somewhere: evict them.
-        for slot in block.matrix.dominated_by_slots(cost):
-            block.kill(slot)
-        block.compact_if_needed()
-        block.append(cost, item)
-        return True
-
-    def insert_all(self, items: Iterable[T]) -> int:
-        """Insert many items; return how many were accepted."""
-        accepted = 0
-        for item in items:
-            if self.insert(item):
-                accepted += 1
-        return accepted
-
-    def dominated_by_any(self, cost: CostVector) -> bool:
-        """True when some frontier item dominates the given cost vector."""
-        if self._block is None:
-            return False
-        return self._block.matrix.any_dominating(cost)
-
-    def covers(self, cost: CostVector, alpha: float = 1.0) -> bool:
-        """True when some frontier item alpha-approximately dominates ``cost``."""
-        if self._block is None or len(self._block) == 0:
-            return False
-        if alpha < 1.0:
-            raise ValueError(f"approximation factor must be >= 1, got {alpha}")
-        return self._block.matrix.any_dominating(cost.scaled(alpha))
 
 
 # ----------------------------------------------------------------------

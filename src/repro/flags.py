@@ -30,13 +30,6 @@ in isolation and attribute the speedup honestly:
     every witness search scans the full bucket.  The *existence* answer is
     identical either way — every non-front row is dominated by a front row —
     though the witness identity may differ, which the contract allows.
-``sql_frontend``
-    TPC-H workload specs (``tpch:q03``) resolve by parsing the shipped SQL
-    text through :mod:`repro.workloads.sql`.  Off: the hand-coded join-graph
-    stubs in :mod:`repro.workloads.tpch` are used directly.  Not an
-    optimization seam but an *ingestion* seam — the two paths are
-    bit-identical (the differential suite asserts it), so the flag exists to
-    let the ablation gate certify the SQL parser against the stubs.
 ``tracing``
     The observability layer (:mod:`repro.obs`): span creation at the
     instrumented seams (invocation / generate / cost / prune / kernel
@@ -78,7 +71,6 @@ KNOWN_FLAGS: Dict[str, bool] = {
     "witness_cache": True,
     "delta_sets": True,
     "incremental_pareto": True,
-    "sql_frontend": True,
     "tracing": False,
 }
 

@@ -3,17 +3,16 @@
 The paper evaluates on "TPC-H queries containing at least one join", noting
 that "the Postgres optimizer may split up optimization of one TPC-H query into
 multiple optimizations of sub-queries with different numbers of tables"
-(Section 6.1).  :mod:`repro.workloads.tpch` models each TPC-H query at the
-join-graph level and performs that decomposition into select-project-join
-blocks; the resulting blocks join between 2 and 8 tables with no 7-table block,
-matching the groups shown in Figures 3-5.
+(Section 6.1).  :mod:`repro.workloads.tpch` ships that decomposition: each
+select-project-join block as SQL text, parsed into its join graph; the blocks
+join between 2 and 8 tables with no 7-table block, matching the groups shown
+in Figures 3-5.
 
 :mod:`repro.workloads.generator` produces synthetic schemas and queries (chain,
 star, cycle and clique join graphs) with a seeded random generator; these are
 used by the property-based tests and by the ablation benchmarks.
 
-:mod:`repro.workloads.sql` parses real SQL text into the same workload model
-(:mod:`repro.workloads.tpch_sql` ships the TPC-H blocks as SQL),
+:mod:`repro.workloads.sql` parses real SQL text into the same workload model,
 :mod:`repro.workloads.templates` adds TPC-DS-style parameterized templates,
 and :mod:`repro.workloads.spec` is the single resolver for every workload-spec
 family (``tpch:``, ``gen:``, ``sql:``, ``template:``).
@@ -23,7 +22,6 @@ from repro.workloads.tpch import (
     tpch_schema,
     tpch_statistics,
     tpch_queries,
-    tpch_query_blocks,
     tpch_blocks_by_table_count,
     TPCH_TABLE_ROWS,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "tpch_schema",
     "tpch_statistics",
     "tpch_queries",
-    "tpch_query_blocks",
     "tpch_blocks_by_table_count",
     "TPCH_TABLE_ROWS",
     "SyntheticWorkloadGenerator",

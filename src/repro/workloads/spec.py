@@ -9,12 +9,8 @@ delegate here.
 Spec families
 -------------
 
-* ``tpch:q03`` / ``tpch_q03`` / ``q03`` — a TPC-H join block by name.  With
-  the ``sql_frontend`` feature flag on (the default) the block is produced by
-  parsing the shipped SQL text (:mod:`repro.workloads.tpch_sql`); with it off,
-  by the hand-coded stubs (:mod:`repro.workloads.tpch`).  The two paths are
-  bit-identical (the differential suite enforces it), so the flag changes the
-  code path, never the answer.
+* ``tpch:q03`` / ``tpch_q03`` / ``q03`` — a TPC-H join block by name,
+  parsed from its shipped SQL text (:mod:`repro.workloads.tpch`).
 * ``gen:<topology>:<tables>:<seed>`` — a synthetic query from the seeded
   generator, e.g. ``gen:star:6:42`` (topologies: chain, star, cycle, clique).
 * ``sql:<text>`` — real SQL: either inline (anything starting with ``select``
@@ -46,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro import flags
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import StatisticsCatalog
 from repro.plans.query import Query
@@ -57,8 +52,7 @@ from repro.workloads.generator import (
     workload_fingerprint,
 )
 from repro.workloads.sql import parse_sql, sql_text_digest, sql_workload
-from repro.workloads.tpch import tpch_queries, tpch_schema, tpch_statistics
-from repro.workloads.tpch_sql import tpch_block_from_sql, tpch_sql_names
+from repro.workloads.tpch import TPCH_SQL, tpch_block, tpch_schema, tpch_statistics
 from repro.workloads import templates
 
 GENERATED_PREFIX = "gen"
@@ -178,7 +172,7 @@ def _resolve_sql_spec(spec: str, config) -> ResolvedWorkload:
     if body.startswith("tpch/"):
         block = body[len("tpch/"):]
         try:
-            generated = tpch_block_from_sql(block, _scale_factor(config))
+            generated = tpch_block(block, _scale_factor(config))
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
         return ResolvedWorkload(
@@ -200,23 +194,14 @@ def _resolve_sql_spec(spec: str, config) -> ResolvedWorkload:
 
 def _resolve_tpch_spec(spec: str, config) -> Optional[ResolvedWorkload]:
     """Resolve a TPC-H block name, or ``None`` if the name is unknown."""
-    name = spec
-    if name.startswith("tpch:"):
-        name = name[len("tpch:"):]
+    name = spec[len("tpch:"):] if spec.startswith("tpch:") else spec
     short = name[len("tpch_"):] if name.startswith("tpch_") else name
-    if flags.enabled("sql_frontend") and short in tpch_sql_names():
-        generated = tpch_block_from_sql(short, _scale_factor(config))
-        return ResolvedWorkload(
-            spec=spec, query=generated.query, statistics=generated.statistics
-        )
-    for query in tpch_queries():
-        if query.name == name or query.name == f"tpch_{name}":
-            return ResolvedWorkload(
-                spec=spec,
-                query=query,
-                statistics=tpch_statistics(_scale_factor(config)),
-            )
-    return None
+    if short not in TPCH_SQL:
+        return None
+    generated = tpch_block(short, _scale_factor(config))
+    return ResolvedWorkload(
+        spec=spec, query=generated.query, statistics=generated.statistics
+    )
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +232,7 @@ def resolve_workload(spec: str, config=None) -> ResolvedWorkload:
     resolved = _resolve_tpch_spec(spec, config)
     if resolved is not None:
         return resolved
-    known = ", ".join(q.name for q in tpch_queries())
+    known = ", ".join(f"tpch_{name}" for name in TPCH_SQL)
     raise ValueError(
         f"unknown query or workload spec {spec!r}; expected {FAMILY_HELP}; "
         f"known TPC-H blocks: {known}"

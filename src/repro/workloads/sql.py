@@ -21,11 +21,9 @@ the gap between that model and real SQL text with three stdlib-only layers:
 Selectivity estimation follows the classic System-R defaults, with one
 extension: a hint comment ``/*+ sel(<table> <value>) */`` pins a table's base
 selectivity to an exact literal.  The shipped TPC-H SQL texts
-(:mod:`repro.workloads.tpch_sql`) use hints to carry the very same estimates
-as the hand-coded :func:`~repro.workloads.tpch.tpch_query_blocks`, which is
-what makes the SQL-parsed workloads *bit-identical* to the stubs (the
-differential suite pins this).  Unhinted filters are estimated from the
-statistics catalog:
+(:mod:`repro.workloads.tpch`) use hints to carry each block's selectivity
+estimates exactly.  Unhinted filters are estimated from the statistics
+catalog:
 
 ========================  =============================================
 condition                 selectivity

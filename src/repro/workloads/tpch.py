@@ -5,13 +5,22 @@ table cardinalities and the foreign keys along which its queries join.  Every
 TPC-H query that contains at least one join is represented as one or more
 *join blocks* -- the select-project-join sub-queries that a Selinger-style
 optimizer (such as Postgres, Section 4.3 / 6.1) optimizes independently after
-decomposing nested queries.  A block is described by its table set, the join
-predicates connecting those tables, and per-table filter selectivities that
-summarize the block's WHERE clauses.
+decomposing nested queries.
+
+Each block is defined once, as the SQL text it summarizes (:data:`TPCH_SQL`):
+the FROM clause lists the block's tables in the canonical enumeration order,
+the WHERE clause spells out the standard TPC-H join conditions plus the
+query's filter predicates, and a ``/*+ sel(...) */`` hint pins each filtered
+table's selectivity to an exact literal (rounded estimates of the block's
+WHERE clauses against the TPC-H specification defaults).  The SQL frontend
+(:mod:`repro.workloads.sql`) parses a text into the block's join graph;
+``tests/workloads/test_sql_tpch_differential.py`` pins every parsed block to
+a frozen fixture.
 
 Queries Q7 and Q8 join the ``nation`` table twice (customer nation and
 supplier nation); because the optimizer identifies tables by name, the schema
-includes ``nation2``, an alias clone of ``nation`` with identical statistics.
+includes ``nation2``, an alias clone of ``nation`` with identical statistics,
+and the SQL spells the second reference ``nation AS nation2``.
 
 The resulting blocks join 2, 3, 4, 5, 6 or 8 tables -- there is no 7-table
 block, which is why the paper's figures have no bar at 7 tables, and the only
@@ -21,13 +30,13 @@ sampling strategies are considered" (footnote 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-from repro.catalog.cardinality import JoinGraph, JoinPredicate
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
 from repro.catalog.statistics import StatisticsCatalog
 from repro.plans.query import Query
+from repro.workloads.generator import GeneratedQuery
+from repro.workloads.sql import sql_workload
 
 #: TPC-H table cardinalities at scale factor 1.
 TPCH_TABLE_ROWS: Dict[str, int] = {
@@ -138,273 +147,245 @@ def tpch_statistics(scale_factor: float = 1.0) -> StatisticsCatalog:
     return StatisticsCatalog(tpch_schema(scale_factor))
 
 
-# ----------------------------------------------------------------------
-# Join predicates (by name, for readability below)
-# ----------------------------------------------------------------------
-def _predicate(left: str, right: str) -> JoinPredicate:
-    """The standard TPC-H join predicate between two tables."""
-    edges: Dict[Tuple[str, str], Tuple[str, str]] = {
-        ("nation", "region"): ("n_regionkey", "r_regionkey"),
-        ("nation2", "region"): ("n_regionkey", "r_regionkey"),
-        ("supplier", "nation"): ("s_nationkey", "n_nationkey"),
-        ("supplier", "nation2"): ("s_nationkey", "n_nationkey"),
-        ("customer", "nation"): ("c_nationkey", "n_nationkey"),
-        ("customer", "nation2"): ("c_nationkey", "n_nationkey"),
-        ("partsupp", "part"): ("ps_partkey", "p_partkey"),
-        ("partsupp", "supplier"): ("ps_suppkey", "s_suppkey"),
-        ("orders", "customer"): ("o_custkey", "c_custkey"),
-        ("lineitem", "orders"): ("l_orderkey", "o_orderkey"),
-        ("lineitem", "part"): ("l_partkey", "p_partkey"),
-        ("lineitem", "supplier"): ("l_suppkey", "s_suppkey"),
-        ("lineitem", "partsupp"): ("l_partkey", "ps_partkey"),
-    }
-    if (left, right) in edges:
-        left_col, right_col = edges[(left, right)]
-        return JoinPredicate(left, left_col, right, right_col)
-    if (right, left) in edges:
-        right_col, left_col = edges[(right, left)]
-        return JoinPredicate(left, left_col, right, right_col)
-    raise KeyError(f"no standard TPC-H join predicate between {left} and {right}")
-
-
-@dataclass(frozen=True)
-class QueryBlockSpec:
-    """Declarative description of one TPC-H join block."""
-
-    name: str
-    tables: Tuple[str, ...]
-    joins: Tuple[Tuple[str, str], ...]
-    selectivities: Mapping[str, float]
-
-    def table_count(self) -> int:
-        return len(self.tables)
-
-
-#: All TPC-H join blocks with at least two tables (i.e. at least one join).
-#: Filter selectivities are rounded estimates of each block's WHERE clauses
-#: against the TPC-H specification defaults.
-_BLOCK_SPECS: Tuple[QueryBlockSpec, ...] = (
+#: Block name -> SQL text.  The literals are real SQL, not format strings.
+TPCH_SQL: Dict[str, str] = {
     # Q2: main block (5 tables) and correlated min-cost subquery (4 tables).
-    QueryBlockSpec(
-        name="q02_main",
-        tables=("part", "supplier", "partsupp", "nation", "region"),
-        joins=(
-            ("partsupp", "part"),
-            ("partsupp", "supplier"),
-            ("supplier", "nation"),
-            ("nation", "region"),
-        ),
-        selectivities={"part": 0.004, "region": 0.2},
-    ),
-    QueryBlockSpec(
-        name="q02_sub",
-        tables=("partsupp", "supplier", "nation", "region"),
-        joins=(
-            ("partsupp", "supplier"),
-            ("supplier", "nation"),
-            ("nation", "region"),
-        ),
-        selectivities={"region": 0.2},
-    ),
+    "q02_main": """\
+/*+ sel(part 0.004) sel(region 0.2) */
+select supplier.s_acctbal, supplier.s_name, nation.n_name, part.p_partkey
+from part, supplier, partsupp, nation, region
+where partsupp.ps_partkey = part.p_partkey
+  and partsupp.ps_suppkey = supplier.s_suppkey
+  and supplier.s_nationkey = nation.n_nationkey
+  and nation.n_regionkey = region.r_regionkey
+  and part.p_size = 15 and part.p_type like '%BRASS'
+  and region.r_name = 'EUROPE'
+""",
+    "q02_sub": """\
+/*+ sel(region 0.2) */
+select min(partsupp.ps_supplycost)
+from partsupp, supplier, nation, region
+where partsupp.ps_suppkey = supplier.s_suppkey
+  and supplier.s_nationkey = nation.n_nationkey
+  and nation.n_regionkey = region.r_regionkey
+  and region.r_name = 'EUROPE'
+""",
     # Q3: shipping priority.
-    QueryBlockSpec(
-        name="q03",
-        tables=("customer", "orders", "lineitem"),
-        joins=(("orders", "customer"), ("lineitem", "orders")),
-        selectivities={"customer": 0.2, "orders": 0.48, "lineitem": 0.54},
-    ),
+    "q03": """\
+/*+ sel(customer 0.2) sel(orders 0.48) sel(lineitem 0.54) */
+select lineitem.l_orderkey, orders.o_orderdate, orders.o_shippriority
+from customer, orders, lineitem
+where orders.o_custkey = customer.c_custkey
+  and lineitem.l_orderkey = orders.o_orderkey
+  and customer.c_mktsegment = 'BUILDING'
+  and orders.o_orderdate < '1995-03-15'
+  and lineitem.l_shipdate > '1995-03-15'
+""",
     # Q4: order priority checking (semi-join block).
-    QueryBlockSpec(
-        name="q04",
-        tables=("orders", "lineitem"),
-        joins=(("lineitem", "orders"),),
-        selectivities={"orders": 0.038, "lineitem": 0.63},
-    ),
+    "q04": """\
+/*+ sel(orders 0.038) sel(lineitem 0.63) */
+select orders.o_orderpriority, count(*)
+from orders, lineitem
+where lineitem.l_orderkey = orders.o_orderkey
+  and orders.o_orderdate >= '1993-07-01' and orders.o_orderdate < '1993-10-01'
+  and lineitem.l_commitdate < '1993-10-01'
+""",
     # Q5: local supplier volume.
-    QueryBlockSpec(
-        name="q05",
-        tables=("customer", "orders", "lineitem", "supplier", "nation", "region"),
-        joins=(
-            ("orders", "customer"),
-            ("lineitem", "orders"),
-            ("lineitem", "supplier"),
-            ("supplier", "nation"),
-            ("customer", "nation"),
-            ("nation", "region"),
-        ),
-        selectivities={"orders": 0.15, "region": 0.2},
-    ),
+    "q05": """\
+/*+ sel(orders 0.15) sel(region 0.2) */
+select nation.n_name, sum(lineitem.l_extendedprice)
+from customer, orders, lineitem, supplier, nation, region
+where orders.o_custkey = customer.c_custkey
+  and lineitem.l_orderkey = orders.o_orderkey
+  and lineitem.l_suppkey = supplier.s_suppkey
+  and supplier.s_nationkey = nation.n_nationkey
+  and customer.c_nationkey = nation.n_nationkey
+  and nation.n_regionkey = region.r_regionkey
+  and orders.o_orderdate >= '1994-01-01' and orders.o_orderdate < '1995-01-01'
+  and region.r_name = 'ASIA'
+""",
     # Q7: volume shipping (two nation aliases).
-    QueryBlockSpec(
-        name="q07",
-        tables=("supplier", "lineitem", "orders", "customer", "nation", "nation2"),
-        joins=(
-            ("lineitem", "supplier"),
-            ("lineitem", "orders"),
-            ("orders", "customer"),
-            ("supplier", "nation"),
-            ("customer", "nation2"),
-        ),
-        selectivities={"lineitem": 0.3, "nation": 0.04, "nation2": 0.04},
-    ),
+    "q07": """\
+/*+ sel(lineitem 0.3) sel(nation 0.04) sel(nation2 0.04) */
+select nation.n_name, nation2.n_name, sum(lineitem.l_extendedprice)
+from supplier, lineitem, orders, customer, nation, nation as nation2
+where lineitem.l_suppkey = supplier.s_suppkey
+  and lineitem.l_orderkey = orders.o_orderkey
+  and orders.o_custkey = customer.c_custkey
+  and supplier.s_nationkey = nation.n_nationkey
+  and customer.c_nationkey = nation2.n_nationkey
+  and lineitem.l_shipdate between '1995-01-01' and '1996-12-31'
+  and nation.n_name = 'FRANCE'
+  and nation2.n_name = 'GERMANY'
+""",
     # Q8: national market share (8 tables; the largest block in the workload).
-    QueryBlockSpec(
-        name="q08",
-        tables=(
-            "part",
-            "supplier",
-            "lineitem",
-            "orders",
-            "customer",
-            "nation",
-            "nation2",
-            "region",
-        ),
-        joins=(
-            ("lineitem", "part"),
-            ("lineitem", "supplier"),
-            ("lineitem", "orders"),
-            ("orders", "customer"),
-            ("customer", "nation"),
-            ("nation", "region"),
-            ("supplier", "nation2"),
-        ),
-        selectivities={"part": 0.007, "orders": 0.3, "region": 0.2},
-    ),
+    "q08": """\
+/*+ sel(part 0.007) sel(orders 0.3) sel(region 0.2) */
+select orders.o_orderdate, sum(lineitem.l_extendedprice)
+from part, supplier, lineitem, orders, customer, nation, nation as nation2, region
+where lineitem.l_partkey = part.p_partkey
+  and lineitem.l_suppkey = supplier.s_suppkey
+  and lineitem.l_orderkey = orders.o_orderkey
+  and orders.o_custkey = customer.c_custkey
+  and customer.c_nationkey = nation.n_nationkey
+  and nation.n_regionkey = region.r_regionkey
+  and supplier.s_nationkey = nation2.n_nationkey
+  and part.p_type = 'ECONOMY ANODIZED STEEL'
+  and orders.o_orderdate between '1995-01-01' and '1996-12-31'
+  and region.r_name = 'AMERICA'
+""",
     # Q9: product type profit measure.
-    QueryBlockSpec(
-        name="q09",
-        tables=("part", "supplier", "lineitem", "partsupp", "orders", "nation"),
-        joins=(
-            ("lineitem", "part"),
-            ("lineitem", "supplier"),
-            ("lineitem", "partsupp"),
-            ("lineitem", "orders"),
-            ("supplier", "nation"),
-        ),
-        selectivities={"part": 0.05},
-    ),
+    "q09": """\
+/*+ sel(part 0.05) */
+select nation.n_name, sum(lineitem.l_extendedprice)
+from part, supplier, lineitem, partsupp, orders, nation
+where lineitem.l_partkey = part.p_partkey
+  and lineitem.l_suppkey = supplier.s_suppkey
+  and lineitem.l_partkey = partsupp.ps_partkey
+  and lineitem.l_orderkey = orders.o_orderkey
+  and supplier.s_nationkey = nation.n_nationkey
+  and part.p_name like '%green%'
+""",
     # Q10: returned item reporting.
-    QueryBlockSpec(
-        name="q10",
-        tables=("customer", "orders", "lineitem", "nation"),
-        joins=(
-            ("orders", "customer"),
-            ("lineitem", "orders"),
-            ("customer", "nation"),
-        ),
-        selectivities={"orders": 0.03, "lineitem": 0.25},
-    ),
+    "q10": """\
+/*+ sel(orders 0.03) sel(lineitem 0.25) */
+select customer.c_custkey, customer.c_name, sum(lineitem.l_extendedprice)
+from customer, orders, lineitem, nation
+where orders.o_custkey = customer.c_custkey
+  and lineitem.l_orderkey = orders.o_orderkey
+  and customer.c_nationkey = nation.n_nationkey
+  and orders.o_orderdate >= '1993-10-01' and orders.o_orderdate < '1994-01-01'
+  and lineitem.l_returnflag = 'R'
+""",
     # Q11: important stock identification (main and HAVING subquery blocks).
-    QueryBlockSpec(
-        name="q11_main",
-        tables=("partsupp", "supplier", "nation"),
-        joins=(("partsupp", "supplier"), ("supplier", "nation")),
-        selectivities={"nation": 0.04},
-    ),
-    QueryBlockSpec(
-        name="q11_sub",
-        tables=("partsupp", "supplier", "nation"),
-        joins=(("partsupp", "supplier"), ("supplier", "nation")),
-        selectivities={"nation": 0.04},
-    ),
+    "q11_main": """\
+/*+ sel(nation 0.04) */
+select partsupp.ps_partkey, sum(partsupp.ps_supplycost)
+from partsupp, supplier, nation
+where partsupp.ps_suppkey = supplier.s_suppkey
+  and supplier.s_nationkey = nation.n_nationkey
+  and nation.n_name = 'GERMANY'
+""",
+    "q11_sub": """\
+/*+ sel(nation 0.04) */
+select sum(partsupp.ps_supplycost)
+from partsupp, supplier, nation
+where partsupp.ps_suppkey = supplier.s_suppkey
+  and supplier.s_nationkey = nation.n_nationkey
+  and nation.n_name = 'GERMANY'
+""",
     # Q12: shipping modes and order priority.
-    QueryBlockSpec(
-        name="q12",
-        tables=("orders", "lineitem"),
-        joins=(("lineitem", "orders"),),
-        selectivities={"lineitem": 0.005},
-    ),
+    "q12": """\
+/*+ sel(lineitem 0.005) */
+select lineitem.l_shipmode, count(*)
+from orders, lineitem
+where lineitem.l_orderkey = orders.o_orderkey
+  and lineitem.l_shipmode in ('MAIL', 'SHIP') and lineitem.l_receiptdate >= '1994-01-01'
+""",
     # Q13: customer distribution (outer join block).
-    QueryBlockSpec(
-        name="q13",
-        tables=("customer", "orders"),
-        joins=(("orders", "customer"),),
-        selectivities={"orders": 0.98},
-    ),
+    "q13": """\
+/*+ sel(orders 0.98) */
+select customer.c_custkey, count(orders.o_orderkey)
+from customer, orders
+where orders.o_custkey = customer.c_custkey
+  and orders.o_comment not like '%special%requests%'
+""",
     # Q14: promotion effect.
-    QueryBlockSpec(
-        name="q14",
-        tables=("lineitem", "part"),
-        joins=(("lineitem", "part"),),
-        selectivities={"lineitem": 0.013},
-    ),
+    "q14": """\
+/*+ sel(lineitem 0.013) */
+select sum(lineitem.l_extendedprice)
+from lineitem, part
+where lineitem.l_partkey = part.p_partkey
+  and lineitem.l_shipdate >= '1995-09-01' and lineitem.l_shipdate < '1995-10-01'
+""",
     # Q15: top supplier (revenue view collapses to lineitem).
-    QueryBlockSpec(
-        name="q15",
-        tables=("supplier", "lineitem"),
-        joins=(("lineitem", "supplier"),),
-        selectivities={"lineitem": 0.04},
-    ),
+    "q15": """\
+/*+ sel(lineitem 0.04) */
+select supplier.s_suppkey, sum(lineitem.l_extendedprice)
+from supplier, lineitem
+where lineitem.l_suppkey = supplier.s_suppkey
+  and lineitem.l_shipdate >= '1996-01-01' and lineitem.l_shipdate < '1996-04-01'
+""",
     # Q16: parts/supplier relationship.
-    QueryBlockSpec(
-        name="q16",
-        tables=("partsupp", "part"),
-        joins=(("partsupp", "part"),),
-        selectivities={"part": 0.11},
-    ),
+    "q16": """\
+/*+ sel(part 0.11) */
+select part.p_brand, part.p_type, part.p_size, count(*)
+from partsupp, part
+where partsupp.ps_partkey = part.p_partkey
+  and part.p_brand <> 'Brand#45' and part.p_size in (49, 14, 23, 45, 19, 3, 36, 9)
+""",
     # Q17: small-quantity-order revenue.
-    QueryBlockSpec(
-        name="q17",
-        tables=("lineitem", "part"),
-        joins=(("lineitem", "part"),),
-        selectivities={"part": 0.001},
-    ),
+    "q17": """\
+/*+ sel(part 0.001) */
+select sum(lineitem.l_extendedprice)
+from lineitem, part
+where lineitem.l_partkey = part.p_partkey
+  and part.p_brand = 'Brand#23' and part.p_container = 'MED BOX'
+""",
     # Q18: large volume customer.
-    QueryBlockSpec(
-        name="q18",
-        tables=("customer", "orders", "lineitem"),
-        joins=(("orders", "customer"), ("lineitem", "orders")),
-        selectivities={},
-    ),
+    "q18": """\
+select customer.c_name, orders.o_orderkey, sum(lineitem.l_quantity)
+from customer, orders, lineitem
+where orders.o_custkey = customer.c_custkey
+  and lineitem.l_orderkey = orders.o_orderkey
+""",
     # Q19: discounted revenue.
-    QueryBlockSpec(
-        name="q19",
-        tables=("lineitem", "part"),
-        joins=(("lineitem", "part"),),
-        selectivities={"part": 0.002, "lineitem": 0.02},
-    ),
+    "q19": """\
+/*+ sel(lineitem 0.02) sel(part 0.002) */
+select sum(lineitem.l_extendedprice)
+from lineitem, part
+where lineitem.l_partkey = part.p_partkey
+  and lineitem.l_quantity between 1 and 11
+  and part.p_brand = 'Brand#12' and part.p_size between 1 and 5
+""",
     # Q20: potential part promotion (outer block).
-    QueryBlockSpec(
-        name="q20",
-        tables=("supplier", "nation"),
-        joins=(("supplier", "nation"),),
-        selectivities={"nation": 0.04},
-    ),
+    "q20": """\
+/*+ sel(nation 0.04) */
+select supplier.s_name, supplier.s_address
+from supplier, nation
+where supplier.s_nationkey = nation.n_nationkey
+  and nation.n_name = 'CANADA'
+""",
     # Q21: suppliers who kept orders waiting.
-    QueryBlockSpec(
-        name="q21",
-        tables=("supplier", "lineitem", "orders", "nation"),
-        joins=(
-            ("lineitem", "supplier"),
-            ("lineitem", "orders"),
-            ("supplier", "nation"),
-        ),
-        selectivities={"orders": 0.49, "nation": 0.04},
-    ),
+    "q21": """\
+/*+ sel(orders 0.49) sel(nation 0.04) */
+select supplier.s_name, count(*)
+from supplier, lineitem, orders, nation
+where lineitem.l_suppkey = supplier.s_suppkey
+  and lineitem.l_orderkey = orders.o_orderkey
+  and supplier.s_nationkey = nation.n_nationkey
+  and orders.o_orderstatus = 'F'
+  and nation.n_name = 'SAUDI ARABIA'
+""",
     # Q22: global sales opportunity (anti-join block).
-    QueryBlockSpec(
-        name="q22",
-        tables=("customer", "orders"),
-        joins=(("orders", "customer"),),
-        selectivities={"customer": 0.32},
-    ),
-)
+    "q22": """\
+/*+ sel(customer 0.32) */
+select customer.c_custkey, customer.c_acctbal
+from customer, orders
+where orders.o_custkey = customer.c_custkey
+  and customer.c_acctbal > 0.00
+""",
+}
 
 
-def tpch_query_blocks() -> List[QueryBlockSpec]:
-    """The declarative specifications of all TPC-H join blocks."""
-    return list(_BLOCK_SPECS)
+def tpch_block(block: str, scale_factor: float = 1.0) -> GeneratedQuery:
+    """Parse one block (``q03`` or ``tpch_q03``) from its SQL text.
 
-
-def _build_query(spec: QueryBlockSpec) -> Query:
-    predicates = [_predicate(left, right) for left, right in spec.joins]
-    join_graph = JoinGraph(
-        tables=spec.tables,
-        predicates=predicates,
-        base_selectivities=dict(spec.selectivities),
+    The query is named ``tpch_<block>`` and comes with the scaled TPC-H
+    statistics catalog.
+    """
+    name = block[len("tpch_"):] if block.startswith("tpch_") else block
+    if name not in TPCH_SQL:
+        raise KeyError(
+            f"no shipped SQL for TPC-H block {block!r}; available: "
+            f"{', '.join(TPCH_SQL)}"
+        )
+    return sql_workload(
+        TPCH_SQL[name],
+        tpch_schema(scale_factor),
+        name=f"tpch_{name}",
+        statistics=tpch_statistics(scale_factor),
     )
-    return Query(f"tpch_{spec.name}", join_graph)
 
 
 def tpch_queries(
@@ -416,13 +397,14 @@ def tpch_queries(
     every block with at least one join, the paper's evaluation workload.
     """
     queries = []
-    for spec in _BLOCK_SPECS:
-        count = spec.table_count()
+    for name in TPCH_SQL:
+        query = tpch_block(name).query
+        count = query.table_count
         if count < min_tables:
             continue
         if max_tables is not None and count > max_tables:
             continue
-        queries.append(_build_query(spec))
+        queries.append(query)
     return queries
 
 

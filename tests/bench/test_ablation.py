@@ -15,7 +15,6 @@ from repro import flags, kernel
 from repro.bench.ablation import (
     BASELINE_CONFIG,
     FEATURES,
-    AblationConfig,
     Feature,
     FeatureRegistry,
     SPEC,
@@ -23,6 +22,7 @@ from repro.bench.ablation import (
     ablated_feature,
     ablation_json_payload,
     check_gate,
+    config_names,
     digest_of,
     write_ablation_json,
 )
@@ -40,9 +40,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 # ----------------------------------------------------------------------
 class TestFeatureRegistry:
     def test_every_core_flag_has_a_registered_feature(self):
-        # Every repro.flags flag is covered by a feature — core flags plus
-        # the workload-layer sql_frontend flag.
-        flagged = {f.name for f in FEATURES.by_layer("core", "workload")}
+        flagged = {f.name for f in FEATURES.by_layer("core")}
         assert flagged == set(flags.known_flags())
 
     def test_expected_features_are_registered(self):
@@ -54,7 +52,6 @@ class TestFeatureRegistry:
             "incremental_pareto",
             "frontier_cache",
             "scheduler_policy",
-            "sql_frontend",
             "tracing",
         }
 
@@ -70,7 +67,7 @@ class TestFeatureRegistry:
         # The lowering is what a user types to turn the feature off: it must
         # name a knob that exists and the value that flips the default.
         feature = FEATURES.get(name)
-        if feature.layer in ("core", "workload"):
+        if feature.layer == "core":
             flipped = int(not flags.KNOWN_FLAGS[name])
             assert feature.lowering == (
                 f"{flags.FEATURE_ENV_PREFIX}{name.upper()}={flipped}"
@@ -87,7 +84,7 @@ class TestFeatureRegistry:
 
     def test_only_the_numpy_kernel_ablation_leaves_the_auto_backend(self):
         auto = kernel._auto().NAME
-        for config_name in AblationConfig().config_names():
+        for config_name in config_names():
             expected = "python" if config_name == "no_numpy_kernel" else auto
             assert _backend_for(config_name) == expected, config_name
 
@@ -113,8 +110,7 @@ class TestFeatureRegistry:
             )
 
     def test_config_names_cover_the_grid(self):
-        grid = AblationConfig()
-        names = grid.config_names()
+        names = config_names()
         assert names[0] == BASELINE_CONFIG
         assert set(names[1:]) == {f"no_{name}" for name in FEATURES.names()}
         assert ablated_feature(BASELINE_CONFIG) is None
@@ -140,7 +136,7 @@ class TestFlags:
                 raise RuntimeError("boom")
         assert flags.enabled("delta_sets")
 
-    @pytest.mark.parametrize("name", ["warp_drive", "bounds_bucket"])
+    @pytest.mark.parametrize("name", ["warp_drive", "bounds_bucket", "sql_frontend"])
     def test_unknown_flag_raises(self, name):
         with pytest.raises(KeyError, match="unknown feature flag"):
             flags.enabled(name)
@@ -188,6 +184,11 @@ class TestAblationSpec:
         assert BASELINE_CONFIG in configs
         assert any(name.startswith("no_") for name in configs)
 
+    def test_cells_cover_exactly_the_registry(self):
+        cells = SPEC.cells(tiny_config())
+        assert {cell["config"] for cell in cells} == set(config_names())
+        assert {cell["kind"] for cell in cells} == {"series", "service"}
+
     def test_grid_produces_matching_digests_and_a_clean_gate(self, tmp_path):
         config = tiny_config()
         report = run_experiment(
@@ -216,21 +217,45 @@ class TestAblationSpec:
 # ----------------------------------------------------------------------
 class TestGate:
     def _payload(self, **overrides):
-        row = {
-            "feature": "witness_cache",
-            "layer": "core",
-            "active": True,
-            "timed": True,
-            "speedup": 1.2,
-            "digest_match": True,
-            "work_invariant_ok": True,
-            "gate_floor": 0.8,
-        }
-        row.update(overrides)
-        return {"features": [row]}
+        """One clean row per registered feature; ``overrides`` edit witness_cache."""
+        rows = []
+        for feature in FEATURES.all():
+            row = {
+                "feature": feature.name,
+                "layer": feature.layer,
+                "active": True,
+                "timed": True,
+                "speedup": 1.2,
+                "digest_match": True,
+                "work_invariant_ok": True,
+                "gate_floor": feature.gate_floor,
+            }
+            if feature.name == "witness_cache":
+                row.update(overrides)
+            rows.append(row)
+        return {"features": rows}
 
     def test_clean_payload_passes(self):
         assert check_gate(self._payload()) == []
+
+    def test_registered_feature_missing_from_the_payload_fails(self):
+        payload = self._payload()
+        payload["features"] = [
+            row for row in payload["features"] if row["feature"] != "delta_sets"
+        ]
+        assert check_gate(payload) == [
+            "delta_sets: registered feature missing from the payload"
+        ]
+
+    def test_unregistered_feature_in_the_payload_fails(self):
+        # A stale artifact that still lists a retired feature must not pass.
+        payload = self._payload()
+        payload["features"].append(
+            dict(payload["features"][0], feature="sql_frontend", gate_floor=None)
+        )
+        assert check_gate(payload) == [
+            "sql_frontend: payload lists a feature that is not registered"
+        ]
 
     def test_digest_divergence_fails(self):
         violations = check_gate(self._payload(digest_match=False))
@@ -254,6 +279,10 @@ class TestGate:
     def test_inactive_and_unfloored_features_skip_timing(self):
         assert check_gate(self._payload(speedup=0.1, active=False)) == []
         assert check_gate(self._payload(speedup=0.1, gate_floor=None)) == []
+
+    def test_committed_artifact_passes_the_gate(self):
+        path = REPO_ROOT / "results" / "ablation_features.json"
+        assert check_gate(json.loads(path.read_text())) == []
 
     def test_empty_payload_fails(self):
         assert check_gate({"features": []}) == ["no feature rows found in payload"]

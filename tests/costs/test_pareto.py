@@ -3,7 +3,6 @@
 import pytest
 
 from repro.costs.pareto import (
-    ParetoSet,
     approximation_error,
     hypervolume_2d,
     is_alpha_cover,
@@ -15,67 +14,6 @@ from repro.costs.vector import CostVector
 
 def vectors(*tuples):
     return [CostVector(t) for t in tuples]
-
-
-class TestParetoSet:
-    def _make(self):
-        return ParetoSet(cost_of=lambda cost: cost)
-
-    def test_insert_into_empty_set(self):
-        frontier = self._make()
-        assert frontier.insert(CostVector([1, 2]))
-        assert len(frontier) == 1
-
-    def test_dominated_insert_is_rejected(self):
-        frontier = self._make()
-        frontier.insert(CostVector([1, 1]))
-        assert not frontier.insert(CostVector([2, 2]))
-        assert len(frontier) == 1
-
-    def test_duplicate_cost_is_rejected(self):
-        frontier = self._make()
-        frontier.insert(CostVector([1, 1]))
-        assert not frontier.insert(CostVector([1, 1]))
-
-    def test_insert_evicts_dominated_items(self):
-        frontier = self._make()
-        frontier.insert(CostVector([3, 3]))
-        frontier.insert(CostVector([4, 1]))
-        assert frontier.insert(CostVector([1, 1]))
-        costs = set(frontier.costs())
-        assert CostVector([3, 3]) not in costs
-        assert CostVector([4, 1]) not in costs
-        assert CostVector([1, 1]) in costs
-
-    def test_incomparable_items_coexist(self):
-        frontier = self._make()
-        frontier.insert(CostVector([1, 3]))
-        frontier.insert(CostVector([3, 1]))
-        assert len(frontier) == 2
-
-    def test_insert_all_counts_acceptances(self):
-        frontier = self._make()
-        accepted = frontier.insert_all(vectors((1, 3), (3, 1), (4, 4)))
-        assert accepted == 2
-
-    def test_dominated_by_any(self):
-        frontier = self._make()
-        frontier.insert(CostVector([1, 1]))
-        assert frontier.dominated_by_any(CostVector([2, 2]))
-        assert not frontier.dominated_by_any(CostVector([0.5, 0.5]))
-
-    def test_covers_with_alpha(self):
-        frontier = self._make()
-        frontier.insert(CostVector([1.05, 1.05]))
-        assert not frontier.covers(CostVector([1.0, 1.0]), alpha=1.0)
-        assert frontier.covers(CostVector([1.0, 1.0]), alpha=1.1)
-
-    def test_items_returns_copy(self):
-        frontier = self._make()
-        frontier.insert(CostVector([1, 1]))
-        items = frontier.items()
-        items.clear()
-        assert len(frontier) == 1
 
 
 class TestParetoFilter:

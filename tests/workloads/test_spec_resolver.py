@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import flags
 from repro.workloads.spec import (
     FAMILY_HELP,
     canonical_spec_id,
@@ -13,6 +12,7 @@ from repro.workloads.spec import (
     resolve_workload,
 )
 from repro.workloads.templates import instantiate_template
+from repro.workloads.tpch import TPCH_SQL
 
 
 # ----------------------------------------------------------------------
@@ -107,19 +107,29 @@ class TestSqlSpecs:
 
 
 class TestTpchSpecs:
-    @pytest.mark.parametrize("spelling", ("q03", "tpch_q03", "tpch:q03", "tpch:tpch_q03"))
+    @pytest.mark.parametrize(
+        "spelling",
+        (
+            "q03",
+            "tpch_q03",
+            "tpch:q03",
+            "tpch:tpch_q03",
+            "sql:tpch/q03",
+            "sql:tpch/tpch_q03",
+        ),
+    )
     def test_all_spellings_resolve_to_the_same_block(self, spelling):
         assert resolve_workload(spelling).query.name == "tpch_q03"
 
-    def test_flag_off_uses_the_stub_path_with_identical_result(self):
-        on = resolve_workload("tpch:q03")
-        with flags.overrides(sql_frontend=False):
-            off = resolve_workload("tpch:q03")
-        assert on.query.name == off.query.name
-        assert on.query.join_graph.tables == off.query.join_graph.tables
-        for table in on.query.join_graph.tables:
-            assert on.query.join_graph.base_selectivity(table) == (
-                off.query.join_graph.base_selectivity(table)
+    def test_sql_tpch_spec_resolves_to_the_same_block(self):
+        block = resolve_workload("tpch:q03")
+        text = resolve_workload("sql:tpch/q03")
+        assert text.query.name == block.query.name
+        assert text.query.join_graph.tables == block.query.join_graph.tables
+        assert text.query.join_graph.predicates == block.query.join_graph.predicates
+        for table in block.query.join_graph.tables:
+            assert text.query.join_graph.base_selectivity(table) == (
+                block.query.join_graph.base_selectivity(table)
             )
 
 
@@ -129,6 +139,12 @@ class TestUnknownSpecs:
         with pytest.raises(ValueError, match="unknown query") as excinfo:
             resolve_workload(spec)
         assert FAMILY_HELP in str(excinfo.value)
+
+    def test_error_lists_every_tpch_block(self):
+        with pytest.raises(ValueError) as excinfo:
+            resolve_workload("q99")
+        known = ", ".join(f"tpch_{name}" for name in TPCH_SQL)
+        assert str(excinfo.value).endswith(f"known TPC-H blocks: {known}")
 
 
 # ----------------------------------------------------------------------

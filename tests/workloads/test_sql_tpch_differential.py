@@ -1,33 +1,29 @@
-"""Differential suite: SQL-parsed TPC-H must equal the hand-coded stubs.
+"""Differential suite: the SQL-parsed TPC-H blocks against a frozen fixture.
 
-The ``sql_frontend`` flag swaps the ingestion path of every ``tpch:`` spec —
-shipped SQL text through the parser versus the hand-coded
-:func:`~repro.workloads.tpch.tpch_query_blocks` stubs.  That swap is only
-admissible because the two paths are *bit-identical*: same join graph, same
-predicates, same base selectivities (down to ``repr`` of the float), same
-workload fingerprint, and therefore bit-identical optimizer frontiers on both
-kernel backends.  This suite pins each of those layers.
+Each TPC-H block is defined once, by its shipped SQL text.  The texts
+replaced hand-coded join-graph stubs, and ``tests/workloads/tpch_blocks.json``
+holds what those stubs produced (see :mod:`tests.workloads.tpch_capture`):
+per block the table order, the predicate order, ``repr`` of every base
+selectivity and the workload fingerprint, and per end-to-end cell the hex
+frontier rows and ``plans_generated``.  This suite asserts that the SQL path
+reproduces every one of those facts, on both kernel backends.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+import json
 
 import pytest
 
-from repro import flags, kernel
-from repro.api import OptimizeRequest, open_session
-from repro.workloads.generator import GeneratedQuery, workload_fingerprint
-from repro.workloads.tpch import (
-    tpch_queries,
-    tpch_query_blocks,
-    tpch_schema,
-    tpch_statistics,
-)
-from repro.workloads.tpch_sql import (
-    tpch_block_from_sql,
-    tpch_sql_names,
-    tpch_sql_text,
+from repro import kernel
+from repro.workloads.tpch import TPCH_SQL, tpch_block
+from tests.workloads.tpch_capture import (
+    CELLS,
+    FIXTURE_PATH,
+    block_facts,
+    capture_blocks,
+    capture_cell,
+    cell_key,
 )
 
 try:
@@ -37,91 +33,75 @@ try:
 except ImportError:  # pragma: no cover - numpy ships in the dev env
     BACKENDS = ("python",)
 
-STUB_QUERIES = {query.name: query for query in tpch_queries()}
+FIXTURE = json.loads(FIXTURE_PATH.read_text())
+FROZEN_BLOCKS = {block["name"]: block for block in FIXTURE["blocks"]}
 
 
-def _predicate_tuples(query):
-    return sorted(
-        (p.left_table, p.left_column, p.right_table, p.right_column)
-        for p in query.join_graph.predicates
-    )
+def _parsed_facts(block):
+    parsed = tpch_block(block)
+    return block_facts(parsed.query, parsed.statistics)
 
 
 class TestStructuralEquality:
-    def test_every_stub_block_has_shipped_sql(self):
-        assert sorted(tpch_sql_names()) == sorted(
-            spec.name for spec in tpch_query_blocks()
-        )
+    def test_fixture_covers_every_cell(self):
+        assert set(FIXTURE["cells"]) == {cell_key(*cell) for cell in CELLS}
 
-    @pytest.mark.parametrize("block", [s.name for s in tpch_query_blocks()])
+    def test_every_frozen_block_has_shipped_sql(self):
+        assert [f"tpch_{name}" for name in TPCH_SQL] == list(FROZEN_BLOCKS)
+
+    def test_tpch_queries_reproduce_the_frozen_blocks_in_order(self):
+        # Figures 1-5 and ``repro-moqo workload`` enumerate tpch_queries().
+        assert capture_blocks() == FIXTURE["blocks"]
+
+    @pytest.mark.parametrize("block", list(TPCH_SQL))
     def test_join_graph_and_selectivities_match(self, block):
-        stub = STUB_QUERIES[f"tpch_{block}"]
-        parsed = tpch_block_from_sql(block).query
-        assert parsed.name == stub.name
-        assert parsed.join_graph.tables == stub.join_graph.tables
-        assert _predicate_tuples(parsed) == _predicate_tuples(stub)
-        for table in stub.join_graph.tables:
-            # repr-level equality: these floats feed the fingerprint.
-            assert repr(parsed.join_graph.base_selectivity(table)) == repr(
-                stub.join_graph.base_selectivity(table)
-            ), (block, table)
+        parsed = _parsed_facts(block)
+        frozen = FROZEN_BLOCKS[f"tpch_{block}"]
+        assert parsed["name"] == frozen["name"]
+        assert parsed["tables"] == frozen["tables"]
+        assert parsed["predicates"] == frozen["predicates"]
+        # repr-level equality: these floats feed the fingerprint.
+        assert parsed["selectivities"] == frozen["selectivities"]
 
-    @pytest.mark.parametrize("block", [s.name for s in tpch_query_blocks()])
+    @pytest.mark.parametrize("block", list(TPCH_SQL))
     def test_workload_fingerprints_match(self, block):
-        sql_side = tpch_block_from_sql(block)
-        stub_side = GeneratedQuery(
-            query=STUB_QUERIES[f"tpch_{block}"],
-            schema=tpch_schema(),
-            statistics=tpch_statistics(),
-        )
-        assert workload_fingerprint(sql_side) == workload_fingerprint(stub_side)
+        frozen = FROZEN_BLOCKS[f"tpch_{block}"]
+        assert _parsed_facts(block)["fingerprint"] == frozen["fingerprint"]
 
     def test_scale_factor_flows_into_the_sql_path(self):
-        scaled = tpch_block_from_sql("q03", scale_factor=0.1)
+        scaled = tpch_block("q03", scale_factor=0.1)
         assert scaled.statistics.row_count("lineitem") == 600_000
 
     def test_hints_in_shipped_sql_carry_the_stub_selectivities(self):
         # Spot check one block: the hint literal in the SQL text is exactly
-        # the stub's estimate, not a re-derived approximation.
-        spec = next(s for s in tpch_query_blocks() if s.name == "q03")
-        text = tpch_sql_text("q03")
-        for table, value in spec.selectivities.items():
-            assert f"sel({table}" in text
-            parsed = tpch_block_from_sql("q03").query
-            assert parsed.join_graph.base_selectivity(table) == value
+        # the frozen estimate, not a re-derived approximation.
+        text = TPCH_SQL["q03"]
+        for table, value in FROZEN_BLOCKS["tpch_q03"]["selectivities"]:
+            assert f"sel({table} {value})" in text
 
 
 # ----------------------------------------------------------------------
 # End-to-end frontiers
 # ----------------------------------------------------------------------
-def _frontier(block, backend, algorithm, sql_frontend):
-    request = OptimizeRequest(
-        workload=f"tpch:{block}", algorithm=algorithm, scale="tiny", levels=2
-    )
-    with ExitStack() as stack:
-        stack.enter_context(kernel.use_backend(backend))
-        stack.enter_context(flags.overrides(sql_frontend=sql_frontend))
-        result = open_session(request).run()
-    return {
-        "frontier": [
-            [value.hex() for value in summary.cost] for summary in result.frontier
-        ],
-        "plans_generated": result.plans_generated,
-    }
+def _frontier(block, backend, algorithm):
+    with kernel.use_backend(backend):
+        return capture_cell(block, algorithm)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ("iama", "oneshot"))
 @pytest.mark.parametrize("block", ("q03", "q05", "q14"))
 def test_frontiers_are_bit_identical_per_algorithm(block, algorithm, backend):
-    parsed = _frontier(block, backend, algorithm, sql_frontend=True)
-    stub = _frontier(block, backend, algorithm, sql_frontend=False)
-    assert parsed["frontier"] == stub["frontier"], (block, algorithm, backend)
-    assert parsed["plans_generated"] == stub["plans_generated"]
+    frozen = FIXTURE["cells"][cell_key(block, algorithm)]
+    parsed = _frontier(block, backend, algorithm)
+    assert parsed["frontier"] == frozen["frontier"], (block, algorithm, backend)
+    assert parsed["plans_generated"] == frozen["plans_generated"]
 
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="numpy backend unavailable")
 def test_sql_path_on_numpy_equals_stub_path_on_python():
-    parsed = _frontier("q10", "numpy", "iama", sql_frontend=True)
-    stub = _frontier("q10", "python", "iama", sql_frontend=False)
-    assert parsed["frontier"] == stub["frontier"]
+    # The fixture was captured on the python backend.
+    parsed = _frontier("q10", "numpy", "iama")
+    frozen = FIXTURE["cells"][cell_key("q10", "iama")]
+    assert parsed["frontier"] == frozen["frontier"]
+    assert parsed["plans_generated"] == frozen["plans_generated"]

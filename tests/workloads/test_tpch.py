@@ -7,7 +7,6 @@ from repro.workloads.tpch import (
     TPCH_TABLE_ROWS,
     tpch_blocks_by_table_count,
     tpch_queries,
-    tpch_query_blocks,
     tpch_schema,
     tpch_statistics,
 )
@@ -43,14 +42,14 @@ class TestSchema:
 
 class TestQueryBlocks:
     def test_every_block_has_at_least_one_join(self):
-        for spec in tpch_query_blocks():
-            assert len(spec.joins) >= 1
-            assert spec.table_count() >= 2
+        for query in tpch_queries():
+            assert len(query.join_graph.predicates) >= 1
+            assert query.table_count >= 2
 
     def test_all_blocks_reference_known_tables(self):
         schema = tpch_schema()
-        for spec in tpch_query_blocks():
-            for table in spec.tables:
+        for query in tpch_queries():
+            for table in query.tables:
                 assert schema.has_table(table)
 
     def test_block_join_graphs_are_connected(self):
