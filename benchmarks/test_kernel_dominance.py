@@ -8,9 +8,9 @@ thousand plans per table set at the fine target precision).
 
 Three layers are measured:
 
-* raw block filtering: ``CostMatrix.dominated_slots`` (and the early-exit
-  witness search ``first_dominating``) vs. a scalar loop over ``CostVector``
-  pairs,
+* raw block filtering: ``CostMatrix.dominated_slots`` vs. a scalar loop
+  over ``CostVector`` pairs, plus the prune-block cover pass
+  (``kernel.ops.covered_positions``: the block against 64 incumbent rows),
 * the Pareto frontier sweep: ``CostMatrix.pareto_mask`` across backends, and
 * end-to-end index retrieval: ``PlanIndex.retrieve`` vs. a scalar scan over
   ``PlanIndex.all_plans()``.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,9 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "results" / "kernel_domi
 SIZES = (256, 1024, 4096)
 DIMS = 3  # the paper's metric count (time, cores, precision loss)
 REPEATS = 5
+#: Result plans one prune block is compared against (the most a seed-1
+#: ``anytime_mix`` round meets is 59).
+INCUMBENTS = 64
 
 #: Kernel backends measured on this machine, in reporting order.
 BACKENDS = ("python",) + (("numpy",) if HAVE_NUMPY else ())
@@ -78,33 +82,42 @@ def scalar_filter(costs, bounds):
 
 
 def measure_block_filter(size: int) -> dict:
-    """Raw kernel block filter vs. scalar dominates() loop."""
+    """Raw kernel block filter vs. scalar dominates() loop, plus the cover
+    pass of a prune block of ``size`` plans against 64 incumbents."""
     costs = make_costs(size)
     # Selects roughly a third of uniformly drawn blocks.
     bounds = CostVector([70.0] * DIMS)
-    # A witness target nothing dominates: the worst case of the Algorithm-3
-    # line-7 search (a full scan; any real hit exits earlier).  A plain tuple
-    # because the components go below zero, which CostVector rejects.
-    miss = tuple(min(c[k] for c in costs) - 1.0 for k in range(DIMS))
     matrix = CostMatrix.from_vectors(costs)
     expected = scalar_filter(costs, bounds)
+    # Cheap incumbents (the low corner of the cost range) against the
+    # block's alpha-scaled costs, as in Algorithm 3 line 7.
+    incumbents = [
+        array("d", (cost[k] * 0.5 for cost in make_costs(INCUMBENTS, seed=3)))
+        for k in range(DIMS)
+    ]
+    block = [array("d", (cost[k] * 1.05 for cost in costs)) for k in range(DIMS)]
+    covered = None
 
     row = {"size": size, "scalar_seconds": best_time(lambda: scalar_filter(costs, bounds))}
     for backend in BACKENDS:
         with kernel.use_backend(backend):
             assert matrix.dominated_slots(bounds) == expected
-            assert matrix.first_dominating(miss) == -1
+            positions = kernel.ops.covered_positions(incumbents, block)
+            if covered is None:
+                covered = positions
+            assert positions == covered, f"{backend} cover pass diverged"
             row[f"{backend}_seconds"] = best_time(
                 lambda: matrix.dominated_slots(bounds)
             )
             row[f"{backend}_speedup"] = row["scalar_seconds"] / row[f"{backend}_seconds"]
-            row[f"{backend}_witness_seconds"] = best_time(
-                lambda: matrix.first_dominating(miss)
+            row[f"{backend}_cover_seconds"] = best_time(
+                lambda: kernel.ops.covered_positions(incumbents, block)
             )
+    assert 0 < len(covered) < size
     return row
 
 
-def measure_pareto_front(size: int) -> dict:
+def measure_pareto_sweep(size: int) -> dict:
     """Pareto frontier sweep (CostMatrix.pareto_mask) across backends.
 
     The heaviest dominance computation over a block: every backend must
@@ -171,7 +184,7 @@ def format_table(title: str, rows: list) -> str:
 
 def test_kernel_dominance_speedup():
     block_rows = [measure_block_filter(size) for size in SIZES]
-    pareto_rows = [measure_pareto_front(size) for size in SIZES]
+    pareto_rows = [measure_pareto_sweep(size) for size in SIZES]
     index_rows = [measure_index_retrieval(size) for size in SIZES]
 
     sections = [
@@ -182,7 +195,11 @@ def test_kernel_dominance_speedup():
         f"numpy available: {HAVE_NUMPY}",
         f"cpu_count: {os.cpu_count()}",
         "",
-        format_table("raw block filter (CostMatrix.dominated_slots)", block_rows),
+        format_table(
+            "raw block filter (CostMatrix.dominated_slots) and cover pass "
+            f"(kernel.ops.covered_positions, {INCUMBENTS} incumbents)",
+            block_rows,
+        ),
         "",
         format_table("pareto frontier sweep (CostMatrix.pareto_mask)", pareto_rows),
         "",

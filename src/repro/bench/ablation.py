@@ -1,9 +1,9 @@
 """First-class ablation harness: per-feature speedup attribution with gates.
 
-The stacked optimizations (the numpy kernel backend, block costing, witness
-cache, Δ-sets, incremental Pareto fronts, frontier cache, scheduler policy)
-each kept a slower reference path alive; this module turns those seams into
-a registry of named features and measures what each one contributes.
+The stacked optimizations (the numpy kernel backend, block costing, Δ-sets,
+frontier cache, scheduler policy) each kept a slower reference path alive;
+this module turns those seams into a registry of named features and
+measures what each one contributes.
 
 * :class:`Feature` / :class:`FeatureRegistry` declare every toggleable
   optimization together with the lowering the codebase already understands
@@ -171,30 +171,11 @@ FEATURES.register(
 )
 FEATURES.register(
     Feature(
-        name="witness_cache",
-        layer="core",
-        description=(
-            "remembered witnesses checked once per prune block decide which "
-            "plans skip the per-plan witness search"
-        ),
-        lowering="REPRO_FEATURE_WITNESS_CACHE=0",
-    )
-)
-FEATURES.register(
-    Feature(
         name="delta_sets",
         layer="core",
         description="Section 4.2 Δ-sets: join only newly inserted plans per invocation",
         lowering="REPRO_FEATURE_DELTA_SETS=0",
         counter_exempt=("pairs_enumerated", "candidates_retrieved"),
-    )
-)
-FEATURES.register(
-    Feature(
-        name="incremental_pareto",
-        layer="core",
-        description="per-bucket incremental Pareto fronts vs full-front recomputation",
-        lowering="REPRO_FEATURE_INCREMENTAL_PARETO=0",
     )
 )
 FEATURES.register(

@@ -25,10 +25,11 @@ Since the arena refactor the index stores *arena plan ids*, not plan objects:
 each bucket is a :class:`~repro.costs.matrix.CostBlock` whose payloads are
 plain integers, and the arena reference (captured from the first inserted
 plan) turns ids back into canonical handles only at the object-API boundary
-(:meth:`retrieve`, :meth:`find_dominating`).  The id-level methods
-(:meth:`retrieve_ids`, :meth:`insert_id`, :meth:`find_dominating_id` and the
-bulk :meth:`drain_ids` / :meth:`insert_ids`) are the optimizer's hot path --
-no handle materialization, interesting-order filters as integer comparisons.
+(:meth:`retrieve`).  The id-level methods (:meth:`retrieve_ids`,
+:meth:`insert_id` and the bulk :meth:`drain_ids` / :meth:`insert_ids`) are
+the optimizer's hot path -- no handle materialization.  Pruning asks the
+result index one range query per block and compares the retrieved plans
+itself (:mod:`repro.core.pruning`).
 
 Each bucket stores its plans alongside a
 :class:`~repro.costs.matrix.CostMatrix` of their cost vectors, so the
@@ -44,22 +45,19 @@ Algorithm 2 lines 8-11).  The optimizer moves candidates in bulk:
 :meth:`drain_ids` removes exactly what :meth:`retrieve_ids` returns, one
 tombstone pass and at most one compaction per bucket, and :meth:`insert_ids`
 registers a block with the outcome of registering its plans one at a time
-(bucket creation order, slot order, Pareto-front folding).  Each direction
-has one path: :meth:`insert_id` is a one-plan :meth:`insert_ids`, and
-:meth:`remove_id` -- used only by the object API (:meth:`remove`,
-:meth:`discard`) -- removes a one-slot batch the way :meth:`drain_ids`
-removes each bucket's batch.
+(bucket creation order, slot order).  Each direction has one path:
+:meth:`insert_id` is a one-plan :meth:`insert_ids`, and :meth:`remove_id` --
+used only by the object API (:meth:`remove`, :meth:`discard`) -- removes a
+one-slot batch the way :meth:`drain_ids` removes each bucket's batch.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import flags
 from repro.costs.matrix import CostBlock
 from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
@@ -81,80 +79,6 @@ class IndexedPlan:
     resolution: int
 
 
-class _Bucket(CostBlock[int]):
-    """One (resolution, cell) pair: the plan ids plus their cost matrix.
-
-    Under the ``incremental_pareto`` flag each bucket additionally maintains
-    its Pareto front -- the non-dominated cost rows with their plan ids --
-    across invocations.  The front is built lazily on the first witness
-    search that touches the bucket and then updated in place on insertion
-    (Section 5.3 assumes O(1) amortized index maintenance, which a full
-    re-sweep per query would break).  A witness exists on the front if and
-    only if one exists in the full bucket: every non-front row is dominated
-    by (or equal to) some front row, and dominance is transitive.  The
-    *identity* of the witness may differ from the full-bucket scan, which is
-    fine -- :meth:`PlanIndex.find_dominating_id` only promises *some*
-    dominating plan, and the pruning layer re-validates cached witnesses
-    before use.
-
-    Removing a front member invalidates the front (rebuilt lazily on the
-    next search); removing a dominated row leaves it untouched.  Result
-    indexes -- the only ones the optimizer issues witness searches against --
-    rarely remove plans at all (dominated result plans are kept as potential
-    sub-plans, Section 4.2), so invalidation is the cold path.
-    """
-
-    __slots__ = ("front", "front_ids")
-
-    def __init__(self, dimensions: int):
-        super().__init__(dimensions)
-        #: Pareto front of the bucket (``None`` = not built / invalidated).
-        self.front: Optional[CostBlock[int]] = None
-        #: Plan ids currently on the front (parallel to ``front``).
-        self.front_ids: Optional[set] = None
-
-    def pareto_front(self) -> CostBlock[int]:
-        """The bucket's Pareto front, building it on first use."""
-        front = self.front
-        if front is None:
-            matrix = self.matrix
-            front = CostBlock(matrix.dimensions)
-            ids = set()
-            for slot, keep in zip(matrix.alive_slots(), matrix.pareto_mask()):
-                if keep:
-                    plan_id = self.items[slot]
-                    front.append(matrix.row(slot), plan_id)
-                    ids.add(plan_id)
-            self.front = front
-            self.front_ids = ids
-        return front
-
-    def front_note_insert(self, cost_row: Sequence[float], plan_id: int) -> None:
-        """Fold a newly appended row into the materialized front, if any."""
-        front = self.front
-        if front is None:
-            return
-        row = tuple(cost_row)
-        if front.matrix.any_dominating(row):
-            # Dominated by (or equal to) an incumbent: not on the front.
-            return
-        # Evict incumbents the new row strictly dominates.  (Equal rows
-        # cannot appear here -- equality would have tripped the dominance
-        # check above.)
-        for slot in front.matrix.dominated_by_slots(row):
-            self.front_ids.discard(front.items[slot])
-            front.kill(slot)
-        front.compact_if_needed()
-        front.append(row, plan_id)
-        self.front_ids.add(plan_id)
-
-    def front_note_remove(self, plan_ids: Iterable[int]) -> None:
-        """Invalidate the front when one of its members is removed."""
-        if self.front_ids is not None and not self.front_ids.isdisjoint(plan_ids):
-            self.front = None
-            self.front_ids = None
-
-
 class PlanIndex:
     """Plans indexed by cost vector and resolution level.
 
@@ -174,11 +98,7 @@ class PlanIndex:
         #: Arena that resolves the stored ids; captured on first insertion.
         self._arena: Optional[PlanArena] = None
         # resolution level -> bucket id -> bucket (insertion-ordered dicts)
-        self._levels: Dict[int, Dict[_BucketId, _Bucket]] = {}
-        # resolution level -> bucket ids in ascending order (the witness
-        # search scans buckets cheap-to-expensive; kept sorted incrementally
-        # so no per-query sort is needed)
-        self._sorted_ids: Dict[int, List[_BucketId]] = {}
+        self._levels: Dict[int, Dict[_BucketId, CostBlock[int]]] = {}
         # plan id -> (resolution, bucket, slot) for O(1) removal bookkeeping
         self._locations: Dict[int, Tuple[int, _BucketId, int]] = {}
 
@@ -191,11 +111,6 @@ class PlanIndex:
         return int(math.log(first + 1.0) / self._log_base)
 
     def _bucket_of(self, cost: Sequence[float]) -> _BucketId:
-        return self._bucket_of_first(cost[0])
-
-    def bucket_of(self, cost: Sequence[float]) -> _BucketId:
-        """Cell bucket id of a cost row (exposed for batch callers that
-        bucket a shared bound vector once per block)."""
         return self._bucket_of_first(cost[0])
 
     def _require_arena(self) -> PlanArena:
@@ -249,11 +164,10 @@ class PlanIndex:
 
         Ends in the state of registering the ids one at a time in block
         order: buckets are created in the order their first plan appears,
-        each bucket's new slots follow block order, and a materialized Pareto
-        front folds the new rows in that order.  ``cost_columns`` may carry
-        the block's cost rows column-wise, parallel to ``plan_ids``.  The
-        arena and duplicate-id checks run for the whole block before
-        anything is registered.
+        and each bucket's new slots follow block order.  ``cost_columns``
+        may carry the block's cost rows column-wise, parallel to
+        ``plan_ids``.  The arena and duplicate-id checks run for the whole
+        block before anything is registered.
         """
         if not plan_ids:
             return
@@ -291,18 +205,14 @@ class PlanIndex:
         for bucket_id, positions in groups.items():
             bucket = level.get(bucket_id)
             if bucket is None:
-                bucket = _Bucket(owner.dimensions)
+                bucket = CostBlock(owner.dimensions)
                 level[bucket_id] = bucket
-                insort(self._sorted_ids.setdefault(resolution, []), bucket_id)
             ids = [plan_ids[position] for position in positions]
             rows = [
                 [column[position] for position in positions]
                 for column in cost_columns
             ]
             slot = bucket.extend(rows, ids)
-            if bucket.front is not None:
-                for row, plan_id in zip(zip(*rows), ids):
-                    bucket.front_note_insert(row, plan_id)
             locations.update(
                 zip(
                     ids,
@@ -371,13 +281,10 @@ class PlanIndex:
             del locations[plan_id]
         if len(slots) == bucket.matrix.live_count:
             del level[bucket_id]
-            self._sorted_ids[resolution].remove(bucket_id)
             if not level:
                 del self._levels[resolution]
-                del self._sorted_ids[resolution]
             return removed
         bucket.kill_slots(slots)
-        bucket.front_note_remove(removed)
         if bucket.compact_if_needed() is not None:
             for new_slot, survivor in enumerate(bucket.items):
                 locations[survivor] = (resolution, bucket_id, new_slot)
@@ -393,7 +300,6 @@ class PlanIndex:
     def clear(self) -> None:
         """Remove all plans."""
         self._levels.clear()
-        self._sorted_ids.clear()
         self._locations.clear()
 
     # ------------------------------------------------------------------
@@ -409,15 +315,6 @@ class PlanIndex:
 
     def contains_id(self, plan_id: int) -> bool:
         return plan_id in self._locations
-
-    def registered_within(
-        self, plan_ids: Iterable[int], max_resolution: int
-    ) -> List[bool]:
-        """Per id, whether it is registered at a resolution ``<= max_resolution``."""
-        return [
-            location is not None and location[0] <= max_resolution
-            for location in map(self._locations.get, plan_ids)
-        ]
 
     def resolution_of(self, plan: Plan) -> int:
         """The resolution level the plan is registered for."""
@@ -535,85 +432,3 @@ class PlanIndex:
                     for slot in bucket.matrix.dominated_slots(bounds)
                 )
         return result
-
-    def find_dominating_id(
-        self,
-        target: Sequence[float],
-        bounds: Sequence[float],
-        max_resolution: int,
-        order_id: Optional[int] = None,
-        bounds_bucket: Optional[float] = None,
-    ) -> int:
-        """Id of some in-range plan whose cost dominates ``target``, or 0.
-
-        The id-level witness search of Algorithm 3 line 7
-        (``∃ p_A ∈ Res^q[0..b, 0..r] : c(p_A) ⪯ alpha_r · c(p)``); the caller
-        passes the already-scaled ``target`` row.  ``order_id`` restricts the
-        comparison to plans with exactly that interned interesting order
-        (Section 4.3); ``None`` accepts any plan.
-
-        Buckets are scanned in ascending first-metric order because
-        dominating plans are cheap plans, which makes the short-circuit
-        trigger early.  A plan dominates both ``bounds`` and ``target``
-        exactly when it dominates their component-wise minimum, so each
-        bucket needs a single batched kernel call.  Batch callers pruning a
-        whole block under one bound vector pass the precomputed
-        ``bounds_bucket`` to skip re-bucketing the bounds per plan.
-        """
-        if len(target) != len(bounds):
-            raise ValueError(
-                "cannot compare cost vectors of different dimensionality"
-            )
-        if bounds_bucket is None:
-            bounds_bucket = self._bucket_of(bounds)
-        bucket_limit = min(bounds_bucket, self._bucket_of(target))
-        combined = tuple(map(min, bounds, target))
-        arena = self._arena
-        # Under the incremental_pareto flag, unfiltered witness searches scan
-        # each bucket's maintained Pareto front instead of the full bucket: a
-        # dominating row exists in the bucket iff one exists on its front,
-        # and the expensive case of this search -- a miss, which scans every
-        # in-range bucket end to end -- shrinks from O(bucket) to O(front).
-        use_fronts = order_id is None and flags.enabled("incremental_pareto")
-        for resolution in range(0, max_resolution + 1):
-            buckets = self._levels.get(resolution)
-            if not buckets:
-                continue
-            for bucket_id in self._sorted_ids[resolution]:
-                if bucket_id > bucket_limit:
-                    # Every plan in this (and any later) bucket has a
-                    # first-metric cost above the bounds or the target, so
-                    # none of them can qualify.
-                    break
-                bucket = buckets[bucket_id]
-                if use_fronts:
-                    front = bucket.pareto_front()
-                    slot = front.matrix.first_dominating(combined)
-                    if slot != -1:
-                        return front.items[slot]
-                elif order_id is None:
-                    slot = bucket.matrix.first_dominating(combined)
-                    if slot != -1:
-                        return bucket.items[slot]
-                else:
-                    for slot in bucket.matrix.dominated_slots(combined):
-                        plan_id = bucket.items[slot]
-                        if arena.order_id_of(plan_id) == order_id:
-                            return plan_id
-        return 0
-
-    def find_dominating(
-        self,
-        target: CostVector,
-        bounds: CostVector,
-        max_resolution: int,
-    ) -> Optional[Plan]:
-        """Return some in-range plan whose cost dominates ``target``, if any.
-
-        Object-level wrapper over :meth:`find_dominating_id`.  The returned
-        plan is a *witness* of the approximation; the pruning layer caches it
-        so that re-checking a deferred candidate at the next resolution level
-        is usually a single dominance test.
-        """
-        plan_id = self.find_dominating_id(target, bounds, max_resolution)
-        return self._arena.plan(plan_id) if plan_id else None

@@ -24,7 +24,10 @@ is costed with one vectorized kernel call per metric
 (:meth:`repro.plans.factory.PlanFactory.combine_block`) and handed to
 :func:`repro.core.pruning.prune_all_ids` in one batch -- the outcome sequence
 is identical to generating, costing and pruning each plan individually, but
-no per-plan Python objects are materialized on the hot path.
+no per-plan Python objects are materialized on the hot path.  The block's
+outcomes are booked in bulk as well: counted per kind, and the plans
+discarded at the maximal resolution are tombstoned with one
+:meth:`~repro.plans.arena.PlanArena.tombstone_ids` call.
 
 Incrementality rests on two pieces of machinery implemented in
 :mod:`repro.core.fresh`: the ``IsFresh`` registry, which guarantees that no
@@ -42,8 +45,10 @@ only for monotone bound-tightening series.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from repro import flags
 from repro.costs.dominance import dominates
@@ -198,12 +203,6 @@ class IncrementalOptimizer:
         self._state = OptimizerState(query, cell_base=cell_base)
         self._coverage = _CoverageTracker()
         self._plan_order = self._enumerate_plan_order()
-        # plan id -> result plan that approximated it during its last pruning;
-        # speeds up re-pruning of deferred candidates (see repro.core.pruning).
-        # None (witness_cache feature off) makes every re-pruning start cold.
-        self._witnesses: Optional[Dict[int, Plan]] = (
-            {} if flags.enabled("witness_cache") else None
-        )
 
     # ------------------------------------------------------------------
     # Read-only access
@@ -487,24 +486,30 @@ class IncrementalOptimizer:
             arena=arena,
             plan_ids=plan_ids,
             respect_orders=self._respect_orders,
-            witnesses=self._witnesses,
         )
-        inserted = [
-            plan_id
-            for plan_id, outcome in zip(plan_ids, outcomes)
-            if outcome is PruneOutcome.INSERTED
-        ]
+        inserted = outcomes.count(PruneOutcome.INSERTED)
         if inserted:
-            counters.plans_inserted += len(inserted)
-            inserted_now.setdefault(tables, []).extend(inserted)
+            counters.plans_inserted += inserted
+            inserted_now.setdefault(tables, []).extend(
+                _ids_with(PruneOutcome.INSERTED, plan_ids, outcomes)
+            )
         counters.plans_deferred += outcomes.count(
             PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
         )
         counters.plans_out_of_bounds += outcomes.count(PruneOutcome.OUT_OF_BOUNDS)
-        for plan_id, outcome in zip(plan_ids, outcomes):
-            if outcome is PruneOutcome.DISCARDED:
-                counters.plans_discarded += 1
-                arena.tombstone(plan_id)
+        discarded = outcomes.count(PruneOutcome.DISCARDED)
+        if discarded:
+            counters.plans_discarded += discarded
+            arena.tombstone_ids(
+                _ids_with(PruneOutcome.DISCARDED, plan_ids, outcomes)
+            )
+
+
+def _ids_with(
+    outcome: PruneOutcome, plan_ids: List[int], outcomes: List[PruneOutcome]
+) -> Iterator[int]:
+    """The ids of a pruned block whose outcome is ``outcome``, in order."""
+    return compress(plan_ids, map(is_, outcomes, repeat(outcome)))
 
 
 @dataclass(frozen=True)

@@ -30,20 +30,20 @@ plan when it provides at least the same ordering guarantee.
 The decision logic operates on arena primitives (plan ids, raw cost rows,
 interned order ids) and always runs on a *block* of plans of one table set:
 :func:`prune_all_ids` is the optimizer's entry point, and :func:`prune` is a
-one-plan block of it.  A block is decided in three steps, and the outcomes,
-witnesses and index states equal those of pruning each plan in block order:
+one-plan block of it.  A block is decided in three steps, and the outcomes
+and index states equal those of pruning each plan in block order:
 
-1. **Cached witnesses, once per block.**  A plan whose cached witness is
-   registered in the result set at resolution ``<= r``, has a compatible
-   order, and costs at most the bounds and ``alpha_r * c(p)`` is
-   approximated; one kernel call (``rowwise_leq``) compares the whole block's
-   witness costs.  Checking at block start is exact: result plans are never
-   removed, so membership and resolution cannot change during the block, and
-   a plan's cache entry is written only by that plan's own pruning.
-2. **Search the rest, in block order.**  Plans without a valid witness run
-   the witness search against the live result set, and insertions into the
-   result set happen immediately -- a plan inserted earlier in the block can
-   approximate a later one, exactly as in the per-plan procedure.
+1. **Cover by incumbents.**  ``Res^q[0..b, 0..r]`` is retrieved once, and
+   one kernel call (``covered_positions``) per distinct interesting order in
+   the block marks every plan some incumbent approximates.  Retrieving at
+   block start is exact: result plans are never removed, so the incumbents
+   of every plan of the block include these.
+2. **Walk the uncovered plans in block order.**  The only incumbents step 1
+   cannot see are the block's own result inserts, which happen at ``r`` and
+   within the bounds.  So the remaining plans are visited in block order: a
+   plan above the bounds is out of bounds, any other is inserted into the
+   result set at once, and one more kernel call marks the later plans it
+   approximates.
 3. **Register candidates at block end.**  Deferred plans (at ``r + 1``) and
    out-of-bounds plans (at ``r``) enter the candidate set with one
    :meth:`~repro.core.index.PlanIndex.insert_ids` call per level, in block
@@ -54,7 +54,7 @@ witnesses and index states equal those of pruning each plan in block order:
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import kernel
 from repro.costs.vector import CostVector
@@ -119,7 +119,6 @@ def prune(
     max_resolution: int,
     plan: Plan,
     respect_orders: bool = True,
-    witnesses: Optional[Dict[int, Plan]] = None,
 ) -> PruneOutcome:
     """Apply procedure ``Prune`` to a single plan (a one-plan block).
 
@@ -141,13 +140,6 @@ def prune(
     respect_orders:
         When true (default), only result plans with a compatible interesting
         order may approximate the new plan.
-    witnesses:
-        Optional cache mapping a plan id to the result plan that approximated
-        it in an earlier pruning (its *witness*).  When a deferred candidate is
-        re-pruned at the next resolution level, the witness usually still
-        approximates it, so the full existence check is skipped.  The cache is
-        purely an optimization: its hits satisfy exactly the condition of
-        Algorithm 3 line 7.
 
     Returns
     -------
@@ -164,7 +156,6 @@ def prune(
         plan.arena,
         [plan.plan_id],
         respect_orders,
-        witnesses,
     )[0]
 
 
@@ -178,7 +169,6 @@ def prune_all_ids(
     arena: PlanArena,
     plan_ids: Sequence[int],
     respect_orders: bool = True,
-    witnesses: Optional[Dict[int, Plan]] = None,
 ) -> List[PruneOutcome]:
     """Apply procedure ``Prune`` to a block of arena plan ids of one table set.
 
@@ -207,133 +197,191 @@ def prune_all_ids(
             )
             scaled_columns = kernel.ops.scale_columns(columns, alpha)
         bounds_row = tuple(bounds)
-
-        # Step 1: every plan whose cached witness still approximates it.
-        settled = (
-            _cached_witness_positions(
-                result_index,
-                arena,
-                plan_ids,
-                scaled_columns,
-                bounds_row,
-                resolution,
-                respect_orders,
-                witnesses,
-            )
-            if witnesses is not None
-            else set()
+        # Only plans producing the same tuple order may approximate a plan
+        # with an interesting order; any plan covers one without.  ``None``
+        # when no plan of the block has an order that restricts its cover.
+        order_ids: Optional[List[int]] = (
+            arena.order_ids(plan_ids) if respect_orders else None
         )
-        block_span.set(cached=len(settled), searched=len(plan_ids) - len(settled))
+        if order_ids is not None and not any(order_ids):
+            order_ids = None
 
-        # Step 2: search the rest in block order.  Result inserts are
-        # immediate: a plan inserted earlier in the block can approximate a
-        # later one.
+        # Step 1: every plan some in-range incumbent approximates.
+        incumbents = result_index.retrieve_ids(bounds_row, resolution)
+        covered = _covered_by_incumbents(
+            arena, incumbents, scaled_columns, order_ids
+        )
+
+        # Step 2: the rest, in block order.
         approximated = (
             PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
             if resolution < max_resolution
             else PruneOutcome.DISCARDED
         )
         outcomes = [approximated] * len(plan_ids)
-        # The whole block shares one bound vector; bucket it once for every
-        # witness search.
-        bounds_bucket = result_index.bucket_of(bounds_row)
-        for position, plan_id in enumerate(plan_ids):
-            if position in settled:
-                continue
-            order_id = arena.order_id_of(plan_id)
-            # Only plans producing the same tuple order may approximate a
-            # plan with an interesting order; any plan covers one without.
-            witness_id = result_index.find_dominating_id(
-                tuple(column[position] for column in scaled_columns),
+        visited: List[int] = []
+        approximated_positions = covered
+        if len(covered) < len(plan_ids):
+            visited = _walk_uncovered(
+                result_index,
+                arena,
+                plan_ids,
+                columns,
+                scaled_columns,
                 bounds_row,
                 resolution,
-                order_id if respect_orders and order_id != 0 else None,
-                bounds_bucket,
+                order_ids,
+                _complement(covered, len(plan_ids)),
+                outcomes,
             )
-            if witness_id:
-                if witnesses is not None:
-                    witnesses[plan_id] = arena.plan(witness_id)
-                continue
-            cost_row = tuple(column[position] for column in columns)
-            if not _row_leq(cost_row, bounds_row):
-                outcomes[position] = PruneOutcome.OUT_OF_BOUNDS
-                continue
-            result_index.insert_id(plan_id, resolution, arena, cost_row)
-            if witnesses is not None:
-                witnesses.pop(plan_id, None)
-            outcomes[position] = PruneOutcome.INSERTED
-        if approximated is PruneOutcome.DISCARDED and witnesses is not None:
-            for plan_id, outcome in zip(plan_ids, outcomes):
-                if outcome is PruneOutcome.DISCARDED:
-                    witnesses.pop(plan_id, None)
+            approximated_positions = _complement(visited, len(plan_ids))
+        block_span.set(incumbents=len(incumbents), uncovered=len(visited))
 
         # Step 3: register the candidates in block order, one call per level.
-        for kind, level in (
-            (PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION, resolution + 1),
-            (PruneOutcome.OUT_OF_BOUNDS, resolution),
-        ):
-            positions = [
+        if approximated is PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION:
+            _register(
+                candidate_index,
+                arena,
+                plan_ids,
+                columns,
+                approximated_positions,
+                resolution + 1,
+            )
+        _register(
+            candidate_index,
+            arena,
+            plan_ids,
+            columns,
+            [
                 position
-                for position, outcome in enumerate(outcomes)
-                if outcome is kind
-            ]
-            if positions:
-                candidate_index.insert_ids(
-                    [plan_ids[position] for position in positions],
-                    level,
-                    arena,
-                    kernel.ops.take(columns, positions),
-                )
+                for position in visited
+                if outcomes[position] is PruneOutcome.OUT_OF_BOUNDS
+            ],
+            resolution,
+        )
         return outcomes
 
 
-def _cached_witness_positions(
+def _complement(positions: Sequence[int], size: int) -> List[int]:
+    """The positions of ``range(size)`` missing from ``positions``, ascending."""
+    return sorted(set(range(size)).difference(positions))
+
+
+def _covered_by_incumbents(
+    arena: PlanArena,
+    incumbents: Sequence[int],
+    scaled_columns: Sequence[Sequence[float]],
+    order_ids: Optional[Sequence[int]],
+) -> List[int]:
+    """Ascending block positions some incumbent approximates (step 1).
+
+    A plan without an interesting order (or every plan, when ``order_ids``
+    is ``None``) is compared against every incumbent; a plan with order
+    ``o`` only against the incumbents of order ``o``.  One kernel call per
+    distinct order.
+    """
+    if not incumbents:
+        return []
+    incumbent_columns = kernel.ops.take(
+        arena.costs.columns, [plan_id - 1 for plan_id in incumbents]
+    )
+    if order_ids is None:
+        return kernel.ops.covered_positions(incumbent_columns, scaled_columns)
+    groups: Dict[int, List[int]] = {}
+    for position, order_id in enumerate(order_ids):
+        group = groups.get(order_id)
+        if group is None:
+            groups[order_id] = [position]
+        else:
+            group.append(position)
+    incumbent_orders = arena.order_ids(incumbents)
+    covered: List[int] = []
+    for order_id, positions in groups.items():
+        if order_id == 0:
+            rows = incumbent_columns
+        else:
+            matching = [
+                index
+                for index, incumbent_order in enumerate(incumbent_orders)
+                if incumbent_order == order_id
+            ]
+            if not matching:
+                continue
+            rows = kernel.ops.take(incumbent_columns, matching)
+        hits = kernel.ops.covered_positions(
+            rows, kernel.ops.take(scaled_columns, positions)
+        )
+        covered.extend(map(positions.__getitem__, hits))
+    covered.sort()
+    return covered
+
+
+def _walk_uncovered(
     result_index: PlanIndex,
     arena: PlanArena,
     plan_ids: Sequence[int],
+    columns: Sequence[Sequence[float]],
     scaled_columns: Sequence[Sequence[float]],
-    bounds_row: Tuple[float, ...],
+    bounds_row: Sequence[float],
     resolution: int,
-    respect_orders: bool,
-    witnesses: Dict[int, Plan],
-) -> Set[int]:
-    """Block positions whose cached witness approximates the plan (step 1).
+    order_ids: Optional[Sequence[int]],
+    pending: List[int],
+    outcomes: List[PruneOutcome],
+) -> List[int]:
+    """Decide the plans no incumbent covers, in block order (step 2).
 
-    The witness must be a result plan registered at resolution ``<= r``,
-    offer the plan's interesting order (when orders are respected), and cost
-    at most the bounds and the plan's scaled cost (Algorithm 3 line 7).
+    A plan within the bounds is inserted at once, and the later pending
+    plans it approximates leave the walk (their outcome stays
+    "approximated").  Sets the outcome of every plan it visits and returns
+    their positions, ascending.
     """
-    cached_ids = [
-        0 if witness is None else witness.plan_id
-        for witness in map(witnesses.get, plan_ids)
-    ]
-    positions = [
-        position
-        for position, registered in enumerate(
-            result_index.registered_within(cached_ids, resolution)
+    pending_columns = kernel.ops.take(scaled_columns, pending)
+    visited: List[int] = []
+    k = 0
+    while k < len(pending):
+        position = pending[k]
+        k += 1
+        visited.append(position)
+        cost_row = tuple(column[position] for column in columns)
+        if not _row_leq(cost_row, bounds_row):
+            outcomes[position] = PruneOutcome.OUT_OF_BOUNDS
+            continue
+        result_index.insert_id(plan_ids[position], resolution, arena, cost_row)
+        outcomes[position] = PruneOutcome.INSERTED
+        if k == len(pending):
+            break
+        rest = pending[k:]
+        rest_columns = [column[k:] for column in pending_columns]
+        hits = kernel.ops.covered_positions(
+            kernel.ops.take(columns, [position]), rest_columns
         )
-        if registered
-    ]
-    if respect_orders and positions:
-        # A plan with an interesting order needs a witness with that order.
-        order_ids = arena.order_ids(plan_ids[position] for position in positions)
-        witness_order_ids = arena.order_ids(
-            cached_ids[position] for position in positions
+        if order_ids is not None:
+            own = order_ids[position]
+            hits = [hit for hit in hits if order_ids[rest[hit]] in (0, own)]
+        if hits:
+            keep = _complement(hits, len(rest))
+            pending = list(map(rest.__getitem__, keep))
+            pending_columns = kernel.ops.take(rest_columns, keep)
+            k = 0
+    return visited
+
+
+def _register(
+    candidate_index: PlanIndex,
+    arena: PlanArena,
+    plan_ids: Sequence[int],
+    columns: Sequence[Sequence[float]],
+    positions: Sequence[int],
+    level: int,
+) -> None:
+    """Register the block plans at ascending ``positions`` as candidates at
+    ``level``, in block order (step 3)."""
+    if len(positions) == len(plan_ids):
+        candidate_index.insert_ids(plan_ids, level, arena, columns)
+    elif positions:
+        candidate_index.insert_ids(
+            list(map(plan_ids.__getitem__, positions)),
+            level,
+            arena,
+            kernel.ops.take(columns, positions),
         )
-        positions = [
-            position
-            for position, order_id, witness_order_id in zip(
-                positions, order_ids, witness_order_ids
-            )
-            if order_id == 0 or order_id == witness_order_id
-        ]
-    if not positions:
-        return set()
-    hits = kernel.ops.rowwise_leq(
-        kernel.ops.take(
-            arena.costs.columns, [cached_ids[position] - 1 for position in positions]
-        ),
-        kernel.ops.take(scaled_columns, positions),
-        bounds_row,
-    )
-    return {positions[hit] for hit in hits}

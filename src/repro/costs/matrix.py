@@ -237,22 +237,6 @@ class CostMatrix:
         hits = set(self.dominated_slots(bounds))
         return [slot in hits for slot in self.alive_slots()]
 
-    def first_dominating(self, target: Sequence[float]) -> int:
-        """Slot of the first live row ``<= target``, or ``-1``.
-
-        The bulk version of the witness search of Algorithm 3 line 7: the
-        first row that dominates the (already scaled) target cost.
-        """
-        return kernel.ops.first_leq(
-            self._columns, self._alive, self._check_vector(target)
-        )
-
-    def any_dominating(self, target: Sequence[float]) -> bool:
-        """Whether some live row dominates ``target`` (row ``<= target``)."""
-        return kernel.ops.any_leq(
-            self._columns, self._alive, self._check_vector(target)
-        )
-
     def dominated_by_slots(self, vector: Sequence[float]) -> List[int]:
         """Slots of live rows dominated by ``vector`` (row ``>= vector``).
 

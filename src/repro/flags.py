@@ -11,25 +11,11 @@ in isolation and attribute the speedup honestly:
     of join combinations with one kernel call per (operator, metric).  Off:
     the per-plan scalar fallback (one :meth:`MultiObjectiveCostModel.combine`
     call per combination) — same costs, same arena ids, same order.
-``witness_cache``
-    The incremental optimizer remembers, per deferred plan, the result plan
-    that approximated it last time.  The cache decides which plans of a
-    block skip the per-plan witness search: one pass at block start settles
-    every plan whose witness still approximates it.  Off: every re-pruning
-    searches from scratch.
 ``delta_sets``
     Section 4.2's Δ-set optimization: under unchanged bounds, only newly
     inserted partial plans are joined.  Off: every invocation re-enumerates
     all pairs (``IsFresh`` still deduplicates, so the frontier — and every
     counter except ``pairs_enumerated`` — is unchanged).
-``incremental_pareto``
-    :meth:`repro.core.index.PlanIndex.find_dominating_id` serves unfiltered
-    witness searches from per-bucket Pareto fronts that are built lazily and
-    maintained incrementally across invocations (insertions fold into the
-    front; removing a front member invalidates it for lazy rebuild).  Off:
-    every witness search scans the full bucket.  The *existence* answer is
-    identical either way — every non-front row is dominated by a front row —
-    though the witness identity may differ, which the contract allows.
 ``tracing``
     The observability layer (:mod:`repro.obs`): span creation at the
     instrumented seams (invocation / generate / cost / prune / kernel
@@ -68,9 +54,7 @@ FEATURE_ENV_PREFIX = "REPRO_FEATURE_"
 #: nothing unless asked for), so its ablation cell turns it *on*.
 KNOWN_FLAGS: Dict[str, bool] = {
     "block_costing": True,
-    "witness_cache": True,
     "delta_sets": True,
-    "incremental_pareto": True,
     "tracing": False,
 }
 

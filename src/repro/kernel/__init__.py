@@ -2,10 +2,10 @@
 
 Every hot loop of the optimizer boils down to a handful of primitive
 comparisons between one cost vector and a *block* of cost vectors: "which of
-these plans respect the bounds?", "does any result plan dominate this scaled
-cost?", "which incumbents does the new plan dominate?" -- plus one row-wise
-op, ``rowwise_leq``, that checks a whole block of cached witnesses against
-the block's own scaled costs and the bounds at once.  This package provides
+these plans respect the bounds?", "which incumbents does the new plan
+dominate?" -- plus one block-against-block op, ``covered_positions``, that
+marks every plan of a prune block some incumbent approximates ("which of
+these scaled costs does some result plan dominate?").  This package provides
 those primitives as batch operations over contiguous float storage
 (structure-of-arrays: one ``array('d')`` column per cost metric plus an
 ``array('b')`` liveness bitmap) so that a whole bucket of the plan index or a

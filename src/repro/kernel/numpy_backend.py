@@ -26,10 +26,11 @@ NAME = "numpy"
 #: Below this many rows the pure-Python loops are faster than ufunc dispatch.
 SMALL_BLOCK = 16
 
-#: Fixed tile edge of the :func:`pareto_mask` sweep.  Both broadcast axes are
-#: chunked to this size, so the peak temporary is ``PARETO_TILE**2`` bytes per
-#: dimension regardless of the block size -- a 100k-plan block peaks at the
-#: same few hundred KiB as a 4k one.
+#: Fixed tile edge of the :func:`pareto_mask` sweep and the
+#: :func:`covered_positions` broadcast.  Both broadcast axes are chunked to
+#: this size, so the peak temporary is ``PARETO_TILE**2`` bytes per dimension
+#: regardless of the block size -- a 100k-plan block peaks at the same few
+#: hundred KiB as a 4k one.
 PARETO_TILE = 1024
 
 Columns = Sequence[array]
@@ -87,18 +88,33 @@ def any_leq(columns: Columns, alive: array, vector: Vector) -> bool:
     return bool(_leq_mask(columns, alive, vector).any())
 
 
-def rowwise_leq(columns: Columns, others: Columns, vector: Vector) -> List[int]:
-    """Positions ``i`` where row ``i`` is ``<=`` row ``i`` of ``others`` and
-    ``<= vector``, component-wise (both blocks dense and equally long)."""
-    n = len(columns[0])
+def covered_positions(columns: Columns, others: Columns) -> List[int]:
+    """Ascending positions ``i`` of ``others`` for which some row of
+    ``columns`` is ``<=`` row ``i`` component-wise (both blocks dense).
+
+    Broadcasts rows against positions in :data:`PARETO_TILE` x
+    :data:`PARETO_TILE` tiles, so no temporary exceeds ``PARETO_TILE**2``
+    entries whatever the block sizes.
+    """
+    n = len(others[0])
     if n < SMALL_BLOCK:
-        return _py.rowwise_leq(columns, others, vector)
-    mask = np.ones(n, dtype=np.bool_)
-    for col, other, bound in zip(columns, others, vector):
-        view = _column_view(col)
-        np.logical_and(mask, view <= _column_view(other), out=mask)
-        np.logical_and(mask, view <= bound, out=mask)
-    return np.nonzero(mask)[0].tolist()
+        return _py.covered_positions(columns, others)
+    m = len(columns[0])
+    rows = [_column_view(col)[:, None] for col in columns]
+    targets = [_column_view(other)[None, :] for other in others]
+    covered = np.zeros(n, dtype=np.bool_)
+    for start in range(0, n, PARETO_TILE):
+        stop = min(start + PARETO_TILE, n)
+        hit = covered[start:stop]
+        for row_start in range(0, m, PARETO_TILE):
+            row_stop = min(row_start + PARETO_TILE, m)
+            tile = rows[0][row_start:row_stop] <= targets[0][:, start:stop]
+            for row, target in zip(rows[1:], targets[1:]):
+                np.logical_and(
+                    tile, row[row_start:row_stop] <= target[:, start:stop], out=tile
+                )
+            np.logical_or(hit, tile.any(axis=0), out=hit)
+    return np.nonzero(covered)[0].tolist()
 
 
 def scale_columns(columns: Columns, factor: float) -> List[array]:

@@ -126,45 +126,69 @@ def any_leq(columns: Columns, alive: array, vector: Vector) -> bool:
     return first_leq(columns, alive, vector) != -1
 
 
-def rowwise_leq(columns: Columns, others: Columns, vector: Vector) -> List[int]:
-    """Positions ``i`` where row ``i`` is ``<=`` row ``i`` of ``others`` and
-    ``<= vector``, component-wise.
+def covered_positions(columns: Columns, others: Columns) -> List[int]:
+    """Ascending positions ``i`` of ``others`` for which some row of
+    ``columns`` is ``<=`` row ``i`` component-wise.
 
-    Both blocks are dense (no liveness bitmap) and equally long.  The pruning
-    layer checks a block's cached witnesses with it: row ``i`` of
-    ``columns`` is the witness cost of plan ``i``, row ``i`` of ``others``
-    its ``alpha_r``-scaled cost, and ``vector`` the cost bounds.
+    Both blocks are dense (no liveness bitmap).  The pruning layer marks the
+    plans of a block that an incumbent covers with it: the rows of
+    ``columns`` are incumbent costs, those of ``others`` the block's
+    ``alpha_r``-scaled costs.  Each position first tries the row that
+    covered the previous one -- neighbouring plans of a block tend to share
+    their cover -- and scans every row only when that fails.
     """
+    rows = list(zip(*columns))
+    if not rows:
+        return []
     dims = len(columns)
-    if dims == 1:
-        (c0,), (o0,), (b0,) = columns, others, vector
-        return [i for i in range(len(c0)) if c0[i] <= o0[i] and c0[i] <= b0]
-    if dims == 2:
-        (c0, c1), (o0, o1), (b0, b1) = columns, others, vector
-        return [
-            i
-            for i in range(len(c0))
-            if c0[i] <= o0[i] and c0[i] <= b0 and c1[i] <= o1[i] and c1[i] <= b1
-        ]
-    if dims == 3:
-        (c0, c1, c2), (o0, o1, o2), (b0, b1, b2) = columns, others, vector
-        return [
-            i
-            for i in range(len(c0))
-            if c0[i] <= o0[i]
-            and c0[i] <= b0
-            and c1[i] <= o1[i]
-            and c1[i] <= b1
-            and c2[i] <= o2[i]
-            and c2[i] <= b2
-        ]
     out: List[int] = []
-    for i in range(len(columns[0])):
-        for col, other, bound in zip(columns, others, vector):
-            if col[i] > other[i] or col[i] > bound:
+    append = out.append
+    if dims == 1:
+        (o0,) = others
+        (h0,) = rows[0]
+        for i, x0 in enumerate(o0):
+            if h0 <= x0:
+                append(i)
+                continue
+            for (r0,) in rows:
+                if r0 <= x0:
+                    h0 = r0
+                    append(i)
+                    break
+        return out
+    if dims == 2:
+        o0, o1 = others
+        h0, h1 = rows[0]
+        for i, x0, x1 in zip(range(len(o0)), o0, o1):
+            if h0 <= x0 and h1 <= x1:
+                append(i)
+                continue
+            for r0, r1 in rows:
+                if r0 <= x0 and r1 <= x1:
+                    h0, h1 = r0, r1
+                    append(i)
+                    break
+        return out
+    if dims == 3:
+        o0, o1, o2 = others
+        h0, h1, h2 = rows[0]
+        for i, x0, x1, x2 in zip(range(len(o0)), o0, o1, o2):
+            if h0 <= x0 and h1 <= x1 and h2 <= x2:
+                append(i)
+                continue
+            for r0, r1, r2 in rows:
+                if r0 <= x0 and r1 <= x1 and r2 <= x2:
+                    h0, h1, h2 = r0, r1, r2
+                    append(i)
+                    break
+        return out
+    last = rows[0]
+    for i, target in enumerate(zip(*others)):
+        for row in (last, *rows):
+            if all(r <= x for r, x in zip(row, target)):
+                last = row
+                append(i)
                 break
-        else:
-            out.append(i)
     return out
 
 

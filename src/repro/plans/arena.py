@@ -394,12 +394,28 @@ class PlanArena:
 
     def tombstone(self, plan_id: int) -> None:
         """Mark a discarded plan as dead weight (its row stays addressable)."""
-        slot = plan_id - 1
-        if self.costs.is_alive(slot):
-            self.costs.kill(slot)
-            self._tombstoned += 1
-            self._handles[slot] = None
-            self._cost_cache[slot] = None
+        self.tombstone_ids((plan_id,))
+
+    def tombstone_ids(self, plan_ids: Iterable[int]) -> None:
+        """Tombstone several plans with one :meth:`CostMatrix.kill_slots` call.
+
+        Ends in the state of a :meth:`tombstone` loop: ids that are already
+        dead (or repeated) are skipped.
+        """
+        is_alive = self.costs.is_alive
+        slots = [
+            slot
+            for slot in dict.fromkeys(plan_id - 1 for plan_id in plan_ids)
+            if is_alive(slot)
+        ]
+        if not slots:
+            return
+        self.costs.kill_slots(slots)
+        self._tombstoned += len(slots)
+        handles, cost_cache = self._handles, self._cost_cache
+        for slot in slots:
+            handles[slot] = None
+            cost_cache[slot] = None
 
     # ------------------------------------------------------------------
     # Handles

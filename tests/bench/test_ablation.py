@@ -47,9 +47,7 @@ class TestFeatureRegistry:
         assert set(FEATURES.names()) == {
             "numpy_kernel",
             "block_costing",
-            "witness_cache",
             "delta_sets",
-            "incremental_pareto",
             "frontier_cache",
             "scheduler_policy",
             "tracing",
@@ -136,7 +134,10 @@ class TestFlags:
                 raise RuntimeError("boom")
         assert flags.enabled("delta_sets")
 
-    @pytest.mark.parametrize("name", ["warp_drive", "bounds_bucket", "sql_frontend"])
+    @pytest.mark.parametrize(
+        "name",
+        ["warp_drive", "bounds_bucket", "sql_frontend", "witness_cache", "incremental_pareto"],
+    )
     def test_unknown_flag_raises(self, name):
         with pytest.raises(KeyError, match="unknown feature flag"):
             flags.enabled(name)
@@ -146,7 +147,7 @@ class TestFlags:
     def test_environment_lowering(self):
         code = (
             "from repro import flags; "
-            "assert not flags.enabled('witness_cache'); "
+            "assert not flags.enabled('block_costing'); "
             "assert flags.enabled('delta_sets'); print('ok')"
         )
         proc = subprocess.run(
@@ -155,7 +156,27 @@ class TestFlags:
             text=True,
             env={
                 "PYTHONPATH": str(REPO_ROOT / "src"),
+                "REPRO_FEATURE_BLOCK_COSTING": "0",
+                "PATH": "/usr/bin:/bin",
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+    def test_variables_of_retired_flags_are_ignored(self):
+        code = (
+            "from repro import flags; "
+            "assert flags.known_flags() == ('block_costing', 'delta_sets', 'tracing'); "
+            "print('ok')"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": str(REPO_ROOT / "src"),
                 "REPRO_FEATURE_WITNESS_CACHE": "0",
+                "REPRO_FEATURE_INCREMENTAL_PARETO": "maybe",
                 "PATH": "/usr/bin:/bin",
             },
         )
@@ -217,7 +238,7 @@ class TestAblationSpec:
 # ----------------------------------------------------------------------
 class TestGate:
     def _payload(self, **overrides):
-        """One clean row per registered feature; ``overrides`` edit witness_cache."""
+        """One clean row per registered feature; ``overrides`` edit block_costing."""
         rows = []
         for feature in FEATURES.all():
             row = {
@@ -230,7 +251,7 @@ class TestGate:
                 "work_invariant_ok": True,
                 "gate_floor": feature.gate_floor,
             }
-            if feature.name == "witness_cache":
+            if feature.name == "block_costing":
                 row.update(overrides)
             rows.append(row)
         return {"features": rows}

@@ -126,76 +126,3 @@ class TestRangeQueries:
         retrieved = index.retrieve(bounds, 0)
         expected = [p for p in plans if p.cost[0] <= 40.0]
         assert {p.plan_id for p in retrieved} == {p.plan_id for p in expected}
-
-
-class TestFindDominating:
-    def test_finds_witness_within_bounds_and_resolution(self, index):
-        witness = make_plan([1, 1])
-        index.insert(witness, 0)
-        found = index.find_dominating(
-            CostVector([2, 2]), CostVector.infinite(2), max_resolution=0
-        )
-        assert found is witness
-
-    def test_ignores_plans_above_resolution(self, index):
-        index.insert(make_plan([1, 1]), 2)
-        assert (
-            index.find_dominating(CostVector([2, 2]), CostVector.infinite(2), 1) is None
-        )
-
-    def test_ignores_plans_exceeding_bounds(self, index):
-        index.insert(make_plan([5, 5]), 0)
-        found = index.find_dominating(CostVector([6, 6]), CostVector([4, 4]), 0)
-        assert found is None
-
-    def test_ignores_non_dominating_plans(self, index):
-        index.insert(make_plan([3, 1]), 0)
-        assert index.find_dominating(CostVector([2, 2]), CostVector.infinite(2), 0) is None
-
-    def test_order_filter_is_applied(self, index):
-        ordered = make_plan([1, 1], order="sorted:a")
-        index.insert(ordered, 0)
-        # Order id 0 is "no interesting order": the ordered plan must not count.
-        found = index.find_dominating_id(
-            CostVector([2, 2]), CostVector.infinite(2), 0, order_id=0
-        )
-        assert found == 0
-
-    def test_returns_the_plan_behind_find_dominating_id(self, index):
-        plans = [make_plan([float(i), float(10 - i)]) for i in range(1, 10)]
-        for level, plan in enumerate(plans):
-            index.insert(plan, level % 3)
-        by_id = {plan.plan_id: plan for plan in plans}
-        unbounded = CostVector.infinite(2)
-        outcomes = set()
-        for first in range(0, 11):
-            for second in range(0, 11):
-                for max_resolution in range(3):
-                    target = CostVector([float(first), float(second)])
-                    plan_id = index.find_dominating_id(target, unbounded, max_resolution)
-                    found = index.find_dominating(target, unbounded, max_resolution)
-                    assert found is (by_id[plan_id] if plan_id else None)
-                    outcomes.add(bool(plan_id))
-        assert outcomes == {True, False}
-
-    def test_index_without_plans_has_no_witness(self, index):
-        target, unbounded = CostVector([2, 2]), CostVector.infinite(2)
-        assert index.find_dominating(target, unbounded, 0) is None
-        plan = make_plan([1, 1])
-        index.insert(plan, 0)
-        index.remove(plan)
-        assert index.find_dominating(target, unbounded, 0) is None
-
-    def test_mismatched_dimensionality_is_rejected(self, index):
-        index.insert(make_plan([1, 1]), 0)
-        with pytest.raises(ValueError, match="dimensionality"):
-            index.find_dominating(CostVector([2, 2, 2]), CostVector.infinite(2), 0)
-
-    def test_bucket_pruning_does_not_miss_witnesses(self, index):
-        # Plans with very different first-component magnitudes end up in
-        # different buckets; the dominating one must still be found.
-        cheap = make_plan([0.5, 10.0])
-        index.insert(cheap, 0)
-        index.insert(make_plan([900.0, 1.0]), 0)
-        found = index.find_dominating(CostVector([1.0, 20.0]), CostVector.infinite(2), 0)
-        assert found is cheap

@@ -2,10 +2,9 @@
 
 Covers the satellite checklist items of the batched-kernel refactor: removal
 of the last plan in a bucket, retrieval with infinite bounds, the
-interesting-order restriction of ``find_dominating_id``, the
-infinite-first-component bucket sentinel, and property-based equivalence of
-the kernel-backed retrieval against a scalar brute-force oracle on every
-available backend.
+infinite-first-component bucket sentinel (and how pruning sees it), and
+property-based equivalence of the kernel-backed retrieval against a scalar
+brute-force oracle on every available backend.
 """
 
 import math
@@ -15,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import kernel
 from repro.core.index import INFINITE_BUCKET, PlanIndex
+from repro.core.pruning import PruneOutcome, prune
 from repro.costs.dominance import dominates
 from repro.costs.vector import CostVector
 from repro.plans.operators import ScanOperator
@@ -87,32 +87,10 @@ class TestBucketEdgeCases:
             p.plan_id for r, p in enumerate(plans) if r % 3 == 0
         }
 
-    def test_find_dominating_with_order_filter_skips_incompatible_witnesses(
-        self, backend
-    ):
-        index = PlanIndex()
-        ordered_cheap = make_plan([1.0, 1.0], order="sorted:a")
-        unordered_pricier = make_plan([2.0, 2.0])
-        index.insert(ordered_cheap, 0)
-        index.insert(unordered_pricier, 0)
-        target = CostVector([3.0, 3.0])
-        unbounded = CostVector.infinite(2)
-        # Without an order the cheapest dominating plan wins.
-        assert index.find_dominating(target, unbounded, 0) is ordered_cheap
-        # Order id 0 (no order) must skip the ordered plan but still find the
-        # other one; the ordered plan's own order finds it.
-        assert (
-            index.find_dominating_id(target, unbounded, 0, order_id=0)
-            == unordered_pricier.plan_id
-        )
-        sorted_a = index._arena.order_id_of(ordered_cheap.plan_id)
-        assert (
-            index.find_dominating_id(target, unbounded, 0, order_id=sorted_a)
-            == ordered_cheap.plan_id
-        )
-        # An order no plan provides yields no witness.
-        missing = index._arena.intern_order("sorted:b")
-        assert index.find_dominating_id(target, unbounded, 0, order_id=missing) == 0
+
+def prune_one(result_index, plan, bounds=CostVector.infinite(2)):
+    """Prune one plan against ``result_index`` at resolution 0 (alpha 1)."""
+    return prune(result_index, PlanIndex(), bounds, 0, 1.0, 1, plan)
 
 
 class TestInfiniteCostSentinel:
@@ -139,17 +117,13 @@ class TestInfiniteCostSentinel:
 
     def test_infinite_cost_plan_can_witness_infinite_targets(self, backend):
         index = PlanIndex()
-        unbounded_plan = make_plan([INF, 1.0])
-        index.insert(unbounded_plan, 0)
-        witness = index.find_dominating(
-            CostVector([INF, 2.0]), CostVector.infinite(2), 0
+        index.insert(make_plan([INF, 1.0]), 0)
+        # It approximates a plan with an infinite first component ...
+        assert prune_one(index, make_plan([INF, 2.0])) is (
+            PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
         )
-        assert witness is unbounded_plan
-        # ... but never dominates a finite target.
-        assert (
-            index.find_dominating(CostVector([5.0, 2.0]), CostVector.infinite(2), 0)
-            is None
-        )
+        # ... but never a finite one.
+        assert prune_one(index, make_plan([5.0, 2.0])) is PruneOutcome.INSERTED
 
     def test_infinite_bucket_does_not_shadow_finite_buckets(self, backend):
         # Regression: the old sentinel (-1) sorted the unbounded bucket below
@@ -158,10 +132,10 @@ class TestInfiniteCostSentinel:
         # can prune it under finite bounds without any call-site special case.
         index = PlanIndex()
         index.insert(make_plan([INF, 1.0]), 0)
-        finite = make_plan([5.0, 5.0])
-        index.insert(finite, 0)
-        witness = index.find_dominating(CostVector([6.0, 6.0]), CostVector([7.0, 7.0]), 0)
-        assert witness is finite
+        index.insert(make_plan([5.0, 5.0]), 0)
+        assert prune_one(
+            index, make_plan([6.0, 6.0]), CostVector([7.0, 7.0])
+        ) is PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
 
 
 costs = st.tuples(
@@ -210,29 +184,3 @@ class TestScalarKernelEquivalence:
                 results[name] = [tuple(p.cost) for p in retrieved]
         # Identical cost sequences across backends (plan ids differ per build).
         assert len({tuple(seq) for seq in results.values()}) <= 1
-
-    @settings(max_examples=120)
-    @given(entries, bounds_values, st.integers(min_value=0, max_value=3), costs)
-    def test_find_dominating_matches_scalar_oracle(
-        self, entry_list, bounds, max_resolution, target
-    ):
-        target_vector = CostVector(target)
-        for name in BACKENDS:
-            with kernel.use_backend(name):
-                index = PlanIndex()
-                plans = []
-                for cost, resolution in entry_list:
-                    plan = ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost))
-                    index.insert(plan, resolution)
-                    plans.append((plan, resolution))
-                oracle = any(
-                    resolution <= max_resolution
-                    and dominates(plan.cost, bounds)
-                    and dominates(plan.cost, target_vector)
-                    for plan, resolution in plans
-                )
-                witness = index.find_dominating(target_vector, bounds, max_resolution)
-                assert (witness is not None) == oracle
-                if witness is not None:
-                    assert dominates(witness.cost, bounds)
-                    assert dominates(witness.cost, target_vector)

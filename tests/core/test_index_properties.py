@@ -53,26 +53,6 @@ class TestRetrievalMatchesBruteForce:
         retrieved = {p.plan_id for p in index.retrieve(bounds, max_resolution)}
         assert retrieved == expected
 
-    @settings(max_examples=150)
-    @given(entries, bounds_values, st.integers(min_value=0, max_value=4), costs)
-    def test_find_dominating_agrees_with_oracle(
-        self, entry_list, bounds, max_resolution, target
-    ):
-        index, plans = build_index(entry_list)
-        target_vector = CostVector(target)
-        oracle = any(
-            resolution <= max_resolution
-            and dominates(plan.cost, bounds)
-            and dominates(plan.cost, target_vector)
-            for plan, resolution in plans
-        )
-        witness = index.find_dominating(target_vector, bounds, max_resolution)
-        assert (witness is not None) == oracle
-        if witness is not None:
-            assert dominates(witness.cost, target_vector)
-            assert dominates(witness.cost, bounds)
-            assert index.resolution_of(witness) <= max_resolution
-
     @settings(max_examples=100)
     @given(entries)
     def test_size_and_membership_bookkeeping(self, entry_list):
@@ -119,25 +99,9 @@ def arena_with(costs):
     return arena, ids
 
 
-def materialize_fronts(index):
-    """Build the Pareto front of every bucket (a search nothing satisfies)."""
-    assert index.find_dominating_id((INF, -1.0), (INF, INF), 10) == 0
-
-
-def bucket_fronts(index):
-    return {
-        (level, bucket_id): (
-            None if bucket.front is None else list(bucket.front.live_items())
-        )
-        for level, buckets in index._levels.items()
-        for bucket_id, bucket in buckets.items()
-    }
-
-
 def assert_same_index(actual, expected, ids):
     assert len(actual) == len(expected)
     assert entries_by_level(actual) == entries_by_level(expected)
-    assert bucket_fronts(actual) == bucket_fronts(expected)
     for plan_id in ids:
         assert actual.contains_id(plan_id) == expected.contains_id(plan_id)
         if expected.contains_id(plan_id):
@@ -151,26 +115,22 @@ def assert_same_index(actual, expected, ids):
             )
 
 
-def twin_indexes(arena, ids, levels, fronts):
+def twin_indexes(arena, ids, levels):
     twins = []
     for _ in range(2):
         index = PlanIndex()
         for plan_id, level in zip(ids, levels):
             index.insert_id(plan_id, level, arena)
-        if fronts:
-            materialize_fronts(index)
         twins.append(index)
     return twins
 
 
 class TestBulkMovesMatchOnePlanOperations:
     @settings(max_examples=150)
-    @given(bulk_entries, bulk_bounds, st.integers(min_value=0, max_value=3), st.booleans())
-    def test_drain_equals_retrieve_then_remove(
-        self, entry_list, bounds, max_resolution, fronts
-    ):
+    @given(bulk_entries, bulk_bounds, st.integers(min_value=0, max_value=3))
+    def test_drain_equals_retrieve_then_remove(self, entry_list, bounds, max_resolution):
         arena, ids = arena_with([cost for cost, _ in entry_list])
-        bulk, loop = twin_indexes(arena, ids, [level for _, level in entry_list], fronts)
+        bulk, loop = twin_indexes(arena, ids, [level for _, level in entry_list])
         expected = loop.retrieve_ids(bounds, max_resolution)
         for plan_id in expected:
             loop.remove_id(plan_id)
@@ -182,14 +142,11 @@ class TestBulkMovesMatchOnePlanOperations:
         bulk_entries,
         st.lists(bulk_costs, max_size=30),
         st.integers(min_value=0, max_value=4),
-        st.booleans(),
     )
-    def test_insert_ids_equals_insert_id_loop(self, entry_list, block, level, fronts):
+    def test_insert_ids_equals_insert_id_loop(self, entry_list, block, level):
         arena, ids = arena_with([cost for cost, _ in entry_list] + block)
         seeded, fresh = ids[: len(entry_list)], ids[len(entry_list) :]
-        bulk, loop = twin_indexes(
-            arena, seeded, [level for _, level in entry_list], fronts
-        )
+        bulk, loop = twin_indexes(arena, seeded, [level for _, level in entry_list])
         for plan_id in fresh:
             loop.insert_id(plan_id, level, arena)
         bulk.insert_ids(fresh, level, arena, [list(col) for col in zip(*block)] or None)
@@ -197,19 +154,9 @@ class TestBulkMovesMatchOnePlanOperations:
 
 
 class TestBulkMoveCases:
-    def test_insert_ids_folds_into_a_materialized_front(self):
-        arena, ids = arena_with([(2.0, 2.0), (2.5, 1.0), (2.1, 0.5), (2.2, 2.2), (2.3, 0.1)])
-        bulk, loop = twin_indexes(arena, ids[:2], [0, 0], fronts=True)
-        assert bucket_fronts(bulk)[(0, 1)] == [ids[0], ids[1]]
-        for plan_id in ids[2:]:
-            loop.insert_id(plan_id, 0, arena)
-        bulk.insert_ids(ids[2:], 0, arena)
-        assert bucket_fronts(bulk)[(0, 1)] == [ids[0], ids[2], ids[4]]
-        assert_same_index(bulk, loop, ids)
-
     def test_drain_empties_a_bucket_and_a_whole_level(self):
         arena, ids = arena_with([(1.0, 1.0), (1.2, 1.0), (50.0, 1.0), (1.0, 1.0)])
-        bulk, loop = twin_indexes(arena, ids, [0, 0, 0, 1], fronts=False)
+        bulk, loop = twin_indexes(arena, ids, [0, 0, 0, 1])
         bounds = (10.0, 10.0)
         expected = loop.retrieve_ids(bounds, 1)
         assert expected == [ids[0], ids[1], ids[3]]
@@ -217,13 +164,13 @@ class TestBulkMoveCases:
             loop.remove_id(plan_id)
         assert bulk.drain_ids(bounds, 1) == expected
         assert list(bulk._levels) == [0]
-        assert list(bulk._levels[0]) == [bulk.bucket_of((50.0, 1.0))]
+        assert list(bulk._levels[0]) == [bulk._bucket_of((50.0, 1.0))]
         assert_same_index(bulk, loop, ids)
 
     def test_drain_triggers_one_compaction(self):
         costs = [(1.0, float(k)) for k in range(10)]
         arena, ids = arena_with(costs)
-        bulk, loop = twin_indexes(arena, ids, [0] * 10, fronts=True)
+        bulk, loop = twin_indexes(arena, ids, [0] * 10)
         bounds = (INF, 5.0)
         expected = loop.retrieve_ids(bounds, 0)
         for plan_id in expected:
@@ -233,6 +180,5 @@ class TestBulkMoveCases:
         # Six tombstones outnumber four survivors: compacted once, in order.
         assert bucket.matrix.dead_count == 0
         assert bucket.items == ids[6:]
-        assert bucket.front is None  # the removed champion invalidated it
         assert_same_index(bulk, loop, ids)
         assert [bulk._locations[plan_id][2] for plan_id in ids[6:]] == [0, 1, 2, 3]

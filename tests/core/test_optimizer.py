@@ -155,6 +155,39 @@ class TestIncrementalInvariants:
         )
 
 
+class TestDiscardBookkeeping:
+    def test_discarded_plans_are_tombstoned_once_per_block(self, monkeypatch):
+        from repro.core import optimizer as optimizer_module
+        from repro.core.pruning import PruneOutcome
+        from repro.plans.arena import PlanArena
+
+        blocks, tombstoned = [], []
+        prune_all_ids = optimizer_module.prune_all_ids
+        tombstone_ids = PlanArena.tombstone_ids
+
+        def spy_prune(*args, **kwargs):
+            outcomes = prune_all_ids(*args, **kwargs)
+            blocks.append(outcomes.count(PruneOutcome.DISCARDED))
+            return outcomes
+
+        def spy_tombstone(arena, plan_ids):
+            plan_ids = list(plan_ids)
+            tombstoned.append(plan_ids)
+            return tombstone_ids(arena, plan_ids)
+
+        monkeypatch.setattr(optimizer_module, "prune_all_ids", spy_prune)
+        monkeypatch.setattr(PlanArena, "tombstone_ids", spy_tombstone)
+        optimizer, factory = make_optimizer()
+        # At the maximal resolution every approximated plan is discarded.
+        report = optimizer.optimize(
+            unbounded(factory), resolution=optimizer.schedule.max_resolution
+        )
+        assert report.plans_discarded > 0
+        assert [len(ids) for ids in tombstoned] == [n for n in blocks if n]
+        assert report.arena_plans_tombstoned == report.plans_discarded
+        assert all(factory.arena.is_tombstoned(i) for ids in tombstoned for i in ids)
+
+
 class TestBoundsHandling:
     def test_out_of_bounds_plans_are_parked_not_lost(self):
         optimizer, factory = make_optimizer()

@@ -146,53 +146,3 @@ class TestInterestingOrders:
         ordered = make_plan([1.5, 1.5], order="sorted:a")
         outcome = run_prune(indexes, ordered, alpha=2.0, respect_orders=False)
         assert outcome is PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
-
-
-class TestWitnessCache:
-    def test_witness_recorded_on_deferral(self, indexes):
-        witnesses = {}
-        anchor = make_plan([1, 1])
-        run_prune(indexes, anchor, alpha=1.5, witnesses=witnesses)
-        deferred = make_plan([1.2, 1.2])
-        run_prune(indexes, deferred, alpha=1.5, witnesses=witnesses)
-        assert witnesses[deferred.plan_id] is anchor
-
-    def test_witness_cleared_on_insertion(self, indexes):
-        witnesses = {}
-        # The anchor trades off against the deferred plan (it does not dominate
-        # it outright), so only the coarse precision factor lets it approximate.
-        anchor = make_plan([1, 1.3])
-        run_prune(indexes, anchor, alpha=1.5, witnesses=witnesses)
-        deferred = make_plan([1.2, 1.2])
-        run_prune(indexes, deferred, alpha=1.5, witnesses=witnesses)
-        assert witnesses[deferred.plan_id] is anchor
-        indexes[1].remove(deferred)
-        # At a finer precision the witness no longer approximates the plan, so
-        # it gets inserted and its witness entry removed.
-        outcome = run_prune(indexes, deferred, resolution=1, alpha=1.01, witnesses=witnesses)
-        assert outcome is PruneOutcome.INSERTED
-        assert deferred.plan_id not in witnesses
-
-    def test_witness_cache_gives_same_outcome(self, indexes):
-        anchor = make_plan([1, 1])
-        deferred = make_plan([1.2, 1.2])
-        witnesses = {}
-        run_prune(indexes, anchor, alpha=1.5, witnesses=witnesses)
-        run_prune(indexes, deferred, alpha=1.5, witnesses=witnesses)
-        indexes[1].remove(deferred)
-        with_cache = run_prune(
-            indexes, deferred, resolution=1, alpha=1.5, witnesses=witnesses
-        )
-        # Without the cache (fresh dict) the outcome must be identical.
-        other_result, other_cand = PlanIndex(), PlanIndex()
-        other_result.insert(anchor, 0)
-        no_cache = prune(
-            result_index=other_result,
-            candidate_index=other_cand,
-            bounds=UNBOUNDED,
-            resolution=1,
-            alpha=1.5,
-            max_resolution=2,
-            plan=deferred,
-        )
-        assert with_cache is no_cache

@@ -83,13 +83,6 @@ class TestDominanceOps:
         matrix = CostMatrix.from_vectors([(1, 1), (inf, 2)])
         assert matrix.dominated_slots((inf, inf)) == [0, 1]
 
-    def test_any_and_first_dominating(self):
-        matrix = CostMatrix.from_vectors([(3, 3), (1, 1), (2, 2)])
-        assert matrix.any_dominating((2, 2))
-        assert matrix.first_dominating((2, 2)) == 1
-        assert not matrix.any_dominating((0.5, 0.5))
-        assert matrix.first_dominating((0.5, 0.5)) == -1
-
     def test_dominated_by_slots(self):
         matrix = CostMatrix.from_vectors([(1, 1), (3, 3), (2, 0.5)])
         assert matrix.dominated_by_slots((2, 2)) == [1]

@@ -3,7 +3,7 @@
 Every backend (pure Python, and numpy where it is installed) must
 implement the full kernel op surface --
 ``leq_slots`` / ``geq_slots`` / ``first_leq`` / ``any_leq`` /
-``rowwise_leq`` / ``scale_columns`` / ``take`` / ``combine_columns`` /
+``covered_positions`` / ``scale_columns`` / ``take`` / ``combine_columns`` /
 ``pareto_mask`` --
 bit-identically.  This module pins that contract once, parametrized over the
 backends that can load on this machine, instead of the per-backend test
@@ -127,23 +127,26 @@ def oracle_pareto(rows, alive):
 
 
 @st.composite
-def row_pairs(draw, max_rows=60):
-    """Two equally long dense blocks plus a bound vector, with ties."""
+def row_blocks(draw, max_rows=40):
+    """Two dense blocks of independent lengths (either may be empty), with
+    ties and +inf."""
     dims = draw(st.integers(min_value=1, max_value=4))
     value = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), finite_or_inf)
     row = st.tuples(*([value] * dims))
-    pairs = draw(st.lists(st.tuples(row, row), max_size=max_rows))
-    vector = draw(row)
-    left = [array("d", (pair[0][k] for pair in pairs)) for k in range(dims)]
-    right = [array("d", (pair[1][k] for pair in pairs)) for k in range(dims)]
-    return left, right, vector, pairs
+    rows = draw(st.lists(row, max_size=max_rows))
+    others_rows = draw(st.lists(row, max_size=max_rows))
+    return dense(rows, dims), dense(others_rows, dims), rows, others_rows
 
 
-def oracle_rowwise_leq(pairs, vector):
+def dense(rows, dims):
+    return [array("d", (row[k] for row in rows)) for k in range(dims)]
+
+
+def oracle_covered(rows, others_rows):
     return [
         i
-        for i, (row, other) in enumerate(pairs)
-        if all(x <= y and x <= v for x, y, v in zip(row, other, vector))
+        for i, other in enumerate(others_rows)
+        if any(all(x <= y for x, y in zip(row, other)) for row in rows)
     ]
 
 
@@ -164,6 +167,10 @@ CUTOFF_SIZES = (0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 4 * SMALL_B
 #: Metric counts: the Python loops specialise one to three metrics and fall
 #: back to a generic loop for more.
 CUTOFF_DIMS = (1, 2, 3, 4)
+
+#: Block lengths of the ``covered_positions`` cases: empty, one row, both
+#: sides of the small-block cutoff, and one vectorised block.
+COVER_SIZES = (0, 1, SMALL_BLOCK - 1, SMALL_BLOCK + 1, 64)
 
 
 def cutoff_blocks():
@@ -230,31 +237,13 @@ class TestDominanceOps:
                 assert kernel.ops.any_leq(columns, alive_flags, vector) == bool(hits)
 
     @settings(max_examples=200)
-    @given(row_pairs())
-    def test_rowwise_leq_matches_oracle_on_every_backend(self, case):
-        left, right, vector, pairs = case
-        expected = oracle_rowwise_leq(pairs, vector)
+    @given(row_blocks())
+    def test_covered_positions_match_oracle_on_every_backend(self, case):
+        columns, others, rows, others_rows = case
+        expected = oracle_covered(rows, others_rows)
         for backend in BACKENDS:
             with kernel.use_backend(backend):
-                assert kernel.ops.rowwise_leq(left, right, vector) == expected
-
-    @pytest.mark.parametrize("size", [0, 5, 300])  # empty, small, vectorised
-    def test_rowwise_leq_ties_and_inf_on_every_backend(self, size):
-        rng = random.Random(size)
-        choices = [0.0, 1.0, 2.0, math.inf]
-        pairs = [
-            tuple(tuple(rng.choice(choices) for _ in range(3)) for _ in range(2))
-            for _ in range(size)
-        ]
-        left = [array("d", (pair[0][k] for pair in pairs)) for k in range(3)]
-        right = [array("d", (pair[1][k] for pair in pairs)) for k in range(3)]
-        for vector in ((2.0, 2.0, 2.0), (math.inf,) * 3):
-            expected = oracle_rowwise_leq(pairs, vector)
-            if size:
-                assert expected  # ties and +inf rows do pass
-            for backend in BACKENDS:
-                with kernel.use_backend(backend):
-                    assert kernel.ops.rowwise_leq(left, right, vector) == expected
+                assert kernel.ops.covered_positions(columns, others) == expected
 
     @settings(max_examples=200)
     @given(matrices())
@@ -340,21 +329,27 @@ class TestCutoffBoundaries:
                     ), (len(columns), len(rows), vector)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rowwise_leq(self, backend):
+    def test_covered_positions(self, backend):
+        levels = [0.0, 1.0, 2.0, 3.0, math.inf, -math.inf]
         with kernel.use_backend(backend):
-            for columns, _, rows, _ in cutoff_blocks():
-                # Pair every row with its successor: ties, dominance both
-                # ways and incomparable pairs all occur.
-                others_rows = rows[1:] + rows[:1]
-                others = [
-                    array("d", (row[k] for row in others_rows))
-                    for k in range(len(columns))
-                ]
-                pairs = list(zip(rows, others_rows))
-                for vector in cutoff_vectors(len(columns)):
-                    assert kernel.ops.rowwise_leq(columns, others, vector) == (
-                        oracle_rowwise_leq(pairs, vector)
-                    ), (len(columns), len(rows), vector)
+            for dims in (1, 2, 3):
+                for size in COVER_SIZES:
+                    rng = random.Random(100 * dims + size)
+                    others_rows = [
+                        tuple(rng.choice(levels) for _ in range(dims))
+                        for _ in range(size)
+                    ]
+                    others = dense(others_rows, dims)
+                    # An empty block, then copies of the first positions
+                    # (ties) plus as many random rows, +inf and -inf included.
+                    for count in (0, 1, 2, 5):
+                        rows = others_rows[:count] + [
+                            tuple(rng.choice(levels) for _ in range(dims))
+                            for _ in range(count)
+                        ]
+                        assert kernel.ops.covered_positions(
+                            dense(rows, dims), others
+                        ) == oracle_covered(rows, others_rows), (dims, size, count)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pareto_mask(self, backend):
@@ -451,6 +446,121 @@ class TestParetoLargeBlocks:
             expected = kernel.ops.pareto_mask(columns, alive)
         with kernel.use_backend("numpy"):
             assert kernel.ops.pareto_mask(columns, alive) == expected
+
+
+class TestCoveredPositionsTiles:
+    """The numpy cover pass broadcasts rows against positions in tiles; a
+    row in one tile must cover positions in every other."""
+
+    def test_positions_beyond_the_first_tile(self):
+        if not HAVE_NUMPY:
+            pytest.skip("numpy not available")
+        from repro.kernel import numpy_backend
+
+        size = numpy_backend.PARETO_TILE * 2 + 5
+        others_rows = [(float(i % 97), float(size - i)) for i in range(size)]
+        rows = [(50.0, 1000.0), (0.0, 2040.0), (96.0, 0.0)]
+        expected = oracle_covered(rows, others_rows)
+        assert 0 < len(expected) < size
+        with kernel.use_backend("numpy"):
+            assert kernel.ops.covered_positions(
+                dense(rows, 2), dense(others_rows, 2)
+            ) == expected
+
+    def test_both_tile_axes_are_stitched(self, monkeypatch):
+        if not HAVE_NUMPY:
+            pytest.skip("numpy not available")
+        from repro.kernel import numpy_backend
+
+        monkeypatch.setattr(numpy_backend, "PARETO_TILE", SMALL_BLOCK)
+        rng = random.Random(3)
+        levels = [0.0, 1.0, 2.0, 3.0, math.inf]
+        others_rows = [
+            tuple(rng.choice(levels) for _ in range(3))
+            for _ in range(3 * SMALL_BLOCK + 5)
+        ]
+        # The first row tile alone covers some positions, the second row
+        # tile others.
+        rows = [(1.0, 0.0, 2.0)] + [(3.0, 3.0, 0.0)] * (SMALL_BLOCK + 2)
+        expected = oracle_covered(rows, others_rows)
+        assert 0 < len(expected) < len(others_rows)
+        with kernel.use_backend("numpy"):
+            assert kernel.ops.covered_positions(
+                dense(rows, 3), dense(others_rows, 3)
+            ) == expected
+
+
+class TestCoveredPositionsProperties:
+    """Properties of ``covered_positions`` beyond the oracle cases."""
+
+    @staticmethod
+    def blocks(dims, rows_count, positions, seed):
+        rng = random.Random(seed)
+        levels = [0.0, 1.0, 2.0, 3.0, 5.0, math.inf]
+        rows = [tuple(rng.choice(levels) for _ in range(dims)) for _ in range(rows_count)]
+        others_rows = [
+            tuple(rng.choice(levels) for _ in range(dims)) for _ in range(positions)
+        ]
+        return rows, others_rows
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_row_order_does_not_change_the_answer(self, backend):
+        # The python op starts each position at the row that covered the
+        # previous one; which row that is must not change the result.
+        with kernel.use_backend(backend):
+            for dims in (1, 2, 3, 4):
+                rows, others_rows = self.blocks(dims, 9, 4 * SMALL_BLOCK, dims)
+                others = dense(others_rows, dims)
+                expected = kernel.ops.covered_positions(dense(rows, dims), others)
+                for shift in range(1, len(rows)):
+                    rotated = rows[shift:] + rows[:shift]
+                    assert kernel.ops.covered_positions(
+                        dense(rotated, dims), others
+                    ) == expected, (dims, shift)
+                    assert kernel.ops.covered_positions(
+                        dense(rotated[::-1], dims), others
+                    ) == expected, (dims, shift)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_row_equals_geq_slots(self, backend):
+        # With one row, "some row covers position i" is "position i >= row".
+        with kernel.use_backend(backend):
+            for dims in (1, 2, 3, 4):
+                rows, others_rows = self.blocks(dims, 1, 4 * SMALL_BLOCK, 10 + dims)
+                others = dense(others_rows, dims)
+                alive = array("b", [1] * len(others_rows))
+                assert kernel.ops.covered_positions(
+                    dense(rows, dims), others
+                ) == kernel.ops.geq_slots(others, alive, rows[0]), dims
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_generic_path_beyond_three_metrics(self, backend):
+        with kernel.use_backend(backend):
+            for dims in (4, 5):
+                for positions in (SMALL_BLOCK - 1, 4 * SMALL_BLOCK):
+                    rows, others_rows = self.blocks(dims, 6, positions, 20 + dims)
+                    rows.append(others_rows[-1])  # a tie
+                    assert kernel.ops.covered_positions(
+                        dense(rows, dims), dense(others_rows, dims)
+                    ) == oracle_covered(rows, others_rows), (dims, positions)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_many_rows_against_few_positions(self, backend):
+        with kernel.use_backend(backend):
+            for positions in (SMALL_BLOCK - 1, SMALL_BLOCK + 1):
+                rows, others_rows = self.blocks(3, 3 * SMALL_BLOCK, positions, 40)
+                assert kernel.ops.covered_positions(
+                    dense(rows, 3), dense(others_rows, 3)
+                ) == oracle_covered(rows, others_rows), positions
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_inputs_are_left_unchanged(self, backend):
+        rows, others_rows = self.blocks(3, 20, 4 * SMALL_BLOCK, 30)
+        columns, others = dense(rows, 3), dense(others_rows, 3)
+        before = [column.tobytes() for column in columns + others]
+        with kernel.use_backend(backend):
+            kernel.ops.covered_positions(columns, others)
+        assert [column.tobytes() for column in columns + others] == before
 
 
 # ----------------------------------------------------------------------

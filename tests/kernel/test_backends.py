@@ -103,3 +103,27 @@ class TestEnvironmentResolution:
         assert kernel.BACKEND_ENV_VAR in completed.stderr
         assert "fortran" in completed.stderr
         assert f"expected one of {kernel.BACKEND_NAMES}" in completed.stderr
+
+
+class TestPurePythonPath:
+    def test_a_python_backend_session_never_imports_numpy(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.api import OptimizeRequest, open_session\n"
+            "open_session(OptimizeRequest(workload='gen:clique:4:0', "
+            "algorithm='iama', levels=3, scale='tiny')).run()\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "print('ok')\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, kernel.BACKEND_ENV_VAR: "python"},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "ok"

@@ -7,7 +7,7 @@ from repro.api import OptimizeRequest, open_session
 from repro.obs import trace as obs_trace
 
 
-def test_every_prune_block_span_splits_into_cached_and_searched():
+def test_every_prune_block_span_reports_incumbents_and_uncovered():
     obs_trace.clear()
     try:
         with flags.overrides(tracing=True):
@@ -25,8 +25,35 @@ def test_every_prune_block_span_splits_into_cached_and_searched():
         obs_trace.clear()
     assert spans
     for attrs in spans:
-        assert attrs["cached"] + attrs["searched"] == attrs["block_size"]
-    # Re-pruned candidates are settled by their cached witnesses; fresh
-    # plans have none and are searched.
-    assert sum(attrs["cached"] for attrs in spans) > 0
-    assert sum(attrs["searched"] for attrs in spans) > 0
+        assert 0 <= attrs["uncovered"] <= attrs["block_size"]
+        assert attrs["incumbents"] >= 0
+    # Re-pruned candidates meet the result plans that deferred them, and the
+    # cover pass settles some of them without the in-order walk.
+    assert any(
+        attrs["incumbents"] > 0 and attrs["uncovered"] < attrs["block_size"]
+        for attrs in spans
+    )
+
+
+def test_the_walk_visits_exactly_the_inserted_and_out_of_bounds_plans():
+    obs_trace.clear()
+    try:
+        with flags.overrides(tracing=True):
+            result = open_session(
+                OptimizeRequest(
+                    workload="gen:chain:5:0", algorithm="iama", levels=3, scale="tiny"
+                )
+            ).run()
+        uncovered = sum(
+            span["attrs"]["uncovered"]
+            for span in obs_trace.snapshot()
+            if span["name"] == "pruning.prune_block"
+        )
+    finally:
+        obs_trace.clear()
+    # A plan no incumbent covers is either inserted or above the bounds.
+    decided = sum(
+        invocation.details["plans_inserted"] + invocation.details["plans_out_of_bounds"]
+        for invocation in result.invocations
+    )
+    assert uncovered == decided > 0

@@ -188,6 +188,67 @@ class TestTombstoning:
         arena.tombstone(plan_id)
         assert arena.stats().plans_tombstoned == 1
 
+    def test_tombstone_ids_equals_a_tombstone_loop(self):
+        arenas = []
+        for _ in range(2):
+            arena = PlanArena(2)
+            ids = [scan_id(arena, cost=(float(i), 1.0)) for i in range(6)]
+            for plan_id in ids:
+                arena.plan(plan_id)
+                arena.cost_of(plan_id)
+            arena.tombstone(ids[1])
+            arenas.append((arena, ids))
+        (bulk, ids), (loop, _) = arenas
+        # An already dead id, a repeat and live ids, out of order.
+        block = [ids[4], ids[1], ids[2], ids[4], ids[0]]
+        bulk.tombstone_ids(block)
+        for plan_id in block:
+            loop.tombstone(plan_id)
+        assert bulk.stats() == loop.stats()
+        assert bulk.stats().plans_tombstoned == 4
+
+        def state(arena):
+            return (
+                [arena.is_tombstoned(plan_id) for plan_id in ids],
+                [arena.cost_row(plan_id) for plan_id in ids],
+                [handle is None for handle in arena._handles],
+                [cost is None for cost in arena._cost_cache],
+            )
+
+        assert state(bulk) == state(loop)
+        cleared = [True, True, True, False, True, False]
+        assert state(bulk)[2] == state(bulk)[3] == cleared
+
+    def test_tombstone_ids_accepts_a_one_shot_iterator(self):
+        arena = PlanArena(2)
+        ids = [scan_id(arena, cost=(float(i), 1.0)) for i in range(4)]
+        arena.tombstone_ids(plan_id for plan_id in ids if plan_id % 2)
+        assert [arena.is_tombstoned(plan_id) for plan_id in ids] == [
+            True,
+            False,
+            True,
+            False,
+        ]
+        assert arena.stats().plans_tombstoned == 2
+
+    def test_tombstone_ids_clears_weak_handles(self):
+        arena = PlanArena(2, weak_handles=True)
+        ids = [scan_id(arena, cost=(float(i), 1.0)) for i in range(3)]
+        held = [arena.plan(plan_id) for plan_id in ids]
+        arena.tombstone_ids(ids[:2])
+        assert arena._handles[:2] == [None, None]
+        assert arena._handles[2]() is held[2]
+        assert arena.stats().plans_live == 1
+
+    def test_tombstone_ids_of_nothing_live_changes_nothing(self):
+        arena = PlanArena(2)
+        plan_id = scan_id(arena)
+        arena.tombstone(plan_id)
+        before = arena.stats()
+        arena.tombstone_ids([])
+        arena.tombstone_ids([plan_id, plan_id])
+        assert arena.stats() == before
+
 
 class TestWeakDefaultArena:
     """Directly constructed plans must stay garbage-collectable."""

@@ -150,8 +150,6 @@ class TestMatrixRoundTrip:
         bounds = (6.0, 6.0, 6.0)
         with kernel.use_backend(backend):
             assert clone.pareto_mask() == matrix.pareto_mask()
-            assert clone.first_dominating(probe) == matrix.first_dominating(probe)
-            assert clone.any_dominating(probe) == matrix.any_dominating(probe)
             assert clone.dominated_by_slots(probe) == matrix.dominated_by_slots(probe)
             assert clone.dominated_slots(bounds) == matrix.dominated_slots(bounds)
 
