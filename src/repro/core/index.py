@@ -45,9 +45,15 @@ Algorithm 2 lines 8-11).  The optimizer moves candidates in bulk:
 :meth:`drain_ids` removes exactly what :meth:`retrieve_ids` returns, one
 tombstone pass and at most one compaction per bucket, and :meth:`insert_ids`
 registers a block with the outcome of registering its plans one at a time
-(bucket creation order, slot order).  Each direction has one path:
-:meth:`insert_id` is a one-plan :meth:`insert_ids`, and :meth:`remove_id` --
-used only by the object API (:meth:`remove`, :meth:`discard`) -- removes a
+(bucket creation order, slot order).  Blocks move by *bucket run*:
+:meth:`drain_ids` also returns the ``(bucket id, count)`` run each drained
+bucket contributed, and :meth:`insert_ids` extends each bucket by a column
+slice per run, so a re-parked plan's bucket id is not recomputed; a fresh
+block is grouped into runs first.  Every plan of a run maps to one shared
+``(level, bucket id)`` location, which compaction leaves valid.  Each
+direction has one path: :meth:`insert_id` is a one-plan :meth:`insert_ids`,
+and :meth:`remove_id` -- used only by the object API (:meth:`remove`,
+:meth:`discard`) -- finds its slot by scanning its bucket and removes a
 one-slot batch the way :meth:`drain_ids` removes each bucket's batch.
 """
 
@@ -55,7 +61,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.costs.matrix import CostBlock
@@ -69,6 +74,8 @@ from repro.plans.plan import Plan
 INFINITE_BUCKET = math.inf
 
 _BucketId = Union[int, float]
+#: ``(bucket id, count)``: that many consecutive plans of one bucket.
+_Run = Tuple[_BucketId, int]
 
 
 @dataclass(frozen=True)
@@ -99,8 +106,8 @@ class PlanIndex:
         self._arena: Optional[PlanArena] = None
         # resolution level -> bucket id -> bucket (insertion-ordered dicts)
         self._levels: Dict[int, Dict[_BucketId, CostBlock[int]]] = {}
-        # plan id -> (resolution, bucket, slot) for O(1) removal bookkeeping
-        self._locations: Dict[int, Tuple[int, _BucketId, int]] = {}
+        # plan id -> (resolution, bucket), one tuple shared per registered run
+        self._locations: Dict[int, Tuple[int, _BucketId]] = {}
 
     # ------------------------------------------------------------------
     # Bucketing
@@ -159,6 +166,7 @@ class PlanIndex:
         resolution: int,
         arena: Optional[PlanArena] = None,
         cost_columns: Optional[Sequence[Sequence[float]]] = None,
+        runs: Optional[Sequence[_Run]] = None,
     ) -> None:
         """Register a block of plan ids, all at the same resolution level.
 
@@ -166,13 +174,20 @@ class PlanIndex:
         order: buckets are created in the order their first plan appears,
         and each bucket's new slots follow block order.  ``cost_columns``
         may carry the block's cost rows column-wise, parallel to
-        ``plan_ids``.  The arena and duplicate-id checks run for the whole
-        block before anything is registered.
+        ``plan_ids``.  ``runs`` may split the block into consecutive
+        ``(bucket id, count)`` runs (:meth:`drain_ids`), so that no bucket
+        id is recomputed.  The arena, duplicate-id and run checks run for
+        the whole block before anything is registered.
         """
         if not plan_ids:
             return
         if resolution < 0:
             raise ValueError("resolution must be non-negative")
+        if runs is not None and (
+            sum(count for _, count in runs) != len(plan_ids)
+            or min(count for _, count in runs) < 1
+        ):
+            raise ValueError(f"runs do not split the {len(plan_ids)}-plan block")
         if arena is not None:
             self._adopt_arena(arena)
         owner = self._require_arena()
@@ -191,7 +206,28 @@ class PlanIndex:
                 [column[plan_id - 1] for plan_id in plan_ids]
                 for column in owner.costs.columns
             ]
-        # Group block positions by bucket, in order of first appearance.
+        if runs is None:
+            plan_ids, cost_columns, runs = self._bucket_runs(plan_ids, cost_columns)
+        level = self._levels.setdefault(resolution, {})
+        start = 0
+        for bucket_id, count in runs:
+            stop = start + count
+            bucket = level.get(bucket_id)
+            if bucket is None:
+                bucket = level[bucket_id] = CostBlock(owner.dimensions)
+            ids = plan_ids[start:stop]
+            bucket.extend([column[start:stop] for column in cost_columns], ids)
+            locations.update(dict.fromkeys(ids, (resolution, bucket_id)))
+            start = stop
+
+    def _bucket_runs(
+        self, plan_ids: Sequence[int], cost_columns: Sequence[Sequence[float]]
+    ) -> Tuple[Sequence[int], Sequence[Sequence[float]], List[_Run]]:
+        """Group a fresh block by bucket, in order of first appearance.
+
+        Returns the block's ids and cost columns reordered bucket by bucket
+        (block order within each bucket) and one run per bucket.
+        """
         bucket_of_first = self._bucket_of_first
         groups: Dict[_BucketId, List[int]] = {}
         for position, first in enumerate(cost_columns[0]):
@@ -201,28 +237,15 @@ class PlanIndex:
                 groups[bucket_id] = [position]
             else:
                 group.append(position)
-        level = self._levels.setdefault(resolution, {})
-        for bucket_id, positions in groups.items():
-            bucket = level.get(bucket_id)
-            if bucket is None:
-                bucket = CostBlock(owner.dimensions)
-                level[bucket_id] = bucket
-            ids = [plan_ids[position] for position in positions]
-            rows = [
-                [column[position] for position in positions]
-                for column in cost_columns
+        if len(groups) > 1:
+            order = [position for group in groups.values() for position in group]
+            plan_ids = [plan_ids[position] for position in order]
+            cost_columns = [
+                [column[position] for position in order] for column in cost_columns
             ]
-            slot = bucket.extend(rows, ids)
-            locations.update(
-                zip(
-                    ids,
-                    zip(
-                        repeat(resolution),
-                        repeat(bucket_id),
-                        range(slot, slot + len(ids)),
-                    ),
-                )
-            )
+        return plan_ids, cost_columns, [
+            (bucket_id, len(group)) for bucket_id, group in groups.items()
+        ]
 
     def remove(self, plan: Plan) -> None:
         """Remove a previously registered plan."""
@@ -233,16 +256,20 @@ class PlanIndex:
         self.remove_id(plan.plan_id)
 
     def remove_id(self, plan_id: int) -> None:
-        """Remove the plan with the given arena id."""
+        """Remove the plan with the given arena id (found by a bucket scan)."""
         location = self._locations.get(plan_id)
         if location is None:
             raise KeyError(f"plan {plan_id} is not registered in this index")
-        resolution, bucket_id, slot = location
-        self._remove_slots(resolution, bucket_id, [slot])
+        resolution, bucket_id = location
+        bucket = self._levels[resolution][bucket_id]
+        self._remove_slots(resolution, bucket_id, [bucket.items.index(plan_id)])
 
-    def drain_ids(self, bounds: Sequence[float], max_resolution: int) -> List[int]:
+    def drain_ids(
+        self, bounds: Sequence[float], max_resolution: int
+    ) -> Tuple[List[int], List[_Run]]:
         """Remove and return the plans ``retrieve_ids(bounds, max_resolution)``
-        returns, in the same order.
+        returns, in the same order, with the ``(bucket id, count)`` run each
+        drained bucket contributed, in drain order.
 
         The bulk move of candidate reconsideration (Algorithm 2, lines 8-11:
         every retrieved candidate leaves the set and is re-pruned).  Each
@@ -251,6 +278,7 @@ class PlanIndex:
         """
         bound_bucket = self._bucket_of(bounds)
         result: List[int] = []
+        runs: List[_Run] = []
         for resolution in range(0, max_resolution + 1):
             buckets = self._levels.get(resolution)
             if not buckets:
@@ -261,7 +289,8 @@ class PlanIndex:
                 slots = bucket.matrix.dominated_slots(bounds)
                 if slots:
                     result.extend(self._remove_slots(resolution, bucket_id, slots))
-        return result
+                    runs.append((bucket_id, len(slots)))
+        return result, runs
 
     def _remove_slots(
         self, resolution: int, bucket_id: _BucketId, slots: Sequence[int]
@@ -285,9 +314,7 @@ class PlanIndex:
                 del self._levels[resolution]
             return removed
         bucket.kill_slots(slots)
-        if bucket.compact_if_needed() is not None:
-            for new_slot, survivor in enumerate(bucket.items):
-                locations[survivor] = (resolution, bucket_id, new_slot)
+        bucket.compact_if_needed()
         return removed
 
     def discard(self, plan: Plan) -> bool:

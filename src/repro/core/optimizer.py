@@ -11,7 +11,8 @@ subset ``q`` (Theorems 1 and 2).  The two phases are:
    re-park it as a candidate for a higher resolution, or discard it.  Each
    candidate set is drained with one bulk move
    (:meth:`~repro.core.index.PlanIndex.drain_ids`) and re-pruned as one block,
-   whose re-parked plans return with one bulk insertion per level.
+   whose re-parked plans return to their buckets by run, with one bulk
+   insertion per level.
 2. **Fresh plan generation** (lines 13-22): for every table subset of
    increasing cardinality and every split into two parts, fresh combinations
    of result sub-plans are generated (one per applicable join operator,
@@ -48,7 +49,7 @@ import time
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro import flags
 from repro.costs.dominance import dominates
@@ -380,7 +381,7 @@ class IncrementalOptimizer:
         for tables, candidate_index in list(
             self._state.populated_candidate_sets().items()
         ):
-            retrievable = candidate_index.drain_ids(bounds, resolution)
+            retrievable, runs = candidate_index.drain_ids(bounds, resolution)
             counters.candidate_retrievals += len(retrievable)
             self._prune_block(
                 tables,
@@ -390,6 +391,7 @@ class IncrementalOptimizer:
                 alpha,
                 max_resolution,
                 inserted_now,
+                runs,
             )
 
     def _generate_fresh_plans(
@@ -470,8 +472,10 @@ class IncrementalOptimizer:
         alpha: float,
         max_resolution: int,
         inserted_now: Dict[TableSet, List[int]],
+        runs: Optional[List[Tuple[float, int]]] = None,
     ) -> None:
-        """Prune a block of plan ids, all of table set ``tables``, in order."""
+        """Prune a block of plan ids, all of table set ``tables``, in order
+        (``runs``: the bucket runs of a drained candidate block)."""
         if not plan_ids:
             return
         arena = self._factory.arena
@@ -486,6 +490,7 @@ class IncrementalOptimizer:
             arena=arena,
             plan_ids=plan_ids,
             respect_orders=self._respect_orders,
+            runs=runs,
         )
         inserted = outcomes.count(PruneOutcome.INSERTED)
         if inserted:

@@ -42,19 +42,23 @@ and index states equal those of pruning each plan in block order:
    cannot see are the block's own result inserts, which happen at ``r`` and
    within the bounds.  So the remaining plans are visited in block order: a
    plan above the bounds is out of bounds, any other is inserted into the
-   result set at once, and one more kernel call marks the later plans it
-   approximates.
+   result set at once.  A liveness bitmap marks the pending plans still
+   undecided; after each insert one kernel call (``geq_slots``) over it
+   returns the live plans the new incumbent approximates.
 3. **Register candidates at block end.**  Deferred plans (at ``r + 1``) and
    out-of-bounds plans (at ``r``) enter the candidate set with one
    :meth:`~repro.core.index.PlanIndex.insert_ids` call per level, in block
    order.  Delaying them is exact because pruning never reads the candidate
-   set.
+   set.  A drained block's bucket runs are restricted to the registered
+   plans, one bisection per run.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence
+from array import array
+from bisect import bisect_left
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import kernel
 from repro.costs.vector import CostVector
@@ -169,6 +173,7 @@ def prune_all_ids(
     arena: PlanArena,
     plan_ids: Sequence[int],
     respect_orders: bool = True,
+    runs: Optional[Sequence[Tuple[float, int]]] = None,
 ) -> List[PruneOutcome]:
     """Apply procedure ``Prune`` to a block of arena plan ids of one table set.
 
@@ -177,7 +182,9 @@ def prune_all_ids(
     rows are gathered from the arena matrix and scaled by ``alpha_r`` with
     one kernel call each; the three steps of the module docstring then
     decide every plan.  Outcomes are identical to pruning each plan the
-    moment it was produced.
+    moment it was produced.  ``runs`` are the bucket runs of a block
+    drained from ``candidate_index``
+    (:meth:`~repro.core.index.PlanIndex.drain_ids`).
     """
     if alpha < 1.0:
         raise ValueError("the precision factor alpha_r must be >= 1")
@@ -244,6 +251,7 @@ def prune_all_ids(
                 arena,
                 plan_ids,
                 columns,
+                runs,
                 approximated_positions,
                 resolution + 1,
             )
@@ -252,6 +260,7 @@ def prune_all_ids(
             arena,
             plan_ids,
             columns,
+            runs,
             [
                 position
                 for position in visited
@@ -332,15 +341,20 @@ def _walk_uncovered(
 
     A plan within the bounds is inserted at once, and the later pending
     plans it approximates leave the walk (their outcome stays
-    "approximated").  Sets the outcome of every plan it visits and returns
-    their positions, ascending.
+    "approximated").  Every pending plan before the one visited is dead in
+    ``alive``, so ``geq_slots`` over the whole bitmap sees only later ones;
+    a hit of an order the insert does not provide stays alive.  Sets the
+    outcome of every plan it visits and returns their positions, ascending.
     """
     pending_columns = kernel.ops.take(scaled_columns, pending)
+    alive = array("b", [1]) * len(pending)
+    live = len(pending)
     visited: List[int] = []
-    k = 0
-    while k < len(pending):
-        position = pending[k]
-        k += 1
+    for k, position in enumerate(pending):
+        if not alive[k]:
+            continue
+        alive[k] = 0
+        live -= 1
         visited.append(position)
         cost_row = tuple(column[position] for column in columns)
         if not _row_leq(cost_row, bounds_row):
@@ -348,21 +362,15 @@ def _walk_uncovered(
             continue
         result_index.insert_id(plan_ids[position], resolution, arena, cost_row)
         outcomes[position] = PruneOutcome.INSERTED
-        if k == len(pending):
+        if not live:
             break
-        rest = pending[k:]
-        rest_columns = [column[k:] for column in pending_columns]
-        hits = kernel.ops.covered_positions(
-            kernel.ops.take(columns, [position]), rest_columns
-        )
+        hits = kernel.ops.geq_slots(pending_columns, alive, cost_row)
         if order_ids is not None:
             own = order_ids[position]
-            hits = [hit for hit in hits if order_ids[rest[hit]] in (0, own)]
-        if hits:
-            keep = _complement(hits, len(rest))
-            pending = list(map(rest.__getitem__, keep))
-            pending_columns = kernel.ops.take(rest_columns, keep)
-            k = 0
+            hits = [hit for hit in hits if order_ids[pending[hit]] in (0, own)]
+        for hit in hits:
+            alive[hit] = 0
+        live -= len(hits)
     return visited
 
 
@@ -371,17 +379,34 @@ def _register(
     arena: PlanArena,
     plan_ids: Sequence[int],
     columns: Sequence[Sequence[float]],
+    runs: Optional[Sequence[Tuple[float, int]]],
     positions: Sequence[int],
     level: int,
 ) -> None:
     """Register the block plans at ascending ``positions`` as candidates at
     ``level``, in block order (step 3)."""
     if len(positions) == len(plan_ids):
-        candidate_index.insert_ids(plan_ids, level, arena, columns)
+        candidate_index.insert_ids(plan_ids, level, arena, columns, runs)
     elif positions:
         candidate_index.insert_ids(
             list(map(plan_ids.__getitem__, positions)),
             level,
             arena,
             kernel.ops.take(columns, positions),
+            None if runs is None else _restrict_runs(runs, positions),
         )
+
+
+def _restrict_runs(
+    runs: Sequence[Tuple[float, int]], positions: Sequence[int]
+) -> List[Tuple[float, int]]:
+    """The runs of the block plans at ascending ``positions``."""
+    restricted: List[Tuple[float, int]] = []
+    stop = low = 0
+    for bucket_id, count in runs:
+        stop += count
+        high = bisect_left(positions, stop, low)
+        if high > low:
+            restricted.append((bucket_id, high - low))
+            low = high
+    return restricted

@@ -6,9 +6,12 @@ must never silently drop or invent plans.  The oracle here is a brute-force
 filter over a plain list.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernel
 from repro.core.index import PlanIndex
+from repro.core.pruning import _restrict_runs
 from repro.costs.dominance import dominates
 from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
@@ -16,6 +19,13 @@ from repro.plans.operators import ScanOperator
 from repro.plans.plan import ScanPlan
 
 from tests.conftest import entries_by_level
+
+try:
+    import numpy  # noqa: F401
+
+    BACKENDS = ("python", "numpy")
+except ImportError:  # pragma: no cover - depends on environment
+    BACKENDS = ("python",)
 
 costs = st.tuples(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -99,6 +109,24 @@ def arena_with(costs):
     return arena, ids
 
 
+def assert_index_invariants(index):
+    """The location map, the buckets and ``len`` agree with each other."""
+    live = 0
+    for level, buckets in index._levels.items():
+        for bucket_id, bucket in buckets.items():
+            columns = bucket.matrix.columns
+            for slot, plan_id in enumerate(bucket.items):
+                if not bucket.matrix.is_alive(slot):
+                    assert plan_id is None
+                    continue
+                live += 1
+                assert index._bucket_of_first(columns[0][slot]) == bucket_id
+                assert index._locations[plan_id] == (level, bucket_id)
+    for plan_id, (level, bucket_id) in index._locations.items():
+        assert plan_id in index._levels[level][bucket_id].items
+    assert len(index) == live
+
+
 def assert_same_index(actual, expected, ids):
     assert len(actual) == len(expected)
     assert entries_by_level(actual) == entries_by_level(expected)
@@ -134,8 +162,11 @@ class TestBulkMovesMatchOnePlanOperations:
         expected = loop.retrieve_ids(bounds, max_resolution)
         for plan_id in expected:
             loop.remove_id(plan_id)
-        assert bulk.drain_ids(bounds, max_resolution) == expected
+        drained, runs = bulk.drain_ids(bounds, max_resolution)
+        assert drained == expected
+        assert sum(count for _, count in runs) == len(drained)
         assert_same_index(bulk, loop, ids)
+        assert_index_invariants(bulk)
 
     @settings(max_examples=150)
     @given(
@@ -151,6 +182,7 @@ class TestBulkMovesMatchOnePlanOperations:
             loop.insert_id(plan_id, level, arena)
         bulk.insert_ids(fresh, level, arena, [list(col) for col in zip(*block)] or None)
         assert_same_index(bulk, loop, ids)
+        assert_index_invariants(bulk)
 
 
 class TestBulkMoveCases:
@@ -162,7 +194,10 @@ class TestBulkMoveCases:
         assert expected == [ids[0], ids[1], ids[3]]
         for plan_id in expected:
             loop.remove_id(plan_id)
-        assert bulk.drain_ids(bounds, 1) == expected
+        drained, runs = bulk.drain_ids(bounds, 1)
+        assert drained == expected
+        bucket = bulk._bucket_of((1.0, 1.0))
+        assert runs == [(bucket, 2), (bucket, 1)]
         assert list(bulk._levels) == [0]
         assert list(bulk._levels[0]) == [bulk._bucket_of((50.0, 1.0))]
         assert_same_index(bulk, loop, ids)
@@ -175,10 +210,118 @@ class TestBulkMoveCases:
         expected = loop.retrieve_ids(bounds, 0)
         for plan_id in expected:
             loop.remove_id(plan_id)
-        assert bulk.drain_ids(bounds, 0) == expected == ids[:6]
+        drained, runs = bulk.drain_ids(bounds, 0)
+        assert drained == expected == ids[:6]
+        assert runs == [(bulk._bucket_of((1.0, 0.0)), 6)]
         (bucket,) = bulk._levels[0].values()
         # Six tombstones outnumber four survivors: compacted once, in order.
         assert bucket.matrix.dead_count == 0
         assert bucket.items == ids[6:]
         assert_same_index(bulk, loop, ids)
-        assert [bulk._locations[plan_id][2] for plan_id in ids[6:]] == [0, 1, 2, 3]
+        assert_index_invariants(bulk)
+        # Every survivor stays addressable although its slot moved.
+        assert bulk.retrieve_ids((INF, INF), 0) == ids[6:]
+        for plan_id in ids[6:]:
+            assert bulk.resolution_of_id(plan_id) == 0
+        for position, plan_id in enumerate(ids[6:], start=7):
+            bulk.remove_id(plan_id)
+            assert bulk.retrieve_ids((INF, INF), 0) == ids[position:]
+            assert_index_invariants(bulk)
+        assert len(bulk) == 0
+
+    @pytest.mark.parametrize("counts", [[], [1], [2, 2], [3, 0]])
+    def test_insert_ids_rejects_runs_that_do_not_cover_the_block(self, counts):
+        arena, ids = arena_with([(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)])
+        index = PlanIndex()
+        bucket = index._bucket_of((1.0, 1.0))
+        runs = [(bucket, count) for count in counts]
+        with pytest.raises(ValueError, match="runs"):
+            index.insert_ids(ids, 0, arena, runs=runs)
+        assert len(index) == 0 and index._levels == {}
+
+
+# ----------------------------------------------------------------------
+# Re-registration by bucket run against the per-plan bucket computation
+# ----------------------------------------------------------------------
+#: First costs include both infinities: ``-inf`` and ``+inf`` both land in
+#: the sentinel bucket.
+run_firsts = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 6.0, 100.0, INF, -INF])
+run_costs = st.tuples(run_firsts, bulk_values)
+#: Finite in the first metric, so buckets above the bound stay put and
+#: buckets at it may drain in part.
+run_bounds = st.tuples(
+    st.sampled_from([0.5, 1.0, 2.0, 3.0, 6.0, 100.0]), bulk_values
+)
+
+
+def index_layout(index):
+    """Per level: each bucket's id, slot payloads and rows, in dict order."""
+    return {
+        level: [
+            (
+                bucket_id,
+                list(bucket.items),
+                [list(column) for column in bucket.matrix.columns],
+            )
+            for bucket_id, bucket in buckets.items()
+        ]
+        for level, buckets in index._levels.items()
+    }
+
+
+class TestRunRegistrationMatchesPerPlanPath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(run_costs, st.integers(min_value=0, max_value=3)), max_size=40
+        ),
+        st.data(),
+    )
+    def test_reparked_runs_equal_per_plan_registration(self, entry_list, data):
+        size = len(entry_list)
+        removed = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        bounds = data.draw(run_bounds)
+        max_resolution = data.draw(st.integers(min_value=0, max_value=3))
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                arena, ids = arena_with([cost for cost, _ in entry_list])
+                by_run, per_plan = twin_indexes(
+                    arena, ids, [level for _, level in entry_list]
+                )
+                # Tombstones, and compactions where they outnumber the rest.
+                for plan_id, gone in zip(ids, removed):
+                    if gone:
+                        by_run.remove_id(plan_id)
+                        per_plan.remove_id(plan_id)
+                drained, runs = by_run.drain_ids(bounds, max_resolution)
+                assert per_plan.drain_ids(bounds, max_resolution) == (drained, runs)
+                size = len(drained)
+                keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+                positions = [position for position, kept in enumerate(keep) if kept]
+                columns = kernel.ops.take(
+                    kernel.ops.take(
+                        arena.costs.columns, [plan_id - 1 for plan_id in drained]
+                    ),
+                    positions,
+                )
+                subset = [drained[position] for position in positions]
+                level = max_resolution + 1
+                by_run.insert_ids(
+                    subset, level, arena, columns, _restrict_runs(runs, positions)
+                )
+                per_plan.insert_ids(subset, level, arena, columns)
+            assert index_layout(by_run) == index_layout(per_plan), backend
+            assert len(by_run) == len(per_plan)
+            for plan_id in ids:
+                assert by_run.contains_id(plan_id) == per_plan.contains_id(plan_id)
+                if per_plan.contains_id(plan_id):
+                    assert by_run.resolution_of_id(
+                        plan_id
+                    ) == per_plan.resolution_of_id(plan_id)
+            for query_bounds in ((INF, INF), bounds):
+                for query_level in range(level + 1):
+                    assert by_run.retrieve_ids(
+                        query_bounds, query_level
+                    ) == per_plan.retrieve_ids(query_bounds, query_level)
+            assert_index_invariants(by_run)
+            assert_index_invariants(per_plan)

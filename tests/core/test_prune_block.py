@@ -12,6 +12,7 @@ order at every level must come out identical.
 """
 
 import math
+import random
 from typing import List
 
 import pytest
@@ -395,6 +396,52 @@ class TestInOrderWalk(BlockCase):
                 actual = run(prune_all_ids, arena, block, actual_setup, scenario)
             assert actual == expected, backend
             assert 1 < actual.count(PruneOutcome.INSERTED) < len(block) - 1
+            assert_same_state(scenario, expected_setup, actual_setup)
+
+
+    def test_walk_over_a_thousand_pending_plans(self, monkeypatch):
+        # No incumbents, so all 1,000 plans enter the walk and each insert's
+        # geq_slots call runs vectorised over the whole pending bitmap.  An
+        # insert also hits later plans whose order it does not provide:
+        # those stay alive, and later inserts hit them again.
+        rng = random.Random(0)
+        costs = []
+        for _ in range(1000):
+            t = rng.random()
+            noise = 80.0 * rng.random()
+            costs.append((1.0 + 99.0 * t, 1.0 + 99.0 * (1.0 - t) + noise))
+        orders = [(None, "a", "b")[i % 3] for i in range(1000)]
+        scenario = dict(
+            dims=2,
+            max_resolution=2,
+            resolution=0,
+            results=[],
+            candidates=[],
+            block=list(zip(costs, orders)),
+            bounds=(INF, INF),
+            alpha=1.05,
+            respect_orders=True,
+        )
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                hits = []
+                geq_slots = kernel.ops.geq_slots
+
+                def spy(columns, alive, vector):
+                    found = geq_slots(columns, alive, vector)
+                    hits.extend(found)
+                    return found
+
+                monkeypatch.setattr(kernel.ops, "geq_slots", spy)
+                arena, block, (expected_setup, actual_setup) = build(scenario)
+                expected = run(
+                    oracle_prune_block, arena, block, expected_setup, scenario
+                )
+                actual = run(prune_all_ids, arena, block, actual_setup, scenario)
+            assert actual == expected, backend
+            assert actual.count(PruneOutcome.INSERTED) >= 20
+            # A plan hit twice stayed alive after its first hit.
+            assert len(hits) > len(set(hits))
             assert_same_state(scenario, expected_setup, actual_setup)
 
 
