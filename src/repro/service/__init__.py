@@ -11,6 +11,8 @@ improving the longer it stays admitted.  This package is that serving layer:
 * :class:`~repro.service.frontier_cache.FrontierCache` — cross-request
   frontier reuse: replay for repeat requests, warm-started refinement for
   cached-but-coarser frontiers,
+* :class:`~repro.service.jobs.JobTable` — the ticket → job records both
+  serving tiers answer poll / stream / wait / result / drain from,
 * :class:`~repro.service.service.PlanningService` — the in-process façade
   (submit / poll / stream / steer / cancel) the CLI, benchmarks and examples
   use directly,
@@ -68,14 +70,11 @@ from repro.service.protocol import (
     stats_payload,
     submit_payload,
 )
+from repro.service.jobs import JobTable, ServiceError, UnknownTicketError
 from repro.service.routing import DEFAULT_REPLICAS, HashRing
 from repro.service.scheduler import POLICIES, AdmissionError, Job, Scheduler
 from repro.service.server import PlanningServer
-from repro.service.service import (
-    PlanningService,
-    ServiceError,
-    UnknownTicketError,
-)
+from repro.service.service import PlanningService
 from repro.service.shard import ShardHandle, WorkerPoolService, shard_main
 
 __all__ = [
@@ -89,9 +88,10 @@ __all__ = [
     "shard_main",
     "HashRing",
     "DEFAULT_REPLICAS",
-    # scheduler
+    # scheduler and job records
     "Scheduler",
     "Job",
+    "JobTable",
     "POLICIES",
     "AdmissionError",
     # frontier cache

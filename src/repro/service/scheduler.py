@@ -125,6 +125,8 @@ class Job:
         self.plans_after: List[int] = []
         #: Number of leading ``updates`` that were replayed from the cache.
         self.replayed = 0
+        #: The worker shard running the job (worker-pool relay records only).
+        self.shard_id: Optional[str] = None
         self.started_at: Optional[float] = None
         self.first_update_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -134,10 +136,28 @@ class Job:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    @property
-    def computed_invocations(self) -> int:
-        """Invocations actually executed for this job (excludes replays)."""
-        return len(self.updates) - self.replayed
+    def finish(
+        self,
+        state: str,
+        error: Optional[str] = None,
+        result: Optional[dict] = None,
+    ) -> bool:
+        """The one terminal transition; False, changing nothing, if already ended.
+
+        Once other threads can see the job, callers hold the condition that
+        guards it and notify it.
+        """
+        if state not in TERMINAL_STATES:
+            raise ValueError(f"{state!r} is not a terminal job state")
+        if self.terminal:
+            return False
+        self.state = state
+        self.finished_at = self.clock()
+        if error is not None:
+            self.error = error
+        if result is not None:
+            self.result_payload = result
+        return True
 
     def record_update(self, payload: dict, alpha: float, plans_total: int) -> None:
         self.updates.append(payload)
@@ -269,36 +289,6 @@ class Scheduler:
         for thread in self._threads:
             thread.join(timeout=5.0)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def idle(self) -> bool:
-        """True when no job is live, queued, or mid-slice."""
-        with self.condition:
-            return not self._live and not self._backlog
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until every admitted job is terminal (graceful drain).
-
-        Returns ``True`` when the scheduler went idle within ``timeout``
-        seconds, ``False`` on expiry — in-flight work keeps running either
-        way; the caller decides whether to close anyway.
-        """
-        deadline = (
-            self.clock() + timeout if timeout is not None else None
-        )
-        with self.condition:
-            while self._live or self._backlog:
-                remaining = 0.25
-                if deadline is not None:
-                    remaining = min(remaining, deadline - self.clock())
-                    if remaining <= 0:
-                        return False
-                self.condition.wait(timeout=remaining)
-            return True
-
     # ------------------------------------------------------------------
     # Submission and control
     # ------------------------------------------------------------------
@@ -351,18 +341,14 @@ class Scheduler:
 
     def cancel(self, job: Job) -> None:
         """Cancel a job; a slice already executing completes first."""
-        finalized = False
         with self.condition:
             if job.terminal:
                 return
             job.cancel_requested = True
-            if not job.in_flight:
-                self._finalize_locked(job, JOB_CANCELLED)
-                finalized = True
-            self.condition.notify_all()
-        if finalized:
-            self._notify_finish(job)
-            self._release(job)
+            if job.in_flight:
+                return  # the executing slice ends the job at its boundary
+            job.in_flight = True  # held here now: no worker picks it up
+        self._end_job(job, JOB_CANCELLED)
 
     # ------------------------------------------------------------------
     # Execution
@@ -405,12 +391,7 @@ class Scheduler:
         """One invocation timeslice; ``job.in_flight`` is already set."""
         try:
             if job.cancel_requested:
-                with self.condition:
-                    job.in_flight = False
-                    self._finalize_locked(job, JOB_CANCELLED)
-                    self.condition.notify_all()
-                self._notify_finish(job)
-                self._release(job)
+                self._end_job(job, JOB_CANCELLED)
                 return
             session = job.session
             with obs_trace.activate_context(job.trace_context):
@@ -448,22 +429,32 @@ class Scheduler:
                 # workers): a client that sees "finished" and immediately
                 # resubmits the same request must hit the cache.
                 self._notify_finish(job)
-            with self.condition:
-                job.in_flight = False
-                self._finalize_locked(job, terminal_state)
-                self.condition.notify_all()
-            if not finished:
-                # Cancelled at the slice boundary: the hook may still re-park
-                # the (unfinished, never-steered) session for warm starts.
-                self._notify_finish(job)
-            self._release(job)
+            # A job cancelled at the slice boundary runs the hook after it
+            # ends: it may still re-park the (unfinished, never-steered)
+            # session for warm starts.
+            self._end_job(job, terminal_state, hook=not finished)
         except Exception as exc:  # noqa: BLE001 - surfaced on the job
-            with self.condition:
-                job.in_flight = False
-                job.error = f"{type(exc).__name__}: {exc}"
-                self._finalize_locked(job, JOB_FAILED)
-                self.condition.notify_all()
-            self._release(job)
+            self._end_job(
+                job, JOB_FAILED, error=f"{type(exc).__name__}: {exc}", hook=False
+            )
+
+    def _end_job(
+        self, job: Job, state: str, error: Optional[str] = None, hook: bool = True
+    ) -> None:
+        """End a job this thread holds (``in_flight`` is set).
+
+        The session goes last: a retained :class:`Job` serves
+        poll/stream/result from its recorded payloads, and holding the
+        session (and its plan arena) would pin optimizer state for as long
+        as the record lives.  The finish hook parked it if it was worth it.
+        """
+        with self.condition:
+            job.in_flight = False
+            self._finalize_locked(job, state, error)
+            self.condition.notify_all()
+        if hook:
+            self._notify_finish(job)
+        job.session = None
 
     # ------------------------------------------------------------------
     # Internals (condition held)
@@ -477,7 +468,9 @@ class Scheduler:
             self._rotation.append(job.ticket)
             self._max_live_gauge.set(max(self.max_live_seen, len(self._live)))
 
-    def _finalize_locked(self, job: Job, state: str) -> None:
+    def _finalize_locked(
+        self, job: Job, state: str, error: Optional[str] = None
+    ) -> None:
         if job.terminal:
             return
         was_live = job.ticket in self._live
@@ -486,38 +479,22 @@ class Scheduler:
             self._rotation.remove(job.ticket)
         if not was_live and job in self._backlog:
             self._backlog.remove(job)
-        job.state = state
-        job.finished_at = self.clock()
-        if state == JOB_FINISHED:
-            self._jobs_done.inc(outcome="finished")
-        elif state == JOB_FAILED:
-            self._jobs_done.inc(outcome="failed")
-        elif state == JOB_CANCELLED:
-            self._jobs_done.inc(outcome="cancelled")
+        result = None
         if job.result_payload is None and job.session is not None:
             # Cancelled/failed mid-run: report what the session has so far
             # (finish_reason stays "in_progress" unless the session ended).
             try:
-                job.result_payload = job.session.result().to_dict()
+                result = job.session.result().to_dict()
             except Exception:  # pragma: no cover - reporting is best-effort
                 pass
+        job.finish(state, error=error, result=result)
+        # Outcome labels are the terminal state names.
+        self._jobs_done.inc(outcome=state)
         self._admit_locked()
 
     def _notify_finish(self, job: Job) -> None:
         if self.on_finish is not None:
             self.on_finish(job)
-
-    @staticmethod
-    def _release(job: Job) -> None:
-        """Drop the job's session reference once it is terminal.
-
-        A retained :class:`Job` only serves poll/stream/result from its
-        recorded payloads; holding the live session (and its plan arena)
-        beyond the terminal transition would pin per-query optimizer state
-        for as long as the job record lives.  The frontier cache adopted the
-        session in the finish hook if it was worth parking.
-        """
-        job.session = None
 
     def _pick_locked(self) -> Optional[Job]:
         if self._closed:

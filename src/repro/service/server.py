@@ -47,8 +47,9 @@ from typing import Optional, Tuple
 
 from repro.api.schema import SchemaError
 from repro.service.protocol import parse_submit
+from repro.service.jobs import UnknownTicketError
 from repro.service.scheduler import AdmissionError
-from repro.service.service import PlanningService, UnknownTicketError
+from repro.service.service import PlanningService
 
 #: Route prefix; bump alongside the payload schema version on breaking change.
 API_PREFIX = "/v1"

@@ -25,15 +25,13 @@ cache and carry ``cache_status="bypass"``.)
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.api.registry import PlannerRegistry, planner_registry
 from repro.api.request import OptimizeRequest, resolve_request
-from repro.api.schema import OptimizationResult
 from repro.core.control import UserAction
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, render_snapshot
@@ -47,25 +45,20 @@ from repro.service.protocol import (
     CACHE_MISS,
     CACHE_WARM,
     HEALTH_OK,
-    JOB_FAILED,
     JOB_FINISHED,
     health_payload,
     parse_steer,
     stats_payload,
 )
+from repro.service.jobs import JobTable, ServiceError
 from repro.service.scheduler import AdmissionError, Job, Scheduler
 
 
-class ServiceError(RuntimeError):
-    """A job failed or a service verb was used incorrectly."""
-
-
-class UnknownTicketError(KeyError):
-    """No job is registered under this ticket."""
-
-
-class PlanningService:
+class PlanningService(JobTable):
     """Multiplex many concurrent planner sessions over one process.
+
+    The blocking verbs come from :class:`JobTable`, over the scheduler's
+    condition.
 
     Parameters
     ----------
@@ -89,8 +82,7 @@ class PlanningService:
         Planner registry (defaults to the process-wide registry).
     max_retained_jobs:
         Terminal job records kept for poll/stream/result before the oldest
-        are dropped (a long-running server must not accumulate one record
-        per request forever); live and queued jobs are never dropped.
+        are dropped (see :class:`JobTable`).
     """
 
     def __init__(
@@ -106,8 +98,6 @@ class PlanningService:
         clock: Callable[[], float] = time.monotonic,
         max_retained_jobs: int = 1024,
     ):
-        if max_retained_jobs < 1:
-            raise ValueError("max_retained_jobs must be at least 1")
         #: One registry per service: scheduler and (owned) cache instruments
         #: register here, and ``render_metrics`` serves it as ``/metrics``.
         self.metrics = MetricsRegistry()
@@ -129,27 +119,17 @@ class PlanningService:
             on_finish=self._on_job_finish,
             metrics=self.metrics,
         )
+        super().__init__(self._scheduler.condition, clock, max_retained_jobs)
         self._submits_total = self.metrics.counter(
             "repro_service_submits_total",
             "Requests accepted by the service, by cache decision",
             labelnames=("cache_status",),
         )
-        self._clock = clock
-        self._jobs: Dict[str, Job] = {}
-        self._max_retained_jobs = max_retained_jobs
-        self._tickets = itertools.count(1)
-        self._closed = False
         self._draining = False
         if workers > 0:
             self._scheduler.start()
 
     # ------------------------------------------------------------------
-    def __enter__(self) -> "PlanningService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def close(self, drain_seconds: Optional[float] = None) -> None:
         """Shut the service down, optionally draining in-flight jobs first.
 
@@ -160,15 +140,11 @@ class PlanningService:
         """
         self._draining = True
         if drain_seconds is not None and drain_seconds > 0:
-            self._scheduler.wait_idle(timeout=drain_seconds)
+            self.drain(timeout=drain_seconds)
         if self._cache is not None:
             self._cache.flush()
-        self._closed = True
+        super().close()
         self._scheduler.close()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait for every admitted job to finish; True when fully drained."""
-        return self._scheduler.wait_idle(timeout=timeout)
 
     def health(self) -> dict:
         """The ``service_health`` payload (single-process: one worker entry)."""
@@ -239,8 +215,6 @@ class PlanningService:
             raise ServiceError("planning service is closed")
         if self._draining:
             raise AdmissionError("planning service is draining; not admitting")
-        with self._scheduler.condition:
-            self._prune_retained_locked()
         canonical = self._registry.get(request.algorithm).name
         resolved = resolve_request(request)
         key: Optional[str] = None
@@ -254,15 +228,7 @@ class PlanningService:
                 decision = self._cache.match(key, request.budget)
                 cache_status = decision.status
 
-        ticket = f"job-{next(self._tickets):06d}"
-        job = Job(
-            ticket,
-            request,
-            session=None,
-            priority=priority,
-            deadline_seconds=deadline_seconds,
-            clock=self._clock,
-        )
+        job = self._new_job(request, priority, deadline_seconds)
         job.cache_status = cache_status
         job.cache_key = key
         # Timeslices run on scheduler workers: carry the submit span's
@@ -272,129 +238,43 @@ class PlanningService:
 
         if decision is not None and decision.status == CACHE_HIT:
             self._finish_replay(job, decision)
-            self._jobs[ticket] = job
-            return ticket
+            self._register(job)
+            return job.ticket
 
         if decision is not None and decision.status == CACHE_WARM:
-            session = decision.session
-            session.resume(request.budget)
-            job.session = session
-            entry = decision.entry
-            for index in range(entry.invocations):
-                job.record_update(
-                    entry.updates[index],
-                    entry.alphas[index],
-                    entry.plans_after[index],
-                )
-            job.replayed = entry.invocations
+            job.session = decision.session
+            job.session.resume(request.budget)
+            self._replay(job, decision.entry, decision.entry.invocations)
         else:
             job.session = self._registry.open_resolved(resolved)
 
-        self._jobs[ticket] = job
+        self._register(job)
         try:
             self._scheduler.submit(job)
         except AdmissionError:
-            # Never lose a parked session to backpressure: re-park it.
-            self._jobs.pop(ticket, None)
+            # Never lose a parked session to backpressure: re-park it (the
+            # finish hook records the replayed prefix with the session).
+            self._unregister(job.ticket)
             if decision is not None and decision.status == CACHE_WARM:
-                self._repark(job)
+                self._on_job_finish(job)
             raise
-        return ticket
-
-    def poll(self, ticket: str, include_result: bool = True) -> dict:
-        """The job's ``job_status`` payload."""
-        job = self._job(ticket)
-        with self._scheduler.condition:
-            return job.status_payload(include_result=include_result)
-
-    def stream(
-        self, ticket: str, timeout: Optional[float] = None
-    ) -> Iterator[dict]:
-        """Yield ``frontier_update`` payloads until the job is terminal.
-
-        Replayed prefixes stream instantly; live updates stream as the
-        scheduler produces them.  The stream ends when the job reaches a
-        terminal state and every update has been yielded.
-        """
-        job = self._job(ticket)
-        condition = self._scheduler.condition
-        deadline = self._clock() + timeout if timeout is not None else None
-        index = 0
-        while True:
-            with condition:
-                while index >= len(job.updates) and not job.terminal:
-                    if self._closed:
-                        return
-                    remaining = 0.25
-                    if deadline is not None:
-                        remaining = min(remaining, deadline - self._clock())
-                        if remaining <= 0:
-                            raise TimeoutError(
-                                f"no update from {ticket} within {timeout} s"
-                            )
-                    condition.wait(timeout=remaining)
-                if index < len(job.updates):
-                    payload = job.updates[index]
-                    index += 1
-                else:
-                    return
-            yield payload
+        return job.ticket
 
     def steer(self, ticket: str, action: Union[UserAction, dict]) -> dict:
         """Apply remote steering (a ``steer_request`` payload or an action)."""
         if isinstance(action, dict):
             action = parse_steer(action)
-        job = self._job(ticket)
-        self._scheduler.steer(job, action)
+        self._scheduler.steer(self.job(ticket), action)
         return self.poll(ticket, include_result=False)
 
     def cancel(self, ticket: str) -> dict:
         """Cancel a job (the slice currently executing completes first)."""
-        job = self._job(ticket)
-        self._scheduler.cancel(job)
-        return self.poll(ticket)
+        self._scheduler.cancel(self.job(ticket))
+        return self._settle(ticket)
 
     # ------------------------------------------------------------------
-    # Results and introspection
+    # Introspection
     # ------------------------------------------------------------------
-    def wait(self, ticket: str, timeout: Optional[float] = None) -> dict:
-        """Block until the job is terminal; returns its status payload."""
-        job = self._job(ticket)
-        condition = self._scheduler.condition
-        deadline = self._clock() + timeout if timeout is not None else None
-        with condition:
-            while not job.terminal:
-                if self._closed:
-                    raise ServiceError(
-                        f"planning service closed while {ticket} was {job.state}"
-                    )
-                remaining = 0.25
-                if deadline is not None:
-                    remaining = min(remaining, deadline - self._clock())
-                    if remaining <= 0:
-                        raise TimeoutError(f"{ticket} not finished within {timeout} s")
-                condition.wait(timeout=remaining)
-            return job.status_payload()
-
-    def result(self, ticket: str, timeout: Optional[float] = None) -> OptimizationResult:
-        """Block for and return the typed :class:`OptimizationResult`."""
-        status = self.wait(ticket, timeout=timeout)
-        if status["state"] == JOB_FAILED:
-            raise ServiceError(
-                f"job {ticket} failed: {status.get('error') or 'unknown error'}"
-            )
-        payload = status.get("result")
-        if payload is None:
-            raise ServiceError(f"job {ticket} ended {status['state']} without a result")
-        return OptimizationResult.from_dict(payload)
-
-    def job(self, ticket: str) -> Job:
-        """The live :class:`Job` record (tests and benchmarks introspect it)."""
-        return self._job(ticket)
-
-    def tickets(self) -> List[str]:
-        return list(self._jobs)
-
     def stats(self) -> dict:
         """Scheduler and cache gauges as a ``service_stats`` payload."""
         cache_stats = self._cache.stats() if self._cache is not None else {}
@@ -428,39 +308,25 @@ class PlanningService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _job(self, ticket: str) -> Job:
-        job = self._jobs.get(ticket)
-        if job is None:
-            raise UnknownTicketError(f"unknown ticket {ticket!r}")
-        return job
-
-    def _prune_retained_locked(self) -> None:
-        """Drop the oldest terminal job records beyond the retention cap."""
-        if len(self._jobs) <= self._max_retained_jobs:
-            return
-        for ticket in list(self._jobs):
-            if len(self._jobs) <= self._max_retained_jobs:
-                break
-            if self._jobs[ticket].terminal:
-                del self._jobs[ticket]
+    @staticmethod
+    def _replay(job: Job, entry, count: int) -> None:
+        """Record the first ``count`` cached updates on a new job."""
+        for index in range(count):
+            job.record_update(
+                entry.updates[index], entry.alphas[index], entry.plans_after[index]
+            )
+        job.replayed = count
 
     def _finish_replay(self, job: Job, decision) -> None:
-        entry = decision.entry
-        for index in range(decision.stop_index):
-            job.record_update(
-                entry.updates[index],
-                entry.alphas[index],
-                entry.plans_after[index],
-            )
-        job.replayed = decision.stop_index
-        job.result_payload = entry.result_payload(
-            decision.stop_index, decision.finish_reason
+        self._replay(job, decision.entry, decision.stop_index)
+        job.started_at = job.submitted_at
+        # Not registered yet, so no other thread sees the job: no lock.
+        job.finish(
+            JOB_FINISHED,
+            result=decision.entry.result_payload(
+                decision.stop_index, decision.finish_reason
+            ),
         )
-        with self._scheduler.condition:
-            job.state = JOB_FINISHED
-            job.started_at = job.submitted_at
-            job.finished_at = self._clock()
-            self._scheduler.condition.notify_all()
 
     def _on_job_finish(self, job: Job) -> None:
         """Scheduler callback: record terminating runs in the frontier cache.
@@ -484,11 +350,6 @@ class PlanningService:
         ):
             return
         self._record_job(job, session)
-
-    def _repark(self, job: Job) -> None:
-        if self._cache is None or job.cache_key is None or job.session is None:
-            return
-        self._record_job(job, job.session)
 
     def _record_job(self, job: Job, session) -> None:
         factory = session.driver.factory

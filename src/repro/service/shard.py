@@ -33,8 +33,16 @@ IPC.  Parent and shard speak length-prefixed pickles over a
 / ``stats`` requests (correlated by ``req_id``) plus a final ``shutdown``; the
 shard pushes ``update`` and terminal ``status`` messages per job and a
 ``heartbeat`` (pid + gauges) a few times per second so the parent's
-``/healthz`` can spot silent crashes.  Steering crosses the pipe as the raw
-``steer_request`` payload — parsed actions hold closures, which do not pickle.
+``/healthz`` can spot silent crashes.  A request that fails in the shard
+replies with the exception itself, which the parent re-raises, so both tiers
+raise the same types.  Steering crosses the pipe as the raw ``steer_request``
+payload — parsed actions hold closures, which do not pickle.
+
+One job table.  The shard's ``PlanningService`` owns each job; the parent
+answers poll / stream / wait / result from a relay record in the
+:class:`~repro.service.jobs.JobTable` both tiers share, stamped on its own
+clock.  A shard forgets a job once it has pushed its terminal status, and a
+message the parent cannot apply fails the job it names.
 """
 
 from __future__ import annotations
@@ -48,14 +56,14 @@ import threading
 import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.api.registry import PlannerRegistry, planner_registry
 from repro.api.request import OptimizeRequest, resolve_request
-from repro.api.schema import OptimizationResult, SchemaError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, render_snapshots
 from repro.service.frontier_cache import request_fingerprint
+from repro.service.jobs import JobTable, ServiceError
 from repro.service.protocol import (
     HEALTH_DEGRADED,
     HEALTH_OK,
@@ -67,11 +75,7 @@ from repro.service.protocol import (
 )
 from repro.service.routing import HashRing
 from repro.service.scheduler import AdmissionError, Job
-from repro.service.service import (
-    PlanningService,
-    ServiceError,
-    UnknownTicketError,
-)
+from repro.service.service import PlanningService
 
 #: The pool clock.  Heartbeat ages, drain windows and wait deadlines are
 #: measured on the monotonic clock — a wall-clock step (NTP, suspend/resume)
@@ -88,6 +92,9 @@ HEARTBEAT_INTERVAL = 0.25
 #: alive but wedged); generous because a single optimizer invocation at paper
 #: scale can legitimately run for a while.
 HEARTBEAT_STALE_SECONDS = 30.0
+
+#: A shard's open jobs: parent ticket -> (shard-local job, updates pushed).
+OpenJobs = Dict[str, Tuple[Job, int]]
 
 
 # ----------------------------------------------------------------------
@@ -122,9 +129,7 @@ def shard_main(
         cache_bytes=cache_bytes,
         cache_dir=Path(cache_dir) if cache_dir else None,
     )
-    local: Dict[str, str] = {}   # parent ticket -> local ticket
-    sent: Dict[str, int] = {}    # parent ticket -> updates already pushed
-    done: Set[str] = set()
+    open_jobs: OpenJobs = {}
     draining = False
     drain_deadline = 0.0
     last_beat = 0.0
@@ -143,9 +148,9 @@ def shard_main(
                     # Stop admitting; in-flight jobs keep their timeslices.
                     service._draining = True
                 else:
-                    _handle_request(conn, service, local, message)
+                    _handle_request(conn, service, open_jobs, message)
             served = service.step_once()
-            _push_progress(conn, service, local, sent, done)
+            _push_progress(conn, open_jobs)
             now = _now()
             if now - last_beat >= heartbeat_interval:
                 last_beat = now
@@ -193,8 +198,10 @@ def shard_main(
             pass
 
 
-def _handle_request(conn, service: PlanningService, local: Dict[str, str], message: Mapping) -> None:
-    """Serve one correlated request; errors travel back as tagged replies.
+def _handle_request(
+    conn, service: PlanningService, open_jobs: OpenJobs, message: Mapping
+) -> None:
+    """Serve one correlated request; a failure replies with the exception.
 
     When the message carries a ``trace_context`` (the parent's span ids),
     that context is re-activated around the dispatch so every span the shard
@@ -203,43 +210,45 @@ def _handle_request(conn, service: PlanningService, local: Dict[str, str], messa
     request yields one coherent cross-process trace.
     """
     op = message.get("op")
-    req_id = message.get("req_id")
     try:
         with obs_trace.activate_context(message.get("trace_context")):
             with obs_trace.span("rpc.recv", op=str(op), pid=os.getpid()):
-                reply = _serve_request(service, local, message, op)
-    except AdmissionError as exc:
-        reply = {"error": str(exc), "error_kind": "admission"}
-    except (SchemaError, ValueError, KeyError) as exc:
-        reply = {
-            "error": str(exc.args[0] if exc.args else exc),
-            "error_kind": "bad_request",
-        }
-    except RuntimeError as exc:
-        reply = {"error": str(exc), "error_kind": "conflict"}
-    except Exception as exc:  # noqa: BLE001 - IPC boundary
-        reply = {"error": f"{type(exc).__name__}: {exc}", "error_kind": "internal"}
-    conn.send({"op": "reply", "req_id": req_id, **reply})
+                reply = _serve_request(service, open_jobs, message, op)
+    except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+        reply = {"error": _portable(exc)}
+    conn.send({"op": "reply", "req_id": message.get("req_id"), **reply})
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` as the parent will unpickle it, else a :class:`ServiceError`.
+
+    An exception that cannot cross the pipe would kill the parent's reader.
+    """
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any pickling failure
+        return ServiceError(f"{type(exc).__name__}: {exc}")
 
 
 def _serve_request(
-    service: PlanningService, local: Dict[str, str], message: Mapping, op
+    service: PlanningService, open_jobs: OpenJobs, message: Mapping, op
 ) -> dict:
     """Dispatch one shard op and build its reply payload."""
     if op == "submit":
         request = OptimizeRequest.from_dict(message["request"])
-        ticket = message["ticket"]
-        local[ticket] = service.submit(
-            request,
-            priority=message.get("priority", 0),
-            deadline_seconds=message.get("deadline_seconds"),
-            use_cache=message.get("use_cache", True),
+        job = service.job(
+            service.submit(
+                request,
+                priority=message.get("priority", 0),
+                deadline_seconds=message.get("deadline_seconds"),
+                use_cache=message.get("use_cache", True),
+            )
         )
-        job = service.job(local[ticket])
         # The shard-local Job carries the parent's trace context so the
         # scheduler re-activates it around every later timeslice of this
         # session — the timeslices run long after this RPC returns.
         job.trace_context = obs_trace.current_context()
+        open_jobs[message["ticket"]] = (job, 0)
         return {
             "accepted": {
                 "cache_status": job.cache_status,
@@ -247,12 +256,19 @@ def _serve_request(
                 "replayed": job.replayed,
             }
         }
+    # A job missing from ``open_jobs`` has had its terminal status pushed:
+    # answer as the in-process service answers for a terminal job.
     if op == "steer":
-        status = service.steer(local[message["ticket"]], dict(message["payload"]))
-        return {"status": status}
+        opened = open_jobs.get(message["ticket"])
+        if opened is None:
+            raise RuntimeError(f"job {message['ticket']} already ended")
+        service.steer(opened[0].ticket, dict(message["payload"]))
+        return {}
     if op == "cancel":
-        status = service.cancel(local[message["ticket"]])
-        return {"status": status}
+        opened = open_jobs.get(message["ticket"])
+        if opened is not None:  # else there is nothing left to cancel
+            service.cancel(opened[0].ticket)
+        return {}
     if op == "stats":
         return {"stats": service.stats()}
     if op == "metrics":
@@ -261,7 +277,7 @@ def _serve_request(
         return _export_session(service, message["key"])
     if op == "import_session":
         return _import_session(service, message["key"], message["blob"])
-    return {"error": f"unknown op {op!r}", "error_kind": "bad_request"}
+    raise ValueError(f"unknown op {op!r}")
 
 
 def _export_session(service: PlanningService, key: str) -> dict:
@@ -287,43 +303,43 @@ def _import_session(service: PlanningService, key: str, blob: bytes) -> dict:
     return {"parked": bool(parked)}
 
 
-def _push_progress(
-    conn,
-    service: PlanningService,
-    local: Dict[str, str],
-    sent: Dict[str, int],
-    done: Set[str],
-) -> None:
-    """Push new frontier updates and terminal statuses to the parent."""
-    for ticket, local_ticket in local.items():
-        if ticket in done:
-            continue
-        job = service.job(local_ticket)
-        cursor = sent.get(ticket, 0)
-        while cursor < len(job.updates):
+def _push_progress(conn, open_jobs: OpenJobs) -> None:
+    """Push new frontier updates and terminal statuses to the parent.
+
+    A job leaves ``open_jobs`` with its terminal status.
+    """
+    for ticket, (job, sent) in list(open_jobs.items()):
+        for index in range(sent, len(job.updates)):
             conn.send(
                 {
                     "op": "update",
                     "ticket": ticket,
-                    "payload": job.updates[cursor],
-                    "alpha": job.alphas[cursor],
-                    "plans_after": job.plans_after[cursor],
+                    "payload": job.updates[index],
+                    "alpha": job.alphas[index],
+                    "plans_after": job.plans_after[index],
                 }
             )
-            cursor += 1
-        sent[ticket] = cursor
+        open_jobs[ticket] = (job, len(job.updates))
         if job.terminal:
-            status = dict(job.status_payload(include_result=True))
-            status["ticket"] = ticket  # parent tickets are pool-global
             conn.send(
                 {
                     "op": "status",
                     "ticket": ticket,
-                    "status": status,
+                    "status": job.status_payload(include_result=True),
                     "replayed": job.replayed,
                 }
             )
-            done.add(ticket)
+            del open_jobs[ticket]
+
+
+def _sum_gauges(snapshots: Iterable[Mapping]) -> Dict[str, object]:
+    """Sum every integer gauge over the shards' snapshots."""
+    total: Dict[str, object] = {}
+    for snapshot in snapshots:
+        for name, value in snapshot.items():
+            if isinstance(value, int):
+                total[name] = total.get(name, 0) + value
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -350,12 +366,6 @@ class ShardHandle:
     def heartbeat_age(self) -> float:
         return _now() - self.last_heartbeat
 
-    def backlog(self) -> int:
-        scheduler = self.stats.get("scheduler", {})
-        return int(scheduler.get("queued", 0)) + int(
-            scheduler.get("live_sessions", 0)
-        )
-
     def send(self, message: dict) -> None:
         with self.send_lock:
             self.conn.send(message)
@@ -364,13 +374,14 @@ class ShardHandle:
 # ----------------------------------------------------------------------
 # The pool façade
 # ----------------------------------------------------------------------
-class WorkerPoolService:
+class WorkerPoolService(JobTable):
     """N planner shards behind one consistent-hash ring.
 
     Mirrors the :class:`PlanningService` verb surface (submit / poll / stream
     / steer / cancel / wait / result / stats / health), so the HTTP server and
-    the CLI serve either without caring which.  ``max_sessions``/``max_queue``
-    are *per shard*.
+    the CLI serve either without caring which; the blocking verbs come from
+    the shared :class:`JobTable`, over the pool's own condition.
+    ``max_sessions``/``max_queue`` are *per shard*.
 
     ``cache_dir`` is the shared persistent tier; when omitted, a temporary
     directory is created for the pool's lifetime (cross-shard replay after a
@@ -392,6 +403,8 @@ class WorkerPoolService:
     ):
         if workers < 1:
             raise ValueError("worker pool needs at least one worker process")
+        #: One condition guards jobs, replies, ring and handle membership.
+        super().__init__(threading.Condition(), time.monotonic, max_retained_jobs)
         self._registry = registry if registry is not None else planner_registry()
         self._policy = policy
         self._max_sessions = max_sessions
@@ -404,13 +417,8 @@ class WorkerPoolService:
             cache_dir = Path(self._tmpdir.name)
         self._cache_dir = Path(cache_dir)
         self._ctx = multiprocessing.get_context(start_method)
-        #: One condition guards jobs, replies, ring and handle membership.
-        self.condition = threading.Condition()
-        self._jobs: Dict[str, Job] = {}
-        self._job_shard: Dict[str, str] = {}
         self._replies: Dict[int, Optional[dict]] = {}
         self._req_ids = itertools.count(1)
-        self._tickets = itertools.count(1)
         self._ring = HashRing()
         self._handles: Dict[str, ShardHandle] = {}
         #: Last shard each request fingerprint ran on — the migration trigger:
@@ -441,20 +449,11 @@ class WorkerPoolService:
             "repro_pool_migrated_inline_bytes",
             "Bytes serialized inline over the pipe by session migrations.",
         ).set_function(lambda: self.migrated_inline_bytes)
-        self._max_retained_jobs = max_retained_jobs
-        self._clock = time.monotonic
-        self._closed = False
         self._draining = False
         for index in range(workers):
             self._spawn(f"shard-{index}")
 
     # ------------------------------------------------------------------
-    def __enter__(self) -> "WorkerPoolService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     @property
     def registry(self) -> PlannerRegistry:
         return self._registry
@@ -582,25 +581,10 @@ class WorkerPoolService:
         for handle in handles:
             if handle.reader is not None:
                 handle.reader.join(timeout=5.0)
-        with self.condition:
-            self._closed = True
-            self.condition.notify_all()
+        super().close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait until every submitted job is terminal; True when drained."""
-        deadline = self._clock() + timeout if timeout is not None else None
-        with self.condition:
-            while any(not job.terminal for job in self._jobs.values()):
-                remaining = 0.25
-                if deadline is not None:
-                    remaining = min(remaining, deadline - self._clock())
-                    if remaining <= 0:
-                        return False
-                self.condition.wait(timeout=remaining)
-            return True
 
     # ------------------------------------------------------------------
     # Reader thread (one per shard)
@@ -613,12 +597,24 @@ class WorkerPoolService:
                 break
             try:
                 self._dispatch(handle, message)
-            except Exception:  # noqa: BLE001 - a bad message must not kill the reader
-                continue
+            except Exception as exc:  # noqa: BLE001 - a bad message must not kill the reader
+                self._fail_named_job(handle, message, exc)
         self._on_shard_exit(handle)
 
+    def _fail_named_job(self, handle: ShardHandle, message, exc: Exception) -> None:
+        """Fail the job an unappliable message names; drop one naming none."""
+        ticket = message.get("ticket") if isinstance(message, Mapping) else None
+        with self.condition:
+            job = self._jobs.get(ticket) if isinstance(ticket, str) else None
+            if job is not None and job.finish(
+                JOB_FAILED,
+                error=f"{handle.shard_id} sent a malformed {message.get('op')!r} "
+                f"message: {type(exc).__name__}: {exc}",
+            ):
+                self.condition.notify_all()
+
     def _dispatch(self, handle: ShardHandle, message: Mapping) -> None:
-        op = message.get("op")
+        op = message["op"]
         if op == "heartbeat":
             handle.last_heartbeat = _now()
             handle.stats = dict(message.get("stats") or {})
@@ -634,27 +630,24 @@ class WorkerPoolService:
                 self.condition.notify_all()
             return
         if op == "update":
+            update = (message["payload"], message["alpha"], message["plans_after"])
             with self.condition:
                 job = self._jobs.get(message["ticket"])
-                if job is not None:
-                    job.record_update(
-                        message["payload"],
-                        message["alpha"],
-                        message["plans_after"],
-                    )
+                if job is not None and not job.terminal:
+                    job.record_update(*update)
                 self.condition.notify_all()
             return
         if op == "status":
             status = message["status"]
+            replayed = int(message["replayed"])
+            cache_status = status["cache_status"]
             with self.condition:
                 job = self._jobs.get(message["ticket"])
-                if job is not None and not job.terminal:
-                    job.replayed = int(message.get("replayed", job.replayed))
-                    job.cache_status = status.get("cache_status", job.cache_status)
-                    job.error = status.get("error")
-                    job.result_payload = status.get("result")
-                    job.state = status["state"]
-                    job.finished_at = self._clock()
+                if job is not None and job.finish(
+                    status["state"], error=status.get("error"), result=status.get("result")
+                ):
+                    job.replayed = replayed
+                    job.cache_status = cache_status
                 self.condition.notify_all()
             return
         if op == "bye":
@@ -665,7 +658,7 @@ class WorkerPoolService:
                 handle.metrics = dict(message["metrics"])
             obs_trace.ingest(message.get("spans") or ())
             return
-        # Anything unknown needs no action.
+        raise ValueError(f"unknown op {op!r}")
 
     def _on_shard_exit(self, handle: ShardHandle) -> None:
         expected = handle.shutdown_sent
@@ -680,16 +673,10 @@ class WorkerPoolService:
                 # Fail this shard's non-terminal jobs: their sessions died
                 # with the process (completed traces remain replayable from
                 # the shared persistent tier by the ring's new owners).
-                for ticket, shard_id in self._job_shard.items():
-                    if shard_id != handle.shard_id:
-                        continue
-                    job = self._jobs.get(ticket)
-                    if job is not None and not job.terminal:
-                        job.error = (
-                            f"worker {handle.shard_id} (pid {handle.pid}) died"
-                        )
-                        job.state = JOB_FAILED
-                        job.finished_at = self._clock()
+                error = f"worker {handle.shard_id} (pid {handle.pid}) died"
+                for job in self._jobs.values():
+                    if job.shard_id == handle.shard_id:
+                        job.finish(JOB_FAILED, error=error)
             self.condition.notify_all()
 
     # ------------------------------------------------------------------
@@ -728,21 +715,10 @@ class WorkerPoolService:
                         f"no reply from {handle.shard_id} within {timeout} s"
                     )
                 self.condition.wait(timeout=min(0.25, remaining))
-            return self._replies.pop(req_id)
-
-    @staticmethod
-    def _raise_reply_error(reply: Mapping) -> None:
-        error = reply.get("error")
-        if error is None:
-            return
-        kind = reply.get("error_kind")
-        if kind == "admission":
-            raise AdmissionError(error)
-        if kind == "conflict":
-            raise RuntimeError(error)
-        if kind == "bad_request":
-            raise ValueError(error)
-        raise ServiceError(error)
+            reply = self._replies.pop(req_id)
+        if "error" in reply:
+            raise reply["error"]  # the shard's own exception
+        return reply
 
     # ------------------------------------------------------------------
     # The five verbs
@@ -791,7 +767,6 @@ class WorkerPoolService:
         resolved = resolve_request(request)
         key = request_fingerprint(resolved, canonical)
         with self.condition:
-            self._prune_retained_locked()
             handle = self._shard_for_locked(key)
             previous_id = self._key_shard.get(key)
             previous = (
@@ -804,39 +779,26 @@ class WorkerPoolService:
             # last run): pull the parked session over so the new owner can
             # warm-start instead of recomputing.
             self.migrate_session(key, previous, handle)
-        with self.condition:
-            ticket = f"job-{next(self._tickets):06d}"
-            job = Job(
-                ticket,
-                request,
-                session=None,
-                priority=priority,
-                deadline_seconds=deadline_seconds,
-                clock=self._clock,
-            )
-            job.cache_key = key
-            self._jobs[ticket] = job
-            self._job_shard[ticket] = handle.shard_id
+        job = self._new_job(request, priority, deadline_seconds)
+        job.cache_key = key
+        job.shard_id = handle.shard_id
+        self._register(job)
         try:
-            reply = self._rpc(
+            accepted = self._rpc(
                 handle,
                 {
                     "op": "submit",
-                    "ticket": ticket,
+                    "ticket": job.ticket,
                     "request": request.to_dict(),
                     "priority": priority,
                     "deadline_seconds": deadline_seconds,
                     "use_cache": use_cache,
                     "trace_context": obs_trace.current_context(),
                 },
-            )
-            self._raise_reply_error(reply)
+            )["accepted"]
         except Exception:
-            with self.condition:
-                self._jobs.pop(ticket, None)
-                self._job_shard.pop(ticket, None)
+            self._unregister(job.ticket)
             raise
-        accepted = reply["accepted"]
         with self.condition:
             self._key_shard[key] = handle.shard_id
             job.cache_status = accepted["cache_status"]
@@ -851,7 +813,7 @@ class WorkerPoolService:
                 job.state = accepted["state"]
             self.condition.notify_all()
         self._pool_submits.inc()
-        return ticket
+        return job.ticket
 
     def migrate_session(
         self, key: str, source: ShardHandle, target: ShardHandle
@@ -864,61 +826,22 @@ class WorkerPoolService:
         ``migrated_inline_bytes`` gauge records its size.
         """
         try:
-            exported = self._rpc(handle=source, message={"op": "export_session", "key": key})
-        except (ServiceError, TimeoutError):
-            return False
-        if exported.get("error") or not exported.get("found"):
-            return False
-        try:
+            exported = self._rpc(source, {"op": "export_session", "key": key})
+            if not exported["found"]:
+                return False
             imported = self._rpc(
-                handle=target,
-                message={
-                    "op": "import_session",
-                    "key": key,
-                    "blob": exported["blob"],
-                },
+                target,
+                {"op": "import_session", "key": key, "blob": exported["blob"]},
             )
-        except (ServiceError, TimeoutError):
+        except Exception:  # noqa: BLE001 - best-effort: a session that does not move is recomputed
             return False
-        if imported.get("error") or not imported.get("parked"):
+        if not imported["parked"]:
             return False
         with self.condition:
             self.migrations += 1
             self.migrated_inline_bytes += int(exported.get("inline_bytes", 0))
             self._key_shard[key] = target.shard_id
         return True
-
-    def poll(self, ticket: str, include_result: bool = True) -> dict:
-        job = self._job(ticket)
-        with self.condition:
-            return job.status_payload(include_result=include_result)
-
-    def stream(
-        self, ticket: str, timeout: Optional[float] = None
-    ) -> Iterator[dict]:
-        """Yield ``frontier_update`` payloads until the job is terminal."""
-        job = self._job(ticket)
-        deadline = self._clock() + timeout if timeout is not None else None
-        index = 0
-        while True:
-            with self.condition:
-                while index >= len(job.updates) and not job.terminal:
-                    if self._closed:
-                        return
-                    remaining = 0.25
-                    if deadline is not None:
-                        remaining = min(remaining, deadline - self._clock())
-                        if remaining <= 0:
-                            raise TimeoutError(
-                                f"no update from {ticket} within {timeout} s"
-                            )
-                    self.condition.wait(timeout=remaining)
-                if index < len(job.updates):
-                    payload = job.updates[index]
-                    index += 1
-                else:
-                    return
-            yield payload
 
     def steer(self, ticket: str, action: Union[Mapping, object]) -> dict:
         """Forward a ``steer_request`` payload to the job's shard.
@@ -932,84 +855,28 @@ class WorkerPoolService:
                 "worker-pool steering requires the steer_request payload"
             )
         parse_steer(action)
-        job = self._job(ticket)
-        with self.condition:
-            if job.terminal:
-                raise RuntimeError(f"job {ticket} already {job.state}")
-        handle = self._handle_for(ticket)
-        reply = self._rpc(
-            handle, {"op": "steer", "ticket": ticket, "payload": dict(action)}
+        job = self.job(ticket)
+        if job.terminal:
+            raise RuntimeError(f"job {ticket} already {job.state}")
+        self._rpc(
+            self._handle_for(job),
+            {"op": "steer", "ticket": ticket, "payload": dict(action)},
         )
-        self._raise_reply_error(reply)
         return self.poll(ticket, include_result=False)
 
     def cancel(self, ticket: str) -> dict:
-        job = self._job(ticket)
-        with self.condition:
-            terminal = job.terminal
-        if not terminal:
-            handle = self._handle_for(ticket)
-            reply = self._rpc(handle, {"op": "cancel", "ticket": ticket})
-            self._raise_reply_error(reply)
-            # The terminal status message races the reply; wait for it so the
-            # caller observes the cancelled state, like the in-process path.
-            deadline = self._clock() + 10.0
-            with self.condition:
-                while not job.terminal and self._clock() < deadline:
-                    self.condition.wait(timeout=0.1)
-        return self.poll(ticket)
+        """Cancel a job; returns its status once the shard's answer lands."""
+        job = self.job(ticket)
+        if not job.terminal:
+            self._rpc(self._handle_for(job), {"op": "cancel", "ticket": ticket})
+        return self._settle(ticket)
 
     # ------------------------------------------------------------------
-    # Results and introspection
+    # Introspection
     # ------------------------------------------------------------------
-    def wait(self, ticket: str, timeout: Optional[float] = None) -> dict:
-        job = self._job(ticket)
-        deadline = self._clock() + timeout if timeout is not None else None
-        with self.condition:
-            while not job.terminal:
-                if self._closed:
-                    raise ServiceError(
-                        f"worker pool closed while {ticket} was {job.state}"
-                    )
-                remaining = 0.25
-                if deadline is not None:
-                    remaining = min(remaining, deadline - self._clock())
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            f"{ticket} not finished within {timeout} s"
-                        )
-                self.condition.wait(timeout=remaining)
-            return job.status_payload()
-
-    def result(
-        self, ticket: str, timeout: Optional[float] = None
-    ) -> OptimizationResult:
-        status = self.wait(ticket, timeout=timeout)
-        if status["state"] == JOB_FAILED:
-            raise ServiceError(
-                f"job {ticket} failed: {status.get('error') or 'unknown error'}"
-            )
-        payload = status.get("result")
-        if payload is None:
-            raise ServiceError(
-                f"job {ticket} ended {status['state']} without a result"
-            )
-        return OptimizationResult.from_dict(payload)
-
-    def job(self, ticket: str) -> Job:
-        return self._job(ticket)
-
-    def tickets(self) -> List[str]:
-        with self.condition:
-            return list(self._jobs)
-
     def shard_of(self, ticket: str) -> str:
         """Which shard owns (or owned) this job — routing tests rely on it."""
-        with self.condition:
-            shard_id = self._job_shard.get(ticket)
-        if shard_id is None:
-            raise UnknownTicketError(f"unknown ticket {ticket!r}")
-        return shard_id
+        return self.job(ticket).shard_id
 
     # ------------------------------------------------------------------
     # Gauges
@@ -1021,17 +888,9 @@ class WorkerPoolService:
         contribute their last heartbeat snapshot.
         """
         shards: List[dict] = []
-        with self.condition:
-            handles = list(self._handles.values())
-        for handle in handles:
-            stats = handle.stats
-            if handle.alive:
-                try:
-                    stats = self._rpc(handle, {"op": "stats"}, timeout=5.0)[
-                        "stats"
-                    ]
-                except (ServiceError, TimeoutError):
-                    stats = handle.stats
+        for handle in self.shards():
+            reply = self._ask(handle, "stats")
+            stats = reply["stats"] if reply else handle.stats
             shards.append(
                 {
                     "shard_id": handle.shard_id,
@@ -1044,42 +903,10 @@ class WorkerPoolService:
                     "cache": dict(stats.get("cache", {})),
                 }
             )
-        scheduler = {
-            "policy": self._policy,
-            "workers": len(shards),
-            "max_sessions": self._max_sessions * max(len(shards), 1),
-            "max_queue": self._max_queue * max(len(shards), 1),
-        }
-        for gauge in (
-            "live_sessions",
-            "queued",
-            "max_live_seen",
-            "submitted",
-            "invocations_run",
-            "finished",
-            "failed",
-            "cancelled",
-        ):
-            scheduler[gauge] = sum(
-                int(shard["scheduler"].get(gauge, 0)) for shard in shards
-            )
-        cache = {"persistent": True}
-        for gauge in (
-            "entries",
-            "bytes_in_use",
-            "max_bytes",
-            "live_sessions",
-            "trace_bytes",
-            "arena_bytes",
-            "hits",
-            "warm_starts",
-            "misses",
-            "stores",
-            "evictions",
-        ):
-            cache[gauge] = sum(
-                int(shard["cache"].get(gauge, 0)) for shard in shards
-            )
+        scheduler = _sum_gauges(shard["scheduler"] for shard in shards)
+        scheduler.update(policy=self._policy, workers=len(shards))
+        cache = _sum_gauges(shard["cache"] for shard in shards)
+        cache["persistent"] = True
         with self.condition:
             cache["migrations"] = self.migrations
             cache["migrated_inline_bytes"] = self.migrated_inline_bytes
@@ -1095,28 +922,20 @@ class WorkerPoolService:
         ``shard="shard-N"`` label; the pool's own instruments render bare.
         """
         labelled = []
-        with self.condition:
-            handles = list(self._handles.values())
-        for handle in handles:
-            snapshot = handle.metrics
-            if handle.alive:
-                try:
-                    reply = self._rpc(handle, {"op": "metrics"}, timeout=5.0)
-                    if reply.get("metrics"):
-                        snapshot = dict(reply["metrics"])
-                        handle.metrics = snapshot
-                    obs_trace.ingest(reply.get("spans") or ())
-                except (ServiceError, TimeoutError):
-                    snapshot = handle.metrics
-            if snapshot:
-                labelled.append(({"shard": handle.shard_id}, snapshot))
+        for handle in self.shards():
+            reply = self._ask(handle, "metrics")
+            if reply:
+                if reply.get("metrics"):
+                    handle.metrics = dict(reply["metrics"])
+                obs_trace.ingest(reply.get("spans") or ())
+            if handle.metrics:
+                labelled.append(({"shard": handle.shard_id}, handle.metrics))
         labelled.append(({}, self.metrics.snapshot()))
         return render_snapshots(labelled)
 
     def health(self) -> dict:
         """Per-worker liveness; ``status != "ok"`` once any shard is dead."""
-        with self.condition:
-            handles = list(self._handles.values())
+        handles = self.shards()
         workers = []
         status = HEALTH_OK
         for handle in handles:
@@ -1142,20 +961,21 @@ class WorkerPoolService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _job(self, ticket: str) -> Job:
-        with self.condition:
-            job = self._jobs.get(ticket)
-        if job is None:
-            raise UnknownTicketError(f"unknown ticket {ticket!r}")
-        return job
+    def _ask(self, handle: ShardHandle, op: str) -> Optional[dict]:
+        """A live shard's reply to ``op``; None from a dead or slow shard."""
+        if handle.alive:
+            try:
+                return self._rpc(handle, {"op": op}, timeout=5.0)
+            except (ServiceError, TimeoutError):
+                pass
+        return None
 
-    def _handle_for(self, ticket: str) -> ShardHandle:
+    def _handle_for(self, job: Job) -> ShardHandle:
         with self.condition:
-            shard_id = self._job_shard.get(ticket)
-            handle = self._handles.get(shard_id) if shard_id else None
+            handle = self._handles.get(job.shard_id)
         if handle is None or not handle.alive:
             raise ServiceError(
-                f"the worker owning {ticket} is no longer alive"
+                f"the worker owning {job.ticket} is no longer alive"
             )
         return handle
 
@@ -1165,13 +985,3 @@ class WorkerPoolService:
         except LookupError:
             raise AdmissionError("no live worker shards; retry later") from None
         return self._handles[shard_id]
-
-    def _prune_retained_locked(self) -> None:
-        if len(self._jobs) <= self._max_retained_jobs:
-            return
-        for ticket in list(self._jobs):
-            if len(self._jobs) <= self._max_retained_jobs:
-                break
-            if self._jobs[ticket].terminal:
-                del self._jobs[ticket]
-                self._job_shard.pop(ticket, None)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import repro.service.shard as shard_module
 from repro.api import Budget, OptimizeRequest, open_session
 from repro.service import (
     CACHE_HIT,
@@ -308,6 +309,52 @@ class TestVerbs:
         # shared persistent tier before the shards exited.
         persisted = list(tmp_path.rglob("*.json"))
         assert persisted, "drain did not flush the persistent cache tier"
+
+
+# ----------------------------------------------------------------------
+# Fault injection: messages the parent cannot apply
+# ----------------------------------------------------------------------
+class TestMalformedMessages:
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"op": "update"},  # no payload, alpha or plans_after
+            {"op": "status", "replayed": 0},  # no status
+            {
+                "op": "status",
+                "replayed": 0,
+                "status": {"state": "exploded", "cache_status": "miss"},
+            },
+            {"op": "frobnicate"},
+        ],
+        ids=("update", "status", "state", "unknown_op"),
+    )
+    def test_the_named_job_fails_and_the_reader_lives_on(
+        self, message, monkeypatch
+    ):
+        """The shard sends ``message`` for the first job before its updates."""
+        first = OptimizeRequest(workload="gen:star:4:0", **TINY)
+        later = OptimizeRequest(workload="gen:chain:4:0", **TINY)
+        push_progress = shard_module._push_progress
+        named = set()
+
+        def push_malformed_first(conn, open_jobs):
+            for ticket, (job, _) in open_jobs.items():
+                if job.request == first and ticket not in named:
+                    named.add(ticket)
+                    conn.send({**message, "ticket": ticket})
+            push_progress(conn, open_jobs)
+
+        # The shards fork after the patch, so they inherit it.
+        monkeypatch.setattr(shard_module, "_push_progress", push_malformed_first)
+        with WorkerPoolService(workers=1) as pool:
+            ticket = pool.submit(first)
+            status = pool.wait(ticket, timeout=30.0)
+            assert status["state"] == "failed"
+            assert repr(message["op"]) in status["error"]
+            assert all(shard.reader.is_alive() for shard in pool.shards())
+            result = pool.result(pool.submit(later), timeout=60.0)
+        assert _frontier_costs(result) == _frontier_costs(open_session(later).run())
 
 
 # ----------------------------------------------------------------------
