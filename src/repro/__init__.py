@@ -11,22 +11,14 @@ paper's figures.
 Quickstart
 ----------
 
->>> from repro import (
-...     AnytimeMOQO, ResolutionSchedule, PlanFactory, MultiObjectiveCostModel,
-...     CardinalityEstimator, default_operator_registry, paper_metric_set,
-... )
->>> from repro.workloads import tpch_queries, tpch_statistics
->>> query = tpch_queries()[2]                      # a TPC-H join block
->>> statistics = tpch_statistics()
->>> metric_set = paper_metric_set()
->>> factory = PlanFactory(
-...     CardinalityEstimator(statistics, query.join_graph),
-...     MultiObjectiveCostModel(metric_set),
-...     default_operator_registry(),
-... )
->>> loop = AnytimeMOQO(query, factory, ResolutionSchedule(levels=5))
->>> results = loop.run_resolution_sweep()          # anytime refinement
->>> len(results[-1].frontier) >= len(results[0].frontier)
+>>> from repro import OptimizeRequest, open_session
+>>> result = open_session(
+...     OptimizeRequest(workload="tpch:q03", levels=3, scale="tiny")
+... ).run()                                        # anytime refinement
+>>> result.finish_reason, len(result.invocations)
+('exhausted', 3)
+>>> sizes = [invocation.frontier_size for invocation in result.invocations]
+>>> sizes[-1] >= sizes[0] > 0
 True
 """
 
@@ -65,10 +57,8 @@ from repro.plans import (
     default_operator_registry,
 )
 from repro.core import (
-    AnytimeMOQO,
     IncrementalOptimizer,
     InvocationReport,
-    InvocationResult,
     PlanIndex,
     ResolutionSchedule,
     ChangeBounds,
@@ -136,10 +126,8 @@ __all__ = [
     "OperatorRegistry",
     "default_operator_registry",
     # core (IAMA)
-    "AnytimeMOQO",
     "IncrementalOptimizer",
     "InvocationReport",
-    "InvocationResult",
     "PlanIndex",
     "ResolutionSchedule",
     "ChangeBounds",

@@ -254,9 +254,6 @@ class FrontierUpdate:
     frontier: Tuple[PlanSummary, ...]
     elapsed_seconds: float
     plans: Tuple[Plan, ...] = field(default=(), compare=False, repr=False)
-    #: The algorithm's native report object (e.g. ``InvocationReport``), for
-    #: consumers that need legacy fields; not serialized, not compared.
-    native: object = field(default=None, compare=False, repr=False)
 
     @property
     def frontier_costs(self) -> List[CostVector]:

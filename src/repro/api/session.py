@@ -249,7 +249,6 @@ class PlannerSession:
             frontier=frontier_summaries(step.plans),
             elapsed_seconds=_now() - self._started,
             plans=tuple(step.plans),
-            native=step.native,
         )
         self._history.append(update)
         self._last_plans = tuple(step.plans)

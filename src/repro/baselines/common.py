@@ -45,7 +45,7 @@ from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
 from repro.plans.factory import PlanFactory
 from repro.plans.plan import Plan
-from repro.plans.query import Query, proper_splits, table_subsets
+from repro.plans.query import Query, plan_order
 
 TableSet = FrozenSet[str]
 
@@ -96,10 +96,9 @@ class ApproximateParetoDP:
     ):
         self._query = query
         self._factory = factory
-        self._allow_cross_products = allow_cross_products
         self._respect_orders = respect_orders
         self._keep_dominated = keep_dominated
-        self._plan_order = self._enumerate_plan_order()
+        self._plan_order = plan_order(query, allow_cross_products)
         self.last_plan_sets: Dict[TableSet, List[Plan]] = {}
 
     # ------------------------------------------------------------------
@@ -110,35 +109,6 @@ class ApproximateParetoDP:
     @property
     def factory(self) -> PlanFactory:
         return self._factory
-
-    # ------------------------------------------------------------------
-    def _enumerate_plan_order(
-        self,
-    ) -> List[Tuple[TableSet, List[Tuple[TableSet, TableSet]]]]:
-        query = self._query
-        admissible: set = set()
-        for subset in table_subsets(query.tables, min_size=1):
-            if (
-                len(subset) == 1
-                or self._allow_cross_products
-                or query.is_connected(subset)
-            ):
-                admissible.add(subset)
-        order: List[Tuple[TableSet, List[Tuple[TableSet, TableSet]]]] = []
-        for subset in table_subsets(query.tables, min_size=2):
-            if subset not in admissible:
-                continue
-            splits: List[Tuple[TableSet, TableSet]] = []
-            for left, right in proper_splits(subset):
-                if left not in admissible or right not in admissible:
-                    continue
-                if not self._allow_cross_products:
-                    if not query.join_graph.predicates_between(left, right):
-                        continue
-                splits.append((left, right))
-            if splits:
-                order.append((subset, splits))
-        return order
 
     # ------------------------------------------------------------------
     def run(self, bounds: CostVector, alpha: float) -> DPInvocationReport:

@@ -41,7 +41,6 @@ class MemorylessAnytimeOptimizer:
             respect_orders=respect_orders,
             keep_dominated=keep_dominated,
         )
-        self._resolution = 0
         self._reports: List[DPInvocationReport] = []
 
     # ------------------------------------------------------------------
@@ -54,39 +53,19 @@ class MemorylessAnytimeOptimizer:
         return self._schedule
 
     @property
-    def resolution(self) -> int:
-        """The resolution level the next invocation will use."""
-        return self._resolution
-
-    @property
     def reports(self) -> List[DPInvocationReport]:
         return list(self._reports)
 
     # ------------------------------------------------------------------
     def step(
-        self,
-        bounds: Optional[CostVector] = None,
-        resolution: Optional[int] = None,
+        self, resolution: int, bounds: Optional[CostVector] = None
     ) -> DPInvocationReport:
-        """Run one from-scratch invocation at the given (or next) resolution."""
+        """Run one from-scratch invocation at the given resolution."""
         if bounds is None:
             bounds = self._factory.metric_set.unbounded_vector()
-        if resolution is None:
-            resolution = self._resolution
-        alpha = self._schedule.alpha(resolution)
-        report = self._dp.run(bounds, alpha)
+        report = self._dp.run(bounds, self._schedule.alpha(resolution))
         self._reports.append(report)
-        self._resolution = self._schedule.next_resolution(resolution)
         return report
-
-    def run_resolution_sweep(
-        self, bounds: Optional[CostVector] = None
-    ) -> List[DPInvocationReport]:
-        """Run one from-scratch invocation per resolution level (0 .. r_M)."""
-        reports = []
-        for resolution in self._schedule.resolutions():
-            reports.append(self.step(bounds, resolution))
-        return reports
 
     def frontier(self) -> List[Plan]:
         """Completed query plans of the most recent invocation."""

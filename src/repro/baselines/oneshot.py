@@ -66,15 +66,6 @@ class OneShotOptimizer:
         self._reports.append(report)
         return report
 
-    def run_resolution_sweep(self, bounds: Optional[CostVector] = None) -> List[DPInvocationReport]:
-        """Produce the final-precision result in a single invocation.
-
-        The name mirrors :meth:`repro.core.control.AnytimeMOQO.run_resolution_sweep`
-        so that the experiment harness can drive all algorithms uniformly; for
-        the one-shot algorithm the "sweep" collapses to one invocation.
-        """
-        return [self.optimize(bounds)]
-
     def frontier(self) -> List[Plan]:
         """Completed query plans of the most recent optimization."""
         return self._dp.frontier()

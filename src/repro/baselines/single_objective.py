@@ -25,7 +25,7 @@ from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
 from repro.plans.factory import PlanFactory
 from repro.plans.plan import Plan
-from repro.plans.query import Query, proper_splits, table_subsets
+from repro.plans.query import Query, plan_order
 
 TableSet = FrozenSet[str]
 
@@ -90,24 +90,9 @@ class SingleObjectiveOptimizer:
                 self._keep_if_better(best[key], plan)
 
         join_operators = self._factory.join_operators()
-        admissible = {
-            subset
-            for subset in table_subsets(self._query.tables, min_size=1)
-            if len(subset) == 1
-            or self._allow_cross_products
-            or self._query.is_connected(subset)
-        }
-        for subset in table_subsets(self._query.tables, min_size=2):
-            if subset not in admissible:
-                continue
+        for subset, splits in plan_order(self._query, self._allow_cross_products):
             target = best.setdefault(subset, {})
-            for left_tables, right_tables in proper_splits(subset):
-                if left_tables not in admissible or right_tables not in admissible:
-                    continue
-                if not self._allow_cross_products and not (
-                    self._query.join_graph.predicates_between(left_tables, right_tables)
-                ):
-                    continue
+            for left_tables, right_tables in splits:
                 for left in best.get(left_tables, {}).values():
                     for right in best.get(right_tables, {}).values():
                         for operator in join_operators:

@@ -1,7 +1,7 @@
 """First-class ablation harness: per-feature speedup attribution with gates.
 
-The stacked optimizations (the numpy kernel backend, block costing, Δ-sets,
-frontier cache, scheduler policy) each kept a slower reference path alive;
+The stacked optimizations (the numpy kernel backend, Δ-sets, frontier cache,
+scheduler policy, tracing) each kept a slower reference path alive;
 this module turns those seams into a registry of named features and
 measures what each one contributes.
 
@@ -159,14 +159,6 @@ FEATURES.register(
         layer="kernel",
         description="vectorized numpy dominance kernel vs pure-Python loops",
         lowering='REPRO_KERNEL_BACKEND=python / kernel.use_backend("python")',
-    )
-)
-FEATURES.register(
-    Feature(
-        name="block_costing",
-        layer="core",
-        description="one kernel call per (operator, metric) block vs per-plan combine()",
-        lowering="REPRO_FEATURE_BLOCK_COSTING=0",
     )
 )
 FEATURES.register(

@@ -12,25 +12,17 @@ This package implements the paper's contribution:
 * :mod:`repro.core.state` -- the per-query result/candidate plan sets and
   bookkeeping counters that persist across optimizer invocations,
 * :mod:`repro.core.optimizer` -- procedure ``Optimize`` (Algorithm 2),
-* :mod:`repro.core.control` -- the main control loop (Algorithm 1) and its
-  interactive, anytime driver.
+* :mod:`repro.core.control` -- the user actions of the main control loop
+  (Algorithm 1), which :class:`repro.api.session.PlannerSession` runs.
 """
 
 from repro.core.resolution import ResolutionSchedule
 from repro.core.index import PlanIndex, IndexedPlan
 from repro.core.pruning import PruneOutcome, prune
-from repro.core.fresh import FreshnessRegistry, fresh_pairs
+from repro.core.fresh import FreshnessRegistry
 from repro.core.state import OptimizerState, OptimizerCounters
 from repro.core.optimizer import IncrementalOptimizer, InvocationReport
-from repro.core.control import (
-    AnytimeMOQO,
-    InvocationResult,
-    FrontierPoint,
-    UserAction,
-    ChangeBounds,
-    SelectPlan,
-    Continue,
-)
+from repro.core.control import UserAction, ChangeBounds, SelectPlan, Continue
 
 __all__ = [
     "ResolutionSchedule",
@@ -39,14 +31,10 @@ __all__ = [
     "PruneOutcome",
     "prune",
     "FreshnessRegistry",
-    "fresh_pairs",
     "OptimizerState",
     "OptimizerCounters",
     "IncrementalOptimizer",
     "InvocationReport",
-    "AnytimeMOQO",
-    "InvocationResult",
-    "FrontierPoint",
     "UserAction",
     "ChangeBounds",
     "SelectPlan",

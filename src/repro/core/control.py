@@ -1,4 +1,4 @@
-"""The main control loop (Algorithm 1) and its interactive driver.
+"""The user actions of the main control loop (Algorithm 1).
 
 Algorithm 1 alternates between optimizer invocations and user interaction:
 
@@ -9,28 +9,20 @@ Algorithm 1 alternates between optimizer invocations and user interaction:
    the resolution to 0; otherwise refine the resolution
    (``r <- min(r_M, r + 1)``); when the user selects a plan, stop and return it.
 
-:class:`AnytimeMOQO` exposes this loop both as a step-by-step API (``step``)
-and as a closed loop driven by a user model (``run``).  The "visualization" is
-a callback receiving frontier snapshots -- the interactive package provides
-text renderings and series exporters on top of it.
+The loop itself is :class:`repro.api.session.PlannerSession`; this module
+defines the actions it applies after each invocation: :class:`Continue`,
+:class:`ChangeBounds` and :class:`SelectPlan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from repro.costs.vector import CostVector
-from repro.core.optimizer import IncrementalOptimizer, InvocationReport
-from repro.core.resolution import ResolutionSchedule
-from repro.plans.factory import PlanFactory
 from repro.plans.plan import Plan
-from repro.plans.query import Query
 
 
-# ----------------------------------------------------------------------
-# User actions
-# ----------------------------------------------------------------------
 class UserAction:
     """Base class for the actions a user can take after each iteration."""
 
@@ -65,195 +57,3 @@ class SelectPlan(UserAction):
         if self.chooser is not None and frontier:
             return self.chooser(frontier)
         return None
-
-
-# ----------------------------------------------------------------------
-# Results of one main-loop iteration
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FrontierPoint:
-    """One visualized cost tradeoff: a completed plan and its cost vector."""
-
-    plan: Plan
-    cost: CostVector
-
-
-@dataclass(frozen=True)
-class InvocationResult:
-    """Everything produced by one iteration of the main control loop."""
-
-    iteration: int
-    resolution: int
-    bounds: CostVector
-    report: InvocationReport
-    frontier: List[FrontierPoint]
-
-    @property
-    def frontier_costs(self) -> List[CostVector]:
-        return [point.cost for point in self.frontier]
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.report.duration_seconds
-
-
-VisualizeCallback = Callable[[InvocationResult], None]
-
-
-class AnytimeMOQO:
-    """Interactive anytime MOQO driver (Algorithm 1).
-
-    Parameters
-    ----------
-    query:
-        The query to optimize.
-    factory:
-        Plan factory (cost model, cardinality estimator, operators).
-    schedule:
-        Resolution schedule; its maximal level caps the refinement.
-    visualize:
-        Optional callback invoked with every :class:`InvocationResult`,
-        playing the role of procedure ``Visualize``.
-    default_bounds:
-        Initial cost bounds; ``None`` means unbounded (all infinities).
-    optimizer_options:
-        Extra keyword arguments forwarded to
-        :class:`~repro.core.optimizer.IncrementalOptimizer`.
-    """
-
-    def __init__(
-        self,
-        query: Query,
-        factory: PlanFactory,
-        schedule: ResolutionSchedule,
-        visualize: Optional[VisualizeCallback] = None,
-        default_bounds: Optional[CostVector] = None,
-        **optimizer_options,
-    ):
-        self._optimizer = IncrementalOptimizer(
-            query, factory, schedule, **optimizer_options
-        )
-        self._schedule = schedule
-        self._visualize = visualize
-        metric_set = factory.metric_set
-        self._bounds = (
-            default_bounds if default_bounds is not None else metric_set.unbounded_vector()
-        )
-        self._resolution = 0
-        self._iteration = 0
-        self._history: List[InvocationResult] = []
-        self._selected_plan: Optional[Plan] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def optimizer(self) -> IncrementalOptimizer:
-        return self._optimizer
-
-    @property
-    def bounds(self) -> CostVector:
-        """The cost bounds that the next iteration will use."""
-        return self._bounds
-
-    @property
-    def resolution(self) -> int:
-        """The resolution level that the next iteration will use."""
-        return self._resolution
-
-    @property
-    def iteration(self) -> int:
-        """Number of completed main-loop iterations."""
-        return self._iteration
-
-    @property
-    def history(self) -> List[InvocationResult]:
-        """All iteration results so far."""
-        return list(self._history)
-
-    @property
-    def selected_plan(self) -> Optional[Plan]:
-        """The plan the user selected, if any."""
-        return self._selected_plan
-
-    @property
-    def at_max_resolution(self) -> bool:
-        """Whether the next iteration already runs at the maximal resolution."""
-        return self._resolution >= self._schedule.max_resolution
-
-    # ------------------------------------------------------------------
-    def step(self, action: Optional[UserAction] = None) -> InvocationResult:
-        """Run one iteration of the main control loop.
-
-        The optimizer is invoked with the current bounds and resolution, the
-        frontier is visualized, and then the user ``action`` (defaulting to
-        :class:`Continue`) determines the bounds and resolution of the *next*
-        iteration, exactly as in Algorithm 1 lines 12-25.
-        """
-        result = self._invoke()
-        self._apply_action(action or Continue(), result)
-        return result
-
-    def run(
-        self,
-        user: Optional[Callable[[InvocationResult], UserAction]] = None,
-        max_iterations: Optional[int] = None,
-    ) -> Optional[Plan]:
-        """Run the control loop until the user selects a plan.
-
-        ``user`` is called after every iteration with the iteration result and
-        returns a :class:`UserAction`; ``None`` behaves like a user that never
-        interacts.  Without a plan selection the loop ends after
-        ``max_iterations`` iterations (or after one full resolution sweep when
-        ``max_iterations`` is ``None``) and returns ``None``.
-        """
-        if max_iterations is None:
-            max_iterations = self._schedule.levels
-        for _ in range(max_iterations):
-            result = self._invoke()
-            action = user(result) if user is not None else Continue()
-            if isinstance(action, SelectPlan):
-                selected = action.resolve([p.plan for p in result.frontier])
-                self._selected_plan = selected
-                return selected
-            self._apply_action(action, result)
-        return None
-
-    def run_resolution_sweep(self) -> List[InvocationResult]:
-        """Run one invocation per resolution level without user interaction.
-
-        This is the workload of the paper's experiments (Section 6.1 evaluates
-        "a scenario without user interaction ... the cost bounds are initially
-        fixed to infinity"): the resolution climbs from 0 to ``r_M``, producing
-        ``r_M + 1`` invocations.
-        """
-        results: List[InvocationResult] = []
-        for _ in range(self._schedule.levels):
-            results.append(self.step(Continue()))
-        return results
-
-    # ------------------------------------------------------------------
-    def _invoke(self) -> InvocationResult:
-        report = self._optimizer.optimize(self._bounds, self._resolution)
-        frontier_plans = self._optimizer.frontier(self._bounds, self._resolution)
-        frontier = [FrontierPoint(plan=p, cost=p.cost) for p in frontier_plans]
-        self._iteration += 1
-        result = InvocationResult(
-            iteration=self._iteration,
-            resolution=self._resolution,
-            bounds=self._bounds,
-            report=report,
-            frontier=frontier,
-        )
-        self._history.append(result)
-        if self._visualize is not None:
-            self._visualize(result)
-        return result
-
-    def _apply_action(self, action: UserAction, result: InvocationResult) -> None:
-        if isinstance(action, SelectPlan):
-            self._selected_plan = action.resolve([p.plan for p in result.frontier])
-            return
-        if isinstance(action, ChangeBounds):
-            self._bounds = action.bounds
-            self._resolution = 0
-            return
-        self._resolution = self._schedule.next_resolution(self._resolution)

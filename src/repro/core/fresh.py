@@ -20,11 +20,10 @@ generated at most once") is checked against those counters by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from repro.plans.operators import JoinOperator
-from repro.plans.plan import Plan, plan_signature
 
 
 @dataclass
@@ -48,9 +47,7 @@ class FreshnessRegistry:
     ids are the arena ids of the operands (canonicalized so ``(p1, p2)`` and
     ``(p2, p1)`` coincide) and ``operator_key`` is a small integer the
     registry interns per distinct ``(algorithm, parallelism)`` operator
-    variant.  The object-level API (:meth:`register`) and the id-level hot
-    path (:meth:`register_ids`) share one signature set, so they are
-    interchangeable.
+    variant.
     """
 
     def __init__(self) -> None:
@@ -70,25 +67,12 @@ class FreshnessRegistry:
             self._operator_keys[variant] = key
         return key
 
-    def is_fresh(self, left: Plan, right: Plan, operator: JoinOperator) -> bool:
-        """Whether the combination has not been registered yet (no side effect)."""
-        return (
-            self._signature(left.plan_id, right.plan_id, self.operator_key(operator))
-            not in self._seen
-        )
-
-    def register(self, left: Plan, right: Plan, operator: JoinOperator) -> bool:
-        """Register the combination; return whether it was fresh.
-
-        This is the operation used by the optimizer: check and mark in one
-        step, so a combination can never be reported fresh twice.
-        """
-        return self.register_ids(
-            left.plan_id, right.plan_id, self.operator_key(operator)
-        )
-
     def register_ids(self, left_id: int, right_id: int, operator_key: int) -> bool:
-        """Id-level :meth:`register`: check and mark one integer triple."""
+        """Register one combination; return whether it was fresh.
+
+        Check and mark in one step, so a combination can never be reported
+        fresh twice.
+        """
         signature = self._signature(left_id, right_id, operator_key)
         if signature in self._seen:
             self.counters.repeated_combinations += 1
@@ -110,61 +94,23 @@ class FreshnessRegistry:
         self.counters = FreshnessCounters()
 
 
-def fresh_pairs(
-    left_plans: Sequence[Plan],
-    right_plans: Sequence[Plan],
-    left_delta: Optional[Sequence[Plan]] = None,
-    right_delta: Optional[Sequence[Plan]] = None,
-) -> Iterator[Tuple[Plan, Plan]]:
-    """Enumerate the sub-plan pairs that may yield fresh combinations.
-
-    ``left_plans`` / ``right_plans`` are the bound- and resolution-filtered
-    result plans ``P1`` and ``P2``; ``left_delta`` / ``right_delta`` are the
-    subsets ``ΔP1`` / ``ΔP2`` of plans inserted during the current invocation.
-    Passing ``None`` for a delta means "Δ-set unknown, use the full set"
-    (the conservative choice described in Section 4.2).
-
-    The enumeration short-circuits when either operand set is empty, matching
-    the paper's remark that each cross product first checks operand emptiness.
-    """
-    if not left_plans or not right_plans:
-        return
-    if left_delta is None or right_delta is None:
-        for left in left_plans:
-            for right in right_plans:
-                yield left, right
-        return
-    left_delta_ids = {plan.plan_id for plan in left_delta}
-    right_delta_ids = {plan.plan_id for plan in right_delta}
-    left_old = [plan for plan in left_plans if plan.plan_id not in left_delta_ids]
-    right_old = [plan for plan in right_plans if plan.plan_id not in right_delta_ids]
-    left_new = [plan for plan in left_plans if plan.plan_id in left_delta_ids]
-    right_new = [plan for plan in right_plans if plan.plan_id in right_delta_ids]
-    # ΔP1 × (P2 \ ΔP2)
-    for left in left_new:
-        for right in right_old:
-            yield left, right
-    # (P1 \ ΔP1) × ΔP2
-    for left in left_old:
-        for right in right_new:
-            yield left, right
-    # ΔP1 × ΔP2
-    for left in left_new:
-        for right in right_new:
-            yield left, right
-
-
 def fresh_id_pairs(
     left_ids: Sequence[int],
     right_ids: Sequence[int],
     left_delta: Optional[Sequence[int]] = None,
     right_delta: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[int, int]]:
-    """Id-level :func:`fresh_pairs`: the optimizer's arena hot path.
+    """Enumerate the sub-plan id pairs that may yield fresh combinations.
 
-    Identical enumeration order (Δ-new × old, old × Δ-new, Δ-new × Δ-new; or
-    the full cross product when a delta is unknown), but over plain plan ids,
-    so the Δ-set membership tests are integer set lookups.
+    ``left_ids`` / ``right_ids`` are the bound- and resolution-filtered
+    result plans ``P1`` and ``P2``; ``left_delta`` / ``right_delta`` are the
+    subsets ``ΔP1`` / ``ΔP2`` of plans inserted during the current invocation.
+    Passing ``None`` for a delta means "Δ-set unknown, use the full set"
+    (the conservative choice described in Section 4.2).  Pairs come in the
+    order ΔP1 × (P2 \\ ΔP2), (P1 \\ ΔP1) × ΔP2, ΔP1 × ΔP2.
+
+    The enumeration short-circuits when either operand set is empty, matching
+    the paper's remark that each cross product first checks operand emptiness.
     """
     if not left_ids or not right_ids:
         return

@@ -61,7 +61,7 @@ from repro.core.state import OptimizerState
 from repro.obs import trace as obs_trace
 from repro.plans.factory import PlanFactory
 from repro.plans.plan import Plan
-from repro.plans.query import Query, proper_splits, table_subsets
+from repro.plans.query import Query, plan_order
 
 TableSet = FrozenSet[str]
 
@@ -196,14 +196,13 @@ class IncrementalOptimizer:
         self._query = query
         self._factory = factory
         self._schedule = schedule
-        self._allow_cross_products = allow_cross_products
         self._respect_orders = respect_orders
         # The Δ-set optimization can be ablated per optimizer (the keyword,
         # used by the bespoke freshness ablation) or globally (feature flag).
         self._use_delta_sets = use_delta_sets and flags.enabled("delta_sets")
         self._state = OptimizerState(query, cell_base=cell_base)
         self._coverage = _CoverageTracker()
-        self._plan_order = self._enumerate_plan_order()
+        self._plan_order = plan_order(query, allow_cross_products)
 
     # ------------------------------------------------------------------
     # Read-only access
@@ -236,34 +235,6 @@ class IncrementalOptimizer:
         ``Res^Q[0..b, 0..r]``.
         """
         return self._state.final_result_set().retrieve(bounds, resolution)
-
-    # ------------------------------------------------------------------
-    # Search-space enumeration (precomputed once per query)
-    # ------------------------------------------------------------------
-    def _enumerate_plan_order(
-        self,
-    ) -> List[Tuple[TableSet, List[Tuple[TableSet, TableSet]]]]:
-        """Table subsets of size >= 2 in DP order with their admissible splits."""
-        query = self._query
-        admissible: set = set()
-        for subset in table_subsets(query.tables, min_size=1):
-            if len(subset) == 1 or self._allow_cross_products or query.is_connected(subset):
-                admissible.add(subset)
-        order: List[Tuple[TableSet, List[Tuple[TableSet, TableSet]]]] = []
-        for subset in table_subsets(query.tables, min_size=2):
-            if subset not in admissible:
-                continue
-            splits: List[Tuple[TableSet, TableSet]] = []
-            for left, right in proper_splits(subset):
-                if left not in admissible or right not in admissible:
-                    continue
-                if not self._allow_cross_products:
-                    if not query.join_graph.predicates_between(left, right):
-                        continue
-                splits.append((left, right))
-            if splits:
-                order.append((subset, splits))
-        return order
 
     # ------------------------------------------------------------------
     # The optimizer invocation (Algorithm 2)

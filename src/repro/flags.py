@@ -6,11 +6,6 @@ the two are bit-identical).  This module names those seams as boolean flags
 so the ablation harness (:mod:`repro.bench.ablation`) can turn each one off
 in isolation and attribute the speedup honestly:
 
-``block_costing``
-    :meth:`repro.plans.factory.PlanFactory.combine_block` costs a whole block
-    of join combinations with one kernel call per (operator, metric).  Off:
-    the per-plan scalar fallback (one :meth:`MultiObjectiveCostModel.combine`
-    call per combination) — same costs, same arena ids, same order.
 ``delta_sets``
     Section 4.2's Δ-set optimization: under unchanged bounds, only newly
     inserted partial plans are joined.  Off: every invocation re-enumerates
@@ -45,7 +40,7 @@ import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
-#: Environment prefix: ``REPRO_FEATURE_BLOCK_COSTING=0`` disables a flag.
+#: Environment prefix: ``REPRO_FEATURE_DELTA_SETS=0`` disables a flag.
 FEATURE_ENV_PREFIX = "REPRO_FEATURE_"
 
 #: Flag name -> default state.  Every *optimization* flag defaults to on
@@ -53,7 +48,6 @@ FEATURE_ENV_PREFIX = "REPRO_FEATURE_"
 #: ``tracing`` is the lone default-off flag (instrumentation must cost
 #: nothing unless asked for), so its ablation cell turns it *on*.
 KNOWN_FLAGS: Dict[str, bool] = {
-    "block_costing": True,
     "delta_sets": True,
     "tracing": False,
 }

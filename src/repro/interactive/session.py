@@ -6,11 +6,11 @@ of frontier snapshots -- the programmatic equivalent of watching the Figure-1
 interface refine its display while the user drags bounds around and eventually
 clicks a plan.
 
-Since the unified planner API landed, the Algorithm-1 loop itself lives in
-:class:`repro.api.session.PlannerSession`; this class is a thin
-registry-backed consumer that opens an ``iama`` session, feeds each streamed
-frontier update to the user model, steers the session with the user's
-reaction, and keeps the legacy timeline/snapshot recording on top.
+The Algorithm-1 loop itself is :class:`repro.api.session.PlannerSession`;
+this class is a thin registry-backed consumer that opens an ``iama`` session,
+feeds each streamed :class:`~repro.api.schema.FrontierUpdate` to the user
+model, steers the session with the user's reaction, and records the timeline
+of snapshots on top.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.schema import FrontierUpdate
     from repro.api.session import PlannerSession
 
-from repro.core.control import (
-    Continue,
-    FrontierPoint,
-    InvocationResult,
-    UserAction,
-)
+from repro.core.control import Continue, UserAction
 from repro.core.resolution import ResolutionSchedule
 from repro.costs.pareto import hypervolume_2d
 from repro.costs.vector import CostVector
@@ -111,9 +106,8 @@ class InteractiveSession:
         performed = 0
         while performed < max_iterations and not self._session.finished:
             update = self._session.advance()
-            result = self._legacy_result(update)
-            action = self._user.react(result)
-            self._record(result, action)
+            action = self._user.react(update)
+            self._record(update, action)
             self._session.apply(action)
             performed += 1
         return self._session.selected_plan
@@ -121,15 +115,14 @@ class InteractiveSession:
     def step(self) -> SessionTimelineEntry:
         """Run a single iteration and record it.
 
-        As in the original driver, the user model's reaction is recorded in
-        the timeline but the loop itself refines the resolution (the caller
-        decides when to steer for real).
+        The user model's reaction is recorded in the timeline, but the loop
+        itself refines the resolution (the caller decides when to steer for
+        real).
         """
         if self._started is None:
             self._started = time.perf_counter()
         update = self._session.advance()
-        result = self._legacy_result(update)
-        entry = self._record(result, self._user.react(result))
+        entry = self._record(update, self._user.react(update))
         self._session.apply(Continue())
         return entry
 
@@ -197,33 +190,24 @@ class InteractiveSession:
         return series
 
     # ------------------------------------------------------------------
-    def _legacy_result(self, update: "FrontierUpdate") -> InvocationResult:
-        """The core-layer invocation result the user models were written for."""
-        return InvocationResult(
-            iteration=update.invocation.index,
-            resolution=update.invocation.resolution,
-            bounds=update.invocation.bounds,
-            report=update.native,
-            frontier=[FrontierPoint(plan=p, cost=p.cost) for p in update.plans],
-        )
-
     def _record(
-        self, result: InvocationResult, action: UserAction
+        self, update: "FrontierUpdate", action: UserAction
     ) -> SessionTimelineEntry:
         elapsed = (
             time.perf_counter() - self._started if self._started is not None else 0.0
         )
+        invocation = update.invocation
         snapshot = FrontierSnapshot(
-            iteration=result.iteration,
-            resolution=result.resolution,
-            bounds=result.bounds,
-            costs=tuple(result.frontier_costs),
+            iteration=invocation.index,
+            resolution=invocation.resolution,
+            bounds=invocation.bounds,
+            costs=tuple(update.frontier_costs),
             elapsed_seconds=elapsed,
         )
         entry = SessionTimelineEntry(
             snapshot=snapshot,
             action=action,
-            invocation_seconds=result.duration_seconds,
+            invocation_seconds=invocation.duration_seconds,
         )
         self._timeline.append(entry)
         return entry

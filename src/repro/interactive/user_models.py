@@ -1,8 +1,8 @@
 """Scripted user models for interactive MOQO sessions.
 
-A user model is anything with a ``react(result) -> UserAction`` method; after
+A user model is anything with a ``react(update) -> UserAction`` method; after
 every main-loop iteration the session hands it the latest
-:class:`~repro.core.control.InvocationResult` and receives the action the
+:class:`~repro.api.schema.FrontierUpdate` and receives the action the
 "user" takes -- keep refining, change the cost bounds, or select a plan.
 
 The shipped models cover the scenarios discussed in the paper:
@@ -20,15 +20,12 @@ The shipped models cover the scenarios discussed in the paper:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro.core.control import (
-    ChangeBounds,
-    Continue,
-    InvocationResult,
-    SelectPlan,
-    UserAction,
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.schema import FrontierUpdate
+
+from repro.core.control import ChangeBounds, Continue, SelectPlan, UserAction
 from repro.costs.metrics import MetricSet
 from repro.costs.vector import CostVector
 from repro.plans.plan import Plan
@@ -37,12 +34,12 @@ from repro.plans.plan import Plan
 class UserModel:
     """Base class for user models; default behaviour is to never interact."""
 
-    def react(self, result: InvocationResult) -> UserAction:
-        """Return the action the user takes after seeing ``result``."""
+    def react(self, update: FrontierUpdate) -> UserAction:
+        """Return the action the user takes after seeing ``update``."""
         return Continue()
 
-    def __call__(self, result: InvocationResult) -> UserAction:
-        return self.react(result)
+    def __call__(self, update: FrontierUpdate) -> UserAction:
+        return self.react(update)
 
 
 class PassiveUser(UserModel):
@@ -56,7 +53,7 @@ class ScriptedUser(UserModel):
         self._actions: List[UserAction] = list(actions)
         self._next = 0
 
-    def react(self, result: InvocationResult) -> UserAction:
+    def react(self, update: FrontierUpdate) -> UserAction:
         if self._next < len(self._actions):
             action = self._actions[self._next]
             self._next += 1
@@ -103,11 +100,11 @@ class BoundTighteningUser(UserModel):
         self._initial_quantile = initial_quantile
         self._current_bound: Optional[float] = None
 
-    def react(self, result: InvocationResult) -> UserAction:
-        if result.iteration % self._tighten_every != 0:
+    def react(self, update: FrontierUpdate) -> UserAction:
+        if update.invocation.index % self._tighten_every != 0:
             return Continue()
         values = sorted(
-            cost[self._metric_index] for cost in result.frontier_costs
+            cost[self._metric_index] for cost in update.frontier_costs
         )
         if not values:
             return Continue()
@@ -116,7 +113,9 @@ class BoundTighteningUser(UserModel):
             self._current_bound = values[position]
         else:
             self._current_bound *= self._factor
-        bounds = result.bounds.with_component(self._metric_index, self._current_bound)
+        bounds = update.invocation.bounds.with_component(
+            self._metric_index, self._current_bound
+        )
         return ChangeBounds(bounds)
 
 
@@ -138,13 +137,13 @@ class BoundRelaxingUser(UserModel):
         self._factor = factor
         self._relaxed = False
 
-    def react(self, result: InvocationResult) -> UserAction:
-        if self._relaxed or result.iteration < self._relax_after:
+    def react(self, update: FrontierUpdate) -> UserAction:
+        if self._relaxed or update.invocation.index < self._relax_after:
             return Continue()
         self._relaxed = True
         relaxed = CostVector(
             value * self._factor if value != float("inf") else value
-            for value in result.bounds
+            for value in update.invocation.bounds
         )
         return ChangeBounds(relaxed)
 
@@ -203,10 +202,10 @@ class PlanSelectingUser(UserModel):
         self._min_resolution = min_resolution
         self._min_frontier_size = min_frontier_size
 
-    def react(self, result: InvocationResult) -> UserAction:
+    def react(self, update: FrontierUpdate) -> UserAction:
         if (
-            result.resolution >= self._min_resolution
-            and len(result.frontier) >= self._min_frontier_size
+            update.invocation.resolution >= self._min_resolution
+            and len(update.frontier) >= self._min_frontier_size
         ):
             return SelectPlan(chooser=self._chooser)
         return Continue()

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro import flags, kernel
+from repro import kernel
 from repro.catalog.cardinality import CardinalityEstimator
 from repro.obs import trace as obs_trace
 from repro.costs.model import MultiObjectiveCostModel
@@ -232,7 +232,6 @@ class PlanFactory:
             "factory.cost_block",
             block_size=len(triples),
             backend=kernel.backend_name(),
-            block_costing=flags.enabled("block_costing"),
         ):
             return self._combine_block_traced(
                 left_tables, right_tables, triples, operators, arena
@@ -259,22 +258,6 @@ class PlanFactory:
         order_tag = _join_order_tag(left_tables, right_tables)
         count = len(triples)
         dims = target.dimensions
-
-        if not flags.enabled("block_costing"):
-            # Ablation fallback: cost every combination through the scalar
-            # combine() path, one plan at a time.  Ids, orders and cost values
-            # are bit-identical to the block path below (asserted by the
-            # differential suites); only the speed differs.
-            return self._combine_per_plan(
-                target,
-                triples,
-                operators,
-                left_rows,
-                right_rows,
-                output_rows,
-                tables_id,
-                order_tag,
-            )
 
         arena_columns = target.costs.columns
 
@@ -324,65 +307,6 @@ class PlanFactory:
                 operator_ids[position] = operator_arena_id
                 order_ids[position] = order_id
 
-        self.counters.join_plans_built += count
-        return target.extend_joins(
-            left_ids=[t[0] for t in triples],
-            right_ids=[t[1] for t in triples],
-            operator_ids=operator_ids,
-            tables_ids=[tables_id] * count,
-            order_ids=order_ids,
-            cost_columns=cost_columns,
-        )
-
-    def _combine_per_plan(
-        self,
-        target: PlanArena,
-        triples: Sequence[Tuple[int, int, int]],
-        operators: Sequence[JoinOperator],
-        left_rows: float,
-        right_rows: float,
-        output_rows: float,
-        tables_id: int,
-        order_tag: str,
-    ) -> List[int]:
-        """Scalar reference path of :meth:`combine_block` (``block_costing`` off).
-
-        The local operator cost is still shared per operator (it depends only
-        on the operand table sets and the operator, exactly as in the block
-        path), but each combination's child rows are fetched individually and
-        aggregated with one :meth:`MultiObjectiveCostModel.combine` call.
-        """
-        count = len(triples)
-        dims = target.dimensions
-        local_by_operator: Dict[int, object] = {}
-        operator_arena_ids: Dict[int, int] = {}
-        order_ids_by_operator: Dict[int, int] = {}
-        operator_ids = [0] * count
-        order_ids = [0] * count
-        cost_columns: List[List[float]] = [[0.0] * count for _ in range(dims)]
-        for position, (left_id, right_id, operator_index) in enumerate(triples):
-            local = local_by_operator.get(operator_index)
-            if local is None:
-                operator = operators[operator_index]
-                local = self._cost_model.join_local_cost(
-                    left_rows=left_rows,
-                    right_rows=right_rows,
-                    output_rows=output_rows,
-                    algorithm=operator.algorithm,
-                    parallelism=operator.parallelism,
-                )
-                local_by_operator[operator_index] = local
-                operator_arena_ids[operator_index] = target.intern_operator(operator)
-                order_ids_by_operator[operator_index] = (
-                    target.intern_order(order_tag) if operator.produces_order else 0
-                )
-            combined = self._cost_model.combine(
-                target.cost_of(left_id), target.cost_of(right_id), local
-            )
-            for dim, value in enumerate(combined.values):
-                cost_columns[dim][position] = value
-            operator_ids[position] = operator_arena_ids[operator_index]
-            order_ids[position] = order_ids_by_operator[operator_index]
         self.counters.join_plans_built += count
         return target.extend_joins(
             left_ids=[t[0] for t in triples],

@@ -4,7 +4,8 @@ A :class:`Query` wraps a :class:`~repro.catalog.cardinality.JoinGraph` (tables,
 join predicates, base selectivities) plus a human-readable name.  The dynamic
 programs iterate over subsets of the query's tables and over splits of each
 subset into two non-empty, disjoint parts; the helpers :func:`table_subsets`
-and :func:`proper_splits` implement those enumerations.
+and :func:`proper_splits` implement those enumerations, and :func:`plan_order`
+combines them into the search space every dynamic program walks.
 
 Table sets are represented as ``frozenset`` of table names throughout the code
 base -- hashable, directly usable as dictionary keys for the per-table-set plan
@@ -115,3 +116,38 @@ def proper_splits(tables: TableSet) -> Iterator[Tuple[TableSet, TableSet]]:
             right = tables - left
             if right:
                 yield left, right
+
+
+def plan_order(
+    query: Query, allow_cross_products: bool = False
+) -> List[Tuple[TableSet, List[Tuple[TableSet, TableSet]]]]:
+    """The search space: table subsets of size >= 2 with their admissible splits.
+
+    Subsets come in :func:`table_subsets` order (bottom-up DP order), splits
+    in :func:`proper_splits` order.  Without cross products a subset is
+    admissible when it is connected in the join graph (single tables always
+    are), and a split is admissible when both parts are and a join predicate
+    connects them.  Subsets without an admissible split are left out.
+    """
+    admissible = {
+        subset
+        for subset in table_subsets(query.tables, min_size=1)
+        if len(subset) == 1 or allow_cross_products or query.is_connected(subset)
+    }
+    order: List[Tuple[TableSet, List[Tuple[TableSet, TableSet]]]] = []
+    for subset in table_subsets(query.tables, min_size=2):
+        if subset not in admissible:
+            continue
+        splits = [
+            (left, right)
+            for left, right in proper_splits(subset)
+            if left in admissible
+            and right in admissible
+            and (
+                allow_cross_products
+                or query.join_graph.predicates_between(left, right)
+            )
+        ]
+        if splits:
+            order.append((subset, splits))
+    return order

@@ -95,7 +95,7 @@ class JobTable:
             self._jobs[job.ticket] = job
 
     def _unregister(self, ticket: str) -> None:
-        """Forget a job whose admission failed."""
+        """Forget a job: its admission failed, or nobody reads it any more."""
         with self.condition:
             self._jobs.pop(ticket, None)
 

@@ -150,7 +150,7 @@ def shard_main(
                 else:
                     _handle_request(conn, service, open_jobs, message)
             served = service.step_once()
-            _push_progress(conn, open_jobs)
+            _push_progress(conn, service, open_jobs)
             now = _now()
             if now - last_beat >= heartbeat_interval:
                 last_beat = now
@@ -303,10 +303,11 @@ def _import_session(service: PlanningService, key: str, blob: bytes) -> dict:
     return {"parked": bool(parked)}
 
 
-def _push_progress(conn, open_jobs: OpenJobs) -> None:
+def _push_progress(conn, service: PlanningService, open_jobs: OpenJobs) -> None:
     """Push new frontier updates and terminal statuses to the parent.
 
-    A job leaves ``open_jobs`` with its terminal status.
+    A job leaves ``open_jobs`` and the shard's job table with its terminal
+    status: the parent answers from its relay record from then on.
     """
     for ticket, (job, sent) in list(open_jobs.items()):
         for index in range(sent, len(job.updates)):
@@ -330,6 +331,7 @@ def _push_progress(conn, open_jobs: OpenJobs) -> None:
                 }
             )
             del open_jobs[ticket]
+            service._unregister(job.ticket)
 
 
 def _sum_gauges(snapshots: Iterable[Mapping]) -> Dict[str, object]:

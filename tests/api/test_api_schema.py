@@ -112,13 +112,11 @@ class TestFrontierUpdate:
             frontier=frontier_summaries([plan]),
             elapsed_seconds=0.002,
             plans=(plan,),
-            native=object(),
         )
         payload = json.loads(json.dumps(update.to_dict()))
         restored = FrontierUpdate.from_dict(payload)
         assert restored == update
         assert restored.plans == ()
-        assert restored.native is None
 
 
 class TestOptimizationResult:

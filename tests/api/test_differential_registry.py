@@ -13,7 +13,7 @@ from repro.baselines.exhaustive import ExhaustiveParetoOptimizer
 from repro.baselines.memoryless import MemorylessAnytimeOptimizer
 from repro.baselines.oneshot import OneShotOptimizer
 from repro.baselines.single_objective import SingleObjectiveOptimizer
-from repro.core.control import AnytimeMOQO
+from repro.core.optimizer import IncrementalOptimizer
 
 TOPOLOGIES = ("chain", "star", "cycle", "clique")
 SEEDS = (0, 1)
@@ -47,15 +47,19 @@ def legacy_parts(algorithm, topology, seed):
 class TestRegistryEqualsLegacy:
     def test_iama(self, topology, seed):
         query, factory, schedule = legacy_parts("iama", topology, seed)
-        loop = AnytimeMOQO(query, factory, schedule)
-        results = loop.run_resolution_sweep()
-        legacy = [tuple(point.cost) for point in results[-1].frontier]
+        optimizer = IncrementalOptimizer(query, factory, schedule)
+        bounds = factory.metric_set.unbounded_vector()
+        for resolution in schedule.resolutions():
+            optimizer.optimize(bounds, resolution)
+        final = optimizer.frontier(bounds, schedule.max_resolution)
+        legacy = [tuple(plan.cost) for plan in final]
         assert registry_frontier("iama", topology, seed) == legacy
 
     def test_memoryless(self, topology, seed):
         query, factory, schedule = legacy_parts("memoryless", topology, seed)
         optimizer = MemorylessAnytimeOptimizer(query, factory, schedule)
-        optimizer.run_resolution_sweep()
+        for resolution in schedule.resolutions():
+            optimizer.step(resolution=resolution)
         legacy = [tuple(plan.cost) for plan in optimizer.frontier()]
         assert registry_frontier("memoryless", topology, seed) == legacy
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import planner_registry
 from repro.baselines.oneshot import OneShotOptimizer
 from repro.core.resolution import ResolutionSchedule
 from tests.conftest import build_chain_query, build_factory
@@ -16,10 +17,13 @@ def make_oneshot(levels=5):
 
 class TestOneShot:
     def test_single_invocation_at_target_precision(self):
-        optimizer, factory, schedule = make_oneshot()
-        reports = optimizer.run_resolution_sweep()
-        assert len(reports) == 1
-        assert reports[0].alpha == pytest.approx(schedule.target_precision)
+        query = build_chain_query()
+        schedule = ResolutionSchedule(levels=5, target_precision=1.05, precision_step=0.3)
+        session = planner_registry().open("oneshot", query, build_factory(query), schedule)
+        result = session.run()
+        assert len(result.invocations) == 1
+        assert result.invocations[0].alpha == pytest.approx(schedule.target_precision)
+        assert result.invocations[0].resolution == schedule.max_resolution
 
     def test_default_bounds_are_unbounded(self):
         optimizer, factory, schedule = make_oneshot()

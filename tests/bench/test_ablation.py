@@ -46,7 +46,6 @@ class TestFeatureRegistry:
     def test_expected_features_are_registered(self):
         assert set(FEATURES.names()) == {
             "numpy_kernel",
-            "block_costing",
             "delta_sets",
             "frontier_cache",
             "scheduler_policy",
@@ -136,7 +135,14 @@ class TestFlags:
 
     @pytest.mark.parametrize(
         "name",
-        ["warp_drive", "bounds_bucket", "sql_frontend", "witness_cache", "incremental_pareto"],
+        [
+            "warp_drive",
+            "bounds_bucket",
+            "sql_frontend",
+            "witness_cache",
+            "incremental_pareto",
+            "block_costing",
+        ],
     )
     def test_unknown_flag_raises(self, name):
         with pytest.raises(KeyError, match="unknown feature flag"):
@@ -147,8 +153,8 @@ class TestFlags:
     def test_environment_lowering(self):
         code = (
             "from repro import flags; "
-            "assert not flags.enabled('block_costing'); "
-            "assert flags.enabled('delta_sets'); print('ok')"
+            "assert not flags.enabled('delta_sets'); "
+            "assert flags.enabled('tracing'); print('ok')"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -156,7 +162,8 @@ class TestFlags:
             text=True,
             env={
                 "PYTHONPATH": str(REPO_ROOT / "src"),
-                "REPRO_FEATURE_BLOCK_COSTING": "0",
+                "REPRO_FEATURE_DELTA_SETS": "0",
+                "REPRO_FEATURE_TRACING": "1",
                 "PATH": "/usr/bin:/bin",
             },
         )
@@ -166,7 +173,7 @@ class TestFlags:
     def test_variables_of_retired_flags_are_ignored(self):
         code = (
             "from repro import flags; "
-            "assert flags.known_flags() == ('block_costing', 'delta_sets', 'tracing'); "
+            "assert flags.known_flags() == ('delta_sets', 'tracing'); "
             "print('ok')"
         )
         proc = subprocess.run(
@@ -238,7 +245,7 @@ class TestAblationSpec:
 # ----------------------------------------------------------------------
 class TestGate:
     def _payload(self, **overrides):
-        """One clean row per registered feature; ``overrides`` edit block_costing."""
+        """One clean row per registered feature; ``overrides`` edit delta_sets."""
         rows = []
         for feature in FEATURES.all():
             row = {
@@ -251,7 +258,7 @@ class TestGate:
                 "work_invariant_ok": True,
                 "gate_floor": feature.gate_floor,
             }
-            if feature.name == "block_costing":
+            if feature.name == "delta_sets":
                 row.update(overrides)
             rows.append(row)
         return {"features": rows}

@@ -11,8 +11,8 @@ previously offered tradeoff silently disappear without replacement.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import planner_registry
 from repro.catalog.cardinality import CardinalityEstimator
-from repro.core.control import AnytimeMOQO
 from repro.core.resolution import ResolutionSchedule
 from repro.costs.dominance import dominates
 from repro.costs.metrics import paper_metric_set
@@ -50,6 +50,14 @@ def schedules(draw):
     return ResolutionSchedule(levels=levels, target_precision=target, precision_step=step)
 
 
+def sweep(generated, schedule):
+    """The frontier updates of one ``iama`` resolution sweep."""
+    session = planner_registry().open(
+        "iama", generated.query, make_factory(generated), schedule
+    )
+    return list(session.updates())
+
+
 def covered(cost, frontier_costs) -> bool:
     """Dominated-or-present: some later vector is at least as good everywhere."""
     return any(dominates(other, cost) for other in frontier_costs)
@@ -66,25 +74,23 @@ class TestFrontierMonotonicity:
     @query_settings
     @given(synthetic_queries(), schedules())
     def test_every_timeslice_preserves_earlier_tradeoffs(self, generated, schedule):
-        loop = AnytimeMOQO(generated.query, make_factory(generated), schedule)
-        results = loop.run_resolution_sweep()
-        assert results, "the sweep must produce at least one timeslice"
-        for earlier, later in zip(results, results[1:]):
+        updates = sweep(generated, schedule)
+        assert updates, "the sweep must produce at least one timeslice"
+        for earlier, later in zip(updates, updates[1:]):
             later_costs = later.frontier_costs
             for cost in earlier.frontier_costs:
                 assert covered(cost, later_costs), (
-                    f"cost {cost} visualized at iteration {earlier.iteration} "
-                    f"is neither present nor dominated at iteration "
-                    f"{later.iteration}"
+                    f"cost {cost} visualized at iteration "
+                    f"{earlier.invocation.index} is neither present nor "
+                    f"dominated at iteration {later.invocation.index}"
                 )
 
     @query_settings
     @given(synthetic_queries(), schedules())
     def test_final_frontier_covers_every_timeslice(self, generated, schedule):
         """Transitivity spot check straight against the final frontier."""
-        loop = AnytimeMOQO(generated.query, make_factory(generated), schedule)
-        results = loop.run_resolution_sweep()
-        final_costs = results[-1].frontier_costs
-        for result in results[:-1]:
-            for cost in result.frontier_costs:
+        updates = sweep(generated, schedule)
+        final_costs = updates[-1].frontier_costs
+        for update in updates[:-1]:
+            for cost in update.frontier_costs:
                 assert covered(cost, final_costs)

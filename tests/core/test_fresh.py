@@ -1,113 +1,95 @@
 """Unit tests for :mod:`repro.core.fresh`."""
 
-import pytest
+from repro.core.fresh import FreshnessRegistry, fresh_id_pairs
+from repro.plans.operators import JoinOperator
 
-from repro.core.fresh import FreshnessRegistry, fresh_pairs
-from repro.costs.vector import CostVector
-from repro.plans.operators import JoinOperator, ScanOperator
-from repro.plans.plan import ScanPlan
+HASH_JOIN = JoinOperator("hash_join")
 
 
-def scan(table):
-    return ScanPlan(table, ScanOperator("seq_scan"), CostVector([1.0, 1.0]))
+def register(registry, left_id, right_id, operator=HASH_JOIN):
+    return registry.register_ids(left_id, right_id, registry.operator_key(operator))
 
 
 class TestFreshnessRegistry:
     def test_first_registration_is_fresh(self):
-        registry = FreshnessRegistry()
-        assert registry.register(scan("a"), scan("b"), JoinOperator("hash_join"))
+        assert register(FreshnessRegistry(), 1, 2)
 
     def test_second_registration_is_stale(self):
         registry = FreshnessRegistry()
-        a, b = scan("a"), scan("b")
-        operator = JoinOperator("hash_join")
-        assert registry.register(a, b, operator)
-        assert not registry.register(a, b, operator)
+        assert register(registry, 1, 2)
+        assert not register(registry, 1, 2)
 
     def test_registration_is_symmetric(self):
         registry = FreshnessRegistry()
-        a, b = scan("a"), scan("b")
-        operator = JoinOperator("hash_join")
-        registry.register(a, b, operator)
-        assert not registry.register(b, a, operator)
+        register(registry, 1, 2)
+        assert not register(registry, 2, 1)
 
     def test_different_operator_is_fresh(self):
         registry = FreshnessRegistry()
-        a, b = scan("a"), scan("b")
-        registry.register(a, b, JoinOperator("hash_join"))
-        assert registry.register(a, b, JoinOperator("nested_loop_join"))
+        register(registry, 1, 2, JoinOperator("hash_join"))
+        assert register(registry, 1, 2, JoinOperator("nested_loop_join"))
 
-    def test_is_fresh_has_no_side_effect(self):
+    def test_operator_keys_are_interned_per_variant(self):
         registry = FreshnessRegistry()
-        a, b = scan("a"), scan("b")
-        operator = JoinOperator("hash_join")
-        assert registry.is_fresh(a, b, operator)
-        assert registry.is_fresh(a, b, operator)
-        assert len(registry) == 0
+        first = registry.operator_key(JoinOperator("hash_join"))
+        assert registry.operator_key(JoinOperator("hash_join")) == first
+        other = registry.operator_key(JoinOperator("hash_join", parallelism=2))
+        assert other != first
+        assert len(registry) == 0  # interning registers no combination
 
     def test_counters(self):
         registry = FreshnessRegistry()
-        a, b = scan("a"), scan("b")
-        operator = JoinOperator("hash_join")
-        registry.register(a, b, operator)
-        registry.register(a, b, operator)
+        register(registry, 1, 2)
+        register(registry, 1, 2)
         assert registry.counters.fresh_combinations == 1
         assert registry.counters.repeated_combinations == 1
         assert registry.counters.total_checks == 2
 
     def test_clear(self):
         registry = FreshnessRegistry()
-        a, b = scan("a"), scan("b")
-        registry.register(a, b, JoinOperator("hash_join"))
+        register(registry, 1, 2)
         registry.clear()
         assert len(registry) == 0
-        assert registry.register(a, b, JoinOperator("hash_join"))
+        assert register(registry, 1, 2)
 
 
 class TestFreshPairs:
     def test_empty_operands_yield_nothing(self):
-        assert list(fresh_pairs([], [scan("b")])) == []
-        assert list(fresh_pairs([scan("a")], [])) == []
+        assert list(fresh_id_pairs([], [2])) == []
+        assert list(fresh_id_pairs([1], [])) == []
 
     def test_unknown_delta_enumerates_all_pairs(self):
-        left = [scan("a1"), scan("a2")]
-        right = [scan("b1"), scan("b2"), scan("b3")]
-        pairs = list(fresh_pairs(left, right))
-        assert len(pairs) == 6
+        pairs = list(fresh_id_pairs([1, 2], [3, 4, 5]))
+        assert pairs == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
 
     def test_delta_sets_skip_old_old_pairs(self):
-        old_left, new_left = scan("a1"), scan("a2")
-        old_right, new_right = scan("b1"), scan("b2")
-        pairs = set(
-            (l.plan_id, r.plan_id)
-            for l, r in fresh_pairs(
+        old_left, new_left, old_right, new_right = 1, 2, 3, 4
+        pairs = list(
+            fresh_id_pairs(
                 [old_left, new_left],
                 [old_right, new_right],
                 left_delta=[new_left],
                 right_delta=[new_right],
             )
         )
-        assert (old_left.plan_id, old_right.plan_id) not in pairs
-        assert (new_left.plan_id, old_right.plan_id) in pairs
-        assert (old_left.plan_id, new_right.plan_id) in pairs
-        assert (new_left.plan_id, new_right.plan_id) in pairs
-        assert len(pairs) == 3
+        # Δ-new × old, old × Δ-new, Δ-new × Δ-new; never old × old.
+        assert pairs == [
+            (new_left, old_right),
+            (old_left, new_right),
+            (new_left, new_right),
+        ]
 
     def test_empty_deltas_yield_nothing(self):
-        left = [scan("a")]
-        right = [scan("b")]
-        assert list(fresh_pairs(left, right, left_delta=[], right_delta=[])) == []
+        assert list(fresh_id_pairs([1], [2], left_delta=[], right_delta=[])) == []
 
     def test_full_delta_enumerates_everything(self):
-        left = [scan("a1"), scan("a2")]
-        right = [scan("b1")]
-        pairs = list(fresh_pairs(left, right, left_delta=left, right_delta=right))
-        assert len(pairs) == 2
+        left, right = [1, 2], [3]
+        pairs = list(fresh_id_pairs(left, right, left_delta=left, right_delta=right))
+        assert pairs == [(1, 3), (2, 3)]
 
     def test_pairs_are_unique(self):
-        left = [scan("a1"), scan("a2"), scan("a3")]
-        right = [scan("b1"), scan("b2")]
+        left, right = [1, 2, 3], [4, 5]
         pairs = list(
-            fresh_pairs(left, right, left_delta=left[:1], right_delta=right[:1])
+            fresh_id_pairs(left, right, left_delta=left[:1], right_delta=right[:1])
         )
-        assert len(pairs) == len(set((l.plan_id, r.plan_id) for l, r in pairs))
+        assert len(pairs) == len(set(pairs))

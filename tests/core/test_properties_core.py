@@ -13,9 +13,9 @@ These are the end-to-end invariants of the algorithm:
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import planner_registry
 from repro.baselines.exhaustive import ExhaustiveParetoOptimizer
 from repro.catalog.cardinality import CardinalityEstimator
-from repro.core.control import AnytimeMOQO
 from repro.core.optimizer import IncrementalOptimizer
 from repro.core.resolution import ResolutionSchedule
 from repro.costs.metrics import paper_metric_set
@@ -102,12 +102,12 @@ class TestIncrementalInvariants:
     def test_no_duplicate_plan_generation_across_series(self, generated, schedule):
         query = generated.query
         factory = make_factory(generated)
-        loop = AnytimeMOQO(query, factory, schedule)
-        loop.run_resolution_sweep()
-        freshness = loop.optimizer.state.freshness.counters
+        loop = planner_registry().open("iama", query, factory, schedule)
+        loop.run()
+        freshness = loop.driver.optimizer.state.freshness.counters
         assert factory.counters.join_plans_built == freshness.fresh_combinations
         # Scan plans are seeded exactly once.
-        rows = {t: loop.optimizer.factory.estimator.base_cardinality(t) for t in query.tables}
+        rows = {t: factory.estimator.base_cardinality(t) for t in query.tables}
         expected_scans = sum(
             len(factory.operators.scan_operators(rows[t])) for t in query.tables
         )
@@ -119,8 +119,8 @@ class TestIncrementalInvariants:
         query = generated.query
         factory = make_factory(generated)
         schedule = ResolutionSchedule(levels=3, target_precision=1.05, precision_step=0.3)
-        loop = AnytimeMOQO(query, factory, schedule)
-        sizes = [len(result.frontier) for result in loop.run_resolution_sweep()]
+        loop = planner_registry().open("iama", query, factory, schedule)
+        sizes = [len(update.frontier) for update in loop.updates()]
         assert all(later >= earlier for earlier, later in zip(sizes, sizes[1:]))
 
     @query_settings
@@ -131,9 +131,9 @@ class TestIncrementalInvariants:
         schedule = ResolutionSchedule(levels=3, target_precision=1.05, precision_step=0.3)
 
         factory_a = make_factory(generated)
-        loop = AnytimeMOQO(query, factory_a, schedule)
-        results = loop.run_resolution_sweep()
-        final_frontier = [p.cost for p in results[-1].frontier]
+        loop = planner_registry().open("iama", query, factory_a, schedule)
+        loop.run()
+        final_frontier = loop.last_update.frontier_costs
 
         exact = ExhaustiveParetoOptimizer(query, make_factory(generated))
         exact.optimize()

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.control import ChangeBounds, Continue, InvocationResult, SelectPlan
-from repro.core.optimizer import InvocationReport
+from repro.api.schema import FrontierUpdate, InvocationSummary, frontier_summaries
+from repro.core.control import ChangeBounds, Continue, SelectPlan
 from repro.costs.metrics import cloud_metric_set
 from repro.costs.vector import CostVector
 from repro.interactive.user_models import (
@@ -16,41 +16,29 @@ from repro.interactive.user_models import (
 )
 from repro.plans.operators import ScanOperator
 from repro.plans.plan import ScanPlan
-from repro.core.control import FrontierPoint
 
 
 def make_result(costs, iteration=1, resolution=0, bounds=None):
+    """The frontier update a session streams after one invocation."""
     metric_set = cloud_metric_set()
     bounds = bounds or metric_set.unbounded_vector()
-    frontier = []
-    for cost in costs:
-        plan = ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost))
-        frontier.append(FrontierPoint(plan=plan, cost=plan.cost))
-    report = InvocationReport(
-        invocation_index=iteration,
+    plans = [
+        ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost)) for cost in costs
+    ]
+    invocation = InvocationSummary(
+        index=iteration,
         resolution=resolution,
         alpha=1.05,
         bounds=bounds,
         duration_seconds=0.01,
-        delta_mode=True,
-        candidates_retrieved=0,
-        pairs_enumerated=0,
-        join_plans_generated=0,
-        scan_plans_generated=0,
-        plans_inserted=0,
-        plans_deferred=0,
-        plans_out_of_bounds=0,
-        plans_discarded=0,
-        result_plans_total=len(costs),
-        candidate_plans_total=0,
-        frontier_size=len(costs),
+        frontier_size=len(plans),
     )
-    return InvocationResult(
-        iteration=iteration,
-        resolution=resolution,
-        bounds=bounds,
-        report=report,
-        frontier=frontier,
+    return FrontierUpdate(
+        algorithm="iama",
+        invocation=invocation,
+        frontier=frontier_summaries(plans),
+        elapsed_seconds=0.01,
+        plans=tuple(plans),
     )
 
 

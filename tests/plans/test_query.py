@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.catalog.cardinality import JoinGraph, JoinPredicate
-from repro.plans.query import Query, proper_splits, table_subsets
+from repro.plans.query import Query, plan_order, proper_splits, table_subsets
 
 
 class TestQuery:
@@ -76,3 +76,48 @@ class TestProperSplits:
 
     def test_single_table_has_no_splits(self):
         assert list(proper_splits(frozenset({"a"}))) == []
+
+
+def disconnected_query() -> Query:
+    """Two components, a-b and c-d, with no predicate between them."""
+    return Query(
+        "two_components",
+        JoinGraph(
+            tables=["a", "b", "c", "d"],
+            predicates=[
+                JoinPredicate("a", "x", "b", "x"),
+                JoinPredicate("c", "y", "d", "y"),
+            ],
+        ),
+    )
+
+
+def sets(*names):
+    return frozenset(names)
+
+
+class TestPlanOrder:
+    def test_disconnected_graph_without_cross_products(self):
+        order = plan_order(disconnected_query())
+        assert order == [
+            (sets("a", "b"), [(sets("a"), sets("b"))]),
+            (sets("c", "d"), [(sets("c"), sets("d"))]),
+        ]
+
+    def test_disconnected_graph_with_cross_products(self):
+        query = disconnected_query()
+        order = plan_order(query, allow_cross_products=True)
+        assert [subset for subset, _ in order] == list(
+            table_subsets(query.tables, min_size=2)
+        )
+        for subset, splits in order:
+            assert splits == list(proper_splits(subset))
+        assert order[-1][0] == query.tables
+        assert sum(len(splits) for _, splits in order) == 6 * 1 + 4 * 3 + 7
+
+    def test_chain_drops_splits_with_a_disconnected_part(self, chain_query):
+        order = dict(plan_order(chain_query))
+        assert sets("customers", "items") not in order
+        full = order[chain_query.tables]
+        assert (sets("customers", "items"), sets("orders")) not in full
+        assert len(full) == 2

@@ -338,12 +338,12 @@ class TestMalformedMessages:
         push_progress = shard_module._push_progress
         named = set()
 
-        def push_malformed_first(conn, open_jobs):
+        def push_malformed_first(conn, service, open_jobs):
             for ticket, (job, _) in open_jobs.items():
                 if job.request == first and ticket not in named:
                     named.add(ticket)
                     conn.send({**message, "ticket": ticket})
-            push_progress(conn, open_jobs)
+            push_progress(conn, service, open_jobs)
 
         # The shards fork after the patch, so they inherit it.
         monkeypatch.setattr(shard_module, "_push_progress", push_malformed_first)

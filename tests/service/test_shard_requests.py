@@ -64,10 +64,10 @@ class TestOpenJobs:
             for ticket, request in zip(tickets, REQUESTS):
                 assert "error" not in _submit(conn, service, open_jobs, ticket, request)
             service.step_once()
-            _push_progress(conn, open_jobs)
+            _push_progress(conn, service, open_jobs)
             assert sorted(open_jobs) == tickets  # running or queued: kept
             service.run_until_idle()
-            _push_progress(conn, open_jobs)
+            _push_progress(conn, service, open_jobs)
             assert open_jobs == {}
             statuses = conn.ops("status")
             assert sorted(message["ticket"] for message in statuses) == tickets
@@ -77,15 +77,37 @@ class TestOpenJobs:
                 assert len(updates) == request.levels
             # A later sweep pushes nothing more.
             pushed = len(conn.sent)
-            _push_progress(conn, open_jobs)
+            _push_progress(conn, service, open_jobs)
             assert len(conn.sent) == pushed
+
+    def test_pushed_jobs_leave_the_shard_job_table(self):
+        conn, open_jobs = PipeEnd(), {}
+        with PlanningService(workers=0) as service:
+            for index, request in enumerate(REQUESTS):
+                _submit(conn, service, open_jobs, f"job-{index:06d}", request)
+            service.run_until_idle()
+            _push_progress(conn, service, open_jobs)
+            assert open_jobs == {}
+            assert service.tickets() == []
+            # A repeat is a cache hit: replayed and terminal at admission.
+            reply = _submit(conn, service, open_jobs, "job-000100", REQUESTS[0])
+            assert reply["accepted"]["cache_status"] == "hit"
+            assert len(service.tickets()) == 1
+            _push_progress(conn, service, open_jobs)
+            assert open_jobs == {}
+            assert service.tickets() == []
+            [status] = [m for m in conn.ops("status") if m["ticket"] == "job-000100"]
+            assert status["status"]["state"] == "finished"
+            assert status["replayed"] == REQUESTS[0].levels
+            updates = [m for m in conn.ops("update") if m["ticket"] == "job-000100"]
+            assert len(updates) == REQUESTS[0].levels
 
     def test_a_forgotten_job_answers_like_a_terminal_one(self):
         conn, open_jobs = PipeEnd(), {}
         with PlanningService(workers=0) as service:
             _submit(conn, service, open_jobs, "job-000001", REQUESTS[0])
             service.run_until_idle()
-            _push_progress(conn, open_jobs)
+            _push_progress(conn, service, open_jobs)
             assert open_jobs == {}
             steer = _request(
                 conn,
@@ -105,8 +127,8 @@ class TestOpenJobs:
             assert "error" not in _request(
                 conn, service, open_jobs, {"op": "cancel", "ticket": "job-000001"}
             )
-            _push_progress(conn, open_jobs)
-            _push_progress(conn, open_jobs)
+            _push_progress(conn, service, open_jobs)
+            _push_progress(conn, service, open_jobs)
             assert open_jobs == {}
             [status] = conn.ops("status")
             assert status["status"]["state"] == "cancelled"

@@ -9,7 +9,6 @@ the per-module unit tests cannot see.
 import pytest
 
 from repro import (
-    AnytimeMOQO,
     CardinalityEstimator,
     ChangeBounds,
     ExhaustiveParetoOptimizer,
@@ -19,6 +18,7 @@ from repro import (
     PlanFactory,
     ResolutionSchedule,
     paper_metric_set,
+    planner_registry,
 )
 from repro.costs.pareto import approximation_error, pareto_filter
 from repro.interactive import InteractiveSession, PlanSelectingUser, weighted_sum_chooser
@@ -46,6 +46,13 @@ def block(name):
     return next(q for q in tpch_queries() if q.name == name)
 
 
+def final_frontier(query, factory, schedule):
+    """Cost vectors of the last frontier of an ``iama`` resolution sweep."""
+    session = planner_registry().open("iama", query, factory, schedule)
+    session.run()
+    return session.last_update.frontier_costs
+
+
 @pytest.fixture(scope="module")
 def q03():
     return block("tpch_q03")
@@ -59,9 +66,7 @@ def q10():
 class TestTpchEndToEnd:
     def test_full_sweep_guarantee_on_q03(self, q03):
         schedule = ResolutionSchedule(levels=4, target_precision=1.02, precision_step=0.2)
-        loop = AnytimeMOQO(q03, make_factory(q03), schedule)
-        results = loop.run_resolution_sweep()
-        frontier = [p.cost for p in results[-1].frontier]
+        frontier = final_frontier(q03, make_factory(q03), schedule)
 
         exact = ExhaustiveParetoOptimizer(q03, make_factory(q03))
         exact.optimize()
@@ -72,9 +77,7 @@ class TestTpchEndToEnd:
 
     def test_frontier_contains_distinct_tradeoffs(self, q03):
         schedule = ResolutionSchedule(levels=3, target_precision=1.01, precision_step=0.05)
-        loop = AnytimeMOQO(q03, make_factory(q03), schedule)
-        results = loop.run_resolution_sweep()
-        non_dominated = pareto_filter([p.cost for p in results[-1].frontier])
+        non_dominated = pareto_filter(final_frontier(q03, make_factory(q03), schedule))
         # Sampling and parallelism must surface genuinely different tradeoffs.
         assert len(non_dominated) >= 3
         metric_set = paper_metric_set()
@@ -89,11 +92,11 @@ class TestTpchEndToEnd:
         schedule = ResolutionSchedule(levels=3, target_precision=1.05, precision_step=0.3)
         guarantee = schedule.guaranteed_precision(q10.table_count)
 
-        loop = AnytimeMOQO(q10, make_factory(q10), schedule)
-        iama = [p.cost for p in loop.run_resolution_sweep()[-1].frontier]
+        iama = final_frontier(q10, make_factory(q10), schedule)
 
         memoryless = MemorylessAnytimeOptimizer(q10, make_factory(q10), schedule)
-        memoryless.run_resolution_sweep()
+        for resolution in schedule.resolutions():
+            memoryless.step(resolution=resolution)
         memo = [p.cost for p in memoryless.frontier()]
 
         oneshot = OneShotOptimizer(q10, make_factory(q10), schedule)
@@ -108,13 +111,13 @@ class TestTpchEndToEnd:
         metric_set = paper_metric_set()
         schedule = ResolutionSchedule(levels=4, target_precision=1.02, precision_step=0.2)
         factory = make_factory(q10)
-        loop = AnytimeMOQO(q10, factory, schedule)
+        loop = planner_registry().open("iama", q10, factory, schedule)
         loop.step()
         loop.step()
 
-        frontier = loop.history[-1].frontier
+        frontier = loop.history[-1].frontier_costs
         time_index = metric_set.index_of("execution_time")
-        median = sorted(p.cost[time_index] for p in frontier)[len(frontier) // 2]
+        median = sorted(cost[time_index] for cost in frontier)[len(frontier) // 2]
         bounds = metric_set.unbounded_vector().with_component(time_index, median)
         # The change is applied after this iteration (Algorithm 1 order).
         loop.step(ChangeBounds(bounds))
@@ -124,9 +127,9 @@ class TestTpchEndToEnd:
         # everything it needs was generated before, so no new plans are built
         # and the visualized frontier respects the new bound.
         bounded = loop.step()
-        assert bounded.resolution == 0
+        assert bounded.invocation.resolution == 0
         assert factory.counters.total_plans_built == built_before
-        assert all(p.cost[time_index] <= median for p in bounded.frontier)
+        assert all(cost[time_index] <= median for cost in bounded.frontier_costs)
 
     def test_interactive_session_selects_a_plan_on_tpch(self, q03):
         metric_set = paper_metric_set()
@@ -152,8 +155,8 @@ class TestTpchEndToEnd:
     def test_factory_counters_are_consistent_after_everything(self, q03):
         factory = make_factory(q03)
         schedule = ResolutionSchedule(levels=3, target_precision=1.05, precision_step=0.3)
-        loop = AnytimeMOQO(q03, factory, schedule)
-        loop.run_resolution_sweep()
-        counters = loop.optimizer.state.counters
+        loop = planner_registry().open("iama", q03, factory, schedule)
+        loop.run()
+        counters = loop.driver.optimizer.state.counters
         assert counters.plans_generated == factory.counters.total_plans_built
         assert counters.prune_calls >= counters.plans_generated

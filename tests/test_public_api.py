@@ -1,10 +1,11 @@
 """Smoke tests of the top-level public API (the README quickstart path)."""
 
+import doctest
+
 import pytest
 
 import repro
 from repro import (
-    AnytimeMOQO,
     CardinalityEstimator,
     MultiObjectiveCostModel,
     OneShotOptimizer,
@@ -12,6 +13,7 @@ from repro import (
     ResolutionSchedule,
     default_operator_registry,
     paper_metric_set,
+    planner_registry,
 )
 from repro.workloads import tpch_queries, tpch_statistics
 
@@ -24,6 +26,11 @@ class TestPublicApi:
         for name in repro.__all__:
             assert getattr(repro, name) is not None
 
+    def test_package_quickstart_runs(self):
+        outcome = doctest.testmod(repro)
+        assert outcome.failed == 0
+        assert outcome.attempted > 0
+
     def test_quickstart_flow(self):
         query = min(tpch_queries(), key=lambda q: q.table_count)
         statistics = tpch_statistics()
@@ -33,10 +40,12 @@ class TestPublicApi:
             MultiObjectiveCostModel(metric_set),
             default_operator_registry(),
         )
-        loop = AnytimeMOQO(query, factory, ResolutionSchedule(levels=3))
-        results = loop.run_resolution_sweep()
-        assert len(results) == 3
-        assert len(results[-1].frontier) >= len(results[0].frontier) > 0
+        session = planner_registry().open(
+            "iama", query, factory, ResolutionSchedule(levels=3)
+        )
+        updates = list(session.updates())
+        assert len(updates) == 3
+        assert len(updates[-1].frontier) >= len(updates[0].frontier) > 0
 
     def test_oneshot_baseline_from_public_api(self):
         query = min(tpch_queries(), key=lambda q: q.table_count)
