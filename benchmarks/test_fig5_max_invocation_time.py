@@ -11,15 +11,15 @@ number of resolution levels.  The paper's observations:
 """
 
 from benchmarks.conftest import persist_result
-from repro.bench.experiments import figure5_experiment
 from repro.bench.reporting import format_grouped_times
 from repro.bench.runner import AlgorithmName
+from repro.bench.scheduler import run_experiment
 
 
 def test_figure5_maximal_invocation_time(benchmark, bench_config, result_cache):
     result = benchmark.pedantic(
-        figure5_experiment, args=(bench_config,), rounds=1, iterations=1
-    )
+        run_experiment, args=("figure5", bench_config), rounds=1, iterations=1
+    ).result
     result_cache["figure5"] = result
     path = persist_result(result, grouped=True)
     print(format_grouped_times(result, measure="max_invocation_seconds"))

@@ -12,8 +12,8 @@ Three layers are measured:
   over ``CostVector`` pairs, plus the prune-block cover pass
   (``kernel.ops.covered_positions``: the block against 64 incumbent rows),
 * the Pareto frontier sweep: ``CostMatrix.pareto_mask`` across backends, and
-* end-to-end index retrieval: ``PlanIndex.retrieve`` vs. a scalar scan over
-  ``PlanIndex.all_plans()``.
+* end-to-end index retrieval: ``PlanIndex.retrieve_ids`` vs. a scalar scan
+  over ``PlanIndex.all_ids()``.
 
 All paths must return identical results.  Acceptance bar at the largest
 block (4096 plans): the numpy filter stays >= 3x over the scalar loop.
@@ -141,23 +141,29 @@ def measure_pareto_sweep(size: int) -> dict:
 
 
 def measure_index_retrieval(size: int) -> dict:
-    """End-to-end PlanIndex.retrieve vs. a scalar scan of the same index."""
+    """End-to-end PlanIndex.retrieve_ids vs. a scalar scan of the same index."""
     costs = make_costs(size, seed=13)
     bounds = CostVector([70.0] * DIMS)
 
-    def scalar_retrieve(index):
-        return [p.plan_id for p in index.all_plans() if dominates(p.cost, bounds)]
+    def scalar_retrieve(index, arena):
+        return [
+            plan_id
+            for plan_id in index.all_ids()
+            if dominates(arena.plan(plan_id).cost, bounds)
+        ]
 
     row = {"size": size}
     for backend in BACKENDS:
         with kernel.use_backend(backend):
             index = PlanIndex()
-            for cost in costs:
-                index.insert(ScanPlan("t", ScanOperator("seq_scan"), cost), 0)
-            expected = sorted(scalar_retrieve(index))
-            assert sorted(p.plan_id for p in index.retrieve(bounds, 0)) == expected
-            scalar_seconds = best_time(lambda: scalar_retrieve(index))
-            kernel_seconds = best_time(lambda: index.retrieve(bounds, 0))
+            plans = [ScanPlan("t", ScanOperator("seq_scan"), cost) for cost in costs]
+            for plan in plans:
+                index.insert_id(plan.plan_id, 0, plan.arena)
+            arena = plans[0].arena
+            expected = sorted(scalar_retrieve(index, arena))
+            assert sorted(index.retrieve_ids(bounds, 0)) == expected
+            scalar_seconds = best_time(lambda: scalar_retrieve(index, arena))
+            kernel_seconds = best_time(lambda: index.retrieve_ids(bounds, 0))
             row.setdefault("scalar_seconds", scalar_seconds)
             row[f"{backend}_seconds"] = kernel_seconds
             row[f"{backend}_speedup"] = scalar_seconds / kernel_seconds
@@ -203,7 +209,7 @@ def test_kernel_dominance_speedup():
         "",
         format_table("pareto frontier sweep (CostMatrix.pareto_mask)", pareto_rows),
         "",
-        format_table("index retrieval (PlanIndex.retrieve)", index_rows),
+        format_table("index retrieval (PlanIndex.retrieve_ids)", index_rows),
     ]
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text("\n".join(sections) + "\n")

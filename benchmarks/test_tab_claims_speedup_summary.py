@@ -19,21 +19,17 @@ speedups with more levels and finer precision.
 import pytest
 
 from benchmarks.conftest import persist_result
-from repro.bench.experiments import (
-    figure3_experiment,
-    figure4_experiment,
-    figure5_experiment,
-    speedup_summary,
-)
+from repro.bench.experiments import speedup_summary
 from repro.bench.reporting import format_speedups
+from repro.bench.scheduler import run_experiment
 
 
 def test_headline_speedup_claims(benchmark, bench_config, result_cache):
+    def figure(name):
+        return result_cache.get(name) or run_experiment(name, bench_config).result
+
     def compute():
-        figure3 = result_cache.get("figure3") or figure3_experiment(bench_config)
-        figure4 = result_cache.get("figure4") or figure4_experiment(bench_config)
-        figure5 = result_cache.get("figure5") or figure5_experiment(bench_config)
-        return speedup_summary(figure3, figure4, figure5)
+        return speedup_summary(figure("figure3"), figure("figure4"), figure("figure5"))
 
     summary = benchmark.pedantic(compute, rounds=1, iterations=1)
     result_cache["speedup_summary"] = summary

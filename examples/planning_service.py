@@ -34,6 +34,11 @@ WORKLOADS = [
 ]
 
 
+def invocations_run(service: PlanningService) -> int:
+    """Optimizer invocations the service has executed so far."""
+    return service.stats()["scheduler"]["invocations_run"]
+
+
 def main() -> None:
     with PlanningService(policy="alpha_greedy", workers=2, max_sessions=4) as service:
         # 1. A burst of concurrent submissions.
@@ -57,10 +62,11 @@ def main() -> None:
                 f"{len(result.invocations)} invocations, "
                 f"{result.frontier_size} tradeoffs, {result.finish_reason}"
             )
-        cold_invocations = service.scheduler.invocations_run
+        cold = service.stats()["scheduler"]
+        cold_invocations = cold["invocations_run"]
         print(
             f"\ncold phase: {cold_invocations} optimizer invocations, "
-            f"peak {service.scheduler.max_live_seen} concurrently live sessions"
+            f"peak {cold['max_live_seen']} concurrently live sessions"
         )
 
         # 3. The same requests again: pure cache replay.
@@ -69,7 +75,7 @@ def main() -> None:
             ticket = service.submit(OptimizeRequest(workload=spec, levels=3))
             service.result(ticket, timeout=600.0)
             print(f"  {spec:>16}: {service.poll(ticket)['cache_status']}")
-        replayed = service.scheduler.invocations_run - cold_invocations
+        replayed = invocations_run(service) - cold_invocations
         print(f"warm phase re-ran {replayed} invocations (expected 0)")
 
         # 4. Warm start: a coarse run first, then the full refinement resumes
@@ -79,10 +85,10 @@ def main() -> None:
         )
         service.result(service.submit(coarse), timeout=600.0)
         full = coarse.with_overrides(budget=Budget())
-        before = service.scheduler.invocations_run
+        before = invocations_run(service)
         ticket = service.submit(full)
         result = service.result(ticket, timeout=600.0)
-        resumed = service.scheduler.invocations_run - before
+        resumed = invocations_run(service) - before
         print(
             f"\nwarm start on {full.workload}: cache "
             f"{service.poll(ticket)['cache_status']}, "

@@ -38,14 +38,9 @@ from repro.bench.registry import Cell, ExperimentSpec, get_spec, registered_name
 from repro.bench.scheduler import RunReport, run_experiment
 from repro.bench.experiments import (
     ExperimentResult,
-    figure3_experiment,
-    figure4_experiment,
-    figure5_experiment,
     anytime_quality_experiment,
     interactive_refinement_experiment,
-    metric_sweep_experiment,
     speedup_summary,
-    synthetic_topology_experiment,
 )
 from repro.bench.reporting import format_grouped_times, format_pivot, format_speedups
 
@@ -68,13 +63,8 @@ __all__ = [
     "RunReport",
     "run_experiment",
     "ExperimentResult",
-    "figure3_experiment",
-    "figure4_experiment",
-    "figure5_experiment",
     "anytime_quality_experiment",
     "interactive_refinement_experiment",
-    "metric_sweep_experiment",
-    "synthetic_topology_experiment",
     "speedup_summary",
     "format_grouped_times",
     "format_pivot",

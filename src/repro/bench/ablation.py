@@ -727,13 +727,6 @@ SPEC = register(
 )
 
 
-def ablation_features_experiment(config: ExperimentConfig) -> "ExperimentResult":
-    """Serial convenience entry point (mirrors the other experiments)."""
-    from repro.bench.experiments import _run_serial
-
-    return _run_serial(SPEC, config)
-
-
 def _main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.ablation",

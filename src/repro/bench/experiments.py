@@ -3,11 +3,11 @@
 Every experiment is registered in :mod:`repro.bench.registry` as a set of
 independent cells plus a deterministic merge, so the scheduler
 (:mod:`repro.bench.scheduler`) can shard it across worker processes, cache
-each cell under ``results/cache/`` and resume interrupted runs.  The legacy
-one-call entry points (``figure3_experiment`` and friends) are kept as thin
-serial wrappers over the same cells -- they run every cell inline, in
-enumeration order, and therefore produce exactly what the serial harness
-always produced.
+each cell under ``results/cache/`` and resume interrupted runs; a registered
+experiment runs as ``run_experiment(name, config).result``.  The experiments
+that take parameters beyond the configuration (Figures 1 and 2 and three of
+the ablations) also have a one-call function that runs the cells for those
+parameters inline, in enumeration order.
 
 Every function returns an :class:`ExperimentResult` holding plain-dict rows so
 that benchmark targets, tests and the exporters (:mod:`repro.bench.export`)
@@ -117,12 +117,8 @@ def _query_by_name(config: ExperimentConfig, name: str) -> Query:
 def _serial_outcomes(
     spec: ExperimentSpec, config: ExperimentConfig, cells: Sequence[Cell]
 ) -> CellOutcomes:
-    """Compute every cell inline, in order (the legacy serial execution)."""
+    """Compute every cell inline, in order."""
     return [(cell, spec.run_cell(cell, config)) for cell in cells]
-
-
-def _run_serial(spec: ExperimentSpec, config: ExperimentConfig) -> ExperimentResult:
-    return spec.merge(config, _serial_outcomes(spec, config, spec.cells(config)))
 
 
 # Text-report sections for the grouped (figure 3/4/5 style) experiments; the
@@ -286,21 +282,6 @@ FIGURE5_SPEC = _make_sweep_spec(
     FINE_PRECISION,
     lambda config: [max(config.resolution_level_settings)],
 )
-
-
-def figure3_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Figure 3: average invocation time, target precision alpha_T = 1.01."""
-    return _run_serial(FIGURE3_SPEC, config)
-
-
-def figure4_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Figure 4: average invocation time, finer target precision alpha_T = 1.005."""
-    return _run_serial(FIGURE4_SPEC, config)
-
-
-def figure5_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Figure 5: maximal invocation time, alpha_T = 1.005, most resolution levels."""
-    return _run_serial(FIGURE5_SPEC, config)
 
 
 # ----------------------------------------------------------------------
@@ -958,11 +939,6 @@ SYNTHETIC_TOPOLOGIES_SPEC = register(
 )
 
 
-def synthetic_topology_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Topology sweep over generated cycle/clique/chain/star join graphs."""
-    return _run_serial(SYNTHETIC_TOPOLOGIES_SPEC, config)
-
-
 # ----------------------------------------------------------------------
 # Metric-count x query-size sweep (new workload)
 # ----------------------------------------------------------------------
@@ -1079,8 +1055,3 @@ METRIC_SWEEP_SPEC = register(
         ),
     )
 )
-
-
-def metric_sweep_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Metric-count x query-size sweep on synthetic chain queries."""
-    return _run_serial(METRIC_SWEEP_SPEC, config)

@@ -117,7 +117,6 @@ def get_spec(name: str) -> ExperimentSpec:
     # never imported them explicitly.
     import repro.bench.ablation  # noqa: F401  (registration side effect)
     import repro.bench.experiments  # noqa: F401  (registration side effect)
-    import repro.bench.trace  # noqa: F401  (registration side effect)
 
     normalized = name.replace("-", "_")
     try:
@@ -133,6 +132,5 @@ def registered_names() -> List[str]:
     """Names of all registered experiments, sorted."""
     import repro.bench.ablation  # noqa: F401  (registration side effect)
     import repro.bench.experiments  # noqa: F401  (registration side effect)
-    import repro.bench.trace  # noqa: F401  (registration side effect)
 
     return sorted(_REGISTRY)

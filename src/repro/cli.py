@@ -35,7 +35,7 @@ import argparse
 import json as json_module
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.api import Budget, OptimizeRequest, open_session, planner_registry
 from repro.bench.cache import ResultCache
@@ -46,20 +46,7 @@ from repro.bench.config import (
     MODERATE_PRECISION,
     config_from_environment,
 )
-from repro.bench.experiments import (
-    ExperimentResult,
-    ablation_freshness,
-    ablation_metric_count,
-    ablation_result_set_growth,
-    anytime_quality_experiment,
-    figure3_experiment,
-    figure4_experiment,
-    figure5_experiment,
-    interactive_refinement_experiment,
-    metric_sweep_experiment,
-    speedup_summary,
-    synthetic_topology_experiment,
-)
+from repro.bench.experiments import ExperimentResult, speedup_summary
 from repro.bench.export import write_csv, write_json, write_text_report
 from repro.bench.registry import get_spec, registered_names
 from repro.bench.reporting import format_grouped_times, format_rows
@@ -68,20 +55,6 @@ from repro.bench.scheduler import run_experiment
 from repro.costs.pareto import pareto_filter
 from repro.workloads.spec import FAMILY_HELP
 from repro.workloads.tpch import tpch_blocks_by_table_count
-
-#: Experiment name -> callable(config) -> ExperimentResult
-EXPERIMENTS: Dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
-    "figure1": interactive_refinement_experiment,
-    "figure2": anytime_quality_experiment,
-    "figure3": figure3_experiment,
-    "figure4": figure4_experiment,
-    "figure5": figure5_experiment,
-    "ablation-freshness": ablation_freshness,
-    "ablation-keep-dominated": ablation_result_set_growth,
-    "ablation-metric-count": ablation_metric_count,
-    "synthetic-topologies": synthetic_topology_experiment,
-    "metric-sweep": metric_sweep_experiment,
-}
 
 GROUPED_EXPERIMENTS = {"figure3", "figure4", "figure5"}
 
@@ -286,13 +259,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Run one of the paper experiments and print/export its rows."""
     config = _resolve_config(args.scale)
-    runner = EXPERIMENTS.get(args.name)
-    if runner is None:
+    try:
+        spec = get_spec(args.name)
+    except KeyError:
         raise SystemExit(
-            f"unknown experiment {args.name!r}; available: {', '.join(sorted(EXPERIMENTS))}"
-        )
-    result = runner(config)
-    if args.name in GROUPED_EXPERIMENTS:
+            f"unknown experiment {args.name!r}; available: "
+            f"{', '.join(registered_names())}"
+        ) from None
+    result = run_experiment(spec, config).result
+    if spec.name in GROUPED_EXPERIMENTS:
         print(format_grouped_times(result))
         print()
         print(format_grouped_times(result, "max_invocation_seconds"))
@@ -622,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(handler=cmd_compare)
 
     experiment = subparsers.add_parser("experiment", help="run a paper experiment")
-    experiment.add_argument("name", help=f"one of: {', '.join(sorted(EXPERIMENTS))}")
+    experiment.add_argument("name", help=f"one of: {', '.join(registered_names())}")
     experiment.add_argument("--scale", choices=SCALE_CHOICES, default=None)
     experiment.add_argument("--csv", type=Path, default=None, help="export rows as CSV")
     experiment.add_argument("--json", type=Path, default=None, help="export rows as JSON")

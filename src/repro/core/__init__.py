@@ -17,7 +17,7 @@ This package implements the paper's contribution:
 """
 
 from repro.core.resolution import ResolutionSchedule
-from repro.core.index import PlanIndex, IndexedPlan
+from repro.core.index import PlanIndex
 from repro.core.pruning import PruneOutcome, prune
 from repro.core.fresh import FreshnessRegistry
 from repro.core.state import OptimizerState, OptimizerCounters
@@ -27,7 +27,6 @@ from repro.core.control import UserAction, ChangeBounds, SelectPlan, Continue
 __all__ = [
     "ResolutionSchedule",
     "PlanIndex",
-    "IndexedPlan",
     "PruneOutcome",
     "prune",
     "FreshnessRegistry",

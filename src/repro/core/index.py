@@ -21,15 +21,13 @@ compares *above* every finite bucket, so the bucket-skipping comparisons treat
 them as maximally expensive (they can never satisfy finite bounds) instead of
 accidentally ranking them below the cheapest plans.
 
-Since the arena refactor the index stores *arena plan ids*, not plan objects:
-each bucket is a :class:`~repro.costs.matrix.CostBlock` whose payloads are
-plain integers, and the arena reference (captured from the first inserted
-plan) turns ids back into canonical handles only at the object-API boundary
-(:meth:`retrieve`).  The id-level methods (:meth:`retrieve_ids`,
-:meth:`insert_id` and the bulk :meth:`drain_ids` / :meth:`insert_ids`) are
-the optimizer's hot path -- no handle materialization.  Pruning asks the
-result index one range query per block and compares the retrieved plans
-itself (:mod:`repro.core.pruning`).
+The index stores *arena plan ids*, not plan objects: each bucket is a
+:class:`~repro.costs.matrix.CostBlock` whose payloads are plain integers.  The
+arena of the first registered block is captured, and registering ids of
+another arena is refused; callers turn ids back into plan handles with
+``arena.plan(plan_id)``.  Pruning asks the result index one range query per
+block (:meth:`retrieve_ids`) and compares the retrieved plans itself
+(:mod:`repro.core.pruning`).
 
 Each bucket stores its plans alongside a
 :class:`~repro.costs.matrix.CostMatrix` of their cost vectors, so the
@@ -52,21 +50,17 @@ slice per run, so a re-parked plan's bucket id is not recomputed; a fresh
 block is grouped into runs first.  Every plan of a run maps to one shared
 ``(level, bucket id)`` location, which compaction leaves valid.  Each
 direction has one path: :meth:`insert_id` is a one-plan :meth:`insert_ids`,
-and :meth:`remove_id` -- used only by the object API (:meth:`remove`,
-:meth:`discard`) -- finds its slot by scanning its bucket and removes a
+and :meth:`remove_id` finds its slot by scanning its bucket and removes a
 one-slot batch the way :meth:`drain_ids` removes each bucket's batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.costs.matrix import CostBlock
-from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
-from repro.plans.plan import Plan
 
 #: Bucket id of plans whose first cost component is ``+inf``.  ``math.inf``
 #: compares above every finite bucket id, so the "skip buckets above the
@@ -76,14 +70,6 @@ INFINITE_BUCKET = math.inf
 _BucketId = Union[int, float]
 #: ``(bucket id, count)``: that many consecutive plans of one bucket.
 _Run = Tuple[_BucketId, int]
-
-
-@dataclass(frozen=True)
-class IndexedPlan:
-    """A plan together with the resolution level it is registered for."""
-
-    plan: Plan
-    resolution: int
 
 
 class PlanIndex:
@@ -136,10 +122,6 @@ class PlanIndex:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(self, plan: Plan, resolution: int) -> None:
-        """Register ``plan`` for the given resolution level."""
-        self.insert_id(plan.plan_id, resolution, plan.arena)
-
     def insert_id(
         self,
         plan_id: int,
@@ -247,14 +229,6 @@ class PlanIndex:
             (bucket_id, len(group)) for bucket_id, group in groups.items()
         ]
 
-    def remove(self, plan: Plan) -> None:
-        """Remove a previously registered plan."""
-        if plan.arena is not self._arena:
-            raise KeyError(
-                f"plan {plan.plan_id} belongs to a different arena than this index"
-            )
-        self.remove_id(plan.plan_id)
-
     def remove_id(self, plan_id: int) -> None:
         """Remove the plan with the given arena id (found by a bucket scan)."""
         location = self._locations.get(plan_id)
@@ -317,13 +291,6 @@ class PlanIndex:
         bucket.compact_if_needed()
         return removed
 
-    def discard(self, plan: Plan) -> bool:
-        """Remove the plan if present; return whether it was present."""
-        if plan not in self:
-            return False
-        self.remove_id(plan.plan_id)
-        return True
-
     def clear(self) -> None:
         """Remove all plans."""
         self._levels.clear()
@@ -335,21 +302,8 @@ class PlanIndex:
     def __len__(self) -> int:
         return len(self._locations)
 
-    def __contains__(self, plan: Plan) -> bool:
-        # Plan ids are only unique per arena, so a handle from a foreign
-        # arena must never match a registered id by coincidence.
-        return plan.arena is self._arena and plan.plan_id in self._locations
-
     def contains_id(self, plan_id: int) -> bool:
         return plan_id in self._locations
-
-    def resolution_of(self, plan: Plan) -> int:
-        """The resolution level the plan is registered for."""
-        if plan.arena is not self._arena:
-            raise KeyError(
-                f"plan {plan.plan_id} belongs to a different arena than this index"
-            )
-        return self.resolution_of_id(plan.plan_id)
 
     def resolution_of_id(self, plan_id: int) -> int:
         try:
@@ -365,25 +319,6 @@ class PlanIndex:
         for buckets in self._levels.values():
             for bucket in buckets.values():
                 result.extend(bucket.live_items())
-        return result
-
-    def all_plans(self) -> List[Plan]:
-        """Every registered plan, in no particular order."""
-        arena = self._arena
-        if arena is None:
-            return []
-        return [arena.plan(plan_id) for plan_id in self.all_ids()]
-
-    def all_entries(self) -> List[IndexedPlan]:
-        """Every registered plan with its resolution level."""
-        arena = self._arena
-        result: List[IndexedPlan] = []
-        for resolution, buckets in self._levels.items():
-            for bucket in buckets.values():
-                result.extend(
-                    IndexedPlan(arena.plan(plan_id), resolution)
-                    for plan_id in bucket.live_items()
-                )
         return result
 
     def count_at_resolution(self, resolution: int) -> int:
@@ -418,44 +353,5 @@ class PlanIndex:
                 plan_ids = bucket.items
                 result.extend(
                     plan_ids[slot] for slot in bucket.matrix.dominated_slots(bounds)
-                )
-        return result
-
-    def retrieve(
-        self,
-        bounds: CostVector,
-        max_resolution: int,
-        min_resolution: int = 0,
-    ) -> List[Plan]:
-        """Like :meth:`retrieve_ids` but returns canonical plan handles."""
-        ids = self.retrieve_ids(bounds, max_resolution, min_resolution)
-        if not ids:
-            return []
-        arena = self._require_arena()
-        return [arena.plan(plan_id) for plan_id in ids]
-
-    def retrieve_entries(
-        self,
-        bounds: CostVector,
-        max_resolution: int,
-        min_resolution: int = 0,
-    ) -> List[IndexedPlan]:
-        """Like :meth:`retrieve` but also returns each plan's resolution."""
-        if max_resolution < min_resolution:
-            return []
-        arena = self._arena
-        bound_bucket = self._bucket_of(bounds)
-        result: List[IndexedPlan] = []
-        for resolution in range(min_resolution, max_resolution + 1):
-            buckets = self._levels.get(resolution)
-            if not buckets:
-                continue
-            for bucket_id, bucket in buckets.items():
-                if bucket_id > bound_bucket:
-                    continue
-                plan_ids = bucket.items
-                result.extend(
-                    IndexedPlan(arena.plan(plan_ids[slot]), resolution)
-                    for slot in bucket.matrix.dominated_slots(bounds)
                 )
         return result

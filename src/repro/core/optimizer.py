@@ -234,7 +234,13 @@ class IncrementalOptimizer:
         This is the plan set handed to ``Visualize`` in Algorithm 1:
         ``Res^Q[0..b, 0..r]``.
         """
-        return self._state.final_result_set().retrieve(bounds, resolution)
+        arena = self._factory.arena
+        return [
+            arena.plan(plan_id)
+            for plan_id in self._state.final_result_set().retrieve_ids(
+                bounds, resolution
+            )
+        ]
 
     # ------------------------------------------------------------------
     # The optimizer invocation (Algorithm 2)

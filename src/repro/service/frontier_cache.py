@@ -264,8 +264,8 @@ class FrontierCache:
         self._bytes = 0
         self._lock = threading.Lock()
         self._disk = JsonStore(persist_dir) if persist_dir is not None else None
-        # Instruments (the registry is the source of truth; ``hits`` /
-        # ``warm_starts`` / ... remain as read-only compatibility properties).
+        # Instruments (the registry is the source of truth; ``stats`` reads
+        # them).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lookups = self.metrics.counter(
             "repro_cache_lookups_total",
@@ -298,29 +298,6 @@ class FrontierCache:
             )
 
     # ------------------------------------------------------------------
-    # Legacy gauge surface (read-only views over the registry instruments)
-    # ------------------------------------------------------------------
-    @property
-    def hits(self) -> int:
-        return int(self._lookups.value(result=CACHE_HIT))
-
-    @property
-    def warm_starts(self) -> int:
-        return int(self._lookups.value(result=CACHE_WARM))
-
-    @property
-    def misses(self) -> int:
-        return int(self._lookups.value(result=CACHE_MISS))
-
-    @property
-    def stores(self) -> int:
-        return int(self._stores_counter.value())
-
-    @property
-    def evictions(self) -> int:
-        return int(self._evictions_counter.value())
-
-    # ------------------------------------------------------------------
     @property
     def max_bytes(self) -> int:
         return self._max_bytes
@@ -349,11 +326,11 @@ class FrontierCache:
                     entry.arena_bytes for entry in self._entries.values()
                 ),
                 "persistent": self._disk is not None,
-                "hits": self.hits,
-                "warm_starts": self.warm_starts,
-                "misses": self.misses,
-                "stores": self.stores,
-                "evictions": self.evictions,
+                "hits": int(self._lookups.value(result=CACHE_HIT)),
+                "warm_starts": int(self._lookups.value(result=CACHE_WARM)),
+                "misses": int(self._lookups.value(result=CACHE_MISS)),
+                "stores": int(self._stores_counter.value()),
+                "evictions": int(self._evictions_counter.value()),
             }
 
     def audit(self) -> Dict[str, int]:

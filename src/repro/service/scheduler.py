@@ -230,9 +230,8 @@ class Scheduler:
         self._seq = itertools.count()
         self._threads: List[threading.Thread] = []
         self._closed = False
-        # Instruments (the registry is the single source of truth; the
-        # legacy ``submitted``/``invocations_run``/... ints live on as
-        # read-only properties below).
+        # Instruments (the registry is the single source of truth; ``stats``
+        # reads them).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._submitted = self.metrics.counter(
             "repro_scheduler_submitted_total", "Jobs accepted by the scheduler"
@@ -466,7 +465,9 @@ class Scheduler:
             job.started_at = self.clock()
             self._live[job.ticket] = job
             self._rotation.append(job.ticket)
-            self._max_live_gauge.set(max(self.max_live_seen, len(self._live)))
+            self._max_live_gauge.set(
+                max(self._max_live_gauge.value(), len(self._live))
+            )
 
     def _finalize_locked(
         self, job: Job, state: str, error: Optional[str] = None
@@ -551,38 +552,6 @@ class Scheduler:
         )
         return max(0.0, job.alphas[-1] - schedule.alpha(next_resolution))
 
-    def reset_max_live_seen(self) -> None:
-        """Restart the concurrency high-water mark (per-phase measurements)."""
-        with self.condition:
-            self._max_live_gauge.set(len(self._live))
-
-    # ------------------------------------------------------------------
-    # Legacy gauge surface (read-only views over the registry instruments)
-    # ------------------------------------------------------------------
-    @property
-    def submitted(self) -> int:
-        return int(self._submitted.value())
-
-    @property
-    def invocations_run(self) -> int:
-        return int(self._invocations.value())
-
-    @property
-    def finished(self) -> int:
-        return int(self._jobs_done.value(outcome="finished"))
-
-    @property
-    def failed(self) -> int:
-        return int(self._jobs_done.value(outcome="failed"))
-
-    @property
-    def cancelled(self) -> int:
-        return int(self._jobs_done.value(outcome="cancelled"))
-
-    @property
-    def max_live_seen(self) -> int:
-        return int(self._max_live_gauge.value())
-
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         with self.condition:
@@ -593,10 +562,10 @@ class Scheduler:
                 "max_queue": self.max_queue,
                 "live_sessions": len(self._live),
                 "queued": len(self._backlog),
-                "max_live_seen": self.max_live_seen,
-                "submitted": self.submitted,
-                "invocations_run": self.invocations_run,
-                "finished": self.finished,
-                "failed": self.failed,
-                "cancelled": self.cancelled,
+                "max_live_seen": int(self._max_live_gauge.value()),
+                "submitted": int(self._submitted.value()),
+                "invocations_run": int(self._invocations.value()),
+                "finished": int(self._jobs_done.value(outcome="finished")),
+                "failed": int(self._jobs_done.value(outcome="failed")),
+                "cancelled": int(self._jobs_done.value(outcome="cancelled")),
             }

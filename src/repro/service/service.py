@@ -1,8 +1,9 @@
 """The in-process planning service façade.
 
 :class:`PlanningService` is the one object behind every serving surface: the
-CLI ``serve`` command wraps it with the HTTP wire layer, the load benchmark
-drives it directly, and tests/examples embed it in-process.  It composes
+CLI ``serve`` command wraps it with the HTTP wire layer, each worker process
+of the sharded pool runs one, and tests/examples embed it in-process.  It
+composes
 
 * a :class:`~repro.service.scheduler.Scheduler` multiplexing live
   :class:`~repro.api.session.PlannerSession` objects at invocation

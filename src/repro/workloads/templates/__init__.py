@@ -1,9 +1,9 @@
 """TPC-DS-style parameterized query templates, banded by join count.
 
-The trace replayer (and any realistic serving workload) needs more than 21
-fixed TPC-H blocks: it needs *families* of similar queries whose members share
-a shape but differ in parameters — the redbench observation that production
-traffic is template-skewed.  This package ships a compact TPC-DS-flavored
+A realistic serving workload (perfbench ``service_zipf`` sends one) needs more
+than 21 fixed TPC-H blocks: it needs *families* of similar queries whose
+members share a shape but differ in parameters — the redbench observation that
+production traffic is template-skewed.  This package ships a compact TPC-DS-flavored
 star schema (``store_sales`` fact table plus eight dimensions, published
 scale-factor-1 cardinalities) and one query template per join-count band from
 2 to 7 joins, mirroring how redbench bands its TPC-DS wrapper.

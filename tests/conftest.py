@@ -90,6 +90,11 @@ def build_factory(
     return PlanFactory(estimator, cost_model, registry)
 
 
+def insert_plan(index, plan, resolution):
+    """Register a plan handle in a plan index by its arena id."""
+    index.insert_id(plan.plan_id, resolution, plan.arena)
+
+
 def entries_by_level(index):
     """Registered plan ids per resolution level, in registration order.
 
@@ -97,8 +102,8 @@ def entries_by_level(index):
     it, while the optimizer reads every level in ascending order.
     """
     levels = {}
-    for entry in index.all_entries():
-        levels.setdefault(entry.resolution, []).append(entry.plan.plan_id)
+    for plan_id in index.all_ids():
+        levels.setdefault(index.resolution_of_id(plan_id), []).append(plan_id)
     return levels
 
 

@@ -7,6 +7,8 @@ from repro.costs.vector import CostVector
 from repro.plans.operators import ScanOperator
 from repro.plans.plan import ScanPlan
 
+from tests.conftest import entries_by_level, insert_plan
+
 
 def make_plan(cost, order=None):
     return ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost), interesting_order=order)
@@ -19,38 +21,41 @@ def index():
 
 class TestInsertRemove:
     def test_insert_and_len(self, index):
-        index.insert(make_plan([1, 1]), resolution=0)
+        insert_plan(index, make_plan([1, 1]), resolution=0)
         assert len(index) == 1
 
     def test_duplicate_insert_rejected(self, index):
         plan = make_plan([1, 1])
-        index.insert(plan, 0)
+        insert_plan(index, plan, 0)
         with pytest.raises(ValueError):
-            index.insert(plan, 1)
+            insert_plan(index, plan, 1)
 
     def test_negative_resolution_rejected(self, index):
         with pytest.raises(ValueError):
-            index.insert(make_plan([1, 1]), -1)
+            insert_plan(index, make_plan([1, 1]), -1)
 
     def test_remove(self, index):
         plan = make_plan([1, 1])
-        index.insert(plan, 0)
-        index.remove(plan)
+        insert_plan(index, plan, 0)
+        index.remove_id(plan.plan_id)
         assert len(index) == 0
-        assert plan not in index
+        assert not index.contains_id(plan.plan_id)
 
     def test_remove_unknown_plan_raises(self, index):
         with pytest.raises(KeyError):
-            index.remove(make_plan([1, 1]))
+            index.remove_id(make_plan([1, 1]).plan_id)
 
     def test_discard_is_idempotent(self, index):
         plan = make_plan([1, 1])
-        index.insert(plan, 0)
-        assert index.discard(plan)
-        assert not index.discard(plan)
+        insert_plan(index, plan, 0)
+        index.remove_id(plan.plan_id)
+        # A second removal finds nothing and leaves the index as it was.
+        with pytest.raises(KeyError):
+            index.remove_id(plan.plan_id)
+        assert len(index) == 0 and not index.contains_id(plan.plan_id)
 
     def test_clear(self, index):
-        index.insert(make_plan([1, 1]), 0)
+        insert_plan(index, make_plan([1, 1]), 0)
         index.clear()
         assert len(index) == 0
 
@@ -62,28 +67,27 @@ class TestInsertRemove:
 class TestLookups:
     def test_contains_and_resolution_of(self, index):
         plan = make_plan([1, 1])
-        index.insert(plan, 2)
-        assert plan in index
-        assert index.resolution_of(plan) == 2
+        insert_plan(index, plan, 2)
+        assert index.contains_id(plan.plan_id)
+        assert index.resolution_of_id(plan.plan_id) == 2
 
     def test_resolution_of_unknown_plan(self, index):
         with pytest.raises(KeyError):
-            index.resolution_of(make_plan([1, 1]))
+            index.resolution_of_id(make_plan([1, 1]).plan_id)
 
     def test_all_plans_and_entries(self, index):
         plans = [make_plan([i + 1, 1]) for i in range(3)]
         for level, plan in enumerate(plans):
-            index.insert(plan, level)
-        assert {p.plan_id for p in index.all_plans()} == {p.plan_id for p in plans}
-        entries = index.all_entries()
-        assert {(e.plan.plan_id, e.resolution) for e in entries} == {
-            (plan.plan_id, level) for level, plan in enumerate(plans)
+            insert_plan(index, plan, level)
+        assert set(index.all_ids()) == {p.plan_id for p in plans}
+        assert entries_by_level(index) == {
+            level: [plan.plan_id] for level, plan in enumerate(plans)
         }
 
     def test_count_at_resolution(self, index):
-        index.insert(make_plan([1, 1]), 0)
-        index.insert(make_plan([2, 2]), 0)
-        index.insert(make_plan([3, 3]), 1)
+        insert_plan(index, make_plan([1, 1]), 0)
+        insert_plan(index, make_plan([2, 2]), 0)
+        insert_plan(index, make_plan([3, 3]), 1)
         assert index.count_at_resolution(0) == 2
         assert index.count_at_resolution(1) == 1
         assert index.count_at_resolution(5) == 0
@@ -93,36 +97,35 @@ class TestRangeQueries:
     def test_retrieve_respects_resolution_range(self, index):
         low = make_plan([1, 1])
         high = make_plan([1, 1])
-        index.insert(low, 0)
-        index.insert(high, 3)
+        insert_plan(index, low, 0)
+        insert_plan(index, high, 3)
         unbounded = CostVector.infinite(2)
-        assert {p.plan_id for p in index.retrieve(unbounded, 0)} == {low.plan_id}
-        assert {p.plan_id for p in index.retrieve(unbounded, 3)} == {low.plan_id, high.plan_id}
-        assert index.retrieve(unbounded, 2, min_resolution=1) == []
+        assert set(index.retrieve_ids(unbounded, 0)) == {low.plan_id}
+        assert set(index.retrieve_ids(unbounded, 3)) == {low.plan_id, high.plan_id}
+        assert index.retrieve_ids(unbounded, 2, min_resolution=1) == []
 
     def test_retrieve_respects_bounds(self, index):
         cheap = make_plan([1, 1])
         pricey = make_plan([100, 1])
-        index.insert(cheap, 0)
-        index.insert(pricey, 0)
-        within = index.retrieve(CostVector([10, 10]), 0)
-        assert {p.plan_id for p in within} == {cheap.plan_id}
+        insert_plan(index, cheap, 0)
+        insert_plan(index, pricey, 0)
+        assert index.retrieve_ids(CostVector([10, 10]), 0) == [cheap.plan_id]
 
     def test_retrieve_with_inverted_range_is_empty(self, index):
-        index.insert(make_plan([1, 1]), 0)
-        assert index.retrieve(CostVector.infinite(2), 0, min_resolution=2) == []
+        insert_plan(index, make_plan([1, 1]), 0)
+        assert index.retrieve_ids(CostVector.infinite(2), 0, min_resolution=2) == []
 
-    def test_retrieve_entries_reports_levels(self, index):
+    def test_retrieved_ids_report_their_levels(self, index):
         plan = make_plan([1, 1])
-        index.insert(plan, 2)
-        entries = index.retrieve_entries(CostVector.infinite(2), 4)
-        assert entries[0].resolution == 2
+        insert_plan(index, plan, 2)
+        (retrieved,) = index.retrieve_ids(CostVector.infinite(2), 4)
+        assert index.resolution_of_id(retrieved) == 2
 
     def test_retrieve_many_plans_across_buckets(self, index):
         plans = [make_plan([float(2 ** i), 1.0]) for i in range(10)]
         for plan in plans:
-            index.insert(plan, 0)
+            insert_plan(index, plan, 0)
         bounds = CostVector([40.0, 10.0])
-        retrieved = index.retrieve(bounds, 0)
+        retrieved = index.retrieve_ids(bounds, 0)
         expected = [p for p in plans if p.cost[0] <= 40.0]
-        assert {p.plan_id for p in retrieved} == {p.plan_id for p in expected}
+        assert set(retrieved) == {p.plan_id for p in expected}

@@ -1,9 +1,9 @@
 """Regression tests: PlanIndex must not confuse ids from different arenas.
 
-Plan ids are dense *per arena*, so a handle from a foreign arena can carry an
-id that happens to be registered in an index.  The object-level API must treat
-such handles as "not present" (or refuse the operation) instead of silently
-reading or removing the wrong plan.
+Plan ids are dense *per arena*, so an id from a foreign arena can equal an id
+that is registered in an index.  The index adopts the arena of its first
+registered block and must refuse ids of any other arena, and a rejected block
+must leave the index unchanged.
 """
 
 import pytest
@@ -28,29 +28,11 @@ class TestForeignArenaHandles:
         self.plan_b = make_plan(self.arena_b)  # same plan_id, different arena
         assert self.plan_a.plan_id == self.plan_b.plan_id
         self.index = PlanIndex()
-        self.index.insert(self.plan_a, 0)
-
-    def test_contains_rejects_foreign_handle(self):
-        assert self.plan_a in self.index
-        assert self.plan_b not in self.index
-
-    def test_discard_does_not_remove_the_wrong_plan(self):
-        assert self.index.discard(self.plan_b) is False
-        assert len(self.index) == 1
-        assert self.plan_a in self.index
-
-    def test_remove_raises_for_foreign_handle(self):
-        with pytest.raises(KeyError):
-            self.index.remove(self.plan_b)
-        assert self.plan_a in self.index
-
-    def test_resolution_of_raises_for_foreign_handle(self):
-        with pytest.raises(KeyError):
-            self.index.resolution_of(self.plan_b)
+        self.index.insert_id(self.plan_a.plan_id, 0, self.arena_a)
 
     def test_insert_rejects_foreign_handle(self):
         with pytest.raises(ValueError, match="different arenas"):
-            self.index.insert(self.plan_b, 0)
+            self.index.insert_id(self.plan_b.plan_id, 0, self.arena_b)
 
     def test_insert_ids_rejects_foreign_arena(self):
         with pytest.raises(ValueError, match="different arenas"):
@@ -62,11 +44,11 @@ class TestForeignArenaHandles:
         with pytest.raises(ValueError, match="already registered"):
             self.index.insert_ids([fresh.plan_id, self.plan_a.plan_id], 1, self.arena_a)
         # The block is checked before anything is registered.
-        assert fresh not in self.index
-        assert self.index.resolution_of(self.plan_a) == 0
+        assert not self.index.contains_id(fresh.plan_id)
+        assert self.index.resolution_of_id(self.plan_a.plan_id) == 0
 
     def test_insert_ids_rejects_an_id_twice_in_one_block(self):
         fresh = make_plan(self.arena_a, cost=(2.0, 2.0))
         with pytest.raises(ValueError, match="already registered"):
             self.index.insert_ids([fresh.plan_id, fresh.plan_id], 0, self.arena_a)
-        assert fresh not in self.index
+        assert not self.index.contains_id(fresh.plan_id)

@@ -20,6 +20,8 @@ from repro.costs.vector import CostVector
 from repro.plans.operators import ScanOperator
 from repro.plans.plan import ScanPlan
 
+from tests.conftest import insert_plan
+
 try:
     import numpy  # noqa: F401
 
@@ -48,42 +50,39 @@ class TestBucketEdgeCases:
         # Same bucket (similar first component), then empty it entirely.
         lone = make_plan([100.0, 1.0])
         other = make_plan([1.0, 1.0])
-        index.insert(lone, 0)
-        index.insert(other, 0)
-        index.remove(lone)
+        insert_plan(index, lone, 0)
+        insert_plan(index, other, 0)
+        index.remove_id(lone.plan_id)
         assert len(index) == 1
-        assert lone not in index
-        retrieved = index.retrieve(CostVector.infinite(2), 0)
-        assert [p.plan_id for p in retrieved] == [other.plan_id]
+        assert not index.contains_id(lone.plan_id)
+        assert index.retrieve_ids(CostVector.infinite(2), 0) == [other.plan_id]
         # Re-inserting into the emptied bucket works.
-        index.insert(make_plan([101.0, 2.0]), 0)
+        insert_plan(index, make_plan([101.0, 2.0]), 0)
         assert len(index) == 2
 
     def test_removals_trigger_compaction_without_losing_plans(self, backend):
         index = PlanIndex()
         plans = [make_plan([10.0 + i * 0.01, float(i)]) for i in range(20)]
         for plan in plans:
-            index.insert(plan, 0)
+            insert_plan(index, plan, 0)
         for plan in plans[:15]:
-            index.remove(plan)
+            index.remove_id(plan.plan_id)
         survivors = {p.plan_id for p in plans[15:]}
-        assert {p.plan_id for p in index.all_plans()} == survivors
-        retrieved = index.retrieve(CostVector.infinite(2), 0)
-        assert [p.plan_id for p in retrieved] == [p.plan_id for p in plans[15:]]
+        assert set(index.all_ids()) == survivors
+        retrieved = index.retrieve_ids(CostVector.infinite(2), 0)
+        assert retrieved == [p.plan_id for p in plans[15:]]
         # Locations stay valid after compaction: removal still works.
-        index.remove(plans[15])
+        index.remove_id(plans[15].plan_id)
         assert len(index) == 4
 
     def test_retrieve_with_infinite_bounds_returns_everything_in_range(self, backend):
         index = PlanIndex()
         plans = [make_plan([float(2**i), 1.0]) for i in range(8)]
         for resolution, plan in enumerate(plans):
-            index.insert(plan, resolution % 3)
+            insert_plan(index, plan, resolution % 3)
         unbounded = CostVector.infinite(2)
-        assert {p.plan_id for p in index.retrieve(unbounded, 2)} == {
-            p.plan_id for p in plans
-        }
-        assert {p.plan_id for p in index.retrieve(unbounded, 0)} == {
+        assert set(index.retrieve_ids(unbounded, 2)) == {p.plan_id for p in plans}
+        assert set(index.retrieve_ids(unbounded, 0)) == {
             p.plan_id for r, p in enumerate(plans) if r % 3 == 0
         }
 
@@ -103,21 +102,21 @@ class TestInfiniteCostSentinel:
         index = PlanIndex()
         unbounded_plan = make_plan([INF, 1.0])
         cheap = make_plan([1.0, 1.0])
-        index.insert(unbounded_plan, 0)
-        index.insert(cheap, 0)
-        retrieved = index.retrieve(CostVector([10.0, 10.0]), 0)
-        assert [p.plan_id for p in retrieved] == [cheap.plan_id]
+        insert_plan(index, unbounded_plan, 0)
+        insert_plan(index, cheap, 0)
+        retrieved = index.retrieve_ids(CostVector([10.0, 10.0]), 0)
+        assert retrieved == [cheap.plan_id]
 
     def test_infinite_cost_plan_is_retrievable_under_infinite_bounds(self, backend):
         index = PlanIndex()
         unbounded_plan = make_plan([INF, 1.0])
-        index.insert(unbounded_plan, 0)
-        retrieved = index.retrieve(CostVector.infinite(2), 0)
-        assert [p.plan_id for p in retrieved] == [unbounded_plan.plan_id]
+        insert_plan(index, unbounded_plan, 0)
+        retrieved = index.retrieve_ids(CostVector.infinite(2), 0)
+        assert retrieved == [unbounded_plan.plan_id]
 
     def test_infinite_cost_plan_can_witness_infinite_targets(self, backend):
         index = PlanIndex()
-        index.insert(make_plan([INF, 1.0]), 0)
+        insert_plan(index, make_plan([INF, 1.0]), 0)
         # It approximates a plan with an infinite first component ...
         assert prune_one(index, make_plan([INF, 2.0])) is (
             PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
@@ -131,8 +130,8 @@ class TestInfiniteCostSentinel:
         # infinite bucket must sort above all finite cells so bucket skipping
         # can prune it under finite bounds without any call-site special case.
         index = PlanIndex()
-        index.insert(make_plan([INF, 1.0]), 0)
-        index.insert(make_plan([5.0, 5.0]), 0)
+        insert_plan(index, make_plan([INF, 1.0]), 0)
+        insert_plan(index, make_plan([5.0, 5.0]), 0)
         assert prune_one(
             index, make_plan([6.0, 6.0]), CostVector([7.0, 7.0])
         ) is PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
@@ -169,9 +168,9 @@ class TestScalarKernelEquivalence:
                 plans = []
                 for cost, resolution in entry_list:
                     plan = ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost))
-                    index.insert(plan, resolution)
+                    insert_plan(index, plan, resolution)
                     plans.append((plan, resolution))
-                retrieved = index.retrieve(bounds, max_resolution)
+                retrieved = index.retrieve_ids(bounds, max_resolution)
                 expected = {
                     plan.plan_id
                     for plan, resolution in plans
@@ -179,8 +178,9 @@ class TestScalarKernelEquivalence:
                 }
                 # Same plans as the scalar oracle (retrieval enumerates
                 # bucket by bucket, so only membership is order-free).
-                assert {p.plan_id for p in retrieved} == expected
+                assert set(retrieved) == expected
                 assert len(retrieved) == len(expected)
-                results[name] = [tuple(p.cost) for p in retrieved]
+                cost_of = {plan.plan_id: tuple(plan.cost) for plan, _ in plans}
+                results[name] = [cost_of[plan_id] for plan_id in retrieved]
         # Identical cost sequences across backends (plan ids differ per build).
         assert len({tuple(seq) for seq in results.values()}) <= 1

@@ -18,7 +18,7 @@ from repro.plans.arena import PlanArena
 from repro.plans.operators import ScanOperator
 from repro.plans.plan import ScanPlan
 
-from tests.conftest import entries_by_level
+from tests.conftest import entries_by_level, insert_plan
 
 try:
     import numpy  # noqa: F401
@@ -45,7 +45,7 @@ def build_index(entry_list):
     plans = []
     for cost, resolution in entry_list:
         plan = ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost))
-        index.insert(plan, resolution)
+        insert_plan(index, plan, resolution)
         plans.append((plan, resolution))
     return index, plans
 
@@ -60,8 +60,7 @@ class TestRetrievalMatchesBruteForce:
             for plan, resolution in plans
             if resolution <= max_resolution and dominates(plan.cost, bounds)
         }
-        retrieved = {p.plan_id for p in index.retrieve(bounds, max_resolution)}
-        assert retrieved == expected
+        assert set(index.retrieve_ids(bounds, max_resolution)) == expected
 
     @settings(max_examples=100)
     @given(entries)
@@ -69,13 +68,13 @@ class TestRetrievalMatchesBruteForce:
         index, plans = build_index(entry_list)
         assert len(index) == len(plans)
         for plan, resolution in plans:
-            assert plan in index
-            assert index.resolution_of(plan) == resolution
+            assert index.contains_id(plan.plan_id)
+            assert index.resolution_of_id(plan.plan_id) == resolution
         # Removing every plan empties the index.
         for plan, _ in plans:
-            index.remove(plan)
+            index.remove_id(plan.plan_id)
         assert len(index) == 0
-        assert index.all_plans() == []
+        assert index.all_ids() == []
 
     @settings(max_examples=100)
     @given(entries, st.data())
@@ -85,9 +84,9 @@ class TestRetrievalMatchesBruteForce:
             return
         victim_position = data.draw(st.integers(min_value=0, max_value=len(plans) - 1))
         victim, _ = plans[victim_position]
-        index.remove(victim)
+        index.remove_id(victim.plan_id)
         remaining = {p.plan_id for p, _ in plans} - {victim.plan_id}
-        assert {p.plan_id for p in index.all_plans()} == remaining
+        assert set(index.all_ids()) == remaining
 
 
 # ----------------------------------------------------------------------

@@ -50,9 +50,8 @@ def approximated_by_some_entry(
     """Algorithm 3 line 7: some p_A in Res[0..b, 0..r] with a compatible
     order costs at most ``alpha_r * c(p)``."""
     order_id = arena.order_id_of(plan_id)
-    for entry in result_index.all_entries():
-        other = entry.plan.plan_id
-        if entry.resolution > resolution:
+    for other in result_index.all_ids():
+        if result_index.resolution_of_id(other) > resolution:
             continue
         if respect_orders and order_id != 0 and arena.order_id_of(other) != order_id:
             continue

@@ -51,7 +51,7 @@ class TestInsertion:
     def test_plan_registered_at_current_resolution(self, indexes):
         plan = make_plan([1, 1])
         run_prune(indexes, plan, resolution=1)
-        assert indexes[0].resolution_of(plan) == 1
+        assert indexes[0].resolution_of_id(plan.plan_id) == 1
 
     def test_dominated_result_plans_are_not_discarded(self, indexes):
         worse = make_plan([5, 5])
@@ -59,8 +59,8 @@ class TestInsertion:
         better = make_plan([1, 1])
         run_prune(indexes, better)
         # Section 4.2: result plans are never removed, even when dominated.
-        assert worse in indexes[0]
-        assert better in indexes[0]
+        assert indexes[0].contains_id(worse.plan_id)
+        assert indexes[0].contains_id(better.plan_id)
 
 
 class TestApproximationDeferral:
@@ -70,7 +70,7 @@ class TestApproximationDeferral:
         outcome = run_prune(indexes, similar, alpha=1.2)
         assert outcome is PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
         assert outcome.became_candidate
-        assert indexes[1].resolution_of(similar) == 1
+        assert indexes[1].resolution_of_id(similar.plan_id) == 1
 
     def test_approximated_at_max_resolution_is_discarded(self, indexes):
         run_prune(indexes, make_plan([1, 1]), resolution=2, alpha=1.2)
@@ -101,7 +101,7 @@ class TestBounds:
         plan = make_plan([10, 10])
         outcome = run_prune(indexes, plan, bounds=CostVector([5, 5]), resolution=1)
         assert outcome is PruneOutcome.OUT_OF_BOUNDS
-        assert indexes[1].resolution_of(plan) == 1
+        assert indexes[1].resolution_of_id(plan.plan_id) == 1
 
     def test_out_of_bounds_checked_after_approximation(self, indexes):
         # A plan that is both approximated and out of bounds is deferred to the

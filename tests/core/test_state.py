@@ -7,6 +7,8 @@ from repro.costs.vector import CostVector
 from repro.plans.operators import ScanOperator
 from repro.plans.plan import ScanPlan
 
+from tests.conftest import insert_plan
+
 
 def scan(table):
     return ScanPlan(table, ScanOperator("seq_scan"), CostVector([1.0, 1.0, 0.0]))
@@ -18,7 +20,7 @@ class TestOptimizerState:
         result = state.result_set({"orders"})
         candidate = state.candidate_set({"orders"})
         assert result is not candidate
-        result.insert(scan("orders"), 0)
+        insert_plan(result, scan("orders"), 0)
         assert len(candidate) == 0
 
     def test_sets_are_created_lazily_and_cached(self, chain_query):
@@ -34,9 +36,9 @@ class TestOptimizerState:
 
     def test_totals(self, chain_query):
         state = OptimizerState(chain_query)
-        state.result_set({"orders"}).insert(scan("orders"), 0)
-        state.result_set({"items"}).insert(scan("items"), 0)
-        state.candidate_set({"orders"}).insert(scan("orders"), 1)
+        insert_plan(state.result_set({"orders"}), scan("orders"), 0)
+        insert_plan(state.result_set({"items"}), scan("items"), 0)
+        insert_plan(state.candidate_set({"orders"}), scan("orders"), 1)
         assert state.total_result_plans() == 2
         assert state.total_candidate_plans() == 1
         assert state.total_stored_plans() == 3
@@ -44,7 +46,7 @@ class TestOptimizerState:
     def test_populated_sets(self, chain_query):
         state = OptimizerState(chain_query)
         state.result_set({"orders"})  # created but empty
-        state.result_set({"items"}).insert(scan("items"), 0)
+        insert_plan(state.result_set({"items"}), scan("items"), 0)
         populated = state.populated_result_sets()
         assert list(populated) == [frozenset({"items"})]
 

@@ -101,6 +101,15 @@ class TestFingerprints:
         fp_b = request_fingerprint(resolve_request(varied), algo_b)
         assert fp_a != fp_b
 
+    def test_reinstantiated_templates_do_not_alias(self):
+        def fingerprint(workload):
+            request = OptimizeRequest(workload=workload, **TINY)
+            return request_fingerprint(resolve_request(request), request.algorithm)
+
+        first = fingerprint("template:ss_item_date:1")
+        assert fingerprint("template:ss_item_date:1") == first
+        assert fingerprint("template:ss_item_date:2") != first
+
     def test_budget_is_excluded_from_the_fingerprint(self):
         base = OptimizeRequest(workload="gen:star:4:7", **TINY)
         capped = base.with_overrides(budget=Budget(max_invocations=1))
@@ -165,7 +174,8 @@ class TestFrontierCache:
         result = OptimizationResult.from_dict(payload)
         assert result.finish_reason == FINISH_EXHAUSTED
         assert result.frontier_size > 0
-        assert cache.hits == 1 and cache.misses == 1
+        stats = cache.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_replay_of_a_shorter_budget_prefix(self):
         request = OptimizeRequest(workload="gen:chain:4:0", **TINY)

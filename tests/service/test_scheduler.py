@@ -65,7 +65,7 @@ class TestAdmission:
         ]
         scheduler.run_until_idle()
         assert all(job.state == JOB_FINISHED for job in jobs)
-        assert scheduler.max_live_seen == 2
+        assert scheduler.stats()["max_live_seen"] == 2
 
     def test_closed_scheduler_rejects_submissions(self):
         scheduler = Scheduler(workers=0)
@@ -213,11 +213,11 @@ class TestThreadedWorkers:
         scheduler.close()  # must return promptly, not drain 32 invocations
         # Workers have exited (close joins them): the slice counter is
         # frozen and no further slices are handed out.
-        after_close = scheduler.invocations_run
+        after_close = scheduler.stats()["invocations_run"]
         import time
 
         time.sleep(0.05)
-        assert scheduler.invocations_run == after_close
+        assert scheduler.stats()["invocations_run"] == after_close
         assert scheduler.step_once() is None  # closed: no further slices
 
     def test_worker_threads_drain_the_backlog(self):
@@ -235,4 +235,4 @@ class TestThreadedWorkers:
         finally:
             scheduler.close()
         assert all(job.state == JOB_FINISHED for job in jobs)
-        assert scheduler.invocations_run == 6 * 3
+        assert scheduler.stats()["invocations_run"] == 6 * 3

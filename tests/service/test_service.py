@@ -94,7 +94,9 @@ class TestDifferentialGuarantee:
             result = service.result(second, timeout=60.0)
             assert service.poll(second)["cache_status"] == CACHE_HIT
             assert _frontier_costs(result) == serial_frontiers[request.workload]
-            assert service.scheduler.invocations_run == len(result.invocations)
+            assert service.stats()["scheduler"]["invocations_run"] == len(
+                result.invocations
+            )
 
     def test_warm_started_results_are_bit_identical(self, serial_frontiers):
         request = _requests()[1]
@@ -106,7 +108,7 @@ class TestDifferentialGuarantee:
             assert service.poll(ticket)["cache_status"] == CACHE_WARM
             assert _frontier_costs(result) == serial_frontiers[request.workload]
             # Only the missing invocations ran: 1 (capped) + 2 (resumed).
-            assert service.scheduler.invocations_run == request.levels
+            assert service.stats()["scheduler"]["invocations_run"] == request.levels
 
 
 # ----------------------------------------------------------------------

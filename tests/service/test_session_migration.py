@@ -183,4 +183,4 @@ class TestExportImport:
         result = target.result(ticket, timeout=1.0)
         assert _frontier_costs(result) == _frontier_costs(open_session(REQUEST).run())
         # Only the invocations the capped run did not make ran on the target.
-        assert target.scheduler.invocations_run == REQUEST.levels - 1
+        assert target.stats()["scheduler"]["invocations_run"] == REQUEST.levels - 1
