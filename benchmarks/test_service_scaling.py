@@ -8,8 +8,9 @@ throughput.  Boxes with fewer cores cannot scale a CPU-bound phase by adding
 processes, so there the test is skipped.
 
 Cache replay, warm starts and cross-shard migration are checked in
-``tests/service/test_pool.py``; perfbench ``service_zipf`` measures service
-latency and throughput.
+``tests/service/test_pool.py`` and, for template traffic, in
+``tests/service/test_template_traffic.py``; perfbench ``service_zipf``
+measures service latency and throughput.
 """
 
 from __future__ import annotations
