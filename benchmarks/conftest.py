@@ -1,8 +1,8 @@
 """Shared infrastructure for the benchmark targets.
 
 Every benchmark regenerates one figure, claim or ablation from the paper (see
-the README section "The experiment registry and the sharded benchmark runner"
-for the experiment index).  The benchmarks share:
+the README section "The experiment registry" for the experiment index).  The
+benchmarks share:
 
 * the experiment configuration, selected by the ``REPRO_BENCH_SCALE``
   environment variable (``smoke`` by default, ``paper`` for the full sweep),

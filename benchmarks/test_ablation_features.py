@@ -1,8 +1,8 @@
 """A-features: the per-feature ablation grid over every stacked optimization.
 
 Runs the registered ``ablation_features`` experiment (all-on baseline versus
-one-feature-off configurations, core + kernel + service layers) through the
-sharded experiment scheduler and persists both tracked artifacts:
+one-feature-off configurations, core + kernel + service layers) and persists
+both tracked artifacts:
 
 * ``results/ablation_features.txt``  — the human attribution table,
 * ``results/ablation_features.json`` — the machine-readable record the CI
@@ -25,17 +25,10 @@ from repro.bench.ablation import (
     write_ablation_json,
 )
 from repro.bench.reporting import format_rows
-from repro.bench.scheduler import run_experiment
 
 
 def test_ablation_features(benchmark, bench_config, result_cache):
-    report = benchmark.pedantic(
-        run_experiment,
-        args=(SPEC, bench_config),
-        rounds=1,
-        iterations=1,
-    )
-    result = report.result
+    result = benchmark.pedantic(SPEC.run, args=(bench_config,), rounds=1, iterations=1)
     result_cache["ablation_features"] = result
     sections = tuple(formatter(result) for formatter in SPEC.section_formatters)
     path = persist_result(result, extra_sections=sections)
@@ -61,4 +54,3 @@ def test_ablation_features(benchmark, bench_config, result_cache):
 
     # The gate the CI job runs over the JSON artifact agrees.
     assert check_gate(payload) == []
-    assert report.total_cells == report.computed_cells + report.cached_cells

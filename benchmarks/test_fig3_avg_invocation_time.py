@@ -16,15 +16,15 @@ Expected shape (the paper's Section 6.2):
 """
 
 from benchmarks.conftest import persist_result
+from repro.bench.registry import get_spec
 from repro.bench.reporting import format_grouped_times
 from repro.bench.runner import AlgorithmName
-from repro.bench.scheduler import run_experiment
 
 
 def test_figure3_average_invocation_time(benchmark, bench_config, result_cache):
     result = benchmark.pedantic(
-        run_experiment, args=("figure3", bench_config), rounds=1, iterations=1
-    ).result
+        get_spec("figure3").run, args=(bench_config,), rounds=1, iterations=1
+    )
     result_cache["figure3"] = result
     path = persist_result(result, grouped=True)
     print(format_grouped_times(result))

@@ -7,15 +7,15 @@ non-incremental baselines.
 """
 
 from benchmarks.conftest import persist_result
+from repro.bench.registry import get_spec
 from repro.bench.reporting import format_grouped_times
 from repro.bench.runner import AlgorithmName
-from repro.bench.scheduler import run_experiment
 
 
 def test_figure4_average_invocation_time_fine_precision(benchmark, bench_config, result_cache):
     result = benchmark.pedantic(
-        run_experiment, args=("figure4", bench_config), rounds=1, iterations=1
-    ).result
+        get_spec("figure4").run, args=(bench_config,), rounds=1, iterations=1
+    )
     result_cache["figure4"] = result
     path = persist_result(result, grouped=True)
     print(format_grouped_times(result))

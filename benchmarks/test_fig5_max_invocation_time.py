@@ -11,15 +11,15 @@ number of resolution levels.  The paper's observations:
 """
 
 from benchmarks.conftest import persist_result
+from repro.bench.registry import get_spec
 from repro.bench.reporting import format_grouped_times
 from repro.bench.runner import AlgorithmName
-from repro.bench.scheduler import run_experiment
 
 
 def test_figure5_maximal_invocation_time(benchmark, bench_config, result_cache):
     result = benchmark.pedantic(
-        run_experiment, args=("figure5", bench_config), rounds=1, iterations=1
-    ).result
+        get_spec("figure5").run, args=(bench_config,), rounds=1, iterations=1
+    )
     result_cache["figure5"] = result
     path = persist_result(result, grouped=True)
     print(format_grouped_times(result, measure="max_invocation_seconds"))

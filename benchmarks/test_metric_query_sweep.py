@@ -9,14 +9,12 @@ sets grow with both the number of tables and the number of metrics).
 from benchmarks.conftest import persist_result
 from repro.bench.experiments import METRIC_SWEEP_SPEC
 from repro.bench.reporting import format_rows
-from repro.bench.scheduler import run_experiment
 
 
 def test_metric_count_times_query_size_sweep(benchmark, bench_config, result_cache):
-    report = benchmark.pedantic(
-        run_experiment, args=(METRIC_SWEEP_SPEC, bench_config), rounds=1, iterations=1
+    result = benchmark.pedantic(
+        METRIC_SWEEP_SPEC.run, args=(bench_config,), rounds=1, iterations=1
     )
-    result = report.result
     result_cache["metric_sweep"] = result
     sections = tuple(
         formatter(result) for formatter in METRIC_SWEEP_SPEC.section_formatters

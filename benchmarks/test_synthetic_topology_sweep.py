@@ -3,7 +3,7 @@
 The paper's TPC-H workload only contains chain- and star-shaped join blocks.
 The synthetic generator also supports cycle and clique topologies; this sweep
 runs IAMA and the memoryless baseline over all four shapes (several table
-counts, several seeds) through the sharded experiment scheduler.
+counts, several seeds).
 
 Expected shape:
 
@@ -17,17 +17,12 @@ from benchmarks.conftest import persist_result
 from repro.bench.experiments import SYNTHETIC_TOPOLOGIES_SPEC
 from repro.bench.reporting import format_rows
 from repro.bench.runner import AlgorithmName
-from repro.bench.scheduler import run_experiment
 
 
 def test_synthetic_topology_sweep(benchmark, bench_config, result_cache):
-    report = benchmark.pedantic(
-        run_experiment,
-        args=(SYNTHETIC_TOPOLOGIES_SPEC, bench_config),
-        rounds=1,
-        iterations=1,
+    result = benchmark.pedantic(
+        SYNTHETIC_TOPOLOGIES_SPEC.run, args=(bench_config,), rounds=1, iterations=1
     )
-    result = report.result
     result_cache["synthetic_topologies"] = result
     sections = tuple(
         formatter(result) for formatter in SYNTHETIC_TOPOLOGIES_SPEC.section_formatters
@@ -39,7 +34,6 @@ def test_synthetic_topology_sweep(benchmark, bench_config, result_cache):
     # Every configured (topology, table count, algorithm) combination reports.
     topologies = {row["topology"] for row in result.rows}
     assert topologies == set(bench_config.synthetic_topologies)
-    assert report.total_cells == report.computed_cells + report.cached_cells
     for row in result.rows:
         assert row["avg_invocation_seconds"] > 0
         assert row["mean_frontier_size"] > 0

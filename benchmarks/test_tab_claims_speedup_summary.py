@@ -20,13 +20,13 @@ import pytest
 
 from benchmarks.conftest import persist_result
 from repro.bench.experiments import speedup_summary
+from repro.bench.registry import get_spec
 from repro.bench.reporting import format_speedups
-from repro.bench.scheduler import run_experiment
 
 
 def test_headline_speedup_claims(benchmark, bench_config, result_cache):
     def figure(name):
-        return result_cache.get(name) or run_experiment(name, bench_config).result
+        return result_cache.get(name) or get_spec(name).run(bench_config)
 
     def compute():
         return speedup_summary(figure("figure3"), figure("figure4"), figure("figure5"))

@@ -11,7 +11,7 @@ planner session runs on.
 Workload specs
 --------------
 
-Workloads are addressed by string so that every surface (CLI, bench cells,
+Workloads are addressed by string so that every surface (CLI, service,
 examples) speaks the same language:
 
 * ``tpch:q03`` / ``tpch_q03`` / ``q03`` — a TPC-H join block by name,
@@ -180,7 +180,7 @@ class Budget:
 # Workload specs
 # ----------------------------------------------------------------------
 # Spec parsing and resolution live in :mod:`repro.workloads.spec` — the single
-# resolver shared by the request API, the CLI, the bench cells and the service.
+# resolver shared by the request API, the CLI, the bench and the service.
 # The imports above re-export the historical names (``resolve_workload``,
 # ``parse_generated_spec``, ``ResolvedWorkload``, ...) from their new home.
 

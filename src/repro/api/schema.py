@@ -6,7 +6,8 @@ serves the session.  This module pins down the data half of that contract:
 every value that crosses the API boundary (plan summaries, cost vectors,
 invocation reports, frontier updates, final results) has a stable, versioned
 ``to_dict``/``from_dict`` JSON form, so that results flow unchanged through
-the cell cache (:mod:`repro.bench.cache`), the exporters
+the frontier cache's persistent tier
+(:class:`~repro.service.frontier_cache.JsonStore`), the exporters
 (:mod:`repro.bench.export`) and the CLI ``--json`` output, and so that a
 payload written today can be validated and re-read by a future version.
 

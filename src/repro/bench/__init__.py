@@ -9,11 +9,7 @@ in these layers:
 * :mod:`repro.bench.runner` -- drives one algorithm through one invocation
   series for one query and measures per-invocation times,
 * :mod:`repro.bench.registry` -- the declarative experiment registry: every
-  experiment is a set of independent cells plus a deterministic merge,
-* :mod:`repro.bench.cache` -- config-hash keyed JSON store of cell results
-  under ``results/cache/``,
-* :mod:`repro.bench.scheduler` -- shards cells across a multiprocessing pool
-  and makes runs resumable,
+  experiment is one function ``run(config) -> ExperimentResult``,
 * :mod:`repro.bench.experiments` -- the registered experiment definitions
   (Figures 3, 4 and 5, the Figure 1/2 illustrations, the headline speedup
   claims, the ablations, and the synthetic sweeps),
@@ -21,7 +17,6 @@ in these layers:
   paper's figures.
 """
 
-from repro.bench.cache import ResultCache, cell_key, config_fingerprint
 from repro.bench.config import (
     ExperimentConfig,
     paper_config,
@@ -34,8 +29,7 @@ from repro.bench.runner import (
     build_factory,
     run_series,
 )
-from repro.bench.registry import Cell, ExperimentSpec, get_spec, registered_names
-from repro.bench.scheduler import RunReport, run_experiment
+from repro.bench.registry import ExperimentSpec, get_spec, registered_names
 from repro.bench.experiments import (
     ExperimentResult,
     anytime_quality_experiment,
@@ -53,15 +47,9 @@ __all__ = [
     "InvocationSeries",
     "build_factory",
     "run_series",
-    "Cell",
     "ExperimentSpec",
     "get_spec",
     "registered_names",
-    "ResultCache",
-    "cell_key",
-    "config_fingerprint",
-    "RunReport",
-    "run_experiment",
     "ExperimentResult",
     "anytime_quality_experiment",
     "interactive_refinement_experiment",

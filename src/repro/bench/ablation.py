@@ -12,12 +12,11 @@ measures what each one contributes.
 * :func:`config_names` names the grid: the all-on baseline plus one
   ``no_<feature>`` configuration per registered feature.  The grid is always
   the whole registry.
-* The registered ``ablation_features`` experiment runs that grid through the
-  PR-2 cell scheduler (content-addressed cache, ``--jobs N``, resume) and
-  merges per-feature attribution rows.
+* :func:`ablation_features`, the registered ``ablation_features``
+  experiment, runs that grid and appends per-feature attribution rows.
 * :func:`ablation_json_payload` / :func:`write_ablation_json` emit the
   machine-readable artifact ``results/ablation_features.json``; the artifact
-  is a pure function of the merged rows, so warm-cache reruns are
+  is a pure function of the rows, so rendering one result twice is
   byte-identical.
 * :func:`check_gate` is the CI gate: it fails when the artifact's features
   differ from the registry, on frontier-digest divergence (the bit-identity
@@ -44,13 +43,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import flags, kernel
 from repro.bench.config import CONFIG_PRESETS, ExperimentConfig
-from repro.bench.registry import (
-    Cell,
-    CellOutcomes,
-    CellPayload,
-    ExperimentSpec,
-    register,
-)
+from repro.bench.registry import ExperimentSpec, register
 
 EXPERIMENT_NAME = "ablation_features"
 
@@ -70,9 +63,12 @@ DEFAULT_GATE_FLOOR = 0.8
 #: speedups are *recorded* at every scale regardless.
 MIN_TIMED_SECONDS = 1.0
 
-#: Series cells time best-of-N to damp scheduler noise (the digest and
+#: Series rows time best-of-N to damp scheduler noise (the digest and
 #: counters come from the first run; all runs are bit-identical anyway).
 TIMING_REPEATS = 3
+
+#: Times the service rows resubmit every request in their warm phase.
+SERVICE_REPEATS = 2
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +233,7 @@ def frontier_hex_rows(result) -> List[List[str]]:
 
 
 def _scale_name(config: ExperimentConfig) -> str:
-    """Preset name of a configuration (service cells resolve requests by it)."""
+    """Preset name of a configuration (service rows resolve requests by it)."""
     for name, preset in CONFIG_PRESETS.items():
         if preset() == config:
             return name
@@ -256,74 +252,13 @@ def _backend_for(config_name: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Cells
-# ----------------------------------------------------------------------
-def _series_cells(config: ExperimentConfig) -> List[Cell]:
-    """Core/kernel grid: one cell per (configuration, topology).
-
-    One table count (the largest configured) and one seed keep the grid
-    proportional to the configuration count; the scaling curves live in the
-    dedicated sweep experiments.
-    """
-    levels = max(config.resolution_level_settings)
-    tables = max(config.synthetic_table_counts)
-    seed = config.synthetic_seeds[0]
-    core_configs = [BASELINE_CONFIG] + [
-        f"no_{feature.name}" for feature in FEATURES.by_layer("kernel", "core")
-    ]
-    cells: List[Cell] = []
-    for config_name in core_configs:
-        for topology in config.synthetic_topologies:
-            cells.append(
-                Cell.make(
-                    EXPERIMENT_NAME,
-                    kind="series",
-                    config=config_name,
-                    topology=topology,
-                    table_count=int(tables),
-                    seed=int(seed),
-                    resolution_levels=int(levels),
-                    backend=_backend_for(config_name),
-                )
-            )
-    return cells
-
-
-def _service_cells(config: ExperimentConfig) -> List[Cell]:
-    """Service grid: one cell per configuration (baseline + service ablations)."""
-    tables = min(config.synthetic_table_counts)
-    levels = max(config.resolution_level_settings)
-    service_configs = [BASELINE_CONFIG] + [
-        f"no_{feature.name}" for feature in FEATURES.by_layer("service")
-    ]
-    return [
-        Cell.make(
-            EXPERIMENT_NAME,
-            kind="service",
-            config=config_name,
-            table_count=int(tables),
-            seed=int(config.synthetic_seeds[0]),
-            resolution_levels=int(levels),
-            repeats=2,
-            scale=_scale_name(config),
-            backend=_auto_backend(),
-        )
-        for config_name in service_configs
-    ]
-
-
-def _cells(config: ExperimentConfig) -> List[Cell]:
-    return _series_cells(config) + _service_cells(config)
-
-
-# ----------------------------------------------------------------------
-# Cell execution
+# The grid
 # ----------------------------------------------------------------------
 def _apply_configuration(stack: ExitStack, config_name: str, backend: str) -> None:
     """Lower one grid configuration onto the process (scoped via ``stack``).
 
-    Flags and the kernel backend are applied explicitly inside the cell, so
-    ambient process state never leaks into a cached payload.
+    Flags and the kernel backend are applied explicitly for each row, so
+    ambient process state never leaks into a measurement.
     """
     feature_name = ablated_feature(config_name)
     # The baseline pins every flag to its *default* and a grid configuration
@@ -338,83 +273,103 @@ def _apply_configuration(stack: ExitStack, config_name: str, backend: str) -> No
     stack.enter_context(kernel.use_backend(backend))
 
 
-def _series_run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
+def _series_rows(config: ExperimentConfig) -> List[Dict[str, object]]:
+    """Core/kernel grid: one row per (configuration, topology), sorted.
+
+    One table count (the largest configured) and one seed keep the grid
+    proportional to the configuration count; the scaling curves live in the
+    dedicated sweep experiments.  Each row times the best of
+    ``TIMING_REPEATS`` sessions.
+    """
     from repro.bench.runner import _planner_registry, build_factory, build_schedule
     from repro.bench.config import MODERATE_PRECISION
-    from repro.workloads.generator import generated_workload, workload_fingerprint
+    from repro.workloads.generator import generated_workload
 
-    generated = generated_workload(cell["seed"], cell["table_count"], cell["topology"])
-    with ExitStack() as stack:
-        _apply_configuration(stack, cell["config"], cell["backend"])
-        result = None
-        seconds = None
-        for _ in range(TIMING_REPEATS):
-            factory = build_factory(
-                generated.query, config, statistics=generated.statistics
-            )
-            schedule = build_schedule(cell["resolution_levels"], MODERATE_PRECISION)
-            session = _planner_registry().open(
-                "iama", query=generated.query, factory=factory, schedule=schedule
-            )
-            run = session.run()
-            if result is None:
-                result = run
-            seconds = (
-                run.total_seconds
-                if seconds is None
-                else min(seconds, run.total_seconds)
-            )
-    pairs = sum(
-        int(invocation.details.get("pairs_enumerated", 0))
-        for invocation in result.invocations
-    )
-    return {
-        "seconds": seconds,
-        "invocations": len(result.invocations),
-        "plans_generated": result.plans_generated,
-        "frontier_size": result.frontier_size,
-        "frontier_digest": digest_of(frontier_hex_rows(result)),
-        "pairs_enumerated": pairs,
-        "workload_fingerprint": workload_fingerprint(generated),
-    }
-
-
-def _service_request_specs(cell: Cell, config: ExperimentConfig) -> List[str]:
-    return [
-        f"gen:{topology}:{cell['table_count']}:{cell['seed']}"
-        for topology in config.synthetic_topologies
+    levels = max(config.resolution_level_settings)
+    tables = max(config.synthetic_table_counts)
+    seed = config.synthetic_seeds[0]
+    core_configs = [BASELINE_CONFIG] + [
+        f"no_{feature.name}" for feature in FEATURES.by_layer("kernel", "core")
     ]
+    rows: List[Dict[str, object]] = []
+    for config_name in sorted(core_configs):
+        backend = _backend_for(config_name)
+        for topology in sorted(config.synthetic_topologies):
+            generated = generated_workload(seed, tables, topology)
+            with ExitStack() as stack:
+                _apply_configuration(stack, config_name, backend)
+                result = None
+                seconds = None
+                for _ in range(TIMING_REPEATS):
+                    factory = build_factory(
+                        generated.query, config, statistics=generated.statistics
+                    )
+                    schedule = build_schedule(levels, MODERATE_PRECISION)
+                    session = _planner_registry().open(
+                        "iama",
+                        query=generated.query,
+                        factory=factory,
+                        schedule=schedule,
+                    )
+                    run = session.run()
+                    if result is None:
+                        result = run
+                    seconds = (
+                        run.total_seconds
+                        if seconds is None
+                        else min(seconds, run.total_seconds)
+                    )
+            rows.append(
+                {
+                    "row": "cell",
+                    "kind": "series",
+                    "config": config_name,
+                    "workload": f"gen:{topology}:{tables}:{seed}",
+                    "backend": backend,
+                    "seconds": seconds,
+                    "plans_generated": result.plans_generated,
+                    "pairs_enumerated": sum(
+                        int(invocation.details.get("pairs_enumerated", 0))
+                        for invocation in result.invocations
+                    ),
+                    "frontier_digest": digest_of(frontier_hex_rows(result)),
+                }
+            )
+    return rows
 
 
-def _service_run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
+def _service_row(config: ExperimentConfig, config_name: str) -> Dict[str, object]:
     """Drive an in-process manual-mode service through a cold + warm trace.
 
     Phase 1 submits every unique request and drains step-by-step (concurrent
     sessions, so the scheduling policy shapes the completion order); phase 2
-    resubmits each request ``repeats`` times (pure cache traffic when the
-    frontier cache is on).  ``step_once`` makes the whole trace deterministic.
+    resubmits each request ``SERVICE_REPEATS`` times (pure cache traffic when
+    the frontier cache is on).  ``step_once`` makes the whole trace
+    deterministic.
     """
     import time
 
     from repro.api import OptimizeRequest
     from repro.service import PlanningService
 
-    feature_name = ablated_feature(cell["config"])
+    tables = min(config.synthetic_table_counts)
+    seed = config.synthetic_seeds[0]
+    feature_name = ablated_feature(config_name)
     policy = "fair" if feature_name == "scheduler_policy" else "alpha_greedy"
     cache = False if feature_name == "frontier_cache" else None
-    specs = _service_request_specs(cell, config)
+    backend = _auto_backend()
     requests = [
         OptimizeRequest(
-            workload=spec,
+            workload=f"gen:{topology}:{tables}:{seed}",
             algorithm="iama",
-            scale=cell["scale"],
-            levels=cell["resolution_levels"],
+            scale=_scale_name(config),
+            levels=max(config.resolution_level_settings),
         )
-        for spec in specs
+        for topology in config.synthetic_topologies
     ]
     started = time.perf_counter()
     with ExitStack() as stack:
-        _apply_configuration(stack, BASELINE_CONFIG, cell["backend"])
+        _apply_configuration(stack, BASELINE_CONFIG, backend)
         service = stack.enter_context(
             PlanningService(policy=policy, workers=0, cache=cache)
         )
@@ -423,9 +378,9 @@ def _service_run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
         cold_steps: List[str] = []
         while (ticket := service.step_once()) is not None:
             cold_steps.append(ticket)
-        # Warm phase: every request resubmitted ``repeats`` times.
+        # Warm phase: every request resubmitted ``SERVICE_REPEATS`` times.
         warm_tickets = []
-        for _ in range(int(cell["repeats"])):
+        for _ in range(SERVICE_REPEATS):
             warm_tickets.extend(service.submit(request) for request in requests)
         warm_steps: List[str] = []
         while (ticket := service.step_once()) is not None:
@@ -444,8 +399,12 @@ def _service_run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
             for ticket in cold_tickets + warm_tickets
         ]
     return {
+        "row": "cell",
+        "kind": "service",
+        "config": config_name,
+        "workload": f"service-trace:{tables}t",
+        "backend": backend,
         "seconds": seconds,
-        "jobs": len(cold_tickets) + len(warm_tickets),
         "cold_slices": len(cold_steps),
         "warm_slices": len(warm_steps),
         "mean_cold_completion_step": mean_completion,
@@ -453,115 +412,51 @@ def _service_run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
     }
 
 
-def _run_cell(cell: Cell, config: ExperimentConfig) -> CellPayload:
-    if cell["kind"] == "series":
-        return _series_run_cell(cell, config)
-    if cell["kind"] == "service":
-        return _service_run_cell(cell, config)
-    raise ValueError(f"unknown ablation cell kind {cell['kind']!r}")
+def ablation_features(config: ExperimentConfig) -> "ExperimentResult":
+    """Run the grid: per-row measurements, then one attribution row per feature.
 
-
-# ----------------------------------------------------------------------
-# Merge: per-cell rows + per-feature attribution rows
-# ----------------------------------------------------------------------
-def _merge(config: ExperimentConfig, outcomes: CellOutcomes) -> "ExperimentResult":
+    The series rows come first, then one service row per service
+    configuration (baseline + service ablations), both sorted by
+    configuration name; every feature is attributed against the all-on
+    baseline of its layer.
+    """
     from repro.bench.experiments import ExperimentResult
 
-    by_cell = {cell: payload for cell, payload in outcomes}
+    service_configs = [BASELINE_CONFIG] + [
+        f"no_{feature.name}" for feature in FEATURES.by_layer("service")
+    ]
+    cells = _series_rows(config) + [
+        _service_row(config, config_name) for config_name in sorted(service_configs)
+    ]
 
-    series_cells = sorted(
-        (cell for cell in by_cell if cell["kind"] == "series"),
-        key=lambda cell: (cell["config"], cell["topology"]),
-    )
-    service_cells = sorted(
-        (cell for cell in by_cell if cell["kind"] == "service"),
-        key=lambda cell: cell["config"],
-    )
-
-    rows: List[Dict[str, object]] = []
-    for cell in series_cells:
-        payload = by_cell[cell]
-        rows.append(
-            {
-                "row": "cell",
-                "kind": "series",
-                "config": cell["config"],
-                "workload": (
-                    f"gen:{cell['topology']}:{cell['table_count']}:{cell['seed']}"
-                ),
-                "backend": cell["backend"],
-                "seconds": float(payload["seconds"]),
-                "plans_generated": int(payload["plans_generated"]),
-                "pairs_enumerated": int(payload["pairs_enumerated"]),
-                "frontier_digest": payload["frontier_digest"],
-            }
-        )
-    for cell in service_cells:
-        payload = by_cell[cell]
-        rows.append(
-            {
-                "row": "cell",
-                "kind": "service",
-                "config": cell["config"],
-                "workload": f"service-trace:{cell['table_count']}t",
-                "backend": cell["backend"],
-                "seconds": float(payload["seconds"]),
-                "cold_slices": int(payload["cold_slices"]),
-                "warm_slices": int(payload["warm_slices"]),
-                "mean_cold_completion_step": float(
-                    payload["mean_cold_completion_step"]
-                ),
-                "frontier_digest": payload["frontier_digest"],
-            }
-        )
-
-    def series_summary(config_name: str) -> Dict[str, object]:
-        cells = [c for c in series_cells if c["config"] == config_name]
+    def summary(kind: str, config_name: str) -> Dict[str, object]:
+        matching = [
+            row for row in cells if row["kind"] == kind and row["config"] == config_name
+        ]
         return {
-            "seconds": sum(float(by_cell[c]["seconds"]) for c in cells),
-            "pairs_enumerated": sum(
-                int(by_cell[c]["pairs_enumerated"]) for c in cells
-            ),
-            "digest": digest_of(
-                [by_cell[c]["frontier_digest"] for c in cells]
-            ),
+            "seconds": sum(row["seconds"] for row in matching),
+            "pairs_enumerated": sum(row.get("pairs_enumerated", 0) for row in matching),
+            "warm_slices": sum(row.get("warm_slices", 0) for row in matching),
+            "digest": digest_of([row["frontier_digest"] for row in matching]),
         }
 
-    def service_summary(config_name: str) -> Dict[str, object]:
-        (cell,) = [c for c in service_cells if c["config"] == config_name]
-        payload = by_cell[cell]
-        return {
-            "seconds": float(payload["seconds"]),
-            "warm_slices": int(payload["warm_slices"]),
-            "digest": payload["frontier_digest"],
-        }
-
-    core_baseline = series_summary(BASELINE_CONFIG)
-    service_baseline = service_summary(BASELINE_CONFIG)
+    features: List[Dict[str, object]] = []
 
     for feature in FEATURES.all():
-        config_name = f"no_{feature.name}"
+        kind = "service" if feature.layer == "service" else "series"
+        baseline = summary(kind, BASELINE_CONFIG)
+        ablated = summary(kind, f"no_{feature.name}")
         active = True
         invariant_ok = True
-        if feature.layer == "service":
-            baseline = service_baseline
-            ablated = service_summary(config_name)
-            if feature.name == "frontier_cache":
-                # With the cache on, the warm phase replays (zero slices);
-                # without it, every repeat recomputes.
-                invariant_ok = (
-                    baseline["warm_slices"] == 0 and ablated["warm_slices"] > 0
-                )
-        else:
-            baseline = core_baseline
-            ablated = series_summary(config_name)
-            if feature.name == "numpy_kernel":
-                active = _auto_backend() == "numpy"
-            if feature.name == "delta_sets":
-                invariant_ok = (
-                    ablated["pairs_enumerated"] > baseline["pairs_enumerated"]
-                )
-        rows.append(
+        if feature.name == "frontier_cache":
+            # With the cache on, the warm phase replays (zero slices);
+            # without it, every repeat recomputes.
+            invariant_ok = baseline["warm_slices"] == 0 and ablated["warm_slices"] > 0
+        if feature.name == "numpy_kernel":
+            active = _auto_backend() == "numpy"
+        if feature.name == "delta_sets":
+            invariant_ok = ablated["pairs_enumerated"] > baseline["pairs_enumerated"]
+        features.append(
             {
                 "row": "feature",
                 "feature": feature.name,
@@ -591,7 +486,7 @@ def _merge(config: ExperimentConfig, outcomes: CellOutcomes) -> "ExperimentResul
             "and speedup attribution (ablated seconds / baseline seconds; "
             ">1 means the feature helps)."
         ),
-        rows=rows,
+        rows=cells + features,
     )
 
 
@@ -621,7 +516,7 @@ def _attribution_section(result) -> str:
 def ablation_json_payload(result) -> Dict[str, object]:
     """The machine-readable artifact: attribution + digests, rows verbatim.
 
-    A pure function of the merged rows — regenerating from a warm cache is
+    A pure function of the rows — rendering one result twice is
     byte-identical.
     """
     features = [row for row in result.rows if row.get("row") == "feature"]
@@ -718,9 +613,7 @@ SPEC = register(
     ExperimentSpec(
         name=EXPERIMENT_NAME,
         description="Per-feature ablation grid (all-on baseline vs one-feature-off).",
-        cells=_cells,
-        run_cell=_run_cell,
-        merge=_merge,
+        run=ablation_features,
         section_formatters=(_attribution_section,),
         artifacts=(write_ablation_json,),
     )

@@ -119,7 +119,7 @@ def tiny_config() -> ExperimentConfig:
 
     Everything is cut to the bone (single join algorithm, blocks up to three
     tables, two resolution levels) so that a full experiment finishes in a few
-    seconds; use it to exercise the scheduler, cache and CLI, not to draw
+    seconds; use it to exercise the harness and CLI, not to draw
     performance conclusions.
     """
     return ExperimentConfig(

@@ -150,8 +150,7 @@ def render_text_report(
     Layout: a heading, the description, any extra sections (e.g. the grouped
     figure-3/4/5 tables or a sweep pivot), then the generic row dump.  Both
     the pytest benchmark targets and ``repro-moqo bench`` write through this
-    function, so serial, sharded and resumed runs produce byte-identical
-    files given identical rows.
+    function, so both produce byte-identical files given identical rows.
     """
     from repro.bench.reporting import format_rows
 

@@ -101,32 +101,6 @@ class InvocationSeries:
         return sum(self.durations_seconds)
 
 
-def series_payload(series: InvocationSeries) -> Dict[str, object]:
-    """JSON-serializable form of a series (for the cell cache and workers)."""
-    return {
-        "algorithm": series.algorithm.value,
-        "query_name": series.query_name,
-        "table_count": series.table_count,
-        "resolution_levels": series.resolution_levels,
-        "durations_seconds": list(series.durations_seconds),
-        "plans_generated": series.plans_generated,
-        "frontier_size": series.frontier_size,
-    }
-
-
-def series_from_payload(payload: Dict[str, object]) -> InvocationSeries:
-    """Inverse of :func:`series_payload`."""
-    return InvocationSeries(
-        algorithm=AlgorithmName(payload["algorithm"]),
-        query_name=payload["query_name"],
-        table_count=payload["table_count"],
-        resolution_levels=payload["resolution_levels"],
-        durations_seconds=list(payload["durations_seconds"]),
-        plans_generated=payload["plans_generated"],
-        frontier_size=payload["frontier_size"],
-    )
-
-
 # ----------------------------------------------------------------------
 # Factory construction
 # ----------------------------------------------------------------------

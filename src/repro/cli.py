@@ -8,8 +8,8 @@ The CLI exposes the most common workflows without writing Python:
   and print the frontier,
 * ``python -m repro.cli experiment figure3``  -- run one of the paper experiments
   and print/export its rows,
-* ``python -m repro.cli bench --jobs 4``      -- run registered experiments
-  through the sharded scheduler, with per-cell caching and ``--resume``,
+* ``python -m repro.cli bench``               -- run registered experiments
+  and write their ``results/<name>.txt`` reports,
 * ``python -m repro.cli compare tpch_q05``    -- compare IAMA against the two
   baselines on one block,
 * ``python -m repro.cli serve --port 8723``   -- run the concurrent planning
@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.api import Budget, OptimizeRequest, open_session, planner_registry
-from repro.bench.cache import ResultCache
 from repro.bench.config import (
     CONFIG_PRESETS,
     ExperimentConfig,
@@ -51,7 +50,6 @@ from repro.bench.export import write_csv, write_json, write_text_report
 from repro.bench.registry import get_spec, registered_names
 from repro.bench.reporting import format_grouped_times, format_rows
 from repro.bench.runner import AlgorithmName
-from repro.bench.scheduler import run_experiment
 from repro.costs.pareto import pareto_filter
 from repro.workloads.spec import FAMILY_HELP
 from repro.workloads.tpch import tpch_blocks_by_table_count
@@ -266,7 +264,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             f"unknown experiment {args.name!r}; available: "
             f"{', '.join(registered_names())}"
         ) from None
-    result = run_experiment(spec, config).result
+    result = spec.run(config)
     if spec.name in GROUPED_EXPERIMENTS:
         print(format_grouped_times(result))
         print()
@@ -281,7 +279,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run registered experiments through the sharded, resumable scheduler."""
+    """Run registered experiments and write their reports and artifacts."""
     config = _resolve_config(args.scale)
     if args.experiment:
         names = [name.replace("-", "_") for name in args.experiment]
@@ -297,33 +295,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"unknown experiment {name!r}; available: {available}"
             )
     out_dir = Path(args.out)
-    cache: Optional[ResultCache] = None
-    if args.no_cache:
-        # Refuse contradictory flags instead of silently recomputing: a
-        # --resume that cannot read any cache would redo hours of cells.
-        if args.resume:
-            raise SystemExit("--no-cache and --resume are mutually exclusive")
-        if args.cache_dir is not None:
-            raise SystemExit("--no-cache and --cache-dir are mutually exclusive")
-    else:
-        cache_dir = Path(args.cache_dir) if args.cache_dir else out_dir / "cache"
-        cache = ResultCache(cache_dir)
     results_by_name: Dict[str, ExperimentResult] = {}
     for spec in specs:
-        report = run_experiment(
-            spec, config, jobs=args.jobs, cache=cache, resume=args.resume
-        )
-        results_by_name[spec.name] = report.result
-        sections = tuple(
-            formatter(report.result) for formatter in spec.section_formatters
-        )
-        path = write_text_report(report.result, out_dir, extra_sections=sections)
-        print(f"{report.summary()} -> {path}")
+        result = spec.run(config)
+        results_by_name[spec.name] = result
+        sections = tuple(formatter(result) for formatter in spec.section_formatters)
+        path = write_text_report(result, out_dir, extra_sections=sections)
+        print(f"{spec.name}: {len(result.rows)} rows -> {path}")
         for artifact in spec.artifacts:
-            artifact_path = artifact(report.result, out_dir)
+            artifact_path = artifact(result, out_dir)
             print(f"{spec.name}: artifact -> {artifact_path}")
     if {"figure3", "figure4", "figure5"} <= set(results_by_name):
-        # speedup_summary is derived from the figure sweeps (it has no cells
+        # speedup_summary is derived from the figure sweeps (it runs nothing
         # of its own); regenerate it alongside them so the results directory
         # stays internally consistent.
         summary = speedup_summary(
@@ -333,8 +316,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         path = write_text_report(summary, out_dir)
         print(f"{summary.name}: derived from figures 3-5 -> {path}")
-    if cache is not None:
-        print(f"cell cache: {len(cache)} entries under {cache.root}")
     return 0
 
 
@@ -605,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="run experiments through the sharded, cached, resumable scheduler",
+        help="run registered experiments and write their reports",
     )
     bench.add_argument(
         "--experiment",
@@ -615,32 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered experiment to run (repeatable; default: all)",
     )
     bench.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes to shard cells across (default: 1, serial)",
-    )
-    bench.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse cached cell results instead of recomputing them",
-    )
-    bench.add_argument(
         "--out",
         type=Path,
         default=Path("results"),
         help="directory for the results/<name>.txt reports (default: results)",
-    )
-    bench.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="cell cache directory (default: <out>/cache)",
-    )
-    bench.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk cell cache entirely",
     )
     bench.add_argument("--scale", choices=SCALE_CHOICES, default=None)
     bench.set_defaults(handler=cmd_bench)

@@ -102,12 +102,6 @@ class Counter(_Instrument):
         with self._lock:
             return self._values.get(key, 0.0)
 
-    def reset(self, **labels: str) -> None:
-        """Zero one series (used by gauges-turned-counters with reset hooks)."""
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            self._values[key] = 0.0
-
     def samples(self) -> List[Dict[str, Any]]:
         with self._lock:
             return [

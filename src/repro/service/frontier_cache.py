@@ -24,23 +24,27 @@ deadline bypass the cache — their stopping point is timing-dependent, so no
 deterministic replay exists (the service still *records* their prefix, which
 is a valid deterministic trace regardless of why it stopped).
 
-Keys are content digests (:func:`repro.bench.cache.content_digest`, the PR-2
-primitive) over the canonical workload fingerprint
-(:func:`repro.workloads.generator.workload_fingerprint` for generated specs)
-crossed with everything else that determines the invocation sequence.  Entries
-live in an LRU bounded by a byte budget (frontier payload bytes plus parked
-arena bytes) and can optionally persist through the same atomic
-:class:`~repro.bench.cache.JsonStore` the bench cell cache uses.
+Keys are content digests (:func:`content_digest`) over the canonical
+workload fingerprint (:func:`repro.workloads.generator.workload_fingerprint`
+for generated specs) crossed with everything else that determines the
+invocation sequence.  Entries live in an LRU bounded by a byte budget
+(frontier payload bytes plus parked arena bytes) and can optionally persist
+through an atomic one-file-per-key :class:`JsonStore`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import hashlib
 import json
+import os
+import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.api.request import Budget, ResolvedRequest
 from repro.api.schema import (
@@ -50,7 +54,6 @@ from repro.api.schema import (
     cost_to_jsonable,
 )
 from repro.api.session import PlannerSession
-from repro.bench.cache import JsonStore, config_fingerprint, content_digest
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.service.protocol import CACHE_HIT, CACHE_MISS, CACHE_WARM
@@ -62,6 +65,127 @@ FRONTIER_CACHE_VERSION = 1
 #: Disk namespace under the persist directory.
 _DISK_NAMESPACE = "frontiers"
 
+PathLike = Union[str, Path]
+
+
+# ----------------------------------------------------------------------
+# Canonicalization and content digests
+# ----------------------------------------------------------------------
+def canonicalize(obj: object) -> object:
+    """Reduce an object tree to JSON-compatible data, deterministically.
+
+    Dataclasses and plain objects are expanded field by field (tagged with the
+    class name so that differently-typed but equal-valued configurations do not
+    collide); containers recurse; enums use their value.  The output contains
+    no memory addresses or hash-order dependence, so it is stable across
+    processes and Python invocations -- the property the cache keying relies on.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = {
+            f.name: canonicalize(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+        return {"__class__": type(obj).__name__, **fields}
+    if isinstance(obj, enum.Enum):
+        return canonicalize(obj.value)
+    if isinstance(obj, (list, tuple)):
+        return [canonicalize(v) for v in obj]
+    if isinstance(obj, dict):
+        return {
+            str(key): canonicalize(value)
+            for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))
+        }
+    if obj is None or isinstance(obj, (str, int, float, bool)):
+        return obj
+    state = getattr(obj, "__dict__", None)
+    if state:
+        return {
+            "__class__": type(obj).__name__,
+            **{k: canonicalize(v) for k, v in sorted(state.items())},
+        }
+    return {"__class__": type(obj).__name__}
+
+
+def _digest(payload: object) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def content_digest(obj: object) -> str:
+    """SHA-256 over the canonical JSON form of an arbitrary object tree.
+
+    The content-addressing primitive behind the cache's request keys (see
+    :func:`request_fingerprint`).
+    """
+    return _digest(canonicalize(obj))
+
+
+def config_fingerprint(config) -> str:
+    """Stable hex fingerprint of an experiment configuration."""
+    return content_digest(config)
+
+
+# ----------------------------------------------------------------------
+# The persistent tier
+# ----------------------------------------------------------------------
+class JsonStore:
+    """One-JSON-file-per-key store with atomic writes under one root directory.
+
+    The cache's raw persistence layer: finished frontiers persist through
+    one, and every shard of a worker pool shares the same directory.  Keys
+    are relative paths (``<namespace>/<hexdigest>.json``); writes go through a
+    temp file plus ``os.replace`` so concurrent writers sharing a directory at
+    worst waste a recomputation, never corrupt an entry.
+    """
+
+    def __init__(self, root: PathLike):
+        self._root = Path(root)
+
+    @property
+    def root(self) -> Path:
+        return self._root
+
+    def path_for(self, relative: PathLike) -> Path:
+        return self._root / relative
+
+    def load(self, relative: PathLike) -> Optional[dict]:
+        """The stored entry, or ``None`` on miss or corruption."""
+        try:
+            entry = json.loads(self.path_for(relative).read_text())
+        except (OSError, ValueError):
+            return None
+        return entry if isinstance(entry, dict) else None
+
+    def store(self, relative: PathLike, entry: dict) -> Path:
+        """Atomically persist one entry; returns the entry path."""
+        path = self.path_for(relative)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(
+            prefix=path.stem, suffix=".tmp", dir=path.parent
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                # No sort_keys: the entry's key order is data and must
+                # survive the round trip unchanged.
+                json.dump(entry, handle, indent=2)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+        return path
+
+    def entries(self, pattern: str = "*/*.json") -> List[Path]:
+        """All entry files currently on disk matching ``pattern``."""
+        if not self._root.exists():
+            return []
+        return sorted(self._root.glob(pattern))
+
+    def __len__(self) -> int:
+        return len(self.entries())
+
 
 # ----------------------------------------------------------------------
 # Fingerprints
@@ -72,10 +196,9 @@ def canonical_workload_id(resolved: ResolvedRequest) -> str:
     Delegates to :func:`repro.workloads.spec.canonical_spec_id`: generated
     and ``sql:``/``template:`` specs are identified by the full
     :func:`workload_fingerprint` — the digest over schema, statistics and
-    join predicates that the bench cell cache already trusts for
-    cross-process determinism — computed over the *already resolved* query
-    and statistics (submit is a hot path; the workload is never regenerated
-    just to fingerprint it).  TPC-H specs (``q03`` == ``tpch:q03`` ==
+    join predicates, stable across processes — computed over the *already
+    resolved* query and statistics (submit is a hot path; the workload is
+    never regenerated just to fingerprint it).  TPC-H specs (``q03`` == ``tpch:q03`` ==
     ``tpch_q03``) are identified by the resolved block name plus the
     statistics scale factor.
     """

@@ -17,10 +17,11 @@ shard holding the parked session.
 Two cache tiers.  Each shard keeps a *live* tier — parked
 :class:`~repro.api.session.PlannerSession` objects, arena-resident, enabling
 ``resume()`` warm starts — in its private :class:`FrontierCache`; all shards
-share one *persistent* tier, a :class:`~repro.bench.cache.JsonStore` directory
-every shard's cache persists completed traces into and loads from.  When a
-shard dies, its live tier dies with it, but its traces remain replayable by
-whichever shard the ring reassigns the keys to.
+share one *persistent* tier, a
+:class:`~repro.service.frontier_cache.JsonStore` directory every shard's
+cache persists completed traces into and loads from.  When a shard dies, its
+live tier dies with it, but its traces remain replayable by whichever shard
+the ring reassigns the keys to.
 
 Determinism.  A session's invocations execute serially, in order, inside one
 shard, against a private arena — exactly the serial ``open_session`` sequence.

@@ -163,7 +163,7 @@ def _log10(value: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Stateless helpers for sweep cells and determinism checks
+# Stateless helpers for sweeps and determinism checks
 # ----------------------------------------------------------------------
 def generated_workload(
     seed: int,
@@ -173,10 +173,9 @@ def generated_workload(
     """One synthetic query, fully determined by ``(seed, table_count, topology)``.
 
     A fresh generator is built per call, so the output is independent of any
-    other generation that happened in the process.  The benchmark scheduler
-    relies on this: a sweep cell identified by these three values produces the
-    same query no matter which worker process computes it, which is what makes
-    cell results cacheable facts.
+    other generation that happened in the process: the three values produce
+    the same query in every process, which is what ``gen:`` workload specs
+    and the synthetic sweeps rely on.
     """
     topo = topology if isinstance(topology, Topology) else Topology(topology)
     return SyntheticWorkloadGenerator(seed=seed).generate(table_count, topo)
@@ -188,8 +187,8 @@ def workload_fingerprint(generated: GeneratedQuery) -> str:
     Covers the schema (tables, row counts, column cardinalities), the foreign
     keys, the join predicates and the base selectivities.  Two processes that
     generate from the same seed must produce the same fingerprint; the
-    determinism regression tests and the cell cache validation check exactly
-    that.
+    determinism regression tests check exactly that, and the service frontier
+    cache keys requests by it.
     """
     import hashlib
     import json

@@ -1,7 +1,7 @@
 """One resolver for every workload-spec family.
 
 Workloads are addressed by string so that every surface — the request API,
-the CLI, the bench cells, the service wire protocol — speaks the same
+the CLI, the bench harness, the service wire protocol — speaks the same
 language.  This module is the single place that language is defined; the
 historical per-surface copies of the ``tpch:``/``gen:`` prefix handling all
 delegate here.

@@ -39,8 +39,8 @@ condition                 selectivity
 Multiple filters on one table combine by independence (product).  The result
 of lowering is a :class:`~repro.workloads.generator.GeneratedQuery`, so SQL
 workloads plug into everything built for generated ones — including
-:func:`~repro.workloads.generator.workload_fingerprint`, which keys the bench
-cell cache and the service frontier cache.
+:func:`~repro.workloads.generator.workload_fingerprint`, which keys the
+service frontier cache.
 """
 
 from __future__ import annotations

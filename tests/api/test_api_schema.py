@@ -149,20 +149,16 @@ class TestOptimizationResult:
         assert restored == result
         assert restored.to_dict() == result.to_dict()
 
-    def test_payload_flows_unchanged_through_the_cell_cache(self, tmp_path):
+    def test_payload_flows_unchanged_through_the_json_store(self, tmp_path):
         from repro.api import OptimizeRequest, open_session
-        from repro.bench.cache import ResultCache
-        from repro.bench.config import tiny_config
-        from repro.bench.registry import Cell
+        from repro.service.frontier_cache import JsonStore
 
         result = open_session(
             OptimizeRequest(workload="gen:chain:2:0", scale="tiny", levels=2)
         ).run()
-        cache = ResultCache(tmp_path)
-        cell = Cell.make("api_smoke", workload="gen:chain:2:0")
-        config = tiny_config()
-        cache.store(cell, config, result.to_dict())
-        loaded = cache.load(cell, config)
+        store = JsonStore(tmp_path)
+        store.store("api_smoke/result.json", result.to_dict())
+        loaded = store.load("api_smoke/result.json")
         assert OptimizationResult.from_dict(loaded) == result
 
     def test_payload_flows_unchanged_through_the_json_exporter(self, tmp_path):

@@ -10,9 +10,11 @@ sizes, plan and pair counts, bounds, digests, the gate verdicts -- is a pure
 function of the configuration.  Every row keeps its key order, which is the
 column order of the text reports.
 
-``tests/bench/experiment_rows_tiny.json`` was captured from the
-cell-scheduled experiments; ``tests/bench/test_experiment_rows.py`` asserts
-that every registered experiment reproduces it, rows and column order.
+``tests/bench/experiment_rows_tiny.json`` was captured when every
+experiment still ran as cells merged by a scheduler, before each became one
+function; ``tests/bench/test_experiment_rows.py`` asserts that every
+registered experiment reproduces it, rows and column order, on every kernel
+backend.
 ``python -m tests.bench.experiment_rows_capture`` rewrites the file.
 """
 
@@ -40,9 +42,9 @@ def is_pinned(column: str) -> bool:
 def capture(name: str) -> Dict:
     """The deterministic columns of one registered experiment at tiny scale."""
     from repro.bench.config import tiny_config
-    from repro.bench.scheduler import run_experiment
+    from repro.bench.registry import get_spec
 
-    result = run_experiment(name, tiny_config()).result
+    result = get_spec(name).run(tiny_config())
     captured = {
         "description": result.description,
         "rows": [

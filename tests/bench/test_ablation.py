@@ -26,13 +26,19 @@ from repro.bench.ablation import (
     digest_of,
     write_ablation_json,
 )
-from repro.bench.cache import ResultCache, cell_key
 from repro.bench.config import tiny_config
 from repro.bench.registry import get_spec, registered_names
-from repro.bench.scheduler import run_experiment
 from repro.service import PlanningService
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Environment of the clean-interpreter subprocesses; they must not write
+#: bytecode into the source tree.
+SUBPROCESS_ENV = {
+    "PYTHONPATH": str(REPO_ROOT / "src"),
+    "PYTHONDONTWRITEBYTECODE": "1",
+    "PATH": "/usr/bin:/bin",
+}
 
 
 # ----------------------------------------------------------------------
@@ -161,10 +167,9 @@ class TestFlags:
             capture_output=True,
             text=True,
             env={
-                "PYTHONPATH": str(REPO_ROOT / "src"),
+                **SUBPROCESS_ENV,
                 "REPRO_FEATURE_DELTA_SETS": "0",
                 "REPRO_FEATURE_TRACING": "1",
-                "PATH": "/usr/bin:/bin",
             },
         )
         assert proc.returncode == 0, proc.stderr
@@ -181,10 +186,9 @@ class TestFlags:
             capture_output=True,
             text=True,
             env={
-                "PYTHONPATH": str(REPO_ROOT / "src"),
+                **SUBPROCESS_ENV,
                 "REPRO_FEATURE_WITNESS_CACHE": "0",
                 "REPRO_FEATURE_INCREMENTAL_PARETO": "maybe",
-                "PATH": "/usr/bin:/bin",
             },
         )
         assert proc.returncode == 0, proc.stderr
@@ -198,31 +202,23 @@ class TestFlags:
 # ----------------------------------------------------------------------
 # The registered experiment
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def grid():
+    return SPEC.run(tiny_config())
+
+
 class TestAblationSpec:
     def test_registered_under_the_bench_registry(self):
         assert "ablation_features" in registered_names()
         assert get_spec("ablation-features") is SPEC
 
-    def test_cells_cache_key_on_the_configuration_name(self):
-        config = tiny_config()
-        cells = SPEC.cells(config)
-        keys = {cell_key(cell, config) for cell in cells}
-        assert len(keys) == len(cells)
-        configs = {cell["config"] for cell in cells}
-        assert BASELINE_CONFIG in configs
-        assert any(name.startswith("no_") for name in configs)
+    def test_rows_cover_exactly_the_registry(self, grid):
+        cells = [row for row in grid.rows if row["row"] == "cell"]
+        assert {row["config"] for row in cells} == set(config_names())
+        assert {row["kind"] for row in cells} == {"series", "service"}
 
-    def test_cells_cover_exactly_the_registry(self):
-        cells = SPEC.cells(tiny_config())
-        assert {cell["config"] for cell in cells} == set(config_names())
-        assert {cell["kind"] for cell in cells} == {"series", "service"}
-
-    def test_grid_produces_matching_digests_and_a_clean_gate(self, tmp_path):
-        config = tiny_config()
-        report = run_experiment(
-            SPEC, config, jobs=1, cache=ResultCache(tmp_path / "cache")
-        )
-        payload = ablation_json_payload(report.result)
+    def test_grid_produces_matching_digests_and_a_clean_gate(self, grid):
+        payload = ablation_json_payload(grid)
         assert check_gate(payload) == []
         features = {row["feature"]: row for row in payload["features"]}
         assert set(features) == set(FEATURES.names())
@@ -230,10 +226,8 @@ class TestAblationSpec:
             assert row["digest_match"], row
             assert row["work_invariant_ok"], row
 
-    def test_json_artifact_roundtrip(self, tmp_path):
-        config = tiny_config()
-        report = run_experiment(SPEC, config, jobs=1, cache=None)
-        path = write_ablation_json(report.result, tmp_path)
+    def test_json_artifact_roundtrip(self, grid, tmp_path):
+        path = write_ablation_json(grid, tmp_path)
         assert path.name == "ablation_features.json"
         payload = json.loads(path.read_text())
         assert payload["experiment"] == "ablation_features"
@@ -320,7 +314,7 @@ class TestGate:
         good.write_text(json.dumps(self._payload()))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(self._payload(digest_match=False)))
-        env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+        env = SUBPROCESS_ENV
         ok = subprocess.run(
             [sys.executable, "-m", "repro.bench.ablation", "--check", str(good)],
             capture_output=True, text=True, env=env,

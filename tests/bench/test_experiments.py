@@ -11,8 +11,8 @@ from repro.bench.experiments import (
     interactive_refinement_experiment,
     speedup_summary,
 )
+from repro.bench.registry import get_spec
 from repro.bench.runner import AlgorithmName
-from repro.bench.scheduler import run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def tiny_config():
 
 @pytest.fixture(scope="module")
 def figure3(tiny_config):
-    return run_experiment("figure3", tiny_config).result
+    return get_spec("figure3").run(tiny_config)
 
 
 class TestFigureSweeps:
@@ -55,13 +55,13 @@ class TestFigureSweeps:
         assert len(column) == len(one_level)
 
     def test_figure5_reports_only_largest_level_setting(self, tiny_config):
-        result = run_experiment("figure5", tiny_config).result
+        result = get_spec("figure5").run(tiny_config)
         assert {row["resolution_levels"] for row in result.rows} == {
             max(tiny_config.resolution_level_settings)
         }
 
     def test_speedup_summary_produces_ratios(self, figure3, tiny_config):
-        result_fig5 = run_experiment("figure5", tiny_config).result
+        result_fig5 = get_spec("figure5").run(tiny_config)
         summary = speedup_summary(figure3, figure3, result_fig5)
         assert summary.rows
         for row in summary.rows:

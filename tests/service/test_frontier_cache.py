@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -14,8 +15,13 @@ from repro.api.schema import (
     OptimizationResult,
 )
 from repro.service import CACHE_HIT, CACHE_MISS, CACHE_WARM, FrontierCache
+from repro.bench.config import smoke_config, tiny_config
+from repro.costs.metrics import extended_metric_set
 from repro.service.frontier_cache import (
+    JsonStore,
     canonical_workload_id,
+    canonicalize,
+    config_fingerprint,
     request_fingerprint,
     serial_stop,
 )
@@ -76,7 +82,7 @@ class TestFingerprints:
         assert identifier.startswith("gen:")
         assert len(identifier) > len("gen:") + 32  # a real digest, not the spec
         # The resolved-objects fingerprint is the exact workload_fingerprint
-        # of the regenerated workload (the bench cell cache's digest).
+        # of the regenerated workload.
         from repro.workloads.generator import generated_workload, workload_fingerprint
 
         regenerated = workload_fingerprint(generated_workload(7, 4, "star"))
@@ -116,6 +122,107 @@ class TestFingerprints:
         assert request_fingerprint(
             resolve_request(base), "iama"
         ) == request_fingerprint(resolve_request(capped), "iama")
+
+    @pytest.mark.parametrize(
+        "workload, expected",
+        [
+            pytest.param(
+                "gen:star:4:42",
+                "cc4ef33f483098931e602b684ba9031cbfc9a0c08f0d28246d5ad41cddfcab7b",
+                id="gen",
+            ),
+            pytest.param(
+                "tpch:q03",
+                "549456a69e3f40a28229a2f03a31b04df80946a1e24b5c79cbed9101cc5be3c0",
+                id="tpch",
+            ),
+            pytest.param(
+                "sql:tpch/q05",
+                "bb10744224e1b1a61854de06534729997ca0b9950e54fec986807fc098e5098b",
+                id="sql",
+            ),
+            pytest.param(
+                "template:ss_item_date:7",
+                "2070b81cd2d3c4d21066ef34424ab9a868d3c4d043d1e6798554de8c2fca8eac",
+                id="template",
+            ),
+        ],
+    )
+    def test_fingerprints_are_pinned(self, workload, expected):
+        # A persisted store is replayed only under the keys it was written
+        # with: moving or reshaping the digest helpers must not change one.
+        # Re-pin these only for a deliberate change of the key.
+        resolved = resolve_request(OptimizeRequest(workload=workload, **TINY))
+        assert request_fingerprint(resolved, "iama") == expected
+
+
+class TestContentDigests:
+    def test_fingerprint_is_stable_for_equal_configs(self):
+        assert config_fingerprint(tiny_config()) == config_fingerprint(tiny_config())
+
+    def test_fingerprint_distinguishes_presets(self):
+        assert config_fingerprint(tiny_config()) != config_fingerprint(smoke_config())
+
+    def test_fingerprint_sees_nested_overrides(self):
+        base = smoke_config()
+        overridden = base.with_overrides(metric_set=extended_metric_set(4))
+        assert config_fingerprint(base) != config_fingerprint(overridden)
+
+    def test_canonical_form_is_json_compatible(self):
+        canonical = canonicalize(smoke_config())
+        assert json.loads(json.dumps(canonical)) == canonical
+
+    def test_config_survives_pickling_with_equality_intact(self):
+        """A pickled copy of a configuration stays equal, equally hashed and
+        equally fingerprinted, so per-config memoization and request keys
+        agree across processes."""
+        import pickle
+
+        config = smoke_config()
+        roundtripped = pickle.loads(pickle.dumps(config))
+        assert roundtripped == config
+        assert hash(roundtripped) == hash(config)
+        assert config_fingerprint(roundtripped) == config_fingerprint(config)
+
+
+class TestJsonStore:
+    def test_roundtrip_keeps_key_order(self, tmp_path):
+        store = JsonStore(tmp_path / "store")
+        assert store.load("frontiers/a.json") is None
+        entry = {"version": 1, "alphas": [1.5, 1.0], "frontier": [[0.25, 0.5]]}
+        path = store.store("frontiers/a.json", entry)
+        assert path == store.path_for("frontiers/a.json") and path.exists()
+        loaded = store.load("frontiers/a.json")
+        assert loaded == entry
+        assert list(loaded) == list(entry)
+        assert len(store) == 1
+
+    def test_corrupt_or_non_object_entries_are_misses(self, tmp_path):
+        store = JsonStore(tmp_path)
+        store.store("frontiers/a.json", {"value": 1}).write_text("{not json")
+        store.store("frontiers/b.json", {"value": 2}).write_text("[1, 2]")
+        assert store.load("frontiers/a.json") is None
+        assert store.load("frontiers/b.json") is None
+
+    def test_entries_are_listed_per_namespace(self, tmp_path):
+        store = JsonStore(tmp_path / "store")
+        assert store.entries() == [] and len(store) == 0
+        store.store("frontiers/a.json", {"v": 1})
+        store.store("other/b.json", {"v": 2})
+        assert {path.parent.name for path in store.entries()} == {
+            "frontiers",
+            "other",
+        }
+        assert store.entries("frontiers/*.json") == [
+            store.path_for("frontiers/a.json")
+        ]
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path):
+        store = JsonStore(tmp_path)
+        with pytest.raises(TypeError):
+            store.store("frontiers/a.json", {"value": object()})
+        assert list((tmp_path / "frontiers").iterdir()) == []
+        assert store.load("frontiers/a.json") is None
 
 
 # ----------------------------------------------------------------------

@@ -201,107 +201,59 @@ class TestExperimentCommand:
 
 
 class TestBenchCommand:
-    def _argv(self, out_dir, jobs="2"):
-        return [
-            "bench",
-            "--experiment",
-            "ablation-freshness",
-            "--experiment",
-            "metric-sweep",
-            "--scale",
-            "tiny",
-            "--jobs",
-            jobs,
-            "--resume",
-            "--out",
-            str(out_dir),
-        ]
-
-    def test_parallel_resume_run_and_cache_hit_rerun(self, capsys, tmp_path):
-        out_dir = tmp_path / "results"
-        assert cli.main(self._argv(out_dir)) == 0
-        first_output = capsys.readouterr().out
-        assert "ablation_freshness: 2 cells (2 computed, 0 cached" in first_output
-        assert "metric_sweep: 4 cells (4 computed, 0 cached" in first_output
-        report_path = out_dir / "ablation_freshness.txt"
-        assert report_path.exists()
-        assert (out_dir / "metric_sweep.txt").exists()
-        first_reports = {
-            path.name: path.read_text() for path in out_dir.glob("*.txt")
-        }
-        cache_entries = sorted((out_dir / "cache").glob("*/*.json"))
-        assert len(cache_entries) == 6
-
-        # Second --resume run: every cell is a cache hit, nothing recomputed,
-        # and the written reports are byte-identical.
-        assert cli.main(self._argv(out_dir)) == 0
-        second_output = capsys.readouterr().out
-        assert "ablation_freshness: 2 cells (0 computed, 2 cached" in second_output
-        assert "metric_sweep: 4 cells (0 computed, 4 cached" in second_output
-        for path in out_dir.glob("*.txt"):
-            assert path.read_text() == first_reports[path.name]
-
-    def test_serial_and_sharded_reports_match_over_shared_cache(
-        self, capsys, tmp_path
-    ):
-        serial_out = tmp_path / "serial"
-        sharded_out = tmp_path / "sharded"
-        cache_dir = tmp_path / "cache"
-        base = [
-            "bench",
-            "--experiment",
-            "metric-sweep",
-            "--scale",
-            "tiny",
-            "--cache-dir",
-            str(cache_dir),
-        ]
-        assert cli.main(base + ["--jobs", "1", "--out", str(serial_out)]) == 0
-        assert (
-            cli.main(
-                base + ["--jobs", "2", "--resume", "--out", str(sharded_out)]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        serial_text = (serial_out / "metric_sweep.txt").read_text()
-        sharded_text = (sharded_out / "metric_sweep.txt").read_text()
-        assert serial_text == sharded_text
-
-    def test_no_cache_flag_disables_the_store(self, capsys, tmp_path):
+    def test_writes_one_report_per_experiment(self, capsys, tmp_path):
         out_dir = tmp_path / "results"
         argv = [
             "bench",
             "--experiment",
             "ablation-freshness",
+            "--experiment",
+            "metric-sweep",
             "--scale",
             "tiny",
-            "--no-cache",
             "--out",
             str(out_dir),
         ]
         assert cli.main(argv) == 0
-        assert not (out_dir / "cache").exists()
-        assert "cell cache" not in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "ablation_freshness: 2 rows -> " in output
+        assert "metric_sweep: 4 rows -> " in output
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "ablation_freshness.txt",
+            "metric_sweep.txt",
+        ]
+
+    def test_writes_registered_artifacts(self, capsys, tmp_path):
+        argv = ["bench", "--experiment", "ablation_features", "--scale", "tiny"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert "ablation_features: artifact -> " in capsys.readouterr().out
+        payload = json.loads((tmp_path / "ablation_features.json").read_text())
+        assert payload["experiment"] == "ablation_features"
+
+    def test_figure_sweeps_also_write_the_speedup_summary(self, capsys, tmp_path):
+        argv = ["bench", "--scale", "tiny", "--out", str(tmp_path)]
+        for name in ("figure3", "figure4", "figure5"):
+            argv += ["--experiment", name]
+        assert cli.main(argv) == 0
+        assert "speedup_summary: derived from figures 3-5" in capsys.readouterr().out
+        assert (tmp_path / "speedup_summary.txt").exists()
 
     def test_unknown_experiment_fails_with_candidates(self):
         with pytest.raises(SystemExit, match="unknown experiment"):
             cli.main(["bench", "--experiment", "figure99", "--scale", "tiny"])
 
-    def test_no_cache_conflicts_with_resume_and_cache_dir(self, tmp_path):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            cli.main(["bench", "--scale", "tiny", "--no-cache", "--resume"])
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            cli.main(
-                [
-                    "bench",
-                    "--scale",
-                    "tiny",
-                    "--no-cache",
-                    "--cache-dir",
-                    str(tmp_path / "cache"),
-                ]
-            )
+    def test_options_are_experiment_out_and_scale(self):
+        parser = cli.build_parser()
+        (subparsers,) = [
+            action for action in parser._actions if action.dest == "command"
+        ]
+        bench = subparsers.choices["bench"]
+        options = [
+            action.option_strings[0]
+            for action in bench._actions
+            if action.option_strings and action.dest != "help"
+        ]
+        assert options == ["--experiment", "--out", "--scale"]
 
 
 class TestParser:

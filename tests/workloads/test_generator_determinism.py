@@ -1,11 +1,11 @@
 """Seed-determinism regression tests for the synthetic workload generator.
 
-The sharded benchmark scheduler identifies a synthetic sweep cell by
-``(seed, table_count, topology)`` and may compute it in any worker process --
-or adopt it from the on-disk cache written by an earlier run.  That is only
-sound if the generator is a pure function of the seed *across processes*
-(``PYTHONHASHSEED`` differs between fresh interpreters, so any hash-order
-dependence would break this).  These tests pin that property down via
+A ``gen:`` workload spec names a synthetic query by
+``(seed, table_count, topology)``, and the frontier cache keys requests by
+its fingerprint -- in any shard process, or in the on-disk store written by
+an earlier run.  That is only sound if the generator is a pure function of
+the seed *across processes* (``PYTHONHASHSEED`` differs between fresh
+interpreters, so any hash-order dependence would break this).  These tests pin that property down via
 :func:`repro.workloads.generator.workload_fingerprint`.
 """
 
