@@ -42,17 +42,3 @@ def test_rendering_is_byte_identical(name, tmp_path):
             f"{name}: {filename} is not byte-stable across renders"
         )
 
-
-def test_ablation_artifact_is_pure_in_the_rows(tmp_path):
-    """The JSON artifact must be derived only from the rows — rendering it
-    twice from the same result object is byte-identical (no timestamps, no
-    environment probes, no iteration-order dependence)."""
-    from repro.bench.ablation import SPEC, ablation_json_payload
-
-    result = SPEC.run(tiny_config())
-    once = ablation_json_payload(result)
-    twice = ablation_json_payload(result)
-    assert once == twice
-    path_a = SPEC.artifacts[0](result, tmp_path / "a")
-    path_b = SPEC.artifacts[0](result, tmp_path / "b")
-    assert path_a.read_bytes() == path_b.read_bytes()
