@@ -1,8 +1,8 @@
 """E-arena: micro-benchmark of the arena-backed generate → cost hot path.
 
 Compares batched block costing (``PlanFactory.combine_block``: one vectorized
-kernel call per metric for a whole (left-block × right-block × operator)
-combination block) against per-plan costing (``PlanFactory.join_plan``: the
+kernel call per (operator, metric) for a whole block of sub-plan pairs, each
+joined with every operator) against per-plan costing (``PlanFactory.join_plan``: the
 pre-arena hot path — per-plan cardinality lookups, per-plan component
 dictionaries, one ``CostVector`` and one plan handle per combination), at the
 block sizes the optimizer's fresh-plan generation produces.
@@ -50,11 +50,12 @@ def best_time(fn, repeats: int = REPEATS) -> float:
 
 
 def _combination_fixture(size: int):
-    """A factory plus ``size`` (left id, right id, operator) triples.
+    """A factory plus a block of whole pairs that ``size`` joins fill.
 
     The operand blocks are scan plans of two generator tables, repeated until
-    the cross product with the operator inner loop reaches ``size`` -- the
-    exact shape of one fresh-plan generation split.
+    their cross product holds ``ceil(size / operators)`` pairs -- the exact
+    shape of one fresh-plan generation split.  Returns the pairs as two id
+    columns.
     """
     resolved = resolve_request(
         OptimizeRequest(workload="gen:chain:2:0", algorithm="iama", scale="tiny")
@@ -65,44 +66,45 @@ def _combination_fixture(size: int):
     operators = factory.join_operators()
     arena = factory.arena
 
-    per_pair = len(operators)
-    pairs_needed = -(-size // per_pair)
+    pairs_needed = -(-size // len(operators))
     side = max(1, int(pairs_needed ** 0.5) + 1)
-    left_ids: List[int] = []
-    right_ids: List[int] = []
-    while len(left_ids) < side:
-        left_ids.extend(factory.scan_block(left_table))
-    while len(right_ids) < side:
-        right_ids.extend(factory.scan_block(right_table))
-
-    triples: List[Tuple[int, int, int]] = []
-    for left_id in left_ids:
-        for right_id in right_ids:
-            for operator_index in range(per_pair):
-                triples.append((left_id, right_id, operator_index))
-                if len(triples) == size:
-                    return factory, arena, triples, operators
-    raise AssertionError("fixture could not reach the requested block size")
+    left_side: List[int] = []
+    right_side: List[int] = []
+    while len(left_side) < side:
+        left_side.extend(factory.scan_block(left_table))
+    while len(right_side) < side:
+        right_side.extend(factory.scan_block(right_table))
+    pairs = [
+        (left_id, right_id) for left_id in left_side for right_id in right_side
+    ][:pairs_needed]
+    if len(pairs) < pairs_needed:
+        raise AssertionError("fixture could not reach the requested block size")
+    left_ids = [left_id for left_id, _ in pairs]
+    right_ids = [right_id for _, right_id in pairs]
+    return factory, arena, left_ids, right_ids, operators
 
 
 def measure_block_costing(size: int) -> dict:
     """combine_block vs a join_plan-per-combination loop, both backends."""
-    factory, arena, triples, operators = _combination_fixture(size)
-    left_tables = arena.tables_of(triples[0][0])
-    right_tables = arena.tables_of(triples[0][1])
+    factory, arena, left_ids, right_ids, operators = _combination_fixture(size)
+    left_tables = arena.tables_of(left_ids[0])
+    right_tables = arena.tables_of(right_ids[0])
 
     def per_plan() -> List[Tuple[float, ...]]:
         return [
             tuple(
                 factory.join_plan(
-                    arena.plan(left_id), arena.plan(right_id), operators[k]
+                    arena.plan(left_id), arena.plan(right_id), operator
                 ).cost
             )
-            for left_id, right_id, k in triples
+            for left_id, right_id in zip(left_ids, right_ids)
+            for operator in operators
         ]
 
     def block() -> List[Tuple[float, ...]]:
-        ids = factory.combine_block(left_tables, right_tables, triples, operators)
+        ids = factory.combine_block(
+            left_tables, right_tables, left_ids, right_ids, operators
+        )
         return [arena.cost_row(plan_id) for plan_id in ids]
 
     expected = per_plan()

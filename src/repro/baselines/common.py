@@ -14,9 +14,9 @@ policy, interesting-order handling) is identical to IAMA's because both go
 through the same :class:`~repro.plans.factory.PlanFactory`.  Each run owns a
 private scratch :class:`~repro.plans.arena.PlanArena`: the DP regenerates its
 whole plan population per invocation, so pinning those plans into the
-factory's per-query arena would leak one full search space per run.  Join
-combinations are enumerated as (left id, right id, operator) triples and
-costed split by split through the same batched
+factory's per-query arena would leak one full search space per run.  Each
+split's sub-plan pairs are enumerated as two id columns and joined with every
+operator and costed through the same batched
 :meth:`~repro.plans.factory.PlanFactory.combine_block` kernel path as the
 incremental optimizer, then inserted in generation order -- the population is
 identical to the plan-at-a-time formulation.
@@ -43,7 +43,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.costs.matrix import CostBlock
 from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
-from repro.plans.factory import PlanFactory
+from repro.plans.factory import PlanFactory, repeat_each
 from repro.plans.plan import Plan
 from repro.plans.query import Query, plan_order
 
@@ -141,9 +141,8 @@ class ApproximateParetoDP:
                 self._insert(blocks[key], arena, plan_id, bounds_row, alpha)
 
         # Recursive case: joins over subsets of increasing cardinality,
-        # enumerated as id triples and costed in one block per split.
+        # enumerated as id pairs and costed in one block per split.
         join_operators = self._factory.join_operators()
-        operator_range = range(len(join_operators))
         for subset, splits in self._plan_order:
             target = blocks.setdefault(subset, _PlanBlock(dims))
             for left_tables, right_tables in splits:
@@ -155,14 +154,13 @@ class ApproximateParetoDP:
                 right_ids = right_block.live_items()
                 if not left_ids or not right_ids:
                     continue
-                triples = [
-                    (left_id, right_id, operator_index)
-                    for left_id in left_ids
-                    for right_id in right_ids
-                    for operator_index in operator_range
-                ]
                 plan_ids = self._factory.combine_block(
-                    left_tables, right_tables, triples, join_operators, arena
+                    left_tables,
+                    right_tables,
+                    repeat_each(left_ids, len(right_ids)),
+                    right_ids * len(left_ids),
+                    join_operators,
+                    arena,
                 )
                 plans_generated += len(plan_ids)
                 for plan_id in plan_ids:

@@ -233,11 +233,19 @@ def frontier_hex_rows(result) -> List[List[str]]:
 
 
 def _scale_name(config: ExperimentConfig) -> str:
-    """Preset name of a configuration (service rows resolve requests by it)."""
+    """Preset name of a configuration (service rows resolve requests by it).
+
+    A configuration that is no preset has no name a request could carry, so
+    it is refused rather than served at some other scale.
+    """
     for name, preset in CONFIG_PRESETS.items():
         if preset() == config:
             return name
-    return "tiny"
+    raise ValueError(
+        f"configuration {config.name!r} is not a preset (or differs from the "
+        "preset of that name); the ablation service rows resolve their "
+        "requests by preset name"
+    )
 
 
 def _auto_backend() -> str:
@@ -612,7 +620,6 @@ def check_gate(payload: Mapping) -> List[str]:
 SPEC = register(
     ExperimentSpec(
         name=EXPERIMENT_NAME,
-        description="Per-feature ablation grid (all-on baseline vs one-feature-off).",
         run=ablation_features,
         section_formatters=(_attribution_section,),
         artifacts=(write_ablation_json,),

@@ -147,7 +147,6 @@ def _make_sweep_spec(name, description, precision, levels_fn) -> ExperimentSpec:
     return register(
         ExperimentSpec(
             name=name,
-            description=description if isinstance(description, str) else name,
             run=run,
             section_formatters=(_grouped_avg_section, _grouped_max_section),
         )
@@ -291,7 +290,6 @@ def anytime_quality_experiment(
 register(
     ExperimentSpec(
         name="figure2",
-        description="Anytime vs one-shot, incremental vs memoryless (Figure 2).",
         run=anytime_quality_experiment,
     )
 )
@@ -345,7 +343,6 @@ def interactive_refinement_experiment(
 register(
     ExperimentSpec(
         name="figure1",
-        description="Interactive frontier refinement (Figure 1).",
         run=interactive_refinement_experiment,
     )
 )
@@ -418,7 +415,12 @@ def speedup_summary(
 def ablation_freshness(
     config: ExperimentConfig, levels: int = 5
 ) -> ExperimentResult:
-    """A-abl-2: effect of the Δ-set optimization on pair enumeration and time."""
+    """A-abl-2: effect of the Δ-set optimization on pair enumeration and time.
+
+    With the Δ-sets off every invocation enumerates all pairs, and
+    ``IsFresh`` -- decided from the invocation history -- drops those an
+    earlier invocation combined, so both rows generate the same plans.
+    """
     query = _representative_query(config)
     schedule = build_schedule(levels, MODERATE_PRECISION)
     rows: List[Dict[str, object]] = []
@@ -456,7 +458,6 @@ def ablation_freshness(
 register(
     ExperimentSpec(
         name="ablation_freshness",
-        description="Effect of the Δ-set optimization (A-abl-2).",
         run=ablation_freshness,
     )
 )
@@ -514,7 +515,6 @@ def ablation_result_set_growth(
 register(
     ExperimentSpec(
         name="ablation_keep_dominated",
-        description="Cost of never discarding dominated result plans (A-abl-1).",
         run=ablation_result_set_growth,
     )
 )
@@ -563,7 +563,6 @@ def ablation_metric_count(
 register(
     ExperimentSpec(
         name="ablation_metric_count",
-        description="Invocation time versus number of cost metrics (A-abl-3).",
         run=ablation_metric_count,
     )
 )
@@ -646,7 +645,6 @@ def _topology_pivot_section(result: ExperimentResult) -> str:
 SYNTHETIC_TOPOLOGIES_SPEC = register(
     ExperimentSpec(
         name="synthetic_topologies",
-        description="Synthetic join-graph topology sweep (chain/star/cycle/clique).",
         run=synthetic_topologies,
         section_formatters=(_topology_pivot_section,),
     )
@@ -731,7 +729,6 @@ def _metric_sweep_frontier_section(result: ExperimentResult) -> str:
 METRIC_SWEEP_SPEC = register(
     ExperimentSpec(
         name="metric_sweep",
-        description="Metric-count x query-size sweep on synthetic chain queries.",
         run=metric_sweep,
         section_formatters=(
             _metric_sweep_time_section,

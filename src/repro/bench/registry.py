@@ -21,10 +21,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A registered experiment: its name, description and run function."""
+    """A registered experiment: its name and run function."""
 
     name: str
-    description: str
     run: Callable[["ExperimentConfig"], "ExperimentResult"]
     #: Extra plain-text sections (beyond the generic row dump) for the
     #: ``results/<name>.txt`` report; each callable renders one section.

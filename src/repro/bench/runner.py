@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import gc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 from repro.bench.config import ExperimentConfig, PrecisionSetting
 from repro.catalog.cardinality import CardinalityEstimator
@@ -175,22 +175,3 @@ def run_series(
             result.invocations[-1].frontier_size if result.invocations else 0
         ),
     )
-
-
-def run_all_algorithms(
-    query: Query,
-    config: ExperimentConfig,
-    levels: int,
-    precision: PrecisionSetting,
-    algorithms: Optional[Sequence[AlgorithmName]] = None,
-    statistics=None,
-) -> Dict[AlgorithmName, InvocationSeries]:
-    """Run every algorithm on the same query and collect their series."""
-    if algorithms is None:
-        algorithms = list(AlgorithmName)
-    return {
-        algorithm: run_series(
-            algorithm, query, config, levels, precision, statistics=statistics
-        )
-        for algorithm in algorithms
-    }

@@ -7,8 +7,9 @@ This package implements the paper's contribution:
 * :mod:`repro.core.index` -- the plan index supporting range queries over
   (cost vector, resolution level), the paper's "cell data structure" role,
 * :mod:`repro.core.pruning` -- procedure ``Prune`` (Algorithm 3),
-* :mod:`repro.core.fresh` -- the ``IsFresh`` registry and the Δ-set pair
-  generation of function ``Fresh`` (Algorithm 3),
+* :mod:`repro.core.fresh` -- the fresh sub-plan pairs of function ``Fresh``
+  (Algorithm 3): the Δ-set pairs, and the ``IsFresh`` filter over the
+  invocation history's per-plan box masks,
 * :mod:`repro.core.state` -- the per-query result/candidate plan sets and
   bookkeeping counters that persist across optimizer invocations,
 * :mod:`repro.core.optimizer` -- procedure ``Optimize`` (Algorithm 2),
@@ -19,7 +20,6 @@ This package implements the paper's contribution:
 from repro.core.resolution import ResolutionSchedule
 from repro.core.index import PlanIndex
 from repro.core.pruning import PruneOutcome, prune
-from repro.core.fresh import FreshnessRegistry
 from repro.core.state import OptimizerState, OptimizerCounters
 from repro.core.optimizer import IncrementalOptimizer, InvocationReport
 from repro.core.control import UserAction, ChangeBounds, SelectPlan, Continue
@@ -29,7 +29,6 @@ __all__ = [
     "PlanIndex",
     "PruneOutcome",
     "prune",
-    "FreshnessRegistry",
     "OptimizerState",
     "OptimizerCounters",
     "IncrementalOptimizer",

@@ -57,7 +57,7 @@ one-slot batch the way :meth:`drain_ids` removes each bucket's batch.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.costs.matrix import CostBlock
 from repro.plans.arena import PlanArena
@@ -98,10 +98,16 @@ class PlanIndex:
     # ------------------------------------------------------------------
     # Bucketing
     # ------------------------------------------------------------------
+    def _bucket_ids(self, firsts: Iterable[float]) -> List[_BucketId]:
+        """The bucket of each first cost component, in order."""
+        log, isinf, log_base = math.log, math.isinf, self._log_base
+        return [
+            INFINITE_BUCKET if isinf(first) else int(log(first + 1.0) / log_base)
+            for first in firsts
+        ]
+
     def _bucket_of_first(self, first: float) -> _BucketId:
-        if math.isinf(first):
-            return INFINITE_BUCKET
-        return int(math.log(first + 1.0) / self._log_base)
+        return self._bucket_ids((first,))[0]
 
     def _bucket_of(self, cost: Sequence[float]) -> _BucketId:
         return self._bucket_of_first(cost[0])
@@ -210,10 +216,8 @@ class PlanIndex:
         Returns the block's ids and cost columns reordered bucket by bucket
         (block order within each bucket) and one run per bucket.
         """
-        bucket_of_first = self._bucket_of_first
         groups: Dict[_BucketId, List[int]] = {}
-        for position, first in enumerate(cost_columns[0]):
-            bucket_id = bucket_of_first(first)
+        for position, bucket_id in enumerate(self._bucket_ids(cost_columns[0])):
             group = groups.get(bucket_id)
             if group is None:
                 groups[bucket_id] = [position]

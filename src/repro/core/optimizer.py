@@ -19,28 +19,30 @@ subset ``q`` (Theorems 1 and 2).  The two phases are:
    Section 4.3), costed, and pruned.
 
 The whole loop runs on *arena plan ids*: the plan indexes yield id blocks,
-fresh pairs are enumerated as integer pairs, ``IsFresh`` filters integer
-triples, and every surviving (left, right, operator) block of a table subset
-is costed with one vectorized kernel call per metric
-(:meth:`repro.plans.factory.PlanFactory.combine_block`) and handed to
-:func:`repro.core.pruning.prune_all_ids` in one batch -- the outcome sequence
-is identical to generating, costing and pruning each plan individually, but
-no per-plan Python objects are materialized on the hot path.  The block's
-outcomes are booked in bulk as well: counted per kind, and the plans
-discarded at the maximal resolution are tombstoned with one
-:meth:`~repro.plans.arena.PlanArena.tombstone_ids` call.
+each table set's result plans are retrieved once per invocation, each
+split's fresh pairs are built as two id columns (:mod:`repro.core.fresh`),
+and every split's pairs are joined with every operator and costed with one
+vectorized kernel call per (operator, metric)
+(:meth:`repro.plans.factory.PlanFactory.combine_block`); a table subset's
+block is handed to :func:`repro.core.pruning.prune_all_ids` in one batch --
+the outcome sequence is identical to generating, costing and pruning each
+plan individually, but no per-plan Python objects are materialized on the
+hot path.  The block's outcomes are booked in bulk as well: counted per
+kind, and the plans discarded at the maximal resolution are tombstoned with
+one :meth:`~repro.plans.arena.PlanArena.tombstone_ids` call.
 
-Incrementality rests on two pieces of machinery implemented in
-:mod:`repro.core.fresh`: the ``IsFresh`` registry, which guarantees that no
-sub-plan pair/operator combination is ever materialized twice (Lemma 6), and
-the Δ-set optimization, which skips whole blocks of already-combined pairs when
-the invocation history allows it.  The exact condition under which the Δ-sets
-may be restricted to newly inserted plans is tracked via *covered boxes* --
-(bounds, resolution) regions for which all result-plan pairs are known to have
-been enumerated; see :class:`_CoverageTracker`.  This is a slightly more
-explicit (and slightly more conservative) bookkeeping than the paper's prose
-description, but it is provably safe for arbitrary invocation sequences, not
-only for monotone bound-tightening series.
+Incrementality rests on the invocation history, kept by
+:class:`_CoverageTracker`.  It decides when the Δ-sets may restrict pair
+enumeration to pairs involving a newly inserted plan -- via *covered boxes*,
+(bounds, resolution) regions for which all result-plan pairs are known to
+have been enumerated, a slightly more explicit (and slightly more
+conservative) bookkeeping than the paper's prose description, but provably
+safe for arbitrary invocation sequences, not only for monotone
+bound-tightening series.  Otherwise every pair is enumerated, and
+``IsFresh`` -- no sub-plan pair is ever joined twice (Lemma 6) -- is decided
+from the same history: one (bounds, resolution) box per invocation and, per
+result plan, a bitmask of the earlier boxes holding it.  No state grows per
+generated join.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ import time
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro import flags
 from repro.costs.dominance import dominates
 from repro.costs.vector import CostVector
-from repro.core.fresh import fresh_id_pairs
+from repro.core.fresh import delta_pairs, delta_split, fresh_pairs
+from repro.core.index import PlanIndex
 from repro.core.pruning import PruneOutcome, prune_all_ids
 from repro.core.resolution import ResolutionSchedule
 from repro.core.state import OptimizerState
@@ -108,24 +111,64 @@ class _CoveredBox:
 
 
 class _CoverageTracker:
-    """Tracks for which (bounds, resolution) boxes all sub-plan pairs are covered.
+    """The invocation history: which sub-plan pairs have been combined.
 
-    The Δ-set optimization may restrict pair enumeration to pairs involving at
-    least one plan inserted during the *current* invocation only when all pairs
-    of *previously existing* plans retrievable under the current bounds and
-    resolution have already been enumerated.  That is guaranteed when some
-    covered box contains every previously existing retrievable plan, for which
-    it suffices that the current bounds are at least as tight as the box bounds
-    and that no old result plan is registered above the box resolution but at
-    or below the current resolution.
+    **Invariant.**  Write ``B_k^q`` for ``Res^q[0..b_k, 0..r_k]`` at the end
+    of invocation ``k``, which ran at bounds ``b_k`` and resolution ``r_k``:
+    the *box* of ``k``.  After invocation ``j`` the sub-plan pairs combined
+    so far are exactly ``C_j``, the union over ``k <= j`` and over every
+    split ``(q1, q2)`` of ``B_k^{q1} x B_k^{q2}``.  By induction on ``j``:
+
+    * Invocation ``j`` visits table subsets bottom-up.  When it reaches a
+      split, both sides' result sets are final for the invocation: their
+      candidates were reconsidered first, their own fresh blocks were pruned
+      earlier (sides are strictly smaller), and result plans are never
+      removed.  So each side's retrieval is ``B_j^q``.
+    * Full mode enumerates ``B_j^{q1} x B_j^{q2}`` and combines the pairs
+      that are not in ``C_{j-1}``.
+    * Δ-mode enumerates the pairs with a plan inserted during ``j``.  It runs
+      only when :meth:`delta_mode_allowed` finds a covered box whose pairs
+      are all combined and which holds every plan of ``B_j`` inserted before
+      ``j``, so every pair of two such plans is in ``C_{j-1}`` already.
+
+    Either way ``C_j = C_{j-1} ∪ B_j^{q1} x B_j^{q2}``.
+
+    **IsFresh.**  A result plan's level and cost never change and it is
+    never removed, so box ``k`` holds plan ``p`` exactly when ``p`` was
+    inserted by the end of ``k``, its level is at most ``r_k`` and its cost
+    at most ``b_k`` -- a property of ``p`` alone, kept as bit ``k`` of
+    ``p``'s mask.  A pair's table sets fix its split, so by the invariant
+    the pair was combined before invocation ``i`` exactly when some box
+    ``k < i`` holds both plans: the pair is fresh exactly when
+    ``mask_l & mask_r == 0``.  A plan inserted during invocation ``i`` is in
+    no earlier box (mask 0), so every Δ-mode pair is fresh and Δ-mode
+    checks nothing.  Masks are extended lazily, one table set at a time
+    (:meth:`masks`), so sessions that stay in Δ-mode never compute one.
     """
 
     def __init__(self) -> None:
         self._boxes: List[_CoveredBox] = []
         self._max_resolution_used = -1
+        #: ``(bounds row, resolution)`` of every invocation so far, in order.
+        self._history: List[Tuple[Tuple[float, ...], int]] = []
+        #: Result plan id -> the invocation that inserted it.
+        self._inserted_at: Dict[int, int] = {}
+        #: Result plan id -> bit ``k`` set when box ``k`` holds the plan, for
+        #: the boxes folded into its table set; no entry means no bit set.
+        self._masks: Dict[int, int] = {}
+        #: Table set -> number of boxes folded into its plans' masks.
+        self._folded: Dict[TableSet, int] = {}
 
     def delta_mode_allowed(self, bounds: CostVector, resolution: int) -> bool:
-        """Whether the Δ-set restriction is safe for the upcoming invocation."""
+        """Whether the Δ-set restriction is safe for the upcoming invocation.
+
+        It is when all pairs of previously inserted result plans retrievable
+        under the upcoming bounds and resolution have already been
+        enumerated.  That is guaranteed when some covered box contains every
+        such plan, for which it suffices that the bounds are at least as
+        tight as the box bounds and that no old result plan is registered
+        above the box resolution but at or below the upcoming resolution.
+        """
         if self._max_resolution_used < 0:
             # First invocation: the result sets are empty, every plan inserted
             # during this invocation is in the Δ-set, so the restriction is a
@@ -139,12 +182,19 @@ class _CoverageTracker:
                 return True
         return False
 
-    def record_invocation(self, bounds: CostVector, resolution: int) -> None:
-        """Update the covered boxes after an invocation at (bounds, resolution).
+    def record_invocation(
+        self,
+        bounds: CostVector,
+        resolution: int,
+        inserted: Dict[TableSet, List[int]],
+    ) -> None:
+        """Append the box of an invocation at (bounds, resolution) that
+        inserted the result plans ``inserted``, and update the covered boxes.
 
-        Boxes whose resolution is at least the current one may now contain new
-        result plans whose pairs with other box members were not enumerated,
-        so they are dropped; the box of the current invocation is added.
+        Covered boxes whose resolution is at least the current one may now
+        contain new result plans whose pairs with other box members were not
+        enumerated, so they are dropped; the box of the current invocation
+        is added.
         """
         survivors = [box for box in self._boxes if box.resolution < resolution]
         new_box = _CoveredBox(bounds=bounds, resolution=resolution)
@@ -152,6 +202,35 @@ class _CoverageTracker:
         survivors.append(new_box)
         self._boxes = survivors
         self._max_resolution_used = max(self._max_resolution_used, resolution)
+        invocation = len(self._history)
+        self._history.append((tuple(bounds), resolution))
+        for plan_ids in inserted.values():
+            self._inserted_at.update(dict.fromkeys(plan_ids, invocation))
+
+    def masks(
+        self, tables: TableSet, results: PlanIndex, plan_ids: Sequence[int]
+    ) -> List[int]:
+        """The masks of result plans ``plan_ids`` of table set ``tables``
+        (result index ``results``) over every recorded invocation.
+
+        Boxes recorded since the last call for ``tables`` are folded in
+        first, one retrieval each.  A plan inserted during the current
+        invocation is in no recorded box.
+        """
+        folded = self._folded.get(tables, 0)
+        recorded = len(self._history)
+        masks = self._masks
+        if folded < recorded:
+            inserted_at = self._inserted_at
+            for k in range(folded, recorded):
+                bounds, resolution = self._history[k]
+                bit = 1 << k
+                for plan_id in results.retrieve_ids(bounds, resolution):
+                    if inserted_at.get(plan_id, recorded) <= k:
+                        masks[plan_id] = masks.get(plan_id, 0) | bit
+            self._folded[tables] = recorded
+        get = masks.get
+        return [get(plan_id, 0) for plan_id in plan_ids]
 
 
 class IncrementalOptimizer:
@@ -176,9 +255,9 @@ class IncrementalOptimizer:
         with compatible interesting tuple orders (Section 4.3).
     use_delta_sets:
         Enable the Δ-set optimization.  Disabling it (ablation
-        ``A-abl-2``) keeps the algorithm correct -- ``IsFresh`` still prevents
-        duplicate plan construction -- but forces full pair enumeration in
-        every invocation.
+        ``A-abl-2``) forces full pair enumeration in every invocation; the
+        invocation history still decides ``IsFresh``, so every invocation
+        builds exactly the same plans.
     cell_base:
         Cell width parameter of the plan indexes.
     """
@@ -285,7 +364,7 @@ class IncrementalOptimizer:
                 bounds, resolution, alpha, max_resolution, inserted_now, delta_mode
             )
 
-        self._coverage.record_invocation(bounds, resolution)
+        self._coverage.record_invocation(bounds, resolution, inserted_now)
         counters.invocations += 1
         arena_stats = self._factory.arena.stats()
         counters.arena_plans_live = arena_stats.plans_live
@@ -381,58 +460,57 @@ class IncrementalOptimizer:
         delta_mode: bool,
     ) -> None:
         counters = self._state.counters
-        freshness = self._state.freshness
         join_operators = self._factory.join_operators()
-        operator_keys = [
-            freshness.operator_key(operator) for operator in join_operators
-        ]
-        operator_range = range(len(join_operators))
+        # Each table set's result plans in the invocation's box, retrieved
+        # once: a set's result plans are final for the invocation once its
+        # own block is pruned, and it is split only from larger subsets.
+        # Δ-mode keeps them split by delta_split, full mode with their masks.
+        sides: Dict[TableSet, Tuple[List[int], list]] = {}
+
+        def side(tables: TableSet) -> Tuple[List[int], list]:
+            found = sides.get(tables)
+            if found is None:
+                results = self._state.result_set(tables)
+                plan_ids = results.retrieve_ids(bounds, resolution)
+                found = sides[tables] = (
+                    plan_ids,
+                    delta_split(plan_ids, inserted_now.get(tables, ()))
+                    if delta_mode
+                    else self._coverage.masks(tables, results, plan_ids),
+                )
+            return found
+
         for subset, splits in self._plan_order:
-            # Collect every fresh combination for this table subset as
-            # (left id, right id, operator) triples, cost them split by split
-            # with the batched kernel path, then prune the whole block at
-            # once.  Plans of a subset never feed the generation of the same
-            # subset (splits are strictly smaller), so deferring the pruning
-            # to the block boundary is equivalent to pruning each plan as it
-            # is generated.
+            # Collect every fresh plan of this table subset split by split
+            # (each split's fresh pairs costed in one batch), then prune the
+            # whole block at once.  Plans of a subset never feed the
+            # generation of the same subset (splits are strictly smaller), so
+            # deferring the pruning to the block boundary is equivalent to
+            # pruning each plan as it is generated.
             block: List[int] = []
             for left_tables, right_tables in splits:
-                if delta_mode:
-                    left_delta = inserted_now.get(left_tables, ())
-                    right_delta = inserted_now.get(right_tables, ())
-                    if not left_delta and not right_delta:
-                        # No fresh sub-plan on either side: every pair of the
-                        # retrievable plans has already been combined, so the
-                        # retrieval itself can be skipped.
-                        continue
-                else:
-                    left_delta = None
-                    right_delta = None
-                left_ids = self._state.result_set(left_tables).retrieve_ids(
-                    bounds, resolution
-                )
+                if delta_mode and not (
+                    inserted_now.get(left_tables) or inserted_now.get(right_tables)
+                ):
+                    # No fresh sub-plan on either side: every pair of the
+                    # retrievable plans has already been combined.
+                    continue
+                left_ids, left = side(left_tables)
                 if not left_ids:
                     continue
-                right_ids = self._state.result_set(right_tables).retrieve_ids(
-                    bounds, resolution
-                )
+                right_ids, right = side(right_tables)
                 if not right_ids:
                     continue
-                triples: List[Tuple[int, int, int]] = []
-                for left_id, right_id in fresh_id_pairs(
-                    left_ids, right_ids, left_delta, right_delta
-                ):
-                    counters.pairs_enumerated += 1
-                    for operator_index in operator_range:
-                        if not freshness.register_ids(
-                            left_id, right_id, operator_keys[operator_index]
-                        ):
-                            continue
-                        triples.append((left_id, right_id, operator_index))
-                if triples:
+                if delta_mode:
+                    lefts, rights = delta_pairs(left, right)
+                    counters.pairs_enumerated += len(lefts)
+                else:
+                    counters.pairs_enumerated += len(left_ids) * len(right_ids)
+                    lefts, rights = fresh_pairs(left_ids, left, right_ids, right)
+                if lefts:
                     block.extend(
                         self._factory.combine_block(
-                            left_tables, right_tables, triples, join_operators
+                            left_tables, right_tables, lefts, rights, join_operators
                         )
                     )
             counters.join_plans_generated += len(block)

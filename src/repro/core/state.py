@@ -9,13 +9,14 @@ plans, and both are indexed by table set, cost vector and resolution level.
 
 * one :class:`~repro.core.index.PlanIndex` per table subset for result plans
   (``Res^q``) and one for candidate plans (``Cand^q``), created lazily,
-* the :class:`~repro.core.fresh.FreshnessRegistry` shared by all invocations,
 * :class:`OptimizerCounters` with the bookkeeping that the formal-analysis
   tests and the ablation benchmarks inspect (plans generated, candidate
   retrievals, prune outcomes, ...).
 
 The state belongs to exactly one query; the control loop creates a fresh state
-when optimization of a new query starts.
+when optimization of a new query starts.  Which sub-plan pairs are fresh is
+not stored here: the optimizer decides ``IsFresh`` from its invocation
+history and these result sets (:mod:`repro.core.optimizer`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
-from repro.core.fresh import FreshnessRegistry
 from repro.core.index import PlanIndex
 from repro.plans.plan import Plan
 from repro.plans.query import Query
@@ -84,7 +84,6 @@ class OptimizerState:
         self._cell_base = cell_base
         self._results: Dict[TableSet, PlanIndex] = {}
         self._candidates: Dict[TableSet, PlanIndex] = {}
-        self.freshness = FreshnessRegistry()
         self.counters = OptimizerCounters()
         #: Whether the scan plans have been generated and pruned already.
         self.seeded = False

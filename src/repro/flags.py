@@ -9,8 +9,9 @@ in isolation and attribute the speedup honestly:
 ``delta_sets``
     Section 4.2's Δ-set optimization: under unchanged bounds, only newly
     inserted partial plans are joined.  Off: every invocation re-enumerates
-    all pairs (``IsFresh`` still deduplicates, so the frontier — and every
-    counter except ``pairs_enumerated`` — is unchanged).
+    all pairs, and ``IsFresh`` -- decided from the invocation history, no
+    table -- skips the pairs earlier invocations joined, so the frontier and
+    every counter except ``pairs_enumerated`` are unchanged.
 ``tracing``
     The observability layer (:mod:`repro.obs`): span creation at the
     instrumented seams (invocation / generate / cost / prune / kernel

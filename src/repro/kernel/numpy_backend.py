@@ -41,6 +41,13 @@ def _column_view(col: array) -> np.ndarray:
     return np.frombuffer(col, dtype=np.float64)
 
 
+def _float_view(values: Sequence[float]) -> np.ndarray:
+    """A column as float64: zero-copy for ``array('d')``, converted otherwise."""
+    if isinstance(values, array):
+        return _column_view(values)
+    return np.asarray(values, dtype=np.float64)
+
+
 def _alive_view(alive: array) -> np.ndarray:
     return np.frombuffer(alive, dtype=np.bool_)
 
@@ -141,6 +148,20 @@ def take(columns: Columns, indices: Sequence[int]) -> List[array]:
     return [_as_array(_column_view(col)[idx]) for col in columns]
 
 
+def interleave(columns: Sequence[Sequence[float]]) -> array:
+    """Merge equally long columns row by row: ``out[i * k + j] = columns[j][i]``
+    for ``k`` columns (a strided copy per column into one output buffer)."""
+    n = len(columns[0])
+    if n < SMALL_BLOCK:
+        return _py.interleave(columns)
+    k = len(columns)
+    out = array("d", bytes(8 * n * k))
+    view = np.frombuffer(out, dtype=np.float64)
+    for j, col in enumerate(columns):
+        view[j::k] = _float_view(col)
+    return out
+
+
 def combine_columns(
     spec: Sequence, left: Sequence[float], right: Sequence[float], local: float
 ) -> array:
@@ -153,8 +174,8 @@ def combine_columns(
     """
     if len(left) < SMALL_BLOCK:
         return _py.combine_columns(spec, left, right, local)
-    l = np.frombuffer(left, dtype=np.float64) if isinstance(left, array) else np.asarray(left)
-    r = np.frombuffer(right, dtype=np.float64) if isinstance(right, array) else np.asarray(right)
+    l = _float_view(left)
+    r = _float_view(right)
     op = spec[0]
     if op == "sum":
         return _as_array((l + r) + local)

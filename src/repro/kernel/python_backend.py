@@ -16,6 +16,7 @@ backend must produce identical results (exact IEEE-754 comparisons in both).
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import List, Sequence
 
 NAME = "python"
@@ -204,6 +205,17 @@ def take(columns: Columns, indices: Sequence[int]) -> List[array]:
     and right child plans of a combination block from the arena's matrix.
     """
     return [array("d", (col[i] for i in indices)) for col in columns]
+
+
+def interleave(columns: Sequence[Sequence[float]]) -> array:
+    """Merge equally long columns row by row: ``out[i * k + j] = columns[j][i]``
+    for ``k`` columns.
+
+    The batched costing path costs each join operator of a block as one
+    column per metric and interleaves the operators' columns, so the block's
+    plans come out pair-major, operator-minor.
+    """
+    return array("d", chain.from_iterable(zip(*columns)))
 
 
 def combine_columns(

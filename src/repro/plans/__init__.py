@@ -29,7 +29,7 @@ from repro.plans.operators import (
     default_operator_registry,
 )
 from repro.plans.arena import ArenaStats, PlanArena, default_arena
-from repro.plans.plan import Plan, ScanPlan, JoinPlan, plan_signature
+from repro.plans.plan import Plan, ScanPlan, JoinPlan
 from repro.plans.factory import PlanFactory
 from repro.plans.explain import (
     explain_plan,
@@ -53,7 +53,6 @@ __all__ = [
     "Plan",
     "ScanPlan",
     "JoinPlan",
-    "plan_signature",
     "PlanFactory",
     "explain_plan",
     "explain_plan_id",

@@ -14,10 +14,11 @@ Since the arena refactor the factory owns a per-query
 * the scalar handle API (:meth:`scan_plan`, :meth:`join_plan`) used by tests
   and the single-objective baseline, and
 * the batched id API (:meth:`scan_block`, :meth:`combine_block`) used by the
-  optimizer hot paths: a whole block of (left id, right id, operator)
-  combinations is costed with one vectorized kernel call per metric and
-  bulk-appended to the arena -- no per-plan Python objects, no per-plan cost
-  dictionaries.  Both surfaces produce bit-identical cost values.
+  optimizer hot paths: a whole block of (left id, right id) pairs, given as
+  two id columns, is joined with every operator, costed with one vectorized
+  kernel call per (operator, metric) and bulk-appended to the arena -- no
+  per-plan Python objects, no per-plan cost dictionaries.  Both surfaces
+  produce bit-identical cost values.
 
 Algorithms that regenerate their plans from scratch on every run (the DP
 baselines) pass a private scratch ``arena`` so their dead plans don't pile up
@@ -31,7 +32,8 @@ IAMA never builds the same join twice across invocations (Lemma 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import FrozenSet, List, Optional, Sequence
 
 from repro import kernel
 from repro.catalog.cardinality import CardinalityEstimator
@@ -210,38 +212,42 @@ class PlanFactory:
         self,
         left_tables: FrozenSet[str],
         right_tables: FrozenSet[str],
-        triples: Sequence[Tuple[int, int, int]],
+        left_ids: Sequence[int],
+        right_ids: Sequence[int],
         operators: Sequence[JoinOperator],
         arena: Optional[PlanArena] = None,
     ) -> List[int]:
-        """Cost and intern a block of join combinations; returns their ids.
+        """Cost and intern every operator's join of a block of pairs; returns
+        their ids.
 
-        ``triples`` is a sequence of ``(left_id, right_id, operator_index)``
-        whose operands all join ``left_tables`` with ``right_tables`` (one
-        split of one table subset); ``operator_index`` points into
-        ``operators``.  Because the estimator inputs are constant per split,
-        the local operator cost is computed once per operator, and the child
-        cost rows of the whole block are gathered and aggregated with one
-        kernel call per (operator, metric) -- this is where the arena path
-        beats per-plan costing.  Ids are assigned in ``triples`` order, which
-        is exactly the order the scalar path would have created the plans in.
+        ``left_ids`` / ``right_ids`` are two equally long id columns: pair
+        ``i`` joins plan ``left_ids[i]`` of ``left_tables`` with plan
+        ``right_ids[i]`` of ``right_tables`` (one split of one table subset),
+        and each pair is joined with every one of ``operators``.  Because the
+        estimator inputs are constant per split, the local operator cost is
+        computed once per operator; each side's child cost rows are gathered
+        once for the whole block and aggregated with one kernel call per
+        (operator, metric) -- this is where the arena path beats per-plan
+        costing.  Ids are assigned pair-major, operator-minor, which is
+        exactly the order the scalar path would have created the plans in.
         """
-        if not triples:
+        if not left_ids or not operators:
             return []
         with obs_trace.span(
             "factory.cost_block",
-            block_size=len(triples),
+            block_size=len(left_ids) * len(operators),
             backend=kernel.backend_name(),
         ):
             return self._combine_block_traced(
-                left_tables, right_tables, triples, operators, arena
+                left_tables, right_tables, left_ids, right_ids, operators, arena
             )
 
     def _combine_block_traced(
         self,
         left_tables: FrozenSet[str],
         right_tables: FrozenSet[str],
-        triples: Sequence[Tuple[int, int, int]],
+        left_ids: Sequence[int],
+        right_ids: Sequence[int],
         operators: Sequence[JoinOperator],
         arena: Optional[PlanArena] = None,
     ) -> List[int]:
@@ -251,32 +257,24 @@ class PlanFactory:
             raise ValueError(
                 f"join operands overlap on tables {sorted(overlap)}"
             )
+        if len(left_ids) != len(right_ids):
+            raise ValueError(
+                f"{len(left_ids)} left ids but {len(right_ids)} right ids"
+            )
         left_rows = self._estimator.cardinality(left_tables)
         right_rows = self._estimator.cardinality(right_tables)
         output_rows = self._estimator.join_cardinality(left_tables, right_tables)
         tables_id = target.intern_tables(left_tables | right_tables)
         order_tag = _join_order_tag(left_tables, right_tables)
-        count = len(triples)
-        dims = target.dimensions
 
         arena_columns = target.costs.columns
-
-        # Group block positions by operator (the only per-plan variation that
-        # affects the local cost), preserving the original order within each
-        # group so gathered rows line up with the triple positions.
-        positions_by_operator: Dict[int, List[int]] = {}
-        for position, (_, _, operator_index) in enumerate(triples):
-            positions_by_operator.setdefault(operator_index, []).append(position)
-
-        operator_ids = [0] * count
-        order_ids = [0] * count
-        cost_columns: List[Sequence[float]] = [None] * dims  # type: ignore[list-item]
-        single_group = len(positions_by_operator) == 1
-        if not single_group:
-            cost_columns = [[0.0] * count for _ in range(dims)]
-
-        for operator_index, positions in positions_by_operator.items():
-            operator = operators[operator_index]
+        left_columns = kernel.ops.take(arena_columns, [i - 1 for i in left_ids])
+        right_columns = kernel.ops.take(arena_columns, [i - 1 for i in right_ids])
+        operator_ids: List[int] = []
+        order_ids: List[int] = []
+        # Per operator: one combined cost column per metric.
+        combined: List[List[Sequence[float]]] = []
+        for operator in operators:
             local = self._cost_model.join_local_cost(
                 left_rows=left_rows,
                 right_rows=right_rows,
@@ -284,38 +282,37 @@ class PlanFactory:
                 algorithm=operator.algorithm,
                 parallelism=operator.parallelism,
             )
-            operator_arena_id = target.intern_operator(operator)
-            order_id = (
+            operator_ids.append(target.intern_operator(operator))
+            order_ids.append(
                 target.intern_order(order_tag) if operator.produces_order else 0
             )
-            left_slots = [triples[p][0] - 1 for p in positions]
-            right_slots = [triples[p][1] - 1 for p in positions]
-            left_columns = kernel.ops.take(arena_columns, left_slots)
-            right_columns = kernel.ops.take(arena_columns, right_slots)
-            combined = self._cost_model.combine_block(
-                left_columns, right_columns, local
+            combined.append(
+                self._cost_model.combine_block(left_columns, right_columns, local)
             )
-            if single_group:
-                cost_columns = combined
-            else:
-                for dim in range(dims):
-                    dest = cost_columns[dim]
-                    src = combined[dim]
-                    for offset, position in enumerate(positions):
-                        dest[position] = src[offset]
-            for position in positions:
-                operator_ids[position] = operator_arena_id
-                order_ids[position] = order_id
-
+        per_pair = len(operators)
+        if per_pair == 1:
+            cost_columns = combined[0]
+        else:
+            cost_columns = [
+                kernel.ops.interleave([columns[dim] for columns in combined])
+                for dim in range(target.dimensions)
+            ]
+        count = len(left_ids) * per_pair
         self.counters.join_plans_built += count
         return target.extend_joins(
-            left_ids=[t[0] for t in triples],
-            right_ids=[t[1] for t in triples],
-            operator_ids=operator_ids,
+            left_ids=repeat_each(left_ids, per_pair),
+            right_ids=repeat_each(right_ids, per_pair),
+            operator_ids=operator_ids * len(left_ids),
             tables_ids=[tables_id] * count,
-            order_ids=order_ids,
+            order_ids=order_ids * len(left_ids),
             cost_columns=cost_columns,
         )
+
+
+def repeat_each(ids: Sequence[int], times: int) -> List[int]:
+    """``ids`` with each id repeated ``times`` times in place: the id column of
+    a pair-major block (``[1, 2]`` twice each is ``[1, 1, 2, 2]``)."""
+    return list(chain.from_iterable(zip(*([ids] * times))))
 
 
 def _join_order_tag(

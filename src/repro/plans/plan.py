@@ -22,7 +22,7 @@ per-dimensionality default arena.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional
 
 from repro.costs.vector import CostVector
 from repro.plans.operators import JoinOperator, ScanOperator
@@ -214,18 +214,3 @@ class JoinPlan(Plan):
     def render(self) -> str:
         return f"({self.left.render()} {self.operator.label} {self.right.render()})"
 
-
-def plan_signature(
-    left: Plan, right: Plan, operator: JoinOperator
-) -> Tuple[int, int, str, int]:
-    """The freshness signature of a sub-plan combination.
-
-    ``IsFresh`` (Algorithm 3) must evaluate to true exactly once per sub-plan
-    pair and join operator; the signature is the hash-table key used for that
-    check.  The operand order is canonicalized by plan id so that the pair
-    ``(p1, p2)`` and ``(p2, p1)`` map to the same signature.  The optimizer's
-    hot path uses the equivalent integer-triple form of
-    :meth:`repro.core.fresh.FreshnessRegistry.register_ids`.
-    """
-    first, second = (left, right) if left.plan_id <= right.plan_id else (right, left)
-    return (first.plan_id, second.plan_id, operator.algorithm, operator.parallelism)

@@ -13,6 +13,8 @@ import pytest
 
 from repro.api import Budget, OptimizeRequest, open_session
 from repro.api.schema import FINISH_INVOCATION_CAP
+from repro.core.control import ChangeBounds
+from repro.costs.vector import CostVector
 
 TINY = dict(levels=3, scale="tiny")
 
@@ -62,3 +64,36 @@ def test_resuming_the_copy_leaves_the_original_parked():
     assert clone.driver.factory.arena.stats().plans_total > before.plans_total
     assert session.resumable
     assert session.driver.factory.arena.stats() == before
+
+
+def test_a_steered_copy_continues_bit_identical():
+    """The invocation history that decides ``IsFresh`` travels with the
+    session: a copy taken after a full-mode invocation steers on exactly
+    like the original."""
+    request = OptimizeRequest(workload="gen:clique:4:2", levels=3, scale="smoke")
+    session = open_session(request)
+    session.step()
+    update = session.step()
+    index = 0
+    median = sorted(plan.cost[index] for plan in update.plans)[len(update.plans) // 2]
+    tightened = list(session.bounds)
+    tightened[index] = median
+    session.step(ChangeBounds(CostVector(tightened)))
+    session.step()  # the tighter bounds at resolution 0 run in Δ-mode
+    # Refining them runs in full mode, which builds the plans' box masks.
+    history = session.driver.optimizer._coverage
+    assert not history.delta_mode_allowed(session.bounds, session.resolution)
+    session.advance()
+    assert history._masks
+    clone = pickle.loads(pickle.dumps(session))
+    relaxed = ChangeBounds(CostVector.infinite(len(tightened)))
+    for copy in (session, clone):
+        copy.apply(relaxed)
+        while not copy.finished:
+            copy.step()
+    original, copied = session.driver.factory.arena, clone.driver.factory.arena
+    assert copied.stats() == original.stats()
+    assert [copied.cost_row(i) for i in range(1, len(copied) + 1)] == [
+        original.cost_row(i) for i in range(1, len(original) + 1)
+    ]
+    assert _frontier_costs(clone.result()) == _frontier_costs(session.result())

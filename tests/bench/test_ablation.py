@@ -19,6 +19,7 @@ from repro.bench.ablation import (
     FeatureRegistry,
     SPEC,
     _backend_for,
+    _scale_name,
     ablated_feature,
     ablation_json_payload,
     check_gate,
@@ -26,7 +27,7 @@ from repro.bench.ablation import (
     digest_of,
     write_ablation_json,
 )
-from repro.bench.config import tiny_config
+from repro.bench.config import CONFIG_PRESETS, smoke_config, tiny_config
 from repro.bench.registry import get_spec, registered_names
 from repro.service import PlanningService
 
@@ -197,6 +198,20 @@ class TestFlags:
     def test_garbage_environment_value_raises(self):
         with pytest.raises(ValueError, match="cannot parse"):
             flags._parse("delta_sets", "maybe")
+
+
+class TestScaleName:
+    """The service rows resolve their requests by the configuration's
+    preset name, so a configuration must be a preset."""
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_PRESETS))
+    def test_presets_map_to_their_names(self, name):
+        assert _scale_name(CONFIG_PRESETS[name]()) == name
+
+    def test_customised_configuration_is_refused(self):
+        customised = smoke_config().with_overrides(metric_count_settings=(2,))
+        with pytest.raises(ValueError, match="configuration 'smoke' is not a preset"):
+            _scale_name(customised)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ def test_conflicting_registration_raises():
     assert register(spec) is spec  # re-registering the same object is fine
     impostor = ExperimentSpec(
         name="figure3",
-        description="",
         run=lambda config: ExperimentResult(name="figure3", description=""),
     )
     with pytest.raises(ValueError, match="already registered"):

@@ -10,7 +10,6 @@ from repro.bench.runner import (
     AlgorithmName,
     build_factory,
     build_schedule,
-    run_all_algorithms,
     run_series,
 )
 from repro.workloads.tpch import tpch_queries
@@ -76,10 +75,6 @@ class TestRunSeries:
         )
         assert series.maximum_seconds == max(series.durations_seconds)
         assert series.total_seconds == pytest.approx(sum(series.durations_seconds))
-
-    def test_run_all_algorithms_covers_every_algorithm(self, tiny_config, two_table_block):
-        all_series = run_all_algorithms(two_table_block, tiny_config, 2, MODERATE_PRECISION)
-        assert set(all_series) == set(AlgorithmName)
 
     def test_algorithm_labels_are_human_readable(self):
         assert AlgorithmName.INCREMENTAL_ANYTIME.label == "Incremental anytime"

@@ -15,6 +15,7 @@ from repro.catalog.statistics import StatisticsCatalog
 from repro.core.resolution import ResolutionSchedule
 from repro.costs.metrics import cloud_metric_set, paper_metric_set
 from repro.costs.model import CostModelConfig, MultiObjectiveCostModel
+from repro.plans.arena import KIND_JOIN
 from repro.plans.factory import PlanFactory
 from repro.plans.operators import OperatorRegistry
 from repro.plans.query import Query
@@ -93,6 +94,24 @@ def build_factory(
 def insert_plan(index, plan, resolution):
     """Register a plan handle in a plan index by its arena id."""
     index.insert_id(plan.plan_id, resolution, plan.arena)
+
+
+def arena_joins(arena):
+    """``(left id, right id, operator)`` of every join plan in the arena, in
+    id order."""
+    return [
+        (arena.left_of(plan_id), arena.right_of(plan_id), arena.operator_of(plan_id))
+        for plan_id in range(1, len(arena) + 1)
+        if arena.kind_of(plan_id) == KIND_JOIN
+    ]
+
+
+def assert_each_join_built_once(factory):
+    """Lemma 6: the factory built exactly the arena's joins, and no
+    ``(left, right, operator)`` combination twice."""
+    joins = arena_joins(factory.arena)
+    assert factory.counters.join_plans_built == len(joins)
+    assert len(set(joins)) == len(joins)
 
 
 def entries_by_level(index):

@@ -12,7 +12,11 @@ from repro.core.optimizer import IncrementalOptimizer
 from repro.core.resolution import ResolutionSchedule
 from repro.costs.pareto import approximation_error
 from repro.costs.vector import CostVector
-from tests.conftest import build_chain_query, build_factory
+from tests.conftest import (
+    assert_each_join_built_once,
+    build_chain_query,
+    build_factory,
+)
 
 
 @pytest.fixture
@@ -92,8 +96,7 @@ class TestIncrementalInvariants:
         optimizer, factory = make_optimizer()
         for resolution in range(3):
             optimizer.optimize(unbounded(factory), resolution)
-        counters = optimizer.state.freshness.counters
-        assert factory.counters.join_plans_built == counters.fresh_combinations
+        assert_each_join_built_once(factory)
 
     def test_repeating_the_same_invocation_does_no_generation_work(self):
         optimizer, factory = make_optimizer()
@@ -114,8 +117,7 @@ class TestIncrementalInvariants:
         # plans of the first invocation (the factory counters only grow by the
         # fresh combinations).
         assert second >= first
-        fresh = optimizer.state.freshness.counters.fresh_combinations
-        assert factory.counters.join_plans_built == fresh
+        assert_each_join_built_once(factory)
 
     def test_candidate_retrievals_bounded_by_levels(self):
         """Lemma 7: each plan is retrieved at most r_M + 1 times."""

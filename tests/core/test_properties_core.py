@@ -24,6 +24,7 @@ from repro.costs.pareto import approximation_error
 from repro.plans.factory import PlanFactory
 from repro.plans.operators import OperatorRegistry
 from repro.workloads.generator import SyntheticWorkloadGenerator, Topology
+from tests.conftest import assert_each_join_built_once
 
 
 def make_factory(generated):
@@ -104,8 +105,7 @@ class TestIncrementalInvariants:
         factory = make_factory(generated)
         loop = planner_registry().open("iama", query, factory, schedule)
         loop.run()
-        freshness = loop.driver.optimizer.state.freshness.counters
-        assert factory.counters.join_plans_built == freshness.fresh_combinations
+        assert_each_join_built_once(factory)
         # Scan plans are seeded exactly once.
         rows = {t: factory.estimator.base_cardinality(t) for t in query.tables}
         expected_scans = sum(

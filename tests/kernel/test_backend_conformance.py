@@ -382,6 +382,24 @@ class TestCutoffBoundaries:
                 ], (len(columns), len(rows))
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("width", (1, 2, 4))
+    def test_interleave(self, backend, width):
+        with kernel.use_backend(backend):
+            for size in CUTOFF_SIZES:
+                columns = [
+                    make_column(size, 20 + j, with_inf=True) for j in range(width)
+                ]
+                expected = array(
+                    "d", (columns[j][i] for i in range(size) for j in range(width))
+                ).tobytes()
+                # Array columns, and the plain lists an aggregation without a
+                # kernel spec produces.
+                for given in (columns, [list(col) for col in columns]):
+                    merged = kernel.ops.interleave(given)
+                    assert isinstance(merged, array), (width, size)
+                    assert merged.tobytes() == expected, (width, size)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_combine_columns(self, backend):
         with kernel.use_backend(backend):
             for size in CUTOFF_SIZES:

@@ -328,25 +328,24 @@ class TestCombineBlockEquivalence:
         left_ids = factory.scan_block(tables[0])
         right_ids = factory.scan_block(tables[1])
         operators = factory.join_operators()
-        triples = [
-            (left_id, right_id, k)
-            for left_id in left_ids
-            for right_id in right_ids
-            for k in range(len(operators))
+        pairs = [
+            (left_id, right_id) for left_id in left_ids for right_id in right_ids
         ]
         with kernel.use_backend(backend):
             block_ids = factory.combine_block(
                 arena.tables_of(left_ids[0]),
                 arena.tables_of(right_ids[0]),
-                triples,
+                [left_id for left_id, _ in pairs],
+                [right_id for _, right_id in pairs],
                 operators,
             )
+            # Pair-major, operator-minor.
             scalar_plans = [
-                factory.join_plan(
-                    arena.plan(left_id), arena.plan(right_id), operators[k]
-                )
-                for left_id, right_id, k in triples
+                factory.join_plan(arena.plan(left_id), arena.plan(right_id), operator)
+                for left_id, right_id in pairs
+                for operator in operators
             ]
+        assert len(block_ids) == len(scalar_plans) == len(pairs) * len(operators)
         for block_id, scalar in zip(block_ids, scalar_plans):
             assert arena.cost_row(block_id) == tuple(scalar.cost)
             assert arena.order_of(block_id) == scalar.interesting_order
@@ -366,14 +365,15 @@ class TestCombineBlockEquivalence:
             factory.combine_block(
                 arena.tables_of(ids[0]),
                 arena.tables_of(ids[0]),
-                [(ids[0], ids[0], 0)],
+                [ids[0]],
+                [ids[0]],
                 factory.join_operators(),
             )
 
     def test_combine_block_empty(self, factory):
         assert (
             factory.combine_block(
-                frozenset({"a"}), frozenset({"b"}), [], factory.join_operators()
+                frozenset({"a"}), frozenset({"b"}), [], [], factory.join_operators()
             )
             == []
         )

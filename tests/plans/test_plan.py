@@ -4,7 +4,7 @@ import pytest
 
 from repro.costs.vector import CostVector
 from repro.plans.operators import JoinOperator, ScanOperator
-from repro.plans.plan import JoinPlan, Plan, ScanPlan, plan_signature
+from repro.plans.plan import JoinPlan, Plan, ScanPlan
 
 
 def scan(table, cost=(1.0, 1.0)):
@@ -69,30 +69,6 @@ class TestJoinPlan:
 
     def test_table_count(self):
         assert join(scan("a"), scan("b")).table_count == 2
-
-
-class TestPlanSignature:
-    def test_signature_is_symmetric_in_operands(self):
-        a, b = scan("a"), scan("b")
-        operator = JoinOperator("hash_join")
-        assert plan_signature(a, b, operator) == plan_signature(b, a, operator)
-
-    def test_signature_distinguishes_operators(self):
-        a, b = scan("a"), scan("b")
-        assert plan_signature(a, b, JoinOperator("hash_join")) != plan_signature(
-            a, b, JoinOperator("nested_loop_join")
-        )
-
-    def test_signature_distinguishes_parallelism(self):
-        a, b = scan("a"), scan("b")
-        assert plan_signature(a, b, JoinOperator("hash_join", 1)) != plan_signature(
-            a, b, JoinOperator("hash_join", 2)
-        )
-
-    def test_signature_distinguishes_operands(self):
-        a, b, c = scan("a"), scan("b"), scan("c")
-        operator = JoinOperator("hash_join")
-        assert plan_signature(a, b, operator) != plan_signature(a, c, operator)
 
 
 class TestPlanValidation:
