@@ -12,7 +12,7 @@ would ask:
 * How much faster can the query get if 5% / 25% precision loss is acceptable?
 * How do those answers change when only a single core may be reserved?
 
-It also contrasts IAMA's frontier against the registry's ``single_objective``
+It also contrasts IAMA's frontier against the ``single_objective``
 planner, which can only produce one point of the tradeoff space.
 
 Run with:  python examples/approximate_query_processing.py
@@ -85,7 +85,7 @@ def main() -> None:
         print(f"    {best.render}")
 
     # Classical single-objective optimization sees only one point; it is just
-    # another planner in the registry.
+    # another planner in ``PLANNERS``.
     single = open_session(
         request.with_overrides(algorithm="single_objective", objective="execution_time")
     ).run()

@@ -3,7 +3,7 @@
 
 One :class:`repro.api.OptimizeRequest` names everything an optimization needs
 -- a workload spec (``tpch:q03`` or ``gen:star:6:42``), an algorithm from the
-planner registry (``iama``, ``memoryless``, ``oneshot``, ``exhaustive``,
+planner table (``exhaustive``, ``iama``, ``memoryless``, ``oneshot``,
 ``single_objective``), the anytime configuration (resolution levels and
 precision), and an optional budget.  ``open_session`` returns a session that
 streams one typed ``FrontierUpdate`` per optimizer invocation -- the
@@ -27,7 +27,7 @@ def main() -> None:
 
     # 2. Open a session.  The workload spec is resolved, the plan factory and
     #    resolution schedule are built, and the algorithm is looked up in the
-    #    planner registry.
+    #    planner table ``PLANNERS``.
     session = open_session(request)
     query = session.query
     schedule = session.driver.schedule

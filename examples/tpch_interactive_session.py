@@ -4,7 +4,7 @@
 This example reproduces, at example scale, the core experimental comparison of
 Section 6 -- the incremental anytime algorithm (IAMA) against the memoryless
 and one-shot baselines -- but drives every algorithm through the *same*
-planner-registry session API, which is the point: one surface, five
+planner session API, which is the point: one surface, five
 algorithms.  It reports
 
 * the time of every optimizer invocation in a resolution sweep,

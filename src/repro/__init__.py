@@ -67,8 +67,6 @@ from repro.core import (
 )
 from repro.baselines import (
     ExhaustiveParetoOptimizer,
-    MemorylessAnytimeOptimizer,
-    OneShotOptimizer,
     SingleObjectiveOptimizer,
 )
 from repro.interactive import (
@@ -80,15 +78,14 @@ from repro.interactive import (
     weighted_sum_chooser,
 )
 from repro.api import (
+    PLANNERS,
     Budget,
     FrontierUpdate,
     OptimizationResult,
     OptimizeRequest,
-    PlannerRegistry,
     PlannerSession,
+    open_planner,
     open_session,
-    planner_registry,
-    register_planner,
 )
 
 __version__ = "1.1.0"
@@ -135,8 +132,6 @@ __all__ = [
     "SelectPlan",
     # baselines
     "ExhaustiveParetoOptimizer",
-    "MemorylessAnytimeOptimizer",
-    "OneShotOptimizer",
     "SingleObjectiveOptimizer",
     # interactive
     "InteractiveSession",
@@ -150,9 +145,8 @@ __all__ = [
     "Budget",
     "open_session",
     "PlannerSession",
-    "PlannerRegistry",
-    "planner_registry",
-    "register_planner",
+    "PLANNERS",
+    "open_planner",
     "FrontierUpdate",
     "OptimizationResult",
     "__version__",

@@ -11,9 +11,9 @@ and exhaustive multi-objective optimization.  This package is that interface:
   typed :class:`FrontierUpdate` events with user-steering hooks,
 * :class:`OptimizationResult` — the uniform, versioned, JSON-serializable
   final payload (:mod:`repro.api.schema`),
-* :func:`planner_registry` / :func:`register_planner` — string-named,
-  plugin-registrable algorithms (``iama``, ``memoryless``, ``oneshot``,
-  ``exhaustive``, ``single_objective``).
+* :data:`PLANNERS` — the one table of planners by name (``exhaustive``,
+  ``iama``, ``memoryless``, ``oneshot``, ``single_objective``);
+  :func:`open_planner` opens a session of one of them on live objects.
 
 Quickstart::
 
@@ -27,6 +27,7 @@ Quickstart::
 """
 
 from repro.api.planners import (
+    PLANNERS,
     DriverStep,
     ExhaustiveDriver,
     IamaDriver,
@@ -34,12 +35,6 @@ from repro.api.planners import (
     OneShotDriver,
     PlannerDriver,
     SingleObjectiveDriver,
-)
-from repro.api.registry import (
-    PlannerInfo,
-    PlannerRegistry,
-    planner_registry,
-    register_planner,
 )
 from repro.api.request import (
     Budget,
@@ -62,7 +57,7 @@ from repro.api.schema import (
     cost_to_jsonable,
     frontier_summaries,
 )
-from repro.api.session import PlannerSession, open_session
+from repro.api.session import PlannerSession, open_planner, open_session
 
 __all__ = [
     # request surface
@@ -74,15 +69,12 @@ __all__ = [
     "resolve_workload",
     "parse_generated_spec",
     "metric_set_from_names",
-    # registry
-    "PlannerRegistry",
-    "PlannerInfo",
-    "planner_registry",
-    "register_planner",
     # session
     "PlannerSession",
     "open_session",
+    "open_planner",
     # drivers
+    "PLANNERS",
     "PlannerDriver",
     "DriverStep",
     "IamaDriver",

@@ -1,14 +1,17 @@
-"""Planner drivers: the five optimizers behind one invocation interface.
+"""The planner table: five drivers behind one invocation interface.
 
 A *driver* adapts one optimization algorithm to the session loop of
 :mod:`repro.api.session`: the session owns the Algorithm-1 state (bounds,
 resolution, iteration) and calls ``invoke(bounds, resolution)``; the driver
-runs one invocation of its algorithm and reports what happened.  Drivers wrap
-the existing optimizer classes unchanged — ``IncrementalOptimizer``,
-``MemorylessAnytimeOptimizer``, ``OneShotOptimizer``,
-``ExhaustiveParetoOptimizer``, ``SingleObjectiveOptimizer`` — so the registry
-path and the legacy entry points execute the same code and produce
-bit-identical frontiers (asserted by the differential test suite).
+runs one invocation of its algorithm and reports what happened.
+:data:`PLANNERS` maps each of the five planner names to its driver class, and
+``repro-moqo planners`` lists them with their summaries.
+
+Section 6.1 defines both baselines as one approximation scheme run at
+different precision factors, so ``memoryless``, ``oneshot`` and
+``exhaustive`` are one driver over
+:class:`~repro.baselines.common.ApproximateParetoDP` that differ only in
+``refines``, the α of an invocation and the default of ``keep_dominated``.
 
 ``refines`` distinguishes the anytime algorithms (IAMA, memoryless), whose
 sessions climb the resolution ladder, from the single-invocation algorithms,
@@ -18,14 +21,13 @@ whose sessions finish after one invocation unless the user changes bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Type
 
-from repro.baselines.exhaustive import ExhaustiveParetoOptimizer
-from repro.baselines.memoryless import MemorylessAnytimeOptimizer
-from repro.baselines.oneshot import OneShotOptimizer
+from repro.baselines.common import ApproximateParetoDP
 from repro.baselines.single_objective import SingleObjectiveOptimizer
 from repro.core.optimizer import IncrementalOptimizer
 from repro.core.resolution import ResolutionSchedule
+from repro.costs.dominance import within_bounds
 from repro.costs.vector import CostVector
 from repro.plans.factory import PlanFactory
 from repro.plans.plan import Plan
@@ -43,10 +45,12 @@ class DriverStep:
 
 
 class PlannerDriver:
-    """Base class for planner drivers (one per registered algorithm)."""
+    """Base class for planner drivers (one per entry of :data:`PLANNERS`)."""
 
-    #: Registered algorithm name; set by subclasses.
+    #: Planner name; set by subclasses.
     name: str = ""
+    #: One-line description listed by ``repro-moqo planners``.
+    summary: str = ""
     #: Whether repeated invocations refine the result (anytime behaviour).
     refines: bool = False
 
@@ -83,6 +87,7 @@ class IamaDriver(PlannerDriver):
     """The paper's incremental anytime algorithm (Algorithm 2 per invocation)."""
 
     name = "iama"
+    summary = "Incremental anytime multi-objective optimizer (the paper's IAMA)."
     refines = True
 
     def __init__(self, query, factory, schedule, **optimizer_options):
@@ -107,88 +112,79 @@ class IamaDriver(PlannerDriver):
         )
 
 
-class MemorylessDriver(PlannerDriver):
-    """The memoryless anytime baseline (from-scratch DP per invocation)."""
+class ParetoDPDriver(PlannerDriver):
+    """From-scratch approximate Pareto DP, one run per invocation.
 
-    name = "memoryless"
-    refines = True
+    Subclasses fix the precision factor of an invocation (:meth:`alpha`) and
+    the default of ``keep_dominated``; nothing is carried over between
+    invocations.
+    """
 
-    def __init__(self, query, factory, schedule, **dp_options):
+    keep_dominated: bool = True
+
+    def __init__(self, query, factory, schedule, keep_dominated=None, **dp_options):
         super().__init__(query, factory, schedule)
-        self._optimizer = MemorylessAnytimeOptimizer(
-            query, factory, schedule, **dp_options
+        if keep_dominated is None:
+            keep_dominated = self.keep_dominated
+        self._dp = ApproximateParetoDP(
+            query, factory, keep_dominated=keep_dominated, **dp_options
         )
 
-    @property
-    def optimizer(self) -> MemorylessAnytimeOptimizer:
-        return self._optimizer
+    def alpha(self, resolution: int) -> float:
+        """The precision factor of an invocation at ``resolution``."""
+        raise NotImplementedError
 
     def invoke(self, bounds: CostVector, resolution: int) -> DriverStep:
-        report = self._optimizer.step(bounds=bounds, resolution=resolution)
-        plans = self._optimizer.frontier()
+        report = self._dp.run(bounds, self.alpha(resolution))
         return DriverStep(
             alpha=report.alpha,
             duration_seconds=report.duration_seconds,
-            plans=plans,
+            plans=self._dp.frontier(),
             native=report,
         )
 
 
-class OneShotDriver(PlannerDriver):
+class MemorylessDriver(ParetoDPDriver):
+    """The memoryless baseline: a from-scratch DP at every level's α_r."""
+
+    name = "memoryless"
+    summary = "Anytime baseline that re-optimizes from scratch at every level."
+    refines = True
+
+    def alpha(self, resolution: int) -> float:
+        return self.schedule.alpha(resolution)
+
+
+class OneShotDriver(ParetoDPDriver):
     """The one-shot baseline: a single invocation at the target precision."""
 
     name = "oneshot"
-    refines = False
+    summary = "Single from-scratch invocation at the target precision."
 
-    def __init__(self, query, factory, schedule, **dp_options):
-        super().__init__(query, factory, schedule)
-        self._optimizer = OneShotOptimizer(query, factory, schedule, **dp_options)
-
-    @property
-    def optimizer(self) -> OneShotOptimizer:
-        return self._optimizer
-
-    def invoke(self, bounds: CostVector, resolution: int) -> DriverStep:
-        report = self._optimizer.optimize(bounds)
-        plans = self._optimizer.frontier()
-        return DriverStep(
-            alpha=report.alpha,
-            duration_seconds=report.duration_seconds,
-            plans=plans,
-            native=report,
-        )
+    def alpha(self, resolution: int) -> float:
+        return self.schedule.target_precision
 
 
-class ExhaustiveDriver(PlannerDriver):
+class ExhaustiveDriver(ParetoDPDriver):
     """Exact Pareto DP (precision factor 1); ground truth, no approximation."""
 
     name = "exhaustive"
-    refines = False
+    summary = "Exact Pareto dynamic programming (no approximation)."
+    keep_dominated = False
 
-    def __init__(self, query, factory, schedule, **dp_options):
-        super().__init__(query, factory, schedule)
-        self._optimizer = ExhaustiveParetoOptimizer(query, factory, **dp_options)
-
-    @property
-    def optimizer(self) -> ExhaustiveParetoOptimizer:
-        return self._optimizer
-
-    def invoke(self, bounds: CostVector, resolution: int) -> DriverStep:
-        report = self._optimizer.optimize(bounds)
-        plans = self._optimizer.frontier()
-        return DriverStep(
-            alpha=1.0,
-            duration_seconds=report.duration_seconds,
-            plans=plans,
-            native=report,
-        )
+    def alpha(self, resolution: int) -> float:
+        return 1.0
 
 
 class SingleObjectiveDriver(PlannerDriver):
-    """Classical single-objective DP; its frontier is a single plan."""
+    """Classical single-objective DP.
+
+    Its frontier is the one cheapest plan, or nothing when that plan exceeds
+    the session's bounds.
+    """
 
     name = "single_objective"
-    refines = False
+    summary = "Classical single-metric DP (one point of the tradeoff space)."
 
     def __init__(
         self,
@@ -214,6 +210,29 @@ class SingleObjectiveDriver(PlannerDriver):
         return DriverStep(
             alpha=1.0,
             duration_seconds=report.duration_seconds,
-            plans=[plan],
+            plans=[plan] if within_bounds(plan.cost, bounds) else [],
             native=report,
         )
+
+
+#: Every planner, by name.
+PLANNERS: Dict[str, Type[PlannerDriver]] = {
+    driver.name: driver
+    for driver in (
+        ExhaustiveDriver,
+        IamaDriver,
+        MemorylessDriver,
+        OneShotDriver,
+        SingleObjectiveDriver,
+    )
+}
+
+
+def planner(name: str) -> Type[PlannerDriver]:
+    """The driver class of planner ``name``; ``KeyError`` lists the planners."""
+    try:
+        return PLANNERS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown planner {name!r}; planners: {', '.join(PLANNERS)}"
+        ) from None

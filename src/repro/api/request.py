@@ -197,7 +197,7 @@ class OptimizeRequest:
     workload:
         Workload spec string (see module docstring).
     algorithm:
-        Registered planner name (see :mod:`repro.api.registry`).
+        Planner name, a key of :data:`repro.api.planners.PLANNERS`.
     scale:
         Configuration preset name (``tiny``/``smoke``/``paper``); ``None``
         reads ``REPRO_BENCH_SCALE`` from the environment.
@@ -299,33 +299,20 @@ class ResolvedRequest:
     bounds: CostVector
 
 
-def resolve_request(
-    request: OptimizeRequest,
-    query: Optional[Query] = None,
-    statistics: Optional[StatisticsCatalog] = None,
-) -> ResolvedRequest:
-    """Materialize a request: resolve the workload and build factory/schedule.
-
-    ``query``/``statistics`` may be passed to bypass workload-spec resolution
-    (the bench harness hands in its own query objects); they must be supplied
-    together.
-    """
-    if (query is None) != (statistics is None):
-        raise ValueError("query and statistics must be supplied together")
+def resolve_request(request: OptimizeRequest) -> ResolvedRequest:
+    """Materialize a request: resolve the workload and build factory/schedule."""
     config = (
         CONFIG_PRESETS[request.scale]()
         if request.scale is not None
         else config_from_environment()
     )
-    if query is None:
-        workload = resolve_workload(request.workload, config)
-        query, statistics = workload.query, workload.statistics
+    workload = resolve_workload(request.workload, config)
     metric_set = (
         metric_set_from_names(request.metrics)
         if request.metrics is not None
         else config.metric_set
     )
-    estimator = CardinalityEstimator(statistics, query.join_graph)
+    estimator = CardinalityEstimator(workload.statistics, workload.query.join_graph)
     cost_model = MultiObjectiveCostModel(metric_set, config.cost_model)
     factory = PlanFactory(estimator, cost_model, config.operator_registry())
     precision = PRECISION_SETTINGS[request.precision]
@@ -347,8 +334,8 @@ def resolve_request(
     return ResolvedRequest(
         request=request,
         config=config,
-        query=query,
-        statistics=statistics,
+        query=workload.query,
+        statistics=workload.statistics,
         metric_set=metric_set,
         factory=factory,
         schedule=schedule,

@@ -1,4 +1,4 @@
-"""Planner sessions: the uniform anytime loop over every registered algorithm.
+"""Planner sessions: the uniform anytime loop over every planner.
 
 A :class:`PlannerSession` is the paper's Algorithm 1 lifted into an API: it
 owns the interaction state (cost bounds, resolution level, iteration count),
@@ -19,7 +19,9 @@ what they see, exactly like the interactive interface of Figure 1::
     result = session.result()               # uniform, JSON-serializable
 
 ``step(action)`` bundles both phases for scripted drivers; ``run()`` drains
-the session to completion.
+the session to completion.  :func:`open_planner` opens a session of any
+planner in :data:`~repro.api.planners.PLANNERS` on live objects (query, plan
+factory, resolution schedule) instead of a request.
 """
 
 from __future__ import annotations
@@ -27,8 +29,13 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.api.planners import PlannerDriver
-from repro.api.request import Budget, OptimizeRequest, resolve_request
+from repro.api.planners import PlannerDriver, SingleObjectiveDriver, planner
+from repro.api.request import (
+    Budget,
+    OptimizeRequest,
+    ResolvedRequest,
+    resolve_request,
+)
 from repro.api.schema import (
     FINISH_DEADLINE,
     FINISH_EXHAUSTED,
@@ -44,8 +51,9 @@ from repro.api.schema import (
 )
 from repro.core.control import ChangeBounds, Continue, SelectPlan, UserAction
 from repro.obs import trace as obs_trace
-from repro.costs.metrics import MetricSet
+from repro.core.resolution import ResolutionSchedule
 from repro.costs.vector import CostVector
+from repro.plans.factory import PlanFactory
 from repro.plans.plan import Plan
 from repro.plans.query import Query
 
@@ -72,12 +80,8 @@ class PlannerSession:
     Parameters
     ----------
     driver:
-        The planner driver executing invocations.
-    algorithm:
-        The registered name the session was opened under (drivers may be
-        registered under aliases; results report the requested name).
-    metric_set:
-        Metric set fixing the dimensionality of bounds and cost vectors.
+        The planner driver executing invocations; its name and its factory's
+        metric set are the session's.
     bounds:
         Initial cost bounds; ``None`` means unbounded.
     budget:
@@ -94,15 +98,12 @@ class PlannerSession:
     def __init__(
         self,
         driver: PlannerDriver,
-        algorithm: Optional[str] = None,
-        metric_set: Optional[MetricSet] = None,
         bounds: Optional[CostVector] = None,
         budget: Optional[Budget] = None,
         continuous: bool = False,
     ):
         self._driver = driver
-        self._algorithm = algorithm or driver.name
-        self._metric_set = metric_set or driver.factory.metric_set
+        self._metric_set = driver.factory.metric_set
         self._schedule = driver.schedule
         self._bounds = (
             bounds if bounds is not None else self._metric_set.unbounded_vector()
@@ -124,7 +125,7 @@ class PlannerSession:
     # ------------------------------------------------------------------
     @property
     def algorithm(self) -> str:
-        return self._algorithm
+        return self._driver.name
 
     @property
     def driver(self) -> PlannerDriver:
@@ -222,7 +223,7 @@ class PlannerSession:
         )
         with obs_trace.span(
             "session.invocation",
-            algorithm=self._algorithm,
+            algorithm=self._driver.name,
             query=self._driver.query.name,
             invocation=self._iteration + 1,
             resolution=resolution,
@@ -244,7 +245,7 @@ class PlannerSession:
             frontier_size=len(step.plans),
         )
         update = FrontierUpdate(
-            algorithm=self._algorithm,
+            algorithm=self._driver.name,
             invocation=summary,
             frontier=frontier_summaries(step.plans),
             elapsed_seconds=_now() - self._started,
@@ -386,7 +387,7 @@ class PlannerSession:
         )
         invocations = tuple(update.invocation for update in self._history)
         return OptimizationResult(
-            algorithm=self._algorithm,
+            algorithm=self._driver.name,
             query_name=self._driver.query.name,
             table_count=self._driver.query.table_count,
             metric_names=tuple(self._metric_set.names),
@@ -430,22 +431,49 @@ class PlannerSession:
                 self._finish_reason = FINISH_TARGET_ALPHA
 
 
-def open_session(
-    request: OptimizeRequest,
-    registry=None,
-    query=None,
-    statistics=None,
+def open_planner(
+    name: str,
+    query: Query,
+    factory: PlanFactory,
+    schedule: ResolutionSchedule,
+    bounds: Optional[CostVector] = None,
+    budget: Optional[Budget] = None,
+    continuous: bool = False,
+    **options,
 ) -> PlannerSession:
+    """Open a session of planner ``name`` on live objects.
+
+    ``options`` go to the driver (for example ``use_delta_sets`` for
+    ``iama`` or ``keep_dominated`` for the from-scratch DP planners).  An
+    unknown name raises ``KeyError`` listing the planners.
+    """
+    driver = planner(name)(query, factory, schedule, **options)
+    return PlannerSession(
+        driver, bounds=bounds, budget=budget, continuous=continuous
+    )
+
+
+def open_resolved(resolved: ResolvedRequest) -> PlannerSession:
+    """Open a session for an already resolved request."""
+    request = resolved.request
+    options = {}
+    if request.algorithm == SingleObjectiveDriver.name:
+        options["objective"] = request.objective
+    return open_planner(
+        request.algorithm,
+        resolved.query,
+        resolved.factory,
+        resolved.schedule,
+        bounds=resolved.bounds,
+        budget=request.budget,
+        **options,
+    )
+
+
+def open_session(request: OptimizeRequest) -> PlannerSession:
     """Open a planner session for a request (the main API entry point).
 
     The workload spec is resolved, the plan factory and resolution schedule
-    are built, the algorithm is looked up in the planner registry (the default
-    registry unless ``registry`` is given), and a fresh session is returned.
-    ``query``/``statistics`` bypass workload resolution when the caller
-    already holds live objects (as the bench harness does).
+    are built, and a fresh session of the requested planner is returned.
     """
-    from repro.api.registry import planner_registry
-
-    resolved = resolve_request(request, query=query, statistics=statistics)
-    registry = registry if registry is not None else planner_registry()
-    return registry.open_resolved(resolved)
+    return open_resolved(resolve_request(request))

@@ -1,13 +1,17 @@
 """Baseline optimization algorithms.
 
 The paper compares IAMA against two baselines derived from the authors' prior
-approximation schemes (Trummer & Koch, SIGMOD 2014):
+approximation schemes (Trummer & Koch, SIGMOD 2014), both runs of
+:class:`ApproximateParetoDP` at different precision factors:
 
 * the **one-shot** algorithm produces the result plan set at the target
   precision directly, with no intermediate results (no anytime property),
 * the **memoryless** algorithm produces the same sequence of result plan sets
   as IAMA (one per resolution level) but restarts optimization from scratch in
   every invocation (no incrementality).
+
+Their drivers (``oneshot`` and ``memoryless`` in
+:data:`repro.api.planners.PLANNERS`) pick the precision factor of each run.
 
 Two further reference algorithms support testing and the examples:
 
@@ -20,16 +24,12 @@ Two further reference algorithms support testing and the examples:
 """
 
 from repro.baselines.common import ApproximateParetoDP, DPInvocationReport
-from repro.baselines.oneshot import OneShotOptimizer
-from repro.baselines.memoryless import MemorylessAnytimeOptimizer
 from repro.baselines.exhaustive import ExhaustiveParetoOptimizer
 from repro.baselines.single_objective import SingleObjectiveOptimizer
 
 __all__ = [
     "ApproximateParetoDP",
     "DPInvocationReport",
-    "OneShotOptimizer",
-    "MemorylessAnytimeOptimizer",
     "ExhaustiveParetoOptimizer",
     "SingleObjectiveOptimizer",
 ]

@@ -99,7 +99,7 @@ class ApproximateParetoDP:
         self._respect_orders = respect_orders
         self._keep_dominated = keep_dominated
         self._plan_order = plan_order(query, allow_cross_products)
-        self.last_plan_sets: Dict[TableSet, List[Plan]] = {}
+        self._frontier: List[Plan] = []
 
     # ------------------------------------------------------------------
     @property
@@ -114,9 +114,7 @@ class ApproximateParetoDP:
     def run(self, bounds: CostVector, alpha: float) -> DPInvocationReport:
         """Optimize from scratch at precision factor ``alpha`` under ``bounds``.
 
-        The per-table-set plan lists of the run are left in
-        :attr:`last_plan_sets` for inspection; :meth:`frontier` returns the
-        completed plans of the most recent run.
+        :meth:`frontier` returns the completed plans of the most recent run.
         """
         if alpha < 1.0:
             raise ValueError("the precision factor alpha must be >= 1")
@@ -167,24 +165,20 @@ class ApproximateParetoDP:
                     self._insert(target, arena, plan_id, bounds_row, alpha)
 
         duration = time.perf_counter() - started
-        plan_sets = {
-            key: arena.plans(block.live_items()) for key, block in blocks.items()
-        }
-        self.last_plan_sets = plan_sets
-        frontier = plan_sets.get(self._query.tables, [])
-        plans_kept = sum(len(plans) for plans in plan_sets.values())
+        final = blocks.get(self._query.tables)
+        self._frontier = arena.plans(final.live_items()) if final is not None else []
         return DPInvocationReport(
             alpha=alpha,
             bounds=bounds,
             duration_seconds=duration,
             plans_generated=plans_generated,
-            plans_kept=plans_kept,
-            frontier_size=len(frontier),
+            plans_kept=sum(len(block) for block in blocks.values()),
+            frontier_size=len(self._frontier),
         )
 
     def frontier(self) -> List[Plan]:
         """Completed query plans of the most recent run."""
-        return list(self.last_plan_sets.get(self._query.tables, []))
+        return list(self._frontier)
 
     # ------------------------------------------------------------------
     def _insert(

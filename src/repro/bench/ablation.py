@@ -289,7 +289,7 @@ def _series_rows(config: ExperimentConfig) -> List[Dict[str, object]]:
     dedicated sweep experiments.  Each row times the best of
     ``TIMING_REPEATS`` sessions.
     """
-    from repro.bench.runner import _planner_registry, build_factory, build_schedule
+    from repro.bench.runner import _open_planner, build_factory, build_schedule
     from repro.bench.config import MODERATE_PRECISION
     from repro.workloads.generator import generated_workload
 
@@ -313,11 +313,8 @@ def _series_rows(config: ExperimentConfig) -> List[Dict[str, object]]:
                         generated.query, config, statistics=generated.statistics
                     )
                     schedule = build_schedule(levels, MODERATE_PRECISION)
-                    session = _planner_registry().open(
-                        "iama",
-                        query=generated.query,
-                        factory=factory,
-                        schedule=schedule,
+                    session = _open_planner(
+                        "iama", generated.query, factory, schedule
                     )
                     run = session.run()
                     if result is None:

@@ -34,7 +34,7 @@ from repro.bench.runner import (
     build_schedule,
     run_series,
 )
-from repro.bench.runner import _planner_registry
+from repro.bench.runner import _open_planner
 from repro.costs.metrics import cloud_metric_set, extended_metric_set
 from repro.interactive.session import InteractiveSession
 from repro.interactive.user_models import BoundTighteningUser
@@ -223,11 +223,8 @@ def anytime_quality_experiment(
         # the process would otherwise land in the timed session's first
         # invocation.
         for _ in range(2):
-            session = _planner_registry().open(
-                algorithm.value,
-                query=query,
-                factory=build_factory(query, config),
-                schedule=schedule,
+            session = _open_planner(
+                algorithm.value, query, build_factory(query, config), schedule
             )
             results[algorithm] = session.run()
     rows: List[Dict[str, object]] = []
@@ -425,11 +422,11 @@ def ablation_freshness(
     schedule = build_schedule(levels, MODERATE_PRECISION)
     rows: List[Dict[str, object]] = []
     for delta_sets in (True, False):
-        session = _planner_registry().open(
+        session = _open_planner(
             "iama",
-            query=query,
-            factory=build_factory(query, config),
-            schedule=schedule,
+            query,
+            build_factory(query, config),
+            schedule,
             use_delta_sets=delta_sets,
         )
         result = session.run()
@@ -475,19 +472,16 @@ def ablation_result_set_growth(
     """
     query = _representative_query(config)
     schedule = build_schedule(levels, MODERATE_PRECISION)
-    registry = _planner_registry()
-    session = registry.open(
-        "iama", query=query, factory=build_factory(query, config), schedule=schedule
-    )
+    session = _open_planner("iama", query, build_factory(query, config), schedule)
     session.run()
     state = session.driver.optimizer.state
     result_plans = state.total_result_plans()
     candidate_plans = state.total_candidate_plans()
-    minimal = registry.open(
+    minimal = _open_planner(
         "oneshot",
-        query=query,
-        factory=build_factory(query, config),
-        schedule=schedule,
+        query,
+        build_factory(query, config),
+        schedule,
         keep_dominated=False,
     ).run()
     minimal_kept = minimal.invocations[-1].details["plans_kept"]

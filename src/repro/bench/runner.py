@@ -12,12 +12,12 @@ reproduces exactly that protocol for one query:
   precision.
 
 Every algorithm runs through the unified planner API
-(:mod:`repro.api`): the algorithm is looked up by name in the planner
-registry and driven by a budget-free :class:`~repro.api.session.PlannerSession`
-whose no-interaction drain is exactly the invocation-series protocol.
-:class:`AlgorithmName` survives as the bench-level enumeration of the paper's
-comparison set (its values double as registry aliases); new algorithms become
-benchmarkable by registering a planner, without touching this module.
+(:mod:`repro.api`): :func:`~repro.api.session.open_planner` opens the planner
+named by the :class:`AlgorithmName` value, and the budget-free session's
+no-interaction drain is exactly the invocation-series protocol.
+:class:`AlgorithmName` is the bench-level enumeration of the paper's
+comparison set; its values are planner names and its labels name the
+algorithms in experiment rows.
 
 Every algorithm gets its own :class:`~repro.plans.factory.PlanFactory` instance
 (same estimator construction, same operators, same cost model) so that plan
@@ -40,27 +40,23 @@ from repro.plans.query import Query
 from repro.workloads.tpch import tpch_statistics
 
 
-def _planner_registry():
-    """The default planner registry, imported lazily.
+def _open_planner(name: str, query: Query, factory, schedule, **options):
+    """:func:`repro.api.session.open_planner`, imported lazily.
 
     ``repro.api.request`` imports :mod:`repro.bench.config`, so a module-level
     import here would close an import cycle through the package __init__.
     """
-    from repro.api.registry import planner_registry
+    from repro.api.session import open_planner
 
-    return planner_registry()
+    return open_planner(name, query, factory, schedule, **options)
 
 
 class AlgorithmName(enum.Enum):
-    """The algorithms compared in the paper's evaluation.
+    """The algorithms compared in the paper's evaluation, by planner name."""
 
-    The enum values are registered as planner-registry aliases, so
-    ``planner_registry().get(algorithm.value)`` resolves every member.
-    """
-
-    INCREMENTAL_ANYTIME = "incremental_anytime"
+    INCREMENTAL_ANYTIME = "iama"
     MEMORYLESS = "memoryless"
-    ONE_SHOT = "one_shot"
+    ONE_SHOT = "oneshot"
 
     @property
     def label(self) -> str:
@@ -69,11 +65,6 @@ class AlgorithmName(enum.Enum):
             AlgorithmName.MEMORYLESS: "Memoryless",
             AlgorithmName.ONE_SHOT: "One-shot",
         }[self]
-
-    @property
-    def planner(self) -> str:
-        """Canonical planner-registry name of this algorithm."""
-        return _planner_registry().get(self.value).name
 
 
 @dataclass(frozen=True)
@@ -154,9 +145,7 @@ def run_series(
     """
     factory = build_factory(query, config, statistics=statistics)
     schedule = build_schedule(levels, precision)
-    session = _planner_registry().open(
-        algorithm.value, query=query, factory=factory, schedule=schedule
-    )
+    session = _open_planner(algorithm.value, query, factory, schedule)
     collecting = gc.isenabled()
     gc.disable()
     try:

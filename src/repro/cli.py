@@ -3,7 +3,7 @@
 The CLI exposes the most common workflows without writing Python:
 
 * ``python -m repro.cli workload``            -- list the TPC-H join blocks,
-* ``python -m repro.cli planners``            -- list the registered planners,
+* ``python -m repro.cli planners``            -- list the planners,
 * ``python -m repro.cli optimize tpch_q03``   -- run an anytime sweep on one block
   and print the frontier,
 * ``python -m repro.cli experiment figure3``  -- run one of the paper experiments
@@ -18,11 +18,11 @@ The CLI exposes the most common workflows without writing Python:
   to a running planning service and stream its frontier updates.
 
 ``optimize`` and ``compare`` run through the unified planner API
-(:mod:`repro.api`): any registered algorithm is selectable with
-``--algorithm``, workloads may be TPC-H blocks (``tpch_q03``/``q03``),
-generated specs (``gen:star:6:42``), real SQL (``sql:select ...``,
-``sql:path.sql``, ``sql:tpch/q03``) or seeded template instantiations
-(``template:ss_item_date:7``), and ``--json`` emits the versioned
+(:mod:`repro.api`): any planner of :data:`~repro.api.planners.PLANNERS` is
+selectable with ``--algorithm``, workloads may be TPC-H blocks
+(``tpch_q03``/``q03``), generated specs (``gen:star:6:42``), real SQL
+(``sql:select ...``, ``sql:path.sql``, ``sql:tpch/q03``) or seeded template
+instantiations (``template:ss_item_date:7``), and ``--json`` emits the versioned
 :class:`~repro.api.schema.OptimizationResult` payload.
 
 All commands accept ``--scale tiny|smoke|paper`` (default: the
@@ -35,9 +35,9 @@ import argparse
 import json as json_module
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.api import Budget, OptimizeRequest, open_session, planner_registry
+from repro.api import PLANNERS, Budget, OptimizeRequest, open_session
 from repro.bench.config import (
     CONFIG_PRESETS,
     ExperimentConfig,
@@ -69,12 +69,8 @@ def _resolve_config(scale: Optional[str]) -> ExperimentConfig:
     return factory()
 
 
-#: Registry name -> display label for the comparison table.
-_PLANNER_LABELS = {
-    "iama": AlgorithmName.INCREMENTAL_ANYTIME.label,
-    "memoryless": AlgorithmName.MEMORYLESS.label,
-    "oneshot": AlgorithmName.ONE_SHOT.label,
-}
+#: Planner name -> display label for the comparison table.
+_PLANNER_LABELS = {algorithm.value: algorithm.label for algorithm in AlgorithmName}
 
 
 def _open_session(args: argparse.Namespace, algorithm: str):
@@ -114,10 +110,9 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_planners(args: argparse.Namespace) -> int:
-    """List the registered planners of the unified API."""
-    registry = planner_registry()
-    for name, summary in registry.describe().items():
-        print(f"{name:>18}  {summary}")
+    """List the planners of the unified API."""
+    for name, driver in PLANNERS.items():
+        print(f"{name:>18}  {driver.summary}")
     return 0
 
 
@@ -209,33 +204,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Compare planners on one workload (default: IAMA vs the paper baselines)."""
-    registry = planner_registry()
     names = args.algorithm or [a.value for a in AlgorithmName]
-    canonical: List[str] = []
-    for name in names:
-        try:
-            resolved = registry.get(name).name
-        except KeyError as exc:
-            raise SystemExit(exc.args[0])
-        if resolved not in canonical:  # aliases of one planner run (and print) once
-            canonical.append(resolved)
-    results = {name: _open_session(args, name).run() for name in canonical}
+    # Open every session before running any, so a bad name fails fast.
+    sessions = {name: _open_session(args, name) for name in names}
+    results = {name: session.run() for name, session in sessions.items()}
     if args.json:
         print(
             json_module.dumps(
-                [results[name].to_dict() for name in canonical], indent=2
+                [result.to_dict() for result in results.values()], indent=2
             )
         )
         return 0
     precision = MODERATE_PRECISION if args.precision == "moderate" else FINE_PRECISION
-    first = results[canonical[0]]
+    first = next(iter(results.values()))
     print(
         f"{first.query_name}: {args.levels} resolution levels, "
         f"target precision {precision.target_precision}"
     )
     print(f"{'algorithm':>22} {'avg (s)':>10} {'max (s)':>10} {'plans':>8} {'frontier':>9}")
-    for name in canonical:
-        result = results[name]
+    for name, result in results.items():
         durations = result.durations_seconds or [0.0]
         label = _PLANNER_LABELS.get(name, name)
         print(
@@ -500,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload.set_defaults(handler=cmd_workload)
 
     planners = subparsers.add_parser(
-        "planners", help="list the registered planners of the unified API"
+        "planners", help="list the planners of the unified API"
     )
     planners.set_defaults(handler=cmd_planners)
 
@@ -511,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--algorithm",
         default="iama",
-        help="registered planner name (see the 'planners' command)",
+        help="planner name (see the 'planners' command)",
     )
     optimize.add_argument("--levels", type=int, default=5)
     optimize.add_argument("--precision", choices=("moderate", "fine"), default="moderate")
@@ -532,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--algorithm",
         default="iama",
-        help="registered planner name (see the 'planners' command)",
+        help="planner name (see the 'planners' command)",
     )
     trace.add_argument("--levels", type=int, default=5)
     trace.add_argument("--precision", choices=("moderate", "fine"), default="moderate")
@@ -681,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--algorithm",
         default="iama",
-        help="registered planner name (see the 'planners' command)",
+        help="planner name (see the 'planners' command)",
     )
     submit.add_argument("--levels", type=int, default=5)
     submit.add_argument(

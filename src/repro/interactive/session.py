@@ -7,8 +7,8 @@ interface refine its display while the user drags bounds around and eventually
 clicks a plan.
 
 The Algorithm-1 loop itself is :class:`repro.api.session.PlannerSession`;
-this class is a thin registry-backed consumer that opens an ``iama`` session,
-feeds each streamed :class:`~repro.api.schema.FrontierUpdate` to the user
+this class is a thin consumer that opens an ``iama`` session with
+:func:`~repro.api.session.open_planner`, feeds each streamed :class:`~repro.api.schema.FrontierUpdate` to the user
 model, steers the session with the user's reaction, and records the timeline
 of snapshots on top.
 """
@@ -65,18 +65,18 @@ class InteractiveSession:
     ):
         # Imported lazily: repro.api resolves its configuration through the
         # bench package, whose experiment definitions import this module.
-        from repro.api.registry import planner_registry
+        from repro.api.session import open_planner
 
         self._factory = factory
         self._user = user or UserModel()
         # ``continuous``: the interactive loop follows Algorithm 1 literally
         # and keeps refining at the maximal resolution until the user selects
         # a plan or the caller's iteration budget runs out.
-        self._session = planner_registry().open(
+        self._session = open_planner(
             "iama",
-            query=query,
-            factory=factory,
-            schedule=schedule,
+            query,
+            factory,
+            schedule,
             bounds=default_bounds,
             continuous=True,
             **optimizer_options,

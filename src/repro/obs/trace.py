@@ -233,10 +233,25 @@ class Tracer:
         with self._lock:
             return len(self._ring)
 
+    def _reset_in_forked_child(self) -> None:
+        """Start a forked child with a fresh lock and an empty ring.
+
+        The child inherits the lock in whatever state another parent thread
+        held it at the fork (a held lock would block the child's first
+        :meth:`drain` forever), and the parent's spans, which a shard would
+        otherwise ship back for the parent to ingest a second time.
+        """
+        self._lock = threading.Lock()
+        self._ring = deque(maxlen=self._ring.maxlen)
+        self.dropped = 0
+
 
 # -- module-level default tracer ---------------------------------------
 
 _TRACER = Tracer()
+
+if hasattr(os, "register_at_fork"):  # platforms with fork()
+    os.register_at_fork(after_in_child=_TRACER._reset_in_forked_child)
 
 
 def tracer() -> Tracer:

@@ -213,10 +213,10 @@ def canonical_workload_id(resolved: ResolvedRequest) -> str:
 def request_fingerprint(resolved: ResolvedRequest, algorithm: str) -> str:
     """Content digest over everything that determines the invocation sequence.
 
-    ``algorithm`` must be the *canonical* registry name (aliases collapse to
-    one fingerprint).  The request budget is deliberately excluded: the budget
-    decides where the deterministic sequence *stops*, not what it computes, so
-    one cache entry answers every budget of the same request.
+    ``algorithm`` is the planner name.  The request budget is deliberately
+    excluded: the budget decides where the deterministic sequence *stops*,
+    not what it computes, so one cache entry answers every budget of the same
+    request.
     """
     return content_digest(
         {
@@ -358,10 +358,7 @@ def _payload_bytes(updates: List[dict]) -> int:
 def _session_bytes(session: Optional[PlannerSession]) -> int:
     if session is None:
         return 0
-    try:
-        return session.driver.factory.arena.stats().approx_bytes
-    except Exception:  # pragma: no cover - stats are best-effort gauges
-        return 0
+    return session.driver.factory.arena.stats().approx_bytes
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,8 @@ nothing else.  Routes (all under ``/v1``):
                                        the service's metrics registry; behind
                                        a worker pool, shard families carry a
                                        ``shard`` label
-``GET  /v1/planners``                  registered planner names → summaries
+``GET  /v1/planners``                  planner names → summaries
+                                       (:data:`~repro.api.planners.PLANNERS`)
 ``GET  /v1/healthz``                   liveness (``service_health``): 200 when
                                        every worker is alive, 503 with the
                                        same payload when any shard is dead
@@ -45,6 +46,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
+from repro.api.planners import PLANNERS
 from repro.api.schema import SchemaError
 from repro.service.protocol import parse_submit
 from repro.service.jobs import UnknownTicketError
@@ -116,7 +118,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_text(200, self.service.render_metrics())
             return
         if path == f"{API_PREFIX}/planners":
-            self._send_json(200, self.service.registry.describe())
+            self._send_json(
+                200, {name: driver.summary for name, driver in PLANNERS.items()}
+            )
             return
         ticket, verb = self._job_route(path)
         if ticket is not None and verb is None:

@@ -13,6 +13,9 @@ composes
   frontiers,
 
 behind five verbs: ``submit``, ``poll``, ``stream``, ``steer``, ``cancel``.
+``submit`` rejects an ``algorithm`` outside
+:data:`~repro.api.planners.PLANNERS` with ``KeyError`` and fingerprints the
+name as given.
 
 The differential contract: for every scheduling policy and worker count, the
 frontier a request receives is bit-identical to running the same
@@ -31,8 +34,9 @@ import time
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.api.registry import PlannerRegistry, planner_registry
+from repro.api.planners import planner
 from repro.api.request import OptimizeRequest, resolve_request
+from repro.api.session import open_resolved
 from repro.core.control import UserAction
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, render_snapshot
@@ -79,8 +83,6 @@ class PlanningService(JobTable):
         or ``False`` to disable cross-request caching entirely.
     cache_bytes / cache_dir:
         Budget and optional persistence directory of the default cache.
-    registry:
-        Planner registry (defaults to the process-wide registry).
     max_retained_jobs:
         Terminal job records kept for poll/stream/result before the oldest
         are dropped (see :class:`JobTable`).
@@ -95,7 +97,6 @@ class PlanningService(JobTable):
         cache: Union[FrontierCache, None, bool] = None,
         cache_bytes: int = 64 << 20,
         cache_dir: Optional[Path] = None,
-        registry: Optional[PlannerRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
         max_retained_jobs: int = 1024,
     ):
@@ -110,7 +111,6 @@ class PlanningService(JobTable):
             )
         else:
             self._cache = cache
-        self._registry = registry if registry is not None else planner_registry()
         self._scheduler = Scheduler(
             policy=policy,
             max_sessions=max_sessions,
@@ -175,10 +175,6 @@ class PlanningService(JobTable):
     def cache(self) -> Optional[FrontierCache]:
         return self._cache
 
-    @property
-    def registry(self) -> PlannerRegistry:
-        return self._registry
-
     # ------------------------------------------------------------------
     # The five verbs
     # ------------------------------------------------------------------
@@ -216,13 +212,13 @@ class PlanningService(JobTable):
             raise ServiceError("planning service is closed")
         if self._draining:
             raise AdmissionError("planning service is draining; not admitting")
-        canonical = self._registry.get(request.algorithm).name
+        planner(request.algorithm)  # an unknown planner fails the submit
         resolved = resolve_request(request)
         key: Optional[str] = None
         decision = None
         cache_status = CACHE_MISS
         if self._cache is not None:
-            key = request_fingerprint(resolved, canonical)
+            key = request_fingerprint(resolved, request.algorithm)
             if request.budget.deadline_seconds is not None:
                 cache_status = CACHE_BYPASS
             elif use_cache:
@@ -247,7 +243,7 @@ class PlanningService(JobTable):
             job.session.resume(request.budget)
             self._replay(job, decision.entry, decision.entry.invocations)
         else:
-            job.session = self._registry.open_resolved(resolved)
+            job.session = open_resolved(resolved)
 
         self._register(job)
         try:

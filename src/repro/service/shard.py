@@ -59,7 +59,7 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.api.registry import PlannerRegistry, planner_registry
+from repro.api.planners import planner
 from repro.api.request import OptimizeRequest, resolve_request
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, render_snapshots
@@ -399,7 +399,6 @@ class WorkerPoolService(JobTable):
         max_queue: int = 64,
         cache_bytes: int = 64 << 20,
         cache_dir: Optional[Path] = None,
-        registry: Optional[PlannerRegistry] = None,
         max_retained_jobs: int = 1024,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         start_method: str = "fork",
@@ -408,7 +407,6 @@ class WorkerPoolService(JobTable):
             raise ValueError("worker pool needs at least one worker process")
         #: One condition guards jobs, replies, ring and handle membership.
         super().__init__(threading.Condition(), time.monotonic, max_retained_jobs)
-        self._registry = registry if registry is not None else planner_registry()
         self._policy = policy
         self._max_sessions = max_sessions
         self._max_queue = max_queue
@@ -457,10 +455,6 @@ class WorkerPoolService(JobTable):
             self._spawn(f"shard-{index}")
 
     # ------------------------------------------------------------------
-    @property
-    def registry(self) -> PlannerRegistry:
-        return self._registry
-
     @property
     def cache_dir(self) -> Path:
         """The shared persistent cache tier (every shard persists into it)."""
@@ -766,9 +760,9 @@ class WorkerPoolService(JobTable):
         # Validate and fingerprint in the front process: malformed requests
         # fail fast (HTTP 400) without a pipe round-trip, and the fingerprint
         # *is* the routing key.
-        canonical = self._registry.get(request.algorithm).name
+        planner(request.algorithm)  # an unknown planner fails the submit
         resolved = resolve_request(request)
-        key = request_fingerprint(resolved, canonical)
+        key = request_fingerprint(resolved, request.algorithm)
         with self.condition:
             handle = self._shard_for_locked(key)
             previous_id = self._key_shard.get(key)

@@ -143,9 +143,3 @@ class TestResolveRequest:
         )
         with pytest.raises(ValueError, match="components"):
             resolve_request(request)
-
-    def test_query_and_statistics_must_come_together(self):
-        request = OptimizeRequest(workload="gen:chain:2:0", scale="tiny")
-        resolved = resolve_request(request)
-        with pytest.raises(ValueError, match="together"):
-            resolve_request(request, query=resolved.query)

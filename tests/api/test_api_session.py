@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.api import Budget, OptimizeRequest, open_session, planner_registry
+from repro.api import PLANNERS, Budget, OptimizeRequest, open_planner, open_session
 from repro.api.schema import (
     FINISH_DEADLINE,
     FINISH_EXHAUSTED,
@@ -15,6 +15,7 @@ from repro.api.schema import (
 from repro.core.control import ChangeBounds, Continue, SelectPlan
 from repro.core.resolution import ResolutionSchedule
 from repro.costs.dominance import dominates
+from repro.costs.vector import CostVector
 from tests.conftest import build_chain_query, build_factory
 
 
@@ -22,7 +23,7 @@ def make_session(algorithm="iama", levels=3, budget=None, bounds=None, continuou
     query = build_chain_query()
     factory = build_factory(query)
     schedule = ResolutionSchedule(levels=levels, target_precision=1.05, precision_step=0.3)
-    return planner_registry().open(
+    return open_planner(
         algorithm,
         query=query,
         factory=factory,
@@ -171,8 +172,6 @@ class TestSteering:
         assert session.bounds == first.invocation.bounds  # bounds untouched
 
     def test_bounds_with_wrong_dimensionality_are_rejected(self):
-        from repro.costs.vector import CostVector
-
         session = make_session(levels=2)
         session.advance()
         with pytest.raises(ValueError, match="components"):
@@ -187,6 +186,25 @@ class TestSteering:
         second = session.step()
         assert all(cost[0] <= tight for cost in second.frontier_costs)
         assert session.finish_reason == FINISH_EXHAUSTED
+
+
+class TestBounds:
+    #: ``tpch:q03`` capped at half the precision loss: the cheapest plan by
+    #: execution time loses more than that, so it lies outside the bounds.
+    BOUNDS = CostVector([math.inf, math.inf, 0.5])
+
+    @pytest.mark.parametrize("algorithm", PLANNERS)
+    def test_every_frontier_lies_within_the_request_bounds(self, algorithm):
+        request = OptimizeRequest(
+            workload="tpch:q03",
+            algorithm=algorithm,
+            scale="tiny",
+            levels=3,
+            bounds=self.BOUNDS,
+        )
+        result = open_session(request).run()
+        for summary in result.frontier:
+            assert dominates(summary.cost, self.BOUNDS), summary.cost
 
 
 class TestResult:

@@ -1,9 +1,8 @@
-"""Unit tests for :mod:`repro.baselines.memoryless`."""
+"""Tests of the ``memoryless`` planner: a from-scratch DP at every level."""
 
 import pytest
 
-from repro.api import planner_registry
-from repro.baselines.memoryless import MemorylessAnytimeOptimizer
+from repro.api import open_planner
 from repro.core.resolution import ResolutionSchedule
 from tests.conftest import build_chain_query, build_factory
 
@@ -12,54 +11,45 @@ def make_memoryless(levels=3):
     query = build_chain_query()
     factory = build_factory(query)
     schedule = ResolutionSchedule(levels=levels, target_precision=1.05, precision_step=0.3)
-    return MemorylessAnytimeOptimizer(query, factory, schedule), factory, schedule
-
-
-def sweep(optimizer):
-    """One from-scratch invocation per resolution level (0 .. r_M)."""
-    return [
-        optimizer.step(resolution=resolution)
-        for resolution in optimizer.schedule.resolutions()
-    ]
+    return open_planner("memoryless", query, factory, schedule), factory, schedule
 
 
 class TestMemoryless:
     def test_sweep_runs_once_per_resolution_level(self):
-        optimizer, factory, schedule = make_memoryless(levels=4)
-        reports = sweep(optimizer)
-        assert len(reports) == 4
-        assert [r.alpha for r in reports] == pytest.approx(schedule.factors())
-
-    def test_session_sweep_runs_once_per_resolution_level(self):
-        query = build_chain_query()
-        schedule = ResolutionSchedule(levels=4, target_precision=1.05, precision_step=0.3)
-        session = planner_registry().open(
-            "memoryless", query, build_factory(query), schedule
-        )
+        session, factory, schedule = make_memoryless(levels=4)
         result = session.run()
-        assert [inv.resolution for inv in result.invocations] == [0, 1, 2, 3]
+        assert len(result.invocations) == 4
         assert [inv.alpha for inv in result.invocations] == pytest.approx(
             schedule.factors()
         )
 
+    def test_session_sweep_climbs_every_resolution_level(self):
+        session, factory, schedule = make_memoryless(levels=4)
+        result = session.run()
+        assert [inv.resolution for inv in result.invocations] == [0, 1, 2, 3]
+        assert result.finish_reason == "exhausted"
+
     def test_each_invocation_regenerates_plans(self):
-        optimizer, factory, _ = make_memoryless(levels=3)
-        reports = sweep(optimizer)
-        total_generated = sum(r.plans_generated for r in reports)
-        assert factory.counters.total_plans_built == total_generated
-        # From scratch each time: strictly more total work than a single run.
-        assert total_generated > reports[-1].plans_generated
+        session, factory, _ = make_memoryless(levels=3)
+        result = session.run()
+        generated = [inv.details["plans_generated"] for inv in result.invocations]
+        assert factory.counters.total_plans_built == sum(generated)
+        # From scratch each time: every invocation builds the whole search
+        # space again, so the total is strictly more than a single run.
+        assert sum(generated) > generated[-1]
+        assert all(count > 0 for count in generated)
 
     def test_explicit_resolution_override(self):
-        optimizer, factory, schedule = make_memoryless(levels=3)
-        report = optimizer.step(resolution=2)
-        assert report.alpha == pytest.approx(schedule.alpha(2))
+        session, factory, schedule = make_memoryless(levels=3)
+        step = session.driver.invoke(factory.metric_set.unbounded_vector(), 2)
+        assert step.alpha == pytest.approx(schedule.alpha(2))
 
     def test_frontier_of_last_invocation(self):
-        optimizer, factory, _ = make_memoryless()
-        sweep(optimizer)
-        assert optimizer.frontier()
-        assert all(p.tables == optimizer.query.tables for p in optimizer.frontier())
+        session, factory, _ = make_memoryless()
+        session.run()
+        plans = session.frontier_plans
+        assert plans
+        assert all(p.tables == session.query.tables for p in plans)
 
     def test_mirrors_incremental_result_quality(self):
         """The memoryless baseline mirrors IAMA's result sets (Section 6.1).
@@ -73,13 +63,11 @@ class TestMemoryless:
         query = build_chain_query()
         schedule = ResolutionSchedule(levels=3, target_precision=1.05, precision_step=0.3)
 
-        factory_a = build_factory(query)
-        memoryless = MemorylessAnytimeOptimizer(query, factory_a, schedule)
-        sweep(memoryless)
-        memoryless_costs = [p.cost for p in memoryless.frontier()]
+        memoryless = open_planner("memoryless", query, build_factory(query), schedule)
+        memoryless.run()
+        memoryless_costs = memoryless.last_update.frontier_costs
 
-        factory_b = build_factory(query)
-        incremental = planner_registry().open("iama", query, factory_b, schedule)
+        incremental = open_planner("iama", query, build_factory(query), schedule)
         incremental.run()
         incremental_costs = incremental.last_update.frontier_costs
 

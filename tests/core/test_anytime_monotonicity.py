@@ -11,7 +11,7 @@ previously offered tradeoff silently disappear without replacement.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import planner_registry
+from repro.api import open_planner
 from repro.catalog.cardinality import CardinalityEstimator
 from repro.core.resolution import ResolutionSchedule
 from repro.costs.dominance import dominates
@@ -52,7 +52,7 @@ def schedules(draw):
 
 def sweep(generated, schedule):
     """The frontier updates of one ``iama`` resolution sweep."""
-    session = planner_registry().open(
+    session = open_planner(
         "iama", generated.query, make_factory(generated), schedule
     )
     return list(session.updates())

@@ -4,7 +4,7 @@
 them is the planner session, opened here on the ``iama`` planner.
 """
 
-from repro.api import Budget, planner_registry
+from repro.api import Budget, open_planner
 from repro.core.control import (
     ChangeBounds,
     Continue,
@@ -18,7 +18,7 @@ def make_loop(levels=3, continuous=True, budget=None):
     query = build_chain_query()
     factory = build_factory(query)
     schedule = ResolutionSchedule(levels=levels, target_precision=1.05, precision_step=0.3)
-    session = planner_registry().open(
+    session = open_planner(
         "iama", query, factory, schedule, budget=budget, continuous=continuous
     )
     return session, factory

@@ -13,7 +13,7 @@ These are the end-to-end invariants of the algorithm:
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import planner_registry
+from repro.api import open_planner
 from repro.baselines.exhaustive import ExhaustiveParetoOptimizer
 from repro.catalog.cardinality import CardinalityEstimator
 from repro.core.optimizer import IncrementalOptimizer
@@ -103,7 +103,7 @@ class TestIncrementalInvariants:
     def test_no_duplicate_plan_generation_across_series(self, generated, schedule):
         query = generated.query
         factory = make_factory(generated)
-        loop = planner_registry().open("iama", query, factory, schedule)
+        loop = open_planner("iama", query, factory, schedule)
         loop.run()
         assert_each_join_built_once(factory)
         # Scan plans are seeded exactly once.
@@ -119,7 +119,7 @@ class TestIncrementalInvariants:
         query = generated.query
         factory = make_factory(generated)
         schedule = ResolutionSchedule(levels=3, target_precision=1.05, precision_step=0.3)
-        loop = planner_registry().open("iama", query, factory, schedule)
+        loop = open_planner("iama", query, factory, schedule)
         sizes = [len(update.frontier) for update in loop.updates()]
         assert all(later >= earlier for earlier, later in zip(sizes, sizes[1:]))
 
@@ -131,7 +131,7 @@ class TestIncrementalInvariants:
         schedule = ResolutionSchedule(levels=3, target_precision=1.05, precision_step=0.3)
 
         factory_a = make_factory(generated)
-        loop = planner_registry().open("iama", query, factory_a, schedule)
+        loop = open_planner("iama", query, factory_a, schedule)
         loop.run()
         final_frontier = loop.last_update.frontier_costs
 

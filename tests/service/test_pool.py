@@ -15,6 +15,7 @@ import pytest
 
 import repro.service.shard as shard_module
 from repro.api import Budget, OptimizeRequest, open_session
+from repro.obs import trace as obs_trace
 from repro.service import (
     CACHE_HIT,
     CACHE_WARM,
@@ -178,7 +179,6 @@ def _reassigning_workload(shape):
     ``HashRing`` assignment is deterministic, so searching seeds here makes
     the scale-out scenario reproducible instead of hash-lucky.
     """
-    from repro.api.registry import planner_registry
     from repro.api.request import resolve_request
     from repro.service.frontier_cache import request_fingerprint
     from repro.service.routing import HashRing
@@ -186,10 +186,9 @@ def _reassigning_workload(shape):
     ring = HashRing()
     ring.add("shard-0")
     ring.add("shard-1")
-    canonical = planner_registry().get("iama").name
     for seed in range(64):
         request = OptimizeRequest(workload=f"gen:star:5:{seed}", **shape)
-        key = request_fingerprint(resolve_request(request), canonical)
+        key = request_fingerprint(resolve_request(request), "iama")
         if ring.assign(key) == "shard-1":
             return request
     raise AssertionError("no reassigning seed in range; ring changed?")
@@ -424,3 +423,49 @@ class TestHealth:
                 repeat = client.submit(request)
                 client.result(repeat["ticket"], timeout=60.0)
                 assert client.poll(repeat["ticket"])["cache_status"] == CACHE_HIT
+
+
+# ----------------------------------------------------------------------
+# The tracer across fork
+# ----------------------------------------------------------------------
+def _wait_until(condition, timeout):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestForkedTracer:
+    """A forked shard starts with a fresh tracer lock and an empty ring."""
+
+    def test_a_shard_forked_under_the_tracer_lock_heartbeats(self):
+        with WorkerPoolService(workers=1, heartbeat_interval=0.05) as pool:
+            with obs_trace.tracer()._lock:
+                handle = pool.add_shard()
+            beat = _wait_until(lambda: handle.stats, timeout=1.0)
+            if not beat:
+                handle.process.kill()  # spare close() its 10 s join
+            assert beat, "the new shard never sent its first heartbeat"
+
+    def test_shards_do_not_echo_the_parent_spans(self):
+        parent_spans = [
+            {"name": f"parent.{index}", "start": 0.0, "end": 0.0}
+            for index in range(100)
+        ]
+        obs_trace.clear()
+        obs_trace.ingest(parent_spans)
+        try:
+            with WorkerPoolService(workers=2, heartbeat_interval=0.05) as pool:
+                for handle in pool.shards():
+                    assert _wait_until(lambda: handle.stats, timeout=5.0)
+                    first = handle.last_heartbeat
+                    # The reader handles messages in order: once the second
+                    # heartbeat lands, the first one's spans were ingested.
+                    assert _wait_until(
+                        lambda: handle.last_heartbeat != first, timeout=5.0
+                    )
+                assert len(obs_trace.tracer()) == len(parent_spans)
+        finally:
+            obs_trace.clear()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.api import OptimizationResult, planner_registry
+from repro.api import OptimizationResult
 
 
 class TestWorkloadCommand:
@@ -105,14 +105,6 @@ class TestOptimizeCommand:
         assert details["arena_peak_bytes"] > 0
 
 
-class TestPlannersCommand:
-    def test_lists_every_registered_planner(self, capsys):
-        assert cli.main(["planners"]) == 0
-        output = capsys.readouterr().out
-        for name in planner_registry().names():
-            assert name in output
-
-
 class TestCompareCommand:
     def test_compares_all_algorithms(self, capsys):
         assert cli.main(["compare", "tpch_q14", "--levels", "2", "--scale", "smoke"]) == 0
@@ -150,19 +142,6 @@ class TestCompareCommand:
         assert [p["algorithm"] for p in payloads] == ["iama", "oneshot"]
         for payload in payloads:
             assert OptimizationResult.from_dict(payload).to_dict() == payload
-
-    def test_compare_deduplicates_aliases_of_one_planner(self, capsys):
-        argv = [
-            "compare", "gen:chain:3:0",
-            "--algorithm", "iama",
-            "--algorithm", "incremental_anytime",
-            "--levels", "2",
-            "--scale", "tiny",
-            "--json",
-        ]
-        assert cli.main(argv) == 0
-        payloads = json.loads(capsys.readouterr().out)
-        assert [p["algorithm"] for p in payloads] == ["iama"]
 
     def test_compare_unknown_algorithm_fails(self):
         with pytest.raises(SystemExit, match="unknown planner"):

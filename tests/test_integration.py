@@ -12,13 +12,11 @@ from repro import (
     CardinalityEstimator,
     ChangeBounds,
     ExhaustiveParetoOptimizer,
-    MemorylessAnytimeOptimizer,
     MultiObjectiveCostModel,
-    OneShotOptimizer,
     PlanFactory,
     ResolutionSchedule,
+    open_planner,
     paper_metric_set,
-    planner_registry,
 )
 from repro.costs.pareto import approximation_error, pareto_filter
 from repro.interactive import InteractiveSession, PlanSelectingUser, weighted_sum_chooser
@@ -46,9 +44,9 @@ def block(name):
     return next(q for q in tpch_queries() if q.name == name)
 
 
-def final_frontier(query, factory, schedule):
-    """Cost vectors of the last frontier of an ``iama`` resolution sweep."""
-    session = planner_registry().open("iama", query, factory, schedule)
+def final_frontier(query, factory, schedule, algorithm="iama"):
+    """Cost vectors of the last frontier of a drained session."""
+    session = open_planner(algorithm, query, factory, schedule)
     session.run()
     return session.last_update.frontier_costs
 
@@ -93,15 +91,8 @@ class TestTpchEndToEnd:
         guarantee = schedule.guaranteed_precision(q10.table_count)
 
         iama = final_frontier(q10, make_factory(q10), schedule)
-
-        memoryless = MemorylessAnytimeOptimizer(q10, make_factory(q10), schedule)
-        for resolution in schedule.resolutions():
-            memoryless.step(resolution=resolution)
-        memo = [p.cost for p in memoryless.frontier()]
-
-        oneshot = OneShotOptimizer(q10, make_factory(q10), schedule)
-        oneshot.optimize()
-        shot = [p.cost for p in oneshot.frontier()]
+        memo = final_frontier(q10, make_factory(q10), schedule, "memoryless")
+        shot = final_frontier(q10, make_factory(q10), schedule, "oneshot")
 
         assert approximation_error(iama, memo) <= guarantee + 1e-9
         assert approximation_error(iama, shot) <= guarantee + 1e-9
@@ -111,7 +102,7 @@ class TestTpchEndToEnd:
         metric_set = paper_metric_set()
         schedule = ResolutionSchedule(levels=4, target_precision=1.02, precision_step=0.2)
         factory = make_factory(q10)
-        loop = planner_registry().open("iama", q10, factory, schedule)
+        loop = open_planner("iama", q10, factory, schedule)
         loop.step()
         loop.step()
 
@@ -155,7 +146,7 @@ class TestTpchEndToEnd:
     def test_factory_counters_are_consistent_after_everything(self, q03):
         factory = make_factory(q03)
         schedule = ResolutionSchedule(levels=3, target_precision=1.05, precision_step=0.3)
-        loop = planner_registry().open("iama", q03, factory, schedule)
+        loop = open_planner("iama", q03, factory, schedule)
         loop.run()
         counters = loop.driver.optimizer.state.counters
         assert counters.plans_generated == factory.counters.total_plans_built

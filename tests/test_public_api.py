@@ -8,12 +8,11 @@ import repro
 from repro import (
     CardinalityEstimator,
     MultiObjectiveCostModel,
-    OneShotOptimizer,
     PlanFactory,
     ResolutionSchedule,
     default_operator_registry,
+    open_planner,
     paper_metric_set,
-    planner_registry,
 )
 from repro.workloads import tpch_queries, tpch_statistics
 
@@ -40,7 +39,7 @@ class TestPublicApi:
             MultiObjectiveCostModel(metric_set),
             default_operator_registry(),
         )
-        session = planner_registry().open(
+        session = open_planner(
             "iama", query, factory, ResolutionSchedule(levels=3)
         )
         updates = list(session.updates())
@@ -54,6 +53,8 @@ class TestPublicApi:
             MultiObjectiveCostModel(paper_metric_set()),
             default_operator_registry(),
         )
-        optimizer = OneShotOptimizer(query, factory, ResolutionSchedule(levels=3))
-        report = optimizer.optimize()
-        assert report.frontier_size > 0
+        result = open_planner(
+            "oneshot", query, factory, ResolutionSchedule(levels=3)
+        ).run()
+        assert len(result.invocations) == 1
+        assert result.frontier_size > 0
