@@ -43,11 +43,14 @@ Algorithm 2 lines 8-11).  The optimizer moves candidates in bulk:
 :meth:`drain_ids` removes exactly what :meth:`retrieve_ids` returns, one
 tombstone pass and at most one compaction per bucket, and :meth:`insert_ids`
 registers a block with the outcome of registering its plans one at a time
-(bucket creation order, slot order).  Blocks move by *bucket run*:
-:meth:`drain_ids` also returns the ``(bucket id, count)`` run each drained
-bucket contributed, and :meth:`insert_ids` extends each bucket by a column
-slice per run, so a re-parked plan's bucket id is not recomputed; a fresh
-block is grouped into runs first.  Every plan of a run maps to one shared
+(bucket creation order, slot order).  Blocks move by *bucket run* and with
+their cost columns: :meth:`drain_ids` also returns the drained plans' cost
+columns, which its buckets already hold (a bucket drained completely hands
+over its arrays), and the ``(bucket id, count)`` run each drained bucket
+contributed; :meth:`insert_ids` extends each bucket by a column slice per
+run, so a re-parked plan's bucket id is not recomputed.  A fresh block is
+grouped into runs first, its bucket ids and grouping one kernel call
+(``bucket_runs``).  Every plan of a run maps to one shared
 ``(level, bucket id)`` location, which compaction leaves valid.  Each
 direction has one path: :meth:`insert_id` is a one-plan :meth:`insert_ids`,
 and :meth:`remove_id` finds its slot by scanning its bucket and removes a
@@ -57,8 +60,11 @@ one-slot batch the way :meth:`drain_ids` removes each bucket's batch.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from array import array
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import kernel
 from repro.costs.matrix import CostBlock
 from repro.plans.arena import PlanArena
 
@@ -98,16 +104,8 @@ class PlanIndex:
     # ------------------------------------------------------------------
     # Bucketing
     # ------------------------------------------------------------------
-    def _bucket_ids(self, firsts: Iterable[float]) -> List[_BucketId]:
-        """The bucket of each first cost component, in order."""
-        log, isinf, log_base = math.log, math.isinf, self._log_base
-        return [
-            INFINITE_BUCKET if isinf(first) else int(log(first + 1.0) / log_base)
-            for first in firsts
-        ]
-
     def _bucket_of_first(self, first: float) -> _BucketId:
-        return self._bucket_ids((first,))[0]
+        return kernel.ops.bucket_of(first, self._log_base)
 
     def _bucket_of(self, cost: Sequence[float]) -> _BucketId:
         return self._bucket_of_first(cost[0])
@@ -129,24 +127,11 @@ class PlanIndex:
     # Mutation
     # ------------------------------------------------------------------
     def insert_id(
-        self,
-        plan_id: int,
-        resolution: int,
-        arena: Optional[PlanArena] = None,
-        cost_row: Optional[Sequence[float]] = None,
+        self, plan_id: int, resolution: int, arena: Optional[PlanArena] = None
     ) -> None:
         """Register the plan with the given arena id (a one-plan
-        :meth:`insert_ids`).
-
-        ``cost_row`` may carry the plan's already-gathered cost row (the
-        batched pruning path has it at hand), saving one arena read.
-        """
-        self.insert_ids(
-            (plan_id,),
-            resolution,
-            arena,
-            None if cost_row is None else [[value] for value in cost_row],
-        )
+        :meth:`insert_ids`)."""
+        self.insert_ids((plan_id,), resolution, arena)
 
     def insert_ids(
         self,
@@ -162,9 +147,11 @@ class PlanIndex:
         order: buckets are created in the order their first plan appears,
         and each bucket's new slots follow block order.  ``cost_columns``
         may carry the block's cost rows column-wise, parallel to
-        ``plan_ids``.  ``runs`` may split the block into consecutive
-        ``(bucket id, count)`` runs (:meth:`drain_ids`), so that no bucket
-        id is recomputed.  The arena, duplicate-id and run checks run for
+        ``plan_ids``; otherwise they are read from the arena.  ``runs`` may
+        split the block into consecutive ``(bucket id, count)`` runs
+        (:meth:`drain_ids`), so that no bucket id is recomputed; otherwise
+        one kernel call (``bucket_runs``) computes the block's bucket ids and
+        groups it by bucket.  The arena, duplicate-id and run checks run for
         the whole block before anything is registered.
         """
         if not plan_ids:
@@ -179,9 +166,25 @@ class PlanIndex:
         if arena is not None:
             self._adopt_arena(arena)
         owner = self._require_arena()
+        if cost_columns is None:
+            cost_columns = owner.cost_columns(plan_ids)
+        if runs is None:
+            order, runs = kernel.ops.bucket_runs(cost_columns[0], self._log_base)
+            if order is not None:
+                plan_ids = _gather(plan_ids, order)
+                cost_columns = kernel.ops.take(cost_columns, order)
+        # The block's new locations, one tuple shared per run.
+        placed: Dict[int, Tuple[int, _BucketId]] = {}
+        start = 0
+        for bucket_id, count in runs:
+            placed.update(
+                dict.fromkeys(plan_ids[start : start + count], (resolution, bucket_id))
+            )
+            start += count
         locations = self._locations
-        block = set(plan_ids)
-        if len(block) != len(plan_ids) or not locations.keys().isdisjoint(block):
+        if len(placed) != len(plan_ids) or not locations.keys().isdisjoint(
+            placed.keys()
+        ):
             seen = set(locations)
             for plan_id in plan_ids:
                 if plan_id in seen:
@@ -189,13 +192,6 @@ class PlanIndex:
                         f"plan {plan_id} is already registered in this index"
                     )
                 seen.add(plan_id)
-        if cost_columns is None:
-            cost_columns = [
-                [column[plan_id - 1] for plan_id in plan_ids]
-                for column in owner.costs.columns
-            ]
-        if runs is None:
-            plan_ids, cost_columns, runs = self._bucket_runs(plan_ids, cost_columns)
         level = self._levels.setdefault(resolution, {})
         start = 0
         for bucket_id, count in runs:
@@ -203,35 +199,11 @@ class PlanIndex:
             bucket = level.get(bucket_id)
             if bucket is None:
                 bucket = level[bucket_id] = CostBlock(owner.dimensions)
-            ids = plan_ids[start:stop]
-            bucket.extend([column[start:stop] for column in cost_columns], ids)
-            locations.update(dict.fromkeys(ids, (resolution, bucket_id)))
+            bucket.extend(
+                [column[start:stop] for column in cost_columns], plan_ids[start:stop]
+            )
             start = stop
-
-    def _bucket_runs(
-        self, plan_ids: Sequence[int], cost_columns: Sequence[Sequence[float]]
-    ) -> Tuple[Sequence[int], Sequence[Sequence[float]], List[_Run]]:
-        """Group a fresh block by bucket, in order of first appearance.
-
-        Returns the block's ids and cost columns reordered bucket by bucket
-        (block order within each bucket) and one run per bucket.
-        """
-        groups: Dict[_BucketId, List[int]] = {}
-        for position, bucket_id in enumerate(self._bucket_ids(cost_columns[0])):
-            group = groups.get(bucket_id)
-            if group is None:
-                groups[bucket_id] = [position]
-            else:
-                group.append(position)
-        if len(groups) > 1:
-            order = [position for group in groups.values() for position in group]
-            plan_ids = [plan_ids[position] for position in order]
-            cost_columns = [
-                [column[position] for position in order] for column in cost_columns
-            ]
-        return plan_ids, cost_columns, [
-            (bucket_id, len(group)) for bucket_id, group in groups.items()
-        ]
+        locations.update(placed)
 
     def remove_id(self, plan_id: int) -> None:
         """Remove the plan with the given arena id (found by a bucket scan)."""
@@ -244,18 +216,22 @@ class PlanIndex:
 
     def drain_ids(
         self, bounds: Sequence[float], max_resolution: int
-    ) -> Tuple[List[int], List[_Run]]:
+    ) -> Tuple[List[int], List[array], List[_Run]]:
         """Remove and return the plans ``retrieve_ids(bounds, max_resolution)``
-        returns, in the same order, with the ``(bucket id, count)`` run each
-        drained bucket contributed, in drain order.
+        returns, in the same order, with their cost columns and the
+        ``(bucket id, count)`` run each drained bucket contributed, in drain
+        order.
 
         The bulk move of candidate reconsideration (Algorithm 2, lines 8-11:
         every retrieved candidate leaves the set and is re-pruned).  Each
         bucket loses its drained slots in one :meth:`_remove_slots` pass, so
-        the index ends in the state of a :meth:`remove_id` loop.
+        the index ends in the state of a :meth:`remove_id` loop.  The columns
+        are the buckets' own rows, so the caller never reads the arena for
+        them.
         """
         bound_bucket = self._bucket_of(bounds)
-        result: List[int] = []
+        plan_ids: List[int] = []
+        columns: List[array] = [array("d") for _ in bounds]
         runs: List[_Run] = []
         for resolution in range(0, max_resolution + 1):
             buckets = self._levels.get(resolution)
@@ -265,35 +241,48 @@ class PlanIndex:
                 if bucket_id > bound_bucket:
                     continue
                 slots = bucket.matrix.dominated_slots(bounds)
-                if slots:
-                    result.extend(self._remove_slots(resolution, bucket_id, slots))
-                    runs.append((bucket_id, len(slots)))
-        return result, runs
+                if not slots:
+                    continue
+                ids, rows = self._remove_slots(resolution, bucket_id, slots)
+                if runs:
+                    plan_ids.extend(ids)
+                    for column, drained in zip(columns, rows):
+                        column.extend(drained)
+                else:
+                    plan_ids, columns = ids, rows
+                runs.append((bucket_id, len(slots)))
+        return plan_ids, columns, runs
 
     def _remove_slots(
         self, resolution: int, bucket_id: _BucketId, slots: Sequence[int]
-    ) -> List[int]:
-        """Remove the plans at ``slots`` of one bucket; returns their ids.
+    ) -> Tuple[List[int], List[array]]:
+        """Remove the plans at ``slots`` of one bucket; returns their ids and
+        cost columns.
 
         The slots are tombstoned in one pass and the bucket is compacted at
         most once.  A bucket left empty is deleted, and so is its level once
-        that is empty too.
+        that is empty too; a bucket drained of every slot hands over its
+        payload list and arrays instead of copying them.
         """
         level = self._levels[resolution]
         bucket = level[bucket_id]
-        items = bucket.items
-        removed = [items[slot] for slot in slots]
+        matrix = bucket.matrix
+        if len(slots) == matrix.slot_count:
+            removed, columns = bucket.items, matrix.columns
+        else:
+            removed = _gather(bucket.items, slots)
+            columns = kernel.ops.take(matrix.columns, slots)
         locations = self._locations
         for plan_id in removed:
             del locations[plan_id]
-        if len(slots) == bucket.matrix.live_count:
+        if len(slots) == matrix.live_count:
             del level[bucket_id]
             if not level:
                 del self._levels[resolution]
-            return removed
-        bucket.kill_slots(slots)
-        bucket.compact_if_needed()
-        return removed
+        else:
+            bucket.kill_slots(slots)
+            bucket.compact_if_needed()
+        return removed, columns
 
     def clear(self) -> None:
         """Remove all plans."""
@@ -354,8 +343,14 @@ class PlanIndex:
             for bucket_id, bucket in buckets.items():
                 if bucket_id > bound_bucket:
                     continue
-                plan_ids = bucket.items
                 result.extend(
-                    plan_ids[slot] for slot in bucket.matrix.dominated_slots(bounds)
+                    _gather(bucket.items, bucket.matrix.dominated_slots(bounds))
                 )
         return result
+
+
+def _gather(values: Sequence[int], positions: Sequence[int]) -> List[int]:
+    """``values[position]`` for each of ``positions``, in order."""
+    if len(positions) == 1:
+        return [values[positions[0]]]
+    return list(itemgetter(*positions)(values)) if positions else []

@@ -10,9 +10,9 @@ subset ``q`` (Theorems 1 and 2).  The two phases are:
    candidate set and re-pruned; pruning may promote it to the result set,
    re-park it as a candidate for a higher resolution, or discard it.  Each
    candidate set is drained with one bulk move
-   (:meth:`~repro.core.index.PlanIndex.drain_ids`) and re-pruned as one block,
-   whose re-parked plans return to their buckets by run, with one bulk
-   insertion per level.
+   (:meth:`~repro.core.index.PlanIndex.drain_ids`) and re-pruned as one block
+   with the cost columns its buckets held, whose re-parked plans return to
+   their buckets by run, with one bulk insertion per level.
 2. **Fresh plan generation** (lines 13-22): for every table subset of
    increasing cardinality and every split into two parts, fresh combinations
    of result sub-plans are generated (one per applicable join operator,
@@ -24,12 +24,14 @@ split's fresh pairs are built as two id columns (:mod:`repro.core.fresh`),
 and every split's pairs are joined with every operator and costed with one
 vectorized kernel call per (operator, metric)
 (:meth:`repro.plans.factory.PlanFactory.combine_block`); a table subset's
-block is handed to :func:`repro.core.pruning.prune_all_ids` in one batch --
-the outcome sequence is identical to generating, costing and pruning each
-plan individually, but no per-plan Python objects are materialized on the
-hot path.  The block's outcomes are booked in bulk as well: counted per
-kind, and the plans discarded at the maximal resolution are tombstoned with
-one :meth:`~repro.plans.arena.PlanArena.tombstone_ids` call.
+splits allocate back to back, so its block is one id range, handed to
+:func:`repro.core.pruning.prune_all_ids` in one batch -- the outcome
+sequence is identical to generating, costing and pruning each plan
+individually, but no per-plan Python objects are materialized on the hot
+path.  The block's outcomes are booked in bulk as well: the approximated
+plans share one outcome object, counted by identity, and the plans
+discarded at the maximal resolution are tombstoned with one
+:meth:`~repro.plans.arena.PlanArena.tombstone_ids` call.
 
 Incrementality rests on the invocation history, kept by
 :class:`_CoverageTracker`.  It decides when the Δ-sets may restrict pair
@@ -48,6 +50,7 @@ generated join.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_
@@ -437,7 +440,9 @@ class IncrementalOptimizer:
         for tables, candidate_index in list(
             self._state.populated_candidate_sets().items()
         ):
-            retrievable, runs = candidate_index.drain_ids(bounds, resolution)
+            retrievable, columns, runs = candidate_index.drain_ids(
+                bounds, resolution
+            )
             counters.candidate_retrievals += len(retrievable)
             self._prune_block(
                 tables,
@@ -448,6 +453,7 @@ class IncrementalOptimizer:
                 max_resolution,
                 inserted_now,
                 runs,
+                columns,
             )
 
     def _generate_fresh_plans(
@@ -460,6 +466,7 @@ class IncrementalOptimizer:
         delta_mode: bool,
     ) -> None:
         counters = self._state.counters
+        arena = self._factory.arena
         join_operators = self._factory.join_operators()
         # Each table set's result plans in the invocation's box, retrieved
         # once: a set's result plans are final for the invocation once its
@@ -486,8 +493,10 @@ class IncrementalOptimizer:
             # whole block at once.  Plans of a subset never feed the
             # generation of the same subset (splits are strictly smaller), so
             # deferring the pruning to the block boundary is equivalent to
-            # pruning each plan as it is generated.
-            block: List[int] = []
+            # pruning each plan as it is generated.  The splits allocate
+            # back to back, and nothing else allocates until the block is
+            # pruned, so the block is the range of ids allocated meanwhile.
+            first_id = len(arena) + 1
             for left_tables, right_tables in splits:
                 if delta_mode and not (
                     inserted_now.get(left_tables) or inserted_now.get(right_tables)
@@ -508,11 +517,10 @@ class IncrementalOptimizer:
                     counters.pairs_enumerated += len(left_ids) * len(right_ids)
                     lefts, rights = fresh_pairs(left_ids, left, right_ids, right)
                 if lefts:
-                    block.extend(
-                        self._factory.combine_block(
-                            left_tables, right_tables, lefts, rights, join_operators
-                        )
+                    self._factory.combine_block(
+                        left_tables, right_tables, lefts, rights, join_operators
                     )
+            block = range(first_id, len(arena) + 1)
             counters.join_plans_generated += len(block)
             self._prune_block(
                 subset, block, bounds, resolution, alpha, max_resolution, inserted_now
@@ -521,16 +529,18 @@ class IncrementalOptimizer:
     def _prune_block(
         self,
         tables: TableSet,
-        plan_ids: List[int],
+        plan_ids: Sequence[int],
         bounds: CostVector,
         resolution: int,
         alpha: float,
         max_resolution: int,
         inserted_now: Dict[TableSet, List[int]],
         runs: Optional[List[Tuple[float, int]]] = None,
+        columns: Optional[List[array]] = None,
     ) -> None:
         """Prune a block of plan ids, all of table set ``tables``, in order
-        (``runs``: the bucket runs of a drained candidate block)."""
+        (``runs`` and ``columns``: the bucket runs and cost columns of a
+        drained candidate block)."""
         if not plan_ids:
             return
         arena = self._factory.arena
@@ -546,27 +556,30 @@ class IncrementalOptimizer:
             plan_ids=plan_ids,
             respect_orders=self._respect_orders,
             runs=runs,
+            columns=columns,
         )
-        inserted = outcomes.count(PruneOutcome.INSERTED)
-        if inserted:
-            counters.plans_inserted += inserted
-            inserted_now.setdefault(tables, []).extend(
-                _ids_with(PruneOutcome.INSERTED, plan_ids, outcomes)
-            )
-        counters.plans_deferred += outcomes.count(
-            PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
-        )
-        counters.plans_out_of_bounds += outcomes.count(PruneOutcome.OUT_OF_BOUNDS)
-        discarded = outcomes.count(PruneOutcome.DISCARDED)
-        if discarded:
-            counters.plans_discarded += discarded
-            arena.tombstone_ids(
-                _ids_with(PruneOutcome.DISCARDED, plan_ids, outcomes)
-            )
+        # Most plans hold the approximated outcome, and ``list.count``
+        # matches an enum member by identity before comparing; every other
+        # plan was visited by the walk, and was inserted or out of bounds.
+        approximated = PruneOutcome.approximated(resolution, max_resolution)
+        count = outcomes.count(approximated)
+        if approximated is PruneOutcome.DISCARDED:
+            if count:
+                counters.plans_discarded += count
+                arena.tombstone_ids(_ids_with(approximated, plan_ids, outcomes))
+        else:
+            counters.plans_deferred += count
+        visited = len(outcomes) - count
+        if visited:
+            inserted = list(_ids_with(PruneOutcome.INSERTED, plan_ids, outcomes))
+            counters.plans_inserted += len(inserted)
+            counters.plans_out_of_bounds += visited - len(inserted)
+            if inserted:
+                inserted_now.setdefault(tables, []).extend(inserted)
 
 
 def _ids_with(
-    outcome: PruneOutcome, plan_ids: List[int], outcomes: List[PruneOutcome]
+    outcome: PruneOutcome, plan_ids: Sequence[int], outcomes: List[PruneOutcome]
 ) -> Iterator[int]:
     """The ids of a pruned block whose outcome is ``outcome``, in order."""
     return compress(plan_ids, map(is_, outcomes, repeat(outcome)))

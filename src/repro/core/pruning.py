@@ -30,7 +30,10 @@ plan when it provides at least the same ordering guarantee.
 The decision logic operates on arena primitives (plan ids, raw cost rows,
 interned order ids) and always runs on a *block* of plans of one table set:
 :func:`prune_all_ids` is the optimizer's entry point, and :func:`prune` is a
-one-plan block of it.  A block is decided in three steps, and the outcomes
+one-plan block of it.  A block carries its cost columns from its producer to
+the indexes: a drained candidate block brings the columns its buckets held,
+and a fresh block is a contiguous id range whose columns and order ids are
+slices of the arena's.  A block is decided in three steps, and the outcomes
 and index states equal those of pruning each plan in block order:
 
 1. **Cover by incumbents.**  ``Res^q[0..b, 0..r]`` is retrieved once, and
@@ -41,10 +44,13 @@ and index states equal those of pruning each plan in block order:
 2. **Walk the uncovered plans in block order.**  The only incumbents step 1
    cannot see are the block's own result inserts, which happen at ``r`` and
    within the bounds.  So the remaining plans are visited in block order: a
-   plan above the bounds is out of bounds, any other is inserted into the
-   result set at once.  A liveness bitmap marks the pending plans still
-   undecided; after each insert one kernel call (``geq_slots``) over it
-   returns the live plans the new incumbent approximates.
+   plan above the bounds is out of bounds, any other is inserted.  A
+   liveness bitmap marks the pending plans still undecided; after each
+   insert one kernel call (``geq_slots``) over it returns the live plans the
+   new incumbent approximates, so the walk sees its own inserts at once.
+   Nothing reads the result set during the walk, so the inserts enter it
+   with one :meth:`~repro.core.index.PlanIndex.insert_ids` call when the
+   walk ends, in block order.
 3. **Register candidates at block end.**  Deferred plans (at ``r + 1``) and
    out-of-bounds plans (at ``r``) enter the candidate set with one
    :meth:`~repro.core.index.PlanIndex.insert_ids` call per level, in block
@@ -79,6 +85,14 @@ class PruneOutcome(enum.Enum):
     OUT_OF_BOUNDS = "out_of_bounds"
     #: Approximated at the maximal resolution; the plan is dropped for good.
     DISCARDED = "discarded"
+
+    @classmethod
+    def approximated(cls, resolution: int, max_resolution: int) -> "PruneOutcome":
+        """The outcome of a plan some result plan approximates at
+        ``resolution``: kept for ``r + 1``, or discarded at ``r_M``."""
+        if resolution < max_resolution:
+            return cls.DEFERRED_TO_HIGHER_RESOLUTION
+        return cls.DISCARDED
 
     @property
     def became_result(self) -> bool:
@@ -174,17 +188,19 @@ def prune_all_ids(
     plan_ids: Sequence[int],
     respect_orders: bool = True,
     runs: Optional[Sequence[Tuple[float, int]]] = None,
+    columns: Optional[Sequence[Sequence[float]]] = None,
 ) -> List[PruneOutcome]:
     """Apply procedure ``Prune`` to a block of arena plan ids of one table set.
 
     The entry point of the optimizer (seeding, candidate reconsideration and
-    fresh-plan generation in :mod:`repro.core.optimizer`).  The block's cost
-    rows are gathered from the arena matrix and scaled by ``alpha_r`` with
-    one kernel call each; the three steps of the module docstring then
-    decide every plan.  Outcomes are identical to pruning each plan the
-    moment it was produced.  ``runs`` are the bucket runs of a block
-    drained from ``candidate_index``
-    (:meth:`~repro.core.index.PlanIndex.drain_ids`).
+    fresh-plan generation in :mod:`repro.core.optimizer`).  ``columns`` are
+    the block's cost rows when its producer holds them: a block drained
+    from ``candidate_index`` comes with its columns and its bucket ``runs``
+    (:meth:`~repro.core.index.PlanIndex.drain_ids`).  Otherwise they are
+    read from the arena, as slices for a contiguous id range (a fresh
+    block).  The block is scaled by ``alpha_r`` with one kernel call, and
+    the three steps of the module docstring decide every plan.  Outcomes
+    are identical to pruning each plan the moment it was produced.
     """
     if alpha < 1.0:
         raise ValueError("the precision factor alpha_r must be >= 1")
@@ -193,21 +209,20 @@ def prune_all_ids(
     with obs_trace.span(
         "pruning.prune_block", block_size=len(plan_ids), resolution=resolution
     ) as block_span:
+        if columns is None:
+            columns = arena.cost_columns(plan_ids)
         with obs_trace.span(
             "kernel.block",
-            op="take+scale_columns",
+            op="scale_columns",
             backend=kernel.backend_name(),
             block_size=len(plan_ids),
         ):
-            columns = kernel.ops.take(
-                arena.costs.columns, [plan_id - 1 for plan_id in plan_ids]
-            )
             scaled_columns = kernel.ops.scale_columns(columns, alpha)
         bounds_row = tuple(bounds)
         # Only plans producing the same tuple order may approximate a plan
         # with an interesting order; any plan covers one without.  ``None``
         # when no plan of the block has an order that restricts its cover.
-        order_ids: Optional[List[int]] = (
+        order_ids: Optional[Sequence[int]] = (
             arena.order_ids(plan_ids) if respect_orders else None
         )
         if order_ids is not None and not any(order_ids):
@@ -219,29 +234,34 @@ def prune_all_ids(
             arena, incumbents, scaled_columns, order_ids
         )
 
-        # Step 2: the rest, in block order.
-        approximated = (
-            PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
-            if resolution < max_resolution
-            else PruneOutcome.DISCARDED
-        )
+        # Step 2: the rest, in block order; its inserts register in one call.
+        approximated = PruneOutcome.approximated(resolution, max_resolution)
         outcomes = [approximated] * len(plan_ids)
         visited: List[int] = []
         approximated_positions = covered
         if len(covered) < len(plan_ids):
             visited = _walk_uncovered(
-                result_index,
-                arena,
-                plan_ids,
                 columns,
                 scaled_columns,
                 bounds_row,
-                resolution,
                 order_ids,
                 _complement(covered, len(plan_ids)),
                 outcomes,
             )
             approximated_positions = _complement(visited, len(plan_ids))
+            _register(
+                result_index,
+                arena,
+                plan_ids,
+                columns,
+                None,
+                [
+                    position
+                    for position in visited
+                    if outcomes[position] is PruneOutcome.INSERTED
+                ],
+                resolution,
+            )
         block_span.set(incumbents=len(incumbents), uncovered=len(visited))
 
         # Step 3: register the candidates in block order, one call per level.
@@ -272,8 +292,16 @@ def prune_all_ids(
 
 
 def _complement(positions: Sequence[int], size: int) -> List[int]:
-    """The positions of ``range(size)`` missing from ``positions``, ascending."""
-    return sorted(set(range(size)).difference(positions))
+    """The positions of ``range(size)`` missing from the ascending
+    ``positions``: the gaps between them, one range each."""
+    missing: List[int] = []
+    start = 0
+    for position in positions:
+        if position > start:
+            missing.extend(range(start, position))
+        start = position + 1
+    missing.extend(range(start, size))
+    return missing
 
 
 def _covered_by_incumbents(
@@ -291,9 +319,7 @@ def _covered_by_incumbents(
     """
     if not incumbents:
         return []
-    incumbent_columns = kernel.ops.take(
-        arena.costs.columns, [plan_id - 1 for plan_id in incumbents]
-    )
+    incumbent_columns = arena.cost_columns(incumbents)
     if order_ids is None:
         return kernel.ops.covered_positions(incumbent_columns, scaled_columns)
     groups: Dict[int, List[int]] = {}
@@ -326,25 +352,24 @@ def _covered_by_incumbents(
 
 
 def _walk_uncovered(
-    result_index: PlanIndex,
-    arena: PlanArena,
-    plan_ids: Sequence[int],
     columns: Sequence[Sequence[float]],
     scaled_columns: Sequence[Sequence[float]],
     bounds_row: Sequence[float],
-    resolution: int,
     order_ids: Optional[Sequence[int]],
     pending: List[int],
     outcomes: List[PruneOutcome],
 ) -> List[int]:
     """Decide the plans no incumbent covers, in block order (step 2).
 
-    A plan within the bounds is inserted at once, and the later pending
-    plans it approximates leave the walk (their outcome stays
-    "approximated").  Every pending plan before the one visited is dead in
-    ``alive``, so ``geq_slots`` over the whole bitmap sees only later ones;
-    a hit of an order the insert does not provide stays alive.  Sets the
-    outcome of every plan it visits and returns their positions, ascending.
+    A plan within the bounds is inserted, and the later pending plans it
+    approximates leave the walk (their outcome stays "approximated").  The
+    result index is not read during the walk, so the caller registers the
+    inserts in one call at block end; ``geq_slots`` over the pending plans
+    sees each insert at once.  Every pending plan before the one visited is
+    dead in ``alive``, so ``geq_slots`` over the whole bitmap sees only
+    later ones; a hit of an order the insert does not provide stays alive.
+    Sets the outcome of every plan it visits and returns their positions,
+    ascending.
     """
     pending_columns = kernel.ops.take(scaled_columns, pending)
     alive = array("b", [1]) * len(pending)
@@ -360,7 +385,6 @@ def _walk_uncovered(
         if not _row_leq(cost_row, bounds_row):
             outcomes[position] = PruneOutcome.OUT_OF_BOUNDS
             continue
-        result_index.insert_id(plan_ids[position], resolution, arena, cost_row)
         outcomes[position] = PruneOutcome.INSERTED
         if not live:
             break
@@ -375,7 +399,7 @@ def _walk_uncovered(
 
 
 def _register(
-    candidate_index: PlanIndex,
+    index: PlanIndex,
     arena: PlanArena,
     plan_ids: Sequence[int],
     columns: Sequence[Sequence[float]],
@@ -383,12 +407,12 @@ def _register(
     positions: Sequence[int],
     level: int,
 ) -> None:
-    """Register the block plans at ascending ``positions`` as candidates at
-    ``level``, in block order (step 3)."""
+    """Register the block plans at ascending ``positions`` in ``index`` at
+    ``level``, in block order, with the columns the block carries."""
     if len(positions) == len(plan_ids):
-        candidate_index.insert_ids(plan_ids, level, arena, columns, runs)
+        index.insert_ids(plan_ids, level, arena, columns, runs)
     elif positions:
-        candidate_index.insert_ids(
+        index.insert_ids(
             list(map(plan_ids.__getitem__, positions)),
             level,
             arena,

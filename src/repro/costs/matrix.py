@@ -189,6 +189,19 @@ class CostMatrix:
         self._live -= len(slots)
         self._dead += len(slots)
 
+    def kill_live_slots(self, slots: Iterable[int]) -> List[int]:
+        """Tombstone the live rows among ``slots`` in one pass; returns the
+        slots killed, in order.  Dead and repeated slots are skipped."""
+        alive = self._alive
+        killed: List[int] = []
+        for slot in slots:
+            if alive[slot]:
+                alive[slot] = 0
+                killed.append(slot)
+        self._live -= len(killed)
+        self._dead += len(killed)
+        return killed
+
     def compact(self) -> List[int]:
         """Drop tombstoned rows; returns the old slots that were kept.
 

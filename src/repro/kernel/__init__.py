@@ -5,12 +5,16 @@ comparisons between one cost vector and a *block* of cost vectors: "which of
 these plans respect the bounds?", "which incumbents does the new plan
 dominate?" -- plus one block-against-block op, ``covered_positions``, that
 marks every plan of a prune block some incumbent approximates ("which of
-these scaled costs does some result plan dominate?").  This package provides
-those primitives as batch operations over contiguous float storage
-(structure-of-arrays: one ``array('d')`` column per cost metric plus an
-``array('b')`` liveness bitmap) so that a whole bucket of the plan index or a
-whole DP plan list is filtered in a single kernel call instead of a Python
-loop of per-pair :func:`repro.costs.dominance.dominates` calls.
+these scaled costs does some result plan dominate?").  Around them sit the
+block ops of costing (``take``, ``scale_columns``, ``combine_columns``,
+``interleave``), the frontier sweep (``pareto_mask``) and the plan index's
+``bucket_runs``, which computes a fresh block's log-bucket ids and groups
+the block by bucket (with ``bucket_of``, its one-value formula).  This
+package provides those primitives as batch operations over contiguous float
+storage (structure-of-arrays: one ``array('d')`` column per cost metric plus
+an ``array('b')`` liveness bitmap) so that a whole bucket of the plan index
+or a whole DP plan list is filtered in a single kernel call instead of a
+Python loop of per-pair :func:`repro.costs.dominance.dominates` calls.
 
 Backend selection
 -----------------

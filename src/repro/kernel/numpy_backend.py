@@ -14,8 +14,9 @@ identical results.
 
 from __future__ import annotations
 
+import math
 from array import array
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,7 +146,69 @@ def take(columns: Columns, indices: Sequence[int]) -> List[array]:
     if len(indices) < SMALL_BLOCK:
         return _py.take(columns, indices)
     idx = np.asarray(indices, dtype=np.intp)
-    return [_as_array(_column_view(col)[idx]) for col in columns]
+    return [_as_array(_float_view(col)[idx]) for col in columns]
+
+
+#: A quotient within this relative distance of an integer is recomputed
+#: with ``math.log``: ``np.log`` may differ from it in the last bit, which
+#: moves a truncated quotient only next to an integer.
+BUCKET_TOLERANCE = 1e-9
+
+#: One value's bucket: the reference formula, shared by both backends.
+bucket_of = _py.bucket_of
+
+
+def bucket_runs(
+    column: Sequence[float], log_base: float
+) -> Tuple[Optional[List[int]], List[Tuple[_py.BucketId, int]]]:
+    """Group a block's positions by the log bucket of ``column`` (see the
+    pure-Python reference for the contract).
+
+    The quotients ``log(c + 1) / log_base`` are computed with ``np.log``;
+    every quotient near an integer, and every non-finite one, goes through
+    the reference formula, so each bucket id equals
+    ``int(math.log(c + 1.0) / log_base)``.  The grouping is one stable sort
+    of the positions by bucket.
+    """
+    n = len(column)
+    if n < SMALL_BLOCK:
+        return _py.bucket_runs(column, log_base)
+    values = _float_view(column)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quotients = np.log(values + 1.0) / log_base
+        distance = np.abs(quotients - np.rint(quotients))
+        suspect = ~np.isfinite(quotients)
+        suspect |= distance <= BUCKET_TOLERANCE * np.maximum(1.0, np.abs(quotients))
+    keys = np.trunc(quotients)
+    positions = np.nonzero(suspect)[0]
+    if positions.size:
+        keys[positions] = [
+            bucket_of(value, log_base) for value in values[positions].tolist()
+        ]
+    first = keys[0]
+    if (keys == first).all():
+        return None, [(_bucket_id(first), n)]
+    # Sorted stably by bucket, each bucket's first position is its first
+    # appearance; the buckets' slices are then joined in that order.
+    by_bucket = np.argsort(keys, kind="stable")
+    sorted_keys = keys[by_bucket]
+    changes = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    starts = np.concatenate(([0], changes))
+    stops = np.append(changes, n)
+    appearance = np.argsort(by_bucket[starts])
+    starts, stops = starts[appearance].tolist(), stops[appearance].tolist()
+    order = np.concatenate(
+        [by_bucket[start:stop] for start, stop in zip(starts, stops)]
+    )
+    return order.tolist(), [
+        (_bucket_id(sorted_keys[start]), stop - start)
+        for start, stop in zip(starts, stops)
+    ]
+
+
+def _bucket_id(key: float) -> _py.BucketId:
+    """A bucket key as the reference returns it: ``int``, or ``math.inf``."""
+    return int(key) if key != math.inf else math.inf
 
 
 def interleave(columns: Sequence[Sequence[float]]) -> array:

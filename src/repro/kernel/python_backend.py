@@ -15,14 +15,17 @@ backend must produce identical results (exact IEEE-754 comparisons in both).
 
 from __future__ import annotations
 
+import math
 from array import array
 from itertools import chain
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 NAME = "python"
 
 Columns = Sequence[array]
 Vector = Sequence[float]
+#: A bucket id: an ``int``, or ``math.inf`` for an infinite value.
+BucketId = Union[int, float]
 
 
 def leq_slots(columns: Columns, alive: array, vector: Vector) -> List[int]:
@@ -205,6 +208,42 @@ def take(columns: Columns, indices: Sequence[int]) -> List[array]:
     and right child plans of a combination block from the arena's matrix.
     """
     return [array("d", (col[i] for i in indices)) for col in columns]
+
+
+def bucket_of(value: float, log_base: float) -> BucketId:
+    """The log bucket of one value: ``int(math.log(value + 1.0) / log_base)``,
+    or ``math.inf`` for an infinite value (the formula of both backends)."""
+    if math.isinf(value):
+        return math.inf
+    return int(math.log(value + 1.0) / log_base)
+
+
+def bucket_runs(
+    column: Sequence[float], log_base: float
+) -> Tuple[Optional[List[int]], List[Tuple[BucketId, int]]]:
+    """Group a block's positions by the log bucket of ``column``.
+
+    The bucket of a value ``c`` is ``int(math.log(c + 1.0) / log_base)``,
+    and ``math.inf`` for an infinite ``c``.  Returns ``(order, runs)``:
+    ``order`` lists the positions bucket by bucket, buckets in order of
+    first appearance and positions in block order within each, and is
+    ``None`` when the block holds at most one bucket; ``runs`` holds one
+    ``(bucket id, count)`` per bucket, in that order.  The plan index
+    registers a fresh block with it
+    (:meth:`repro.core.index.PlanIndex.insert_ids`).
+    """
+    groups: Dict[BucketId, List[int]] = {}
+    for position, value in enumerate(column):
+        bucket_id = bucket_of(value, log_base)
+        group = groups.get(bucket_id)
+        if group is None:
+            groups[bucket_id] = [position]
+        else:
+            group.append(position)
+    runs = [(bucket_id, len(group)) for bucket_id, group in groups.items()]
+    if len(groups) < 2:
+        return None, runs
+    return list(chain.from_iterable(groups.values())), runs
 
 
 def interleave(columns: Sequence[Sequence[float]]) -> array:

@@ -200,15 +200,20 @@ class Tracer:
         return _Activation(self, (ctx["trace_id"], ctx["span_id"]))
 
     def ingest(self, spans: Iterable[Dict[str, Any]]) -> int:
-        """Absorb span dicts shipped from another process."""
-        count = 0
+        """Absorb span dicts shipped from another process.
+
+        Nothing to absorb takes no lock: a pool reader thread ingests every
+        shard heartbeat, and with tracing off they carry no spans.
+        """
+        batch = [dict(span) for span in spans]
+        if not batch:
+            return 0
         with self._lock:
-            for span in spans:
+            for span in batch:
                 if len(self._ring) == self._ring.maxlen:
                     self.dropped += 1
-                self._ring.append(dict(span))
-                count += 1
-        return count
+                self._ring.append(span)
+        return len(batch)
 
     def drain(self) -> List[Dict[str, Any]]:
         """Pop and return every recorded span (for shipping over a pipe)."""

@@ -24,7 +24,13 @@ Ids are assigned per arena in allocation order, which makes id assignment a
 deterministic function of the query's own optimization history -- independent
 of process-global state, interpreter hash seeds or test execution order.
 
-Plans that the optimizer discards for good are *tombstoned*: their row stays
+Blocks of plans are read column-wise in one call: :meth:`PlanArena.cost_columns`
+and :meth:`PlanArena.order_ids` slice the arena's columns for a contiguous
+id range -- every block :meth:`PlanArena.extend_joins` allocates is one --
+and gather once otherwise.
+
+Plans that the optimizer discards for good are *tombstoned*, a block at a
+time in one pass (:meth:`PlanArena.tombstone_ids`): their row stays
 addressable (ids are never recycled) but is counted separately, so the
 occupancy statistics (:meth:`PlanArena.stats`) distinguish live plans from
 dead weight and estimate the arena's memory footprint.
@@ -38,6 +44,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from repro import kernel
 from repro.costs.matrix import CostMatrix
 from repro.costs.vector import CostVector
 
@@ -307,8 +314,9 @@ class PlanArena:
         tables_ids: Sequence[int],
         order_ids: Sequence[int],
         cost_columns: Sequence[Sequence[float]],
-    ) -> List[int]:
-        """Bulk-allocate a block of already-costed joins; returns their ids.
+    ) -> range:
+        """Bulk-allocate a block of already-costed joins; returns their ids,
+        one contiguous range.
 
         This is the allocation half of the batched generate → cost path: the
         caller (``PlanFactory.combine_block``) has validated the operands and
@@ -316,19 +324,18 @@ class PlanArena:
         only extends its columns -- no per-plan Python objects are created.
         """
         count = len(left_ids)
-        if not count:
-            return []
         first_id = len(self._kind) + 1
-        self.costs.extend_columns(cost_columns, count)
-        self._kind.extend([KIND_JOIN] * count)
-        self._left.extend(left_ids)
-        self._right.extend(right_ids)
-        self._operator.extend(operator_ids)
-        self._tables.extend(tables_ids)
-        self._order.extend(order_ids)
-        self._handles.extend([None] * count)
-        self._cost_cache.extend([None] * count)
-        return list(range(first_id, first_id + count))
+        if count:
+            self.costs.extend_columns(cost_columns, count)
+            self._kind.extend([KIND_JOIN] * count)
+            self._left.extend(left_ids)
+            self._right.extend(right_ids)
+            self._operator.extend(operator_ids)
+            self._tables.extend(tables_ids)
+            self._order.extend(order_ids)
+            self._handles.extend([None] * count)
+            self._cost_cache.extend([None] * count)
+        return range(first_id, first_id + count)
 
     def _check_row(self, cost: Sequence[float]) -> Tuple[float, ...]:
         if isinstance(cost, CostVector):
@@ -362,13 +369,26 @@ class PlanArena:
     def order_id_of(self, plan_id: int) -> int:
         return self._order[plan_id - 1]
 
-    def order_ids(self, plan_ids: Iterable[int]) -> List[int]:
-        """Interned order ids of a sequence of plans, in order."""
+    def order_ids(self, plan_ids: Sequence[int]) -> Sequence[int]:
+        """Interned order ids of a block of plans, in order: a slice of the
+        order column for a contiguous id range (a fresh block)."""
         order = self._order
+        if _is_id_range(plan_ids):
+            return order[plan_ids.start - 1 : plan_ids.stop - 1]
         return [order[plan_id - 1] for plan_id in plan_ids]
 
     def order_of(self, plan_id: int) -> Optional[str]:
         return self._orders[self._order[plan_id - 1]]
+
+    def cost_columns(self, plan_ids: Sequence[int]) -> List[array]:
+        """The cost rows of a block of plans, column-wise, in order: slices
+        of the arena's columns for a contiguous id range (a fresh block),
+        else one kernel gather."""
+        columns = self.costs.columns
+        if _is_id_range(plan_ids):
+            start, stop = plan_ids.start - 1, plan_ids.stop - 1
+            return [column[start:stop] for column in columns]
+        return kernel.ops.take(columns, [plan_id - 1 for plan_id in plan_ids])
 
     def cost_row(self, plan_id: int) -> Tuple[float, ...]:
         """The raw cost row of a plan (no CostVector allocation)."""
@@ -397,20 +417,12 @@ class PlanArena:
         self.tombstone_ids((plan_id,))
 
     def tombstone_ids(self, plan_ids: Iterable[int]) -> None:
-        """Tombstone several plans with one :meth:`CostMatrix.kill_slots` call.
+        """Tombstone several plans in one pass over ``plan_ids``.
 
         Ends in the state of a :meth:`tombstone` loop: ids that are already
         dead (or repeated) are skipped.
         """
-        is_alive = self.costs.is_alive
-        slots = [
-            slot
-            for slot in dict.fromkeys(plan_id - 1 for plan_id in plan_ids)
-            if is_alive(slot)
-        ]
-        if not slots:
-            return
-        self.costs.kill_slots(slots)
+        slots = self.costs.kill_live_slots(plan_id - 1 for plan_id in plan_ids)
         self._tombstoned += len(slots)
         handles, cost_cache = self._handles, self._cost_cache
         for slot in slots:
@@ -457,6 +469,11 @@ class PlanArena:
         self._handles[plan_id - 1] = (
             weakref.ref(handle) if self._weak else handle
         )
+
+
+def _is_id_range(plan_ids: Sequence[int]) -> bool:
+    """Whether a block of ids is one contiguous ascending range."""
+    return isinstance(plan_ids, range) and plan_ids.step == 1
 
 
 # ----------------------------------------------------------------------

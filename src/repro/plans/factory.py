@@ -17,8 +17,11 @@ Since the arena refactor the factory owns a per-query
   optimizer hot paths: a whole block of (left id, right id) pairs, given as
   two id columns, is joined with every operator, costed with one vectorized
   kernel call per (operator, metric) and bulk-appended to the arena -- no
-  per-plan Python objects, no per-plan cost dictionaries.  Both surfaces
-  produce bit-identical cost values.
+  per-plan Python objects, no per-plan cost dictionaries.  The block's ids
+  come back as one contiguous range.  Both surfaces produce bit-identical
+  cost values, and both read each (split, operator) local join cost from
+  one per-factory table, so it is computed once however often the split is
+  combined.
 
 Algorithms that regenerate their plans from scratch on every run (the DP
 baselines) pass a private scratch ``arena`` so their dead plans don't pile up
@@ -33,12 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import kernel
 from repro.catalog.cardinality import CardinalityEstimator
 from repro.obs import trace as obs_trace
 from repro.costs.model import MultiObjectiveCostModel
+from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
 from repro.plans.operators import JoinOperator, OperatorRegistry, ScanOperator
 from repro.plans.plan import JoinPlan, Plan, ScanPlan
@@ -89,6 +93,10 @@ class PlanFactory:
         # serving tier resolves before its cache decision, and a replay or
         # warm start serves the request from cached state).
         self._arena: Optional[PlanArena] = None
+        #: (left tables, right tables, operator) -> local join cost.
+        self._local_costs: Dict[
+            Tuple[FrozenSet[str], FrozenSet[str], JoinOperator], CostVector
+        ] = {}
         self.counters = PlanFactoryCounters()
 
     # ------------------------------------------------------------------
@@ -181,16 +189,7 @@ class PlanFactory:
         formulas as :meth:`combine_block` (the arena micro-benchmark asserts
         the block path is faster *and* bit-identical).
         """
-        left_rows = self._estimator.cardinality(left.tables)
-        right_rows = self._estimator.cardinality(right.tables)
-        output_rows = self._estimator.join_cardinality(left.tables, right.tables)
-        local = self._cost_model.join_local_cost(
-            left_rows=left_rows,
-            right_rows=right_rows,
-            output_rows=output_rows,
-            algorithm=operator.algorithm,
-            parallelism=operator.parallelism,
-        )
+        local = self._local_cost(left.tables, right.tables, operator)
         cost = self._cost_model.combine(left.cost, right.cost, local)
         self.counters.join_plans_built += 1
         interesting_order = None
@@ -216,23 +215,23 @@ class PlanFactory:
         right_ids: Sequence[int],
         operators: Sequence[JoinOperator],
         arena: Optional[PlanArena] = None,
-    ) -> List[int]:
+    ) -> range:
         """Cost and intern every operator's join of a block of pairs; returns
-        their ids.
+        their ids, one contiguous range.
 
         ``left_ids`` / ``right_ids`` are two equally long id columns: pair
         ``i`` joins plan ``left_ids[i]`` of ``left_tables`` with plan
         ``right_ids[i]`` of ``right_tables`` (one split of one table subset),
-        and each pair is joined with every one of ``operators``.  Because the
-        estimator inputs are constant per split, the local operator cost is
-        computed once per operator; each side's child cost rows are gathered
+        and each pair is joined with every one of ``operators``.  The local
+        operator cost depends only on the split and the operator, so it is
+        computed once per factory; each side's child cost rows are gathered
         once for the whole block and aggregated with one kernel call per
         (operator, metric) -- this is where the arena path beats per-plan
         costing.  Ids are assigned pair-major, operator-minor, which is
         exactly the order the scalar path would have created the plans in.
         """
         if not left_ids or not operators:
-            return []
+            return range(0)
         with obs_trace.span(
             "factory.cost_block",
             block_size=len(left_ids) * len(operators),
@@ -250,7 +249,7 @@ class PlanFactory:
         right_ids: Sequence[int],
         operators: Sequence[JoinOperator],
         arena: Optional[PlanArena] = None,
-    ) -> List[int]:
+    ) -> range:
         target = self.arena if arena is None else arena
         overlap = left_tables & right_tables
         if overlap:
@@ -261,9 +260,6 @@ class PlanFactory:
             raise ValueError(
                 f"{len(left_ids)} left ids but {len(right_ids)} right ids"
             )
-        left_rows = self._estimator.cardinality(left_tables)
-        right_rows = self._estimator.cardinality(right_tables)
-        output_rows = self._estimator.join_cardinality(left_tables, right_tables)
         tables_id = target.intern_tables(left_tables | right_tables)
         order_tag = _join_order_tag(left_tables, right_tables)
 
@@ -275,19 +271,16 @@ class PlanFactory:
         # Per operator: one combined cost column per metric.
         combined: List[List[Sequence[float]]] = []
         for operator in operators:
-            local = self._cost_model.join_local_cost(
-                left_rows=left_rows,
-                right_rows=right_rows,
-                output_rows=output_rows,
-                algorithm=operator.algorithm,
-                parallelism=operator.parallelism,
-            )
             operator_ids.append(target.intern_operator(operator))
             order_ids.append(
                 target.intern_order(order_tag) if operator.produces_order else 0
             )
             combined.append(
-                self._cost_model.combine_block(left_columns, right_columns, local)
+                self._cost_model.combine_block(
+                    left_columns,
+                    right_columns,
+                    self._local_cost(left_tables, right_tables, operator),
+                )
             )
         per_pair = len(operators)
         if per_pair == 1:
@@ -307,6 +300,28 @@ class PlanFactory:
             order_ids=order_ids * len(left_ids),
             cost_columns=cost_columns,
         )
+
+    def _local_cost(
+        self,
+        left_tables: FrozenSet[str],
+        right_tables: FrozenSet[str],
+        operator: JoinOperator,
+    ) -> CostVector:
+        """The local cost of joining the two table sets with ``operator``,
+        computed once per factory (it depends on nothing else)."""
+        key = (left_tables, right_tables, operator)
+        local = self._local_costs.get(key)
+        if local is None:
+            local = self._local_costs[key] = self._cost_model.join_local_cost(
+                left_rows=self._estimator.cardinality(left_tables),
+                right_rows=self._estimator.cardinality(right_tables),
+                output_rows=self._estimator.join_cardinality(
+                    left_tables, right_tables
+                ),
+                algorithm=operator.algorithm,
+                parallelism=operator.parallelism,
+            )
+        return local
 
 
 def repeat_each(ids: Sequence[int], times: int) -> List[int]:

@@ -57,7 +57,7 @@ import threading
 import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.api.planners import planner
 from repro.api.request import OptimizeRequest, resolve_request
@@ -365,6 +365,9 @@ class ShardHandle:
         #: /metrics fallback for a shard that stops answering.
         self.metrics: dict = {}
         self.reader: Optional[threading.Thread] = None
+        #: ``req_id`` of every RPC waiting on this shard's reply (guarded by
+        #: the pool's condition).
+        self.waiting: Set[int] = set()
 
     def heartbeat_age(self) -> float:
         return _now() - self.last_heartbeat
@@ -622,7 +625,18 @@ class WorkerPoolService(JobTable):
         if op == "reply":
             with self.condition:
                 req_id = message.get("req_id")
-                if req_id in self._replies:
+                if req_id is None:
+                    # No waiter can be told apart, so fail every RPC waiting
+                    # on this shard now instead of at its timeout.  An
+                    # unknown req_id is a late answer to an RPC that timed
+                    # out, and is dropped.
+                    for waiting in handle.waiting:
+                        self._replies[waiting] = {
+                            "error": ServiceError(
+                                f"{handle.shard_id} sent a reply without a req_id"
+                            )
+                        }
+                elif req_id in self._replies:
                     self._replies[req_id] = dict(message)
                 self.condition.notify_all()
             return
@@ -689,30 +703,32 @@ class WorkerPoolService(JobTable):
         req_id = next(self._req_ids)
         with self.condition:
             self._replies[req_id] = None
+            handle.waiting.add(req_id)
         try:
-            handle.send({**message, "req_id": req_id})
-        except (OSError, BrokenPipeError):
+            try:
+                handle.send({**message, "req_id": req_id})
+            except (OSError, BrokenPipeError):
+                raise ServiceError(
+                    f"worker {handle.shard_id} is unreachable"
+                ) from None
+            deadline = self._clock() + timeout
+            with self.condition:
+                while self._replies.get(req_id) is None:
+                    if not handle.alive:
+                        raise ServiceError(
+                            f"worker {handle.shard_id} died before replying"
+                        )
+                    remaining = deadline - self._clock()
+                    if remaining <= 0:
+                        raise TimeoutError(
+                            f"no reply from {handle.shard_id} within {timeout} s"
+                        )
+                    self.condition.wait(timeout=min(0.25, remaining))
+                reply = self._replies[req_id]
+        finally:
             with self.condition:
                 self._replies.pop(req_id, None)
-            raise ServiceError(
-                f"worker {handle.shard_id} is unreachable"
-            ) from None
-        deadline = self._clock() + timeout
-        with self.condition:
-            while self._replies.get(req_id) is None:
-                if not handle.alive:
-                    self._replies.pop(req_id, None)
-                    raise ServiceError(
-                        f"worker {handle.shard_id} died before replying"
-                    )
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    self._replies.pop(req_id, None)
-                    raise TimeoutError(
-                        f"no reply from {handle.shard_id} within {timeout} s"
-                    )
-                self.condition.wait(timeout=min(0.25, remaining))
-            reply = self._replies.pop(req_id)
+                handle.waiting.discard(req_id)
         if "error" in reply:
             raise reply["error"]  # the shard's own exception
         return reply

@@ -126,6 +126,15 @@ def assert_index_invariants(index):
     assert len(index) == live
 
 
+def assert_rows_of(arena, plan_ids, columns):
+    """``columns`` hold the arena cost rows of ``plan_ids``, in order."""
+    assert len(columns) == arena.dimensions
+    assert [tuple(row) for row in zip(*columns)] == [
+        arena.cost_row(plan_id) for plan_id in plan_ids
+    ]
+    assert all(len(column) == len(plan_ids) for column in columns)
+
+
 def assert_same_index(actual, expected, ids):
     assert len(actual) == len(expected)
     assert entries_by_level(actual) == entries_by_level(expected)
@@ -161,8 +170,9 @@ class TestBulkMovesMatchOnePlanOperations:
         expected = loop.retrieve_ids(bounds, max_resolution)
         for plan_id in expected:
             loop.remove_id(plan_id)
-        drained, runs = bulk.drain_ids(bounds, max_resolution)
+        drained, columns, runs = bulk.drain_ids(bounds, max_resolution)
         assert drained == expected
+        assert_rows_of(arena, drained, columns)
         assert sum(count for _, count in runs) == len(drained)
         assert_same_index(bulk, loop, ids)
         assert_index_invariants(bulk)
@@ -193,8 +203,9 @@ class TestBulkMoveCases:
         assert expected == [ids[0], ids[1], ids[3]]
         for plan_id in expected:
             loop.remove_id(plan_id)
-        drained, runs = bulk.drain_ids(bounds, 1)
+        drained, columns, runs = bulk.drain_ids(bounds, 1)
         assert drained == expected
+        assert_rows_of(arena, drained, columns)
         bucket = bulk._bucket_of((1.0, 1.0))
         assert runs == [(bucket, 2), (bucket, 1)]
         assert list(bulk._levels) == [0]
@@ -209,8 +220,9 @@ class TestBulkMoveCases:
         expected = loop.retrieve_ids(bounds, 0)
         for plan_id in expected:
             loop.remove_id(plan_id)
-        drained, runs = bulk.drain_ids(bounds, 0)
+        drained, columns, runs = bulk.drain_ids(bounds, 0)
         assert drained == expected == ids[:6]
+        assert_rows_of(arena, drained, columns)
         assert runs == [(bulk._bucket_of((1.0, 0.0)), 6)]
         (bucket,) = bulk._levels[0].values()
         # Six tombstones outnumber four survivors: compacted once, in order.
@@ -227,6 +239,33 @@ class TestBulkMoveCases:
             assert bulk.retrieve_ids((INF, INF), 0) == ids[position:]
             assert_index_invariants(bulk)
         assert len(bulk) == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_drained_columns_are_the_arena_rows(self, backend):
+        # At level 0, bucket 1 (first cost 1-2) drains completely and hands
+        # its arrays over, and bucket 2 (first cost 3-6) holds a tombstone
+        # and drains completely.  At level 1, bucket 2 is split by the
+        # bound's first component, the way a tightened time bound splits
+        # one, and bucket 1 hands over a vectorised-size block.
+        costs = [(1.0, 1.0), (2.0, 2.0), (3.0, 1.0), (5.0, 2.0), (6.0, 1.0)]
+        costs += [(3.0, 3.0), (5.0, 1.0), (6.0, 2.0), (5.5, 1.0)] + [(1.5, 1.0)] * 20
+        levels = [0, 0, 0, 0, 0, 1, 1, 1, 1] + [1] * 20
+        with kernel.use_backend(backend):
+            arena, ids = arena_with(costs)
+            bulk, loop = twin_indexes(arena, ids, levels)
+            for index in (bulk, loop):
+                index.remove_id(ids[4])
+            bounds = (5.5, INF)
+            expected = loop.retrieve_ids(bounds, 1)
+            for plan_id in expected:
+                loop.remove_id(plan_id)
+            drained, columns, runs = bulk.drain_ids(bounds, 1)
+        assert drained == expected
+        assert ids[7] not in drained and ids[8] in drained
+        assert_rows_of(arena, drained, columns)
+        assert [count for _, count in runs] == [2, 2, 3, 20]
+        assert_same_index(bulk, loop, ids)
+        assert_index_invariants(bulk)
 
     @pytest.mark.parametrize("counts", [[], [1], [2, 2], [3, 0]])
     def test_insert_ids_rejects_runs_that_do_not_cover_the_block(self, counts):
@@ -292,17 +331,19 @@ class TestRunRegistrationMatchesPerPlanPath:
                     if gone:
                         by_run.remove_id(plan_id)
                         per_plan.remove_id(plan_id)
-                drained, runs = by_run.drain_ids(bounds, max_resolution)
-                assert per_plan.drain_ids(bounds, max_resolution) == (drained, runs)
+                drained, drained_columns, runs = by_run.drain_ids(
+                    bounds, max_resolution
+                )
+                assert per_plan.drain_ids(bounds, max_resolution) == (
+                    drained,
+                    drained_columns,
+                    runs,
+                )
+                assert_rows_of(arena, drained, drained_columns)
                 size = len(drained)
                 keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
                 positions = [position for position, kept in enumerate(keep) if kept]
-                columns = kernel.ops.take(
-                    kernel.ops.take(
-                        arena.costs.columns, [plan_id - 1 for plan_id in drained]
-                    ),
-                    positions,
-                )
+                columns = kernel.ops.take(drained_columns, positions)
                 subset = [drained[position] for position in positions]
                 level = max_resolution + 1
                 by_run.insert_ids(

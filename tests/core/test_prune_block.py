@@ -87,15 +87,15 @@ def oracle_prune_block(
             respect_orders,
         ):
             if resolution < max_resolution:
-                candidate_index.insert_id(plan_id, resolution + 1, arena, cost_row)
+                candidate_index.insert_id(plan_id, resolution + 1, arena)
                 outcomes.append(PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION)
             else:
                 outcomes.append(PruneOutcome.DISCARDED)
         elif not _row_leq(cost_row, bounds_row):
-            candidate_index.insert_id(plan_id, resolution, arena, cost_row)
+            candidate_index.insert_id(plan_id, resolution, arena)
             outcomes.append(PruneOutcome.OUT_OF_BOUNDS)
         else:
-            result_index.insert_id(plan_id, resolution, arena, cost_row)
+            result_index.insert_id(plan_id, resolution, arena)
             outcomes.append(PruneOutcome.INSERTED)
     return outcomes
 
@@ -212,6 +212,80 @@ class TestBlockMatchesPerPlanOracle:
                 actual = run(prune_all_ids, arena, block, actual_setup, scenario)
             assert actual == expected, backend
             assert_same_state(scenario, expected_setup, actual_setup)
+
+
+def bucket_layout(index):
+    """Per level: each bucket's id and live payloads, in bucket order."""
+    return {
+        level: [
+            (bucket_id, bucket.live_items()) for bucket_id, bucket in buckets.items()
+        ]
+        for level, buckets in index._levels.items()
+    }
+
+
+def assert_same_layout(expected_setup, actual_setup):
+    for expected_index, actual_index in zip(expected_setup, actual_setup):
+        assert bucket_layout(actual_index) == bucket_layout(expected_index)
+
+
+class TestBlocksCarryTheirColumns:
+    """A fresh block arrives as an id range, a drained one with its columns
+    and runs; both must decide exactly what the id list read from the arena
+    decides."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenarios())
+    def test_a_range_block_equals_the_same_ids_in_a_list(self, scenario):
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                arena, block, (expected_setup, actual_setup) = build(scenario)
+                id_range = range(block[0], block[-1] + 1)
+                assert list(id_range) == block
+                expected = run(prune_all_ids, arena, block, expected_setup, scenario)
+                actual = run(prune_all_ids, arena, id_range, actual_setup, scenario)
+            assert actual == expected, backend
+            assert_same_state(scenario, expected_setup, actual_setup)
+            assert_same_layout(expected_setup, actual_setup)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenarios())
+    def test_a_drained_block_equals_its_ids_read_from_the_arena(self, scenario):
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                arena, block, setups = build(scenario)
+                # Park the block as candidates at the scenario's levels, then
+                # drain it the way candidate reconsideration does.
+                drained = []
+                for results, candidates in setups:
+                    for position, plan_id in enumerate(block):
+                        level = position % (scenario["resolution"] + 1)
+                        candidates.insert_id(plan_id, level, arena)
+                    drained.append(
+                        candidates.drain_ids(scenario["bounds"], scenario["resolution"])
+                    )
+                (plan_ids, _, _), (same_ids, columns, runs) = drained
+                assert plan_ids == same_ids
+                expected = run(
+                    prune_all_ids, arena, plan_ids, setups[0], scenario
+                )
+                results, candidates = setups[1]
+                actual = prune_all_ids(
+                    results,
+                    candidates,
+                    scenario["bounds"],
+                    scenario["resolution"],
+                    scenario["alpha"],
+                    scenario["max_resolution"],
+                    arena,
+                    same_ids,
+                    scenario["respect_orders"],
+                    runs=runs,
+                    columns=columns,
+                )
+            assert actual == expected, backend
+            assert_same_state(scenario, setups[0], setups[1])
+            assert_same_layout(setups[0], setups[1])
 
 
 class BlockCase:

@@ -42,6 +42,19 @@ class TestBookkeeping:
         with pytest.raises(KeyError):
             matrix.kill(slots[1])
 
+    def test_kill_live_slots_skips_dead_and_repeated_slots(self):
+        matrix = CostMatrix(2)
+        slots = fill(matrix, (1, 1), (2, 2), (3, 3), (4, 4))
+        matrix.kill(slots[1])
+        killed = matrix.kill_live_slots(
+            iter([slots[3], slots[1], slots[0], slots[3]])
+        )
+        assert killed == [slots[3], slots[0]]
+        assert matrix.alive_slots() == [slots[2]]
+        assert (len(matrix), matrix.dead_count) == (1, 3)
+        assert matrix.kill_live_slots([slots[1], slots[1]]) == []
+        assert (len(matrix), matrix.dead_count) == (1, 3)
+
     def test_compact_preserves_order_and_reports_kept_slots(self):
         matrix = CostMatrix(2)
         slots = fill(matrix, (1, 1), (2, 2), (3, 3), (4, 4))

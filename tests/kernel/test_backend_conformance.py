@@ -4,7 +4,7 @@ Every backend (pure Python, and numpy where it is installed) must
 implement the full kernel op surface --
 ``leq_slots`` / ``geq_slots`` / ``first_leq`` / ``any_leq`` /
 ``covered_positions`` / ``scale_columns`` / ``take`` / ``combine_columns`` /
-``pareto_mask`` --
+``bucket_runs`` / ``pareto_mask`` --
 bit-identically.  This module pins that contract once, parametrized over the
 backends that can load on this machine, instead of the per-backend test
 copies it replaced: brute-force oracles over row tuples define "correct"
@@ -716,3 +716,104 @@ class TestMetricSetCombineColumns:
             metric_set.combine_columns(
                 [array("d", [1.0])], [array("d", [1.0])], CostVector([0.0, 0.0, 0.0])
             )
+
+
+# ----------------------------------------------------------------------
+# bucket_runs: the plan index's bucket ids and grouping of a fresh block
+# ----------------------------------------------------------------------
+def bucket_edge_values(base):
+    """``base**k - 1`` for k up to 60 with both neighbours, plus 0.0, a
+    subnormal, 1e308 and +inf: every value a truncated log quotient can
+    flip on, and the extremes."""
+    values = [0.0, 5e-324, 1e308, math.inf]
+    for k in range(61):
+        edge = base**k - 1.0
+        values += [
+            math.nextafter(edge, -math.inf),
+            edge,
+            math.nextafter(edge, math.inf),
+        ]
+    return values
+
+
+def bucket_block(base, size):
+    rng = random.Random(size)
+    values = bucket_edge_values(base)
+    if size >= len(values):
+        block = values + [rng.choice(values) for _ in range(size - len(values))]
+        rng.shuffle(block)
+    else:
+        block = [rng.choice(values) for _ in range(size)]
+    return array("d", block)
+
+
+def bucket_runs_oracle(column, log_base):
+    """Today's per-plan formula and first-appearance grouping, by brute force."""
+    from repro.core.index import INFINITE_BUCKET
+
+    groups = {}
+    for position, value in enumerate(column):
+        bucket_id = (
+            INFINITE_BUCKET
+            if math.isinf(value)
+            else int(math.log(value + 1.0) / log_base)
+        )
+        groups.setdefault(bucket_id, []).append(position)
+    order = [position for group in groups.values() for position in group]
+    runs = [(bucket_id, len(group)) for bucket_id, group in groups.items()]
+    return (order if len(groups) > 1 else None), runs
+
+
+class TestBucketRuns:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("cell_base", (2.0, 10.0, 1.5))
+    @pytest.mark.parametrize("size", (1, 15, 16, 5000))
+    def test_matches_the_per_plan_formula(self, backend, cell_base, size):
+        column = bucket_block(cell_base, size)
+        log_base = math.log(cell_base)
+        with kernel.use_backend(backend):
+            order, runs = kernel.ops.bucket_runs(column, log_base)
+        assert (order, runs) == bucket_runs_oracle(column, log_base)
+        for bucket_id, _ in runs:
+            assert type(bucket_id) is int or bucket_id == math.inf
+        # Each position lands in the run of its own bucket.
+        positions = order if order is not None else range(size)
+        run_ids = [bucket_id for bucket_id, count in runs for _ in range(count)]
+        for position, bucket_id in zip(positions, run_ids):
+            assert kernel.ops.bucket_of(column[position], log_base) == bucket_id
+
+    @pytest.mark.parametrize("cell_base", (2.0, 10.0, 1.5))
+    def test_backends_agree_on_every_edge_value(self, cell_base):
+        column = array("d", bucket_edge_values(cell_base) * 3)
+        log_base = math.log(cell_base)
+        answers = []
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                answers.append(kernel.ops.bucket_runs(column, log_base))
+        assert all(answer == answers[0] for answer in answers)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_infinities_share_the_sentinel_bucket(self, backend):
+        from repro.core.index import INFINITE_BUCKET
+
+        column = array("d", [math.inf, 1.0, -math.inf] * 8)
+        with kernel.use_backend(backend):
+            order, runs = kernel.ops.bucket_runs(column, math.log(2.0))
+        assert runs == [(INFINITE_BUCKET, 16), (1, 8)]
+        assert order == [p for p in range(24) if p % 3 != 1] + list(range(1, 24, 3))
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy backend not installed")
+    @pytest.mark.parametrize("direction", (-math.inf, math.inf))
+    def test_numpy_recomputes_quotients_next_to_an_integer(
+        self, monkeypatch, direction
+    ):
+        # np.log may differ from math.log in the last bit; simulate that on
+        # every value, which moves each exact quotient off its integer.
+        real_log = numpy.log
+        monkeypatch.setattr(
+            numpy, "log", lambda values: numpy.nextafter(real_log(values), direction)
+        )
+        column = bucket_block(2.0, 5000)
+        with kernel.use_backend("numpy"):
+            answer = kernel.ops.bucket_runs(column, math.log(2.0))
+        assert answer == bucket_runs_oracle(column, math.log(2.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -195,3 +196,16 @@ class TestModuleLevelTracer:
         assert trace_module.snapshot()[0]["name"] == "module.level"
         trace_module.clear()
         assert trace_module.snapshot() == []
+
+    def test_ingesting_nothing_takes_no_lock(self):
+        # A pool reader thread ingests every shard heartbeat; with tracing
+        # off they carry no spans and must not contend for the lock.
+        returned = threading.Event()
+        worker = threading.Thread(
+            target=lambda: (trace_module.ingest(()), returned.set()), daemon=True
+        )
+        with trace_module._TRACER._lock:
+            worker.start()
+            assert returned.wait(0.5), "ingest(()) waited for the tracer lock"
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()

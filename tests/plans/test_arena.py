@@ -87,14 +87,14 @@ class TestAllocation:
             order_ids=[0, 0],
             cost_columns=[[10.0, 11.0], [20.0, 21.0]],
         )
-        assert ids == [3, 4]
+        assert ids == range(3, 5)
         assert arena.cost_row(3) == (10.0, 20.0)
         assert arena.cost_row(4) == (11.0, 21.0)
         assert arena.left_of(4) == left and arena.right_of(4) == right
 
     def test_extend_joins_empty_is_noop(self):
         arena = PlanArena(2)
-        assert arena.extend_joins([], [], [], [], [], [[], []]) == []
+        assert arena.extend_joins([], [], [], [], [], [[], []]) == range(0)
         assert len(arena) == 0
 
 
@@ -375,5 +375,5 @@ class TestCombineBlockEquivalence:
             factory.combine_block(
                 frozenset({"a"}), frozenset({"b"}), [], [], factory.join_operators()
             )
-            == []
+            == range(0)
         )

@@ -22,6 +22,7 @@ from repro.service import (
     AdmissionError,
     PlanningServer,
     ServiceClient,
+    ServiceError,
     UnknownTicketError,
     WorkerPoolService,
 )
@@ -354,6 +355,28 @@ class TestMalformedMessages:
             assert all(shard.reader.is_alive() for shard in pool.shards())
             result = pool.result(pool.submit(later), timeout=60.0)
         assert _frontier_costs(result) == _frontier_costs(open_session(later).run())
+
+
+    def test_a_reply_without_req_id_fails_the_waiting_rpc_at_once(
+        self, monkeypatch
+    ):
+        handle_request = shard_module._handle_request
+
+        def answer_stats_anonymously(conn, service, open_jobs, message):
+            if message.get("op") == "stats":
+                conn.send({"op": "reply", "stats": {}})
+            else:
+                handle_request(conn, service, open_jobs, message)
+
+        # The shards fork after the patch, so they inherit it.
+        monkeypatch.setattr(shard_module, "_handle_request", answer_stats_anonymously)
+        with WorkerPoolService(workers=1) as pool:
+            (handle,) = pool.shards()
+            started = time.monotonic()
+            with pytest.raises(ServiceError, match=handle.shard_id):
+                pool._rpc(handle, {"op": "stats"}, timeout=3.0)
+            assert time.monotonic() - started < 1.0
+            assert not handle.waiting
 
 
 # ----------------------------------------------------------------------
