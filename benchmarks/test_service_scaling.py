@@ -7,7 +7,7 @@ least 4 CPU cores the 4-worker pool must reach at least 2.5x the 1-worker
 throughput.  Boxes with fewer cores cannot scale a CPU-bound phase by adding
 processes, so there the test is skipped.
 
-Cache replay, warm starts and cross-shard migration are checked in
+Cache replay, warm starts and replay after a shard death are checked in
 ``tests/service/test_pool.py`` and, for template traffic, in
 ``tests/service/test_template_traffic.py``; perfbench ``service_zipf``
 measures service latency and throughput.
@@ -46,9 +46,7 @@ def _requests(scale: str):
 
 def _cold_throughput(workers: int, requests) -> float:
     """Jobs per second of one cold pass over ``requests``."""
-    with WorkerPoolService(
-        workers=workers, policy="fair", max_sessions=8, max_queue=16
-    ) as pool:
+    with WorkerPoolService(workers=workers, max_sessions=8, max_queue=16) as pool:
         start = time.perf_counter()
         tickets = [pool.submit(request) for request in requests]
         for ticket in tickets:

@@ -9,8 +9,8 @@ longer it stays admitted.  This example drives the in-process façade directly
 (the HTTP wire layer, ``repro-moqo serve`` / ``submit``, exposes exactly the
 same verbs):
 
-1. submit a burst of generated workloads under the ``alpha_greedy`` policy
-   (each timeslice goes where the expected precision gain is largest),
+1. submit a burst of generated workloads (timeslices go round-robin, one
+   invocation per live session per rotation),
 2. stream one job's frontier updates as they arrive,
 3. resubmit the same workloads: every request is answered from the
    cross-request frontier cache by replay, re-running zero invocations,
@@ -40,7 +40,7 @@ def invocations_run(service: PlanningService) -> int:
 
 
 def main() -> None:
-    with PlanningService(policy="alpha_greedy", workers=2, max_sessions=4) as service:
+    with PlanningService(workers=2, max_sessions=4) as service:
         # 1. A burst of concurrent submissions.
         print(f"submitting {len(WORKLOADS)} workloads ...")
         tickets = {

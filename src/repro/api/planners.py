@@ -20,6 +20,8 @@ whose sessions finish after one invocation unless the user changes bounds.
 
 from __future__ import annotations
 
+import dataclasses
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
@@ -180,7 +182,9 @@ class SingleObjectiveDriver(PlannerDriver):
     """Classical single-objective DP.
 
     Its frontier is the one cheapest plan, or nothing when that plan exceeds
-    the session's bounds.
+    the session's bounds.  The plan does not depend on the bounds, so the DP
+    runs once: a later invocation (after a bounds change) only filters the
+    kept plan against the new bounds and reports no plans generated.
     """
 
     name = "single_objective"
@@ -199,18 +203,29 @@ class SingleObjectiveDriver(PlannerDriver):
         self._optimizer = SingleObjectiveOptimizer(
             query, factory, metric_name=metric_name, **dp_options
         )
+        self._plan: Optional[Plan] = None
 
     @property
     def optimizer(self) -> SingleObjectiveOptimizer:
         return self._optimizer
 
     def invoke(self, bounds: CostVector, resolution: int) -> DriverStep:
-        plan = self._optimizer.optimize()
+        started = time.perf_counter()
+        first = self._plan is None
+        if first:
+            self._plan = self._optimizer.optimize()
+        plans = [self._plan] if within_bounds(self._plan.cost, bounds) else []
         report = self._optimizer.report
+        if not first:
+            report = dataclasses.replace(
+                report,
+                duration_seconds=time.perf_counter() - started,
+                plans_generated=0,
+            )
         return DriverStep(
             alpha=1.0,
             duration_seconds=report.duration_seconds,
-            plans=[plan] if within_bounds(plan.cost, bounds) else [],
+            plans=plans,
             native=report,
         )
 

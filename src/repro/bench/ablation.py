@@ -1,7 +1,7 @@
 """First-class ablation harness: per-feature speedup attribution with gates.
 
 The stacked optimizations (the numpy kernel backend, Δ-sets, frontier cache,
-scheduler policy, tracing) each kept a slower reference path alive;
+tracing) each kept a slower reference path alive;
 this module turns those seams into a registry of named features and
 measures what each one contributes.
 
@@ -93,7 +93,7 @@ class Feature:
     gate_floor:
         Minimum allowed ``ablated_seconds / baseline_seconds`` ratio before
         the timing gate fails; ``None`` exempts the feature from the timing
-        gate (used where the contribution is about ordering, not speed).
+        gate.
     counter_exempt:
         Invocation-counter fields this feature is *allowed* to change (the
         differential suite pins every other counter bit-identical).
@@ -172,15 +172,6 @@ FEATURES.register(
         layer="service",
         description="cross-request frontier cache: replay repeats, warm-start bigger budgets",
         lowering="PlanningService(cache=False)",
-    )
-)
-FEATURES.register(
-    Feature(
-        name="scheduler_policy",
-        layer="service",
-        description="alpha-greedy invocation timeslicing vs plain fair round-robin",
-        lowering='PlanningService(policy="fair")',
-        gate_floor=None,
     )
 )
 FEATURES.register(
@@ -347,10 +338,9 @@ def _service_row(config: ExperimentConfig, config_name: str) -> Dict[str, object
     """Drive an in-process manual-mode service through a cold + warm trace.
 
     Phase 1 submits every unique request and drains step-by-step (concurrent
-    sessions, so the scheduling policy shapes the completion order); phase 2
-    resubmits each request ``SERVICE_REPEATS`` times (pure cache traffic when
-    the frontier cache is on).  ``step_once`` makes the whole trace
-    deterministic.
+    sessions, round-robin timeslices); phase 2 resubmits each request
+    ``SERVICE_REPEATS`` times (pure cache traffic when the frontier cache is
+    on).  ``step_once`` makes the whole trace deterministic.
     """
     import time
 
@@ -359,9 +349,7 @@ def _service_row(config: ExperimentConfig, config_name: str) -> Dict[str, object
 
     tables = min(config.synthetic_table_counts)
     seed = config.synthetic_seeds[0]
-    feature_name = ablated_feature(config_name)
-    policy = "fair" if feature_name == "scheduler_policy" else "alpha_greedy"
-    cache = False if feature_name == "frontier_cache" else None
+    cache = False if ablated_feature(config_name) == "frontier_cache" else None
     backend = _auto_backend()
     requests = [
         OptimizeRequest(
@@ -376,7 +364,7 @@ def _service_row(config: ExperimentConfig, config_name: str) -> Dict[str, object
     with ExitStack() as stack:
         _apply_configuration(stack, BASELINE_CONFIG, backend)
         service = stack.enter_context(
-            PlanningService(policy=policy, workers=0, cache=cache)
+            PlanningService(workers=0, cache=cache)
         )
         # Cold phase: all unique requests in flight at once.
         cold_tickets = [service.submit(request) for request in requests]
@@ -391,14 +379,6 @@ def _service_row(config: ExperimentConfig, config_name: str) -> Dict[str, object
         while (ticket := service.step_once()) is not None:
             warm_steps.append(ticket)
         seconds = time.perf_counter() - started
-        completion_step = {
-            ticket: index for index, ticket in enumerate(cold_steps)
-        }
-        mean_completion = (
-            sum(completion_step.get(t, -1) for t in cold_tickets) / len(cold_tickets)
-            if cold_tickets
-            else 0.0
-        )
         frontiers = [
             frontier_hex_rows(service.result(ticket))
             for ticket in cold_tickets + warm_tickets
@@ -412,7 +392,6 @@ def _service_row(config: ExperimentConfig, config_name: str) -> Dict[str, object
         "seconds": seconds,
         "cold_slices": len(cold_steps),
         "warm_slices": len(warm_steps),
-        "mean_cold_completion_step": mean_completion,
         "frontier_digest": digest_of(frontiers),
     }
 

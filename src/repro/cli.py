@@ -329,7 +329,6 @@ def build_server(args: argparse.Namespace):
             )
         service = WorkerPoolService(
             workers=args.workers,
-            policy=args.policy,
             max_sessions=args.max_sessions,
             max_queue=args.queue_size,
             cache_bytes=args.cache_mb << 20,
@@ -337,7 +336,6 @@ def build_server(args: argparse.Namespace):
         )
     else:
         service = PlanningService(
-            policy=args.policy,
             workers=args.jobs,
             max_sessions=args.max_sessions,
             max_queue=args.queue_size,
@@ -379,7 +377,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"planning service listening on http://{host}:{port} "
-        f"(policy {args.policy}, {tier}, "
+        f"({tier}, "
         f"max {args.max_sessions} live sessions, "
         f"cache {'off' if args.no_cache else f'{args.cache_mb} MiB'})",
         flush=True,
@@ -431,9 +429,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit(exc.args[0] if exc.args else str(exc))
     client = ServiceClient(args.host, args.port)
     try:
-        status = client.submit(
-            request, priority=args.priority, deadline_seconds=args.deadline
-        )
+        status = client.submit(request)
         ticket = status["ticket"]
         if not args.json:
             print(f"submitted {args.query} as {ticket} (state {status['state']})")
@@ -619,13 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "before closing (default: 10)",
     )
     serve.add_argument(
-        "--policy",
-        choices=("fair", "edf", "alpha_greedy"),
-        default="fair",
-        help="timeslice policy: fair round-robin, earliest-deadline-first, "
-        "or largest expected precision gain (default: fair)",
-    )
-    serve.add_argument(
         "--max-sessions",
         type=int,
         default=8,
@@ -675,19 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision", choices=("moderate", "fine"), default="moderate"
     )
     submit.add_argument("--scale", choices=SCALE_CHOICES, default=None)
-    submit.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="admission priority (larger = admitted earlier; default: 0)",
-    )
-    submit.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="scheduling deadline for the earliest-deadline-first policy",
-    )
     submit.add_argument(
         "--budget-seconds",
         type=float,

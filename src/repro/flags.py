@@ -28,11 +28,11 @@ Flags are global and read per call site (one dict lookup on a hot-path
 applied at import, mirroring ``REPRO_KERNEL_BACKEND``; tests and the ablation
 runner use :func:`overrides` for scoped, exception-safe toggling.
 
-The kernel backend and the planning-service knobs are deliberately *not*
-routed through this module: the kernel already has its own runtime switch
-(:func:`repro.kernel.use_backend`) and the service takes ``cache=False`` /
-``policy=...`` as constructor arguments.  The ablation feature registry
-records those lowerings alongside these flags.
+The kernel backend and the frontier cache are deliberately *not* routed
+through this module: the kernel already has its own runtime switch
+(:func:`repro.kernel.use_backend`) and the service takes ``cache=False`` as a
+constructor argument.  The ablation feature registry records those lowerings
+alongside these flags.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ Pareto frontier — which makes it natural to multiplex: interleave invocations
 of many concurrent sessions and every admitted query gets a frontier early,
 improving the longer it stays admitted.  This package is that serving layer:
 
-* :class:`~repro.service.scheduler.Scheduler` — admission control plus
-  invocation-granularity timeslicing with pluggable policies (``fair``,
-  ``edf``, ``alpha_greedy``),
+* :class:`~repro.service.scheduler.Scheduler` — FIFO admission control plus
+  round-robin timeslicing at invocation granularity,
 * :class:`~repro.service.frontier_cache.FrontierCache` — cross-request
   frontier reuse: replay for repeat requests, warm-started refinement for
   cached-but-coarser frontiers,
@@ -30,7 +29,7 @@ Quickstart::
     from repro.api import OptimizeRequest
     from repro.service import PlanningService
 
-    with PlanningService(policy="fair", workers=2) as service:
+    with PlanningService(workers=2) as service:
         ticket = service.submit(OptimizeRequest(workload="gen:star:5:42"))
         for update in service.stream(ticket):
             print(update["invocation"]["resolution"], len(update["frontier"]))
@@ -72,7 +71,7 @@ from repro.service.protocol import (
 )
 from repro.service.jobs import JobTable, ServiceError, UnknownTicketError
 from repro.service.routing import DEFAULT_REPLICAS, HashRing
-from repro.service.scheduler import POLICIES, AdmissionError, Job, Scheduler
+from repro.service.scheduler import AdmissionError, Job, Scheduler
 from repro.service.server import PlanningServer
 from repro.service.service import PlanningService
 from repro.service.shard import ShardHandle, WorkerPoolService, shard_main
@@ -92,7 +91,6 @@ __all__ = [
     "Scheduler",
     "Job",
     "JobTable",
-    "POLICIES",
     "AdmissionError",
     # frontier cache
     "FrontierCache",

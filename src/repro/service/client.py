@@ -103,18 +103,9 @@ class ServiceClient:
     def stats(self) -> dict:
         return self._request("GET", "/v1/stats")
 
-    def submit(
-        self,
-        request: OptimizeRequest,
-        priority: int = 0,
-        deadline_seconds: Optional[float] = None,
-    ) -> dict:
+    def submit(self, request: OptimizeRequest) -> dict:
         """Submit a request; returns the initial ``job_status`` payload."""
-        status = self._request(
-            "POST",
-            "/v1/jobs",
-            submit_payload(request, priority=priority, deadline_seconds=deadline_seconds),
-        )
+        status = self._request("POST", "/v1/jobs", submit_payload(request))
         return check_job_status(status)
 
     def poll(self, ticket: str) -> dict:

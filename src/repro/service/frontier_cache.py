@@ -669,41 +669,6 @@ class FrontierCache:
         if count_eviction:
             self._evictions_counter.inc()
 
-    def pop_session(self, key: str) -> Optional[PlannerSession]:
-        """Detach and return the parked session for ``key`` (``None`` if none).
-
-        The export half of a cross-shard migration: the caller takes
-        ownership; the replayable trace stays resident.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.session is None:
-                return None
-            session = entry.session
-            entry.session = None
-            self._bytes -= entry.arena_bytes
-            entry.arena_bytes = 0
-            return session
-
-    def park_session(self, key: str, session: PlannerSession) -> bool:
-        """Attach a migrated session to the resident entry for ``key``.
-
-        The import half of a migration.  The entry is loaded from the
-        persistent tier when not resident (the trace was persisted by the
-        exporting shard into the shared store).  Returns ``False`` — leaving
-        the caller owning the session — when no trace exists for the key or
-        the entry already parks a session.
-        """
-        with self._lock:
-            entry = self._lookup_locked(key)
-            if entry is None or entry.session is not None:
-                return False
-            entry.session = session
-            self._charge_locked(entry)
-            self._entries.move_to_end(key)
-            self._evict_locked()
-            return True
-
     def flush(self) -> int:
         """Persist every resident trace to the disk tier; returns the count.
 

@@ -67,20 +67,10 @@ class JobTable:
             self._closed = True
             self.condition.notify_all()
 
-    def _new_job(
-        self,
-        request: OptimizeRequest,
-        priority: int,
-        deadline_seconds: Optional[float],
-    ) -> Job:
+    def _new_job(self, request: OptimizeRequest) -> Job:
         """An unregistered record under the next ticket, on the table's clock."""
         return Job(
-            f"job-{next(self._tickets):06d}",
-            request,
-            session=None,
-            priority=priority,
-            deadline_seconds=deadline_seconds,
-            clock=self._clock,
+            f"job-{next(self._tickets):06d}", request, session=None, clock=self._clock
         )
 
     def _register(self, job: Job) -> None:

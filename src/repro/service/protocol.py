@@ -5,15 +5,14 @@ The service speaks the same versioned JSON dialect as the planner API
 envelope, cost components encode ``+inf`` as ``"inf"``, and the request and
 result bodies *are* the existing :class:`~repro.api.request.OptimizeRequest`
 and :class:`~repro.api.schema.OptimizationResult` payloads — the wire layer
-adds only the multiplexing vocabulary (tickets, priorities, scheduling
-deadlines, job states, steering verbs) around them.
+adds only the multiplexing vocabulary (tickets, job states, steering verbs)
+around them.
 
 Payload kinds
 -------------
 
 ``submit_request``
-    An :class:`OptimizeRequest` payload plus scheduling metadata (``priority``,
-    ``deadline_seconds``).
+    An :class:`OptimizeRequest` payload under the ``request`` key.
 ``job_status``
     One job's snapshot: ticket, state, cache status, progress counters, and —
     once finished — the embedded ``optimization_result`` payload.
@@ -30,7 +29,7 @@ Payload kinds
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.api.request import OptimizeRequest
 from repro.api.schema import (
@@ -66,50 +65,18 @@ CACHE_STATUSES = (CACHE_MISS, CACHE_HIT, CACHE_WARM, CACHE_BYPASS)
 # ----------------------------------------------------------------------
 # submit_request
 # ----------------------------------------------------------------------
-def submit_payload(
-    request: OptimizeRequest,
-    priority: int = 0,
-    deadline_seconds: Optional[float] = None,
-) -> Dict[str, object]:
-    """The wire form of one job submission.
-
-    ``priority`` orders jobs of equal urgency (larger = more urgent) and
-    ``deadline_seconds`` is the *scheduling* deadline relative to submission —
-    it guides the earliest-deadline-first policy but, unlike the request's own
-    :class:`~repro.api.request.Budget`, never terminates the session.
-    """
-    return {
-        **_envelope("submit_request"),
-        "request": request.to_dict(),
-        "priority": int(priority),
-        "deadline_seconds": (
-            float(deadline_seconds) if deadline_seconds is not None else None
-        ),
-    }
+def submit_payload(request: OptimizeRequest) -> Dict[str, object]:
+    """The wire form of one job submission."""
+    return {**_envelope("submit_request"), "request": request.to_dict()}
 
 
-def parse_submit(
-    payload: Mapping,
-) -> Tuple[OptimizeRequest, int, Optional[float]]:
-    """Inverse of :func:`submit_payload`."""
+def parse_submit(payload: Mapping) -> OptimizeRequest:
+    """Inverse of :func:`submit_payload`; other keys of the payload are ignored."""
     check_envelope(payload, "submit_request")
     request_payload = payload.get("request")
     if not isinstance(request_payload, Mapping):
         raise SchemaError("submit_request is missing its 'request' payload")
-    request = OptimizeRequest.from_dict(request_payload)
-    priority = payload.get("priority", 0)
-    if not isinstance(priority, int) or isinstance(priority, bool):
-        raise SchemaError(f"priority must be an integer, got {priority!r}")
-    deadline = payload.get("deadline_seconds")
-    if deadline is not None:
-        if not isinstance(deadline, (int, float)) or isinstance(deadline, bool):
-            raise SchemaError(
-                f"deadline_seconds must be a number or null, got {deadline!r}"
-            )
-        deadline = float(deadline)
-        if deadline < 0:
-            raise SchemaError("deadline_seconds must be non-negative")
-    return request, priority, deadline
+    return OptimizeRequest.from_dict(request_payload)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +134,6 @@ def job_status_payload(
     *,
     workload: str,
     algorithm: str,
-    priority: int = 0,
     cache_status: str = CACHE_MISS,
     invocations_completed: int = 0,
     frontier_size: int = 0,
@@ -191,7 +157,6 @@ def job_status_payload(
         "cache_status": cache_status,
         "workload": workload,
         "algorithm": algorithm,
-        "priority": priority,
         "invocations_completed": invocations_completed,
         "frontier_size": frontier_size,
         "latest_alpha": latest_alpha,

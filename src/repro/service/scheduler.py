@@ -3,36 +3,21 @@
 The anytime loop has a natural preemption point: one optimizer invocation.
 The scheduler multiplexes many live :class:`~repro.api.session.PlannerSession`
 objects over a small worker pool by handing out *timeslices of exactly one
-invocation*: pick a session by policy, run ``advance()`` + ``apply()``, record
-the streamed frontier update, repeat.  Every admitted request therefore gets a
-usable frontier early, and the longer it stays admitted the better its
-frontier — the paper's Algorithm 1 property turned into a multi-tenancy
-mechanism.
-
-Scheduling policies (pluggable via :data:`POLICIES`):
-
-``fair``
-    Round-robin over live sessions: every session advances one invocation per
-    rotation.
-``edf``
-    Earliest-deadline-first over the jobs' *scheduling* deadlines (requests
-    without a deadline run last); classic for latency targets.
-``alpha_greedy``
-    Spend the next slice where the expected approximation-precision gain is
-    largest: the gain of a session is the drop from its last achieved
-    precision factor to the factor its next resolution level would run at
-    (sessions that have not produced a frontier yet have everything to gain
-    and are served first).
+invocation*: pick the next session in round-robin order, run ``advance()`` +
+``apply()``, record the streamed frontier update, repeat.  Every admitted
+request therefore gets a usable frontier early, and the longer it stays
+admitted the better its frontier — the paper's Algorithm 1 property turned
+into a multi-tenancy mechanism.
 
 Admission control: at most ``max_sessions`` sessions hold live optimizer
-state; further submissions wait in a priority backlog of bounded length, and
+state; further submissions wait in a FIFO backlog of bounded length, and
 once the backlog is full :meth:`Scheduler.submit` raises
 :class:`AdmissionError` — backpressure the wire layer translates to HTTP 503.
 
 Determinism: a session's invocations always execute one at a time, in order,
 against its own private plan factory and arena, so the frontier a request
 receives is bit-identical to running it serially through ``open_session`` —
-regardless of policy, worker count, or what other sessions are admitted.
+regardless of worker count or what other sessions are admitted.
 With ``workers=0`` the scheduler runs in *manual* mode (:meth:`step_once`),
 which the property tests use to exercise adversarial interleavings
 deterministically.
@@ -40,8 +25,6 @@ deterministically.
 
 from __future__ import annotations
 
-import itertools
-import math
 import threading
 import time
 from collections import deque
@@ -63,9 +46,6 @@ from repro.service.protocol import (
     job_status_payload,
 )
 
-#: Registered scheduling policies.
-POLICIES = ("fair", "edf", "alpha_greedy")
-
 
 class AdmissionError(RuntimeError):
     """The backlog is full; the client should retry later (HTTP 503)."""
@@ -84,23 +64,13 @@ class Job:
         ticket: str,
         request: OptimizeRequest,
         session: Optional[PlannerSession],
-        priority: int = 0,
-        deadline_seconds: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.ticket = ticket
         self.request = request
         self.session = session
-        self.priority = priority
-        self.deadline_seconds = deadline_seconds
         self.clock = clock
         self.submitted_at = clock()
-        self.deadline_at = (
-            self.submitted_at + deadline_seconds
-            if deadline_seconds is not None
-            else None
-        )
-        self.submit_seq = 0  # assigned by the scheduler, FIFO tie-break
         self.state = JOB_QUEUED
         self.cache_status = CACHE_MISS
         #: Request fingerprint, set by the service when caching is enabled.
@@ -178,7 +148,6 @@ class Job:
             self.state,
             workload=self.request.workload,
             algorithm=self.request.algorithm,
-            priority=self.priority,
             cache_status=self.cache_status,
             invocations_completed=len(self.updates),
             frontier_size=(
@@ -197,7 +166,6 @@ class Scheduler:
 
     def __init__(
         self,
-        policy: str = "fair",
         max_sessions: int = 8,
         max_queue: int = 64,
         workers: int = 1,
@@ -205,17 +173,12 @@ class Scheduler:
         on_finish: Optional[Callable[[Job], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown scheduling policy {policy!r}; expected one of {POLICIES}"
-            )
         if max_sessions < 1:
             raise ValueError("max_sessions must be at least 1")
         if max_queue < 0:
             raise ValueError("max_queue must be non-negative")
         if workers < 0:
             raise ValueError("workers must be non-negative (0 = manual stepping)")
-        self.policy = policy
         self.max_sessions = max_sessions
         self.max_queue = max_queue
         self.workers = workers
@@ -227,7 +190,6 @@ class Scheduler:
         self._backlog: List[Job] = []
         self._live: Dict[str, Job] = {}
         self._rotation: Deque[str] = deque()
-        self._seq = itertools.count()
         self._threads: List[threading.Thread] = []
         self._closed = False
         # Instruments (the registry is the single source of truth; ``stats``
@@ -304,11 +266,8 @@ class Scheduler:
                     f"backlog full ({len(self._backlog)} queued, "
                     f"{len(self._live)} live sessions); retry later"
                 )
-            job.submit_seq = next(self._seq)
             job.state = JOB_QUEUED
             self._backlog.append(job)
-            # Highest priority first; FIFO within one priority level.
-            self._backlog.sort(key=lambda j: (-j.priority, j.submit_seq))
             self._submitted.inc()
             self._admit_locked()
             self.condition.notify_all()
@@ -394,9 +353,7 @@ class Scheduler:
                 return
             session = job.session
             with obs_trace.activate_context(job.trace_context):
-                with obs_trace.span(
-                    "scheduler.timeslice", ticket=job.ticket, policy=self.policy
-                ):
+                with obs_trace.span("scheduler.timeslice", ticket=job.ticket):
                     update = session.advance()
             with self.condition:
                 action, job.pending_action = job.pending_action, None
@@ -498,65 +455,26 @@ class Scheduler:
             self.on_finish(job)
 
     def _pick_locked(self) -> Optional[Job]:
+        """The next runnable live job in round-robin order, rotated to the back."""
         if self._closed:
             # Stop handing out slices once close() is underway, so workers
             # wind down after at most their current invocation and close()
             # can actually join them.
             return None
-        candidates = [
-            job
-            for job in self._live.values()
-            if not job.in_flight and not job.terminal
-        ]
-        if not candidates:
+        for ticket in self._rotation:
+            job = self._live[ticket]
+            if not job.in_flight and not job.terminal:
+                break
+        else:
             return None
-        if self.policy == "fair":
-            by_ticket = {job.ticket: job for job in candidates}
-            for ticket in list(self._rotation):
-                if ticket in by_ticket:
-                    self._rotation.remove(ticket)
-                    self._rotation.append(ticket)
-                    return by_ticket[ticket]
-            return None  # pragma: no cover - rotation tracks live jobs
-        if self.policy == "edf":
-            return min(
-                candidates,
-                key=lambda job: (
-                    job.deadline_at if job.deadline_at is not None else math.inf,
-                    job.submit_seq,
-                ),
-            )
-        # alpha_greedy
-        return max(
-            candidates,
-            key=lambda job: (self._alpha_gain(job), -job.submit_seq),
-        )
-
-    @staticmethod
-    def _alpha_gain(job: Job) -> float:
-        """Expected precision gain of this job's next invocation.
-
-        The drop from the last achieved precision factor to the factor of the
-        resolution level the session will run next; sessions that have not
-        visualized anything yet have unbounded gain (serving them first also
-        minimizes time-to-first-frontier).
-        """
-        session = job.session
-        if session is None or not job.alphas:
-            return math.inf
-        schedule = session.driver.schedule
-        next_resolution = (
-            session.resolution
-            if session.driver.refines
-            else schedule.max_resolution
-        )
-        return max(0.0, job.alphas[-1] - schedule.alpha(next_resolution))
+        self._rotation.remove(ticket)
+        self._rotation.append(ticket)
+        return job
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         with self.condition:
             return {
-                "policy": self.policy,
                 "workers": self.workers,
                 "max_sessions": self.max_sessions,
                 "max_queue": self.max_queue,

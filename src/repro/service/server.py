@@ -134,10 +134,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _route_post(self) -> None:
         path = self.path.split("?", 1)[0].rstrip("/")
         if path == f"{API_PREFIX}/jobs":
-            request, priority, deadline = parse_submit(self._read_json())
-            ticket = self.service.submit(
-                request, priority=priority, deadline_seconds=deadline
-            )
+            ticket = self.service.submit(parse_submit(self._read_json()))
             self._send_json(202, self.service.poll(ticket, include_result=False))
             return
         ticket, verb = self._job_route(path)

@@ -17,9 +17,9 @@ behind five verbs: ``submit``, ``poll``, ``stream``, ``steer``, ``cancel``.
 :data:`~repro.api.planners.PLANNERS` with ``KeyError`` and fingerprints the
 name as given.
 
-The differential contract: for every scheduling policy and worker count, the
-frontier a request receives is bit-identical to running the same
-``OptimizeRequest`` through :func:`repro.api.open_session` serially — sessions
+The differential contract: for every worker count, the frontier a request
+receives is bit-identical to running the same ``OptimizeRequest`` through
+:func:`repro.api.open_session` serially — sessions
 never share plan arenas or optimizer state, each session's invocations run one
 at a time in order, and cache replays/warm starts reuse only deterministic
 prefixes of the identical invocation sequence.  (Requests whose *budget*
@@ -67,8 +67,6 @@ class PlanningService(JobTable):
 
     Parameters
     ----------
-    policy:
-        Scheduling policy (``fair``, ``edf``, ``alpha_greedy``).
     workers:
         Scheduler worker threads; ``0`` selects manual mode, where the caller
         drives execution with :meth:`step_once`/:meth:`run_until_idle` (used
@@ -90,7 +88,6 @@ class PlanningService(JobTable):
 
     def __init__(
         self,
-        policy: str = "fair",
         workers: int = 1,
         max_sessions: int = 8,
         max_queue: int = 64,
@@ -112,7 +109,6 @@ class PlanningService(JobTable):
         else:
             self._cache = cache
         self._scheduler = Scheduler(
-            policy=policy,
             max_sessions=max_sessions,
             max_queue=max_queue,
             workers=workers,
@@ -178,13 +174,7 @@ class PlanningService(JobTable):
     # ------------------------------------------------------------------
     # The five verbs
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        request: OptimizeRequest,
-        priority: int = 0,
-        deadline_seconds: Optional[float] = None,
-        use_cache: bool = True,
-    ) -> str:
+    def submit(self, request: OptimizeRequest) -> str:
         """Admit one request; returns its ticket.
 
         Raises ``ValueError``/``KeyError`` for malformed requests and
@@ -195,19 +185,11 @@ class PlanningService(JobTable):
             workload=request.workload,
             algorithm=request.algorithm,
         ) as submit_span:
-            ticket = self._submit_traced(
-                request, priority, deadline_seconds, use_cache
-            )
+            ticket = self._submit_traced(request)
             submit_span.set(ticket=ticket)
             return ticket
 
-    def _submit_traced(
-        self,
-        request: OptimizeRequest,
-        priority: int,
-        deadline_seconds: Optional[float],
-        use_cache: bool,
-    ) -> str:
+    def _submit_traced(self, request: OptimizeRequest) -> str:
         if self._closed:
             raise ServiceError("planning service is closed")
         if self._draining:
@@ -221,11 +203,11 @@ class PlanningService(JobTable):
             key = request_fingerprint(resolved, request.algorithm)
             if request.budget.deadline_seconds is not None:
                 cache_status = CACHE_BYPASS
-            elif use_cache:
+            else:
                 decision = self._cache.match(key, request.budget)
                 cache_status = decision.status
 
-        job = self._new_job(request, priority, deadline_seconds)
+        job = self._new_job(request)
         job.cache_status = cache_status
         job.cache_key = key
         # Timeslices run on scheduler workers: carry the submit span's

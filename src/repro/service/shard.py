@@ -12,7 +12,8 @@ Routing.  Every request is routed by the frontier cache's request fingerprint
 (:func:`~repro.service.frontier_cache.request_fingerprint`) over the
 consistent-hash ring of live shards (:class:`~repro.service.routing.HashRing`),
 so repeat and warm-start submissions of the same request always land on the
-shard holding the parked session.
+shard holding the parked session.  The ring is fixed at start-up and parked
+sessions never leave their shard.
 
 Two cache tiers.  Each shard keeps a *live* tier — parked
 :class:`~repro.api.session.PlannerSession` objects, arena-resident, enabling
@@ -21,7 +22,9 @@ share one *persistent* tier, a
 :class:`~repro.service.frontier_cache.JsonStore` directory every shard's
 cache persists completed traces into and loads from.  When a shard dies, its
 live tier dies with it, but its traces remain replayable by whichever shard
-the ring reassigns the keys to.
+the ring reassigns the keys to; a key without a parked session on its new
+shard is served by that replay or by a cold run, both bit-identical to
+serial execution.
 
 Determinism.  A session's invocations execute serially, in order, inside one
 shard, against a private arena — exactly the serial ``open_session`` sequence.
@@ -105,7 +108,6 @@ def shard_main(
     conn,
     shard_id: str,
     *,
-    policy: str = "fair",
     max_sessions: int = 8,
     max_queue: int = 64,
     cache_bytes: int = 64 << 20,
@@ -123,7 +125,6 @@ def shard_main(
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     service = PlanningService(
-        policy=policy,
         workers=0,
         max_sessions=max_sessions,
         max_queue=max_queue,
@@ -237,14 +238,7 @@ def _serve_request(
     """Dispatch one shard op and build its reply payload."""
     if op == "submit":
         request = OptimizeRequest.from_dict(message["request"])
-        job = service.job(
-            service.submit(
-                request,
-                priority=message.get("priority", 0),
-                deadline_seconds=message.get("deadline_seconds"),
-                use_cache=message.get("use_cache", True),
-            )
-        )
+        job = service.job(service.submit(request))
         # The shard-local Job carries the parent's trace context so the
         # scheduler re-activates it around every later timeslice of this
         # session — the timeslices run long after this RPC returns.
@@ -274,34 +268,7 @@ def _serve_request(
         return {"stats": service.stats()}
     if op == "metrics":
         return {"metrics": service.metrics_snapshot(), "spans": obs_trace.drain()}
-    if op == "export_session":
-        return _export_session(service, message["key"])
-    if op == "import_session":
-        return _import_session(service, message["key"], message["blob"])
     raise ValueError(f"unknown op {op!r}")
-
-
-def _export_session(service: PlanningService, key: str) -> dict:
-    """Detach, serialize and hand over the parked session for ``key``.
-
-    The pickle carries every arena column, the bulk of the session.
-    """
-    session = (
-        service.cache.pop_session(key) if service.cache is not None else None
-    )
-    if session is None:
-        return {"found": False}
-    blob = pickle.dumps(session)
-    return {"found": True, "blob": blob, "inline_bytes": len(blob)}
-
-
-def _import_session(service: PlanningService, key: str, blob: bytes) -> dict:
-    """Attach a migrated session and park it against the persisted trace."""
-    session = pickle.loads(blob)
-    parked = service.cache is not None and service.cache.park_session(
-        key, session
-    )
-    return {"parked": bool(parked)}
 
 
 def _push_progress(conn, service: PlanningService, open_jobs: OpenJobs) -> None:
@@ -397,20 +364,17 @@ class WorkerPoolService(JobTable):
     def __init__(
         self,
         workers: int = 2,
-        policy: str = "fair",
         max_sessions: int = 8,
         max_queue: int = 64,
         cache_bytes: int = 64 << 20,
         cache_dir: Optional[Path] = None,
         max_retained_jobs: int = 1024,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
-        start_method: str = "fork",
     ):
         if workers < 1:
             raise ValueError("worker pool needs at least one worker process")
         #: One condition guards jobs, replies, ring and handle membership.
         super().__init__(threading.Condition(), time.monotonic, max_retained_jobs)
-        self._policy = policy
         self._max_sessions = max_sessions
         self._max_queue = max_queue
         self._cache_bytes = cache_bytes
@@ -420,17 +384,11 @@ class WorkerPoolService(JobTable):
             self._tmpdir = TemporaryDirectory(prefix="repro-pool-cache-")
             cache_dir = Path(self._tmpdir.name)
         self._cache_dir = Path(cache_dir)
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("fork")
         self._replies: Dict[int, Optional[dict]] = {}
         self._req_ids = itertools.count(1)
         self._ring = HashRing()
         self._handles: Dict[str, ShardHandle] = {}
-        #: Last shard each request fingerprint ran on — the migration trigger:
-        #: when the ring reassigns a key, the parked session is pulled from
-        #: its previous shard before the submit is routed.
-        self._key_shard: Dict[str, str] = {}
-        self.migrations = 0
-        self.migrated_inline_bytes = 0
         #: The pool's own registry (front-process instruments); shard
         #: registries are merged in at render time with a ``shard`` label.
         self.metrics = MetricsRegistry()
@@ -445,14 +403,6 @@ class WorkerPoolService(JobTable):
                 1 for h in list(self._handles.values()) if h.alive
             )
         )
-        self.metrics.gauge(
-            "repro_pool_migrations",
-            "Parked sessions migrated between shards after ring changes.",
-        ).set_function(lambda: self.migrations)
-        self.metrics.gauge(
-            "repro_pool_migrated_inline_bytes",
-            "Bytes serialized inline over the pipe by session migrations.",
-        ).set_function(lambda: self.migrated_inline_bytes)
         self._draining = False
         for index in range(workers):
             self._spawn(f"shard-{index}")
@@ -481,7 +431,6 @@ class WorkerPoolService(JobTable):
             name=f"repro-{shard_id}",
             args=(child_conn, shard_id),
             kwargs=dict(
-                policy=self._policy,
                 max_sessions=self._max_sessions,
                 max_queue=self._max_queue,
                 cache_bytes=self._cache_bytes,
@@ -505,30 +454,6 @@ class WorkerPoolService(JobTable):
         handle.reader = reader
         reader.start()
         return handle
-
-    def add_shard(self, shard_id: Optional[str] = None) -> ShardHandle:
-        """Grow the pool by one worker process (elastic scale-out).
-
-        The new shard joins the consistent-hash ring immediately, which
-        reassigns a slice of the key space to it.  Parked sessions whose key
-        moved are *not* copied eagerly: the next submit of such a key
-        migrates its session from the previous owner
-        (:meth:`migrate_session`), so scale-out costs nothing for keys that
-        never return.
-        """
-        with self.condition:
-            if self._closed:
-                raise ServiceError("worker pool is closed")
-            if shard_id is None:
-                taken = set(self._handles)
-                index = len(taken)
-                while f"shard-{index}" in taken:
-                    index += 1
-                shard_id = f"shard-{index}"
-            existing = self._handles.get(shard_id)
-            if existing is not None and existing.alive:
-                raise RuntimeError(f"shard {shard_id!r} is still alive")
-        return self._spawn(shard_id)
 
     def restart_shard(self, shard_id: str) -> ShardHandle:
         """Replace a dead shard with a fresh process under the same ring name.
@@ -736,13 +661,7 @@ class WorkerPoolService(JobTable):
     # ------------------------------------------------------------------
     # The five verbs
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        request: OptimizeRequest,
-        priority: int = 0,
-        deadline_seconds: Optional[float] = None,
-        use_cache: bool = True,
-    ) -> str:
+    def submit(self, request: OptimizeRequest) -> str:
         """Route by request fingerprint, admit on the owning shard.
 
         The ``pool.submit`` span is the cross-process trace root: its
@@ -756,19 +675,11 @@ class WorkerPoolService(JobTable):
             workload=request.workload,
             algorithm=request.algorithm,
         ) as pool_span:
-            ticket = self._submit_traced(
-                request, priority, deadline_seconds, use_cache
-            )
+            ticket = self._submit_traced(request)
             pool_span.set(ticket=ticket)
             return ticket
 
-    def _submit_traced(
-        self,
-        request: OptimizeRequest,
-        priority: int,
-        deadline_seconds: Optional[float],
-        use_cache: bool,
-    ) -> str:
+    def _submit_traced(self, request: OptimizeRequest) -> str:
         if self._closed:
             raise ServiceError("worker pool is closed")
         if self._draining:
@@ -781,18 +692,7 @@ class WorkerPoolService(JobTable):
         key = request_fingerprint(resolved, request.algorithm)
         with self.condition:
             handle = self._shard_for_locked(key)
-            previous_id = self._key_shard.get(key)
-            previous = (
-                self._handles.get(previous_id)
-                if previous_id is not None and previous_id != handle.shard_id
-                else None
-            )
-        if previous is not None and previous.alive and use_cache:
-            # The ring reassigned this key (a shard joined or left since the
-            # last run): pull the parked session over so the new owner can
-            # warm-start instead of recomputing.
-            self.migrate_session(key, previous, handle)
-        job = self._new_job(request, priority, deadline_seconds)
+        job = self._new_job(request)
         job.cache_key = key
         job.shard_id = handle.shard_id
         self._register(job)
@@ -803,9 +703,6 @@ class WorkerPoolService(JobTable):
                     "op": "submit",
                     "ticket": job.ticket,
                     "request": request.to_dict(),
-                    "priority": priority,
-                    "deadline_seconds": deadline_seconds,
-                    "use_cache": use_cache,
                     "trace_context": obs_trace.current_context(),
                 },
             )["accepted"]
@@ -813,7 +710,6 @@ class WorkerPoolService(JobTable):
             self._unregister(job.ticket)
             raise
         with self.condition:
-            self._key_shard[key] = handle.shard_id
             job.cache_status = accepted["cache_status"]
             job.replayed = int(accepted.get("replayed", 0))
             if (
@@ -827,34 +723,6 @@ class WorkerPoolService(JobTable):
             self.condition.notify_all()
         self._pool_submits.inc()
         return job.ticket
-
-    def migrate_session(
-        self, key: str, source: ShardHandle, target: ShardHandle
-    ) -> bool:
-        """Move the parked session for ``key`` from ``source`` to ``target``.
-
-        Best-effort: returns ``True`` only when the source held a parked
-        session *and* the target parked it against the shared persistent
-        trace.  The session travels as one pickle over the pipe; the
-        ``migrated_inline_bytes`` gauge records its size.
-        """
-        try:
-            exported = self._rpc(source, {"op": "export_session", "key": key})
-            if not exported["found"]:
-                return False
-            imported = self._rpc(
-                target,
-                {"op": "import_session", "key": key, "blob": exported["blob"]},
-            )
-        except Exception:  # noqa: BLE001 - best-effort: a session that does not move is recomputed
-            return False
-        if not imported["parked"]:
-            return False
-        with self.condition:
-            self.migrations += 1
-            self.migrated_inline_bytes += int(exported.get("inline_bytes", 0))
-            self._key_shard[key] = target.shard_id
-        return True
 
     def steer(self, ticket: str, action: Union[Mapping, object]) -> dict:
         """Forward a ``steer_request`` payload to the job's shard.
@@ -917,12 +785,9 @@ class WorkerPoolService(JobTable):
                 }
             )
         scheduler = _sum_gauges(shard["scheduler"] for shard in shards)
-        scheduler.update(policy=self._policy, workers=len(shards))
+        scheduler["workers"] = len(shards)
         cache = _sum_gauges(shard["cache"] for shard in shards)
         cache["persistent"] = True
-        with self.condition:
-            cache["migrations"] = self.migrations
-            cache["migrated_inline_bytes"] = self.migrated_inline_bytes
         return stats_payload(scheduler, cache, shards=shards)
 
     def render_metrics(self) -> str:

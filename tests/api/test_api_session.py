@@ -206,6 +206,23 @@ class TestBounds:
         for summary in result.frontier:
             assert dominates(summary.cost, self.BOUNDS), summary.cost
 
+    def test_a_steered_single_objective_session_keeps_its_plan(self):
+        request = OptimizeRequest(
+            workload="tpch:q03", algorithm="single_objective", scale="tiny"
+        )
+        session = open_session(request)
+        counters = session.driver.factory.counters
+        (plan,) = session.advance().plans
+        built = counters.total_plans_built
+        # Outside the new bounds the kept plan is filtered out; at bounds
+        # equal to its own cost it is returned as is.  Neither run rebuilds.
+        for bounds, expected in ((self.BOUNDS, ()), (plan.cost, (plan,))):
+            session.apply(ChangeBounds(bounds))
+            update = session.advance()
+            assert [id(kept) for kept in update.plans] == [id(p) for p in expected]
+            assert counters.total_plans_built == built
+            assert update.invocation.details["plans_generated"] == 0
+
 
 class TestResult:
     def test_result_reflects_the_session(self):

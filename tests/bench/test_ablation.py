@@ -55,7 +55,6 @@ class TestFeatureRegistry:
             "numpy_kernel",
             "delta_sets",
             "frontier_cache",
-            "scheduler_policy",
             "tracing",
         }
 

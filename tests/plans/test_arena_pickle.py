@@ -1,11 +1,10 @@
 """Pickle round trips of plan arenas and cost matrices.
 
-A parked session moves between worker shards as one pickle (the shard's
-``export_session``/``import_session`` RPCs), and its plan arena is the bulk
-of that pickle.  These tests pin down what the receiving process gets: the
-same columns, interning tables, tombstones and statistics; handles bound to
-the copy rather than to the original; the same next plan id; and cost
-columns on which every kernel backend answers exactly as it did before.
+Arenas and cost matrices are plain picklable values.  These tests pin down
+what a round trip gives: the same columns, interning tables, tombstones and
+statistics; handles bound to the copy rather than to the original; the same
+next plan id; and cost columns on which every kernel backend answers exactly
+as it did before.
 """
 
 import pickle
@@ -121,7 +120,7 @@ class TestArenaRoundTrip:
     def test_byte_estimate_counts_every_column(self):
         # Per plan: the cost row, the liveness byte, the kind byte and five
         # 8-byte id columns.  The frontier cache charges parked sessions by
-        # this estimate, so a migrated arena is charged what it was before.
+        # this estimate, so a copied arena is charged what it was before.
         arena = PlanArena(3)
         empty = arena.stats().approx_bytes
         for i in range(4):

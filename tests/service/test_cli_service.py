@@ -15,7 +15,7 @@ from repro.cli import build_parser, build_server, main
 @pytest.fixture()
 def running_server():
     args = build_parser().parse_args(
-        ["serve", "--port", "0", "--jobs", "2", "--policy", "fair"]
+        ["serve", "--port", "0", "--jobs", "2"]
     )
     server = build_server(args).start()
     try:
@@ -93,14 +93,9 @@ class TestSubmitCommand:
 class TestServeCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.policy == "fair"
         assert args.jobs == 2
         assert args.max_sessions == 8
         assert not args.no_cache
-
-    def test_invalid_policy_is_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--policy", "random"])
 
     def test_build_server_honours_flags(self):
         args = build_parser().parse_args(
@@ -108,8 +103,6 @@ class TestServeCommand:
                 "serve",
                 "--port",
                 "0",
-                "--policy",
-                "edf",
                 "--jobs",
                 "3",
                 "--max-sessions",
@@ -119,7 +112,7 @@ class TestServeCommand:
         )
         server = build_server(args)
         try:
-            assert server.service.scheduler.policy == "edf"
+            assert server.service.scheduler.workers == 3
             assert server.service.scheduler.max_sessions == 5
             assert server.service.cache is None
         finally:

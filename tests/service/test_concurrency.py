@@ -8,8 +8,8 @@ Two properties:
   execution produces frontiers bit-identical to isolated serial runs on both
   kernel backends (the kernel holds no per-call mutable state to corrupt).
 * **Interleaving determinism** — scheduler-interleaved execution yields
-  bit-identical frontiers to serial execution per request, for every policy,
-  with fixed seeds, both in manual single-thread mode and with a thread pool.
+  bit-identical frontiers to serial execution per request, with fixed
+  seeds, both in manual single-thread mode and with a thread pool.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class TestSessionIsolation:
                     for request in requests
                 }
                 with PlanningService(
-                    policy="fair", workers=4, max_sessions=4, cache=False
+                    workers=4, max_sessions=4, cache=False
                 ) as service:
                     tickets = {
                         request.workload: service.submit(request)
@@ -95,9 +95,8 @@ class TestSessionIsolation:
 
 
 class TestInterleavingDeterminism:
-    @pytest.mark.parametrize("policy", ("fair", "edf", "alpha_greedy"))
     @pytest.mark.parametrize("seed", (0, 1))
-    def test_manual_interleaving_is_bit_identical_to_serial(self, policy, seed):
+    def test_manual_interleaving_is_bit_identical_to_serial(self, seed):
         requests = [
             OptimizeRequest(workload=f"gen:{topology}:4:{seed}", **TINY)
             for topology in TOPOLOGIES
@@ -107,7 +106,7 @@ class TestInterleavingDeterminism:
             for request in requests
         }
         with PlanningService(
-            policy=policy, workers=0, max_sessions=len(requests), cache=False
+            workers=0, max_sessions=len(requests), cache=False
         ) as service:
             tickets = {
                 request.workload: service.submit(request) for request in requests
@@ -117,7 +116,7 @@ class TestInterleavingDeterminism:
             for workload, ticket in tickets.items():
                 result = service.result(ticket, timeout=0.1)
                 assert _frontier_costs(result) == serial[workload], (
-                    f"policy {policy}, seed {seed}: interleaved frontier of "
+                    f"seed {seed}: interleaved frontier of "
                     f"{workload} diverged from serial execution"
                 )
 
@@ -131,9 +130,7 @@ class TestInterleavingDeterminism:
             request.workload: _frontier_costs(open_session(request).run())
             for request in requests
         }
-        with PlanningService(
-            policy="fair", workers=0, max_sessions=2, cache=False
-        ) as service:
+        with PlanningService(workers=0, max_sessions=2, cache=False) as service:
             tickets = {
                 request.workload: service.submit(request) for request in requests
             }

@@ -119,7 +119,7 @@ class TestModuleClock:
 # ----------------------------------------------------------------------
 class TestMetricsEndpoint:
     def test_scrape_is_valid_prometheus_text(self):
-        service = PlanningService(policy="fair", workers=2, max_sessions=4)
+        service = PlanningService(workers=2, max_sessions=4)
         with PlanningServer(service, port=0).start() as server:
             host, port = server.address
             client = ServiceClient(host, port)
@@ -136,7 +136,7 @@ class TestMetricsEndpoint:
         assert "repro_invocation_seconds_bucket" in text
 
     def test_scrapes_under_load_never_500_and_audit_holds(self):
-        service = PlanningService(policy="fair", workers=2, max_sessions=4)
+        service = PlanningService(workers=2, max_sessions=4)
         with PlanningServer(service, port=0).start() as server:
             host, port = server.address
             client = ServiceClient(host, port)

@@ -2,7 +2,7 @@
 
 Manual mode (``workers=0``) makes every interleaving deterministic: the tests
 drive timeslices one at a time through ``step_once`` and assert the exact
-policy order, admission behaviour and cancellation semantics.
+round-robin order, admission behaviour and cancellation semantics.
 """
 
 from __future__ import annotations
@@ -22,15 +22,9 @@ from repro.service.protocol import (
 TINY = dict(levels=3, scale="tiny")
 
 
-def _job(ticket, workload="gen:chain:3:0", priority=0, deadline=None, **overrides):
+def _job(ticket, workload="gen:chain:3:0", **overrides):
     request = OptimizeRequest(workload=workload, **{**TINY, **overrides})
-    return Job(
-        ticket,
-        request,
-        session=open_session(request),
-        priority=priority,
-        deadline_seconds=deadline,
-    )
+    return Job(ticket, request, session=open_session(request))
 
 
 class TestAdmission:
@@ -41,19 +35,20 @@ class TestAdmission:
         with pytest.raises(AdmissionError):
             scheduler.submit(_job("c"))
 
-    def test_priorities_order_the_backlog(self):
+    def test_backlog_admits_in_submission_order(self):
         scheduler = Scheduler(max_sessions=1, max_queue=8, workers=0)
-        scheduler.submit(_job("low"))
-        low_queued = _job("queued-low", priority=0)
-        high_queued = _job("queued-high", priority=5)
-        scheduler.submit(low_queued)
-        scheduler.submit(high_queued)
-        assert low_queued.state == JOB_QUEUED
-        # Drain the live job; the high-priority one must be admitted first.
-        while low_queued.state == JOB_QUEUED and high_queued.state == JOB_QUEUED:
-            scheduler.step_once()
-        assert high_queued.state == JOB_RUNNING
-        assert low_queued.state == JOB_QUEUED
+        scheduler.submit(_job("live"))
+        queued = [_job(f"queued-{index}") for index in range(3)]
+        for job in queued:
+            scheduler.submit(job)
+        admitted = []
+        while scheduler.step_once() is not None:
+            running = [job.ticket for job in queued if job.state == JOB_RUNNING]
+            assert len(running) <= 1  # one live session at a time
+            if running and running[0] not in admitted:
+                admitted.append(running[0])
+        assert admitted == ["queued-0", "queued-1", "queued-2"]
+        assert all(job.state == JOB_FINISHED for job in queued)
 
     def test_finished_jobs_make_room_for_the_backlog(self):
         scheduler = Scheduler(max_sessions=2, max_queue=8, workers=0)
@@ -75,45 +70,15 @@ class TestAdmission:
 
 
 class TestPolicies:
+    """The one timeslice rule: round-robin over the live sessions."""
+
     def test_fair_round_robin_interleaves_sessions(self):
-        scheduler = Scheduler(policy="fair", max_sessions=4, workers=0)
+        scheduler = Scheduler(max_sessions=4, workers=0)
         jobs = [_job(f"j{i}") for i in range(3)]
         for job in jobs:
             scheduler.submit(job)
         served = [scheduler.step_once() for _ in range(6)]
         assert served == ["j0", "j1", "j2", "j0", "j1", "j2"]
-
-    def test_edf_serves_the_earliest_deadline_first(self):
-        scheduler = Scheduler(policy="edf", max_sessions=4, workers=0)
-        scheduler.submit(_job("relaxed", deadline=30.0))
-        scheduler.submit(_job("urgent", deadline=1.0))
-        scheduler.submit(_job("nodeadline"))
-        # EDF serves the earliest deadline exclusively until it completes
-        # (3 levels = 3 slices), then the next deadline, then the rest.
-        served = [scheduler.step_once() for _ in range(9)]
-        assert served == ["urgent"] * 3 + ["relaxed"] * 3 + ["nodeadline"] * 3
-
-    def test_alpha_greedy_serves_unvisualized_sessions_first(self):
-        scheduler = Scheduler(policy="alpha_greedy", max_sessions=4, workers=0)
-        first = _job("first")
-        scheduler.submit(first)
-        assert scheduler.step_once() == "first"
-        # A newcomer has everything to gain; it must preempt the refinement.
-        scheduler.submit(_job("newcomer"))
-        assert scheduler.step_once() == "newcomer"
-
-    def test_alpha_greedy_spends_slices_on_the_largest_gain(self):
-        scheduler = Scheduler(policy="alpha_greedy", max_sessions=4, workers=0)
-        coarse = _job("coarse", levels=5)   # large per-level alpha drop left
-        fine = _job("fine", levels=5, precision="fine")
-        scheduler.submit(coarse)
-        scheduler.submit(fine)
-        scheduler.run_until_idle()
-        assert coarse.state == JOB_FINISHED and fine.state == JOB_FINISHED
-
-    def test_unknown_policy_is_rejected(self):
-        with pytest.raises(ValueError):
-            Scheduler(policy="random")
 
 
 class TestLifecycle:
@@ -191,7 +156,7 @@ class TestLifecycle:
         assert job.result_payload["finish_reason"] == "invocation_cap"
 
     def test_stats_gauges(self):
-        scheduler = Scheduler(policy="fair", max_sessions=2, workers=0)
+        scheduler = Scheduler(max_sessions=2, workers=0)
         for i in range(3):
             scheduler.submit(_job(f"j{i}"))
         scheduler.run_until_idle()
@@ -205,7 +170,7 @@ class TestLifecycle:
 
 class TestThreadedWorkers:
     def test_close_stops_handing_out_slices(self):
-        scheduler = Scheduler(policy="fair", max_sessions=4, workers=2)
+        scheduler = Scheduler(max_sessions=4, workers=2)
         scheduler.start()
         jobs = [_job(f"j{i}", levels=8) for i in range(4)]
         for job in jobs:
@@ -221,7 +186,7 @@ class TestThreadedWorkers:
         assert scheduler.step_once() is None  # closed: no further slices
 
     def test_worker_threads_drain_the_backlog(self):
-        scheduler = Scheduler(policy="fair", max_sessions=4, workers=2)
+        scheduler = Scheduler(max_sessions=4, workers=2)
         scheduler.start()
         jobs = [_job(f"j{i}") for i in range(6)]
         try:

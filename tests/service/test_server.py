@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api import OptimizeRequest, open_session
-from repro.api.schema import OptimizationResult
+from repro.api.schema import SCHEMA_VERSION, OptimizationResult
 from repro.service import (
     PlanningServer,
     PlanningService,
     ServiceClient,
     ServiceClientError,
+    submit_payload,
 )
 
 TINY = dict(levels=3, scale="tiny")
@@ -18,7 +19,7 @@ TINY = dict(levels=3, scale="tiny")
 
 @pytest.fixture()
 def server():
-    service = PlanningService(policy="fair", workers=2, max_sessions=4)
+    service = PlanningService(workers=2, max_sessions=4)
     with PlanningServer(service, port=0).start() as running:
         yield running
 
@@ -53,6 +54,20 @@ class TestWireProtocol:
         # The embedded payload survives a full schema round trip.
         final = client.poll(status["ticket"])
         assert OptimizationResult.from_dict(final["result"]).to_dict() == final["result"]
+
+    def test_submit_request_with_scheduling_keys_is_accepted(self, client):
+        # Older clients send a priority and a scheduling deadline with every
+        # submission; the service ignores both and runs the request as usual.
+        request = OptimizeRequest(workload="gen:chain:4:1", **TINY)
+        payload = {**submit_payload(request), "priority": 5, "deadline_seconds": 2.0}
+        assert payload["schema_version"] == SCHEMA_VERSION == 1
+        ticket = client._request("POST", "/v1/jobs", payload)["ticket"]
+        result = client.result(ticket, timeout=60.0)
+        assert client.poll(ticket)["state"] == "finished"
+        serial = open_session(request).run()
+        assert [tuple(s.cost) for s in result.frontier] == [
+            tuple(s.cost) for s in serial.frontier
+        ]
 
     def test_second_submission_is_a_cache_hit(self, client):
         request = OptimizeRequest(workload="gen:star:4:1", **TINY)
@@ -161,7 +176,7 @@ class TestWireProtocol:
 class TestBackpressure:
     def test_full_backlog_maps_to_503(self):
         service = PlanningService(
-            policy="fair", workers=0, max_sessions=1, max_queue=0, cache=False
+            workers=0, max_sessions=1, max_queue=0, cache=False
         )
         with PlanningServer(service, port=0).start() as running:
             host, port = running.address

@@ -1,8 +1,8 @@
 """Tests for the :class:`PlanningService` façade.
 
-The centrepiece is the differential guarantee: for every scheduling policy,
-the frontier a request receives from the service — cold, replayed, or
-warm-started — is bit-identical to running the same ``OptimizeRequest``
+The centrepiece is the differential guarantee: the frontier a request
+receives from the service — cold, replayed, or warm-started — is
+bit-identical to running the same ``OptimizeRequest``
 through ``open_session`` serially, across all four join topologies and two
 seeds.
 """
@@ -53,11 +53,8 @@ def serial_frontiers():
 # The differential guarantee
 # ----------------------------------------------------------------------
 class TestDifferentialGuarantee:
-    @pytest.mark.parametrize("policy", ("fair", "edf", "alpha_greedy"))
-    def test_service_frontiers_are_bit_identical_to_serial(
-        self, policy, serial_frontiers
-    ):
-        with PlanningService(policy=policy, workers=2, max_sessions=4) as service:
+    def test_service_frontiers_are_bit_identical_to_serial(self, serial_frontiers):
+        with PlanningService(workers=2, max_sessions=4) as service:
             tickets = {
                 request.workload: service.submit(request)
                 for request in _requests()
@@ -65,17 +62,13 @@ class TestDifferentialGuarantee:
             for workload, ticket in tickets.items():
                 result = service.result(ticket, timeout=120.0)
                 assert _frontier_costs(result) == serial_frontiers[workload], (
-                    f"policy {policy}: frontier of {workload} diverged from "
-                    "serial execution"
+                    f"frontier of {workload} diverged from serial execution"
                 )
 
-    @pytest.mark.parametrize("policy", ("fair", "edf", "alpha_greedy"))
-    def test_manual_interleaving_matches_serial(self, policy, serial_frontiers):
-        # Manual mode: one deterministic interleaving per policy, all
+    def test_manual_interleaving_matches_serial(self, serial_frontiers):
+        # Manual mode: one deterministic round-robin interleaving, all
         # requests admitted at once, stepped to completion on one thread.
-        with PlanningService(
-            policy=policy, workers=0, max_sessions=8, cache=False
-        ) as service:
+        with PlanningService(workers=0, max_sessions=8, cache=False) as service:
             tickets = {
                 request.workload: service.submit(request)
                 for request in _requests()
@@ -274,7 +267,6 @@ class TestVerbs:
             stats = service.stats()
             assert stats["kind"] == "service_stats"
             assert "scheduler" in stats and "cache" in stats
-            assert stats["scheduler"]["policy"] == "fair"
 
     def test_all_registered_planners_run_through_the_service(self):
         with PlanningService(workers=1) as service:

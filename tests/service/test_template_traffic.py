@@ -2,7 +2,7 @@
 
 perfbench ``service_zipf`` times redbench-style traffic: ``template:`` specs
 probed, warm-started and repeated against the worker pool.  These tests hold,
-on every shipped template and scheduling policy, what that traffic relies on:
+on every shipped template, what that traffic relies on:
 
 * a template request's frontier from the service is bit-identical to the
   serial ``open_session`` run, whether computed cold, replayed from the
@@ -33,7 +33,6 @@ from repro.workloads.templates import template_names
 TINY = dict(levels=3, scale="tiny")
 
 TEMPLATES = template_names()
-POLICIES = ("fair", "edf", "alpha_greedy")
 SEEDS = (1, 2)
 MAX_SESSIONS = 8
 
@@ -133,17 +132,15 @@ class TestTemplateRequests:
 # ----------------------------------------------------------------------
 # A cold phase, then the identical warm phase
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=POLICIES)
-def phases(request):
-    """Both phases of the 12 template requests under one policy.
+@pytest.fixture(scope="module")
+def phases():
+    """Both phases of the 12 template requests.
 
     Manual mode admits every request at submit, so the cold phase keeps
     ``MAX_SESSIONS`` sessions live at once, deterministically.
     """
     requests = _phase_requests()
-    with PlanningService(
-        policy=request.param, workers=0, max_sessions=MAX_SESSIONS
-    ) as service:
+    with PlanningService(workers=0, max_sessions=MAX_SESSIONS) as service:
         cold = [service.submit(r) for r in requests]
         service.run_until_idle()
         cold_stats = service.stats()
