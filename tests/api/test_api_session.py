@@ -223,6 +223,30 @@ class TestBounds:
             assert counters.total_plans_built == built
             assert update.invocation.details["plans_generated"] == 0
 
+    @pytest.mark.parametrize(
+        "workload", ("tpch:q03", "gen:chain:4:0", "gen:star:5:1", "gen:clique:4:2")
+    )
+    def test_a_steered_single_objective_session_answers_like_a_fresh_one(
+        self, workload
+    ):
+        # The kept plan does not depend on the bounds, so each bounds change
+        # must yield what a session opened at those bounds returns.
+        request = OptimizeRequest(
+            workload=workload, algorithm="single_objective", scale="tiny"
+        )
+        session = open_session(request)
+        (plan,) = session.advance().plans
+        excluding = plan.cost.with_component(0, plan.cost[0] / 2)
+        unbounded = CostVector.infinite(len(plan.cost))
+        kept = []
+        for bounds in (excluding, plan.cost, unbounded):
+            session.apply(ChangeBounds(bounds))
+            steered = [tuple(p.cost) for p in session.advance().plans]
+            fresh = open_session(request.with_overrides(bounds=bounds)).run()
+            assert steered == [tuple(s.cost) for s in fresh.frontier], bounds
+            kept.append(len(steered))
+        assert kept == [0, 1, 1]
+
 
 class TestResult:
     def test_result_reflects_the_session(self):

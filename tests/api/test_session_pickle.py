@@ -1,10 +1,9 @@
 """A budget-parked session survives a pickle round trip.
 
-Cross-shard migration in the worker pool is this round trip: the exporting
-shard pickles the parked session and the importing shard unpickles it and
-later resumes it under a bigger budget.  The resumed copy must finish
-bit-identical to one uninterrupted serial session, and the exporter's
-original must be left as it was.
+A planner session is a plain picklable value, and the copy a round trip
+gives is complete and independent of the original: resumed under a bigger
+budget it must finish bit-identical to one uninterrupted serial session,
+and the original must be left as it was.
 """
 
 import pickle

@@ -91,6 +91,24 @@ class TestSubmitCommand:
 
 
 class TestServeCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["serve", "--policy", "fair"],
+            ["submit", "gen:chain:3:0", "--priority", "1"],
+            ["submit", "gen:chain:3:0", "--deadline", "5"],
+        ),
+        ids=("serve-policy", "submit-priority", "submit-deadline"),
+    )
+    def test_scheduling_flags_are_not_accepted(self, argv):
+        # Every job is served by one round-robin rule in FIFO order, so
+        # there is no policy, priority or scheduling deadline to choose.
+        with pytest.raises(SystemExit) as err, contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            build_parser().parse_args(argv)
+        assert err.value.code == 2
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.jobs == 2

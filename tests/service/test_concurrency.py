@@ -94,13 +94,25 @@ class TestSessionIsolation:
             pytest.skip(f"kernel backend {backend!r} unavailable")
 
 
+# Round-robin serves the live sessions in submission order, so each order
+# of the same requests is a different interleaving.
+SUBMISSION_ORDERS = {
+    "forward": lambda items: list(items),
+    "reversed": lambda items: list(reversed(items)),
+    "rotated": lambda items: list(items[1:]) + list(items[:1]),
+}
+
+
 class TestInterleavingDeterminism:
+    @pytest.mark.parametrize("order", sorted(SUBMISSION_ORDERS))
     @pytest.mark.parametrize("seed", (0, 1))
-    def test_manual_interleaving_is_bit_identical_to_serial(self, seed):
-        requests = [
-            OptimizeRequest(workload=f"gen:{topology}:4:{seed}", **TINY)
-            for topology in TOPOLOGIES
-        ]
+    def test_manual_interleaving_is_bit_identical_to_serial(self, seed, order):
+        requests = SUBMISSION_ORDERS[order](
+            [
+                OptimizeRequest(workload=f"gen:{topology}:4:{seed}", **TINY)
+                for topology in TOPOLOGIES
+            ]
+        )
         serial = {
             request.workload: _frontier_costs(open_session(request).run())
             for request in requests
@@ -116,7 +128,7 @@ class TestInterleavingDeterminism:
             for workload, ticket in tickets.items():
                 result = service.result(ticket, timeout=0.1)
                 assert _frontier_costs(result) == serial[workload], (
-                    f"seed {seed}: interleaved frontier of "
+                    f"seed {seed}, {order} order: interleaved frontier of "
                     f"{workload} diverged from serial execution"
                 )
 

@@ -1,10 +1,10 @@
 """Tests for the sharded worker-pool serving tier.
 
 The centrepiece mirrors ``test_service.py``: the differential guarantee must
-survive sharding.  The frontier a request
-receives from the worker pool — at any worker count, cold, replayed across
-processes, warm-started, or rerouted after a shard death — is bit-identical
-to running the same ``OptimizeRequest`` through serial ``open_session``.
+survive sharding.  The frontier a request receives from the worker pool — at
+any worker count, cold, replayed across processes, warm-started, or rerouted
+after a shard death — is bit-identical to running the same
+``OptimizeRequest`` through serial ``open_session``.
 """
 
 from __future__ import annotations
@@ -67,9 +67,12 @@ def serial_runs():
 # The differential guarantee, sharded
 # ----------------------------------------------------------------------
 class TestDifferentialGuarantee:
-    @pytest.mark.parametrize("workers", (1, 4))
-    def test_pool_frontiers_are_bit_identical_to_serial(self, workers, serial_runs):
-        with WorkerPoolService(workers=workers, max_sessions=4) as pool:
+    @pytest.mark.parametrize("max_sessions", (1, 4))
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_pool_frontiers_are_bit_identical_to_serial(
+        self, workers, max_sessions, serial_runs
+    ):
+        with WorkerPoolService(workers=workers, max_sessions=max_sessions) as pool:
             tickets = {
                 request.workload: pool.submit(request)
                 for request in _requests()
@@ -78,7 +81,7 @@ class TestDifferentialGuarantee:
                 result = pool.result(ticket, timeout=120.0)
                 serial = serial_runs[workload]
                 assert _frontier_costs(result) == serial["frontier"], (
-                    f"workers {workers}: frontier of "
+                    f"workers {workers}, max_sessions {max_sessions}: frontier of "
                     f"{workload} diverged from serial execution"
                 )
                 assert result.plans_generated == serial["plans_generated"]
@@ -164,6 +167,29 @@ class TestDifferentialGuarantee:
                 _frontier_costs(result)
                 == serial_runs[request.workload]["frontier"]
             )
+
+
+# ----------------------------------------------------------------------
+# Fixed placement
+# ----------------------------------------------------------------------
+class TestPlacement:
+    def test_every_request_runs_on_the_shard_the_ring_assigns(self):
+        """The ring alone places a request, so a resubmission never moves."""
+        from repro.api.request import resolve_request
+        from repro.service.frontier_cache import request_fingerprint
+
+        with WorkerPoolService(workers=4, max_sessions=4) as pool:
+            placed = {}
+            for _ in range(2):  # cold, then replayed
+                for request in _requests():
+                    ticket = pool.submit(request)
+                    pool.result(ticket, timeout=60.0)
+                    key = request_fingerprint(
+                        resolve_request(request), request.algorithm
+                    )
+                    assert pool.shard_of(ticket) == pool.ring.assign(key)
+                    shard = placed.setdefault(request.workload, pool.shard_of(ticket))
+                    assert pool.shard_of(ticket) == shard
 
 
 # ----------------------------------------------------------------------

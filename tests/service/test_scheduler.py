@@ -28,6 +28,14 @@ def _job(ticket, workload="gen:chain:3:0", **overrides):
 
 
 class TestAdmission:
+    @pytest.mark.parametrize(
+        "option, value",
+        (("max_sessions", 0), ("max_queue", -1), ("workers", -1)),
+    )
+    def test_invalid_limits_are_rejected(self, option, value):
+        with pytest.raises(ValueError, match=option):
+            Scheduler(**{option: value})
+
     def test_backpressure_raises_admission_error(self):
         scheduler = Scheduler(max_sessions=1, max_queue=1, workers=0)
         scheduler.submit(_job("a"))
@@ -49,6 +57,22 @@ class TestAdmission:
                 admitted.append(running[0])
         assert admitted == ["queued-0", "queued-1", "queued-2"]
         assert all(job.state == JOB_FINISHED for job in queued)
+
+    def test_cancelling_a_queued_job_keeps_the_order_of_the_rest(self):
+        scheduler = Scheduler(max_sessions=1, max_queue=8, workers=0)
+        scheduler.submit(_job("live"))
+        queued = [_job(f"queued-{index}") for index in range(3)]
+        for job in queued:
+            scheduler.submit(job)
+        scheduler.cancel(queued[1])
+        admitted = []
+        while scheduler.step_once() is not None:
+            for job in queued:
+                if job.state == JOB_RUNNING and job.ticket not in admitted:
+                    admitted.append(job.ticket)
+        assert admitted == ["queued-0", "queued-2"]
+        assert queued[1].state == JOB_CANCELLED
+        assert queued[1].updates == []
 
     def test_finished_jobs_make_room_for_the_backlog(self):
         scheduler = Scheduler(max_sessions=2, max_queue=8, workers=0)
@@ -80,8 +104,65 @@ class TestPolicies:
         served = [scheduler.step_once() for _ in range(6)]
         assert served == ["j0", "j1", "j2", "j0", "j1", "j2"]
 
+    def test_a_newly_admitted_session_joins_the_back_of_the_rotation(self):
+        scheduler = Scheduler(max_sessions=4, workers=0)
+        scheduler.submit(_job("j0"))
+        scheduler.submit(_job("j1"))
+        assert scheduler.step_once() == "j0"
+        scheduler.submit(_job("late"))
+        served = [scheduler.step_once() for _ in range(3)]
+        assert served == ["j1", "j0", "late"]
+
+    def test_a_finished_session_leaves_the_rotation(self):
+        scheduler = Scheduler(max_sessions=4, workers=0)
+        for job in (_job("short", levels=1), _job("j1"), _job("j2")):
+            scheduler.submit(job)
+        served = list(iter(scheduler.step_once, None))
+        assert served == ["short"] + ["j1", "j2"] * 3
+
+    def test_a_cancelled_session_leaves_the_rotation(self):
+        scheduler = Scheduler(max_sessions=4, workers=0)
+        jobs = [_job(f"j{i}") for i in range(3)]
+        for job in jobs:
+            scheduler.submit(job)
+        assert scheduler.step_once() == "j0"
+        scheduler.cancel(jobs[1])
+        served = list(iter(scheduler.step_once, None))
+        assert served == ["j2", "j0", "j2", "j0", "j2"]
+        assert [len(job.updates) for job in jobs] == [3, 0, 3]
+
+    def test_an_admitted_backlog_job_joins_the_back_of_the_rotation(self):
+        scheduler = Scheduler(max_sessions=2, max_queue=4, workers=0)
+        for job in (_job("short", levels=1), _job("long"), _job("queued")):
+            scheduler.submit(job)
+        served = list(iter(scheduler.step_once, None))
+        assert served == ["short"] + ["long", "queued"] * 3
+
+    @pytest.mark.parametrize("levels", ((3, 3, 3), (1, 3, 5), (5, 2, 4, 1)))
+    def test_live_sessions_never_drift_more_than_one_slice_apart(self, levels):
+        scheduler = Scheduler(max_sessions=len(levels), workers=0)
+        jobs = [_job(f"j{i}", levels=depth) for i, depth in enumerate(levels)]
+        for job in jobs:
+            scheduler.submit(job)
+        while scheduler.step_once() is not None:
+            served = [len(job.updates) for job in jobs if not job.terminal]
+            assert not served or max(served) - min(served) <= 1
+        assert [len(job.updates) for job in jobs] == list(levels)
+
 
 class TestLifecycle:
+    def test_finish_rejects_a_non_terminal_state(self):
+        job = _job("j")
+        with pytest.raises(ValueError):
+            job.finish(JOB_RUNNING)
+        assert job.state == JOB_QUEUED and job.finished_at is None
+
+    def test_a_job_finishes_once(self):
+        job = _job("j")
+        assert job.finish(JOB_CANCELLED, error="first")
+        assert not job.finish(JOB_FAILED, error="second")
+        assert job.state == JOB_CANCELLED and job.error == "first"
+
     def test_cancel_queued_job(self):
         scheduler = Scheduler(max_sessions=1, max_queue=4, workers=0)
         scheduler.submit(_job("live"))

@@ -53,8 +53,11 @@ def serial_frontiers():
 # The differential guarantee
 # ----------------------------------------------------------------------
 class TestDifferentialGuarantee:
-    def test_service_frontiers_are_bit_identical_to_serial(self, serial_frontiers):
-        with PlanningService(workers=2, max_sessions=4) as service:
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_service_frontiers_are_bit_identical_to_serial(
+        self, workers, serial_frontiers
+    ):
+        with PlanningService(workers=workers, max_sessions=4) as service:
             tickets = {
                 request.workload: service.submit(request)
                 for request in _requests()
@@ -62,13 +65,19 @@ class TestDifferentialGuarantee:
             for workload, ticket in tickets.items():
                 result = service.result(ticket, timeout=120.0)
                 assert _frontier_costs(result) == serial_frontiers[workload], (
-                    f"frontier of {workload} diverged from serial execution"
+                    f"workers {workers}: frontier of {workload} diverged from "
+                    "serial execution"
                 )
 
-    def test_manual_interleaving_matches_serial(self, serial_frontiers):
-        # Manual mode: one deterministic round-robin interleaving, all
-        # requests admitted at once, stepped to completion on one thread.
-        with PlanningService(workers=0, max_sessions=8, cache=False) as service:
+    @pytest.mark.parametrize("max_sessions", (1, 3, 8))
+    def test_manual_interleaving_matches_serial(self, max_sessions, serial_frontiers):
+        # Manual mode: one deterministic round-robin interleaving per
+        # admission cap, stepped to completion on one thread.  A cap of 8
+        # admits all requests at once, 3 churns the FIFO backlog mid-run and
+        # 1 runs them back to back.
+        with PlanningService(
+            workers=0, max_sessions=max_sessions, cache=False
+        ) as service:
             tickets = {
                 request.workload: service.submit(request)
                 for request in _requests()

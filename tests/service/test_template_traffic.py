@@ -34,7 +34,9 @@ TINY = dict(levels=3, scale="tiny")
 
 TEMPLATES = template_names()
 SEEDS = (1, 2)
-MAX_SESSIONS = 8
+#: Admission caps of the cold/warm phases.  Each cap is a different
+#: round-robin interleaving of the same 12 requests; all keep a backlog.
+MAX_SESSIONS = (2, 4, 8)
 
 
 def _request(name, seed, **overrides):
@@ -132,15 +134,16 @@ class TestTemplateRequests:
 # ----------------------------------------------------------------------
 # A cold phase, then the identical warm phase
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def phases():
-    """Both phases of the 12 template requests.
+@pytest.fixture(scope="module", params=MAX_SESSIONS)
+def phases(request):
+    """Both phases of the 12 template requests under one admission cap.
 
-    Manual mode admits every request at submit, so the cold phase keeps
-    ``MAX_SESSIONS`` sessions live at once, deterministically.
+    Manual mode admits requests at submit up to the cap, so the cold phase
+    keeps ``max_sessions`` sessions live at once, deterministically.
     """
+    max_sessions = request.param
     requests = _phase_requests()
-    with PlanningService(workers=0, max_sessions=MAX_SESSIONS) as service:
+    with PlanningService(workers=0, max_sessions=max_sessions) as service:
         cold = [service.submit(r) for r in requests]
         service.run_until_idle()
         cold_stats = service.stats()
@@ -149,6 +152,7 @@ def phases():
         service.run_until_idle()
         warm_stats = service.stats()
         return {
+            "max_sessions": max_sessions,
             "workloads": [r.workload for r in requests],
             "cold": [
                 (service.poll(t)["cache_status"], service.result(t, timeout=0.1))
@@ -177,7 +181,7 @@ class TestColdWarmPhases:
 
     def test_sessions_ran_concurrently(self, phases):
         scheduler = phases["cold_stats"]["scheduler"]
-        assert scheduler["max_live_seen"] == MAX_SESSIONS
+        assert scheduler["max_live_seen"] == phases["max_sessions"]
         assert scheduler["live_sessions"] == 0 and scheduler["queued"] == 0
 
     def test_warm_phase_runs_zero_invocations(self, phases):
