@@ -35,8 +35,8 @@ from repro.core.index import PlanIndex
 from repro.costs.dominance import dominates
 from repro.costs.matrix import CostMatrix
 from repro.costs.vector import CostVector
+from repro.plans.arena import PlanArena
 from repro.plans.operators import ScanOperator
-from repro.plans.plan import ScanPlan
 
 try:
     import numpy  # noqa: F401
@@ -156,10 +156,10 @@ def measure_index_retrieval(size: int) -> dict:
     for backend in BACKENDS:
         with kernel.use_backend(backend):
             index = PlanIndex()
-            plans = [ScanPlan("t", ScanOperator("seq_scan"), cost) for cost in costs]
-            for plan in plans:
-                index.insert_id(plan.plan_id, 0, plan.arena)
-            arena = plans[0].arena
+            arena = PlanArena(DIMS)
+            scan = ScanOperator("seq_scan")
+            for cost in costs:
+                index.insert_id(arena.allocate_scan("t", scan, cost), 0, arena)
             expected = sorted(scalar_retrieve(index, arena))
             assert sorted(index.retrieve_ids(bounds, 0)) == expected
             scalar_seconds = best_time(lambda: scalar_retrieve(index, arena))

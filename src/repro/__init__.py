@@ -4,9 +4,9 @@ Query Optimization" (Trummer & Koch, SIGMOD 2015).
 The package implements the paper's incremental anytime MOQO algorithm (IAMA)
 together with every substrate it needs -- a multi-objective cost model, a
 catalog and cardinality estimator, a plan representation, the TPC-H workload at
-the join-graph level, the baseline algorithms used in the evaluation, an
-interactive session layer, and an experiment harness that regenerates the
-paper's figures.
+the join-graph level, the baseline algorithms used in the evaluation, one
+planner session loop (Algorithm 1) that scripted user models steer, and an
+experiment harness that regenerates the paper's figures.
 
 Quickstart
 ----------
@@ -70,8 +70,7 @@ from repro.baselines import (
     SingleObjectiveOptimizer,
 )
 from repro.interactive import (
-    InteractiveSession,
-    PassiveUser,
+    UserModel,
     BoundTighteningUser,
     BoundRelaxingUser,
     PlanSelectingUser,
@@ -134,8 +133,7 @@ __all__ = [
     "ExhaustiveParetoOptimizer",
     "SingleObjectiveOptimizer",
     # interactive
-    "InteractiveSession",
-    "PassiveUser",
+    "UserModel",
     "BoundTighteningUser",
     "BoundRelaxingUser",
     "PlanSelectingUser",

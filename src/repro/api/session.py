@@ -443,7 +443,7 @@ def open_planner(
 ) -> PlannerSession:
     """Open a session of planner ``name`` on live objects.
 
-    ``options`` go to the driver (for example ``use_delta_sets`` for
+    ``options`` go to the driver (for example ``respect_orders`` for
     ``iama`` or ``keep_dominated`` for the from-scratch DP planners).  An
     unknown name raises ``KeyError`` listing the planners.
     """

@@ -51,9 +51,10 @@ EXPERIMENT_NAME = "ablation_features"
 #: among the handful of configurations in one grid are not a concern).
 DIGEST_CHARS = 16
 
-#: Tolerance of the timing gate: an ablated configuration may be at most this
-#: much *faster* than the all-on baseline before the gate fails (i.e. the
-#: feature's measured contribution regressed by >20% below break-even).
+#: Tolerance of the timing gate, the same for every feature: an ablated
+#: configuration may be at most this much *faster* than the all-on baseline
+#: before the gate fails (i.e. the feature's measured contribution regressed
+#: by >20% below break-even).  Feature rows record it as ``gate_floor``.
 DEFAULT_GATE_FLOOR = 0.8
 
 #: The timing gate only engages when the baseline takes at least this long —
@@ -90,10 +91,6 @@ class Feature:
     lowering:
         The mechanism that disables it — an existing knob, spelled the way a
         user would type it.
-    gate_floor:
-        Minimum allowed ``ablated_seconds / baseline_seconds`` ratio before
-        the timing gate fails; ``None`` exempts the feature from the timing
-        gate.
     counter_exempt:
         Invocation-counter fields this feature is *allowed* to change (the
         differential suite pins every other counter bit-identical).
@@ -103,7 +100,6 @@ class Feature:
     layer: str
     description: str
     lowering: str
-    gate_floor: Optional[float] = DEFAULT_GATE_FLOOR
     counter_exempt: Tuple[str, ...] = ()
 
 
@@ -456,7 +452,7 @@ def ablation_features(config: ExperimentConfig) -> "ExperimentResult":
                 ),
                 "digest_match": ablated["digest"] == baseline["digest"],
                 "work_invariant_ok": invariant_ok,
-                "gate_floor": feature.gate_floor,
+                "gate_floor": DEFAULT_GATE_FLOOR,
                 "lowering": feature.lowering,
             }
         )
@@ -548,10 +544,10 @@ def check_gate(payload: Mapping) -> List[str]:
        feature actually did something (Δ-sets enumerate fewer pairs, the
        frontier cache replays the warm phase with zero slices).
     4. **Timing** (tolerance): an ablated configuration must not run more
-       than ``1 - gate_floor`` faster than the baseline (default 20%) —
-       a feature that *slows things down* that much has regressed.  Skipped
+       than ``1 - DEFAULT_GATE_FLOOR`` (20%) faster than the baseline — a
+       feature that *slows things down* that much has regressed.  Skipped
        for inactive features (e.g. ``numpy_kernel`` without numpy) and for
-       features with ``gate_floor: null``.
+       untimed rows.
     """
     violations: List[str] = []
     features = payload.get("features", [])
@@ -576,19 +572,17 @@ def check_gate(payload: Mapping) -> List[str]:
                 f"{name}: work invariant violated (the ablated run did not "
                 "show the expected counter difference)"
             )
-        floor = row.get("gate_floor")
-        if floor is None or not row.get("active", True):
-            continue
-        if not row.get("timed", True):
-            # Baseline too fast to time meaningfully (tiny scale): the
-            # correctness gates above still applied; skip the timing verdict.
+        if not row.get("active", True) or not row.get("timed", True):
+            # Inactive feature, or a baseline too fast to time meaningfully
+            # (tiny scale): the correctness gates above still applied; skip
+            # the timing verdict.
             continue
         speedup = float(row.get("speedup", 1.0))
-        if speedup < float(floor):
+        if speedup < DEFAULT_GATE_FLOOR:
             violations.append(
                 f"{name}: contribution regressed — disabling it made the run "
                 f"{1 / speedup:.2f}x faster (speedup {speedup:.3f} < "
-                f"floor {floor})"
+                f"floor {DEFAULT_GATE_FLOOR})"
             )
     return violations
 

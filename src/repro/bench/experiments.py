@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
+from repro import flags
 from repro.bench.config import (
     ExperimentConfig,
     FINE_PRECISION,
@@ -36,7 +37,6 @@ from repro.bench.runner import (
 )
 from repro.bench.runner import _open_planner
 from repro.costs.metrics import cloud_metric_set, extended_metric_set
-from repro.interactive.session import InteractiveSession
 from repro.interactive.user_models import BoundTighteningUser
 from repro.plans.query import Query
 from repro.workloads.generator import generated_workload
@@ -304,28 +304,42 @@ def interactive_refinement_experiment(
     block with a user that keeps tightening the execution-time bound, and
     records how the visualized frontier evolves.
     """
+    # Imported lazily, like ``_open_planner``: repro.api.request imports
+    # repro.bench.config, which would close an import cycle here.
+    from repro.api.request import Budget
+
     cloud_config = config.with_overrides(metric_set=cloud_metric_set())
     query = _representative_query(cloud_config, table_count=4)
-    factory = build_factory(query, cloud_config)
-    schedule = build_schedule(levels, MODERATE_PRECISION)
     user = BoundTighteningUser(
         cloud_config.metric_set, "execution_time", tighten_every=2
     )
-    session = InteractiveSession(query, factory, schedule, user=user)
-    session.run(max_iterations=iterations)
     rows: List[Dict[str, object]] = []
-    for entry in session.timeline:
-        bound_value = entry.snapshot.bounds[0]
+
+    def react(update):
+        action = user.react(update)
+        invocation = update.invocation
         rows.append(
             {
-                "iteration": entry.iteration,
-                "resolution": entry.resolution,
-                "frontier_size": entry.snapshot.size,
-                "time_bound": bound_value,
-                "invocation_seconds": entry.invocation_seconds,
-                "action": type(entry.action).__name__,
+                "iteration": invocation.index,
+                "resolution": invocation.resolution,
+                "frontier_size": len(update.frontier),
+                "time_bound": invocation.bounds[0],
+                "invocation_seconds": invocation.duration_seconds,
+                "action": type(action).__name__,
             }
         )
+        return action
+
+    # ``continuous``: Algorithm 1 keeps refining at the maximal resolution
+    # until the user selects a plan or the invocation budget runs out.
+    _open_planner(
+        "iama",
+        query,
+        build_factory(query, cloud_config),
+        build_schedule(levels, MODERATE_PRECISION),
+        continuous=True,
+        budget=Budget(max_invocations=iterations),
+    ).run(user=react)
     return ExperimentResult(
         name="figure1",
         description=(
@@ -422,14 +436,11 @@ def ablation_freshness(
     schedule = build_schedule(levels, MODERATE_PRECISION)
     rows: List[Dict[str, object]] = []
     for delta_sets in (True, False):
-        session = _open_planner(
-            "iama",
-            query,
-            build_factory(query, config),
-            schedule,
-            use_delta_sets=delta_sets,
-        )
-        result = session.run()
+        with flags.overrides(delta_sets=delta_sets):
+            session = _open_planner(
+                "iama", query, build_factory(query, config), schedule
+            )
+            result = session.run()
         rows.append(
             {
                 "delta_sets": delta_sets,

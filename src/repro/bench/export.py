@@ -1,16 +1,16 @@
-"""Export of experiment results to CSV, JSON and Markdown.
+"""Export of experiment results to CSV, JSON and plain-text reports.
 
 The benchmark targets persist plain-text tables; downstream users (plotting
 scripts, papers, dashboards) usually want machine-readable data instead.  This
 module converts :class:`~repro.bench.experiments.ExperimentResult` rows into
 
 * CSV (one row per measurement, columns = union of row keys),
-* JSON (name, description, rows),
-* Markdown tables (for inclusion in reports).
+* JSON (name, description, rows), readable back with :func:`load_json`,
+* the ``results/<name>.txt`` reports.
 
 All writers are pure functions from results to strings plus thin ``write_*``
-helpers; nothing here imports the optimizer, so exporting never perturbs
-measurements.
+helpers (the ones ``repro-moqo`` writes through); nothing here imports the
+optimizer, so exporting never perturbs measurements.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.bench.experiments import ExperimentResult
 
@@ -100,45 +100,6 @@ def load_json(path: PathLike) -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Markdown
-# ----------------------------------------------------------------------
-def to_markdown(
-    result: ExperimentResult,
-    columns: Optional[Sequence[str]] = None,
-    float_format: str = "{:.4g}",
-) -> str:
-    """Render the result rows as a GitHub-flavoured Markdown table."""
-    if not result.rows:
-        return f"*{result.name}: no rows*"
-    columns = list(columns) if columns is not None else _ordered_columns(result)
-    lines = [
-        "| " + " | ".join(columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
-    ]
-    for row in result.rows:
-        cells = []
-        for key in columns:
-            value = row.get(key, "")
-            if isinstance(value, float):
-                cells.append(float_format.format(value))
-            else:
-                cells.append(str(value))
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
-def write_markdown(result: ExperimentResult, path: PathLike) -> Path:
-    """Write a Markdown section (heading, description, table) to ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    content = "\n".join(
-        [f"## {result.name}", "", result.description, "", to_markdown(result), ""]
-    )
-    path.write_text(content)
-    return path
-
-
-# ----------------------------------------------------------------------
 # Plain-text result reports (results/<name>.txt)
 # ----------------------------------------------------------------------
 def render_text_report(
@@ -173,29 +134,3 @@ def write_text_report(
     path = directory / f"{result.name}.txt"
     path.write_text(render_text_report(result, extra_sections))
     return path
-
-
-# ----------------------------------------------------------------------
-# Bundles
-# ----------------------------------------------------------------------
-def export_all(
-    results: Iterable[ExperimentResult],
-    directory: PathLike,
-    formats: Sequence[str] = ("csv", "json"),
-) -> Dict[str, List[Path]]:
-    """Export several results into ``directory`` in the requested formats.
-
-    Returns ``{format: [written paths]}``.  Unknown format names raise.
-    """
-    writers = {"csv": write_csv, "json": write_json, "markdown": write_markdown}
-    unknown = [fmt for fmt in formats if fmt not in writers]
-    if unknown:
-        raise ValueError(f"unknown export formats {unknown}; expected {sorted(writers)}")
-    directory = Path(directory)
-    written: Dict[str, List[Path]] = {fmt: [] for fmt in formats}
-    suffix = {"csv": ".csv", "json": ".json", "markdown": ".md"}
-    for result in results:
-        for fmt in formats:
-            path = directory / f"{result.name}{suffix[fmt]}"
-            written[fmt].append(writers[fmt](result, path))
-    return written

@@ -256,11 +256,6 @@ class IncrementalOptimizer:
     respect_orders:
         Forwarded to the pruning procedure: restrict cost comparisons to plans
         with compatible interesting tuple orders (Section 4.3).
-    use_delta_sets:
-        Enable the Δ-set optimization.  Disabling it (ablation
-        ``A-abl-2``) forces full pair enumeration in every invocation; the
-        invocation history still decides ``IsFresh``, so every invocation
-        builds exactly the same plans.
     cell_base:
         Cell width parameter of the plan indexes.
     """
@@ -272,16 +267,17 @@ class IncrementalOptimizer:
         schedule: ResolutionSchedule,
         allow_cross_products: bool = False,
         respect_orders: bool = True,
-        use_delta_sets: bool = True,
         cell_base: float = 2.0,
     ):
         self._query = query
         self._factory = factory
         self._schedule = schedule
         self._respect_orders = respect_orders
-        # The Δ-set optimization can be ablated per optimizer (the keyword,
-        # used by the bespoke freshness ablation) or globally (feature flag).
-        self._use_delta_sets = use_delta_sets and flags.enabled("delta_sets")
+        # The Δ-set optimization is ablated by the ``delta_sets`` flag, read
+        # once here.  Without it every invocation enumerates all pairs; the
+        # invocation history still decides ``IsFresh``, so every invocation
+        # builds exactly the same plans.
+        self._delta_sets = flags.enabled("delta_sets")
         self._state = OptimizerState(query, cell_base=cell_base)
         self._coverage = _CoverageTracker()
         self._plan_order = plan_order(query, allow_cross_products)
@@ -341,7 +337,7 @@ class IncrementalOptimizer:
         before = _CounterSnapshot.capture(counters)
         started = time.perf_counter()
 
-        delta_mode = self._use_delta_sets and self._coverage.delta_mode_allowed(
+        delta_mode = self._delta_sets and self._coverage.delta_mode_allowed(
             bounds, resolution
         )
         inserted_now: Dict[TableSet, List[int]] = {}

@@ -13,15 +13,17 @@ Section 3 of the paper defines:
   needs to cover plans with ``alpha * c(p) <= b``.
 
 This module provides free functions over plain cost-vector collections:
-Pareto filtering (the test suite's ground truth) and checks of the coverage
-guarantees.  IAMA's own result sets are maintained by
+Pareto filtering (the test suite's ground truth), the check of the coverage
+guarantee (:func:`is_alpha_cover`) and the smallest alpha at which one set
+covers another (:func:`approximation_error`, used by the α-guarantee
+checks).  IAMA's own result sets are maintained by
 :mod:`repro.core.pruning` and :mod:`repro.core.index`; the exhaustive
 baseline keeps its minimal frontiers in :mod:`repro.baselines.common`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.costs.dominance import (
     approximately_dominates,
@@ -146,35 +148,3 @@ def _cover_ratio(candidate: CostVector, target: CostVector) -> float:
             return float("inf")
         alpha = max(alpha, c / t)
     return alpha
-
-
-def hypervolume_2d(
-    costs: Sequence[CostVector], reference: Tuple[float, float]
-) -> float:
-    """Dominated hypervolume for two-dimensional cost vectors.
-
-    A simple quality indicator used in the interactive examples and the
-    anytime-quality experiment: the area of the region dominated by the
-    frontier, clipped at the ``reference`` point.  Larger is better.
-    """
-    if not costs:
-        return 0.0
-    if any(len(c) != 2 for c in costs):
-        raise ValueError("hypervolume_2d requires two-dimensional cost vectors")
-    ref_x, ref_y = reference
-    points = sorted(
-        {(c[0], c[1]) for c in costs if c[0] <= ref_x and c[1] <= ref_y}
-    )
-    frontier: List[Tuple[float, float]] = []
-    best_y = float("inf")
-    for x, y in points:
-        if y < best_y:
-            frontier.append((x, y))
-            best_y = y
-    area = 0.0
-    for i, (x, y) in enumerate(frontier):
-        next_x = frontier[i + 1][0] if i + 1 < len(frontier) else ref_x
-        width = max(0.0, next_x - x)
-        height = max(0.0, ref_y - y)
-        area += width * height
-    return area

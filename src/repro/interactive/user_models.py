@@ -1,13 +1,14 @@
 """Scripted user models for interactive MOQO sessions.
 
-A user model is anything with a ``react(update) -> UserAction`` method; after
-every main-loop iteration the session hands it the latest
-:class:`~repro.api.schema.FrontierUpdate` and receives the action the
-"user" takes -- keep refining, change the cost bounds, or select a plan.
+A user model is a callable ``update -> UserAction``; pass one as
+``PlannerSession.run(user=...)``, which hands it the latest
+:class:`~repro.api.schema.FrontierUpdate` after every invocation and applies
+the action the "user" takes -- keep refining, change the cost bounds, or
+select a plan.
 
 The shipped models cover the scenarios discussed in the paper:
 
-* :class:`PassiveUser` -- never interacts (the setting of the experimental
+* :class:`UserModel` -- never interacts (the setting of the experimental
   evaluation, Section 6.1),
 * :class:`BoundTighteningUser` -- progressively tightens bounds on one metric,
   the scenario for which the Δ-set optimization is most effective,
@@ -40,10 +41,6 @@ class UserModel:
 
     def __call__(self, update: FrontierUpdate) -> UserAction:
         return self.react(update)
-
-
-class PassiveUser(UserModel):
-    """Never interacts; optimization refines the resolution until the loop ends."""
 
 
 class ScriptedUser(UserModel):

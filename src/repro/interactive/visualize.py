@@ -1,55 +1,20 @@
-"""Frontier snapshots, data series and ASCII rendering.
+"""Terminal rendering of visualized frontiers.
 
 ``Visualize`` in Algorithm 1 shows the user the cost tradeoffs of all completed
 query plans that respect the current bounds at the current resolution.  This
-module turns those plan sets into:
+module renders them without any plotting dependency:
 
-* :class:`FrontierSnapshot` -- an immutable record of a visualized frontier
-  (iteration, resolution, bounds, cost vectors), the unit the interactive
-  session's timeline is built from,
-* :func:`frontier_series` -- per-metric series suitable for plotting,
 * :func:`ascii_scatter` -- a terminal scatter plot of two metrics, used by the
-  examples to "draw" Figure 1 style pictures without any plotting dependency.
+  examples to "draw" Figure 1 style pictures,
+* :func:`format_stream_line` -- one line per streamed frontier update.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
-from repro.costs.metrics import MetricSet
 from repro.costs.vector import CostVector
-
-
-@dataclass(frozen=True)
-class FrontierSnapshot:
-    """One visualized approximation of the Pareto-optimal cost tradeoffs."""
-
-    iteration: int
-    resolution: int
-    bounds: CostVector
-    costs: Tuple[CostVector, ...]
-    elapsed_seconds: float
-
-    @property
-    def size(self) -> int:
-        """Number of visualized cost tradeoffs."""
-        return len(self.costs)
-
-    def metric_values(self, metric_index: int) -> List[float]:
-        """All values of one metric across the visualized tradeoffs."""
-        return [cost[metric_index] for cost in self.costs]
-
-
-def frontier_series(
-    snapshot: FrontierSnapshot, metric_set: MetricSet
-) -> Dict[str, List[float]]:
-    """Per-metric data series of a frontier snapshot (``{metric: values}``)."""
-    return {
-        name: snapshot.metric_values(index)
-        for index, name in enumerate(metric_set.names)
-    }
 
 
 def ascii_scatter(
@@ -110,9 +75,8 @@ def format_stream_line(payload: Mapping) -> str:
     """One-line rendering of a wire ``frontier_update`` payload.
 
     Shared by ``repro-moqo submit --stream`` and the service examples so that
-    remotely streamed invocations print exactly like a local interactive
-    session's timeline: invocation index, resolution level, precision factor,
-    duration and frontier size.
+    every remotely streamed invocation prints the same way: invocation index,
+    resolution level, precision factor, duration and frontier size.
     """
     invocation = payload["invocation"]
     duration_ms = float(invocation["duration_seconds"]) * 1000.0

@@ -13,7 +13,7 @@ pushed into the join tree.  This package provides:
 * :mod:`repro.plans.arena` -- the per-query :class:`PlanArena` interning every
   plan as a dense integer id over parallel arrays (child ids, operator id,
   table-set id, interesting-order id) with one contiguous cost-matrix row per
-  plan,
+  plan; ``arena.plan(plan_id)`` is the only way to reach a plan's handle,
 * :mod:`repro.plans.plan` -- immutable plan trees as thin handles over arena
   slots, carrying cost vectors and interesting orders,
 * :mod:`repro.plans.factory` -- the :class:`PlanFactory` that builds costed
@@ -28,7 +28,7 @@ from repro.plans.operators import (
     OperatorRegistry,
     default_operator_registry,
 )
-from repro.plans.arena import ArenaStats, PlanArena, default_arena
+from repro.plans.arena import ArenaStats, PlanArena
 from repro.plans.plan import Plan, ScanPlan, JoinPlan
 from repro.plans.factory import PlanFactory
 from repro.plans.explain import (
@@ -49,7 +49,6 @@ __all__ = [
     "default_operator_registry",
     "ArenaStats",
     "PlanArena",
-    "default_arena",
     "Plan",
     "ScanPlan",
     "JoinPlan",

@@ -14,11 +14,14 @@ over parallel columns
   per plan (slot ``plan_id - 1``), which is the storage the batched costing
   and pruning kernels operate on.
 
-The arena is the single source of truth; :class:`~repro.plans.plan.Plan`
-objects are thin *handles* (arena reference + plan id) materialized lazily and
-cached, so identity semantics survive: ``arena.plan(pid)`` always returns the
-same object, and a handle's ``left``/``right``/``tables``/``cost`` properties
-read straight from the arena columns.
+The arena is the single source of truth and the only way to reach a plan:
+:meth:`PlanArena.plan` returns its :class:`~repro.plans.plan.Plan` handle
+(arena reference + plan id), whose ``left``/``right``/``tables`` properties
+read straight from the arena columns.  Handles are materialized lazily and
+kept in one dict holding only the ids materialized so far, so identity
+semantics survive: ``arena.plan(pid)`` always returns the same object, and
+each handle caches its own cost vector.  Allocation and tombstoning never
+touch handles.
 
 Ids are assigned per arena in allocation order, which makes id assignment a
 deterministic function of the query's own optimization history -- independent
@@ -33,13 +36,12 @@ Plans that the optimizer discards for good are *tombstoned*, a block at a
 time in one pass (:meth:`PlanArena.tombstone_ids`): their row stays
 addressable (ids are never recycled) but is counted separately, so the
 occupancy statistics (:meth:`PlanArena.stats`) distinguish live plans from
-dead weight and estimate the arena's memory footprint.
+dead weight and estimate the arena's memory footprint.  A handle stays valid
+after its plan is tombstoned, since the row it reads is never recycled.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -47,16 +49,12 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from repro import kernel
 from repro.costs.matrix import CostMatrix
 from repro.costs.vector import CostVector
+from repro.plans.plan import JoinPlan, Plan, ScanPlan
 
 #: Child id of scan plans ("no sub-plan").
 NO_CHILD = 0
 
-#: Operator id of plans allocated without a physical operator (the bare
-#: ``Plan`` base class used by a few tests and by generic tree nodes).
-NO_OPERATOR = -1
-
 #: Node kinds stored per plan (drives which handle class is materialized).
-KIND_GENERIC = 0
 KIND_SCAN = 1
 KIND_JOIN = 2
 
@@ -105,21 +103,14 @@ class PlanArena:
         "_operators",
         "_order_ids",
         "_orders",
-        "_handles",
-        "_cost_cache",
+        "_plans",
         "_tombstoned",
-        "_weak",
     )
 
-    def __init__(self, dimensions: int, weak_handles: bool = False):
+    def __init__(self, dimensions: int):
         if dimensions < 1:
             raise ValueError("a plan arena needs at least one cost metric")
         self._dims = dimensions
-        #: Weak-handle mode (the process-wide default arenas): handle and
-        #: cost-vector caches never keep a plan object alive, so directly
-        #: constructed plans stay garbage-collectable like before the arena
-        #: refactor (only their ~100-byte column rows remain resident).
-        self._weak = weak_handles
         #: One cost row per plan; slot ``plan_id - 1``.
         self.costs = CostMatrix(dimensions)
         self._kind = array("b")
@@ -136,9 +127,8 @@ class PlanArena:
         self._operators: List[object] = []
         self._order_ids: Dict[Optional[str], int] = {None: 0}
         self._orders: List[Optional[str]] = [None]
-        # Canonical handles and CostVector views, materialized lazily.
-        self._handles: List[Optional[object]] = []
-        self._cost_cache: List[Optional[CostVector]] = []
+        # Canonical handles of the ids materialized so far.
+        self._plans: Dict[int, Plan] = {}
         self._tombstoned = 0
 
     # ------------------------------------------------------------------
@@ -222,7 +212,6 @@ class PlanArena:
         tables_id: int,
         order_id: int,
         cost_row: Sequence[float],
-        handle: Optional[object] = None,
     ) -> int:
         self.costs.append(cost_row)
         self._kind.append(kind)
@@ -231,32 +220,7 @@ class PlanArena:
         self._operator.append(operator_id)
         self._tables.append(tables_id)
         self._order.append(order_id)
-        if handle is not None and self._weak:
-            handle = weakref.ref(handle)
-        self._handles.append(handle)
-        self._cost_cache.append(None)
         return len(self._kind)
-
-    def allocate_generic(
-        self,
-        tables: FrozenSet[str],
-        cost: Sequence[float],
-        interesting_order: Optional[str] = None,
-        handle: Optional[object] = None,
-    ) -> int:
-        """Allocate a bare plan node (no operator, no children)."""
-        if not tables:
-            raise ValueError("a plan must join at least one table")
-        return self._allocate(
-            KIND_GENERIC,
-            NO_CHILD,
-            NO_CHILD,
-            NO_OPERATOR,
-            self.intern_tables(frozenset(tables)),
-            self.intern_order(interesting_order),
-            self._check_row(cost),
-            handle,
-        )
 
     def allocate_scan(
         self,
@@ -264,7 +228,6 @@ class PlanArena:
         operator: object,
         cost: Sequence[float],
         interesting_order: Optional[str] = None,
-        handle: Optional[object] = None,
     ) -> int:
         """Allocate a scan of a single base table."""
         return self._allocate(
@@ -275,7 +238,6 @@ class PlanArena:
             self.intern_tables(frozenset({table})),
             self.intern_order(interesting_order),
             self._check_row(cost),
-            handle,
         )
 
     def allocate_join(
@@ -285,7 +247,6 @@ class PlanArena:
         operator: object,
         cost: Sequence[float],
         interesting_order: Optional[str] = None,
-        handle: Optional[object] = None,
     ) -> int:
         """Allocate a join of two previously allocated plans."""
         left_tables = self.tables_of(left_id)
@@ -303,7 +264,6 @@ class PlanArena:
             self.intern_tables(left_tables | right_tables),
             self.intern_order(interesting_order),
             self._check_row(cost),
-            handle,
         )
 
     def extend_joins(
@@ -333,8 +293,6 @@ class PlanArena:
             self._operator.extend(operator_ids)
             self._tables.extend(tables_ids)
             self._order.extend(order_ids)
-            self._handles.extend([None] * count)
-            self._cost_cache.extend([None] * count)
         return range(first_id, first_id + count)
 
     def _check_row(self, cost: Sequence[float]) -> Tuple[float, ...]:
@@ -355,10 +313,7 @@ class PlanArena:
         return self._right[plan_id - 1]
 
     def operator_of(self, plan_id: int) -> object:
-        operator_id = self._operator[plan_id - 1]
-        if operator_id == NO_OPERATOR:
-            return None
-        return self._operators[operator_id]
+        return self._operators[self._operator[plan_id - 1]]
 
     def tables_id_of(self, plan_id: int) -> int:
         return self._tables[plan_id - 1]
@@ -399,16 +354,6 @@ class PlanArena:
         """First cost component (the plan-index bucketing key)."""
         return self.costs.columns[0][plan_id - 1]
 
-    def cost_of(self, plan_id: int) -> CostVector:
-        """The plan's cost as a :class:`CostVector` (cached in strong arenas)."""
-        if self._weak:
-            return CostVector(self.cost_row(plan_id))
-        cached = self._cost_cache[plan_id - 1]
-        if cached is None:
-            cached = CostVector(self.cost_row(plan_id))
-            self._cost_cache[plan_id - 1] = cached
-        return cached
-
     def is_tombstoned(self, plan_id: int) -> bool:
         return not self.costs.is_alive(plan_id - 1)
 
@@ -424,87 +369,27 @@ class PlanArena:
         """
         slots = self.costs.kill_live_slots(plan_id - 1 for plan_id in plan_ids)
         self._tombstoned += len(slots)
-        handles, cost_cache = self._handles, self._cost_cache
-        for slot in slots:
-            handles[slot] = None
-            cost_cache[slot] = None
 
     # ------------------------------------------------------------------
     # Handles
     # ------------------------------------------------------------------
-    def plan(self, plan_id: int):
+    def plan(self, plan_id: int) -> Plan:
         """The canonical :class:`~repro.plans.plan.Plan` handle for an id.
 
         Handles are created lazily and cached, so two calls for the same id
-        return the *same* object -- plan equality stays identity-based.  (In
-        weak-handle arenas the cache holds weak references: identity is
-        preserved for as long as anyone holds the handle, and dropped handles
-        are re-materialized on demand instead of being kept alive forever.)
+        return the *same* object -- plan equality stays identity-based.
         """
-        slot = plan_id - 1
-        entry = self._handles[slot]
-        if entry is not None:
-            handle = entry() if self._weak else entry
-            if handle is not None:
-                return handle
-        from repro.plans.plan import JoinPlan, Plan, ScanPlan
-
-        kind = self._kind[slot]
-        if kind == KIND_SCAN:
-            cls = ScanPlan
-        elif kind == KIND_JOIN:
-            cls = JoinPlan
-        else:
-            cls = Plan
-        handle = cls._from_arena(self, plan_id)
-        self._handles[slot] = weakref.ref(handle) if self._weak else handle
+        handle = self._plans.get(plan_id)
+        if handle is None:
+            cls = ScanPlan if self._kind[plan_id - 1] == KIND_SCAN else JoinPlan
+            handle = self._plans[plan_id] = cls._from_arena(self, plan_id)
         return handle
 
-    def plans(self, plan_ids: Iterable[int]) -> List[object]:
+    def plans(self, plan_ids: Iterable[int]) -> List[Plan]:
         """Canonical handles for a sequence of ids, in order."""
         return [self.plan(plan_id) for plan_id in plan_ids]
-
-    def adopt_handle(self, plan_id: int, handle: object) -> None:
-        """Register a freshly constructed handle as the canonical one."""
-        self._handles[plan_id - 1] = (
-            weakref.ref(handle) if self._weak else handle
-        )
 
 
 def _is_id_range(plan_ids: Sequence[int]) -> bool:
     """Whether a block of ids is one contiguous ascending range."""
     return isinstance(plan_ids, range) and plan_ids.step == 1
-
-
-# ----------------------------------------------------------------------
-# Default arenas for plans constructed outside a factory
-# ----------------------------------------------------------------------
-#: One shared arena per cost dimensionality, used by direct ``ScanPlan(...)``
-#: / ``JoinPlan(...)`` construction (tests, examples).  The optimizer stack
-#: never touches these: every :class:`~repro.plans.factory.PlanFactory` owns a
-#: private arena, which is what makes id assignment deterministic per query.
-_DEFAULT_ARENAS: Dict[int, PlanArena] = {}
-_DEFAULT_ARENAS_LOCK = threading.Lock()
-
-
-def default_arena(dimensions: int) -> PlanArena:
-    """The process-wide fallback arena for the given dimensionality.
-
-    Default arenas run in weak-handle mode: they never keep plan objects (or
-    cost-vector views) alive, so directly constructed plans remain ordinary
-    garbage-collectable objects; only their raw column rows stay resident.
-
-    Creation is locked: the planning service runs sessions on scheduler
-    worker threads, and two threads racing the first direct plan construction
-    for a dimensionality must agree on one shared arena instead of silently
-    splitting their interning tables.  (Sessions themselves never touch the
-    default arenas — every :class:`~repro.plans.factory.PlanFactory` owns a
-    private per-query arena, which is what keeps concurrent sessions free of
-    shared mutable plan state.)
-    """
-    with _DEFAULT_ARENAS_LOCK:
-        arena = _DEFAULT_ARENAS.get(dimensions)
-        if arena is None:
-            arena = PlanArena(dimensions, weak_handles=True)
-            _DEFAULT_ARENAS[dimensions] = arena
-        return arena

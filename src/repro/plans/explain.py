@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Sequence
 from repro.costs.metrics import MetricSet
 from repro.costs.pareto import pareto_filter
 from repro.costs.vector import CostVector
-from repro.plans.plan import JoinPlan, Plan, ScanPlan
+from repro.plans.plan import Plan, ScanPlan
 
 
 def explain_plan(plan: Plan, metric_set: MetricSet, indent: str = "  ") -> str:
@@ -59,14 +59,11 @@ def _explain_into(
     if isinstance(plan, ScanPlan):
         lines.append(f"{prefix}{plan.operator.label} on {plan.table}  [{costs}]")
         return
-    if isinstance(plan, JoinPlan):
-        tables = ",".join(sorted(plan.tables))
-        order = f", order={plan.interesting_order}" if plan.interesting_order else ""
-        lines.append(f"{prefix}{plan.operator.label} joining {{{tables}}}  [{costs}]{order}")
-        _explain_into(plan.left, metric_set, lines, depth + 1, indent)
-        _explain_into(plan.right, metric_set, lines, depth + 1, indent)
-        return
-    lines.append(f"{prefix}{plan.render()}  [{costs}]")
+    tables = ",".join(sorted(plan.tables))
+    order = f", order={plan.interesting_order}" if plan.interesting_order else ""
+    lines.append(f"{prefix}{plan.operator.label} joining {{{tables}}}  [{costs}]{order}")
+    _explain_into(plan.left, metric_set, lines, depth + 1, indent)
+    _explain_into(plan.right, metric_set, lines, depth + 1, indent)
 
 
 def compare_plans(left: Plan, right: Plan, metric_set: MetricSet) -> Dict[str, Dict[str, float]]:

@@ -11,8 +11,10 @@ extended Postgres plan generation).
 Since the arena refactor the factory owns a per-query
 :class:`~repro.plans.arena.PlanArena` and offers two construction surfaces:
 
-* the scalar handle API (:meth:`scan_plan`, :meth:`join_plan`) used by tests
-  and the single-objective baseline, and
+* the scalar handle API (:meth:`scan_plans`, :meth:`join_plan`): one plan
+  at a time, returned as its arena handle.  The single-objective baseline
+  builds its plans this way, and the arena tests and micro-benchmark check
+  the batched path against :meth:`join_plan`;
 * the batched id API (:meth:`scan_block`, :meth:`combine_block`) used by the
   optimizer hot paths: a whole block of (left id, right id) pairs, given as
   two id columns, is joined with every operator, costed with one vectorized
@@ -44,7 +46,7 @@ from repro.obs import trace as obs_trace
 from repro.costs.model import MultiObjectiveCostModel
 from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
-from repro.plans.operators import JoinOperator, OperatorRegistry, ScanOperator
+from repro.plans.operators import JoinOperator, OperatorRegistry
 from repro.plans.plan import JoinPlan, Plan, ScanPlan
 
 
@@ -157,22 +159,6 @@ class PlanFactory:
             self.counters.scan_plans_built += 1
         return ids
 
-    def scan_plan(
-        self, table: str, operator: ScanOperator, arena: Optional[PlanArena] = None
-    ) -> ScanPlan:
-        """Build and cost a single scan plan."""
-        target = self.arena if arena is None else arena
-        rows = self._estimator.base_cardinality(table)
-        pages = self._estimator.page_count(table)
-        cost = self._cost_model.scan_cost(
-            row_count=rows,
-            page_count=pages,
-            sampling_rate=operator.sampling_rate,
-            parallelism=operator.parallelism,
-        )
-        self.counters.scan_plans_built += 1
-        return target.plan(target.allocate_scan(table, operator, cost))
-
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
@@ -187,22 +173,23 @@ class PlanFactory:
 
         The scalar reference path: one plan at a time, through the same cost
         formulas as :meth:`combine_block` (the arena micro-benchmark asserts
-        the block path is faster *and* bit-identical).
+        the block path is faster *and* bit-identical).  The join is allocated
+        in the operands' arena, which both must share.
         """
+        arena = left.arena
+        if right.arena is not arena:
+            raise ValueError("join operands must be interned in the same plan arena")
         local = self._local_cost(left.tables, right.tables, operator)
         cost = self._cost_model.combine(left.cost, right.cost, local)
         self.counters.join_plans_built += 1
         interesting_order = None
         if operator.produces_order:
             interesting_order = _join_order_tag(left.tables, right.tables)
-        return JoinPlan(left, right, operator, cost, interesting_order)
-
-    def join_plans(self, left: Plan, right: Plan) -> List[JoinPlan]:
-        """Join the two sub-plans with every applicable join operator."""
-        return [
-            self.join_plan(left, right, operator)
-            for operator in self.join_operators()
-        ]
+        return arena.plan(
+            arena.allocate_join(
+                left.plan_id, right.plan_id, operator, cost, interesting_order
+            )
+        )
 
     # ------------------------------------------------------------------
     # Batched construction (the generate → cost hot path)

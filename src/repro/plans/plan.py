@@ -9,15 +9,15 @@ pointers to their sub-plans", Section 5.2).  A :class:`Plan` object is a
 *handle*: an ``(arena, plan_id)`` pair whose properties read straight from the
 arena columns.
 
-Handles are canonical: the arena caches one handle per plan id, so equality
-remains identity-based exactly as before the refactor (two structurally
-identical plans created independently are distinct objects with distinct
-ids) -- which is what the incremental bookkeeping requires.  ``plan_id`` is a
-dense, 1-based integer unique *per arena*: every plan factory owns a private
-arena, so id assignment is a deterministic function of the query's own
-optimization history.  Plans constructed directly (``ScanPlan(...)``,
-``JoinPlan(...)``; used by tests and examples) are interned into a shared
-per-dimensionality default arena.
+Handles are canonical: a plan exists only in its per-query arena, and
+``arena.plan(plan_id)`` is the only way to get its handle.  The arena keeps one
+handle per materialized id, so equality remains identity-based (two
+structurally identical plans allocated independently are distinct objects
+with distinct ids) -- which is what the incremental bookkeeping requires --
+and each handle caches its own cost vector.  ``plan_id`` is a dense, 1-based
+integer unique *per arena*: every plan factory owns a private arena, so id
+assignment is a deterministic function of the query's own optimization
+history.
 """
 
 from __future__ import annotations
@@ -28,39 +28,19 @@ from repro.costs.vector import CostVector
 from repro.plans.operators import JoinOperator, ScanOperator
 
 
-def _as_cost_vector(cost) -> CostVector:
-    return cost if isinstance(cost, CostVector) else CostVector(cost)
-
-
 class Plan:
     """Base class for query plans: a handle over one arena slot."""
 
-    # __weakref__ lets weak-handle arenas (the per-dimensionality default
-    # arenas) cache handles without keeping them alive.
-    __slots__ = ("_arena", "plan_id", "__weakref__")
+    __slots__ = ("_arena", "plan_id", "_cost")
 
-    def __init__(
-        self,
-        tables: FrozenSet[str],
-        cost: CostVector,
-        interesting_order: Optional[str] = None,
-    ):
-        from repro.plans.arena import default_arena
-
-        cost = _as_cost_vector(cost)
-        arena = default_arena(cost.dimensions)
-        self._arena = arena
-        self.plan_id: int = arena.allocate_generic(
-            frozenset(tables), cost, interesting_order, handle=self
-        )
-
-    # ------------------------------------------------------------------
     @classmethod
     def _from_arena(cls, arena, plan_id: int) -> "Plan":
-        """Materialize a handle for an already-allocated arena slot."""
+        """Materialize a handle for an already-allocated arena slot (called
+        by :meth:`~repro.plans.arena.PlanArena.plan` only)."""
         handle = object.__new__(cls)
         handle._arena = arena
         handle.plan_id = plan_id
+        handle._cost = None
         return handle
 
     # ------------------------------------------------------------------
@@ -76,8 +56,11 @@ class Plan:
 
     @property
     def cost(self) -> CostVector:
-        """The plan's multi-objective cost vector (cached arena row view)."""
-        return self._arena.cost_of(self.plan_id)
+        """The plan's multi-objective cost vector (the arena row, read once)."""
+        cost = self._cost
+        if cost is None:
+            cost = self._cost = CostVector(self._arena.cost_row(self.plan_id))
+        return cost
 
     @property
     def interesting_order(self) -> Optional[str]:
@@ -120,22 +103,6 @@ class ScanPlan(Plan):
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        table: str,
-        operator: ScanOperator,
-        cost: CostVector,
-        interesting_order: Optional[str] = None,
-    ):
-        from repro.plans.arena import default_arena
-
-        cost = _as_cost_vector(cost)
-        arena = default_arena(cost.dimensions)
-        self._arena = arena
-        self.plan_id = arena.allocate_scan(
-            table, operator, cost, interesting_order, handle=self
-        )
-
     @property
     def table(self) -> str:
         tables = self._arena.tables_of(self.plan_id)
@@ -162,31 +129,6 @@ class JoinPlan(Plan):
     """A plan joining the results of two sub-plans."""
 
     __slots__ = ()
-
-    def __init__(
-        self,
-        left: Plan,
-        right: Plan,
-        operator: JoinOperator,
-        cost: CostVector,
-        interesting_order: Optional[str] = None,
-    ):
-        cost = _as_cost_vector(cost)
-        arena = left.arena
-        if right.arena is not arena:
-            raise ValueError(
-                "join operands must be interned in the same plan arena"
-            )
-        if arena.dimensions != cost.dimensions:
-            raise ValueError(
-                f"join cost has {cost.dimensions} components but the operands' "
-                f"arena stores {arena.dimensions} metrics"
-            )
-        self._arena = arena
-        self.plan_id = arena.allocate_join(
-            left.plan_id, right.plan_id, operator, cost, interesting_order,
-            handle=self,
-        )
 
     @property
     def left(self) -> Plan:

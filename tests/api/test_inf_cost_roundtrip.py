@@ -57,7 +57,7 @@ def inf_arena():
 class TestSchemaEncoding:
     def test_arena_cost_row_round_trips_through_json(self):
         arena, _, infinite = inf_arena()
-        cost = arena.cost_of(infinite)
+        cost = arena.plan(infinite).cost
         payload = json.loads(json.dumps(cost_to_jsonable(cost)))
         assert payload[0] == "inf"
         assert cost_from_jsonable(payload) == cost

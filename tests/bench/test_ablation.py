@@ -14,6 +14,7 @@ import pytest
 from repro import flags, kernel
 from repro.bench.ablation import (
     BASELINE_CONFIG,
+    DEFAULT_GATE_FLOOR,
     FEATURES,
     Feature,
     FeatureRegistry,
@@ -264,7 +265,7 @@ class TestGate:
                 "speedup": 1.2,
                 "digest_match": True,
                 "work_invariant_ok": True,
-                "gate_floor": feature.gate_floor,
+                "gate_floor": DEFAULT_GATE_FLOOR,
             }
             if feature.name == "delta_sets":
                 row.update(overrides)
@@ -287,7 +288,7 @@ class TestGate:
         # A stale artifact that still lists a retired feature must not pass.
         payload = self._payload()
         payload["features"].append(
-            dict(payload["features"][0], feature="sql_frontend", gate_floor=None)
+            dict(payload["features"][0], feature="sql_frontend")
         )
         assert check_gate(payload) == [
             "sql_frontend: payload lists a feature that is not registered"
@@ -312,9 +313,15 @@ class TestGate:
         )
         assert len(violations) == 1
 
-    def test_inactive_and_unfloored_features_skip_timing(self):
+    def test_inactive_features_skip_timing(self):
         assert check_gate(self._payload(speedup=0.1, active=False)) == []
-        assert check_gate(self._payload(speedup=0.1, gate_floor=None)) == []
+
+    @pytest.mark.parametrize("floor", (None, 0.5), ids=("null", "lower"))
+    def test_a_row_gate_floor_changes_nothing(self, floor):
+        # Every active, timed feature is gated at the one shared floor,
+        # whatever floor the artifact records.
+        violations = check_gate(self._payload(speedup=0.7, gate_floor=floor))
+        assert any("contribution regressed" in v for v in violations)
 
     def test_committed_artifact_passes_the_gate(self):
         path = REPO_ROOT / "results" / "ablation_features.json"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import flags
 from repro.bench.config import ExperimentConfig
 from repro.bench.experiments import (
     ablation_freshness,
@@ -92,9 +93,17 @@ class TestIllustrations:
 
     def test_interactive_refinement_experiment(self, tiny_config):
         result = interactive_refinement_experiment(tiny_config, levels=3, iterations=4)
-        assert len(result.rows) == 4
-        assert {row["iteration"] for row in result.rows} == {1, 2, 3, 4}
-        assert all(row["invocation_seconds"] >= 0 for row in result.rows)
+        rows = result.rows
+        assert len(rows) == 4
+        assert [row["iteration"] for row in rows] == [1, 2, 3, 4]
+        assert all(row["invocation_seconds"] >= 0 for row in rows)
+        # The user tightens the time bound after every second invocation, and
+        # each tightening restarts the refinement under the new bound.
+        assert [row["action"] for row in rows] == [
+            "Continue", "ChangeBounds", "Continue", "ChangeBounds",
+        ]
+        assert [row["resolution"] for row in rows] == [0, 1, 0, 1]
+        assert rows[2]["time_bound"] < rows[1]["time_bound"] == float("inf")
 
 
 class TestAblations:
@@ -104,6 +113,11 @@ class TestAblations:
         assert set(by_flag) == {True, False}
         assert by_flag[True]["plans_generated"] == by_flag[False]["plans_generated"]
         assert by_flag[True]["pairs_enumerated"] <= by_flag[False]["pairs_enumerated"]
+
+    def test_ablation_freshness_restores_the_delta_sets_flag(self, tiny_config):
+        with flags.overrides(delta_sets=True):
+            ablation_freshness(tiny_config, levels=2)
+            assert flags.enabled("delta_sets")
 
     def test_ablation_result_set_growth(self, tiny_config):
         result = ablation_result_set_growth(tiny_config, levels=2)

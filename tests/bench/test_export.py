@@ -5,16 +5,7 @@ import json
 import pytest
 
 from repro.bench.experiments import ExperimentResult
-from repro.bench.export import (
-    export_all,
-    load_json,
-    to_csv,
-    to_json,
-    to_markdown,
-    write_csv,
-    write_json,
-    write_markdown,
-)
+from repro.bench.export import load_json, to_csv, to_json, write_csv, write_json
 
 
 @pytest.fixture
@@ -72,34 +63,3 @@ class TestJson:
         )
         payload = json.loads(to_json(result))
         assert payload["rows"][0]["cost"] == [1.0, 2.0]
-
-
-class TestMarkdown:
-    def test_table_structure(self, result):
-        lines = to_markdown(result).splitlines()
-        assert lines[0].startswith("| table_count")
-        assert set(lines[1].replace("|", "").split()) == {"---"}
-        assert len(lines) == 2 + len(result.rows)
-
-    def test_empty_result(self):
-        empty = ExperimentResult(name="empty", description="", rows=[])
-        assert "no rows" in to_markdown(empty)
-
-    def test_write_markdown_includes_heading(self, result, tmp_path):
-        path = write_markdown(result, tmp_path / "out.md")
-        content = path.read_text()
-        assert content.startswith("## figure_test")
-        assert "a small result" in content
-
-
-class TestExportAll:
-    def test_exports_every_format(self, result, tmp_path):
-        written = export_all([result], tmp_path, formats=("csv", "json", "markdown"))
-        assert set(written) == {"csv", "json", "markdown"}
-        for paths in written.values():
-            assert len(paths) == 1
-            assert paths[0].exists()
-
-    def test_unknown_format_rejected(self, result, tmp_path):
-        with pytest.raises(ValueError):
-            export_all([result], tmp_path, formats=("yaml",))

@@ -15,9 +15,10 @@ from repro.catalog.statistics import StatisticsCatalog
 from repro.core.resolution import ResolutionSchedule
 from repro.costs.metrics import cloud_metric_set, paper_metric_set
 from repro.costs.model import CostModelConfig, MultiObjectiveCostModel
+from repro.costs.vector import CostVector
 from repro.plans.arena import KIND_JOIN
 from repro.plans.factory import PlanFactory
-from repro.plans.operators import OperatorRegistry
+from repro.plans.operators import JoinOperator, OperatorRegistry, ScanOperator
 from repro.plans.query import Query
 
 
@@ -89,6 +90,23 @@ def build_factory(
     estimator = CardinalityEstimator(statistics, query.join_graph)
     cost_model = MultiObjectiveCostModel(metric_set, CostModelConfig())
     return PlanFactory(estimator, cost_model, registry)
+
+
+def scan_plan(arena, cost, table="t", order=None, operator=None):
+    """The handle of a scan allocated in ``arena`` (a sequential scan unless
+    ``operator`` says otherwise)."""
+    operator = operator or ScanOperator("seq_scan")
+    return arena.plan(arena.allocate_scan(table, operator, CostVector(cost), order))
+
+
+def join_plan(left, right, cost, algorithm="hash_join", order=None):
+    """The handle of a join of two handles, allocated in their arena."""
+    arena = left.arena
+    return arena.plan(
+        arena.allocate_join(
+            left.plan_id, right.plan_id, JoinOperator(algorithm), CostVector(cost), order
+        )
+    )
 
 
 def insert_plan(index, plan, resolution):

@@ -5,6 +5,7 @@ import statistics
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import flags
 from repro.api import OptimizeRequest, resolve_request
 from repro.core.fresh import delta_pairs, delta_split, fresh_pairs
 from repro.core.optimizer import IncrementalOptimizer
@@ -118,7 +119,7 @@ def next_invocation(step, component, optimizer, bounds, resolution):
     return CostVector(values), resolution
 
 
-@pytest.mark.parametrize("use_delta_sets", (True, False), ids=("delta", "full"))
+@pytest.mark.parametrize("delta_sets", (True, False), ids=("delta", "full"))
 @settings(
     max_examples=30,
     derandomize=True,
@@ -131,7 +132,7 @@ def next_invocation(step, component, optimizer, bounds, resolution):
         st.tuples(st.sampled_from(STEPS), st.integers(0, 2)), min_size=10, max_size=10
     ),
 )
-def test_arena_joins_are_the_union_of_every_invocation_box(use_delta_sets, spec, steps):
+def test_arena_joins_are_the_union_of_every_invocation_box(delta_sets, spec, steps):
     """After every invocation ``j``, the arena holds exactly one join per
     operator of every pair of ``Res^{q1}[0..b_k, 0..r_k] x
     Res^{q2}[0..b_k, 0..r_k]`` over invocations ``k <= j`` and splits
@@ -140,9 +141,8 @@ def test_arena_joins_are_the_union_of_every_invocation_box(use_delta_sets, spec,
         OptimizeRequest(workload=spec, scale="smoke", levels=LEVELS)
     )
     factory, query = resolved.factory, resolved.query
-    optimizer = IncrementalOptimizer(
-        query, factory, resolved.schedule, use_delta_sets=use_delta_sets
-    )
+    with flags.overrides(delta_sets=delta_sets):
+        optimizer = IncrementalOptimizer(query, factory, resolved.schedule)
     operators = factory.join_operators()
     splits = [split for _, subset_splits in plan_order(query) for split in subset_splits]
     expected = set()

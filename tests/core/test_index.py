@@ -4,14 +4,16 @@ import pytest
 
 from repro.core.index import PlanIndex
 from repro.costs.vector import CostVector
-from repro.plans.operators import ScanOperator
-from repro.plans.plan import ScanPlan
+from repro.plans.arena import PlanArena
 
-from tests.conftest import entries_by_level, insert_plan
+from tests.conftest import entries_by_level, insert_plan, scan_plan
 
 
-def make_plan(cost, order=None):
-    return ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost), interesting_order=order)
+@pytest.fixture
+def make_plan():
+    """Scan handles in an arena of the test's own."""
+    arena = PlanArena(2)
+    return lambda cost, order=None: scan_plan(arena, cost, order=order)
 
 
 @pytest.fixture
@@ -20,32 +22,32 @@ def index():
 
 
 class TestInsertRemove:
-    def test_insert_and_len(self, index):
+    def test_insert_and_len(self, index, make_plan):
         insert_plan(index, make_plan([1, 1]), resolution=0)
         assert len(index) == 1
 
-    def test_duplicate_insert_rejected(self, index):
+    def test_duplicate_insert_rejected(self, index, make_plan):
         plan = make_plan([1, 1])
         insert_plan(index, plan, 0)
         with pytest.raises(ValueError):
             insert_plan(index, plan, 1)
 
-    def test_negative_resolution_rejected(self, index):
+    def test_negative_resolution_rejected(self, index, make_plan):
         with pytest.raises(ValueError):
             insert_plan(index, make_plan([1, 1]), -1)
 
-    def test_remove(self, index):
+    def test_remove(self, index, make_plan):
         plan = make_plan([1, 1])
         insert_plan(index, plan, 0)
         index.remove_id(plan.plan_id)
         assert len(index) == 0
         assert not index.contains_id(plan.plan_id)
 
-    def test_remove_unknown_plan_raises(self, index):
+    def test_remove_unknown_plan_raises(self, index, make_plan):
         with pytest.raises(KeyError):
             index.remove_id(make_plan([1, 1]).plan_id)
 
-    def test_discard_is_idempotent(self, index):
+    def test_discard_is_idempotent(self, index, make_plan):
         plan = make_plan([1, 1])
         insert_plan(index, plan, 0)
         index.remove_id(plan.plan_id)
@@ -54,7 +56,7 @@ class TestInsertRemove:
             index.remove_id(plan.plan_id)
         assert len(index) == 0 and not index.contains_id(plan.plan_id)
 
-    def test_clear(self, index):
+    def test_clear(self, index, make_plan):
         insert_plan(index, make_plan([1, 1]), 0)
         index.clear()
         assert len(index) == 0
@@ -65,17 +67,17 @@ class TestInsertRemove:
 
 
 class TestLookups:
-    def test_contains_and_resolution_of(self, index):
+    def test_contains_and_resolution_of(self, index, make_plan):
         plan = make_plan([1, 1])
         insert_plan(index, plan, 2)
         assert index.contains_id(plan.plan_id)
         assert index.resolution_of_id(plan.plan_id) == 2
 
-    def test_resolution_of_unknown_plan(self, index):
+    def test_resolution_of_unknown_plan(self, index, make_plan):
         with pytest.raises(KeyError):
             index.resolution_of_id(make_plan([1, 1]).plan_id)
 
-    def test_all_plans_and_entries(self, index):
+    def test_all_plans_and_entries(self, index, make_plan):
         plans = [make_plan([i + 1, 1]) for i in range(3)]
         for level, plan in enumerate(plans):
             insert_plan(index, plan, level)
@@ -84,7 +86,7 @@ class TestLookups:
             level: [plan.plan_id] for level, plan in enumerate(plans)
         }
 
-    def test_count_at_resolution(self, index):
+    def test_count_at_resolution(self, index, make_plan):
         insert_plan(index, make_plan([1, 1]), 0)
         insert_plan(index, make_plan([2, 2]), 0)
         insert_plan(index, make_plan([3, 3]), 1)
@@ -94,7 +96,7 @@ class TestLookups:
 
 
 class TestRangeQueries:
-    def test_retrieve_respects_resolution_range(self, index):
+    def test_retrieve_respects_resolution_range(self, index, make_plan):
         low = make_plan([1, 1])
         high = make_plan([1, 1])
         insert_plan(index, low, 0)
@@ -104,24 +106,24 @@ class TestRangeQueries:
         assert set(index.retrieve_ids(unbounded, 3)) == {low.plan_id, high.plan_id}
         assert index.retrieve_ids(unbounded, 2, min_resolution=1) == []
 
-    def test_retrieve_respects_bounds(self, index):
+    def test_retrieve_respects_bounds(self, index, make_plan):
         cheap = make_plan([1, 1])
         pricey = make_plan([100, 1])
         insert_plan(index, cheap, 0)
         insert_plan(index, pricey, 0)
         assert index.retrieve_ids(CostVector([10, 10]), 0) == [cheap.plan_id]
 
-    def test_retrieve_with_inverted_range_is_empty(self, index):
+    def test_retrieve_with_inverted_range_is_empty(self, index, make_plan):
         insert_plan(index, make_plan([1, 1]), 0)
         assert index.retrieve_ids(CostVector.infinite(2), 0, min_resolution=2) == []
 
-    def test_retrieved_ids_report_their_levels(self, index):
+    def test_retrieved_ids_report_their_levels(self, index, make_plan):
         plan = make_plan([1, 1])
         insert_plan(index, plan, 2)
         (retrieved,) = index.retrieve_ids(CostVector.infinite(2), 4)
         assert index.resolution_of_id(retrieved) == 2
 
-    def test_retrieve_many_plans_across_buckets(self, index):
+    def test_retrieve_many_plans_across_buckets(self, index, make_plan):
         plans = [make_plan([float(2 ** i), 1.0]) for i in range(10)]
         for plan in plans:
             insert_plan(index, plan, 0)

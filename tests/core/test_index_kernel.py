@@ -17,10 +17,9 @@ from repro.core.index import INFINITE_BUCKET, PlanIndex
 from repro.core.pruning import PruneOutcome, prune
 from repro.costs.dominance import dominates
 from repro.costs.vector import CostVector
-from repro.plans.operators import ScanOperator
-from repro.plans.plan import ScanPlan
+from repro.plans.arena import PlanArena
 
-from tests.conftest import insert_plan
+from tests.conftest import insert_plan, scan_plan
 
 try:
     import numpy  # noqa: F401
@@ -32,10 +31,11 @@ except ImportError:  # pragma: no cover - depends on environment
 INF = float("inf")
 
 
-def make_plan(cost, order=None):
-    return ScanPlan(
-        "t", ScanOperator("seq_scan"), CostVector(cost), interesting_order=order
-    )
+@pytest.fixture
+def make_plan():
+    """Scan handles in an arena of the test's own."""
+    arena = PlanArena(2)
+    return lambda cost, order=None: scan_plan(arena, cost, order=order)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -45,7 +45,7 @@ def backend(request):
 
 
 class TestBucketEdgeCases:
-    def test_removing_last_plan_in_bucket_keeps_index_consistent(self, backend):
+    def test_removing_last_plan_in_bucket_keeps_index_consistent(self, backend, make_plan):
         index = PlanIndex()
         # Same bucket (similar first component), then empty it entirely.
         lone = make_plan([100.0, 1.0])
@@ -60,7 +60,7 @@ class TestBucketEdgeCases:
         insert_plan(index, make_plan([101.0, 2.0]), 0)
         assert len(index) == 2
 
-    def test_removals_trigger_compaction_without_losing_plans(self, backend):
+    def test_removals_trigger_compaction_without_losing_plans(self, backend, make_plan):
         index = PlanIndex()
         plans = [make_plan([10.0 + i * 0.01, float(i)]) for i in range(20)]
         for plan in plans:
@@ -75,7 +75,7 @@ class TestBucketEdgeCases:
         index.remove_id(plans[15].plan_id)
         assert len(index) == 4
 
-    def test_retrieve_with_infinite_bounds_returns_everything_in_range(self, backend):
+    def test_retrieve_with_infinite_bounds_returns_everything_in_range(self, backend, make_plan):
         index = PlanIndex()
         plans = [make_plan([float(2**i), 1.0]) for i in range(8)]
         for resolution, plan in enumerate(plans):
@@ -98,7 +98,7 @@ class TestInfiniteCostSentinel:
         assert index._bucket_of(CostVector([INF, 1.0])) == INFINITE_BUCKET
         assert INFINITE_BUCKET > index._bucket_of(CostVector([1e300, 1.0]))
 
-    def test_infinite_cost_plan_is_not_retrievable_under_finite_bounds(self, backend):
+    def test_infinite_cost_plan_is_not_retrievable_under_finite_bounds(self, backend, make_plan):
         index = PlanIndex()
         unbounded_plan = make_plan([INF, 1.0])
         cheap = make_plan([1.0, 1.0])
@@ -107,14 +107,14 @@ class TestInfiniteCostSentinel:
         retrieved = index.retrieve_ids(CostVector([10.0, 10.0]), 0)
         assert retrieved == [cheap.plan_id]
 
-    def test_infinite_cost_plan_is_retrievable_under_infinite_bounds(self, backend):
+    def test_infinite_cost_plan_is_retrievable_under_infinite_bounds(self, backend, make_plan):
         index = PlanIndex()
         unbounded_plan = make_plan([INF, 1.0])
         insert_plan(index, unbounded_plan, 0)
         retrieved = index.retrieve_ids(CostVector.infinite(2), 0)
         assert retrieved == [unbounded_plan.plan_id]
 
-    def test_infinite_cost_plan_can_witness_infinite_targets(self, backend):
+    def test_infinite_cost_plan_can_witness_infinite_targets(self, backend, make_plan):
         index = PlanIndex()
         insert_plan(index, make_plan([INF, 1.0]), 0)
         # It approximates a plan with an infinite first component ...
@@ -124,7 +124,7 @@ class TestInfiniteCostSentinel:
         # ... but never a finite one.
         assert prune_one(index, make_plan([5.0, 2.0])) is PruneOutcome.INSERTED
 
-    def test_infinite_bucket_does_not_shadow_finite_buckets(self, backend):
+    def test_infinite_bucket_does_not_shadow_finite_buckets(self, backend, make_plan):
         # Regression: the old sentinel (-1) sorted the unbounded bucket below
         # every finite bucket, making it look like the cheapest cell.  The
         # infinite bucket must sort above all finite cells so bucket skipping
@@ -165,9 +165,10 @@ class TestScalarKernelEquivalence:
         for name in BACKENDS:
             with kernel.use_backend(name):
                 index = PlanIndex()
+                arena = PlanArena(2)
                 plans = []
                 for cost, resolution in entry_list:
-                    plan = ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost))
+                    plan = scan_plan(arena, cost)
                     insert_plan(index, plan, resolution)
                     plans.append((plan, resolution))
                 retrieved = index.retrieve_ids(bounds, max_resolution)
@@ -182,5 +183,5 @@ class TestScalarKernelEquivalence:
                 assert len(retrieved) == len(expected)
                 cost_of = {plan.plan_id: tuple(plan.cost) for plan, _ in plans}
                 results[name] = [cost_of[plan_id] for plan_id in retrieved]
-        # Identical cost sequences across backends (plan ids differ per build).
+        # Identical cost sequences across backends.
         assert len({tuple(seq) for seq in results.values()}) <= 1

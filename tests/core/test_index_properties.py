@@ -16,9 +16,8 @@ from repro.costs.dominance import dominates
 from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
 from repro.plans.operators import ScanOperator
-from repro.plans.plan import ScanPlan
 
-from tests.conftest import entries_by_level, insert_plan
+from tests.conftest import entries_by_level, insert_plan, scan_plan
 
 try:
     import numpy  # noqa: F401
@@ -42,9 +41,10 @@ bounds_values = st.one_of(
 
 def build_index(entry_list):
     index = PlanIndex()
+    arena = PlanArena(2)
     plans = []
     for cost, resolution in entry_list:
-        plan = ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost))
+        plan = scan_plan(arena, cost)
         insert_plan(index, plan, resolution)
         plans.append((plan, resolution))
     return index, plans

@@ -7,6 +7,7 @@ retrieval bounds, approximation guarantees relative to the exact Pareto set).
 
 import pytest
 
+from repro import flags
 from repro.baselines.exhaustive import ExhaustiveParetoOptimizer
 from repro.core.optimizer import IncrementalOptimizer
 from repro.core.resolution import ResolutionSchedule
@@ -136,14 +137,25 @@ class TestIncrementalInvariants:
         assert first.delta_mode
         assert second.delta_mode
 
+    @pytest.mark.parametrize("opened_with", (False, True))
+    def test_the_delta_sets_flag_is_read_when_the_optimizer_opens(self, opened_with):
+        with flags.overrides(delta_sets=opened_with):
+            optimizer, factory = make_optimizer()
+        with flags.overrides(delta_sets=not opened_with):
+            optimizer.optimize(unbounded(factory), 0)
+            refinement = optimizer.optimize(unbounded(factory), 1)
+        assert refinement.delta_mode is opened_with
+
     def test_disabling_delta_sets_does_not_change_generated_plans(self):
         query = build_chain_query()
         schedule = ResolutionSchedule(levels=3, target_precision=1.05, precision_step=0.3)
 
         factory_a = build_factory(query)
-        with_delta = IncrementalOptimizer(query, factory_a, schedule, use_delta_sets=True)
+        with flags.overrides(delta_sets=True):
+            with_delta = IncrementalOptimizer(query, factory_a, schedule)
         factory_b = build_factory(query)
-        without_delta = IncrementalOptimizer(query, factory_b, schedule, use_delta_sets=False)
+        with flags.overrides(delta_sets=False):
+            without_delta = IncrementalOptimizer(query, factory_b, schedule)
         for resolution in range(3):
             with_delta.optimize(factory_a.metric_set.unbounded_vector(), resolution)
             without_delta.optimize(factory_b.metric_set.unbounded_vector(), resolution)

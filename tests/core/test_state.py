@@ -3,19 +3,20 @@
 import pytest
 
 from repro.core.state import OptimizerCounters, OptimizerState
-from repro.costs.vector import CostVector
-from repro.plans.operators import ScanOperator
-from repro.plans.plan import ScanPlan
+from repro.plans.arena import PlanArena
 
-from tests.conftest import insert_plan
+from tests.conftest import insert_plan, scan_plan
 
 
-def scan(table):
-    return ScanPlan(table, ScanOperator("seq_scan"), CostVector([1.0, 1.0, 0.0]))
+@pytest.fixture
+def scan():
+    """Scan handles in an arena of the test's own."""
+    arena = PlanArena(3)
+    return lambda table: scan_plan(arena, [1.0, 1.0, 0.0], table=table)
 
 
 class TestOptimizerState:
-    def test_result_and_candidate_sets_are_separate(self, chain_query):
+    def test_result_and_candidate_sets_are_separate(self, chain_query, scan):
         state = OptimizerState(chain_query)
         result = state.result_set({"orders"})
         candidate = state.candidate_set({"orders"})
@@ -34,7 +35,7 @@ class TestOptimizerState:
         with pytest.raises(ValueError):
             state.candidate_set(set())
 
-    def test_totals(self, chain_query):
+    def test_totals(self, chain_query, scan):
         state = OptimizerState(chain_query)
         insert_plan(state.result_set({"orders"}), scan("orders"), 0)
         insert_plan(state.result_set({"items"}), scan("items"), 0)
@@ -43,7 +44,7 @@ class TestOptimizerState:
         assert state.total_candidate_plans() == 1
         assert state.total_stored_plans() == 3
 
-    def test_populated_sets(self, chain_query):
+    def test_populated_sets(self, chain_query, scan):
         state = OptimizerState(chain_query)
         state.result_set({"orders"})  # created but empty
         insert_plan(state.result_set({"items"}), scan("items"), 0)

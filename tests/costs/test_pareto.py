@@ -4,7 +4,6 @@ import pytest
 
 from repro.costs.pareto import (
     approximation_error,
-    hypervolume_2d,
     is_alpha_cover,
     is_pareto_optimal,
     pareto_filter,
@@ -90,25 +89,3 @@ class TestApproximationError:
         universe = vectors((1.0, 1.0), (0.8, 1.5))
         error = approximation_error(candidate, universe)
         assert is_alpha_cover(candidate, universe, alpha=error + 1e-9)
-
-
-class TestHypervolume:
-    def test_single_point(self):
-        volume = hypervolume_2d(vectors((1, 1)), reference=(2, 2))
-        assert volume == pytest.approx(1.0)
-
-    def test_dominating_point_adds_area(self):
-        sparse = hypervolume_2d(vectors((1, 1)), reference=(4, 4))
-        rich = hypervolume_2d(vectors((1, 1), (0.5, 3)), reference=(4, 4))
-        assert rich > sparse
-
-    def test_points_outside_reference_are_ignored(self):
-        volume = hypervolume_2d(vectors((5, 5)), reference=(2, 2))
-        assert volume == 0.0
-
-    def test_empty_input(self):
-        assert hypervolume_2d([], reference=(1, 1)) == 0.0
-
-    def test_requires_two_dimensions(self):
-        with pytest.raises(ValueError):
-            hypervolume_2d(vectors((1, 2, 3)), reference=(1, 1))

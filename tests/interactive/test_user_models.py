@@ -9,22 +9,21 @@ from repro.costs.vector import CostVector
 from repro.interactive.user_models import (
     BoundRelaxingUser,
     BoundTighteningUser,
-    PassiveUser,
     PlanSelectingUser,
     ScriptedUser,
+    UserModel,
     weighted_sum_chooser,
 )
-from repro.plans.operators import ScanOperator
-from repro.plans.plan import ScanPlan
+from repro.plans.arena import PlanArena
+from tests.conftest import scan_plan
 
 
 def make_result(costs, iteration=1, resolution=0, bounds=None):
     """The frontier update a session streams after one invocation."""
     metric_set = cloud_metric_set()
     bounds = bounds or metric_set.unbounded_vector()
-    plans = [
-        ScanPlan("t", ScanOperator("seq_scan"), CostVector(cost)) for cost in costs
-    ]
+    arena = PlanArena(metric_set.dimensions)
+    plans = [scan_plan(arena, cost) for cost in costs]
     invocation = InvocationSummary(
         index=iteration,
         resolution=resolution,
@@ -43,8 +42,8 @@ def make_result(costs, iteration=1, resolution=0, bounds=None):
 
 
 class TestPassiveAndScripted:
-    def test_passive_user_never_interacts(self):
-        user = PassiveUser()
+    def test_user_model_never_interacts(self):
+        user = UserModel()
         assert isinstance(user.react(make_result([(1, 1)])), Continue)
 
     def test_scripted_user_replays_actions_then_continues(self):
@@ -55,7 +54,7 @@ class TestPassiveAndScripted:
         assert isinstance(user.react(make_result([(1, 1)], iteration=3)), Continue)
 
     def test_user_model_is_callable(self):
-        assert isinstance(PassiveUser()(make_result([(1, 1)])), Continue)
+        assert isinstance(UserModel()(make_result([(1, 1)])), Continue)
 
 
 class TestBoundTighteningUser:
@@ -126,9 +125,10 @@ class TestPlanSelectingUser:
     def test_weighted_sum_chooser_picks_minimum(self):
         metric_set = cloud_metric_set()
         chooser = weighted_sum_chooser(metric_set, {"execution_time": 1.0, "monetary_fees": 10.0})
+        arena = PlanArena(metric_set.dimensions)
         plans = [
-            ScanPlan("a", ScanOperator("seq_scan"), CostVector([1.0, 5.0])),
-            ScanPlan("b", ScanOperator("seq_scan"), CostVector([10.0, 0.1])),
+            scan_plan(arena, [1.0, 5.0], table="a"),
+            scan_plan(arena, [10.0, 0.1], table="b"),
         ]
         assert chooser(plans).table == "b"
 

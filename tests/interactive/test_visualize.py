@@ -2,33 +2,8 @@
 
 import pytest
 
-from repro.costs.metrics import cloud_metric_set
 from repro.costs.vector import CostVector
-from repro.interactive.visualize import FrontierSnapshot, ascii_scatter, frontier_series
-
-
-def snapshot(costs, iteration=1, resolution=0):
-    return FrontierSnapshot(
-        iteration=iteration,
-        resolution=resolution,
-        bounds=CostVector.infinite(2),
-        costs=tuple(CostVector(c) for c in costs),
-        elapsed_seconds=0.5,
-    )
-
-
-class TestFrontierSnapshot:
-    def test_size_and_metric_values(self):
-        snap = snapshot([(1, 2), (3, 4)])
-        assert snap.size == 2
-        assert snap.metric_values(0) == [1.0, 3.0]
-        assert snap.metric_values(1) == [2.0, 4.0]
-
-    def test_frontier_series_maps_metric_names(self):
-        snap = snapshot([(1, 2), (3, 4)])
-        series = frontier_series(snap, cloud_metric_set())
-        assert series["execution_time"] == [1.0, 3.0]
-        assert series["monetary_fees"] == [2.0, 4.0]
+from repro.interactive.visualize import ascii_scatter
 
 
 class TestAsciiScatter:

@@ -3,18 +3,11 @@
 import pytest
 
 from repro import kernel
-from repro.api import OptimizeRequest, resolve_request
+from repro.api import PLANNERS, OptimizeRequest, open_session, resolve_request
 from repro.costs.vector import CostVector
-from repro.plans.arena import (
-    KIND_GENERIC,
-    KIND_JOIN,
-    KIND_SCAN,
-    NO_CHILD,
-    PlanArena,
-    default_arena,
-)
+from repro.plans.arena import KIND_JOIN, KIND_SCAN, NO_CHILD, PlanArena
 from repro.plans.operators import JoinOperator, ScanOperator
-from repro.plans.plan import JoinPlan, Plan, ScanPlan
+from repro.plans.plan import JoinPlan, ScanPlan
 
 try:
     import numpy  # noqa: F401
@@ -67,11 +60,6 @@ class TestAllocation:
             arena.allocate_join(
                 left, right, JoinOperator("hash_join"), CostVector([1.0, 1.0])
             )
-
-    def test_generic_requires_tables(self):
-        arena = PlanArena(1)
-        with pytest.raises(ValueError):
-            arena.allocate_generic(frozenset(), CostVector([1.0]))
 
     def test_extend_joins_bulk_allocates_in_order(self):
         arena = PlanArena(2)
@@ -133,20 +121,23 @@ class TestHandles:
         j = arena.allocate_join(
             s, scan_id(arena, "b"), JoinOperator("hash_join"), CostVector([1.0, 1.0])
         )
-        g = arena.allocate_generic(frozenset({"x"}), CostVector([1.0, 1.0]))
         assert isinstance(arena.plan(s), ScanPlan)
         assert isinstance(arena.plan(j), JoinPlan)
-        assert type(arena.plan(g)) is Plan
-        assert arena.kind_of(g) == KIND_GENERIC
 
-    def test_directly_constructed_plans_are_their_own_handles(self):
-        plan = ScanPlan("t", ScanOperator("seq_scan"), CostVector([1.0, 2.0]))
-        assert plan.arena.plan(plan.plan_id) is plan
+    def test_plans_have_no_public_constructor(self):
+        # A plan exists only in an arena; ``arena.plan(id)`` is its handle.
+        with pytest.raises(TypeError):
+            ScanPlan("t", ScanOperator("seq_scan"), CostVector([1.0, 2.0]))
 
-    def test_join_handle_resolves_children_to_original_objects(self):
-        left = ScanPlan("a", ScanOperator("seq_scan"), CostVector([1.0]))
-        right = ScanPlan("b", ScanOperator("seq_scan"), CostVector([1.0]))
-        join = JoinPlan(left, right, JoinOperator("hash_join"), CostVector([2.0]))
+    def test_join_handle_resolves_children_to_the_canonical_handles(self):
+        arena = PlanArena(1)
+        left = arena.plan(scan_id(arena, "a", (1.0,)))
+        right = arena.plan(scan_id(arena, "b", (1.0,)))
+        join = arena.plan(
+            arena.allocate_join(
+                left.plan_id, right.plan_id, JoinOperator("hash_join"), CostVector([2.0])
+            )
+        )
         assert join.left is left
         assert join.right is right
 
@@ -156,13 +147,103 @@ class TestHandles:
         assert plan.cost is plan.cost
         assert plan.cost == CostVector([1.0, 2.0])
 
-    def test_default_arena_is_per_dimensionality(self):
-        assert default_arena(2) is default_arena(2)
-        assert default_arena(2) is not default_arena(3)
-        one = ScanPlan("t", ScanOperator("seq_scan"), CostVector([1.0, 1.0]))
-        two = ScanPlan("t", ScanOperator("seq_scan"), CostVector([1.0, 1.0]))
-        assert one.arena is two.arena
-        assert one.plan_id != two.plan_id
+    def test_ids_are_per_arena(self):
+        one, two = PlanArena(2), PlanArena(2)
+        assert scan_id(one) == scan_id(two) == 1
+        assert one.plan(1) is not two.plan(1)
+        assert one.plan(1).arena is one
+
+
+class TestHandleCache:
+    """The arena keeps one handle per materialized id, and nothing else."""
+
+    def test_only_materialized_ids_are_cached(self):
+        arena = PlanArena(2)
+        ids = [scan_id(arena, cost=(float(i), 1.0)) for i in range(6)]
+        operator_id = arena.intern_operator(JoinOperator("hash_join"))
+        block = arena.extend_joins(
+            [ids[0]] * 3, [ids[1]] * 3, [operator_id] * 3, [0] * 3, [0] * 3,
+            [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]],
+        )
+        assert arena._plans == {}
+        handles = arena.plans([ids[2], block[1], ids[2]])
+        assert sorted(arena._plans) == [ids[2], block[1]]
+        assert handles[0] is handles[2] is arena.plan(ids[2])
+
+    def test_a_dropped_handle_is_the_same_object_next_time(self):
+        arena = PlanArena(2)
+        plan_id = scan_id(arena)
+        cost = arena.plan(plan_id).cost
+        # Nobody holds the handle now; the cache still does, so its cached
+        # cost comes back rather than a fresh vector.
+        assert arena.plan(plan_id).cost is cost
+
+    def test_handles_survive_tombstoning(self):
+        arena = PlanArena(2)
+        ids = [scan_id(arena, cost=(float(i), 1.0)) for i in range(3)]
+        held = arena.plans(ids)
+        costs = [plan.cost for plan in held]
+        arena.tombstone_ids(ids[:2])
+        assert arena.stats().plans_live == 1
+        # Rows are never recycled, so a tombstoned plan's handle still reads
+        # its own row: the same handle, the same cached cost.
+        for plan_id, plan, cost in zip(ids, held, costs):
+            assert arena.plan(plan_id) is plan
+            assert plan.cost is cost
+            assert plan.cost == CostVector([float(plan_id - 1), 1.0])
+
+
+class TestSessionArena:
+    """The arena of one session, read through its stats and its handles."""
+
+    def _session(self, workload="gen:star:3:0"):
+        return open_session(
+            OptimizeRequest(workload=workload, algorithm="iama", scale="tiny", levels=3)
+        )
+
+    def test_stats_before_any_invocation(self):
+        stats = self._session().driver.factory.arena.stats()
+        assert stats.plans_total == 0
+        assert stats.approx_bytes == 0
+
+    def test_stats_reflect_occupancy_after_run(self):
+        session = self._session()
+        session.run()
+        stats = session.driver.factory.arena.stats()
+        assert stats.plans_total > 0
+        assert stats.plans_live + stats.plans_tombstoned == stats.plans_total
+        assert stats.approx_bytes > 0
+
+    @pytest.mark.parametrize("algorithm", sorted(PLANNERS))
+    def test_every_planner_hands_out_canonical_handles(self, algorithm):
+        session = open_session(
+            OptimizeRequest(
+                workload="gen:star:3:0", algorithm=algorithm, scale="tiny", levels=2
+            )
+        )
+        session.run()
+        assert session.frontier_plans
+        for plan in session.frontier_plans:
+            assert plan.arena.plan(plan.plan_id) is plan
+            assert plan.cost is plan.cost
+
+    def test_handles_stay_canonical_across_updates(self):
+        session = self._session("gen:clique:4:0")
+        arena = session.driver.factory.arena
+        first = session.step()
+        handles = {plan.plan_id: plan for plan in first.plans}
+        costs = {plan.plan_id: plan.cost for plan in first.plans}
+        second = session.step()
+        shared = [plan for plan in second.plans if plan.plan_id in handles]
+        assert shared, "the refinement kept none of the first frontier"
+        for plan in second.plans:
+            handles.setdefault(plan.plan_id, plan)
+            costs.setdefault(plan.plan_id, plan.cost)
+        for update in (first, second):
+            for plan in update.plans:
+                assert arena.plan(plan.plan_id) is plan
+                assert plan is handles[plan.plan_id]
+                assert plan.cost is costs[plan.plan_id]
 
 
 class TestTombstoning:
@@ -194,8 +275,7 @@ class TestTombstoning:
             arena = PlanArena(2)
             ids = [scan_id(arena, cost=(float(i), 1.0)) for i in range(6)]
             for plan_id in ids:
-                arena.plan(plan_id)
-                arena.cost_of(plan_id)
+                arena.plan(plan_id).cost
             arena.tombstone(ids[1])
             arenas.append((arena, ids))
         (bulk, ids), (loop, _) = arenas
@@ -211,13 +291,13 @@ class TestTombstoning:
             return (
                 [arena.is_tombstoned(plan_id) for plan_id in ids],
                 [arena.cost_row(plan_id) for plan_id in ids],
-                [handle is None for handle in arena._handles],
-                [cost is None for cost in arena._cost_cache],
+                sorted(arena._plans),
             )
 
         assert state(bulk) == state(loop)
-        cleared = [True, True, True, False, True, False]
-        assert state(bulk)[2] == state(bulk)[3] == cleared
+        assert state(bulk)[0] == [True, True, True, False, True, False]
+        # Tombstoning leaves the handle cache alone.
+        assert state(bulk)[2] == ids
 
     def test_tombstone_ids_accepts_a_one_shot_iterator(self):
         arena = PlanArena(2)
@@ -231,15 +311,6 @@ class TestTombstoning:
         ]
         assert arena.stats().plans_tombstoned == 2
 
-    def test_tombstone_ids_clears_weak_handles(self):
-        arena = PlanArena(2, weak_handles=True)
-        ids = [scan_id(arena, cost=(float(i), 1.0)) for i in range(3)]
-        held = [arena.plan(plan_id) for plan_id in ids]
-        arena.tombstone_ids(ids[:2])
-        assert arena._handles[:2] == [None, None]
-        assert arena._handles[2]() is held[2]
-        assert arena.stats().plans_live == 1
-
     def test_tombstone_ids_of_nothing_live_changes_nothing(self):
         arena = PlanArena(2)
         plan_id = scan_id(arena)
@@ -248,41 +319,6 @@ class TestTombstoning:
         arena.tombstone_ids([])
         arena.tombstone_ids([plan_id, plan_id])
         assert arena.stats() == before
-
-
-class TestWeakDefaultArena:
-    """Directly constructed plans must stay garbage-collectable."""
-
-    def test_dropped_direct_plans_are_collected(self):
-        import gc
-        import weakref
-
-        plan = ScanPlan("gc_probe", ScanOperator("seq_scan"), CostVector([1.0, 1.0]))
-        probe = weakref.ref(plan)
-        arena, plan_id = plan.arena, plan.plan_id
-        del plan
-        gc.collect()
-        assert probe() is None, "default arena kept a dropped plan alive"
-        # The row stays addressable and a fresh canonical handle materializes.
-        rematerialized = arena.plan(plan_id)
-        assert rematerialized.table == "gc_probe"
-        assert rematerialized is arena.plan(plan_id)
-
-    def test_identity_preserved_while_handle_is_held(self):
-        plan = ScanPlan("held", ScanOperator("seq_scan"), CostVector([1.0, 1.0]))
-        assert plan.arena.plan(plan.plan_id) is plan
-
-    def test_join_children_collectable_after_tree_dropped(self):
-        import gc
-        import weakref
-
-        left = ScanPlan("l", ScanOperator("seq_scan"), CostVector([1.0]))
-        right = ScanPlan("r", ScanOperator("seq_scan"), CostVector([1.0]))
-        join = JoinPlan(left, right, JoinOperator("hash_join"), CostVector([2.0]))
-        probes = [weakref.ref(obj) for obj in (left, right, join)]
-        del left, right, join
-        gc.collect()
-        assert all(probe() is None for probe in probes)
 
 
 class TestStats:

@@ -28,7 +28,7 @@ except ImportError:  # pragma: no cover - depends on environment
 
 
 def _populated_arena():
-    """Scans, joins, a generic node, an interesting order and a tombstone."""
+    """Scans, joins, an interesting order and a tombstone."""
     arena = PlanArena(3)
     seq = ScanOperator("seq_scan")
     a = arena.allocate_scan("a", seq, CostVector([1.0, 2.0, 3.0]))
@@ -46,7 +46,7 @@ def _populated_arena():
         CostVector([9.0, 8.0, 9.0]),
         interesting_order="sorted:b",
     )
-    arena.allocate_generic(frozenset({"x"}), CostVector([0.5, 0.5, 0.5]))
+    arena.allocate_scan("x", seq, CostVector([0.5, 0.5, 0.5]))
     arena.tombstone(c)
     return arena
 
@@ -112,7 +112,7 @@ class TestArenaRoundTrip:
         arena = _populated_arena()
         clone = _round_trip(arena)
         clone.tombstone(1)
-        clone.allocate_generic(frozenset({"y"}), CostVector([1.0, 1.0, 1.0]))
+        clone.allocate_scan("y", ScanOperator("seq_scan"), CostVector([1.0, 1.0, 1.0]))
         assert not arena.is_tombstoned(1)
         assert len(arena) == 6
         assert arena.stats().plans_tombstoned == 1
@@ -124,7 +124,7 @@ class TestArenaRoundTrip:
         arena = PlanArena(3)
         empty = arena.stats().approx_bytes
         for i in range(4):
-            arena.allocate_generic(frozenset({f"t{i}"}), (float(i), 1.0, 2.0))
+            arena.allocate_scan(f"t{i}", ScanOperator("seq_scan"), (float(i), 1.0, 2.0))
         per_plan = 3 * 8 + 1 + 1 + 5 * 8
         assert arena.stats().approx_bytes == empty + 4 * per_plan
         assert _round_trip(arena).stats().approx_bytes == empty + 4 * per_plan

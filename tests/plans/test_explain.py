@@ -10,8 +10,9 @@ from repro.plans.explain import (
     format_frontier_summary,
     frontier_summary,
 )
-from repro.plans.operators import JoinOperator, ScanOperator
-from repro.plans.plan import JoinPlan, ScanPlan
+from repro.plans.arena import PlanArena
+
+from tests.conftest import join_plan, scan_plan
 
 
 @pytest.fixture
@@ -19,16 +20,19 @@ def metric_set():
     return paper_metric_set()
 
 
-def scan(table, cost):
-    return ScanPlan(table, ScanOperator("seq_scan"), CostVector(cost))
+@pytest.fixture
+def scan(metric_set):
+    """Scan handles in an arena of the test's own."""
+    arena = PlanArena(metric_set.dimensions)
+    return lambda table, cost: scan_plan(arena, cost, table=table)
 
 
 def join(left, right, cost, order=None):
-    return JoinPlan(left, right, JoinOperator("hash_join"), CostVector(cost), order)
+    return join_plan(left, right, cost, order=order)
 
 
 @pytest.fixture
-def plan(metric_set):
+def plan(scan):
     a = scan("customers", [1, 1, 0])
     b = scan("orders", [2, 1, 0])
     return join(a, b, [4, 1, 0])
@@ -50,32 +54,32 @@ class TestExplainPlan:
         text = explain_plan(plan, metric_set)
         assert "execution_time=4" in text
 
-    def test_interesting_order_is_shown(self, metric_set):
+    def test_interesting_order_is_shown(self, metric_set, scan):
         a = scan("a", [1, 1, 0])
         b = scan("b", [1, 1, 0])
         merged = join(a, b, [3, 1, 0], order="sorted:a")
         assert "order=sorted:a" in explain_plan(merged, metric_set)
 
-    def test_scan_only_plan(self, metric_set):
+    def test_scan_only_plan(self, metric_set, scan):
         text = explain_plan(scan("customers", [1, 1, 0]), metric_set)
         assert len(text.splitlines()) == 1
 
 
 class TestComparePlans:
-    def test_ratios_per_metric(self, metric_set):
+    def test_ratios_per_metric(self, metric_set, scan):
         left = scan("a", [2, 1, 0])
         right = scan("b", [1, 2, 0])
         comparison = compare_plans(left, right, metric_set)
         assert comparison["execution_time"]["ratio"] == pytest.approx(2.0)
         assert comparison["reserved_cores"]["ratio"] == pytest.approx(0.5)
 
-    def test_zero_denominator(self, metric_set):
+    def test_zero_denominator(self, metric_set, scan):
         left = scan("a", [1, 1, 0.5])
         right = scan("b", [1, 1, 0])
         comparison = compare_plans(left, right, metric_set)
         assert comparison["precision_loss"]["ratio"] == float("inf")
 
-    def test_zero_over_zero_is_one(self, metric_set):
+    def test_zero_over_zero_is_one(self, metric_set, scan):
         left = scan("a", [1, 1, 0])
         right = scan("b", [1, 1, 0])
         assert compare_plans(left, right, metric_set)["precision_loss"]["ratio"] == 1.0

@@ -18,11 +18,9 @@ from hypothesis import strategies as st
 
 from repro.api import OptimizeRequest, open_session
 from repro.costs.metrics import paper_metric_set
-from repro.costs.vector import CostVector
-from repro.plans.arena import KIND_JOIN, KIND_SCAN
+from repro.plans.arena import KIND_JOIN, KIND_SCAN, PlanArena
 from repro.plans.explain import explain_plan, explain_plan_id
-from repro.plans.operators import JoinOperator, ScanOperator
-from repro.plans.plan import JoinPlan, ScanPlan
+from tests.conftest import join_plan, scan_plan
 
 TOPOLOGIES = ("chain", "star", "cycle", "clique")
 
@@ -95,12 +93,9 @@ class TestExplainMatchesPreRefactorRendering:
             min_size=dims,
             max_size=dims,
         )
+        arena = PlanArena(dims)
         nodes = [
-            ScanPlan(
-                f"t{i}",
-                ScanOperator("seq_scan"),
-                CostVector(data.draw(cost)),
-            )
+            scan_plan(arena, data.draw(cost), table=f"t{i}")
             for i in range(leaf_count)
         ]
         algorithms = ("hash_join", "sort_merge_join", "nested_loop_join")
@@ -114,13 +109,7 @@ class TestExplainMatchesPreRefactorRendering:
                 else None
             )
             nodes.append(
-                JoinPlan(
-                    left,
-                    right,
-                    JoinOperator(algorithm),
-                    CostVector(data.draw(cost)),
-                    order,
-                )
+                join_plan(left, right, data.draw(cost), algorithm, order=order)
             )
         root = nodes[0]
         expected = reference_explain(root.arena, root.plan_id, metric_set)

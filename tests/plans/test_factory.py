@@ -19,6 +19,15 @@ class TestScanPlans:
         costs = {plan.cost for plan in plans}
         assert len(costs) > 1
 
+    def test_scan_plans_are_handles_of_the_given_arena(self, two_table_factory):
+        from repro.plans.arena import PlanArena
+
+        scratch = PlanArena(two_table_factory.metric_set.dimensions)
+        plans = two_table_factory.scan_plans("orders", arena=scratch)
+        assert [plan.plan_id for plan in plans] == list(range(1, len(plans) + 1))
+        assert all(scratch.plan(plan.plan_id) is plan for plan in plans)
+        assert len(two_table_factory.arena) == 0
+
     def test_counters_track_scans(self, two_table_factory):
         before = two_table_factory.counters.scan_plans_built
         two_table_factory.scan_plans("orders")
@@ -36,11 +45,30 @@ class TestJoinPlans:
             assert plan.cost[index] >= left.cost[index] - 1e-12
             assert plan.cost[index] >= right.cost[index] - 1e-12
 
-    def test_join_plans_enumerate_all_operators(self, two_table_factory):
+    def test_join_plan_is_the_canonical_handle_of_a_new_arena_id(
+        self, two_table_factory
+    ):
         left = two_table_factory.scan_plans("customers")[0]
         right = two_table_factory.scan_plans("orders")[0]
-        plans = two_table_factory.join_plans(left, right)
-        assert len(plans) == len(two_table_factory.join_operators())
+        operators = two_table_factory.join_operators()
+        plans = [
+            two_table_factory.join_plan(left, right, operator)
+            for operator in operators
+        ]
+        arena = two_table_factory.arena
+        assert len({plan.plan_id for plan in plans}) == len(operators)
+        for plan, operator in zip(plans, operators):
+            assert arena.plan(plan.plan_id) is plan
+            assert plan.operator == operator
+            assert plan.left is left and plan.right is right
+
+    def test_join_plan_rejects_operands_of_two_arenas(self, two_table_factory):
+        from repro.plans.arena import PlanArena
+
+        left = two_table_factory.scan_plans("customers")[0]
+        right = two_table_factory.scan_plans("orders", arena=PlanArena(3))[0]
+        with pytest.raises(ValueError):
+            two_table_factory.join_plan(left, right, JoinOperator("hash_join"))
 
     def test_merge_join_sets_interesting_order(self, chain_query):
         from tests.conftest import build_factory
@@ -65,8 +93,10 @@ class TestJoinPlans:
         left = two_table_factory.scan_plans("customers")[0]
         right = two_table_factory.scan_plans("orders")[0]
         before = two_table_factory.counters.join_plans_built
-        two_table_factory.join_plans(left, right)
-        assert two_table_factory.counters.join_plans_built > before
+        operators = two_table_factory.join_operators()
+        for operator in operators:
+            two_table_factory.join_plan(left, right, operator)
+        assert two_table_factory.counters.join_plans_built == before + len(operators)
 
     def test_counter_snapshot_is_independent(self, two_table_factory):
         snapshot = two_table_factory.counters.snapshot()

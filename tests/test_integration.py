@@ -19,7 +19,8 @@ from repro import (
     paper_metric_set,
 )
 from repro.costs.pareto import approximation_error, pareto_filter
-from repro.interactive import InteractiveSession, PlanSelectingUser, weighted_sum_chooser
+from repro.api import Budget
+from repro.interactive import PlanSelectingUser, weighted_sum_chooser
 from repro.plans.operators import OperatorRegistry
 from repro.workloads import tpch_queries, tpch_statistics
 
@@ -131,13 +132,16 @@ class TestTpchEndToEnd:
         chooser = weighted_sum_chooser(
             metric_set, {"execution_time": 1.0, "precision_loss": 1e7}
         )
-        session = InteractiveSession(
+        session = open_planner(
+            "iama",
             q03,
             make_factory(q03),
             schedule,
-            user=PlanSelectingUser(chooser, min_resolution=1),
+            continuous=True,
+            budget=Budget(max_invocations=6),
         )
-        selected = session.run(max_iterations=6)
+        session.run(user=PlanSelectingUser(chooser, min_resolution=1))
+        selected = session.selected_plan
         assert selected is not None
         assert selected.tables == q03.tables
         # The heavy precision weight steers the choice towards exact plans.

@@ -1,6 +1,7 @@
 """Smoke tests of the top-level public API (the README quickstart path)."""
 
 import doctest
+import importlib
 
 import pytest
 
@@ -24,6 +25,14 @@ class TestPublicApi:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    @pytest.mark.parametrize(
+        "package", ("repro.costs", "repro.interactive", "repro.plans")
+    )
+    def test_subpackage_exports_resolve(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None
 
     def test_package_quickstart_runs(self):
         outcome = doctest.testmod(repro)
