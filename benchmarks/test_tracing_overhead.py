@@ -7,7 +7,9 @@ The ``tracing`` feature defaults *off* and promises two hard properties:
    benchmark): the block filter wrapped in a disabled ``span()`` — exactly
    how :func:`repro.core.pruning.prune_all_ids` wraps its kernel calls —
    must time within the run-to-run noise of the bare call.  A separate
-   microbenchmark bounds the absolute per-call cost of a disabled span.
+   microbenchmark bounds the per-call cost of a disabled span as a multiple
+   of the ``flags.enabled("tracing")`` lookup it makes, timed in the same
+   loop, so that a regression of the no-op path as small as 1 us fails.
 
 2. **Traced frontiers are bit-identical to untraced ones**, on every kernel
    backend available in this environment — tracing observes, never steers.
@@ -44,6 +46,10 @@ DIMS = 3
 REPEATS = 5
 #: Timing samples taken to estimate the run-to-run noise floor.
 SAMPLES = 7
+#: A disabled span may cost at most this many bare ``flags.enabled`` lookups.
+#: On a 2-vCPU VM (CPython 3.11) the ratio reads 7.7-9.6 (about 0.85 us
+#: against 0.1 us); a 1 us busy-wait added to the no-op path lifts it to 15-28.
+MAX_SPAN_TO_LOOKUP_RATIO = 12.0
 
 BACKENDS = ("python",) + (("numpy",) if HAVE_NUMPY else ())
 
@@ -77,23 +83,40 @@ def test_tracing_defaults_off():
 
 
 def test_disabled_span_call_is_cheap(overhead_rows):
-    """Absolute bound: a disabled span is one flag lookup plus a with-block."""
-    assert not flags.enabled("tracing")
-    calls = 100_000
+    """A disabled span costs a small multiple of the flag lookup it makes.
 
-    def burst():
+    Bursts of spans and of bare lookups alternate, and each keeps its best
+    burst, so a slow or busy machine slows both alike and the ratio holds.
+    """
+    assert not flags.enabled("tracing")
+    calls = 20_000
+
+    def spans():
         for _ in range(calls):
             with obs_trace.span("bench.noop", block_size=SIZE):
                 pass
 
-    per_call = best_time(burst, repeats=3) / calls
+    def lookups():
+        for _ in range(calls):
+            flags.enabled("tracing")
+
+    span_best = lookup_best = float("inf")
+    for _ in range(SAMPLES):
+        span_best = min(span_best, best_time(spans, repeats=1))
+        lookup_best = min(lookup_best, best_time(lookups, repeats=1))
+    ratio = span_best / lookup_best
     overhead_rows.append(
-        {"row": "micro", "disabled_span_ns_per_call": per_call * 1e9}
+        {
+            "row": "micro",
+            "disabled_span_ns_per_call": span_best / calls * 1e9,
+            "flag_lookup_ns_per_call": lookup_best / calls * 1e9,
+            "span_to_lookup_ratio": ratio,
+        }
     )
-    # Generous bound (shared CI machines): the real cost is well under 1 us.
-    assert per_call < 10e-6, (
-        f"disabled span costs {per_call * 1e6:.2f} us/call — the no-op path "
-        "has regressed"
+    assert ratio < MAX_SPAN_TO_LOOKUP_RATIO, (
+        f"a disabled span costs {span_best / calls * 1e6:.2f} us/call, "
+        f"{ratio:.1f}x the flag lookup (bound {MAX_SPAN_TO_LOOKUP_RATIO}x): "
+        "the no-op path has regressed"
     )
     assert len(obs_trace.tracer()) == 0, "disabled spans must record nothing"
 
@@ -170,9 +193,9 @@ def test_persist(overhead_rows):
     result = ExperimentResult(
         name="tracing_overhead",
         description=(
-            "Disabled-tracer overhead (absolute per-call cost and the "
-            "4096-plan dominance noise-floor check) and traced-vs-untraced "
-            "frontier bit-identity per kernel backend."
+            "Disabled-tracer overhead (per-call cost against a bare flag "
+            "lookup, and the 4096-plan dominance noise-floor check) and "
+            "traced-vs-untraced frontier bit-identity per kernel backend."
         ),
         rows=list(overhead_rows),
     )

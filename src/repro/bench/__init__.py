@@ -12,7 +12,8 @@ in these layers:
   experiment is one function ``run(config) -> ExperimentResult``,
 * :mod:`repro.bench.experiments` -- the registered experiment definitions
   (Figures 3, 4 and 5, the Figure 1/2 illustrations, the headline speedup
-  claims, the ablations, and the synthetic sweeps),
+  claims, the Δ-set, keep-dominated and metric-count ablations, and the
+  synthetic sweeps),
 * :mod:`repro.bench.reporting` -- plain-text tables in the shape of the
   paper's figures.
 """

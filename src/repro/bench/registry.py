@@ -6,7 +6,8 @@ over the experiment's own parameters for a configuration and returns an
 :class:`~repro.bench.experiments.ExperimentResult` with its rows appended in
 report order.  ``repro-moqo bench`` and ``repro-moqo experiment`` look
 experiments up here by name; a caller runs one as
-``get_spec(name).run(config)``.
+``get_spec(name).run(config)``.  An experiment's one output file is its
+``results/<name>.txt`` report: the rows plus the spec's extra sections.
 """
 
 from __future__ import annotations
@@ -21,19 +22,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A registered experiment: its name and run function."""
+    """A registered experiment: its name, run function and report sections."""
 
     name: str
     run: Callable[["ExperimentConfig"], "ExperimentResult"]
     #: Extra plain-text sections (beyond the generic row dump) for the
     #: ``results/<name>.txt`` report; each callable renders one section.
     section_formatters: Tuple[Callable[["ExperimentResult"], str], ...] = ()
-    #: Extra machine-readable artifacts written next to the text report;
-    #: each callable takes ``(result, directory)``, writes one file derived
-    #: purely from the rows (so rendering the same result twice is
-    #: byte-identical) and returns its path.  Used e.g. for
-    #: ``results/ablation_features.json``.
-    artifacts: Tuple[Callable[["ExperimentResult", object], object], ...] = ()
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
@@ -51,10 +46,8 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
 
 def get_spec(name: str) -> ExperimentSpec:
     """Look up a registered experiment; accepts ``-`` or ``_`` word separators."""
-    # The experiment definitions live in repro.bench.experiments and
-    # repro.bench.ablation; importing them here makes lookup work even for
-    # callers that never imported them explicitly.
-    import repro.bench.ablation  # noqa: F401  (registration side effect)
+    # The experiment definitions live in repro.bench.experiments; importing
+    # it here makes lookup work even for callers that never imported it.
     import repro.bench.experiments  # noqa: F401  (registration side effect)
 
     normalized = name.replace("-", "_")
@@ -69,7 +62,6 @@ def get_spec(name: str) -> ExperimentSpec:
 
 def registered_names() -> List[str]:
     """Names of all registered experiments, sorted."""
-    import repro.bench.ablation  # noqa: F401  (registration side effect)
     import repro.bench.experiments  # noqa: F401  (registration side effect)
 
     return sorted(_REGISTRY)

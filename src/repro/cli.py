@@ -266,7 +266,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run registered experiments and write their reports and artifacts."""
+    """Run registered experiments and write their reports."""
     config = _resolve_config(args.scale)
     if args.experiment:
         names = [name.replace("-", "_") for name in args.experiment]
@@ -289,9 +289,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sections = tuple(formatter(result) for formatter in spec.section_formatters)
         path = write_text_report(result, out_dir, extra_sections=sections)
         print(f"{spec.name}: {len(result.rows)} rows -> {path}")
-        for artifact in spec.artifacts:
-            artifact_path = artifact(result, out_dir)
-            print(f"{spec.name}: artifact -> {artifact_path}")
     if {"figure3", "figure4", "figure5"} <= set(results_by_name):
         # speedup_summary is derived from the figure sweeps (it runs nothing
         # of its own); regenerate it alongside them so the results directory

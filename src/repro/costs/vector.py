@@ -19,7 +19,7 @@ dependency is warranted for single vectors.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 
 class CostVector:
@@ -181,8 +181,3 @@ class CostVector:
         return math.sqrt(
             sum((a - b) ** 2 for a, b in zip(self._values, other._values))
         )
-
-
-def vector_from_mapping(values: Sequence[float]) -> CostVector:
-    """Convenience constructor mirroring ``CostVector(values)``."""
-    return CostVector(values)

@@ -1,10 +1,9 @@
-"""Runtime feature flags for the stacked optimizations.
+"""Runtime feature flags.
 
-Every optimization layered onto the reproduction since PR 1 keeps a slower
-reference path alive next to the fast path (the differential suites assert
-the two are bit-identical).  This module names those seams as boolean flags
-so the ablation harness (:mod:`repro.bench.ablation`) can turn each one off
-in isolation and attribute the speedup honestly:
+Two seams of the system are boolean flags.  Each keeps a second path next to
+the default one, and the differential suite
+(``tests/bench/test_ablation_differential.py``) asserts that every
+combination of flags gives bit-identical frontiers:
 
 ``delta_sets``
     Section 4.2's Δ-set optimization: under unchanged bounds, only newly
@@ -19,20 +18,20 @@ in isolation and attribute the speedup honestly:
     flag that defaults to **off**: when disabled, every seam pays one
     dict lookup and receives a shared no-op span, so the hot paths are
     untouched.  Tracing never changes answers — the differential suites
-    assert traced frontiers are bit-identical to untraced — so its
-    ablation row measures pure instrumentation cost.
+    assert traced frontiers are bit-identical to untraced — and
+    ``benchmarks/test_tracing_overhead.py`` bounds what a disabled span
+    costs against the flag lookup itself.
 
 Flags are global and read per call site (one dict lookup on a hot-path
 *block* boundary, so the overhead is unmeasurable).  The environment lowering
 ``REPRO_FEATURE_<NAME>=0|1`` (also ``on``/``off``/``true``/``false``) is
-applied at import, mirroring ``REPRO_KERNEL_BACKEND``; tests and the ablation
-runner use :func:`overrides` for scoped, exception-safe toggling.
+applied at import, mirroring ``REPRO_KERNEL_BACKEND``; tests and experiments
+use :func:`overrides` for scoped, exception-safe toggling.
 
 The kernel backend and the frontier cache are deliberately *not* routed
 through this module: the kernel already has its own runtime switch
 (:func:`repro.kernel.use_backend`) and the service takes ``cache=False`` as a
-constructor argument.  The ablation feature registry records those lowerings
-alongside these flags.
+constructor argument.
 """
 
 from __future__ import annotations
@@ -44,10 +43,9 @@ from typing import Dict, Iterator, Tuple
 #: Environment prefix: ``REPRO_FEATURE_DELTA_SETS=0`` disables a flag.
 FEATURE_ENV_PREFIX = "REPRO_FEATURE_"
 
-#: Flag name -> default state.  Every *optimization* flag defaults to on
-#: (the fast path) and the ablation harness turns them off one at a time;
-#: ``tracing`` is the lone default-off flag (instrumentation must cost
-#: nothing unless asked for), so its ablation cell turns it *on*.
+#: Flag name -> default state.  ``delta_sets`` defaults to on (the fast
+#: path); ``tracing`` is the lone default-off flag (instrumentation must cost
+#: nothing unless asked for).
 KNOWN_FLAGS: Dict[str, bool] = {
     "delta_sets": True,
     "tracing": False,
@@ -107,23 +105,12 @@ def set_flag(name: str, value: bool) -> bool:
     return previous
 
 
-def snapshot() -> Dict[str, bool]:
-    """Copy of the current flag state (e.g. for logging or cache keys)."""
-    return dict(_state)
-
-
-def reset() -> None:
-    """Restore every flag to its environment-resolved default."""
-    _state.clear()
-    _state.update(_from_environment())
-
-
 @contextmanager
 def overrides(**flags: bool) -> Iterator[None]:
     """Scoped flag overrides: ``with flags.overrides(delta_sets=False): ...``
 
     Restores the previous values on exit even when the body raises, so a
-    failing ablation cell never leaks its configuration into the next one.
+    failing run never leaks its configuration into the next one.
     """
     previous = {name: set_flag(name, value) for name, value in flags.items()}
     try:

@@ -378,9 +378,15 @@ class PlanArena:
 
         Handles are created lazily and cached, so two calls for the same id
         return the *same* object -- plan equality stays identity-based.
+        Raises :class:`KeyError` for an id outside ``1..len(self)``.
         """
         handle = self._plans.get(plan_id)
         if handle is None:
+            if not 0 < plan_id <= len(self._kind):
+                raise KeyError(
+                    f"no plan with id {plan_id}: this arena holds ids "
+                    f"1..{len(self._kind)}"
+                )
             cls = ScanPlan if self._kind[plan_id - 1] == KIND_SCAN else JoinPlan
             handle = self._plans[plan_id] = cls._from_arena(self, plan_id)
         return handle

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
-from repro.catalog.statistics import StatisticsCatalog
 from repro.workloads.generator import GeneratedQuery
 from repro.workloads.sql import sql_workload
 
@@ -137,10 +136,6 @@ def template_schema() -> Schema:
         ),
     ]
     return Schema("tpcds", tables, foreign_keys)
-
-
-def template_statistics() -> StatisticsCatalog:
-    return StatisticsCatalog(template_schema())
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,10 @@
 
 ``capture(name)`` runs one registered experiment at
 :func:`repro.bench.config.tiny_config` and returns its description and rows
-with the columns a rerun cannot reproduce dropped: the timings (every key
-containing ``seconds`` or ``speedup``, and ``timed``) and the host-dependent
-``backend`` and ``active`` (they follow the kernel backend ``auto`` picks, so
-they read ``python`` and ``False`` without numpy).  What is left -- frontier
-sizes, plan and pair counts, bounds, digests, the gate verdicts -- is a pure
-function of the configuration.  Every row keeps its key order, which is the
-column order of the text reports.
+with the timings a rerun cannot reproduce dropped: every key containing
+``seconds`` or ``speedup``.  What is left -- frontier sizes, plan and pair
+counts, bounds, digests -- is a pure function of the configuration.  Every
+row keeps its key order, which is the column order of the text reports.
 
 ``tests/bench/experiment_rows_tiny.json`` was captured when every
 experiment still ran as cells merged by a scheduler, before each became one
@@ -26,17 +23,10 @@ from typing import Dict
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "experiment_rows_tiny.json"
 
-#: Columns that are not a function of the configuration alone.
-HOST_COLUMNS = ("timed", "backend", "active")
-
 
 def is_pinned(column: str) -> bool:
     """Whether a column is deterministic (and so pinned by the fixture)."""
-    return (
-        "seconds" not in column
-        and "speedup" not in column
-        and column not in HOST_COLUMNS
-    )
+    return "seconds" not in column and "speedup" not in column
 
 
 def capture(name: str) -> Dict:

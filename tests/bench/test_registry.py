@@ -13,7 +13,6 @@ def test_all_known_experiments_are_registered():
         "figure3",
         "figure4",
         "figure5",
-        "ablation_features",
         "ablation_freshness",
         "ablation_keep_dominated",
         "ablation_metric_count",

@@ -1,10 +1,8 @@
-"""Byte-stability of the rendered ``results/*`` targets.
+"""Byte-stability of the rendered ``results/*.txt`` reports.
 
-Every output surface of a registered experiment -- the text report *and* any
-extra machine-readable artifact a spec registers (the ablation harness's
-``ablation_features.json``) -- must be a pure function of the experiment's
-rows: rendering one result twice is byte-identical, so the only differences
-between two runs' files are the differences between their rows.
+The text report of a registered experiment must be a pure function of the
+experiment's rows: rendering one result twice is byte-identical, so the only
+differences between two runs' files are the differences between their rows.
 """
 
 from __future__ import annotations
@@ -16,29 +14,19 @@ from repro.bench.export import render_text_report
 from repro.bench.registry import get_spec, registered_names
 
 
-def _render_all(spec, result, directory):
-    """Every output surface of a spec: the text report + extra artifacts."""
+def _render(spec, result):
+    """A spec's text report: the row dump plus its extra sections."""
     sections = tuple(fmt(result) for fmt in spec.section_formatters)
-    outputs = {f"{result.name}.txt": render_text_report(result, sections)}
-    for artifact in spec.artifacts:
-        path = artifact(result, directory)
-        outputs[path.name] = path.read_text()
-    return outputs
+    return render_text_report(result, sections)
 
 
 @pytest.mark.parametrize("name", registered_names())
-def test_rendering_is_byte_identical(name, tmp_path):
+def test_rendering_is_byte_identical(name):
     spec = get_spec(name)
     result = spec.run(tiny_config())
-    first = _render_all(spec, result, tmp_path / "first")
     # Reports are written as results/<result name>.txt: the experiment's
     # result must carry the name it is registered under.
-    assert f"{name}.txt" in first
-
-    second = _render_all(spec, result, tmp_path / "second")
-    assert second.keys() == first.keys()
-    for filename in first:
-        assert second[filename] == first[filename], (
-            f"{name}: {filename} is not byte-stable across renders"
-        )
-
+    assert result.name == name
+    assert _render(spec, result) == _render(spec, result), (
+        f"{name}: {name}.txt is not byte-stable across renders"
+    )

@@ -192,6 +192,17 @@ class TestHandleCache:
             assert plan.cost is cost
             assert plan.cost == CostVector([float(plan_id - 1), 1.0])
 
+    @pytest.mark.parametrize("plan_id", (NO_CHILD, -1, 3))
+    def test_ids_outside_the_arena_are_refused_and_not_cached(self, plan_id):
+        # Ids 1 and 2 exist; 0 is the "no child" sentinel, and neither it nor
+        # a negative id may read a row from the end of the columns.
+        arena = PlanArena(2)
+        scan_id(arena, "x", (1.0, 2.0))
+        scan_id(arena, "y", (3.0, 4.0))
+        with pytest.raises(KeyError, match=f"no plan with id {plan_id}:"):
+            arena.plan(plan_id)
+        assert arena._plans == {}
+
 
 class TestSessionArena:
     """The arena of one session, read through its stats and its handles."""

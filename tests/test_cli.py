@@ -202,13 +202,6 @@ class TestBenchCommand:
             "metric_sweep.txt",
         ]
 
-    def test_writes_registered_artifacts(self, capsys, tmp_path):
-        argv = ["bench", "--experiment", "ablation_features", "--scale", "tiny"]
-        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-        assert "ablation_features: artifact -> " in capsys.readouterr().out
-        payload = json.loads((tmp_path / "ablation_features.json").read_text())
-        assert payload["experiment"] == "ablation_features"
-
     def test_figure_sweeps_also_write_the_speedup_summary(self, capsys, tmp_path):
         argv = ["bench", "--scale", "tiny", "--out", str(tmp_path)]
         for name in ("figure3", "figure4", "figure5"):
