@@ -6,7 +6,8 @@ The ``tracing`` feature defaults *off* and promises two hard properties:
    4096-plan dominance block (the largest size of the kernel dominance
    benchmark): the block filter wrapped in a disabled ``span()`` — exactly
    how :func:`repro.core.pruning.prune_all_ids` wraps its kernel calls —
-   must time within the run-to-run noise of the bare call.  A separate
+   must time within the run-to-run noise of the bare call, taken as the
+   median difference of back-to-back bare and wrapped calls.  A separate
    microbenchmark bounds the per-call cost of a disabled span as a multiple
    of the ``flags.enabled("tracing")`` lookup it makes, timed in the same
    loop, so that a regression of the no-op path as small as 1 us fails.
@@ -20,6 +21,7 @@ Results are persisted to ``results/tracing_overhead.txt``.
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 import pytest
@@ -43,9 +45,10 @@ except ImportError:  # pragma: no cover - depends on environment
 #: The largest block of the kernel dominance benchmark.
 SIZE = 4096
 DIMS = 3
-REPEATS = 5
 #: Timing samples taken to estimate the run-to-run noise floor.
 SAMPLES = 7
+#: Back-to-back (bare, wrapped) call pairs per noise-floor sample.
+PAIRS = 15
 #: A disabled span may cost at most this many bare ``flags.enabled`` lookups.
 #: On a 2-vCPU VM (CPython 3.11) the ratio reads 7.7-9.6 (about 0.85 us
 #: against 0.1 us); a 1 us busy-wait added to the no-op path lifts it to 15-28.
@@ -54,13 +57,10 @@ MAX_SPAN_TO_LOOKUP_RATIO = 12.0
 BACKENDS = ("python",) + (("numpy",) if HAVE_NUMPY else ())
 
 
-def best_time(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+def timed(fn) -> float:
+    started = time.perf_counter()
+    fn()
+    return time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +102,8 @@ def test_disabled_span_call_is_cheap(overhead_rows):
 
     span_best = lookup_best = float("inf")
     for _ in range(SAMPLES):
-        span_best = min(span_best, best_time(spans, repeats=1))
-        lookup_best = min(lookup_best, best_time(lookups, repeats=1))
+        span_best = min(span_best, timed(spans))
+        lookup_best = min(lookup_best, timed(lookups))
     ratio = span_best / lookup_best
     overhead_rows.append(
         {
@@ -122,7 +122,15 @@ def test_disabled_span_call_is_cheap(overhead_rows):
 
 
 def test_disabled_overhead_below_noise_floor(dominance_block, overhead_rows):
-    """The pruning-style span wrapper must vanish into run-to-run noise."""
+    """The pruning-style span wrapper must vanish into run-to-run noise.
+
+    Bare and wrapped calls run back to back in pairs, alternating which goes
+    first, and the wrapper's cost is the median of the per-pair differences:
+    both calls of a pair see the same machine state.  The two sides' minima,
+    taken apart, are extremes of separate samples and drift apart by as much
+    as the band itself: with no regression, in about 1% of isolated runs on a
+    2-vCPU VM, and more often inside a full suite run.
+    """
     assert not flags.enabled("tracing")
     matrix, bounds = dominance_block
 
@@ -133,15 +141,24 @@ def test_disabled_overhead_below_noise_floor(dominance_block, overhead_rows):
         with obs_trace.span("kernel.block", op="dominated_slots", block_size=SIZE):
             matrix.dominated_slots(bounds)
 
-    # Interleave the two so both see the same machine state, and give each
-    # the same SAMPLES x REPEATS chances to land on a quiet slice.
-    bare_samples, wrapped_samples = [], []
-    for _ in range(SAMPLES):
-        bare_samples.append(best_time(bare))
-        wrapped_samples.append(best_time(wrapped))
+    bare_samples, added = [], []
+    wrapped_best = float("inf")
+    for sample in range(SAMPLES):
+        bare_best = float("inf")
+        for pair in range(PAIRS):
+            if (sample * PAIRS + pair) % 2:
+                wrapped_seconds = timed(wrapped)
+                bare_seconds = timed(bare)
+            else:
+                bare_seconds = timed(bare)
+                wrapped_seconds = timed(wrapped)
+            bare_best = min(bare_best, bare_seconds)
+            wrapped_best = min(wrapped_best, wrapped_seconds)
+            added.append(wrapped_seconds - bare_seconds)
+        bare_samples.append(bare_best)
     floor = min(bare_samples)
     noise = max(bare_samples) - floor
-    wrapped_best = min(wrapped_samples)
+    added_median = statistics.median(added)
     # Allow at least a 10% band: on a quiet machine the observed spread can
     # collapse to near zero, below what any timing comparison can resolve.
     allowance = max(noise, 0.10 * floor)
@@ -152,12 +169,13 @@ def test_disabled_overhead_below_noise_floor(dominance_block, overhead_rows):
             "bare_best_seconds": floor,
             "bare_noise_seconds": noise,
             "wrapped_best_seconds": wrapped_best,
+            "added_median_seconds": added_median,
         }
     )
-    assert wrapped_best <= floor + allowance, (
-        f"disabled-span wrapper added {(wrapped_best - floor) * 1e6:.1f} us "
-        f"to the {SIZE}-plan dominance block (noise floor "
-        f"{allowance * 1e6:.1f} us)"
+    assert added_median <= allowance, (
+        f"disabled-span wrapper added {added_median * 1e6:.1f} us (median of "
+        f"{len(added)} back-to-back pairs) to the {SIZE}-plan dominance block "
+        f"(noise floor {allowance * 1e6:.1f} us)"
     )
 
 

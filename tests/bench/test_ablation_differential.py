@@ -5,7 +5,10 @@ bit-identical frontier, identical ``plans_generated``, and (up to each flag's
 declared counter exemptions) identical per-invocation counters.  This suite
 fuzzes randomized ``OptimizeRequest``s — topology x size x seed x metric
 subset — under random flag subsets on both kernel backends and compares
-everything against the all-on configuration.
+everything against the all-on configuration.  A fixed grid then flips each
+flag alone away from its default, and switches the kernel backend, on one
+workload per generated topology, a TPC-H block and a template instantiation,
+and checks the work Δ-sets save pair by pair.
 
 Seeded ``random.Random`` keeps every run reproducible; a failure message
 names the scenario and flag subset so it can be replayed directly.
@@ -13,6 +16,7 @@ names the scenario and flag subset so it can be replayed directly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from contextlib import ExitStack
 from typing import Dict, List, Optional, Tuple
@@ -31,9 +35,21 @@ METRIC_CHOICES = (
     ("execution_time", "buffer_space"),
 )
 CORE_FLAGS = tuple(sorted(flags.KNOWN_FLAGS))
+DEFAULT_FLAGS = dict(flags.KNOWN_FLAGS)
 #: Counter fields a disabled flag is allowed to change; every other counter
 #: stays bit-identical.
-COUNTER_EXEMPT = {"delta_sets": ("pairs_enumerated", "candidates_retrieved")}
+COUNTER_EXEMPT = {"delta_sets": ("pairs_enumerated",)}
+#: The fixed grid: one workload per generated topology, a six-table TPC-H
+#: block and a five-join template instantiation, three invocations each.
+GRID_WORKLOADS = (
+    "gen:chain:5:0",
+    "gen:star:5:0",
+    "gen:cycle:5:0",
+    "gen:clique:5:0",
+    "tpch:q05",
+    "template:ss_address_rollup:0",
+)
+GRID_LEVELS = 3
 
 try:
     import numpy  # noqa: F401
@@ -63,23 +79,35 @@ def _scenarios(seed: int, count: int) -> List[Dict[str, object]]:
     return scenarios
 
 
+def _all_on_except(disabled: Tuple[str, ...]) -> Dict[str, bool]:
+    return {name: name not in disabled for name in CORE_FLAGS}
+
+
+def _defaults_with(flipped: str) -> Dict[str, bool]:
+    """The default flag values with ``flipped`` alone turned the other way."""
+    return dict(DEFAULT_FLAGS, **{flipped: not DEFAULT_FLAGS[flipped]})
+
+
 def _capture(
     scenario: Dict[str, object],
     backend: str,
-    disabled: Tuple[str, ...] = (),
+    flag_values: Optional[Dict[str, bool]] = None,
 ) -> Dict[str, object]:
-    """Run one scenario under a flag configuration; return the pinned facts."""
+    """Run one scenario under flag values (all on unless given); return the
+    pinned facts."""
+    workload = scenario.get("workload") or (
+        f"gen:{scenario['topology']}:{scenario['tables']}:{scenario['seed']}"
+    )
     request = OptimizeRequest(
-        workload=f"gen:{scenario['topology']}:{scenario['tables']}:{scenario['seed']}",
+        workload=workload,
         algorithm="iama",
         scale="tiny",
         levels=scenario["levels"],
         metrics=scenario["metrics"],
     )
-    overrides = {name: name not in disabled for name in CORE_FLAGS}
     with ExitStack() as stack:
         stack.enter_context(kernel.use_backend(backend))
-        stack.enter_context(flags.overrides(**overrides))
+        stack.enter_context(flags.overrides(**(flag_values or _all_on_except(()))))
         result = open_session(request).run()
     counters = [
         {
@@ -114,6 +142,13 @@ def _strip(counters, exempt):
     ]
 
 
+def _pairs(capture) -> List[int]:
+    """Pairs enumerated per invocation."""
+    return [
+        invocation.get("pairs_enumerated", 0) for invocation in capture["counters"]
+    ]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("fuzz_seed", [11, 23])
 def test_random_flag_subsets_are_bit_identical(backend, fuzz_seed):
@@ -125,7 +160,7 @@ def test_random_flag_subsets_are_bit_identical(backend, fuzz_seed):
             f" disabled={disabled} backend={backend}"
         )
         baseline = _capture(scenario, backend)
-        ablated = _capture(scenario, backend, disabled=disabled)
+        ablated = _capture(scenario, backend, _all_on_except(disabled))
         assert ablated["frontier"] == baseline["frontier"], label
         assert ablated["plans_generated"] == baseline["plans_generated"], label
         assert ablated["invocations"] == baseline["invocations"], label
@@ -147,7 +182,7 @@ def test_flag_subsets_are_identical_across_backends():
     }
     all_off = tuple(CORE_FLAGS)
     python_baseline = _capture(scenario, "python")
-    numpy_ablated = _capture(scenario, "numpy", disabled=all_off)
+    numpy_ablated = _capture(scenario, "numpy", _all_on_except(all_off))
     assert numpy_ablated["frontier"] == python_baseline["frontier"]
     assert numpy_ablated["plans_generated"] == python_baseline["plans_generated"]
     exempt = _exempt_fields(all_off)
@@ -168,10 +203,50 @@ def test_delta_sets_exemption_is_real():
         "metrics": None,
     }
     baseline = _capture(scenario, "python")
-    ablated = _capture(scenario, "python", disabled=("delta_sets",))
-
-    def total_pairs(capture):
-        return sum(inv.get("pairs_enumerated", 0) for inv in capture["counters"])
-
-    assert total_pairs(ablated) > total_pairs(baseline)
+    ablated = _capture(scenario, "python", _all_on_except(("delta_sets",)))
+    assert sum(_pairs(ablated)) > sum(_pairs(baseline))
     assert ablated["frontier"] == baseline["frontier"]
+
+
+def _grid_scenario(workload: str) -> Dict[str, object]:
+    return {"workload": workload, "levels": GRID_LEVELS, "metrics": None}
+
+
+@pytest.mark.parametrize("workload", GRID_WORKLOADS)
+@pytest.mark.parametrize("flag", CORE_FLAGS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_flag_flipped_from_its_default_is_bit_identical(backend, flag, workload):
+    scenario = _grid_scenario(workload)
+    default = _capture(scenario, backend, DEFAULT_FLAGS)
+    flipped = _capture(scenario, backend, _defaults_with(flag))
+    label = f"{workload}: {flag} flipped to {not DEFAULT_FLAGS[flag]} on {backend}"
+    assert default["frontier"], label
+    assert flipped["frontier"] == default["frontier"], label
+    assert flipped["plans_generated"] == default["plans_generated"], label
+    assert flipped["invocations"] == default["invocations"] == GRID_LEVELS, label
+    exempt = _exempt_fields((flag,))
+    assert _strip(flipped["counters"], exempt) == _strip(
+        default["counters"], exempt
+    ), label
+
+
+@pytest.mark.skipif(len(BACKENDS) < 2, reason="numpy backend unavailable")
+@pytest.mark.parametrize("workload", GRID_WORKLOADS)
+def test_backends_agree_on_the_frontier_and_every_counter(workload):
+    scenario = _grid_scenario(workload)
+    numpy_run = _capture(scenario, "numpy", DEFAULT_FLAGS)
+    assert numpy_run["frontier"]
+    assert numpy_run == _capture(scenario, "python", DEFAULT_FLAGS)
+
+
+@pytest.mark.parametrize("workload", GRID_WORKLOADS)
+def test_delta_sets_enumerate_each_pair_once(workload):
+    """With Δ-sets an invocation joins only the pairs with a newly inserted
+    side (Section 4.2), so a session that never steers enumerates each pair of
+    retrievable plans once.  Without them every invocation re-enumerates all
+    retrievable pairs: exactly the running total of the Δ-set run."""
+    scenario = _grid_scenario(workload)
+    with_delta = _pairs(_capture(scenario, "python", DEFAULT_FLAGS))
+    without = _pairs(_capture(scenario, "python", _defaults_with("delta_sets")))
+    assert without == list(itertools.accumulate(with_delta))
+    assert sum(without) > sum(with_delta)

@@ -100,6 +100,26 @@ class TestDifferentialGuarantee:
                 result.invocations
             )
 
+    @pytest.mark.parametrize("cache", (True, False), ids=("cache_on", "cache_off"))
+    def test_repeats_match_the_cold_trace(self, cache, serial_frontiers):
+        # Every request in flight at once, then each one resubmitted twice.
+        # With the cache the repeats replay without running a timeslice;
+        # without it they recompute every invocation.  Either way every
+        # frontier is the serial one.
+        requests = _requests()
+        with PlanningService(workers=0, cache=cache) as service:
+            cold = [service.submit(request) for request in requests]
+            cold_slices = service.run_until_idle()
+            warm = [service.submit(request) for _ in range(2) for request in requests]
+            warm_slices = service.run_until_idle()
+            for request, ticket in zip(requests * 3, cold + warm):
+                result = service.result(ticket, timeout=0.1)
+                assert _frontier_costs(result) == serial_frontiers[request.workload]
+            statuses = {service.poll(ticket)["cache_status"] for ticket in warm}
+        assert cold_slices == sum(request.levels for request in requests)
+        assert warm_slices == (0 if cache else 2 * cold_slices)
+        assert statuses == {CACHE_HIT if cache else CACHE_MISS}
+
     def test_warm_started_results_are_bit_identical(self, serial_frontiers):
         request = _requests()[1]
         capped = request.with_overrides(budget=Budget(max_invocations=1))

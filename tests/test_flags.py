@@ -1,14 +1,19 @@
-"""Tests for the runtime feature flags (:mod:`repro.flags`)."""
+"""Tests for the runtime feature flags (:mod:`repro.flags`) and the README
+table of every seam's switch."""
 
 from __future__ import annotations
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro import flags
+from repro import flags, kernel
+from repro.api import OptimizeRequest
+from repro.service import CACHE_HIT, CACHE_MISS, PlanningService
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,6 +98,69 @@ class TestFlags:
     def test_garbage_environment_value_raises(self):
         with pytest.raises(ValueError, match="cannot parse"):
             flags._parse("delta_sets", "maybe")
+
+
+def _feature_table():
+    """``(seam, default, switch)`` per row of the README "Feature flags" table."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("\n## Feature flags\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| ([^|]+?) \| ([^|]+?) \| `([^`]+)` \|", section, re.M)
+
+
+FEATURE_TABLE = _feature_table()
+
+
+def _probe(expression: str, variable: str, value: str) -> str:
+    """``expression`` evaluated in a fresh interpreter with ``variable=value``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"from repro import flags, kernel; print({expression})"],
+        capture_output=True,
+        text=True,
+        env={**SUBPROCESS_ENV, variable: value},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def _repeat_status(**service_args) -> str:
+    """Cache status of a request submitted again after its first run."""
+    request = OptimizeRequest(workload="gen:chain:3:0", levels=2, scale="tiny")
+    with PlanningService(workers=0, **service_args) as service:
+        service.submit(request)
+        service.run_until_idle()
+        return service.poll(service.submit(request))["cache_status"]
+
+
+class TestReadmeFeatureTable:
+    def test_rows_name_every_flag_with_its_default(self):
+        listed = {}
+        for _, default, switch in FEATURE_TABLE:
+            match = re.fullmatch(rf"{flags.FEATURE_ENV_PREFIX}(\w+)=([01])", switch)
+            if match:
+                listed[match.group(1).lower()] = (default, match.group(2))
+        assert listed == {
+            name: ("on" if default else "off", str(int(not default)))
+            for name, default in flags.KNOWN_FLAGS.items()
+        }
+
+    @pytest.mark.parametrize("switch", [row[2] for row in FEATURE_TABLE])
+    def test_switch_turns_its_seam_away_from_the_default(self, switch):
+        variable, _, value = switch.partition("=")
+        if variable.startswith(flags.FEATURE_ENV_PREFIX):
+            name = variable[len(flags.FEATURE_ENV_PREFIX):].lower()
+            assert flags.KNOWN_FLAGS[name] != bool(int(value))
+            assert _probe(f"flags.enabled({name!r})", variable, value) == str(
+                bool(int(value))
+            )
+        elif variable == kernel.BACKEND_ENV_VAR:
+            assert value in kernel.BACKEND_NAMES
+            assert _probe("kernel.backend_name()", variable, value) == value
+        else:
+            call = re.fullmatch(r"PlanningService\((\w+)=(.+)\)", switch)
+            assert call is not None, f"unrecognised switch {switch!r}"
+            argument = {call.group(1): ast.literal_eval(call.group(2))}
+            assert _repeat_status() == CACHE_HIT
+            assert _repeat_status(**argument) == CACHE_MISS
 
 
 def test_tier_markers_are_registered(pytestconfig):
