@@ -6,8 +6,8 @@ The ``tracing`` feature defaults *off* and promises two hard properties:
    4096-plan dominance block (the largest size of the kernel dominance
    benchmark): the block filter wrapped in a disabled ``span()`` — exactly
    how :func:`repro.core.pruning.prune_all_ids` wraps its kernel calls —
-   must time within the run-to-run noise of the bare call, taken as the
-   median difference of back-to-back bare and wrapped calls.  A separate
+   must add at most 10% to the bare call, taken as the median difference of
+   back-to-back bare and wrapped calls.  A separate
    microbenchmark bounds the per-call cost of a disabled span as a multiple
    of the ``flags.enabled("tracing")`` lookup it makes, timed in the same
    loop, so that a regression of the no-op path as small as 1 us fails.
@@ -45,10 +45,10 @@ except ImportError:  # pragma: no cover - depends on environment
 #: The largest block of the kernel dominance benchmark.
 SIZE = 4096
 DIMS = 3
-#: Timing samples taken to estimate the run-to-run noise floor.
+#: Bursts timed per side of the disabled-span microbenchmark.
 SAMPLES = 7
-#: Back-to-back (bare, wrapped) call pairs per noise-floor sample.
-PAIRS = 15
+#: Back-to-back (bare, wrapped) call pairs of the noise-floor check.
+PAIRS = 105
 #: A disabled span may cost at most this many bare ``flags.enabled`` lookups.
 #: On a 2-vCPU VM (CPython 3.11) the ratio reads 7.7-9.6 (about 0.85 us
 #: against 0.1 us); a 1 us busy-wait added to the no-op path lifts it to 15-28.
@@ -122,7 +122,7 @@ def test_disabled_span_call_is_cheap(overhead_rows):
 
 
 def test_disabled_overhead_below_noise_floor(dominance_block, overhead_rows):
-    """The pruning-style span wrapper must vanish into run-to-run noise.
+    """The pruning-style span wrapper adds at most 10% to the bare call.
 
     Bare and wrapped calls run back to back in pairs, alternating which goes
     first, and the wrapper's cost is the median of the per-pair differences:
@@ -141,33 +141,27 @@ def test_disabled_overhead_below_noise_floor(dominance_block, overhead_rows):
         with obs_trace.span("kernel.block", op="dominated_slots", block_size=SIZE):
             matrix.dominated_slots(bounds)
 
-    bare_samples, added = [], []
-    wrapped_best = float("inf")
-    for sample in range(SAMPLES):
-        bare_best = float("inf")
-        for pair in range(PAIRS):
-            if (sample * PAIRS + pair) % 2:
-                wrapped_seconds = timed(wrapped)
-                bare_seconds = timed(bare)
-            else:
-                bare_seconds = timed(bare)
-                wrapped_seconds = timed(wrapped)
-            bare_best = min(bare_best, bare_seconds)
-            wrapped_best = min(wrapped_best, wrapped_seconds)
-            added.append(wrapped_seconds - bare_seconds)
-        bare_samples.append(bare_best)
-    floor = min(bare_samples)
-    noise = max(bare_samples) - floor
+    added = []
+    floor = wrapped_best = float("inf")
+    for pair in range(PAIRS):
+        if pair % 2:
+            wrapped_seconds = timed(wrapped)
+            bare_seconds = timed(bare)
+        else:
+            bare_seconds = timed(bare)
+            wrapped_seconds = timed(wrapped)
+        floor = min(floor, bare_seconds)
+        wrapped_best = min(wrapped_best, wrapped_seconds)
+        added.append(wrapped_seconds - bare_seconds)
     added_median = statistics.median(added)
-    # Allow at least a 10% band: on a quiet machine the observed spread can
-    # collapse to near zero, below what any timing comparison can resolve.
-    allowance = max(noise, 0.10 * floor)
+    # A fixed 10% band: a band widened by the spread of the bare samples lets
+    # one slow sample hide a real regression.
+    allowance = 0.10 * floor
     overhead_rows.append(
         {
             "row": "noise_floor",
             "block_size": SIZE,
             "bare_best_seconds": floor,
-            "bare_noise_seconds": noise,
             "wrapped_best_seconds": wrapped_best,
             "added_median_seconds": added_median,
         }
@@ -175,7 +169,7 @@ def test_disabled_overhead_below_noise_floor(dominance_block, overhead_rows):
     assert added_median <= allowance, (
         f"disabled-span wrapper added {added_median * 1e6:.1f} us (median of "
         f"{len(added)} back-to-back pairs) to the {SIZE}-plan dominance block "
-        f"(noise floor {allowance * 1e6:.1f} us)"
+        f"(bound: 10% of the bare call, {allowance * 1e6:.1f} us)"
     )
 
 

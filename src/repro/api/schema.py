@@ -148,9 +148,21 @@ class PlanSummary:
         )
 
 
-def frontier_summaries(plans: Sequence[Plan]) -> Tuple[PlanSummary, ...]:
-    """Plan summaries of a visualized frontier, in retrieval order."""
-    return tuple(PlanSummary.from_plan(plan) for plan in plans)
+def frontier_summaries(
+    plans: Sequence[Plan], shown: Optional[Dict[Plan, PlanSummary]] = None
+) -> Tuple[PlanSummary, ...]:
+    """Plan summaries of a visualized frontier, in retrieval order.
+
+    ``shown`` maps plan handles to the summaries built for them earlier: a
+    plan found there is not summarized again, and each plan summarized here
+    is added to it.
+    """
+    if shown is None:
+        shown = {}
+    for plan in plans:
+        if plan not in shown:
+            shown[plan] = PlanSummary.from_plan(plan)
+    return tuple(shown[plan] for plan in plans)
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +259,8 @@ class FrontierUpdate:
     ``plans`` holds the live plan objects of the visualized frontier so that
     steering hooks (plan choosers, bound heuristics) can act on them; it is
     excluded from equality and from the JSON form, which carry only the
-    value-typed summaries.
+    value-typed summaries.  A session's history keeps them only on its
+    latest entry.
     """
 
     algorithm: str

@@ -26,8 +26,9 @@ factory, resolution schedule) instead of a request.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.planners import PlannerDriver, SingleObjectiveDriver, planner
 from repro.api.request import (
@@ -113,7 +114,8 @@ class PlannerSession:
         self._resolution = 0
         self._iteration = 0
         self._history: List[FrontierUpdate] = []
-        self._last_plans: Tuple[Plan, ...] = ()
+        # The summary of every plan of the session's own arena shown so far.
+        self._shown: Dict[Plan, PlanSummary] = {}
         self._queued: Optional[UserAction] = None
         self._finish_reason: Optional[str] = None
         self._selected_plan: Optional[Plan] = None
@@ -160,7 +162,13 @@ class PlannerSession:
 
     @property
     def history(self) -> List[FrontierUpdate]:
-        """All frontier updates streamed so far."""
+        """All frontier updates streamed so far.
+
+        Only the latest entry keeps its live ``plans``: a DP driver plans
+        each run in a scratch arena, which the plans of every earlier entry
+        would keep alive.  An update returned by :meth:`advance` keeps its
+        own plans.
+        """
         return list(self._history)
 
     @property
@@ -170,7 +178,7 @@ class PlannerSession:
     @property
     def frontier_plans(self) -> Tuple[Plan, ...]:
         """Live plan objects of the most recently visualized frontier."""
-        return self._last_plans
+        return self._history[-1].plans if self._history else ()
 
     @property
     def selected_plan(self) -> Optional[Plan]:
@@ -234,25 +242,26 @@ class PlannerSession:
                 frontier_size=len(step.plans),
                 plans_generated=self._driver.factory.counters.total_plans_built,
             )
-        self._iteration += 1
-        summary = InvocationSummary.from_report(
-            step.native,
-            index=self._iteration,
-            resolution=resolution,
-            alpha=step.alpha,
-            bounds=self._bounds,
-            duration_seconds=step.duration_seconds,
-            frontier_size=len(step.plans),
-        )
-        update = FrontierUpdate(
-            algorithm=self._driver.name,
-            invocation=summary,
-            frontier=frontier_summaries(step.plans),
-            elapsed_seconds=_now() - self._started,
-            plans=tuple(step.plans),
-        )
-        self._history.append(update)
-        self._last_plans = tuple(step.plans)
+            self._iteration += 1
+            summary = InvocationSummary.from_report(
+                step.native,
+                index=self._iteration,
+                resolution=resolution,
+                alpha=step.alpha,
+                bounds=self._bounds,
+                duration_seconds=step.duration_seconds,
+                frontier_size=len(step.plans),
+            )
+            update = FrontierUpdate(
+                algorithm=self._driver.name,
+                invocation=summary,
+                frontier=self._summaries(step.plans),
+                elapsed_seconds=_now() - self._started,
+                plans=tuple(step.plans),
+            )
+            if self._history:
+                self._history[-1] = dataclasses.replace(self._history[-1], plans=())
+            self._history.append(update)
         return update
 
     def apply(self, action: Optional[UserAction] = None) -> None:
@@ -273,7 +282,7 @@ class PlannerSession:
             action = queued if queued is not None else Continue()
         if isinstance(action, SelectPlan):
             self._steered = True
-            self._selected_plan = action.resolve(list(self._last_plans))
+            self._selected_plan = action.resolve(list(self.frontier_plans))
             self._finish_reason = FINISH_SELECTED
         elif isinstance(action, ChangeBounds):
             if len(action.bounds) != self._metric_set.dimensions:
@@ -381,7 +390,7 @@ class PlannerSession:
         last = self.last_update
         frontier: Tuple[PlanSummary, ...] = last.frontier if last else ()
         selected = (
-            PlanSummary.from_plan(self._selected_plan)
+            self._summaries((self._selected_plan,))[0]
             if self._selected_plan is not None
             else None
         )
@@ -400,6 +409,19 @@ class PlannerSession:
         )
 
     # ------------------------------------------------------------------
+    def _summaries(self, plans: Sequence[Plan]) -> Tuple[PlanSummary, ...]:
+        """The summaries of ``plans``, reusing those this session has shown.
+
+        Handles are canonical per arena and a plan never changes, so a kept
+        summary never goes stale.  Only plans of the session's own arena are
+        kept: a DP driver plans each run in a scratch arena whose ids restart
+        at 1, and keeping its handles would keep every run's arena alive.
+        """
+        own = self._driver.factory.arena
+        if all(plan.arena is own for plan in plans):
+            return frontier_summaries(plans, self._shown)
+        return frontier_summaries(plans)
+
     def _check_budget(self, action: UserAction) -> None:
         """End the session when a budget limit is hit.
 

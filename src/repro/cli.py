@@ -183,9 +183,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         f"traced {session.query.name}: {len(result.invocations)} invocations, "
         f"{result.plans_generated} plans, {len(spans)} spans"
     )
-    print(f"{'span':>24} {'count':>7} {'seconds':>10}")
+    print(f"{'span':>24} {'count':>7} {'seconds':>10} {'self':>10}")
     for row in obs_trace.summarize(spans):
-        print(f"{row['name']:>24} {row['count']:>7d} {row['seconds']:>10.4f}")
+        print(
+            f"{row['name']:>24} {row['count']:>7d} {row['seconds']:>10.4f} "
+            f"{row['self_seconds']:>10.4f}"
+        )
     series = convergence.series_from_updates(updates)
     print()
     print(

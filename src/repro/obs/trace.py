@@ -384,15 +384,41 @@ def export_chrome_trace(spans: Iterable[Dict[str, Any]], path) -> None:
         json.dump(chrome_trace(spans), handle, sort_keys=True)
 
 
+def _duration(span_dict: Dict[str, Any]) -> float:
+    end = span_dict.get("end")
+    return 0.0 if end is None else max(0.0, end - span_dict["start"])
+
+
 def summarize(spans: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Aggregate spans by name: count and total/self-exclusive duration."""
+    """Aggregate spans by name: count, total and self-exclusive duration.
+
+    ``seconds`` sums the spans' durations.  ``self_seconds`` sums each span's
+    duration minus the durations of its direct children (matched by
+    ``parent_id``), so the self times of all spans add up to the durations of
+    the spans whose parent is not among them.  Children that run concurrently
+    can make a self time negative.
+    """
+    spans = list(spans)
+    child_seconds: Dict[str, float] = {}
+    for span_dict in spans:
+        parent_id = span_dict.get("parent_id")
+        if parent_id is not None:
+            child_seconds[parent_id] = (
+                child_seconds.get(parent_id, 0.0) + _duration(span_dict)
+            )
     totals: Dict[str, Dict[str, Any]] = {}
     for span_dict in spans:
-        end = span_dict.get("end")
-        duration = 0.0 if end is None else max(0.0, end - span_dict["start"])
+        duration = _duration(span_dict)
         row = totals.setdefault(
-            span_dict["name"], {"name": span_dict["name"], "count": 0, "seconds": 0.0}
+            span_dict["name"],
+            {
+                "name": span_dict["name"],
+                "count": 0,
+                "seconds": 0.0,
+                "self_seconds": 0.0,
+            },
         )
         row["count"] += 1
         row["seconds"] += duration
+        row["self_seconds"] += duration - child_seconds.get(span_dict["span_id"], 0.0)
     return sorted(totals.values(), key=lambda row: (-row["seconds"], row["name"]))

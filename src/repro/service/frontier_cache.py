@@ -356,9 +356,16 @@ def _payload_bytes(updates: List[dict]) -> int:
 
 
 def _session_bytes(session: Optional[PlannerSession]) -> int:
+    """The bytes of the arena a parked session's last frontier lives in.
+
+    That is the factory's arena for IAMA, and the last run's scratch arena
+    for a DP planner, whose factory arena stays empty.
+    """
     if session is None:
         return 0
-    return session.driver.factory.arena.stats().approx_bytes
+    plans = session.frontier_plans
+    arena = plans[0].arena if plans else session.driver.factory.arena
+    return arena.stats().approx_bytes
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,17 @@ class TestStreaming:
         assert session.finish_reason == FINISH_EXHAUSTED
         assert all(u.algorithm == "iama" for u in updates)
 
+    def test_only_the_latest_history_entry_keeps_live_plans(self):
+        # A DP run's plans live in its own scratch arena, so plans kept by
+        # every entry would keep every run's arena alive.
+        session = make_session("memoryless")
+        updates = list(session.updates())
+        history = session.history
+        assert history == updates
+        assert [bool(update.plans) for update in history] == [False, False, True]
+        assert all(update.plans for update in updates)
+        assert session.frontier_plans == updates[-1].plans
+
     def test_frontier_never_shrinks_for_passive_consumer(self):
         session = make_session(levels=4)
         sizes = [len(u.frontier) for u in session.updates()]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -184,6 +185,34 @@ class TestExporters:
         by_name = {row["name"]: row for row in rows}
         assert by_name["a"]["count"] == 3
         assert by_name["b"]["count"] == 1
+
+    def test_self_time_excludes_direct_children(self, tracer):
+        def run():
+            for _ in range(2):
+                with tracer.span("a"):
+                    with tracer.span("b"):
+                        with tracer.span("c"):
+                            time.sleep(0.002)
+                        time.sleep(0.001)
+                    time.sleep(0.001)
+            with tracer.span("d"):
+                pass
+
+        _with_tracing(run)
+        spans = tracer.snapshot()
+        by_name = {row["name"]: row for row in summarize(spans)}
+        a, b, c, d = (by_name[name] for name in "abcd")
+        assert a["self_seconds"] == pytest.approx(a["seconds"] - b["seconds"])
+        assert b["self_seconds"] == pytest.approx(b["seconds"] - c["seconds"])
+        assert c["self_seconds"] == c["seconds"] > 0
+        assert d["self_seconds"] == d["seconds"]
+        assert a["self_seconds"] > 0 and b["self_seconds"] > 0
+        roots = sum(
+            span["end"] - span["start"] for span in spans if span["parent_id"] is None
+        )
+        assert sum(row["self_seconds"] for row in by_name.values()) == (
+            pytest.approx(roots)
+        )
 
 
 class TestModuleLevelTracer:

@@ -1,49 +1,144 @@
-"""What a session's plan arena allocates against what it is charged.
+"""What a parked session holds against what it is charged.
 
 The frontier cache charges a parked session ``arena.stats().approx_bytes``
-(the cost rows plus the id columns).  The arena must therefore hold little
-beyond those columns: no per-plan slot for handles or cost vectors, only the
-handles materialized so far.  This test runs a 5-level session under
-``tracemalloc`` and bounds the memory still allocated from the arena's own
-modules (``plans/arena.py`` and ``costs/matrix.py``) by the charged estimate,
-for a TPC-H block, a generated query and a template query.
+of the arena its last frontier lives in (the cost rows plus the id columns).
+The arena must therefore hold little beyond those columns: no per-plan slot
+for handles or cost vectors, only the handles materialized so far.  These
+tests run 5-level sessions under ``tracemalloc`` and bound, by the charged
+estimate, the memory still allocated after a collection:
+
+* from the arena's own modules (``plans/arena.py`` and ``costs/matrix.py``),
+  for a TPC-H block, a generated query and a template query, and for a
+  ``memoryless`` session, whose earlier runs' scratch arenas must be gone;
+* from the plan indexes (``core/index.py``), which are not charged;
+* from the session API and the plan handles (``api/session.py``,
+  ``api/schema.py`` and ``plans/plan.py``: summaries, render strings and
+  handles), which are not charged either.
 """
 
+import gc
 import tracemalloc
 
 import pytest
 
-from repro.api import OptimizeRequest, open_session
+from repro.api import Budget, OptimizeRequest, open_session, resolve_request
+from repro.api import schema as schema_module
+from repro.api import session as session_module
+from repro.core import index as index_module
 from repro.costs import matrix as matrix_module
 from repro.plans import arena as arena_module
+from repro.plans import plan as plan_module
+from repro.service import FrontierCache
+from repro.service.frontier_cache import request_fingerprint
 
 #: Allocated bytes per charged byte.  Over-allocation of the growing columns
-#: accounts for the rest: the ratio reads 1.06-1.14 on ``tpch:q08``,
-#: ``gen:clique:5:0`` and ``template:ss_address_rollup:5``.
+#: accounts for the rest: the ratio reads 1.06-1.13 on ``tpch:q08``,
+#: ``gen:clique:5:0`` and ``template:ss_address_rollup:5``, and 1.09 on a
+#: ``memoryless`` ``gen:clique:4:0`` session (4.8 when every run's scratch
+#: arena stayed reachable from the session's history).
 MAX_RATIO = 1.2
+#: The plan indexes read 0.55-0.61x of the charge on the same workloads.
+MAX_INDEX_RATIO = 0.7
+#: The session's summaries, render strings and handles read 0.7-2.8% of the
+#: charge.  They read 1.8-8.2% when every update held its own summary of
+#: every plan.
+MAX_API_RATIO = 0.05
+
+WORKLOADS = ("tpch:q08", "gen:clique:5:0", "template:ss_address_rollup:5")
 
 
-@pytest.mark.parametrize(
-    "workload", ("tpch:q08", "gen:clique:5:0", "template:ss_address_rollup:5")
-)
-def test_arena_allocations_stay_within_the_charged_estimate(workload):
+def _request(workload, algorithm="iama", **overrides):
+    return OptimizeRequest(
+        workload=workload, algorithm=algorithm, levels=5, scale="smoke", **overrides
+    )
+
+
+def _held(snapshot, *modules):
+    own = [tracemalloc.Filter(True, module.__file__) for module in modules]
+    return sum(trace.size for trace in snapshot.filter_traces(own).traces)
+
+
+def _charged(session):
+    """``approx_bytes`` of the arena the session's last frontier lives in."""
+    (plan, *_) = session.frontier_plans
+    return plan.arena.stats().approx_bytes
+
+
+def _traced_run(request):
     tracemalloc.start()
     try:
-        session = open_session(
-            OptimizeRequest(workload=workload, levels=5, scale="smoke")
-        )
+        session = open_session(request)
         session.run()
+        gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    own_modules = [
-        tracemalloc.Filter(True, module.__file__)
-        for module in (arena_module, matrix_module)
-    ]
-    held = sum(trace.size for trace in snapshot.filter_traces(own_modules).traces)
+    return session, snapshot
+
+
+@pytest.fixture(scope="module", params=WORKLOADS)
+def traced_session(request):
+    return _traced_run(_request(request.param))
+
+
+@pytest.mark.parametrize(
+    "label, modules, bound",
+    (
+        ("the arena's modules", (arena_module, matrix_module), MAX_RATIO),
+        ("the plan indexes", (index_module,), MAX_INDEX_RATIO),
+        (
+            "the session API and plan handles",
+            (session_module, schema_module, plan_module),
+            MAX_API_RATIO,
+        ),
+    ),
+    ids=("arena", "index", "api"),
+)
+def test_allocations_stay_within_the_charged_estimate(
+    traced_session, label, modules, bound
+):
+    session, snapshot = traced_session
     charged = session.driver.factory.arena.stats().approx_bytes
-    assert charged > 0
-    assert held <= MAX_RATIO * charged, (
-        f"the arena's modules hold {held} bytes, "
-        f"{held / charged:.2f}x the {charged} bytes it is charged"
+    assert charged == _charged(session) > 0
+    held = _held(snapshot, *modules)
+    assert held <= bound * charged, (
+        f"{label} hold {held} bytes, {held / charged:.3f}x the {charged} "
+        f"bytes the session is charged (bound {bound}x)"
     )
+
+
+def test_a_memoryless_session_holds_only_its_last_run():
+    session, snapshot = _traced_run(_request("gen:clique:4:0", "memoryless"))
+    assert len(session.history) == 5
+    charged = _charged(session)
+    held = _held(snapshot, arena_module, matrix_module)
+    assert held <= MAX_RATIO * charged, (
+        f"the arena's modules hold {held} bytes, {held / charged:.2f}x the "
+        f"{charged} bytes of the last run's arena"
+    )
+
+
+def test_a_parked_memoryless_session_is_charged_its_last_run():
+    request = _request(
+        "gen:clique:4:0", "memoryless", budget=Budget(max_invocations=2)
+    )
+    session = open_session(request)
+    updates = [update.to_dict() for update in session.updates()]
+    assert session.resumable
+    cache = FrontierCache()
+    cache.record(
+        request_fingerprint(resolve_request(request), "memoryless"),
+        workload=request.workload,
+        algorithm=session.algorithm,
+        query_name=session.query.name,
+        table_count=session.query.table_count,
+        metric_names=tuple(session.driver.factory.metric_set.names),
+        levels=session.driver.schedule.levels,
+        refines=session.driver.refines,
+        alphas=[update["invocation"]["alpha"] for update in updates],
+        updates=updates,
+        plans_after=[0] * len(updates),
+        session=session,
+    )
+    cache.audit()
+    assert cache.stats()["arena_bytes"] == _charged(session) > 0
